@@ -9,6 +9,9 @@
 
 namespace siwi::runner {
 
+namespace {
+
+/** Number of workers @p jobs resolves to on this host. */
 unsigned
 resolveJobs(unsigned jobs)
 {
@@ -18,74 +21,13 @@ resolveJobs(unsigned jobs)
     return hw ? hw : 1;
 }
 
+} // namespace
+
 unsigned
 effectiveJobs(unsigned jobs, size_t cells)
 {
     return unsigned(std::min<size_t>(resolveJobs(jobs),
                                      std::max<size_t>(cells, 1)));
-}
-
-CellExecutor::CellExecutor(unsigned jobs)
-{
-    unsigned n = resolveJobs(jobs);
-    threads_.reserve(n);
-    for (unsigned t = 0; t < n; ++t)
-        threads_.emplace_back([this] { workerLoop(); });
-}
-
-CellExecutor::~CellExecutor()
-{
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        stop_ = true;
-    }
-    cv_.notify_all();
-    for (std::thread &t : threads_)
-        t.join();
-}
-
-void
-CellExecutor::submit(std::function<void()> job)
-{
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        queue_.push_back(std::move(job));
-    }
-    cv_.notify_one();
-}
-
-size_t
-CellExecutor::outstanding() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return queue_.size() + active_;
-}
-
-void
-CellExecutor::workerLoop()
-{
-    for (;;) {
-        std::function<void()> job;
-        {
-            std::unique_lock<std::mutex> lock(mu_);
-            cv_.wait(lock, [this] {
-                return stop_ || !queue_.empty();
-            });
-            // Drain before stopping: a destructor-raced submit
-            // still runs, so a server shutdown cannot drop cells
-            // whose results a client is already waiting on.
-            if (queue_.empty())
-                return;
-            job = std::move(queue_.front());
-            queue_.pop_front();
-            ++active_;
-        }
-        job();
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            --active_;
-        }
-    }
 }
 
 CellResult
@@ -149,7 +91,7 @@ machineRecords(const std::vector<SweepSpec> &sweeps)
 
 Results
 runSweeps(const std::vector<SweepSpec> &sweeps_in,
-          const RunOptions &opts)
+          const RunOptions &opts, const CellStep &step)
 {
     // Normalize a private copy: identical machine columns would
     // run identical cells, so they are dropped (with a warning)
@@ -169,7 +111,6 @@ runSweeps(const std::vector<SweepSpec> &sweeps_in,
     std::atomic<size_t> next{0};
     std::atomic<size_t> done{0};
     std::mutex io_mutex;
-    std::mutex cb_mutex;
 
     auto worker = [&] {
         for (;;) {
@@ -177,18 +118,21 @@ runSweeps(const std::vector<SweepSpec> &sweeps_in,
             if (i >= cells.size())
                 return;
             const CellSpec &cs = cells[i];
+            bool cached = false;
             CellResult c =
-                runCell(sweeps[cs.sweep], cs.machine, cs.wl,
-                        cs.sms, cs.policy, opts.cycle_skip);
+                step ? step(sweeps[cs.sweep], cs, &cached)
+                     : runCell(sweeps[cs.sweep], cs.machine, cs.wl,
+                               cs.sms, cs.policy, opts.cycle_skip);
             size_t n = done.fetch_add(1) + 1;
             if (opts.progress || !c.verified || c.timed_out) {
                 std::lock_guard<std::mutex> lock(io_mutex);
                 if (opts.progress) {
                     std::fprintf(stderr,
-                                 "[%zu/%zu] %s %s %s  ipc %.2f%s%s\n",
+                                 "[%zu/%zu] %s %s %s  ipc %.2f%s%s%s\n",
                                  n, cells.size(), c.sweep.c_str(),
                                  c.machine.c_str(),
                                  c.workload.c_str(), c.ipc,
+                                 cached ? "  (cached)" : "",
                                  c.verified ? "" : "  VERIFY FAIL",
                                  c.timed_out ? "  TIMED OUT" : "");
                 } else if (!c.verified) {
@@ -205,10 +149,6 @@ runSweeps(const std::vector<SweepSpec> &sweeps_in,
                         "simulated prefix\n",
                         c.workload.c_str(), c.machine.c_str());
                 }
-            }
-            if (opts.on_cell) {
-                std::lock_guard<std::mutex> lock(cb_mutex);
-                opts.on_cell(i, c);
             }
             out.cells[i] = std::move(c);
         }

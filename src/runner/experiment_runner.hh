@@ -15,11 +15,7 @@
 #ifndef SIWI_RUNNER_EXPERIMENT_RUNNER_HH
 #define SIWI_RUNNER_EXPERIMENT_RUNNER_HH
 
-#include <condition_variable>
-#include <deque>
 #include <functional>
-#include <mutex>
-#include <thread>
 
 #include "runner/results.hh"
 #include "runner/sweep.hh"
@@ -42,59 +38,7 @@ struct RunOptions
      * gate runs.
      */
     bool cycle_skip = true;
-    /**
-     * Completion hook: called once per finished cell with its
-     * canonical index (the slot in Results::cells) and result,
-     * as soon as the cell completes — execution order, not
-     * canonical order. Invoked from worker threads, serialized
-     * under an internal mutex, so the callback itself need not
-     * lock. Streaming consumers (serve/cached_run.hh) hang their
-     * cache stores and progress wires off this; it cannot affect
-     * the returned Results.
-     */
-    std::function<void(size_t index, const CellResult &)> on_cell;
 };
-
-/**
- * A persistent pool of cell-running worker threads, the sharding
- * substrate the serve layer keeps alive across submissions (one
- * runSweeps() call owns its threads for one sweep; a server
- * executes cells from many concurrent submissions on one pool).
- * Jobs are arbitrary closures drained FIFO; submission never
- * blocks. Destruction drains the queue, then joins.
- */
-class CellExecutor
-{
-  public:
-    /** @p jobs as in RunOptions (0 = hardware concurrency). */
-    explicit CellExecutor(unsigned jobs = 0);
-    ~CellExecutor();
-
-    CellExecutor(const CellExecutor &) = delete;
-    CellExecutor &operator=(const CellExecutor &) = delete;
-
-    /** Enqueue @p job; runs on some worker thread. */
-    void submit(std::function<void()> job);
-
-    /** Worker thread count. */
-    unsigned jobs() const { return unsigned(threads_.size()); }
-
-    /** Jobs submitted but not yet finished. */
-    size_t outstanding() const;
-
-  private:
-    void workerLoop();
-
-    mutable std::mutex mu_;
-    std::condition_variable cv_;
-    std::deque<std::function<void()>> queue_;
-    size_t active_ = 0;
-    bool stop_ = false;
-    std::vector<std::thread> threads_;
-};
-
-/** Number of workers @p jobs resolves to on this host. */
-unsigned resolveJobs(unsigned jobs);
 
 /** Workers runSweeps() will actually use for @p cells cells. */
 unsigned effectiveJobs(unsigned jobs, size_t cells);
@@ -108,14 +52,26 @@ std::vector<MachineRecord> machineRecords(
     const std::vector<SweepSpec> &sweeps);
 
 /**
+ * Produces the result of one cell for runSweeps(): @p cell
+ * indexes into @p sweep, the normalized sweep it belongs to.
+ * Called concurrently from the worker threads. Sets @p cached
+ * when the result was read back rather than simulated (the
+ * progress line marks it).
+ */
+using CellStep = std::function<CellResult(
+    const SweepSpec &sweep, const CellSpec &cell, bool *cached)>;
+
+/**
  * Run every cell of @p sweeps and collect the results in
  * canonical order (see expandCells()). Thread-count and execution
  * schedule cannot affect the returned value. Machine columns that
  * resolve to the same configuration are deduplicated first (with
- * a warning), so identical cells are never paid for twice.
+ * a warning), so identical cells are never paid for twice. Each
+ * cell is computed by @p step, or by runCell() when it is empty.
  */
 Results runSweeps(const std::vector<SweepSpec> &sweeps,
-                  const RunOptions &opts = {});
+                  const RunOptions &opts = {},
+                  const CellStep &step = {});
 
 /**
  * Run one (workload, config, SM count, policy) cell, the

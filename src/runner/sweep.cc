@@ -47,7 +47,7 @@ machineApplyKeyValue(MachineSpec *m, std::string_view kv,
                                                err);
     if (key == "num_sms" || key == "shared_backend") {
         if (err)
-            *err = "'" + std::string(key) +
+            *err = std::string("'").append(key) +
                    "' is not a machine override: the SM count is "
                    "the sweep's sms axis, and the backend choice "
                    "is derived from it";

@@ -39,7 +39,7 @@ struct MachineSpec
      * config first. Part of the machine identity (dedupe compares
      * them alongside the SM config).
      */
-    std::vector<std::string> chip_sets;
+    std::vector<std::string> chip_sets = {};
 };
 
 /**

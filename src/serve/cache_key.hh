@@ -41,8 +41,7 @@ constexpr int cache_key_version = 1;
 /**
  * The canonical JSON document a cell key hashes: key-derivation
  * version, stats schema version, workload, size label, and the
- * full resolved chip config dump. Exposed for tests and for
- * `siwi-serve --explain-key`.
+ * full resolved chip config dump. Exposed for tests.
  */
 Json cellKeyJson(const core::GpuConfig &resolved,
                  std::string_view workload, std::string_view size,

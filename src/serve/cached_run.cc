@@ -2,111 +2,37 @@
 
 #include <atomic>
 #include <cstdio>
-#include <mutex>
-#include <thread>
 
 #include "serve/cache_key.hh"
 
 namespace siwi::serve {
 
 runner::Results
-runSweepsCached(const std::vector<runner::SweepSpec> &sweeps_in,
+runSweepsCached(const std::vector<runner::SweepSpec> &sweeps,
                 const runner::RunOptions &opts, ResultCache *cache,
                 CachedRunCounters *counters)
 {
-    // Same grid normalization as runner::runSweeps(): identical
-    // machine columns are dropped before expansion, so the cell
-    // order — and the serialized output — match a plain run.
-    std::vector<runner::SweepSpec> sweeps = sweeps_in;
-    for (runner::SweepSpec &s : sweeps)
-        s.dedupeMachines();
-
-    const std::vector<runner::CellSpec> cells =
-        runner::expandCells(sweeps);
-    const unsigned jobs =
-        runner::effectiveJobs(opts.jobs, cells.size());
-
-    runner::Results out;
-    out.suite = opts.suite_label;
-    out.machines = runner::machineRecords(sweeps);
-    out.cells.resize(cells.size());
-
-    std::atomic<size_t> next{0};
-    std::atomic<size_t> done{0};
     std::atomic<u64> hits{0};
     std::atomic<u64> misses{0};
-    std::mutex io_mutex;
-    std::mutex cb_mutex;
-
-    auto worker = [&] {
-        for (;;) {
-            size_t i = next.fetch_add(1);
-            if (i >= cells.size())
-                return;
-            const runner::CellSpec &cs = cells[i];
-            const std::string key =
-                cellCacheKey(sweeps[cs.sweep], cs);
+    runner::Results out = runner::runSweeps(
+        sweeps, opts,
+        [&](const runner::SweepSpec &sweep,
+            const runner::CellSpec &cs, bool *cached) {
+            const std::string key = cellCacheKey(sweep, cs);
             runner::CellResult c;
-            bool cached = cache->lookup(key, &c);
-            if (cached) {
+            if (cache->lookup(key, &c)) {
                 hits.fetch_add(1);
-            } else {
-                misses.fetch_add(1);
-                c = runner::runCell(sweeps[cs.sweep], cs.machine,
-                                    cs.wl, cs.sms, cs.policy,
-                                    opts.cycle_skip);
-                std::string serr;
-                if (!cache->store(key, c, &serr)) {
-                    std::lock_guard<std::mutex> lock(io_mutex);
-                    std::fprintf(stderr, "siwi-run: %s\n",
-                                 serr.c_str());
-                }
+                *cached = true;
+                return c;
             }
-            size_t n = done.fetch_add(1) + 1;
-            if (opts.progress || !c.verified || c.timed_out) {
-                std::lock_guard<std::mutex> lock(io_mutex);
-                if (opts.progress) {
-                    std::fprintf(
-                        stderr,
-                        "[%zu/%zu] %s %s %s  ipc %.2f%s%s%s\n", n,
-                        cells.size(), c.sweep.c_str(),
-                        c.machine.c_str(), c.workload.c_str(),
-                        c.ipc, cached ? "  (cached)" : "",
-                        c.verified ? "" : "  VERIFY FAIL",
-                        c.timed_out ? "  TIMED OUT" : "");
-                } else if (!c.verified) {
-                    std::fprintf(
-                        stderr,
-                        "VERIFICATION FAILED: %s on %s: %s\n",
-                        c.workload.c_str(), c.machine.c_str(),
-                        c.verify_msg.c_str());
-                } else {
-                    std::fprintf(
-                        stderr,
-                        "TIMED OUT: %s on %s truncated at the "
-                        "cycle cap; counters cover only the "
-                        "simulated prefix\n",
-                        c.workload.c_str(), c.machine.c_str());
-                }
-            }
-            if (opts.on_cell) {
-                std::lock_guard<std::mutex> lock(cb_mutex);
-                opts.on_cell(i, c);
-            }
-            out.cells[i] = std::move(c);
-        }
-    };
-
-    if (jobs <= 1) {
-        worker();
-    } else {
-        std::vector<std::thread> threads;
-        threads.reserve(jobs);
-        for (unsigned t = 0; t < jobs; ++t)
-            threads.emplace_back(worker);
-        for (std::thread &t : threads)
-            t.join();
-    }
+            misses.fetch_add(1);
+            c = runner::runCell(sweep, cs.machine, cs.wl, cs.sms,
+                                cs.policy, opts.cycle_skip);
+            std::string err;
+            if (!cache->store(key, c, &err))
+                std::fprintf(stderr, "siwi-run: %s\n", err.c_str());
+            return c;
+        });
     if (counters) {
         counters->hits = hits.load();
         counters->misses = misses.load();

@@ -1,13 +1,12 @@
 /**
  * @file
- * Cache-backed local sweep execution: `siwi-run --cache DIR`.
+ * Cache-backed sweep execution: `siwi-run --cache DIR`.
  *
- * The offline counterpart of the server's submit path, sharing
- * the same key derivation (serve/cache_key.hh) and blob store
- * (serve/result_cache.hh): every cell is looked up before it is
- * run, and every computed cell is stored. A siwi-run invocation
- * and a siwi-serve instance pointed at the same directory
- * therefore share results — in either direction.
+ * runner::runSweeps() with a per-cell step that consults the
+ * blob store (serve/result_cache.hh) under the cell's content key
+ * (serve/cache_key.hh): every cell is looked up before it is run,
+ * and every computed cell is stored. Runs pointed at the same
+ * directory therefore share results.
  *
  * Because cells are bit-identical functions of their resolved
  * configuration, a cache hit is exact: the returned Results — and
@@ -34,10 +33,9 @@ struct CachedRunCounters
 
 /**
  * runner::runSweeps() with a read-through / write-through result
- * cache: identical grid normalization, canonical cell order,
- * RunOptions semantics (jobs, progress, on_cell, cycle_skip) and
- * return value. @p counters (optional) reports the hit/miss
- * split.
+ * cache: the same worker pool, grid normalization, canonical cell
+ * order, RunOptions semantics and return value. @p counters
+ * (optional) reports the hit/miss split.
  */
 runner::Results runSweepsCached(
     const std::vector<runner::SweepSpec> &sweeps,

@@ -17,8 +17,8 @@
  * stale-schema blob is a miss that triggers recomputation, never
  * a served result. The object files are the ground truth; the
  * index is derived metadata (insertion order for eviction, entry
- * count for status) and is rebuilt by fsck() when it drifts —
- * e.g. when several processes share one cache directory.
+ * count) and is rebuilt by fsck() when it drifts — e.g. when
+ * several processes share one cache directory.
  */
 
 #ifndef SIWI_SERVE_RESULT_CACHE_HH
@@ -104,7 +104,7 @@ class ResultCache
     /** Entries currently in the index. */
     u64 entries() const;
 
-    /** Lifetime counters (server status report). */
+    /** Lifetime counters of this instance. */
     CacheCounters counters() const;
 
     const std::string &dir() const { return dir_; }

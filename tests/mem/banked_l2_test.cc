@@ -54,7 +54,7 @@ TEST(BankedL2Interleave, WindowOfBlocksIsABijection)
 /** Strided sweeps stay balanced across slices (no bank camping). */
 TEST(BankedL2Interleave, PowerOfTwoStridesStayBalanced)
 {
-    const u32 slices = 4, channels = 2;
+    const u32 slices = 4;
     for (u32 stride : {1u, 2u, 4u, 8u, 16u}) {
         std::vector<unsigned> per_slice(slices, 0);
         const unsigned n = 256;

@@ -225,9 +225,10 @@ TEST_F(ResultCacheTest, NoStrayTempFilesAfterStores)
         ASSERT_TRUE(cache.store(makeKey(n), makeCell(n), &err));
     for (const auto &e :
          fs::recursive_directory_iterator(path())) {
-        if (e.is_regular_file())
+        if (e.is_regular_file()) {
             EXPECT_EQ(e.path().extension(), ".json")
                 << "stray file: " << e.path();
+        }
     }
 }
 

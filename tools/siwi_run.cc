@@ -24,7 +24,6 @@
 #include "pipeline/config_io.hh"
 #include "runner/runner.hh"
 #include "serve/cached_run.hh"
-#include "serve/client.hh"
 
 using namespace siwi;
 using namespace siwi::runner;
@@ -84,18 +83,11 @@ usage(FILE *out)
 "                     cycle skipping (bit-identical results;\n"
 "                     the stepping-equivalence cross-check)\n"
 "\n"
-"result cache / remote execution (docs/SERVE.md):\n"
+"result cache (docs/SERVE.md):\n"
 "  --cache DIR        read-through/write-through result cache:\n"
 "                     cells already in DIR are served from it,\n"
-"                     computed cells are stored into it (same\n"
-"                     layout siwi-serve uses, so the cache is\n"
-"                     shared in both directions)\n"
-"  --submit HOST:PORT submit the --spec experiment to a running\n"
-"                     siwi-serve and stream its results instead\n"
-"                     of executing locally (requires --spec;\n"
-"                     the spec is sent as-is, so selection,\n"
-"                     --set, --size, --cache and --no-skip do\n"
-"                     not apply)\n"
+"                     computed cells are stored into it, so\n"
+"                     runs on the same DIR share results\n"
 "\n"
 "output:\n"
 "  --json PATH        write results as JSON\n"
@@ -178,11 +170,8 @@ doCheck(const std::string &path)
 }
 
 /**
- * Shared tail of a completed run, local or submitted: tables,
- * artifact writes, the per-cell health gate and the baseline
- * regression gate. @p json_path is empty when the caller already
- * wrote the JSON artifact itself (the --submit path writes the
- * reassembled document verbatim).
+ * Tail of a completed run: tables, artifact writes, the per-cell
+ * health gate and the baseline regression gate.
  */
 int
 emitAndGate(const Results &res, bool quiet,
@@ -386,85 +375,10 @@ main(int argc, char **argv)
     args.option("--throughput-json", &throughput_path);
     std::string cache_dir;
     args.option("--cache", &cache_dir);
-    std::string submit_arg;
-    bool have_submit = args.option("--submit", &submit_arg);
 
     if (!finishArgs(args, "siwi-run")) {
         usage(stderr);
         return exit_usage;
-    }
-
-    if (have_submit) {
-        // Client mode: the spec document is sent as-is and the
-        // server resolves it, so every local selection / mutation
-        // flag would be silently ignored — reject them instead.
-        if (!have_spec) {
-            std::fprintf(stderr,
-                         "siwi-run: --submit requires --spec\n");
-            return exit_usage;
-        }
-        if (have_suite || !figures.empty() ||
-            !machine_files.empty() || !set_kvs.empty() ||
-            !machines.empty() || !wl_names.empty() ||
-            !sms_axis.empty() || !policy_axis.empty() ||
-            have_size || dump_config || dry_run || list_only ||
-            no_skip || !cache_dir.empty()) {
-            std::fprintf(
-                stderr,
-                "siwi-run: --submit sends the spec as-is; "
-                "selection, --set, --size, --cache and --no-skip "
-                "do not apply\n");
-            return exit_usage;
-        }
-        std::string host, serr;
-        unsigned port = 0;
-        if (!serve::parseHostPort(submit_arg, &host, &port,
-                                  &serr)) {
-            std::fprintf(stderr, "siwi-run: --submit: %s\n",
-                         serr.c_str());
-            return exit_usage;
-        }
-        Json spec = Json::parseFile(spec_path, &serr);
-        if (!serr.empty()) {
-            std::fprintf(stderr, "siwi-run: %s\n", serr.c_str());
-            return exit_io;
-        }
-        serve::SubmitProgress prog;
-        if (progress) {
-            prog = [](size_t done, size_t total,
-                      const CellResult &c, bool cached) {
-                std::fprintf(
-                    stderr, "[%zu/%zu] %s %s %s  ipc %.2f%s%s%s\n",
-                    done, total, c.sweep.c_str(),
-                    c.machine.c_str(), c.workload.c_str(), c.ipc,
-                    cached ? "  (cached)" : "",
-                    c.verified ? "" : "  VERIFY FAIL",
-                    c.timed_out ? "  TIMED OUT" : "");
-            };
-        }
-        serve::SubmitOutcome o;
-        if (!serve::submitSpec(host, port, spec, &o, &serr,
-                               prog)) {
-            std::fprintf(stderr, "siwi-run: %s\n", serr.c_str());
-            return exit_io;
-        }
-        std::fprintf(
-            stderr,
-            "siwi-run: %llu cell(s) via %s:%u: %llu from cache, "
-            "%llu computed, server %llu ms\n",
-            (unsigned long long)o.cells, host.c_str(), port,
-            (unsigned long long)o.hits,
-            (unsigned long long)o.misses,
-            (unsigned long long)o.server_ms);
-        if (!json_path.empty() &&
-            !o.document.writeFile(json_path, 2, &serr)) {
-            std::fprintf(stderr, "siwi-run: %s\n", serr.c_str());
-            return exit_io;
-        }
-        // The document is already written: byte-identical to a
-        // local run of the same spec (serve/client.hh).
-        return emitAndGate(o.results, quiet, "", csv_path,
-                           baseline_path, tolerance);
     }
 
     // Resolve machine names against the registry: the built-in
