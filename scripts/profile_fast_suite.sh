@@ -45,7 +45,7 @@ fi
 best=""
 i=1
 while [ "$i" -le "$runs" ]; do
-    "$build/siwi-run" --suite fast --quiet \
+    "$build/siwi-run" --spec "$repo/bench/specs/fast.json" --quiet \
         --throughput-json ".throughput.$i.json" >/dev/null
     secs="$(sed -n 's/.*"seconds": \([0-9.]*\).*/\1/p' \
         ".throughput.$i.json")"
@@ -90,7 +90,8 @@ while [ "$i" -le "$runs" ]; do
     # GMON_OUT_PREFIX makes glibc write gmon.<pid> per run so the
     # samples accumulate instead of each run clobbering gmon.out.
     (cd "$gdir" && GMON_OUT_PREFIX=gmon \
-        "$pbuild/siwi-run" --suite fast --quiet >/dev/null)
+        "$pbuild/siwi-run" --spec "$repo/bench/specs/fast.json" \
+        --quiet >/dev/null)
     i=$((i + 1))
 done
 

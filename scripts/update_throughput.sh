@@ -85,7 +85,8 @@ measure() {
     i=1
     while [ "$i" -le "$runs" ]; do
         # shellcheck disable=SC2086  # flags intentionally split
-        "$build/siwi-run" --suite fast --quiet $1 \
+        "$build/siwi-run" --spec "$repo/bench/specs/fast.json" \
+            --quiet $1 \
             ${SIWI_RUN_FLAGS:-} \
             --throughput-json "$repo/.throughput.tmp.json" \
             >/dev/null

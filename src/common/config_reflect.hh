@@ -11,7 +11,8 @@
  *                           mismatches and bad enum names are
  *                           errors that name the offending key)
  *   - "key=value" parsing  (configApplyKeyValue — the CLI --set
- *                           path and the Override machinery)
+ *                           path and machine/spec-file "set"
+ *                           blocks)
  *   - equality             (configEqual, behind operator==)
  *   - a self-describing    (configSchema — key, type, default,
  *     schema dump           enum values, one-line doc)
@@ -223,9 +224,10 @@ configApplyJson(const Json &j,
 }
 
 /**
- * Apply one "key=value" mutation onto @p c (the --set / Override
- * path). Malformed input ("missing=", "=value", no '='), unknown
- * keys and unparseable values are errors naming the problem.
+ * Apply one "key=value" mutation onto @p c (the --set and
+ * "set"-block path). Malformed input ("missing=", "=value", no
+ * '='), unknown keys and unparseable values are errors naming the
+ * problem.
  */
 template <typename Cfg>
 bool

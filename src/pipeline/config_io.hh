@@ -34,7 +34,7 @@ Json smConfigToJson(const SMConfig &c);
 bool smConfigApplyJson(const Json &j, SMConfig *c,
                        std::string *err);
 
-/** Apply one "key=value" mutation (the --set / Override path). */
+/** Apply one "key=value" mutation (the --set / "set" path). */
 bool smConfigApplyKeyValue(std::string_view kv, SMConfig *c,
                            std::string *err);
 

@@ -1,7 +1,9 @@
 #include "runner/cli.hh"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace siwi::runner {
 
@@ -58,13 +60,19 @@ ArgList::intOption(const std::string &name, unsigned *value)
     std::string v;
     if (!option(name, &v))
         return false;
-    // strtoul would wrap a leading '-'; reject it explicitly.
+    // strtoul would wrap a leading '-'; reject it explicitly. An
+    // out-of-range value must not narrow into a small count.
     char *end = nullptr;
+    errno = 0;
     unsigned long n = std::strtoul(v.c_str(), &end, 10);
     if (v.empty() || v[0] == '-' || !end || end == v.c_str() ||
         *end != '\0') {
         errors_.push_back(name +
                           ": not a non-negative number: " + v);
+        return false;
+    }
+    if (errno == ERANGE || n > std::numeric_limits<unsigned>::max()) {
+        errors_.push_back(name + ": out of range: " + v);
         return false;
     }
     *value = unsigned(n);
@@ -85,25 +93,6 @@ ArgList::doubleOption(const std::string &name, double *value)
     }
     *value = d;
     return true;
-}
-
-int
-finishBench(const Results &res, const std::string &json_path)
-{
-    if (!json_path.empty()) {
-        std::string err;
-        if (!res.save(json_path, &err)) {
-            std::fprintf(stderr, "%s\n", err.c_str());
-            return 1;
-        }
-    }
-    if (res.timeouts()) {
-        std::fprintf(stderr,
-                     "%zu cell(s) timed out at the cycle cap\n",
-                     res.timeouts());
-        return 1;
-    }
-    return res.verificationFailures() ? 1 : 0;
 }
 
 bool

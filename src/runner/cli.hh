@@ -1,7 +1,6 @@
 /**
  * @file
- * Tiny command-line helpers for the benches and siwi-run
- * (replacing bench_common's hasFlag).
+ * Tiny command-line helpers for the benches and siwi-run.
  */
 
 #ifndef SIWI_RUNNER_CLI_HH
@@ -9,8 +8,6 @@
 
 #include <string>
 #include <vector>
-
-#include "runner/results.hh"
 
 namespace siwi::runner {
 
@@ -37,7 +34,10 @@ class ArgList
     /** All occurrences of "--name value". */
     std::vector<std::string> options(const std::string &name);
 
-    /** option() parsed as a non-negative integer. */
+    /**
+     * option() parsed as a non-negative integer; a value that does
+     * not fit in unsigned is a usage error, never a wrapped count.
+     */
     bool intOption(const std::string &name, unsigned *value);
 
     /** option() parsed as a double. */
@@ -69,20 +69,12 @@ bool finishArgs(const ArgList &args, const char *prog);
 
 /**
  * Consume every repeatable "--sms N" occurrence into an SM-count
- * axis (shared by siwi-run and the scaling bench). Reports bad
- * values to stderr under @p prog.
+ * axis. Reports bad values to stderr under @p prog.
  * @return false on a malformed entry; @p out untouched when the
  *         flag is absent.
  */
 bool smsAxisOption(ArgList &args, const char *prog,
                    std::vector<unsigned> *out);
-
-/**
- * Shared bench epilogue: write @p json_path when non-empty, then
- * map the run outcome to a process exit code (0 = all cells
- * verified, 1 = verification or I/O failure).
- */
-int finishBench(const Results &res, const std::string &json_path);
 
 } // namespace siwi::runner
 

@@ -7,10 +7,15 @@
  *   #include "runner/runner.hh"
  *
  *   using namespace siwi;
- *   auto sweeps = {runner::fig7Sweep(true,
- *                      workloads::SizeClass::Full)};
+ *   runner::MachineRegistry reg;
+ *   std::vector<runner::SweepSpec> sweeps;
+ *   std::string label, err;
+ *   if (!runner::loadSpecFile("bench/specs/fig7.json", &reg,
+ *                             &sweeps, &label, &err))
+ *       fatal(err);
  *   runner::RunOptions opts;
  *   opts.jobs = 8;
+ *   opts.suite_label = label;
  *   runner::Results res = runner::runSweeps(sweeps, opts);
  *   std::fputs(runner::formatSweepTable(res, "fig7_regular")
  *                  .c_str(), stdout);
@@ -27,7 +32,6 @@
 #include "runner/metrics.hh"
 #include "runner/results.hh"
 #include "runner/spec.hh"
-#include "runner/suites.hh"
 #include "runner/sweep.hh"
 #include "runner/table.hh"
 

@@ -20,11 +20,11 @@
  *
  *  - A *spec file* describes an entire experiment — a list of
  *    sweeps, each machines x workloads x size x sms x policies
- *    with optional per-sweep overrides — and expands to the same
- *    SweepSpec grid the compiled suites build, so
- *    `siwi-run --spec fig7_custom.json` replaces hand-written
- *    SweepSpec construction (see bench/specs/ and docs/CONFIG.md
- *    for the schema and worked examples).
+ *    with optional per-sweep overrides — and expands to SweepSpec
+ *    grids. The checked-in bench/specs/ files are the only
+ *    definition of the paper's experiments, and
+ *    `siwi-run --spec` is the only way to run one (see
+ *    docs/CONFIG.md for the schema and worked examples).
  *
  * Parsing is strict throughout: unknown keys, unknown machine /
  * workload / policy names, bad enum values and configurations

@@ -8,17 +8,6 @@
 
 namespace siwi::runner {
 
-void
-applyConfigSets(pipeline::SMConfig *cfg,
-                const std::vector<std::string> &sets)
-{
-    for (const std::string &kv : sets) {
-        std::string err;
-        if (!pipeline::smConfigApplyKeyValue(kv, cfg, &err))
-            panic("bad config override '", kv, "': ", err);
-    }
-}
-
 bool
 machineApplyKeyValue(MachineSpec *m, std::string_view kv,
                      std::string *err)
@@ -62,17 +51,6 @@ machineApplyKeyValue(MachineSpec *m, std::string_view kv,
     return true;
 }
 
-void
-applyMachineSets(MachineSpec *m,
-                 const std::vector<std::string> &sets)
-{
-    for (const std::string &kv : sets) {
-        std::string err;
-        if (!machineApplyKeyValue(m, kv, &err))
-            panic("bad config override '", kv, "': ", err);
-    }
-}
-
 bool
 machineApplyJson(MachineSpec *m, const Json &set,
                  std::string *err)
@@ -102,38 +80,6 @@ machineApplyJson(MachineSpec *m, const Json &set,
             return false;
     }
     return true;
-}
-
-MachineSpec
-makeMachine(pipeline::PipelineMode mode)
-{
-    return {pipeline::pipelineModeName(mode),
-            pipeline::SMConfig::make(mode)};
-}
-
-MachineSpec
-makeMachine(std::string name, pipeline::PipelineMode mode,
-            const std::vector<std::string> &sets)
-{
-    MachineSpec m{std::move(name), pipeline::SMConfig::make(mode)};
-    applyMachineSets(&m, sets);
-    return m;
-}
-
-std::vector<MachineSpec>
-crossMachine(const MachineSpec &base,
-             const std::vector<Override> &overrides,
-             bool label_only)
-{
-    std::vector<MachineSpec> out;
-    for (const Override &o : overrides) {
-        MachineSpec m = base;
-        m.name = label_only ? o.label
-                            : base.name + "/" + o.label;
-        applyMachineSets(&m, o.sets);
-        out.push_back(std::move(m));
-    }
-    return out;
 }
 
 namespace {

@@ -43,22 +43,13 @@ struct MachineSpec
 };
 
 /**
- * Apply "key=value" mutations through the SMConfig field table
- * (pipeline/config_io.hh). Panics on a malformed entry: callers
- * with user-supplied strings go through machineApplyKeyValue() for
- * a soft error.
- */
-void applyConfigSets(pipeline::SMConfig *cfg,
-                     const std::vector<std::string> &sets);
-
-/**
  * Route one "key=value" override onto a machine: SM-level keys
  * mutate the SMConfig immediately; chip-level keys (the GpuConfig
  * field table) are validated and recorded in chip_sets for
  * deferred application. Dots in the key are accepted as
  * underscores ("l2.slices=4" == "l2_slices=4"). This is the
- * single override path shared by the suites, spec files and the
- * CLI --set flag. num_sms and shared_backend are rejected: the
+ * single override path shared by machine files, spec files and
+ * the CLI --set flag. num_sms and shared_backend are rejected: the
  * SM count is the sweep's sms axis, and the backend choice is
  * derived from it. A key present in both tables
  * (dram_bytes_per_cycle_x10, dram_latency_cycles) routes to the
@@ -69,11 +60,6 @@ void applyConfigSets(pipeline::SMConfig *cfg,
 bool machineApplyKeyValue(MachineSpec *m, std::string_view kv,
                           std::string *err);
 
-/** machineApplyKeyValue over a list; panics on a malformed entry
- *  (trusted compiled-in suite definitions). */
-void applyMachineSets(MachineSpec *m,
-                      const std::vector<std::string> &sets);
-
 /**
  * Apply a JSON "set" object (machine-file / spec-file overrides)
  * onto a machine through the same chip/SM routing as
@@ -83,35 +69,6 @@ void applyMachineSets(MachineSpec *m,
  */
 bool machineApplyJson(MachineSpec *m, const Json &set,
                       std::string *err);
-
-/** Canonical machine for a pipeline mode, named after the mode. */
-MachineSpec makeMachine(pipeline::PipelineMode mode);
-
-/** Canonical machine with a custom name and key=value tweaks. */
-MachineSpec makeMachine(std::string name,
-                        pipeline::PipelineMode mode,
-                        const std::vector<std::string> &sets = {});
-
-/**
- * A named configuration mutation, used to derive machine variants
- * declaratively (e.g. the Figure 9 associativity ladder): data,
- * not code — the key=value strings go through the same applier as
- * spec files and --set.
- */
-struct Override
-{
-    std::string label;
-    std::vector<std::string> sets; //!< "key=value" mutations
-};
-
-/**
- * Cross a base machine with each override: one variant per
- * override, named "<base>/<label>" (or just "<label>" when the
- * override label is self-describing, see @p label_only).
- */
-std::vector<MachineSpec> crossMachine(
-    const MachineSpec &base, const std::vector<Override> &overrides,
-    bool label_only = false);
 
 /** The full grid one figure (or figure panel) measures. */
 struct SweepSpec

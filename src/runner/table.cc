@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
+#include <vector>
 
 #include "common/log.hh"
 #include "runner/metrics.hh"
@@ -30,43 +31,60 @@ appendf(std::string &out, const char *fmt, ...)
         out.append(buf, std::min(size_t(n), sizeof(buf) - 1));
 }
 
-std::string
-formatTable(const std::vector<TableRow> &rows,
-            const std::vector<std::string> &col_names,
-            const std::vector<std::vector<double>> &cols,
-            const char *fmt,
-            const std::vector<std::vector<bool>> *invalid = nullptr)
+/** One machine's cells of a sweep, in workload order. */
+struct Column
 {
-    siwi_assert(cols.size() == col_names.size(),
-                "table: ", cols.size(), " columns vs ",
-                col_names.size(), " names");
-    for (const auto &col : cols) {
-        siwi_assert(col.size() == rows.size(),
-                    "table: column with ", col.size(),
+    std::string machine;
+    std::vector<double> ipc;
+    std::vector<bool> timed_out;
+};
+
+} // namespace
+
+std::string
+formatSweepTable(const Results &results, const std::string &sweep)
+{
+    std::vector<std::string> rows;
+    std::vector<bool> row_excluded;
+    std::vector<Column> cols;
+    for (const CellResult *c : results.sweepCells(sweep)) {
+        if (std::find(rows.begin(), rows.end(), c->workload) ==
+            rows.end()) {
+            rows.push_back(c->workload);
+            row_excluded.push_back(c->excluded_from_means);
+        }
+        auto col = std::find_if(cols.begin(), cols.end(),
+                                [&](const Column &k) {
+                                    return k.machine == c->machine;
+                                });
+        if (col == cols.end())
+            col = cols.insert(cols.end(), Column{c->machine, {}, {}});
+        col->ipc.push_back(c->ipc);
+        col->timed_out.push_back(c->timed_out);
+    }
+    for (const Column &col : cols) {
+        siwi_assert(col.ipc.size() == rows.size(), "table: column ",
+                    col.machine, " with ", col.ipc.size(),
                     " values vs ", rows.size(), " rows");
     }
 
-    auto cellInvalid = [&](size_t c, size_t r) {
-        return invalid && (*invalid)[c][r];
-    };
-
     std::string out;
     appendf(out, "%-22s", "");
-    for (const std::string &n : col_names)
-        appendf(out, "%12s", n.c_str());
+    for (const Column &col : cols)
+        appendf(out, "%12s", col.machine.c_str());
     out += '\n';
 
-    bool any_invalid = false;
+    bool any_timed_out = false;
     for (size_t r = 0; r < rows.size(); ++r) {
-        appendf(out, "%-22s", rows[r].name.c_str());
-        for (size_t c = 0; c < cols.size(); ++c) {
-            if (cellInvalid(c, r)) {
+        appendf(out, "%-22s", rows[r].c_str());
+        for (const Column &col : cols) {
+            if (col.timed_out[r]) {
                 // A truncated run has no meaningful IPC; never
                 // print a plausible-looking number for it.
                 appendf(out, "%12s", "T/O");
-                any_invalid = true;
+                any_timed_out = true;
             } else {
-                appendf(out, fmt, cols[c][r]);
+                appendf(out, "%12.2f", col.ipc[r]);
             }
         }
         out += '\n';
@@ -74,103 +92,29 @@ formatTable(const std::vector<TableRow> &rows,
 
     // Geomean over non-excluded rows (paper: TMD not counted);
     // timed-out cells are dropped from their column's mean.
-    appendf(out, "%-22s", "Gmean");
-    for (size_t c = 0; c < cols.size(); ++c) {
+    std::vector<double> gmeans;
+    for (const Column &col : cols) {
         std::vector<bool> excluded;
         for (size_t r = 0; r < rows.size(); ++r)
-            excluded.push_back(rows[r].excluded ||
-                               cellInvalid(c, r));
-        appendf(out, fmt,
-                geomean(excludeFromMeans(cols[c], excluded)));
+            excluded.push_back(row_excluded[r] || col.timed_out[r]);
+        gmeans.push_back(geomean(excludeFromMeans(col.ipc, excluded)));
     }
+    appendf(out, "%-22s", "Gmean");
+    for (double g : gmeans)
+        appendf(out, "%12.2f", g);
     out += '\n';
-    if (any_invalid)
+
+    if (gmeans.size() > 1 && gmeans[0] > 0.0) {
+        appendf(out, "%-22s",
+                ("Speedup vs " + cols[0].machine).c_str());
+        for (double g : gmeans)
+            appendf(out, "%12.3f", g / gmeans[0]);
+        out += '\n';
+    }
+    if (any_timed_out)
         out += "(T/O = timed out at the cycle cap; excluded from "
                "Gmean)\n";
     return out;
-}
-
-} // namespace
-
-std::string
-formatIpcTable(const std::vector<TableRow> &rows,
-               const std::vector<std::string> &col_names,
-               const std::vector<std::vector<double>> &cols,
-               const std::vector<std::vector<bool>> *invalid)
-{
-    return formatTable(rows, col_names, cols, "%12.2f", invalid);
-}
-
-std::string
-formatRatioTable(const std::vector<TableRow> &rows,
-                 const std::vector<std::string> &col_names,
-                 const std::vector<std::vector<double>> &cols,
-                 const std::vector<std::vector<bool>> *invalid)
-{
-    return formatTable(rows, col_names, cols, "%12.3f", invalid);
-}
-
-std::vector<TableRow>
-sweepRows(const Results &results, const std::string &sweep)
-{
-    std::vector<TableRow> rows;
-    for (const CellResult *c : results.sweepCells(sweep)) {
-        if (std::none_of(rows.begin(), rows.end(),
-                         [&](const TableRow &r) {
-                             return r.name == c->workload;
-                         }))
-            rows.push_back({c->workload, c->excluded_from_means});
-    }
-    return rows;
-}
-
-std::vector<std::string>
-sweepMachines(const Results &results, const std::string &sweep)
-{
-    std::vector<std::string> names;
-    for (const CellResult *c : results.sweepCells(sweep)) {
-        if (std::find(names.begin(), names.end(), c->machine) ==
-            names.end())
-            names.push_back(c->machine);
-    }
-    return names;
-}
-
-SweepColumnData
-sweepColumnData(const Results &results, const std::string &sweep,
-                const std::string &machine)
-{
-    SweepColumnData col;
-    for (const CellResult *c : results.sweepCells(sweep)) {
-        if (c->machine == machine) {
-            col.ipc.push_back(c->ipc);
-            col.timed_out.push_back(c->timed_out);
-        }
-    }
-    return col;
-}
-
-std::vector<double>
-sweepColumn(const Results &results, const std::string &sweep,
-            const std::string &machine)
-{
-    return sweepColumnData(results, sweep, machine).ipc;
-}
-
-std::string
-formatSweepTable(const Results &results, const std::string &sweep)
-{
-    std::vector<std::string> machines =
-        sweepMachines(results, sweep);
-    std::vector<std::vector<double>> cols;
-    std::vector<std::vector<bool>> timed_out;
-    for (const std::string &m : machines) {
-        SweepColumnData col = sweepColumnData(results, sweep, m);
-        cols.push_back(std::move(col.ipc));
-        timed_out.push_back(std::move(col.timed_out));
-    }
-    return formatIpcTable(sweepRows(results, sweep), machines,
-                          cols, &timed_out);
 }
 
 } // namespace siwi::runner

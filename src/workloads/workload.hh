@@ -30,9 +30,9 @@ namespace siwi::workloads {
  * Problem size: Tiny for unit tests, Full for the single-SM paper
  * benches (grids sized for one SM), Chip for the multi-SM scaling
  * study — the same kernels over working sets large enough to keep
- * a 64-SM chip busy (>=64 CTAs). Only the workloads named by
- * runner::scalingSweep() implement Chip; the rest fall back to
- * their Tiny size.
+ * a 64-SM chip busy (>=64 CTAs). Only the workloads of the
+ * bench/specs/scaling.json panel implement Chip; the rest fall
+ * back to their Tiny size.
  */
 enum class SizeClass { Tiny, Full, Chip };
 

@@ -127,13 +127,20 @@ launchCapped(const workloads::Workload &wl,
 }
 
 /**
- * Every cell of the fast suite: all five machines x the full
- * workload list at Tiny size, exactly what CI's bench gate runs.
+ * Every cell of the fast suite (bench/specs/fast.json): all five
+ * machines x the full workload list at Tiny size plus the
+ * multi-SM smoke, exactly what CI's bench gate runs.
  */
 TEST(SteppingEquivalence, FastSuiteCells)
 {
     SleepAuditScope audit;
-    std::vector<SweepSpec> sweeps = runner::suiteSweeps("fast");
+    runner::MachineRegistry reg;
+    std::vector<SweepSpec> sweeps;
+    std::string label, err;
+    ASSERT_TRUE(runner::loadSpecFile(std::string(SIWI_SOURCE_DIR) +
+                                         "/bench/specs/fast.json",
+                                     &reg, &sweeps, &label, &err))
+        << err;
     ASSERT_FALSE(sweeps.empty());
     for (const CellSpec &cs : runner::expandCells(sweeps)) {
         const SweepSpec &s = sweeps[cs.sweep];

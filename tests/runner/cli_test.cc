@@ -65,12 +65,15 @@ TEST(ArgList, IntOptionValidates)
 
 TEST(ArgList, IntOptionRejectsNegativeAndEmpty)
 {
-    ArgList args = makeArgs({"-j", "-1", "--n", ""});
+    ArgList args =
+        makeArgs({"-j", "-1", "--n", "", "--big", "4294967296"});
     unsigned n = 7;
     EXPECT_FALSE(args.intOption("-j", &n)); // strtoul would wrap
     EXPECT_FALSE(args.intOption("--n", &n));
+    // UINT_MAX + 1 would narrow to 0 (= all cores for -j).
+    EXPECT_FALSE(args.intOption("--big", &n));
     EXPECT_EQ(n, 7u);
-    EXPECT_EQ(args.errors().size(), 2u);
+    EXPECT_EQ(args.errors().size(), 3u);
 }
 
 TEST(ArgList, DoubleOptionValidates)

@@ -1,15 +1,19 @@
 /**
  * @file
  * Tests for the parallel experiment runner: sweep expansion,
- * filtering, suite definitions, and — the load-bearing property —
- * thread-count independence of the results.
+ * filtering, the checked-in scaling spec, and — the load-bearing
+ * property — thread-count independence of the results.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <sstream>
+
+#include "checked_in_spec.hh"
 #include "common/log.hh"
 #include "runner/experiment_runner.hh"
-#include "runner/suites.hh"
+#include "runner/metrics.hh"
 #include "runner/table.hh"
 
 using namespace siwi;
@@ -22,7 +26,7 @@ namespace {
 SweepSpec
 tinyGrid()
 {
-    SweepSpec s = fig7Sweep(false, SizeClass::Tiny);
+    SweepSpec s = fig7IrregularTiny();
     s.name = "grid";
     s.filterMachines({"Baseline", "SBI"});
     s.filterWorkloads({"BFS", "Histogram"});
@@ -46,62 +50,23 @@ TEST(Sweep, ExpandsInCanonicalOrder)
 
 TEST(Sweep, FiltersDropUnknownNames)
 {
-    SweepSpec s = fig7Sweep(false, SizeClass::Tiny);
+    SweepSpec s = fig7IrregularTiny();
     size_t all = s.machines.size();
     s.filterMachines({"Baseline", "NoSuchMachine"});
     EXPECT_EQ(s.machines.size(), 1u);
-    s = fig7Sweep(false, SizeClass::Tiny);
+    s = fig7IrregularTiny();
     s.filterMachines({});
     EXPECT_EQ(s.machines.size(), all); // empty filter keeps all
 }
 
-TEST(Suites, FigureAndSuiteRegistry)
-{
-    for (const std::string &f : knownFigures()) {
-        std::vector<SweepSpec> sweeps =
-            figureSweeps(f, SizeClass::Tiny);
-        // Paper figures come as a regular/irregular panel pair;
-        // the scaling study pairs the legacy single-pipe chip
-        // with the banked-memory chip over one mixed panel.
-        EXPECT_EQ(sweeps.size(), 2u) << f;
-        for (const SweepSpec &s : sweeps) {
-            EXPECT_GT(s.machines.size(), 0u) << f;
-            EXPECT_GT(s.wls.size(), 0u) << f;
-            EXPECT_GT(s.sms.size(), 0u) << f;
-        }
-    }
-    EXPECT_TRUE(figureSweeps("nope", SizeClass::Tiny).empty());
-    for (const std::string &s : knownSuites())
-        EXPECT_FALSE(suiteSweeps(s).empty()) << s;
-    EXPECT_TRUE(suiteSweeps("nope").empty());
-}
-
-TEST(Suites, FastSuiteIsTinyFig7PlusMultiSmSmoke)
-{
-    std::vector<SweepSpec> sweeps = suiteSweeps("fast");
-    ASSERT_EQ(sweeps.size(), 3u);
-    for (size_t i = 0; i < 2; ++i) {
-        EXPECT_EQ(sweeps[i].size, SizeClass::Tiny);
-        EXPECT_EQ(sweeps[i].machines.size(), 5u);
-        EXPECT_EQ(sweeps[i].sms, std::vector<unsigned>{1u});
-    }
-    // The regression gate also watches the shared-L2 chip path;
-    // Full size, because Tiny grids are a single CTA and would
-    // leave every SM but one idle.
-    const SweepSpec &smoke = sweeps[2];
-    EXPECT_EQ(smoke.name, "scaling_smoke");
-    EXPECT_EQ(smoke.size, SizeClass::Full);
-    EXPECT_EQ(smoke.sms, (std::vector<unsigned>{2u, 4u}));
-}
-
 TEST(Suites, ScalingSweepCoversTheAcceptanceGrid)
 {
-    SweepSpec s = scalingSweep(SizeClass::Tiny);
+    SweepSpec s = checkedInSweep("scaling.json", "fig_scaling");
     EXPECT_EQ(s.sms, (std::vector<unsigned>{1u, 2u, 4u, 8u}));
     EXPECT_GE(s.wls.size(), 4u);
     EXPECT_EQ(s.machines.size(), 2u);
 
-    SweepSpec b = scalingBankedSweep(SizeClass::Tiny);
+    SweepSpec b = checkedInSweep("scaling.json", "fig_scaling_banked");
     EXPECT_EQ(b.sms, (std::vector<unsigned>{1u, 2u, 4u, 8u, 16u,
                                             32u, 64u}));
     EXPECT_EQ(b.machines.size(), 2u);
@@ -229,7 +194,8 @@ TEST(Runner, BankedChipIdenticalAcrossThreadCounts)
     // gates that the lockstep SM stepping order (port order = SM
     // index order) and the passive banked backend leave cells
     // pure: no shared state, no run-order sensitivity.
-    SweepSpec s = scalingBankedSweep(SizeClass::Full);
+    SweepSpec s = checkedInSweep("scaling.json", "fig_scaling_banked");
+    s.size = SizeClass::Full;
     s.name = "banked_grid";
     s.filterWorkloads({"MatrixMul", "ConvolutionSeparable"});
     s.sms = {4, 16};
@@ -327,7 +293,7 @@ TEST(Runner, GoldenMachinePolicyGridDeterministic)
     // for any -j, all verified, with the oldest-first column
     // reproducing the plain fig7 cells bit-exactly.
     setLogQuiet(true);
-    SweepSpec s = fig7Sweep(false, SizeClass::Tiny);
+    SweepSpec s = fig7IrregularTiny();
     s.name = "golden";
     s.filterWorkloads({"BFS"});
     s.policies.clear();
@@ -357,7 +323,7 @@ TEST(Runner, GoldenMachinePolicyGridDeterministic)
         EXPECT_FALSE(c.timed_out) << c.machine;
         if (c.policy == "oldest") {
             // Bit-identical to the plain fig7 cell.
-            SweepSpec plain = fig7Sweep(false, SizeClass::Tiny);
+            SweepSpec plain = fig7IrregularTiny();
             plain.filterWorkloads({"BFS"});
             size_t mi = 0;
             while (plain.machines[mi].name != c.machine)
@@ -391,6 +357,37 @@ TEST(Table, FormatsSweepWithGmeanRow)
     EXPECT_NE(table.find("SBI"), std::string::npos);
     EXPECT_NE(table.find("BFS"), std::string::npos);
     EXPECT_NE(table.find("Gmean"), std::string::npos);
+
+    // The speedup row: each column's Gmean over the first
+    // column's, so it starts at 1.000.
+    const std::string label = "Speedup vs Baseline";
+    size_t at = table.find(label);
+    ASSERT_NE(at, std::string::npos) << table;
+    std::istringstream row(
+        table.substr(at + label.size(),
+                     table.find('\n', at) - at - label.size()));
+    std::vector<double> gmeans;
+    for (const char *m : {"Baseline", "SBI"}) {
+        std::vector<double> ipc;
+        for (const CellResult &c : r.cells) {
+            if (c.machine == m && !c.excluded_from_means &&
+                !c.timed_out)
+                ipc.push_back(c.ipc);
+        }
+        gmeans.push_back(geomean(ipc));
+    }
+    ASSERT_GT(gmeans[0], 0.0);
+    std::vector<std::string> values;
+    for (std::string v; row >> v;)
+        values.push_back(v);
+    ASSERT_EQ(values.size(), gmeans.size()) << table;
+    EXPECT_EQ(values[0], "1.000");
+    for (size_t i = 0; i < gmeans.size(); ++i) {
+        char want[32];
+        std::snprintf(want, sizeof(want), "%.3f",
+                      gmeans[i] / gmeans[0]);
+        EXPECT_EQ(values[i], want) << table;
+    }
 }
 
 TEST(Table, TimedOutCellRendersToMarkerNotIpc)
@@ -412,6 +409,20 @@ TEST(Table, TimedOutCellRendersToMarkerNotIpc)
     EXPECT_NE(table.find("T/O"), std::string::npos);
     EXPECT_EQ(table.find("3.33"), std::string::npos);
     EXPECT_NE(table.find("timed out"), std::string::npos);
+    // One column: nothing to compare against.
+    EXPECT_EQ(table.find("Speedup"), std::string::npos) << table;
+
+    // A first column whose every cell timed out has Gmean 0: no
+    // speedup row rather than a division by zero.
+    CellResult ref_a = a;
+    ref_a.machine = "Ref";
+    ref_a.timed_out = true;
+    CellResult ref_b = ref_a;
+    ref_b.workload = "B";
+    r.cells = {ref_a, a, ref_b, b};
+    table = formatSweepTable(r, "s");
+    EXPECT_NE(table.find("Ref"), std::string::npos) << table;
+    EXPECT_EQ(table.find("Speedup"), std::string::npos) << table;
 }
 
 } // namespace

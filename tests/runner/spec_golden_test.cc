@@ -1,12 +1,12 @@
 /**
  * @file
  * Golden spec-file test: the checked-in bench/specs/fast.json —
- * the grid the CI regression gate runs — must produce JSON
- * byte-identical to the legacy compiled fastSuite() path, at one
- * worker and at eight. This pins the spec-file route as a drop-in
- * replacement for hand-written SweepSpec construction before the
- * compiled path is retired, and exercises determinism of the
- * whole spec -> expand -> run -> serialize pipeline.
+ * the grid the CI regression gate runs — must reproduce the
+ * committed bench/baseline.json at tolerance 0 with exactly the
+ * baseline's cells, and serialize byte-identically at one worker
+ * and at eight. This is CI's bench gate inside ctest, and it
+ * exercises determinism of the whole spec -> expand -> run ->
+ * serialize pipeline.
  */
 
 #include <gtest/gtest.h>
@@ -18,30 +18,37 @@ using namespace siwi::runner;
 
 namespace {
 
-TEST(SpecGolden, FastSpecMatchesLegacyFastSuiteByteForByte)
+TEST(SpecGolden, FastSpecMatchesCommittedBaseline)
 {
+    const std::string root = SIWI_SOURCE_DIR;
     MachineRegistry reg;
-    std::vector<SweepSpec> spec_sweeps;
+    std::vector<SweepSpec> sweeps;
     std::string label, err;
-    ASSERT_TRUE(loadSpecFile(std::string(SIWI_SOURCE_DIR) +
-                                 "/bench/specs/fast.json",
-                             &reg, &spec_sweeps, &label, &err))
+    ASSERT_TRUE(loadSpecFile(root + "/bench/specs/fast.json", &reg,
+                             &sweeps, &label, &err))
         << err;
     ASSERT_EQ(label, "fast");
+    Results base;
+    ASSERT_TRUE(
+        Results::load(root + "/bench/baseline.json", &base, &err))
+        << err;
 
-    RunOptions legacy_opts;
-    legacy_opts.jobs = 1;
-    legacy_opts.suite_label = "fast";
-    std::string legacy =
-        runSweeps(suiteSweeps("fast"), legacy_opts).toJsonText();
-
+    std::string first;
     for (unsigned jobs : {1u, 8u}) {
         RunOptions opts;
         opts.jobs = jobs;
         opts.suite_label = label;
-        std::string spec_json =
-            runSweeps(spec_sweeps, opts).toJsonText();
-        EXPECT_EQ(spec_json, legacy) << "jobs=" << jobs;
+        Results res = runSweeps(sweeps, opts);
+        std::string json = res.toJsonText();
+        if (first.empty())
+            first = json;
+        EXPECT_EQ(json, first) << "jobs=" << jobs;
+
+        CompareReport rep = compareResults(base, res, 0.0);
+        EXPECT_TRUE(rep.pass()) << "jobs=" << jobs << "\n"
+                                << rep.format();
+        EXPECT_TRUE(rep.added.empty()) << "jobs=" << jobs << "\n"
+                                       << rep.format();
     }
 }
 

@@ -1,16 +1,16 @@
 /**
  * @file
  * Tests for the SimSpec layer: the runtime machine registry,
- * machine files, spec-file expansion (including the drift gates
- * that pin every checked-in bench spec file to the compiled
- * suite it mirrors), machine-column deduplication, and the
- * resolved-config block embedded into results.
+ * machine files, spec-file expansion, machine-column
+ * deduplication, and the resolved-config block embedded into
+ * results.
  */
 
 #include <gtest/gtest.h>
 
 #include <fstream>
 
+#include "checked_in_spec.hh"
 #include "common/log.hh"
 #include "core/config_io.hh"
 #include "pipeline/config_io.hh"
@@ -35,37 +35,6 @@ parseJson(const std::string &text)
     Json j = Json::parse(text, &err);
     EXPECT_TRUE(err.empty()) << err;
     return j;
-}
-
-/** Full structural equality of two sweep lists. */
-void
-expectSameSweeps(const std::vector<SweepSpec> &got,
-                 const std::vector<SweepSpec> &want)
-{
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t i = 0; i < got.size(); ++i) {
-        const SweepSpec &g = got[i], &w = want[i];
-        EXPECT_EQ(g.name, w.name);
-        EXPECT_EQ(g.size, w.size);
-        EXPECT_EQ(g.sms, w.sms) << g.name;
-        EXPECT_EQ(g.policies, w.policies) << g.name;
-        ASSERT_EQ(g.machines.size(), w.machines.size())
-            << g.name;
-        for (size_t m = 0; m < g.machines.size(); ++m) {
-            EXPECT_EQ(g.machines[m].name, w.machines[m].name)
-                << g.name;
-            EXPECT_TRUE(g.machines[m].config ==
-                        w.machines[m].config)
-                << g.name << "/" << g.machines[m].name;
-            EXPECT_EQ(g.machines[m].chip_sets,
-                      w.machines[m].chip_sets)
-                << g.name << "/" << g.machines[m].name;
-        }
-        ASSERT_EQ(g.wls.size(), w.wls.size()) << g.name;
-        for (size_t wl = 0; wl < g.wls.size(); ++wl)
-            EXPECT_STREQ(g.wls[wl]->name(), w.wls[wl]->name())
-                << g.name;
-    }
 }
 
 TEST(MachineRegistry, SeedsThePaperMachinesCaseInsensitively)
@@ -186,45 +155,6 @@ TEST(MachineFile, RejectsFileToFileIndirection)
     EXPECT_FALSE(loadMachineFile(path, reg, &m, &err));
     EXPECT_NE(err.find("cannot reference"), std::string::npos)
         << err;
-}
-
-TEST(SpecFile, CheckedInSpecsMatchTheCompiledSuites)
-{
-    // The drift gates: every bench/specs file must expand to
-    // exactly the grid its compiled counterpart builds. A change
-    // to either side without the other fails here.
-    struct Case
-    {
-        const char *file;
-        const char *label;
-        std::vector<SweepSpec> want;
-    };
-    const Case cases[] = {
-        {"fast.json", "fast", suiteSweeps("fast")},
-        {"fig7.json", "fig7",
-         figureSweeps("fig7", SizeClass::Full)},
-        {"fig8a.json", "fig8a",
-         figureSweeps("fig8a", SizeClass::Full)},
-        {"fig8b.json", "fig8b",
-         figureSweeps("fig8b", SizeClass::Full)},
-        {"fig9.json", "fig9",
-         figureSweeps("fig9", SizeClass::Full)},
-        {"policy.json", "policy",
-         figureSweeps("policy", SizeClass::Full)},
-        {"scaling.json", "scaling",
-         figureSweeps("scaling", SizeClass::Chip)},
-    };
-    for (const Case &c : cases) {
-        SCOPED_TRACE(c.file);
-        MachineRegistry reg;
-        std::vector<SweepSpec> sweeps;
-        std::string label, err;
-        ASSERT_TRUE(loadSpecFile(specPath(c.file), &reg, &sweeps,
-                                 &label, &err))
-            << err;
-        EXPECT_EQ(label, c.label);
-        expectSameSweeps(sweeps, c.want);
-    }
 }
 
 TEST(SpecFile, StrictErrorsNameTheOffender)
@@ -371,7 +301,7 @@ TEST(SpecFile, InlineMachinesAndSpecMachinesSection)
 TEST(Dedupe, IdenticalMachineColumnsCollapseWithAWarning)
 {
     setLogQuiet(true);
-    SweepSpec s = fig7Sweep(false, SizeClass::Tiny);
+    SweepSpec s = fig7IrregularTiny();
     s.filterMachines({"Baseline", "SBI"});
     MachineSpec twin = s.machines[0];
     twin.name = "Baseline-again"; // same config, new name
@@ -386,7 +316,7 @@ TEST(Dedupe, IdenticalMachineColumnsCollapseWithAWarning)
 TEST(Dedupe, RunSweepsNeverRunsADuplicateColumn)
 {
     setLogQuiet(true);
-    SweepSpec s = fig7Sweep(false, SizeClass::Tiny);
+    SweepSpec s = fig7IrregularTiny();
     s.name = "dup";
     s.filterMachines({"Baseline"});
     s.filterWorkloads({"BFS"});
@@ -454,7 +384,7 @@ TEST(Results, MachineLevelSchedPolicyIsHonored)
     // default oldest-first policy axis — and show up in the cell
     // label and the resolved config.
     setLogQuiet(true);
-    SweepSpec s = fig7Sweep(false, SizeClass::Tiny);
+    SweepSpec s = fig7IrregularTiny();
     s.name = "polfield";
     s.filterMachines({"Baseline"});
     s.filterWorkloads({"BFS"});
@@ -474,7 +404,7 @@ TEST(Results, MachineLevelSchedPolicyIsHonored)
               frontend::SchedPolicyKind::GreedyThenOldest);
 
     // ...and match what an explicit policy-axis run produces.
-    SweepSpec axis = fig7Sweep(false, SizeClass::Tiny);
+    SweepSpec axis = fig7IrregularTiny();
     axis.name = "polfield";
     axis.filterMachines({"Baseline"});
     axis.filterWorkloads({"BFS"});
@@ -491,7 +421,7 @@ TEST(Results, MachineLevelSchedPolicyIsHonored)
 
 TEST(Results, MachineRecordsFollowCanonicalOrder)
 {
-    SweepSpec s = fig7Sweep(false, SizeClass::Tiny);
+    SweepSpec s = fig7IrregularTiny();
     s.filterMachines({"Baseline", "SBI"});
     s.filterWorkloads({"BFS"});
     s.sms = {1, 2};

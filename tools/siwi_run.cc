@@ -2,16 +2,16 @@
  * @file
  * siwi-run: parallel experiment-runner CLI.
  *
- * Runs named suites or individual figure sweeps across a thread
- * pool, prints the paper-style tables, emits machine-readable
- * JSON/CSV, and implements the CI bench-regression gate by
- * comparing result files against a committed baseline.
+ * Runs the experiment a spec file describes (bench/specs/) across
+ * a thread pool, prints the paper-style tables, emits
+ * machine-readable JSON/CSV, and implements the CI
+ * bench-regression gate by comparing result files against a
+ * committed baseline.
  *
  * Exit codes: 0 success, 1 verification failure, 2 regression
  * gate failed, 3 usage error, 4 I/O error.
  */
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -40,16 +40,14 @@ void
 usage(FILE *out)
 {
     std::fprintf(out,
-"usage: siwi-run [options]\n"
+"usage: siwi-run --spec PATH [options]\n"
+"       siwi-run --compare BASE CAND | --check PATH |\n"
+"                --list-suites | --dump-schema\n"
 "\n"
 "run selection:\n"
-"  --suite NAME       fast | fig7 | scaling | full "
-"(default: fast)\n"
-"  --figure NAME      fig7 | fig8a | fig8b | fig9 | policy |\n"
-"                     scaling; repeatable, overrides --suite\n"
 "  --spec PATH        run the experiment described by a JSON\n"
-"                     spec file (see docs/CONFIG.md and\n"
-"                     bench/specs/); excludes --suite/--figure\n"
+"                     spec file (bench/specs/ holds one per\n"
+"                     paper figure; see docs/CONFIG.md)\n"
 "  --size SIZE        tiny | full | chip: override the sweep "
 "size\n"
 "  --machine NAME     keep only this machine (repeatable)\n"
@@ -96,8 +94,9 @@ usage(FILE *out)
 "                     of this run as JSON (perf trajectory)\n"
 "  --quiet            suppress the result tables\n"
 "  --list             print the selected cells and exit\n"
-"  --list-suites      print known suites, figures, machines "
-"and workloads\n"
+"  --list-suites      print the built-in machines, the "
+"workloads\n"
+"                     and the scheduling policies\n"
 "\n"
 "regression gate:\n"
 "  --baseline PATH    after running, compare against this "
@@ -260,27 +259,10 @@ main(int argc, char **argv)
         return exit_ok;
     }
     if (args.flag("--list-suites")) {
-        std::printf("suites:");
-        for (const std::string &s : knownSuites())
-            std::printf(" %s", s.c_str());
-        std::printf("\nfigures:");
-        for (const std::string &f : knownFigures())
-            std::printf(" %s", f.c_str());
-        std::printf("\nmachines:");
-        std::vector<std::string> machines;
-        for (const std::string &f : knownFigures()) {
-            for (const SweepSpec &s : figureSweeps(
-                     f, workloads::SizeClass::Tiny)) {
-                for (const MachineSpec &m : s.machines) {
-                    if (std::find(machines.begin(),
-                                  machines.end(),
-                                  m.name) == machines.end())
-                        machines.push_back(m.name);
-                }
-            }
-        }
-        for (const std::string &m : machines)
-            std::printf(" %s", m.c_str());
+        std::printf("machines:");
+        const MachineRegistry builtin;
+        for (const MachineSpec &m : builtin.machines())
+            std::printf(" %s", m.name.c_str());
         std::printf("\nworkloads:");
         for (const workloads::Workload *w :
              workloads::allWorkloads())
@@ -333,9 +315,6 @@ main(int argc, char **argv)
         return doCheck(check_path);
     }
 
-    std::string suite = "fast";
-    bool have_suite = args.option("--suite", &suite);
-    std::vector<std::string> figures = args.options("--figure");
     std::string spec_path;
     bool have_spec = args.option("--spec", &spec_path);
     std::vector<std::string> machine_files =
@@ -380,6 +359,11 @@ main(int argc, char **argv)
         usage(stderr);
         return exit_usage;
     }
+    if (!have_spec) {
+        std::fprintf(stderr, "siwi-run: a run needs --spec PATH\n");
+        usage(stderr);
+        return exit_usage;
+    }
 
     // Resolve machine names against the registry: the built-in
     // paper machines plus any --machine-file machines, loaded in
@@ -397,59 +381,13 @@ main(int argc, char **argv)
         added_machines.push_back(m.name);
     }
 
-    // Build the sweep list.
     std::vector<SweepSpec> sweeps;
     std::string label;
-    if (have_spec) {
-        if (have_suite || !figures.empty()) {
-            std::fprintf(stderr,
-                         "siwi-run: --spec excludes --suite and "
-                         "--figure\n");
-            return exit_usage;
-        }
-        std::string serr;
-        if (!loadSpecFile(spec_path, &registry, &sweeps, &label,
-                          &serr)) {
-            std::fprintf(stderr, "siwi-run: %s\n", serr.c_str());
-            return exit_usage;
-        }
-    } else if (!figures.empty()) {
-        // Figures default to Full size; the --size override below
-        // applies to these sweeps like any others. Dedup repeats:
-        // duplicate sweep names would corrupt the result tables.
-        std::vector<std::string> seen;
-        std::erase_if(figures, [&](const std::string &f) {
-            if (std::find(seen.begin(), seen.end(), f) !=
-                seen.end())
-                return true;
-            seen.push_back(f);
-            return false;
-        });
-        for (const std::string &f : figures) {
-            // The scaling figure needs chip-size grids (Full is
-            // sized for one SM); paper figures default to Full.
-            // An explicit --size below still overrides either.
-            std::vector<SweepSpec> fs = figureSweeps(
-                f, f == "scaling" ? workloads::SizeClass::Chip
-                                  : workloads::SizeClass::Full);
-            if (fs.empty()) {
-                std::fprintf(stderr,
-                             "siwi-run: unknown figure: %s\n",
-                             f.c_str());
-                return exit_usage;
-            }
-            for (SweepSpec &s : fs)
-                sweeps.push_back(std::move(s));
-            label += (label.empty() ? "" : ",") + f;
-        }
-    } else {
-        sweeps = suiteSweeps(suite);
-        if (sweeps.empty()) {
-            std::fprintf(stderr, "siwi-run: unknown suite: %s\n",
-                         suite.c_str());
-            return exit_usage;
-        }
-        label = suite;
+    std::string serr;
+    if (!loadSpecFile(spec_path, &registry, &sweeps, &label,
+                      &serr)) {
+        std::fprintf(stderr, "siwi-run: %s\n", serr.c_str());
+        return exit_usage;
     }
     if (have_size) {
         workloads::SizeClass sz;
