@@ -11,17 +11,6 @@ using pipeline::IBufEntry;
 using pipeline::LookupCandidate;
 using pipeline::SMConfig;
 
-namespace {
-
-/** Execution-group class an opcode is routed to (CTRL -> MAD). */
-UnitClass
-effectiveClass(UnitClass cls)
-{
-    return cls == UnitClass::CTRL ? UnitClass::MAD : cls;
-}
-
-} // namespace
-
 // ----------------------------------------------------------------
 // FrontEnd base: policy selection + the simple issue stage
 // ----------------------------------------------------------------
@@ -109,7 +98,7 @@ FrontEnd::issueSecondarySimple(const PrimaryIssueInfo &pinfo)
         if (!host_.ready(w, 1, false))
             return;
         const IBufEntry *e = host_.entryFor(w, 1);
-        UnitClass cls = effectiveClass(e->inst.unit());
+        UnitClass cls = e->unit;
         bool row = pinfo.valid && w == pinfo.w &&
                    cls == pinfo.unit && cls != UnitClass::LSU;
         if (!row && !host_.freeGroup(cls))
@@ -253,7 +242,7 @@ InterweaveFrontEnd::pickSecondaryCascaded(
             if (!host_.ready(w, slot, false))
                 continue;
             const IBufEntry *e = host_.entryFor(w, slot);
-            UnitClass cls = effectiveClass(e->inst.unit());
+            UnitClass cls = e->unit;
             LookupCandidate c;
             c.key = u32(cands.size());
             c.warp = w;

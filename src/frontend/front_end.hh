@@ -100,7 +100,14 @@ class FrontEndHost
     /** Valid buffered entry of context @p ctx_id, or null. */
     virtual pipeline::IBufEntry *findCtx(WarpId w, u32 ctx_id) = 0;
 
-    /** May (w, slot) issue this cycle? */
+    /**
+     * May (w, slot) issue this cycle? Probing a SYNC-gated entry
+     * counts one sync_suspensions attempt, so callers probe in a
+     * fixed order. On the SM host a probe of an unchanged warp is
+     * O(1): the warp-local part of the verdict is cached per warp
+     * mutation generation, and only the claimed flag and the
+     * execution groups are read live.
+     */
     virtual bool ready(WarpId w, unsigned slot,
                        bool check_group) const = 0;
 
@@ -115,7 +122,10 @@ class FrontEndHost
      */
     virtual const pipeline::WarpSet &awakeWarps() const = 0;
 
-    /** A free execution group of class @p cls, or null. */
+    /**
+     * A free execution group of class @p cls (an entry's decoded
+     * IBufEntry::unit), or null.
+     */
     virtual pipeline::ExecGroup *freeGroup(isa::UnitClass cls) = 0;
 
     /**

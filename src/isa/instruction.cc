@@ -6,10 +6,10 @@
 
 namespace siwi::isa {
 
-std::vector<RegIdx>
+SrcRegs
 Instruction::srcRegs() const
 {
-    std::vector<RegIdx> regs;
+    SrcRegs regs;
     switch (opInfo(op).form) {
       case OperandForm::None:
       case OperandForm::DstImm:
@@ -18,31 +18,42 @@ Instruction::srcRegs() const
       case OperandForm::Sync:
         break;
       case OperandForm::DstSa:
-        regs.push_back(sa);
+        regs.push(sa);
         break;
       case OperandForm::DstSaSb:
-        regs.push_back(sa);
+        regs.push(sa);
         if (!b_is_imm)
-            regs.push_back(sb);
+            regs.push(sb);
         break;
       case OperandForm::DstSaSbSc:
-        regs.push_back(sa);
+        regs.push(sa);
         if (!b_is_imm)
-            regs.push_back(sb);
-        regs.push_back(sc);
+            regs.push(sb);
+        regs.push(sc);
         break;
       case OperandForm::Load:
-        regs.push_back(sa);
+        regs.push(sa);
         break;
       case OperandForm::Store:
-        regs.push_back(sa);
-        regs.push_back(sb);
+        regs.push(sa);
+        regs.push(sb);
         break;
       case OperandForm::CondBra:
-        regs.push_back(sa);
+        regs.push(sa);
         break;
     }
     return regs;
+}
+
+u64
+Instruction::hazardMask() const
+{
+    u64 m = 0;
+    for (RegIdx r : srcRegs())
+        m |= u64(1) << r;
+    if (writesDst())
+        m |= u64(1) << dst;
+    return m;
 }
 
 std::string

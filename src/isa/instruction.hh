@@ -6,13 +6,33 @@
 #ifndef SIWI_ISA_INSTRUCTION_HH
 #define SIWI_ISA_INSTRUCTION_HH
 
+#include <array>
 #include <string>
-#include <vector>
 
 #include "common/types.hh"
 #include "isa/opcode.hh"
 
 namespace siwi::isa {
+
+/** The source registers of one instruction: at most three. */
+class SrcRegs
+{
+  public:
+    unsigned size() const { return n_; }
+    bool empty() const { return n_ == 0; }
+    RegIdx operator[](unsigned i) const { return regs_[i]; }
+    const RegIdx *begin() const { return regs_.data(); }
+    const RegIdx *end() const { return regs_.data() + n_; }
+
+    void push(RegIdx r) { regs_[n_++] = r; }
+
+  private:
+    std::array<RegIdx, 3> regs_{};
+    unsigned n_ = 0;
+};
+
+// hazardMask() gives every architectural register one bit of a u64.
+static_assert(num_arch_regs <= 64, "hazard mask holds 64 registers");
 
 /**
  * One decoded instruction.
@@ -52,7 +72,16 @@ struct Instruction
     bool writesDst() const { return opInfo(op).writes_dst; }
 
     /** Source registers actually read, for scoreboard comparison. */
-    std::vector<RegIdx> srcRegs() const;
+    SrcRegs srcRegs() const;
+
+    /**
+     * Registers an in-flight write to which blocks this
+     * instruction, one bit per register: the sources (RAW) plus
+     * the destination when one is written (WAW). Exact for every
+     * register below num_arch_regs, which Program::validate
+     * enforces.
+     */
+    u64 hazardMask() const;
 
     /** Render in the assembler syntax (without label prefix). */
     std::string toString() const;

@@ -27,6 +27,12 @@ struct IBufEntry
     Pc pc = invalid_pc;
     LaneMask mask;
     u64 seq = 0; //!< fetch sequence number (age for oldest-first)
+
+    // Decoded once at fetch, so issue-stage probes never decode.
+    u64 hazard = 0;          //!< inst.hazardMask()
+    bool writes_dst = false; //!< inst.writesDst()
+    /** Execution-group class it issues to (CTRL runs on MAD). */
+    isa::UnitClass unit = isa::UnitClass::MAD;
 };
 
 /**

@@ -67,20 +67,13 @@ Scoreboard::release(WarpId w, unsigned idx)
 }
 
 bool
-Scoreboard::conflicts(WarpId w, const isa::Instruction &inst,
-                      LaneMask mask) const
+Scoreboard::conflicts(WarpId w, u64 hazard, LaneMask mask) const
 {
+    const Entry *first = &entry(w, 0);
     for (unsigned i = 0; i < entries_per_warp_; ++i) {
-        const Entry &e = entry(w, i);
-        if (!e.valid || !e.mask.intersects(mask))
-            continue;
-        // RAW: a source reads an in-flight destination.
-        for (RegIdx src : inst.srcRegs()) {
-            if (src == e.dst)
-                return true;
-        }
-        // WAW: double write with undefined completion order.
-        if (inst.writesDst() && inst.dst == e.dst)
+        const Entry &e = first[i];
+        if (e.valid && e.mask.intersects(mask) &&
+            ((hazard >> e.dst) & 1))
             return true;
     }
     return false;

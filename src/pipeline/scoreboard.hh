@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/lane_mask.hh"
-#include "isa/instruction.hh"
 
 namespace siwi::pipeline {
 
@@ -46,13 +45,14 @@ class Scoreboard
     void release(WarpId w, unsigned idx);
 
     /**
-     * Would issuing @p inst with execution mask @p mask conflict
-     * with any in-flight write (RAW on sources, WAW on the
-     * destination)? Lane masks that do not intersect never conflict
-     * (warp-splits are independent).
+     * Would issuing an instruction with hazard-register mask
+     * @p hazard (isa::Instruction::hazardMask: the sources, plus
+     * the destination when one is written) and execution mask
+     * @p mask conflict with any in-flight write (RAW on a source,
+     * WAW on the destination)? Lane masks that do not intersect
+     * never conflict (warp-splits are independent).
      */
-    bool conflicts(WarpId w, const isa::Instruction &inst,
-                   LaneMask mask) const;
+    bool conflicts(WarpId w, u64 hazard, LaneMask mask) const;
 
     /** Drop all entries of a warp (kernel/block boundary). */
     void flushWarp(WarpId w);

@@ -292,7 +292,7 @@ SM::timedWakes()
 }
 
 bool
-SM::sleepEligible(WarpId w, Cycle *wake_out) const
+SM::liveAllowsSleep(WarpId w) const
 {
     const WarpSlot &ws = warps_[w];
     if (!ws.active)
@@ -309,45 +309,65 @@ SM::sleepEligible(WarpId w, Cycle *wake_out) const
     // Pending heap maintenance (an unsettled restructure pass)
     // can move hot slots next cycle; only a quiescent heap has a
     // well-defined timed self-change bound.
-    if (ws.heap && !ws.heap->quiescent())
-        return false;
+    return !ws.heap || ws.heap->quiescent();
+}
 
+bool
+SM::deriveSleepSlots(WarpId w) const
+{
     for (unsigned slot = 0; slot < 2; ++slot) {
+        SlotVerdict v = deriveSlot(w, slot);
+        if (v.entry) {
+            // Issuable keeps the warp awake (execution-group
+            // availability is deliberately ignored: groups are
+            // shared, timed resources, so a group-stalled warp
+            // stays on the active list), and so does a SYNC gate,
+            // which bumps sync_suspensions every cycle the warp
+            // is scanned.
+            if (v.state != SlotState::Blocked)
+                return false;
+            continue; // unblocks via a Writeback event
+        }
         CtxView cv = ctxView(w, slot);
         if (!cv.valid)
             continue; // blocked ctx: unblocks only via events
-        const IBufEntry *e = ibuf_.findCtx(w, cv.id);
-        bool fresh = e && e->ctx_version == cv.version;
-        if (!fresh) {
-            // The slot wants a fetch. A stale same-context entry
-            // is reused in place, and a dead entry is a victim:
-            // either way the fetch stage could act on this warp.
-            if (e)
-                return false;
-            for (unsigned s = 0; s < ibuf_.slotsPerWarp(); ++s) {
-                if (!ibufEntryLive(w, ibuf_.entry(w, s)))
-                    return false;
-            }
-            // Buffer full of live entries: a victim can only
-            // appear through this warp's own issues or events.
-            continue;
-        }
-        // Fresh entry: mirror ready() without the counting probe.
-        // A SYNC-gated entry bumps sync_suspensions every cycle
-        // the warp is scanned, so its warp must stay awake.
-        if (syncGated(w, *e))
+        // The slot wants a fetch. A stale same-context entry is
+        // reused in place, and a dead entry is a victim: either
+        // way the fetch stage could act on this warp.
+        if (ibuf_.findCtx(w, cv.id))
             return false;
-        if (e->inst.writesDst() && !sb_.hasFreeEntry(w))
-            continue; // unblocks via a Writeback event
-        if (sb_.conflicts(w, e->inst, e->mask))
-            continue; // unblocks via a Writeback event
-        // Issuable (execution-group availability deliberately
-        // ignored: groups are shared, timed resources, so a
-        // group-stalled warp stays on the active list).
-        return false;
+        for (unsigned s = 0; s < ibuf_.slotsPerWarp(); ++s) {
+            if (!ibufEntryLive(w, ibuf_.entry(w, s)))
+                return false;
+        }
+        // Buffer full of live entries: a victim can only appear
+        // through this warp's own issues or events.
     }
+    return true;
+}
 
-    *wake_out = ws.heap ? ws.heap->nextWake() : no_wake;
+Cycle
+SM::selfWake(WarpId w) const
+{
+    const WarpSlot &ws = warps_[w];
+    return ws.heap ? ws.heap->nextWake() : no_wake;
+}
+
+bool
+SM::sleepEligible(WarpId w, Cycle *wake_out) const
+{
+    // Live inputs first: the cached per-slot result is defined only
+    // while no entry is claimed.
+    if (!liveAllowsSleep(w))
+        return false;
+    const WarpSlot &ws = warps_[w];
+    if (ws.sleep_gen != ws.gen) {
+        ws.sleep_blocked = deriveSleepSlots(w);
+        ws.sleep_gen = ws.gen;
+    }
+    if (!ws.sleep_blocked)
+        return false;
+    *wake_out = selfWake(w);
     return true;
 }
 
@@ -372,34 +392,57 @@ bool
 SM::auditSleepingWarps(std::string *why) const
 {
     bool ok = true;
+    auto fail = [&](WarpId w, const char *what) {
+        ok = false;
+        if (why) {
+            *why = "warp " + std::to_string(w) + " at cycle " +
+                   std::to_string(now_) + ": " + what;
+        }
+    };
+    // Every slept warp, re-proved from the derivations directly:
+    // going through the caches would check them against
+    // themselves.
     asleep_.forEach([&](WarpId w) {
         if (!ok)
             return;
         const WarpSlot &ws = warps_[w];
-        auto fail = [&](const char *what) {
-            ok = false;
-            if (why) {
-                *why = "warp " + std::to_string(w) + " at cycle " +
-                       std::to_string(now_) + ": " + what;
-            }
-        };
         if (!ws.active || !ws.asleep || awake_.contains(w)) {
-            fail("sleeping-set / slot state mismatch");
+            fail(w, "sleeping-set / slot state mismatch");
             return;
         }
         if (ws.wake_at <= now_) {
-            fail("timed wake bound passed while asleep");
+            fail(w, "timed wake bound passed while asleep");
             return;
         }
-        Cycle wake = no_wake;
-        if (!sleepEligible(w, &wake)) {
-            fail("slept warp is schedulable (could issue, fetch, "
-                 "probe a SYNC gate, or restructure its heap)");
+        if (!liveAllowsSleep(w) || !deriveSleepSlots(w)) {
+            fail(w, "slept warp is schedulable (could issue, fetch, "
+                    "probe a SYNC gate, or restructure its heap)");
             return;
         }
-        if (wake < ws.wake_at)
-            fail("recorded wake bound later than the heap's fold");
+        if (selfWake(w) < ws.wake_at)
+            fail(w, "recorded wake bound later than the heap's fold");
     });
+    // Every cached verdict still current at its warp's generation
+    // must equal a fresh derivation; a mismatch means some change
+    // to the warp missed touchWarp(). The sleep-slot result is
+    // defined only while no entry is claimed (its only use).
+    for (WarpId w = 0; ok && w < warps_.size(); ++w) {
+        const WarpSlot &ws = warps_[w];
+        for (unsigned slot = 0; slot < 2; ++slot) {
+            const SlotVerdict &c = ws.verdict[slot];
+            if (c.gen != ws.gen)
+                continue; // stale: the next probe re-derives
+            SlotVerdict d = deriveSlot(w, slot);
+            if (d.entry != c.entry || d.state != c.state) {
+                fail(w, slot ? "cached slot-1 verdict is stale"
+                             : "cached slot-0 verdict is stale");
+                return ok;
+            }
+        }
+        if (ws.sleep_gen == ws.gen && liveAllowsSleep(w) &&
+            deriveSleepSlots(w) != ws.sleep_blocked)
+            fail(w, "cached sleep-slot result is stale");
+    }
     return ok;
 }
 
@@ -561,10 +604,13 @@ SM::retireWarpIfDone(WarpId w)
     awakeErase(w, now_);
     ibuf_.flushWarp(w);
 
+    // A slot in the launch-time list may have retired and been
+    // reused by another CTA: only slots still tagged with this
+    // block count.
     BlockSlot &blk = blocks_[unsigned(ws.block)];
     bool block_done = true;
     for (WarpId bw : blk.warps) {
-        if (warps_[bw].active)
+        if (warps_[bw].active && warps_[bw].block == ws.block)
             block_done = false;
     }
     if (block_done) {
@@ -621,19 +667,45 @@ SM::ctxView(WarpId w, unsigned slot) const
 const IBufEntry *
 SM::entryFor(WarpId w, unsigned slot) const
 {
-    return const_cast<SM *>(this)->entryFor(w, slot);
+    return slotVerdict(w, slot).entry;
 }
 
 IBufEntry *
 SM::entryFor(WarpId w, unsigned slot)
 {
+    return slotVerdict(w, slot).entry;
+}
+
+SM::SlotVerdict
+SM::deriveSlot(WarpId w, unsigned slot) const
+{
+    SlotVerdict v;
+    v.gen = warps_[w].gen;
     CtxView cv = ctxView(w, slot);
     if (!cv.valid)
-        return nullptr;
-    IBufEntry *e = ibuf_.findCtx(w, cv.id);
+        return v;
+    const IBufEntry *e = ibuf_.findCtx(w, cv.id);
     if (!e || e->ctx_version != cv.version)
-        return nullptr;
-    return e;
+        return v;
+    v.entry = const_cast<IBufEntry *>(e);
+    if (syncGated(w, *e))
+        v.state = SlotState::SyncGated;
+    else if ((e->writes_dst && !sb_.hasFreeEntry(w)) ||
+             sb_.conflicts(w, e->hazard, e->mask))
+        v.state = SlotState::Blocked;
+    else
+        v.state = SlotState::Issuable;
+    return v;
+}
+
+const SM::SlotVerdict &
+SM::slotVerdict(WarpId w, unsigned slot) const
+{
+    const WarpSlot &ws = warps_[w];
+    SlotVerdict &v = ws.verdict[slot];
+    if (v.gen != ws.gen)
+        v = deriveSlot(w, slot);
+    return v;
 }
 
 IBufEntry *
@@ -660,22 +732,19 @@ SM::syncGated(WarpId w, const IBufEntry &e) const
 bool
 SM::ready(WarpId w, unsigned slot, bool check_group) const
 {
-    const IBufEntry *e = entryFor(w, slot);
-    if (!e || e->claimed)
+    const SlotVerdict &v = slotVerdict(w, slot);
+    if (!v.entry || v.entry->claimed)
         return false;
-    if (syncGated(w, *e)) {
+    if (v.state == SlotState::SyncGated) {
         // Count suspension attempts (statistics only).
         const_cast<SM *>(this)->stats_.sync_suspensions += 1;
         return false;
     }
-    if (e->inst.writesDst() && !sb_.hasFreeEntry(w))
-        return false;
-    if (sb_.conflicts(w, e->inst, e->mask))
+    if (v.state != SlotState::Issuable)
         return false;
     if (check_group) {
-        UnitClass cls = effectiveClass(e->inst.unit());
         for (const ExecGroup &g : groups_) {
-            if (g.unitClass() == cls && g.canAccept(now_))
+            if (g.unitClass() == v.entry->unit && g.canAccept(now_))
                 return true;
         }
         return false;
@@ -686,7 +755,6 @@ SM::ready(WarpId w, unsigned slot, bool check_group) const
 ExecGroup *
 SM::freeGroup(UnitClass cls)
 {
-    cls = effectiveClass(cls);
     for (ExecGroup &g : groups_) {
         if (g.unitClass() == cls && g.canAccept(now_))
             return &g;
@@ -799,7 +867,7 @@ SM::issueCand(WarpId w, unsigned slot, bool secondary,
     CtxView cv = ctxView(w, slot);
 
     const Instruction inst = e.inst;
-    UnitClass cls = effectiveClass(inst.unit());
+    UnitClass cls = e.unit;
 
     ExecGroup *group;
     if (row_share) {
@@ -925,6 +993,7 @@ SM::issueCand(WarpId w, unsigned slot, bool secondary,
 
     e.valid = false;
     e.claimed = false;
+    touchWarp(w);
     return true;
 }
 
@@ -942,8 +1011,10 @@ SM::processEvents()
         fired = true;
         // Every event can unblock its warp (scoreboard release,
         // branch/exit resolution mutate schedulability), so the
-        // warp rejoins the active list before the event applies.
+        // warp rejoins the active list, and its cached verdicts go
+        // stale, before the event applies.
         wakeWarp(ev.warp);
+        touchWarp(ev.warp);
         switch (ev.kind) {
           case Event::Kind::Writeback:
             sb_.release(ev.warp, unsigned(ev.sb_entry));
@@ -1044,8 +1115,8 @@ SM::checkBarrierRelease(int block_slot)
     }
     for (WarpId w : blk.warps) {
         WarpSlot &ws = warps_[w];
-        if (!ws.active)
-            continue;
+        if (!ws.active || ws.block != block_slot)
+            continue; // retired, or reused by another CTA
         if (ws.stack) {
             if (ws.stack_barrier_blocked) {
                 ws.stack_barrier_blocked = false;
@@ -1058,6 +1129,7 @@ SM::checkBarrierRelease(int block_slot)
         // that runs after this (secondary pick, fetch) must see
         // them, exactly as the full scans did.
         wakeWarp(w);
+        touchWarp(w);
     }
     blk.barrier_arrived = 0;
     stats_.barrier_releases += 1;
@@ -1077,8 +1149,10 @@ SM::heapMaintenance()
     bool changed = false;
     awake_.forEach([&](WarpId w) {
         WarpSlot &ws = warps_[w];
-        if (ws.heap)
-            changed |= ws.heap->tick(now_);
+        if (ws.heap && ws.heap->tick(now_)) {
+            changed = true;
+            touchWarp(w);
+        }
     });
     return changed;
 }
@@ -1108,13 +1182,14 @@ SM::fetchStage()
     // Fetch for context slot (w, ctx_slot) if it needs it; true
     // when a fetch happened (at most one per front-end per cycle).
     auto tryFetch = [&](unsigned fe, WarpId w, unsigned ctx_slot) {
+        if (slotVerdict(w, ctx_slot).entry)
+            return false; // a fresh entry is already buffered
         CtxView cv = ctxView(w, ctx_slot);
         if (!cv.valid)
             return false;
         IBufEntry *have = ibuf_.findCtx(w, cv.id);
-        if (have &&
-            (have->claimed || have->ctx_version == cv.version))
-            return false; // already buffered (possibly claimed)
+        if (have && have->claimed)
+            return false; // stale, but parked in the cascade register
         // Pick a victim slot: reuse this context's stale entry,
         // else any dead slot.
         IBufEntry *target = have;
@@ -1138,6 +1213,10 @@ SM::fetchStage()
         target->pc = cv.pc;
         target->mask = cv.mask;
         target->seq = fetch_seq_++;
+        target->hazard = target->inst.hazardMask();
+        target->writes_dst = target->inst.writesDst();
+        target->unit = effectiveClass(target->inst.unit());
+        touchWarp(w);
         stats_.fetches += 1;
         fe_rr_[fe] = WarpId((w + 1) % nw);
         return true;

@@ -115,6 +115,11 @@ class SM final : public frontend::FrontEndHost
      * Events, barrier releases and timed heap folds wake their
      * warps back onto it (wakeWarp), so parking is invisible to
      * results; setSleepAudit() re-proves it every cycle.
+     * Within that scan, a ready() or sleepEligible() probe of a
+     * warp unchanged since its last probe is O(1): the verdict is
+     * cached until the warp's mutation generation moves (see
+     * WarpSlot::gen), and the audit re-derives every cached
+     * verdict too.
      *
      * @return true when the cycle made progress: an event fired, a
      *         heap restructured, the front-end issued or mutated
@@ -201,7 +206,10 @@ class SM final : public frontend::FrontEndHost
      * Per-warp sleep oracle (test hook): verify that every warp
      * currently parked off the active list provably cannot issue,
      * fetch, bump an observable counter, or self-mutate before its
-     * recorded wake bound. Pure — uses only non-counting probes.
+     * recorded wake bound, and that every cached issue-stage
+     * verdict still current at its warp's generation equals a
+     * fresh derivation. Pure — uses only non-counting probes, and
+     * the derivations rather than the caches.
      * @return false with a diagnostic in @p why on any violation
      */
     bool auditSleepingWarps(std::string *why) const;
@@ -219,6 +227,22 @@ class SM final : public frontend::FrontEndHost
     // ------------------------------------------------------------
     // internal structures
     // ------------------------------------------------------------
+
+    /** What warp-local state says about issuing one context slot. */
+    enum class SlotState : u8 {
+        Blocked,   //!< no fresh entry, or a scoreboard hazard
+        SyncGated, //!< SYNC-suspended: every ready() probe counts
+        Issuable,  //!< issuable, given a free execution group
+    };
+
+    /** deriveSlot()'s result, stamped with the warp generation. */
+    struct SlotVerdict
+    {
+        u64 gen = 0; //!< WarpSlot::gen it was derived at (0: never)
+        IBufEntry *entry = nullptr; //!< the context's fresh entry
+        SlotState state = SlotState::Blocked;
+    };
+
     struct WarpSlot
     {
         bool active = false;
@@ -244,6 +268,26 @@ class SM final : public frontend::FrontEndHost
         Cycle wake_at = ~Cycle(0);
         /** First slept cycle (warp_sleep_cycles accounting). */
         Cycle sleep_since = 0;
+
+        // --- issue-stage verdict cache (see ARCHITECTURE.md) ---
+        /**
+         * Mutation generation: touchWarp() bumps it at every
+         * change to this warp's contexts, i-buffer entries or
+         * scoreboard (a fetch, an issue, an event, a barrier
+         * release, a heap tick that changes something), which are
+         * the only inputs of its cached verdicts besides the live
+         * ones (claimed flags, heap quiescence, execution groups).
+         * CTA launch and retirement need no bump of their own: a
+         * warp retires only inside its exit event, which has
+         * bumped already, and nothing probes an inactive warp.
+         * 64 bits never wrap.
+         */
+        u64 gen = 1;
+        /** Cached deriveSlot() of each context slot. */
+        mutable SlotVerdict verdict[2];
+        /** Cached deriveSleepSlots(), valid at sleep_gen. */
+        mutable bool sleep_blocked = false;
+        mutable u64 sleep_gen = 0;
     };
 
     struct BlockSlot
@@ -308,6 +352,20 @@ class SM final : public frontend::FrontEndHost
     // --- scheduling helpers ---
     bool syncGated(WarpId w, const IBufEntry &e) const;
 
+    // --- issue-stage verdict cache ---
+    /** Every cached verdict of @p w is stale from here on. */
+    void touchWarp(WarpId w) { ++warps_[w].gen; }
+    /**
+     * Verdict of context slot (w, slot) from warp-local state
+     * alone: its fresh buffered entry, SYNC gate and scoreboard.
+     * The one derivation slotVerdict() caches and the audit
+     * re-checks; ready() adds the live inputs (claimed flag,
+     * execution groups).
+     */
+    SlotVerdict deriveSlot(WarpId w, unsigned slot) const;
+    /** deriveSlot(), re-derived only when @p w's gen has moved. */
+    const SlotVerdict &slotVerdict(WarpId w, unsigned slot) const;
+
     // --- per-warp sleep/wake ---
     /** A buffered entry still backs a live context (fetch victim rule). */
     bool ibufEntryLive(WarpId w, const IBufEntry &e) const;
@@ -318,9 +376,25 @@ class SM final : public frontend::FrontEndHost
      * bump the suspension counter, nothing is parked in the
      * cascade register, and the heap has no pending maintenance.
      * Pure: never bumps statistics. On true, *wake_out holds the
-     * timed self-change bound (the heap's next sorter fold).
+     * timed self-change bound (the heap's next sorter fold). The
+     * per-slot part (deriveSleepSlots) is cached per generation;
+     * the rest (liveAllowsSleep) is read live.
      */
     bool sleepEligible(WarpId w, Cycle *wake_out) const;
+    /**
+     * The live part of sleepEligible: @p w is active, has no
+     * entry parked in the cascade register, and its heap is
+     * quiescent.
+     */
+    bool liveAllowsSleep(WarpId w) const;
+    /**
+     * The per-slot part of sleepEligible, derived from warp-local
+     * state: no context slot can issue, fetch or probe a SYNC
+     * gate. Meaningful only while no entry of @p w is claimed.
+     */
+    bool deriveSleepSlots(WarpId w) const;
+    /** Timed self-change bound of @p w: its heap's next fold. */
+    Cycle selfWake(WarpId w) const;
     /** Park every provably blocked awake warp (end of step()). */
     void sleepEvaluate();
     /** Wake warps whose timed bound has arrived (start of step()). */

@@ -317,6 +317,42 @@ TEST(SteppingEquivalence, RandomizedMachines)
 }
 
 /**
+ * The two committed cells (fig8a's SBI+SWI-nc on SortingNetworks,
+ * policy.json's SBI/rr on BFS, both Full size) in which a heap
+ * tick promotes a cold warp-split into hot slot 1 after that
+ * slot's cached issue verdict was derived. No other change to the
+ * warp precedes the promotion, so only the heap-maintenance
+ * touchWarp() marks the verdict stale; without it the audit
+ * panics. No Tiny cell reaches this path.
+ */
+TEST(SteppingEquivalence, HeapTickPromotionCells)
+{
+    struct Cell
+    {
+        pipeline::PipelineMode mode;
+        const char *set;
+        const char *workload;
+    };
+    for (const Cell &c :
+         {Cell{pipeline::PipelineMode::SBISWI, "sbi_constraints=false",
+               "SortingNetworks"},
+          Cell{pipeline::PipelineMode::SBI, "sched_policy=rr",
+               "BFS"}}) {
+        pipeline::SMConfig cfg = pipeline::SMConfig::make(c.mode);
+        std::string err;
+        ASSERT_TRUE(pipeline::smConfigApplyKeyValue(c.set, &cfg, &err))
+            << err;
+        const workloads::Workload *wl =
+            workloads::findWorkload(c.workload);
+        ASSERT_NE(wl, nullptr) << c.workload;
+        expectEquivalent(*wl, cfg, SizeClass::Full, 1,
+                         std::string(pipeline::pipelineModeName(
+                             c.mode)) +
+                             " " + c.set + " on " + c.workload);
+    }
+}
+
+/**
  * The skip machinery must actually engage: a memory-bound kernel
  * spends most of its cycles waiting on DRAM, so a skip-enabled run
  * must fast-forward a significant share of them (this guards

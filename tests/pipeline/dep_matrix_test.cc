@@ -188,7 +188,7 @@ TEST_P(Conservative, NeverMissesTrueDependency)
                 probe.dst = 7;
                 probe.sa = r;
                 bool exact =
-                    exact_sb.conflicts(0, probe, cur[s]);
+                    exact_sb.conflicts(0, probe.hazardMask(), cur[s]);
                 bool approx = matrix_sb.conflicts(probe, s);
                 if (exact) {
                     EXPECT_TRUE(approx)
