@@ -64,8 +64,11 @@ runAndPrint(const char *title, SMConfig cfg, Json *trace_doc)
 
     core::Kernel kernel = core::Kernel::compile(figure2Kernel());
 
-    mem::MemoryImage memimg;
-    pipeline::SM sm(cfg, memimg);
+    core::Gpu gpu(cfg);
+    core::LaunchConfig lc;
+    lc.grid_blocks = 2;
+    lc.block_threads = 4;
+    lc.max_cycles = 100000;
     struct Ev
     {
         Cycle cycle;
@@ -76,12 +79,11 @@ runAndPrint(const char *title, SMConfig cfg, Json *trace_doc)
         bool secondary;
     };
     std::vector<Ev> evs;
-    sm.setTraceHook([&](const pipeline::IssueEvent &e) {
-        evs.push_back({e.cycle, std::string(e.unit), e.warp, e.pc,
-                       e.mask.toString(4), e.secondary});
-    });
-    sm.launch(kernel.program(), 2, 4);
-    auto st = sm.run(100000);
+    auto st = gpu.launchTraced(
+        kernel, lc, [&](const pipeline::IssueEvent &e) {
+            evs.push_back({e.cycle, std::string(e.unit), e.warp,
+                           e.pc, e.mask.toString(4), e.secondary});
+        });
 
     std::printf("\n--- %s (%llu cycles, %llu issues) ---\n", title,
                 (unsigned long long)st.cycles,

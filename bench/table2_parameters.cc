@@ -8,13 +8,12 @@
 #include <cstdio>
 
 #include "common/json.hh"
+#include "core/config_io.hh"
 #include "core/siwi.hh"
-#include "pipeline/config_io.hh"
 #include "runner/cli.hh"
 
 using namespace siwi;
 using pipeline::PipelineMode;
-using pipeline::SMConfig;
 
 int
 main(int argc, char **argv)
@@ -32,13 +31,17 @@ main(int argc, char **argv)
          {PipelineMode::Baseline, PipelineMode::Warp64,
           PipelineMode::SBI, PipelineMode::SWI,
           PipelineMode::SBISWI}) {
-        SMConfig c = SMConfig::make(m);
-        std::printf("\n### %s\n%s", pipelineModeName(m),
-                    c.summary().c_str());
-        // The full field-table dump (pipeline/config_io.hh), so
-        // the JSON form of Table 2 carries every knob a machine
-        // file could override.
-        doc.set(pipelineModeName(m), pipeline::smConfigToJson(c));
+        // The paper's single SM on its private DRAM channel.
+        core::GpuConfig c = core::GpuConfig::make(m, 1);
+        std::printf("\n### %s\n%smemory:             %g B/cycle, "
+                    "%u cycles\n",
+                    pipelineModeName(m), c.sm.summary().c_str(),
+                    double(c.dram.bytes_per_cycle_x10) / 10.0,
+                    c.dram.latency_cycles);
+        // The full field-table dump (core/config_io.hh), so the
+        // JSON form of Table 2 carries every knob a machine file
+        // could override.
+        doc.set(pipelineModeName(m), core::gpuConfigToJson(c));
     }
     std::printf("\nPaper Table 2 reference:\n"
                 "  Baseline: 32x32 warps, sched 1cyc, delivery "

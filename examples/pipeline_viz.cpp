@@ -42,8 +42,11 @@ show(PipelineMode mode)
     auto cfg = pipeline::SMConfig::make(mode);
     core::Kernel k = core::Kernel::compile(kernel());
 
-    mem::MemoryImage memimg;
-    pipeline::SM sm(cfg, memimg);
+    core::Gpu gpu(cfg);
+    core::LaunchConfig lc;
+    lc.grid_blocks = 2;
+    lc.block_threads = cfg.warp_width;
+    lc.max_cycles = 100000;
     struct Ev
     {
         Cycle cycle;
@@ -52,12 +55,11 @@ show(PipelineMode mode)
         bool secondary;
     };
     std::vector<Ev> evs;
-    sm.setTraceHook([&](const pipeline::IssueEvent &e) {
-        evs.push_back(
-            {e.cycle, e.warp, e.mask.count(), e.secondary});
-    });
-    sm.launch(k.program(), 2, cfg.warp_width);
-    auto st = sm.run(100000);
+    auto st =
+        gpu.launchTraced(k, lc, [&](const pipeline::IssueEvent &e) {
+            evs.push_back(
+                {e.cycle, e.warp, e.mask.count(), e.secondary});
+        });
 
     std::printf("\n=== %s: %llu cycles, IPC %.1f ===\n",
                 pipelineModeName(mode),

@@ -10,8 +10,6 @@ namespace {
 
 #define F_U32(key, member, doc) \
     SIWI_CFG_U32(GpuConfig, key, member, doc)
-#define F_BOOL(key, member, doc) \
-    SIWI_CFG_BOOL(GpuConfig, key, member, doc)
 
 /** Chip-level fields; the nested SMConfig has its own table. */
 const std::vector<ConfigField<GpuConfig>> &
@@ -19,9 +17,6 @@ fieldTable()
 {
     static const std::vector<ConfigField<GpuConfig>> v = {
         F_U32("num_sms", num_sms, "SM instances on the chip"),
-        F_BOOL("shared_backend", shared_backend,
-               "route SM misses through the chip-shared L2 + one "
-               "DRAM channel (required when num_sms > 1)"),
         F_U32("l2_size_bytes", l2.size_bytes,
               "shared L2 size in bytes"),
         F_U32("l2_ways", l2.ways, "shared L2 associativity"),
@@ -41,10 +36,10 @@ fieldTable()
               "(0 = fully pipelined)"),
         F_U32("dram_bytes_per_cycle_x10",
               dram.bytes_per_cycle_x10,
-              "per-channel chip DRAM bandwidth in 0.1 byte/cycle "
-              "units (shared path)"),
+              "per-channel DRAM bandwidth in 0.1 byte/cycle units "
+              "(100 = the paper's 10 GB/s)"),
         F_U32("dram_latency_cycles", dram.latency_cycles,
-              "chip DRAM-channel flat latency in cycles"),
+              "flat DRAM access latency in cycles"),
         F_U32("dram_channels", dram.channels,
               "interleaved chip DRAM channels (power of two; "
               "total bandwidth scales with the channel count)"),
@@ -64,7 +59,6 @@ fieldTable()
 }
 
 #undef F_U32
-#undef F_BOOL
 
 } // namespace
 

@@ -1,6 +1,7 @@
 #include "core/gpu.hh"
 
 #include <algorithm>
+#include <memory>
 
 #include "common/bits.hh"
 #include "common/log.hh"
@@ -19,11 +20,10 @@ GpuConfig::make(const pipeline::SMConfig &sm, unsigned num_sms)
     GpuConfig cfg;
     cfg.sm = sm;
     cfg.num_sms = num_sms;
-    cfg.shared_backend = num_sms > 1;
-    cfg.dram = sm.mem.dram;
-    // One channel for the whole chip: bandwidth grows with the SM
-    // count but tops out at 4x the paper's per-SM 10 GB/s, so
-    // larger chips start contending for it.
+    // cfg.dram starts as the paper's per-SM channel. One channel
+    // serves the whole chip: bandwidth grows with the SM count but
+    // tops out at 4x the paper's 10 GB/s, so larger chips start
+    // contending for it.
     cfg.dram.bytes_per_cycle_x10 *= std::min(num_sms, 4u);
     return cfg;
 }
@@ -36,9 +36,9 @@ GpuConfig::checkInvariants() const
         return sm_err;
     if (num_sms < 1)
         return "num_sms must be at least 1";
-    if (num_sms > 1 && !shared_backend)
-        return "a multi-SM chip requires the shared backend";
-    if (shared_backend) {
+    if (dram.bytes_per_cycle_x10 < 1)
+        return "dram_bytes_per_cycle_x10 must be at least 1";
+    if (num_sms > 1) {
         if (l2.block_bytes != sm.mem.l1.block_bytes)
             return "l2_block_bytes must match l1_block_bytes";
         // The shared L2 reuses the set-associative tag array, so
@@ -49,9 +49,6 @@ GpuConfig::checkInvariants() const
             return "l2_size_bytes must be a whole number of "
                    "sets (a multiple of l2_ways * "
                    "l2_block_bytes)";
-        if (dram.bytes_per_cycle_x10 < 1)
-            return "chip dram_bytes_per_cycle_x10 must be at "
-                   "least 1";
         // Banked topology: the interleaving hashes XOR-fold
         // power-of-two digits, and each slice must own a whole
         // number of sets of the shared capacity.
@@ -76,9 +73,8 @@ GpuConfig::validate() const
 }
 
 Gpu::Gpu(const pipeline::SMConfig &cfg)
+    : Gpu(GpuConfig::make(cfg, 1))
 {
-    cfg_.sm = cfg;
-    cfg_.validate();
 }
 
 Gpu::Gpu(const GpuConfig &cfg) : cfg_(cfg)
@@ -96,28 +92,49 @@ SimStats
 Gpu::launchTraced(const Kernel &kernel, const LaunchConfig &lc,
                   pipeline::SM::TraceHook hook)
 {
-    skipped_cycles_ = 0;
-    if (cfg_.num_sms == 1 && !cfg_.shared_backend) {
-        // The paper's single-SM setup: private DRAM channel,
-        // self-assigned CTAs.
-        pipeline::SM sm(cfg_.sm, memory_);
-        if (hook)
-            sm.setTraceHook(std::move(hook));
-        sm.launch(kernel.program(), lc.grid_blocks,
-                  lc.block_threads);
-        SimStats stats = sm.run(lc.max_cycles, lc.cycle_skip);
-        skipped_cycles_ = sm.skippedCycles();
+    bool timed_out = false;
+    if (cfg_.num_sms == 1) {
+        // The paper's setup: one SM on a private DRAM channel. The
+        // SM's own statistics are the launch's, with no per-SM
+        // breakdown.
+        mem::DramBackend backend(cfg_.dram);
+        SimStats stats = std::move(
+            runGrid(kernel, lc, hook, backend, &timed_out).front());
+        stats.timed_out = timed_out;
+        stats.dram_transactions = backend.dramStats().transactions;
+        stats.dram_bytes = backend.dramStats().bytes;
         return stats;
     }
-    return launchChip(kernel, lc, hook);
-}
 
-SimStats
-Gpu::launchChip(const Kernel &kernel, const LaunchConfig &lc,
-                const pipeline::SM::TraceHook &hook)
-{
     mem::BankedL2 backend(cfg_.l2, cfg_.dram, cfg_.noc,
                           cfg_.num_sms);
+    SimStats agg = SimStats::aggregate(
+        runGrid(kernel, lc, hook, backend, &timed_out));
+    agg.timed_out = timed_out;
+    // Chip-level backend counters: reported once, from the shared
+    // backend itself (per-SM stats keep them zero), with the
+    // schema-v5 per-slice/channel/port breakdowns alongside the
+    // scalar totals.
+    agg.l2_hits = backend.stats().hits;
+    agg.l2_misses = backend.stats().misses;
+    agg.dram_transactions = backend.dramStats().transactions;
+    agg.dram_bytes = backend.dramStats().bytes;
+    for (u32 s = 0; s < backend.numSlices(); ++s)
+        agg.l2_slices.push_back(backend.sliceStats(s));
+    for (u32 c = 0; c < backend.numChannels(); ++c)
+        agg.dram_channels.push_back(backend.channelStats(c));
+    for (unsigned p = 0; p < backend.numPorts(); ++p)
+        agg.noc_ports.push_back(backend.portStats(p));
+    return agg;
+}
+
+std::vector<SimStats>
+Gpu::runGrid(const Kernel &kernel, const LaunchConfig &lc,
+             const pipeline::SM::TraceHook &hook,
+             mem::MemoryBackend &backend, bool *timed_out)
+{
+    skipped_cycles_ = 0;
+    const unsigned n = cfg_.num_sms;
 
     // Chip-level CTA scheduler: a shared cursor over the grid.
     // Every SM pulls at most one CTA per cycle and SMs are stepped
@@ -130,13 +147,16 @@ Gpu::launchChip(const Kernel &kernel, const LaunchConfig &lc,
     };
 
     std::vector<std::unique_ptr<pipeline::SM>> sms;
-    sms.reserve(cfg_.num_sms);
-    for (unsigned i = 0; i < cfg_.num_sms; ++i) {
+    sms.reserve(n);
+    for (unsigned i = 0; i < n; ++i) {
         auto sm = std::make_unique<pipeline::SM>(cfg_.sm, memory_,
-                                                 &backend, i);
+                                                 backend, i);
         if (hook)
             sm->setTraceHook(hook);
-        sm->setCtaSource(source);
+        // A lone SM self-assigns CTAs and fills every resident
+        // slot at cycle 0; the chip source admits one per cycle.
+        if (n > 1)
+            sm->setCtaSource(source);
         sm->launch(kernel.program(), lc.grid_blocks,
                    lc.block_threads);
         sms.push_back(std::move(sm));
@@ -160,7 +180,7 @@ Gpu::launchChip(const Kernel &kernel, const LaunchConfig &lc,
     // (skipTo) when it is next stepped; done SMs keep their frozen
     // clocks, exactly as when they simply stop being stepped. When
     // no SM is due, the chip clock jumps to the earliest wake_at.
-    const unsigned n = cfg_.num_sms;
+    //
     // The next cycle each SM is stepped; no_wake once it is done.
     std::vector<Cycle> wake_at(n, 0);
     unsigned live = 0;
@@ -172,11 +192,10 @@ Gpu::launchChip(const Kernel &kernel, const LaunchConfig &lc,
     }
 
     Cycle cycle = 0;
-    bool hit_limit = false;
     while (live > 0) {
         if (cycle >= lc.max_cycles) {
             warn("chip cycle limit hit at ", cycle);
-            hit_limit = true;
+            *timed_out = true;
             // Sleeping SMs end at the chip cycle, as if stepped.
             for (auto &sm : sms) {
                 if (!sm->done())
@@ -209,29 +228,12 @@ Gpu::launchChip(const Kernel &kernel, const LaunchConfig &lc,
     }
 
     std::vector<SimStats> per_sm;
-    per_sm.reserve(sms.size());
+    per_sm.reserve(n);
     for (auto &sm : sms) {
         per_sm.push_back(sm->finalizeStats());
         skipped_cycles_ += sm->skippedCycles();
     }
-
-    SimStats agg = SimStats::aggregate(per_sm);
-    agg.timed_out |= hit_limit;
-    // Chip-level backend counters: reported once, from the shared
-    // backend itself (per-SM stats keep them zero), with the
-    // schema-v5 per-slice/channel/port breakdowns alongside the
-    // scalar totals.
-    agg.l2_hits = backend.stats().hits;
-    agg.l2_misses = backend.stats().misses;
-    agg.dram_transactions = backend.dramStats().transactions;
-    agg.dram_bytes = backend.dramStats().bytes;
-    for (u32 s = 0; s < backend.numSlices(); ++s)
-        agg.l2_slices.push_back(backend.sliceStats(s));
-    for (u32 c = 0; c < backend.numChannels(); ++c)
-        agg.dram_channels.push_back(backend.channelStats(c));
-    for (unsigned p = 0; p < backend.numPorts(); ++p)
-        agg.noc_ports.push_back(backend.portStats(p));
-    return agg;
+    return per_sm;
 }
 
 } // namespace siwi::core

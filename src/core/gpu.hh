@@ -2,24 +2,26 @@
  * @file
  * Gpu: the top-level public entry point of the library.
  *
- * One Gpu = one chip: `num_sms` SM instances behind a chip-level
- * CTA scheduler, plus a global memory image shared across launches.
- * The paper simulates a single SM with a private DRAM channel, and
- * that remains the default (`Gpu(SMConfig)`); a multi-SM GpuConfig
- * puts per-SM private L1s/write buffers in front of the banked
- * chip memory system (mem/banked_l2.hh): an SM<->L2 interconnect,
+ * One Gpu = one chip: `num_sms` SM instances plus a global memory
+ * image shared across launches. Each launch builds the chip's
+ * memory backend and steps its SMs through one lockstep loop. The
+ * paper simulates a single SM on a private DRAM channel, and that
+ * remains the default (`Gpu(SMConfig)`). A multi-SM chip puts the
+ * per-SM private L1s/write buffers in front of the banked chip
+ * memory system (mem/banked_l2.hh): an SM<->L2 interconnect,
  * address-interleaved L2 slices, and multi-channel DRAM the SMs
  * contend for (one slice/one channel by default, which matches
- * the legacy monolithic model bit-identically). Each launch runs
- * a grid to completion on freshly initialized pipelines and
- * returns its statistics (with per-SM breakdowns on a chip).
+ * the legacy monolithic model bit-identically), and hands out
+ * CTAs through a chip-level scheduler. Each launch runs a grid to
+ * completion on freshly initialized pipelines and returns its
+ * statistics (with per-SM breakdowns on a chip).
  */
 
 #ifndef SIWI_CORE_GPU_HH
 #define SIWI_CORE_GPU_HH
 
-#include <memory>
 #include <string>
+#include <vector>
 
 #include "core/kernel.hh"
 #include "core/stats.hh"
@@ -60,24 +62,20 @@ struct GpuConfig
     pipeline::SMConfig sm;
     unsigned num_sms = 1;
 
+    mem::L2Config l2; //!< shared L2 geometry/timing (num_sms > 1)
     /**
-     * Route SM misses through the chip-shared L2 + single DRAM
-     * channel instead of a private per-SM DRAM channel. Multi-SM
-     * chips require this (it is what they contend on); single-SM
-     * configs default to the paper's private-channel methodology
-     * so `num_sms = 1` reproduces the single-SM numbers.
+     * The chip's DRAM. One SM reads its bandwidth and latency only
+     * (mem::DramBackend); a multi-SM chip honors all of it.
      */
-    bool shared_backend = false;
-
-    mem::L2Config l2;     //!< shared L2 geometry/timing/slicing
-    mem::DramConfig dram; //!< chip DRAM channels (shared path)
-    mem::NocConfig noc;   //!< SM<->L2 interconnect (shared path)
+    mem::DramConfig dram;
+    mem::NocConfig noc; //!< SM<->L2 interconnect (num_sms > 1)
 
     /**
      * Canonical chip for a pipeline mode: SMConfig::make(mode)
-     * replicated @p num_sms times. The chip DRAM channel scales
-     * the paper's per-SM 10 GB/s linearly up to 4 SMs and then
-     * saturates, so the 8-SM point exposes bandwidth contention.
+     * replicated @p num_sms times, on the paper's 10 GB/s,
+     * 330-cycle DRAM (mem::DramConfig{}). The channel's bandwidth
+     * scales linearly up to 4 SMs and then saturates, so the 8-SM
+     * point exposes bandwidth contention.
      */
     static GpuConfig make(pipeline::PipelineMode mode,
                           unsigned num_sms);
@@ -110,10 +108,13 @@ bool operator==(const GpuConfig &a, const GpuConfig &b);
 class Gpu
 {
   public:
-    /** Single SM with a private DRAM channel (paper setup). */
+    /** Single SM on a private DRAM channel (paper setup). */
     explicit Gpu(const pipeline::SMConfig &cfg);
 
-    /** Full chip: @p cfg.num_sms SMs, optionally sharing L2+DRAM. */
+    /**
+     * @p cfg.num_sms SMs: one on a private DRAM channel, more
+     * sharing the banked L2 and DRAM.
+     */
     explicit Gpu(const GpuConfig &cfg);
 
     /** Global memory, for host-side setup and result readback. */
@@ -143,8 +144,17 @@ class Gpu
     u64 skippedCycles() const { return skipped_cycles_; }
 
   private:
-    SimStats launchChip(const Kernel &kernel, const LaunchConfig &lc,
-                        const pipeline::SM::TraceHook &hook);
+    /**
+     * The launch loop: run @p kernel on cfg_.num_sms fresh SMs
+     * over @p backend until every SM is done or lc.max_cycles,
+     * which sets *@p timed_out.
+     * @return each SM's finalized statistics, in SM order
+     */
+    std::vector<SimStats> runGrid(const Kernel &kernel,
+                                  const LaunchConfig &lc,
+                                  const pipeline::SM::TraceHook &hook,
+                                  mem::MemoryBackend &backend,
+                                  bool *timed_out);
 
     GpuConfig cfg_;
     mem::MemoryImage memory_;

@@ -15,7 +15,22 @@ l2TagConfig(const L2Config &cfg)
     return c;
 }
 
+/** One unbounded channel at @p cfg's bandwidth and latency. */
+DramConfig
+privateChannel(const DramConfig &cfg)
+{
+    DramConfig c;
+    c.bytes_per_cycle_x10 = cfg.bytes_per_cycle_x10;
+    c.latency_cycles = cfg.latency_cycles;
+    return c;
+}
+
 } // namespace
+
+DramBackend::DramBackend(const DramConfig &cfg)
+    : dram_(privateChannel(cfg))
+{
+}
 
 SharedL2::SharedL2(const L2Config &cfg, const DramConfig &dram)
     : cfg_(cfg), tags_(l2TagConfig(cfg)), dram_(dram)

@@ -9,8 +9,8 @@
  * configuration), or the banked chip memory system (BankedL2, see
  * mem/banked_l2.hh) with address-interleaved L2 slices,
  * multi-channel DRAM and a contended SM<->L2 interconnect.
- * MemorySystem owns a private DramBackend unless the chip injects
- * a shared one.
+ * core::Gpu owns the backend of a launch and hands it to every
+ * SM's MemorySystem.
  */
 
 #ifndef SIWI_MEM_BACKEND_HH
@@ -37,7 +37,7 @@ namespace siwi::mem {
  * backend reports no wake bound: an SM that issues no request
  * cannot see the backend change, so a sleeping SM's wake depends
  * only on its own state, and the chip can let each SM sleep
- * independently (core::Gpu::launchChip). Internal timed structures
+ * independently (core::Gpu::runGrid). Internal timed structures
  * (BankedL2's per-slice MSHR files) advance lazily, from the
  * request time, at the next call that reaches them.
  */
@@ -68,11 +68,16 @@ class MemoryBackend
     virtual const DramStats &dramStats() const = 0;
 };
 
-/** A private DRAM channel: the paper's single-SM memory system. */
+/**
+ * A private DRAM channel: the paper's single-SM memory system. It
+ * takes only the bandwidth and latency of @p cfg and stays one
+ * channel with no queue bound; channels and queue_depth shape a
+ * chip's BankedL2 alone.
+ */
 class DramBackend final : public MemoryBackend
 {
   public:
-    explicit DramBackend(const DramConfig &cfg) : dram_(cfg) {}
+    explicit DramBackend(const DramConfig &cfg);
 
     Cycle read(Cycle now, Addr, u32 bytes, unsigned) override
     {

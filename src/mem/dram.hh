@@ -24,10 +24,9 @@ struct DramConfig
     /**
      * Independent DRAM channels behind the chip's L2 slices, each
      * with the bandwidth/latency/queue parameters above (so total
-     * chip bandwidth is channels * bytes_per_cycle_x10). Only
-     * chip-level backends honor this; a per-SM private channel is
-     * always exactly one. Must be a power of two (the
-     * channel-interleaving hash XOR-folds address digits).
+     * chip bandwidth is channels * bytes_per_cycle_x10). Must be
+     * a power of two (the channel-interleaving hash XOR-folds
+     * address digits).
      */
     u32 channels = 1;
     /**
@@ -37,6 +36,8 @@ struct DramConfig
      * paper's pure bandwidth pipe).
      */
     u32 queue_depth = 0;
+
+    bool operator==(const DramConfig &) const = default;
 };
 
 /** DRAM statistics. */

@@ -7,15 +7,6 @@
 
 namespace siwi::mem {
 
-MemorySystem::MemorySystem(const MemConfig &cfg)
-    : cfg_(cfg), l1_(cfg.l1),
-      owned_backend_(std::make_unique<DramBackend>(cfg.dram)),
-      backend_(owned_backend_.get()),
-      wbuf_(cfg.write_buffer_entries)
-{
-    siwi_assert(cfg_.mshrs >= 1, "memory system with no MSHRs");
-}
-
 MemorySystem::MemorySystem(const MemConfig &cfg,
                            MemoryBackend &backend, unsigned port)
     : cfg_(cfg), l1_(cfg.l1), backend_(&backend), port_(port),

@@ -7,20 +7,20 @@
 #define SIWI_MEM_MEMORY_SYSTEM_HH
 
 #include <map>
-#include <memory>
-#include <optional>
+#include <vector>
 
 #include "mem/backend.hh"
 #include "mem/cache.hh"
-#include "mem/dram.hh"
 
 namespace siwi::mem {
 
-/** Combined memory-system parameters (Table 2 of the paper). */
+/**
+ * Per-SM memory-system parameters (Table 2 of the paper). The DRAM
+ * behind them is the chip's (core::GpuConfig::dram).
+ */
 struct MemConfig
 {
     CacheConfig l1;
-    DramConfig dram;
     u32 mshrs = 64; //!< max in-flight missed blocks (>= 1)
     /**
      * Write-combining buffer entries for the write-through store
@@ -50,20 +50,17 @@ struct MemStats
  * to the backend, with same-block misses merged. Stores are
  * write-through no-allocate and only consume backend bandwidth.
  *
- * The backend is a private DRAM channel by default (the paper's
- * single-SM methodology); a multi-SM chip injects its shared
- * L2+DRAM backend instead, in which case backend statistics are
- * chip-level and reported by the chip, not per SM.
+ * The backend belongs to the chip (core::Gpu): a private DRAM
+ * channel for the paper's single SM, the shared L2+DRAM of a
+ * multi-SM chip otherwise. Its statistics are reported by the
+ * chip, not per SM.
  */
 class MemorySystem
 {
   public:
-    /** Private backend: one DRAM channel from @p cfg.dram. */
-    explicit MemorySystem(const MemConfig &cfg);
-
     /**
-     * Shared backend injected by the chip (not owned); @p port is
-     * this SM's interconnect port on it (the SM index).
+     * @p backend is not owned and must outlive this system;
+     * @p port is this SM's interconnect port on it (the SM index).
      */
     MemorySystem(const MemConfig &cfg, MemoryBackend &backend,
                  unsigned port = 0);
@@ -117,15 +114,8 @@ class MemorySystem
      */
     unsigned mshrOccupancy(Cycle now) const;
 
-    /** True when this system owns a private (non-shared) backend. */
-    bool ownsBackend() const { return owned_backend_ != nullptr; }
-
     const MemStats &stats() const { return stats_; }
     const CacheStats &cacheStats() const { return l1_.stats(); }
-    const DramStats &dramStats() const
-    {
-        return backend_->dramStats();
-    }
     const MemConfig &config() const { return cfg_; }
 
   private:
@@ -148,7 +138,6 @@ class MemorySystem
 
     MemConfig cfg_;
     L1Cache l1_;
-    std::unique_ptr<DramBackend> owned_backend_;
     MemoryBackend *backend_;
     unsigned port_ = 0; //!< interconnect port on a shared backend
     /** In-flight missed blocks. */

@@ -147,8 +147,6 @@ SMConfig::checkInvariants() const
         l1_blocks % mem.l1.ways != 0)
         return "l1_size_bytes must be a whole number of sets "
                "(a multiple of l1_ways * l1_block_bytes)";
-    if (mem.dram.bytes_per_cycle_x10 < 1)
-        return "dram_bytes_per_cycle_x10 must be at least 1";
     return {};
 }
 
@@ -181,9 +179,6 @@ SMConfig::summary() const
        << "L1 cache:           " << mem.l1.size_bytes / 1024 << "K, "
        << mem.l1.ways << "-way, " << mem.l1.block_bytes
        << "B blocks, " << mem.l1.hit_latency << " cycles\n"
-       << "memory:             "
-       << double(mem.dram.bytes_per_cycle_x10) / 10.0
-       << " B/cycle, " << mem.dram.latency_cycles << " cycles\n"
        << "sched policy:       "
        << frontend::schedPolicyName(sched_policy) << "\n"
        << "SBI:                " << (sbi ? "on" : "off")

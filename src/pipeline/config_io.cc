@@ -117,12 +117,6 @@ fieldTable()
               "L1 block size in bytes"),
         F_U32("l1_hit_latency", mem.l1.hit_latency,
               "L1 hit latency in cycles"),
-        F_U32("dram_bytes_per_cycle_x10",
-              mem.dram.bytes_per_cycle_x10,
-              "DRAM bandwidth in 0.1 byte/cycle units "
-              "(100 = the paper's 10 GB/s)"),
-        F_U32("dram_latency_cycles", mem.dram.latency_cycles,
-              "flat DRAM access latency in cycles"),
         F_U32("mshrs", mem.mshrs,
               "max in-flight missed blocks"),
         F_U32("write_buffer_entries", mem.write_buffer_entries,

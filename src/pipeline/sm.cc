@@ -38,11 +38,10 @@ SM::setSleepAudit(bool on)
 }
 
 SM::SM(const SMConfig &cfg, mem::MemoryImage &memory,
-       mem::MemoryBackend *backend, unsigned port)
+       mem::MemoryBackend &backend, unsigned port)
     : cfg_(cfg),
       memory_(memory),
-      memsys_(backend ? mem::MemorySystem(cfg.mem, *backend, port)
-                      : mem::MemorySystem(cfg.mem)),
+      memsys_(cfg.mem, backend, port),
       warps_(cfg.num_warps),
       blocks_(cfg.max_blocks_resident),
       ibuf_(cfg.num_warps, 2),
@@ -98,31 +97,6 @@ SM::done() const
             return false;
     }
     return true;
-}
-
-core::SimStats
-SM::run(Cycle max_cycles, bool cycle_skip)
-{
-    while (!done()) {
-        if (now_ >= max_cycles) {
-            warn("SM cycle limit hit at ", now_);
-            stats_.timed_out = true;
-            break;
-        }
-        bool progress = step();
-        if (cycle_skip && !progress) {
-            // Everything is stalled: jump straight to the next
-            // event. Clamping to max_cycles keeps the timeout path
-            // (and its cycles counter) identical to per-cycle
-            // stepping; the wake can equal now_ (an event due this
-            // very cycle), in which case there is nothing to skip.
-            Cycle wake = std::min(nextWake(), max_cycles);
-            if (wake > now_)
-                skipTo(wake);
-        }
-    }
-    finalizeStats();
-    return stats_;
 }
 
 bool
@@ -527,6 +501,7 @@ SM::initWarp(WarpId w, int block_slot, unsigned first_tid,
 {
     WarpSlot &ws = warps_[w];
     ws.active = true;
+    ++ws.launch;
     ws.block = block_slot;
     ws.stack_branch_pending = false;
     ws.stack_barrier_blocked = false;
@@ -812,7 +787,7 @@ SM::issueMemory(WarpId w, const IBufEntry &e, const CtxView &cv,
             ev.kind = Event::Kind::Writeback;
             ev.warp = w;
             ev.sb_entry = int(idx);
-            events_.insert({data, ev});
+            postEvent(data, ev);
         } else {
             memsys_.store(base, t.block, t.lanes.count() * 4);
         }
@@ -847,7 +822,7 @@ SM::issueMemory(WarpId w, const IBufEntry &e, const CtxView &cv,
         ev.kind = Event::Kind::Writeback;
         ev.warp = w;
         ev.sb_entry = int(idx);
-        events_.insert({last_data, ev});
+        postEvent(last_data, ev);
     }
     advanceCtx(w, cv.id, e.pc + 1);
     *occupancy = unsigned(txns.size());
@@ -908,8 +883,8 @@ SM::issueCand(WarpId w, unsigned slot, bool secondary,
         ev.mask = cv.mask;
         ev.taken = taken;
         ev.pc = e.pc;
-        events_.insert(
-            {when + cfg_.delivery_latency + cfg_.exec_latency, ev});
+        postEvent(when + cfg_.delivery_latency + cfg_.exec_latency,
+                  ev);
         break;
       }
 
@@ -923,8 +898,8 @@ SM::issueCand(WarpId w, unsigned slot, bool secondary,
         ev.warp = w;
         ev.ctx_id = cv.id;
         ev.mask = cv.mask;
-        events_.insert(
-            {when + cfg_.delivery_latency + cfg_.exec_latency, ev});
+        postEvent(when + cfg_.delivery_latency + cfg_.exec_latency,
+                  ev);
         break;
       }
 
@@ -947,9 +922,9 @@ SM::issueCand(WarpId w, unsigned slot, bool secondary,
             ev.kind = Event::Kind::Writeback;
             ev.warp = w;
             ev.sb_entry = int(idx);
-            events_.insert({when + cfg_.delivery_latency +
-                                cfg_.exec_latency + (occupancy - 1),
-                            ev});
+            postEvent(when + cfg_.delivery_latency +
+                          cfg_.exec_latency + (occupancy - 1),
+                      ev);
         }
         break;
       }
@@ -1001,6 +976,13 @@ SM::issueCand(WarpId w, unsigned slot, bool secondary,
 // events
 // ----------------------------------------------------------------
 
+void
+SM::postEvent(Cycle when, Event ev)
+{
+    ev.launch = warps_[ev.warp].launch;
+    events_.insert({when, ev});
+}
+
 bool
 SM::processEvents()
 {
@@ -1008,6 +990,10 @@ SM::processEvents()
     while (!events_.empty() && events_.begin()->first <= now_) {
         Event ev = events_.begin()->second;
         events_.erase(events_.begin());
+        // Posted by an earlier tenant of the slot: the warp it
+        // belongs to is gone, so it must not touch the new one.
+        if (ev.launch != warps_[ev.warp].launch)
+            continue;
         fired = true;
         // Every event can unblock its warp (scoreboard release,
         // branch/exit resolution mutate schedulability), so the
@@ -1328,13 +1314,6 @@ SM::finalizeStats()
     stats_.write_forwards = memsys_.stats().write_forwards;
     stats_.mshr_merges = memsys_.stats().mshr_merges;
     stats_.mshr_stalls = memsys_.stats().mshr_stalls;
-    if (memsys_.ownsBackend()) {
-        // Private channel: the backend traffic is this SM's.
-        // Shared backends are chip-level; the chip reports them
-        // once in its aggregate instead of once per SM.
-        stats_.dram_transactions = memsys_.dramStats().transactions;
-        stats_.dram_bytes = memsys_.dramStats().bytes;
-    }
 
     stats_.units.clear();
     for (const ExecGroup &g : groups_) {

@@ -71,13 +71,13 @@ class SM final : public frontend::FrontEndHost
 {
   public:
     /**
-     * @param backend chip-shared memory backend; null for a
-     *        private DRAM channel (the paper's single-SM setup)
-     * @param port this SM's interconnect port on a shared backend
-     *        (its SM index); ignored for a private channel
+     * @param backend the chip's memory backend (a private DRAM
+     *        channel for the paper's single SM); not owned
+     * @param port this SM's interconnect port on the backend (its
+     *        SM index); ignored by a private channel
      */
     SM(const SMConfig &cfg, mem::MemoryImage &memory,
-       mem::MemoryBackend *backend = nullptr, unsigned port = 0);
+       mem::MemoryBackend &backend, unsigned port = 0);
 
     // The front-end keeps a reference to its host SM.
     SM(const SM &) = delete;
@@ -166,22 +166,13 @@ class SM final : public frontend::FrontEndHost
      */
     u64 skippedCycles() const { return skipped_cycles_; }
 
-    /**
-     * Run to completion (or @p max_cycles) and return statistics.
-     * @param cycle_skip fast-forward over quiet stretches (see
-     *        step()/nextWake()); observationally equivalent to
-     *        per-cycle stepping, bit-identical statistics included
-     */
-    core::SimStats run(Cycle max_cycles = 50'000'000,
-                       bool cycle_skip = true);
-
     Cycle now() const override { return now_; }
     const SMConfig &config() const override { return cfg_; }
 
     using TraceHook = std::function<void(const IssueEvent &)>;
     void setTraceHook(TraceHook hook) { trace_ = std::move(hook); }
 
-    /** Statistics snapshot (finalized by run()). */
+    /** Statistics snapshot (finalized by finalizeStats()). */
     core::SimStats &stats() override { return stats_; }
 
     /** The select/issue layer driving this SM. */
@@ -192,10 +183,9 @@ class SM final : public frontend::FrontEndHost
 
     /**
      * Fold warp/cache/unit counters into stats_ and return it.
-     * run() calls this; a chip driving step() itself calls it once
-     * per SM after the lockstep loop finishes. With a shared
-     * backend the chip-level counters (l2_*, dram_*) stay zero
-     * here — the chip fills them into its aggregate.
+     * core::Gpu calls it once per SM after its launch loop
+     * finishes. The backend counters (l2_*, dram_*) stay zero
+     * here: the backend belongs to the chip, which reports them.
      */
     core::SimStats finalizeStats();
 
@@ -288,6 +278,15 @@ class SM final : public frontend::FrontEndHost
         /** Cached deriveSleepSlots(), valid at sleep_gen. */
         mutable bool sleep_blocked = false;
         mutable u64 sleep_gen = 0;
+
+        /**
+         * Warps launched into this slot so far (initWarp bumps
+         * it). Each event carries the count it was posted under,
+         * so one left in flight by a retired tenant (a load whose
+         * destination is never read, issued before EXIT) is
+         * dropped instead of acting on the slot's next warp.
+         */
+        u32 launch = 0;
     };
 
     struct BlockSlot
@@ -305,6 +304,7 @@ class SM final : public frontend::FrontEndHost
         enum class Kind { Writeback, Branch, Exit };
         Kind kind;
         WarpId warp;
+        u32 launch = 0; //!< WarpSlot::launch when posted
         u32 ctx_id = 0;
         int sb_entry = -1;
         isa::Instruction inst;
@@ -345,6 +345,8 @@ class SM final : public frontend::FrontEndHost
     // ------------------------------------------------------------
     // pipeline stages
     // ------------------------------------------------------------
+    /** Queue @p ev at @p when, stamped with its warp's launch. */
+    void postEvent(Cycle when, Event ev);
     bool processEvents();
     bool heapMaintenance();
     void fetchStage();

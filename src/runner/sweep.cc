@@ -34,12 +34,11 @@ machineApplyKeyValue(MachineSpec *m, std::string_view kv,
     if (!chip_key)
         return pipeline::smConfigApplyKeyValue(norm, &m->config,
                                                err);
-    if (key == "num_sms" || key == "shared_backend") {
+    if (key == "num_sms") {
         if (err)
-            *err = std::string("'").append(key) +
-                   "' is not a machine override: the SM count is "
-                   "the sweep's sms axis, and the backend choice "
-                   "is derived from it";
+            *err = "'num_sms' is not a machine override: the SM "
+                   "count is the sweep's sms axis, and the backend "
+                   "choice is derived from it";
         return false;
     }
     // Validate the value now (on a scratch chip), record the

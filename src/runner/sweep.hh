@@ -49,12 +49,12 @@ struct MachineSpec
  * deferred application. Dots in the key are accepted as
  * underscores ("l2.slices=4" == "l2_slices=4"). This is the
  * single override path shared by machine files, spec files and
- * the CLI --set flag. num_sms and shared_backend are rejected: the
- * SM count is the sweep's sms axis, and the backend choice is
- * derived from it. A key present in both tables
- * (dram_bytes_per_cycle_x10, dram_latency_cycles) routes to the
- * chip: the override then pins the resolved chip's value, exempt
- * from GpuConfig::make()'s SM-count bandwidth scaling.
+ * the CLI --set flag. num_sms is rejected: the SM count is the
+ * sweep's sms axis, and the backend choice (a private DRAM channel
+ * for one SM, the banked L2 for more) is derived from it. A chip
+ * override pins the resolved chip's value, so an overridden
+ * dram_bytes_per_cycle_x10 is exempt from GpuConfig::make()'s
+ * SM-count bandwidth scaling.
  * @return false and set @p err on a malformed entry.
  */
 bool machineApplyKeyValue(MachineSpec *m, std::string_view kv,

@@ -114,17 +114,16 @@ TEST(GpuConfig, MakeBuildsChips)
     GpuConfig one =
         GpuConfig::make(pipeline::PipelineMode::SBISWI, 1);
     EXPECT_EQ(one.num_sms, 1u);
-    EXPECT_FALSE(one.shared_backend);
-    EXPECT_EQ(one.dram.bytes_per_cycle_x10,
-              one.sm.mem.dram.bytes_per_cycle_x10);
+    EXPECT_EQ(one.dram, mem::DramConfig{});
 
     GpuConfig chip =
         GpuConfig::make(pipeline::PipelineMode::SBISWI, 8);
     EXPECT_EQ(chip.num_sms, 8u);
-    EXPECT_TRUE(chip.shared_backend);
     // The chip channel saturates at 4x the per-SM bandwidth.
     EXPECT_EQ(chip.dram.bytes_per_cycle_x10,
-              4 * chip.sm.mem.dram.bytes_per_cycle_x10);
+              4 * mem::DramConfig{}.bytes_per_cycle_x10);
+    EXPECT_EQ(chip.dram.latency_cycles,
+              mem::DramConfig{}.latency_cycles);
 }
 
 TEST(Gpu, MultiSmProducesCorrectResults)

@@ -11,6 +11,7 @@
 
 #include "cfg/compiler.hh"
 #include "common/log.hh"
+#include "core/gpu.hh"
 #include "frontend/front_end.hh"
 #include "isa/builder.hh"
 #include "mem/memory_image.hh"
@@ -54,19 +55,23 @@ core::SimStats
 runConfig(const SMConfig &cfg, const isa::Program &prog,
           unsigned blocks, unsigned threads)
 {
-    mem::MemoryImage mem;
-    SM sm(cfg, mem);
-    sm.launch(prog, blocks, threads);
-    core::SimStats st = sm.run(2'000'000);
+    core::Gpu gpu(cfg);
+    core::LaunchConfig lc;
+    lc.grid_blocks = blocks;
+    lc.block_threads = threads;
+    lc.max_cycles = 2'000'000;
+    core::SimStats st =
+        gpu.launch(core::Kernel::fromProgram(prog), lc);
     EXPECT_FALSE(st.timed_out);
     return st;
 }
 
 TEST(FrontEndFactory, DispatchesOnConfiguration)
 {
-    mem::MemoryImage mem;
+    mem::MemoryImage image;
+    mem::DramBackend dram{mem::DramConfig{}};
     {
-        SM sm(SMConfig::make(PipelineMode::Baseline), mem);
+        SM sm(SMConfig::make(PipelineMode::Baseline), image, dram);
         EXPECT_NE(dynamic_cast<const frontend::StackFrontEnd *>(
                       &sm.frontEnd()),
                   nullptr);
@@ -74,7 +79,7 @@ TEST(FrontEndFactory, DispatchesOnConfiguration)
     for (PipelineMode m : {PipelineMode::Warp64, PipelineMode::SBI,
                            PipelineMode::SWI,
                            PipelineMode::SBISWI}) {
-        SM sm(SMConfig::make(m), mem);
+        SM sm(SMConfig::make(m), image, dram);
         EXPECT_NE(
             dynamic_cast<const frontend::InterweaveFrontEnd *>(
                 &sm.frontEnd()),

@@ -10,12 +10,20 @@
  * the block; counting the reused slot keeps the old block resident
  * forever and the SM runs to its cycle limit.
  *
+ * A retired warp's slot can also still have an event in flight: a
+ * load whose destination is never read, issued just before EXIT,
+ * writes back after the warp is gone. When a new CTA has reused
+ * the slot by then, the writeback must not release the new warp's
+ * scoreboard entry (the SM panics on the freed entry, or a live
+ * one is released early and hides a RAW hazard).
+ *
  * Every machine runs a gtid-indexed kernel whose warps loop a
- * different number of times, and the same kernel with a barrier in
- * block-uniform code, at 64- to 512-thread CTAs, on one SM and on a
- * 4-SM chip. Each run is made with cycle skipping on and off, under
- * the sleep audit (which also re-derives every cached issue-stage
- * verdict each step), and must finish, verify and produce identical
+ * different number of times, the same kernel with a barrier in
+ * block-uniform code, and the same kernel ending in such a dead
+ * load, at 64- to 512-thread CTAs, on one SM and on a 4-SM chip.
+ * Each run is made with cycle skipping on and off, under the sleep
+ * audit (which also re-derives every cached issue-stage verdict
+ * each step), and must finish, verify and produce identical
  * statistics in both stepping modes. The suites never reach this
  * path: every committed cell launches CTAs that fill the SM or all
  * fit at once.
@@ -46,6 +54,9 @@ constexpr Addr out_base = 0x40000;
 /** Ten times the 13k-19k cycles a 1-SM shape needs. */
 constexpr Cycle cycle_cap = 200'000;
 
+/** The kernel variants; all compute the same output. */
+enum class Shape { Gtid, Barrier, DeadLoad };
+
 /** Loop trips of thread @p gtid: warps of 32 threads differ. */
 u32
 tripsOf(u32 gtid)
@@ -55,13 +66,15 @@ tripsOf(u32 gtid)
 
 /**
  * out[gtid] = seed + sum over i < trips(gtid) of (gtid ^ i). With
- * @p barrier, every thread first publishes 7 * gtid, waits at a
- * barrier, and seeds from its partner gtid ^ 32 (another warp on
- * 32-wide machines); without, the seed is 0.
+ * Shape::Barrier, every thread first publishes 7 * gtid, waits at
+ * a barrier, and seeds from its partner gtid ^ 32 (another warp on
+ * 32-wide machines); otherwise the seed is 0. Shape::DeadLoad ends
+ * in a load whose destination is never read.
  */
 core::Kernel
-turnoverKernel(bool barrier)
+turnoverKernel(Shape shape)
 {
+    const bool barrier = shape == Shape::Barrier;
     KernelBuilder b(barrier ? "turnover_bar" : "turnover");
     Reg gtid = b.reg(), t = b.reg(), trips = b.reg(), i = b.reg(),
         acc = b.reg(), addr = b.reg();
@@ -90,6 +103,8 @@ turnoverKernel(bool barrier)
     b.endLoopIf(t);
     b.shl(addr, gtid, Imm(2));
     b.st(addr, i32(out_base), acc);
+    if (shape == Shape::DeadLoad)
+        b.ld(t, addr, i32(publish_base));
     return core::Kernel::compile(b.build());
 }
 
@@ -146,15 +161,21 @@ struct SleepAuditScope
 struct Param
 {
     PipelineMode mode;
-    bool barrier;
+    Shape shape;
 };
+
+/** Each Shape's name in PrintTo and in the test-name suffix. */
+constexpr const char *shape_names[] = {"gtid", "barrier",
+                                       "dead load"};
+constexpr const char *shape_suffixes[] = {"_Gtid", "_Barrier",
+                                          "_DeadLoad"};
 
 /** Readable, build-independent test names in ctest listings. */
 void
 PrintTo(const Param &p, std::ostream *os)
 {
-    *os << pipeline::pipelineModeName(p.mode)
-        << (p.barrier ? " barrier" : " gtid");
+    *os << pipeline::pipelineModeName(p.mode) << " "
+        << shape_names[int(p.shape)];
 }
 
 class CtaTurnover : public testing::TestWithParam<Param>
@@ -165,7 +186,8 @@ TEST_P(CtaTurnover, EveryShapeFinishesAndVerifies)
 {
     SleepAuditScope audit;
     const Param p = GetParam();
-    const core::Kernel kernel = turnoverKernel(p.barrier);
+    const bool barrier = p.shape == Shape::Barrier;
+    const core::Kernel kernel = turnoverKernel(p.shape);
     for (unsigned sms : {1u, 4u}) {
         core::GpuConfig chip = core::GpuConfig::make(p.mode, sms);
         for (unsigned block : {64u, 128u, 256u, 512u}) {
@@ -174,9 +196,9 @@ TEST_P(CtaTurnover, EveryShapeFinishesAndVerifies)
                 " " + std::to_string(sms) + "-SM, CTAs of " +
                 std::to_string(block);
             Outcome skip =
-                runShape(chip, kernel, p.barrier, block, true);
+                runShape(chip, kernel, barrier, block, true);
             Outcome step =
-                runShape(chip, kernel, p.barrier, block, false);
+                runShape(chip, kernel, barrier, block, false);
             EXPECT_FALSE(skip.stats.timed_out)
                 << label << ": hit the " << cycle_cap
                 << "-cycle cap";
@@ -202,21 +224,26 @@ paramName(const testing::TestParamInfo<Param> &info)
         if (std::isalnum(static_cast<unsigned char>(*c)))
             name += *c;
     }
-    return name + (info.param.barrier ? "_Barrier" : "_Gtid");
+    return name + shape_suffixes[int(info.param.shape)];
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Machines, CtaTurnover,
-    testing::Values(Param{PipelineMode::Baseline, false},
-                    Param{PipelineMode::Baseline, true},
-                    Param{PipelineMode::Warp64, false},
-                    Param{PipelineMode::Warp64, true},
-                    Param{PipelineMode::SBI, false},
-                    Param{PipelineMode::SBI, true},
-                    Param{PipelineMode::SWI, false},
-                    Param{PipelineMode::SWI, true},
-                    Param{PipelineMode::SBISWI, false},
-                    Param{PipelineMode::SBISWI, true}),
+    testing::Values(Param{PipelineMode::Baseline, Shape::Gtid},
+                    Param{PipelineMode::Baseline, Shape::Barrier},
+                    Param{PipelineMode::Baseline, Shape::DeadLoad},
+                    Param{PipelineMode::Warp64, Shape::Gtid},
+                    Param{PipelineMode::Warp64, Shape::Barrier},
+                    Param{PipelineMode::Warp64, Shape::DeadLoad},
+                    Param{PipelineMode::SBI, Shape::Gtid},
+                    Param{PipelineMode::SBI, Shape::Barrier},
+                    Param{PipelineMode::SBI, Shape::DeadLoad},
+                    Param{PipelineMode::SWI, Shape::Gtid},
+                    Param{PipelineMode::SWI, Shape::Barrier},
+                    Param{PipelineMode::SWI, Shape::DeadLoad},
+                    Param{PipelineMode::SBISWI, Shape::Gtid},
+                    Param{PipelineMode::SBISWI, Shape::Barrier},
+                    Param{PipelineMode::SBISWI, Shape::DeadLoad}),
     paramName);
 
 } // namespace

@@ -64,7 +64,8 @@ checkWindows(const workloads::Workload &wl,
     // Oracle: per-cycle stepping, one progress bit per cycle.
     mem::MemoryImage oracle_mem;
     wl.init(oracle_mem, SizeClass::Tiny);
-    pipeline::SM oracle(cfg, oracle_mem);
+    mem::DramBackend oracle_dram{mem::DramConfig{}};
+    pipeline::SM oracle(cfg, oracle_mem, oracle_dram);
     oracle.launch(kernel.program(), inst.grid_blocks,
                   inst.block_threads);
     std::vector<char> progressed;
@@ -76,7 +77,8 @@ checkWindows(const workloads::Workload &wl,
     // every skip window must be quiet in the oracle's record.
     mem::MemoryImage skip_mem;
     wl.init(skip_mem, SizeClass::Tiny);
-    pipeline::SM skipper(cfg, skip_mem);
+    mem::DramBackend skip_dram{mem::DramConfig{}};
+    pipeline::SM skipper(cfg, skip_mem, skip_dram);
     skipper.launch(kernel.program(), inst.grid_blocks,
                    inst.block_threads);
     while (!skipper.done() && skipper.now() < limit) {

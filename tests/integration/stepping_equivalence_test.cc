@@ -159,9 +159,9 @@ TEST(SteppingEquivalence, FastSuiteCells)
 }
 
 /**
- * Multi-SM chips take the lockstep path in Gpu::launchChip (each
- * SM sleeping on its own wake bound) rather than SM::run; cover it
- * on every pipeline mode.
+ * On a multi-SM chip several SMs share the launch loop
+ * (Gpu::runGrid), each sleeping on its own wake bound, and pull
+ * CTAs from the chip scheduler; cover it on every pipeline mode.
  */
 TEST(SteppingEquivalence, MultiSmChips)
 {
@@ -247,8 +247,9 @@ TEST(SteppingEquivalence, ChipTimeoutMatchesStepping)
 /**
  * Randomized machine mutations: start from each canonical machine,
  * apply a handful of random config key=value overrides (through
- * the same field table spec files use), keep only configurations
- * that pass checkInvariants, and demand stepping equivalence on a
+ * the same field tables spec files use: the SM's, and the chip's
+ * for the dram_* keys), keep only configurations that pass
+ * checkInvariants, and demand stepping equivalence on a
  * barrier-heavy and a divergent workload. This sweeps wake-source
  * corner cases (tiny MSHR counts, deep latencies, small CCTs) that
  * the canonical machines never exercise.
@@ -292,6 +293,7 @@ TEST(SteppingEquivalence, RandomizedMachines)
         unsigned muts = 1 + unsigned(rng.below(4));
         std::string label = std::string("mode ") +
                             pipeline::pipelineModeName(mode);
+        std::vector<std::string> chip_sets;
         for (unsigned m = 0; m < muts; ++m) {
             const KeyPool &kp = pool[rng.below(
                 unsigned(pool.size()))];
@@ -300,16 +302,25 @@ TEST(SteppingEquivalence, RandomizedMachines)
             std::string kv =
                 std::string(kp.key) + "=" + val;
             std::string err;
-            if (!pipeline::smConfigApplyKeyValue(kv, &cfg, &err))
+            if (kv.starts_with("dram_"))
+                chip_sets.push_back(kv);
+            else if (!pipeline::smConfigApplyKeyValue(kv, &cfg,
+                                                      &err))
                 continue; // key invalid for this mode: skip it
             label += " " + kv;
         }
-        if (!cfg.checkInvariants().empty())
+        core::GpuConfig chip = core::GpuConfig::make(cfg, 1);
+        for (const std::string &kv : chip_sets) {
+            std::string err;
+            ASSERT_TRUE(core::gpuConfigApplyKeyValue(kv, &chip, &err))
+                << err;
+        }
+        if (!chip.checkInvariants().empty())
             continue;
         ++accepted;
         const workloads::Workload *wl =
             (accepted % 2) ? barrier : divergent;
-        expectEquivalent(*wl, cfg, SizeClass::Tiny, 1,
+        expectEquivalent(*wl, chip, SizeClass::Tiny,
                          label + " on " + wl->name());
     }
     // The acceptance filter must not starve the test.

@@ -76,11 +76,6 @@ TEST(SharedL2, SharedAcrossMemorySystems)
     // L2 hit: lookup latency + L1 hit latency, no DRAM leg.
     EXPECT_EQ(second, start + l2.config().hit_latency +
                           mcfg.l1.hit_latency);
-
-    // Both clients see the same chip-level DRAM statistics.
-    EXPECT_EQ(&sm0.dramStats(), &sm1.dramStats());
-    EXPECT_FALSE(sm0.ownsBackend());
-    EXPECT_TRUE(MemorySystem(mcfg).ownsBackend());
 }
 
 } // namespace

@@ -12,7 +12,8 @@ namespace {
 
 TEST(MemorySystem, ColdMissThenHit)
 {
-    MemorySystem ms{MemConfig{}};
+    DramBackend dram{DramConfig{}};
+    MemorySystem ms(MemConfig{}, dram);
     Cycle miss = ms.load(0, 0x1000);
     EXPECT_GT(miss, Cycle(330)); // went to DRAM
     // After the fill retires, the block hits.
@@ -25,19 +26,21 @@ TEST(MemorySystem, ColdMissThenHit)
 
 TEST(MemorySystem, MshrMergesSameBlock)
 {
-    MemorySystem ms{MemConfig{}};
+    DramBackend dram{DramConfig{}};
+    MemorySystem ms(MemConfig{}, dram);
     Cycle a = ms.load(0, 0x2000);
     Cycle b = ms.load(1, 0x2000);
     // Second request merges: same data-ready time, without a
     // second DRAM transaction.
     EXPECT_EQ(b, a);
     EXPECT_EQ(ms.stats().mshr_merges, 1u);
-    EXPECT_EQ(ms.dramStats().transactions, 1u);
+    EXPECT_EQ(dram.dramStats().transactions, 1u);
 }
 
 TEST(MemorySystem, DistinctBlocksQueueOnBandwidth)
 {
-    MemorySystem ms{MemConfig{}};
+    DramBackend dram{DramConfig{}};
+    MemorySystem ms(MemConfig{}, dram);
     Cycle a = ms.load(0, 0x0);
     Cycle b = ms.load(0, 0x80);
     EXPECT_GT(b, a);
@@ -45,36 +48,39 @@ TEST(MemorySystem, DistinctBlocksQueueOnBandwidth)
 
 TEST(MemorySystem, StoreIsFireAndForget)
 {
-    MemorySystem ms{MemConfig{}};
+    DramBackend dram{DramConfig{}};
+    MemorySystem ms(MemConfig{}, dram);
     Cycle done = ms.store(5, 0x3000, 128);
     EXPECT_EQ(done, Cycle(6));
     EXPECT_EQ(ms.stats().store_transactions, 1u);
     // Parked in the write-combining buffer; drains on eviction.
-    EXPECT_EQ(ms.dramStats().transactions, 0u);
+    EXPECT_EQ(dram.dramStats().transactions, 0u);
     ms.invalidate(6);
-    EXPECT_EQ(ms.dramStats().transactions, 1u);
+    EXPECT_EQ(dram.dramStats().transactions, 1u);
 }
 
 TEST(MemorySystem, WriteCombiningMergesRepeatedStores)
 {
-    MemorySystem ms{MemConfig{}};
+    DramBackend dram{DramConfig{}};
+    MemorySystem ms(MemConfig{}, dram);
     for (int i = 0; i < 50; ++i)
         ms.store(Cycle(i), 0x3000, 4);
     EXPECT_EQ(ms.stats().write_combines, 49u);
     ms.invalidate(50);
-    EXPECT_EQ(ms.dramStats().transactions, 1u);
-    EXPECT_LE(ms.dramStats().bytes, 128u);
+    EXPECT_EQ(dram.dramStats().transactions, 1u);
+    EXPECT_LE(dram.dramStats().bytes, 128u);
 }
 
 TEST(MemorySystem, WriteBufferEvictsLru)
 {
     MemConfig cfg;
     cfg.write_buffer_entries = 2;
-    MemorySystem ms(cfg);
+    DramBackend dram{DramConfig{}};
+    MemorySystem ms(cfg, dram);
     ms.store(0, 0x000, 4);
     ms.store(1, 0x080, 4);
     ms.store(2, 0x100, 4); // evicts 0x000
-    EXPECT_EQ(ms.dramStats().transactions, 1u);
+    EXPECT_EQ(dram.dramStats().transactions, 1u);
     ms.store(3, 0x080, 4); // still resident: combines
     EXPECT_EQ(ms.stats().write_combines, 1u);
 }
@@ -83,13 +89,14 @@ TEST(MemorySystem, WriteBufferForwardsLoads)
 {
     // A load to a block resident in the write-combining buffer is
     // served on chip at hit latency, without a DRAM round trip.
-    MemorySystem ms{MemConfig{}};
+    DramBackend dram{DramConfig{}};
+    MemorySystem ms(MemConfig{}, dram);
     ms.store(0, 0x3000, 128);
     ms.tick(1000);
     Cycle c = ms.load(1000, 0x3000);
     EXPECT_EQ(c, Cycle(1000 + 3));
     EXPECT_EQ(ms.stats().write_forwards, 1u);
-    EXPECT_EQ(ms.dramStats().transactions, 0u);
+    EXPECT_EQ(dram.dramStats().transactions, 0u);
 }
 
 TEST(MemorySystem, StoreDoesNotAllocate)
@@ -97,7 +104,8 @@ TEST(MemorySystem, StoreDoesNotAllocate)
     // Once the write buffer has drained, the store left no L1
     // residency behind (write-through no-allocate): a later load
     // is a full miss.
-    MemorySystem ms{MemConfig{}};
+    DramBackend dram{DramConfig{}};
+    MemorySystem ms(MemConfig{}, dram);
     ms.store(0, 0x3000, 128);
     ms.invalidate(10); // drains the buffer
     ms.tick(1000);
@@ -110,7 +118,8 @@ TEST(MemorySystem, MshrExhaustionQueues)
 {
     MemConfig cfg;
     cfg.mshrs = 2;
-    MemorySystem ms(cfg);
+    DramBackend dram{DramConfig{}};
+    MemorySystem ms(cfg, dram);
     Cycle a = ms.load(0, 0x000);
     (void)a;
     ms.load(0, 0x080);
@@ -127,7 +136,8 @@ TEST(MemorySystem, MshrOccupancyBoundedUnderMissStorm)
     // check the slot model holds the bound at every admission.
     MemConfig cfg;
     cfg.mshrs = 4;
-    MemorySystem ms(cfg);
+    DramBackend dram{DramConfig{}};
+    MemorySystem ms(cfg, dram);
     std::vector<Cycle> ready;
     Cycle last = 0;
     for (unsigned i = 0; i < 64; ++i) {
@@ -159,7 +169,8 @@ TEST(MemorySystem, MshrQueuedMissesSpreadAcrossSlots)
     // behind the 1st (the earliest-slot bug).
     MemConfig cfg;
     cfg.mshrs = 2;
-    MemorySystem ms(cfg);
+    DramBackend dram{DramConfig{}};
+    MemorySystem ms(cfg, dram);
     Cycle f1 = ms.load(0, 0x000);
     Cycle f2 = ms.load(0, 0x080);
     Cycle f3 = ms.load(0, 0x100);
@@ -172,7 +183,8 @@ TEST(MemorySystem, MshrQueuedMissesSpreadAcrossSlots)
 
 TEST(MemorySystem, InvalidateDropsResidency)
 {
-    MemorySystem ms{MemConfig{}};
+    DramBackend dram{DramConfig{}};
+    MemorySystem ms(MemConfig{}, dram);
     Cycle a = ms.load(0, 0x1000);
     ms.tick(a + 1);
     ms.invalidate(a + 1);
@@ -190,29 +202,32 @@ TEST(MemorySystem, InvalidateDrainsAtCurrentCycle)
     cfg.write_buffer_entries = 4;
     const Cycle t = 100'000;
 
-    MemorySystem drained(cfg);
+    DramBackend drained_dram{DramConfig{}};
+    MemorySystem drained(cfg, drained_dram);
     for (Addr b = 0; b < 4; ++b)
         drained.store(0, b * 0x80, 128);
     drained.invalidate(t);
-    EXPECT_EQ(drained.dramStats().transactions, 4u);
-    u64 stall_before = drained.dramStats().stall_tenths;
+    EXPECT_EQ(drained_dram.dramStats().transactions, 4u);
+    u64 stall_before = drained_dram.dramStats().stall_tenths;
     Cycle after_drain = drained.load(t, 0x10000);
 
-    MemorySystem fresh(cfg);
+    DramBackend fresh_dram{DramConfig{}};
+    MemorySystem fresh(cfg, fresh_dram);
     Cycle no_drain = fresh.load(t, 0x10000);
 
     // The drain booked the channel at t, so a load right behind it
     // queues; with the cycle-0 bug both loads would finish at the
     // same time.
     EXPECT_GT(after_drain, no_drain);
-    EXPECT_GE(drained.dramStats().stall_tenths, stall_before);
+    EXPECT_GE(drained_dram.dramStats().stall_tenths, stall_before);
 }
 
 TEST(MemorySystem, BandwidthBoundStreaming)
 {
     // Property: streaming N distinct blocks takes at least
     // N * 12.8 cycles of DRAM bandwidth.
-    MemorySystem ms{MemConfig{}};
+    DramBackend dram{DramConfig{}};
+    MemorySystem ms(MemConfig{}, dram);
     const unsigned n = 50;
     Cycle last = 0;
     for (unsigned i = 0; i < n; ++i)

@@ -23,18 +23,25 @@
 namespace siwi::mem {
 namespace {
 
-MemConfig
+/** An SM's memory system and the private channel behind it. */
+struct PrivateMemConfig
+{
+    MemConfig mem;
+    DramConfig dram;
+};
+
+PrivateMemConfig
 randomConfig(Rng &rng)
 {
-    MemConfig cfg;
-    cfg.l1.size_bytes = 128 * (8u << rng.below(4));
-    cfg.l1.block_bytes = 128;
-    cfg.l1.ways = 2;
-    cfg.l1.hit_latency = 1 + rng.below(6);
+    PrivateMemConfig cfg;
+    cfg.mem.l1.size_bytes = 128 * (8u << rng.below(4));
+    cfg.mem.l1.block_bytes = 128;
+    cfg.mem.l1.ways = 2;
+    cfg.mem.l1.hit_latency = 1 + rng.below(6);
     cfg.dram.latency_cycles = 5 + rng.below(400);
     cfg.dram.bytes_per_cycle_x10 = 5 + rng.below(200);
-    cfg.mshrs = 1 + rng.below(8);
-    cfg.write_buffer_entries = 1 + rng.below(8);
+    cfg.mem.mshrs = 1 + rng.below(8);
+    cfg.mem.write_buffer_entries = 1 + rng.below(8);
     return cfg;
 }
 
@@ -74,9 +81,11 @@ TEST(MemNextWakeProperty, LazyTickMatchesEagerTick)
 {
     Rng rng(1);
     for (int round = 0; round < 50; ++round) {
-        MemConfig cfg = randomConfig(rng);
-        MemorySystem eager(cfg);
-        MemorySystem lazy(cfg);
+        PrivateMemConfig cfg = randomConfig(rng);
+        DramBackend eager_dram(cfg.dram);
+        DramBackend lazy_dram(cfg.dram);
+        MemorySystem eager(cfg.mem, eager_dram);
+        MemorySystem lazy(cfg.mem, lazy_dram);
         std::vector<Req> reqs = randomStream(
             rng, 40, 2000 + rng.below(2000));
 
@@ -126,8 +135,9 @@ TEST(MemNextWakeProperty, WakeNeverLaterThanFirstChange)
 {
     Rng rng(2);
     for (int round = 0; round < 50; ++round) {
-        MemConfig cfg = randomConfig(rng);
-        MemorySystem sys(cfg);
+        PrivateMemConfig cfg = randomConfig(rng);
+        DramBackend dram(cfg.dram);
+        MemorySystem sys(cfg.mem, dram);
         std::vector<Req> reqs = randomStream(rng, 30, 1500);
 
         Cycle now = 0;

@@ -366,8 +366,9 @@ TEST(GpuConfigIo, MakeDerivesAValidChip)
         EXPECT_TRUE(c.checkInvariants().empty()) << sms;
         EXPECT_EQ(c.num_sms, sms);
     }
-    GpuConfig c = GpuConfig::make(PipelineMode::SBI, 2);
-    c.shared_backend = false; // multi-SM without shared backend
+    // Every chip needs DRAM bandwidth, a lone SM's included.
+    GpuConfig c = GpuConfig::make(PipelineMode::SBI, 1);
+    c.dram.bytes_per_cycle_x10 = 0;
     EXPECT_FALSE(c.checkInvariants().empty());
 }
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/gpu.hh"
 #include "pipeline/config.hh"
 
 namespace siwi::pipeline {
@@ -67,8 +68,10 @@ TEST(Config, MemoryDefaultsMatchTable2)
     EXPECT_EQ(c.mem.l1.ways, 6u);
     EXPECT_EQ(c.mem.l1.block_bytes, 128u);
     EXPECT_EQ(c.mem.l1.hit_latency, 3u);
-    EXPECT_EQ(c.mem.dram.bytes_per_cycle_x10, 100u); // 10 GB/s
-    EXPECT_EQ(c.mem.dram.latency_cycles, 330u);
+    // The DRAM block is the chip's; at one SM it is the paper's.
+    mem::DramConfig dram = core::GpuConfig::make(c, 1).dram;
+    EXPECT_EQ(dram.bytes_per_cycle_x10, 100u); // 10 GB/s
+    EXPECT_EQ(dram.latency_cycles, 330u);
 }
 
 TEST(Config, ExecGeometryPreservesLaneBudget)

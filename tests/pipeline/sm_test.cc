@@ -8,8 +8,8 @@
 
 #include "cfg/compiler.hh"
 #include "common/log.hh"
+#include "core/gpu.hh"
 #include "isa/builder.hh"
-#include "mem/memory_image.hh"
 #include "pipeline/sm.hh"
 
 namespace siwi::pipeline {
@@ -46,6 +46,20 @@ madStream(unsigned n)
     return compiled(b.build());
 }
 
+/** Run @p prog as a grid of @p blocks x @p threads on @p gpu. */
+core::SimStats
+launchOn(core::Gpu &gpu, const isa::Program &prog, unsigned blocks,
+         unsigned threads, Cycle max_cycles,
+         SM::TraceHook hook = nullptr)
+{
+    core::LaunchConfig lc;
+    lc.grid_blocks = blocks;
+    lc.block_threads = threads;
+    lc.max_cycles = max_cycles;
+    return gpu.launchTraced(core::Kernel::fromProgram(prog), lc,
+                            std::move(hook));
+}
+
 core::SimStats
 runOn(PipelineMode mode, const isa::Program &prog, unsigned blocks,
       unsigned threads,
@@ -54,10 +68,9 @@ runOn(PipelineMode mode, const isa::Program &prog, unsigned blocks,
     SMConfig cfg = SMConfig::make(mode);
     if (tweak)
         tweak(cfg);
-    mem::MemoryImage mem;
-    SM sm(cfg, mem);
-    sm.launch(prog, blocks, threads);
-    core::SimStats st = sm.run(2'000'000);
+    core::Gpu gpu(cfg);
+    core::SimStats st =
+        launchOn(gpu, prog, blocks, threads, 2'000'000);
     EXPECT_FALSE(st.timed_out);
     return st;
 }
@@ -192,13 +205,11 @@ TEST(SmDivergence, FunctionalResultSameUnderDivergence)
          {PipelineMode::Baseline, PipelineMode::Warp64,
           PipelineMode::SBI, PipelineMode::SWI,
           PipelineMode::SBISWI}) {
-        SMConfig cfg = SMConfig::make(m);
-        mem::MemoryImage mem;
-        SM sm(cfg, mem);
-        sm.launch(prog, 1, 256);
-        sm.run(1'000'000);
+        core::Gpu gpu(SMConfig::make(m));
+        launchOn(gpu, prog, 1, 256, 1'000'000);
         for (u32 t = 0; t < 256; ++t)
-            ASSERT_EQ(mem.read32(0x10000 + Addr(t) * 4), t * 3 + 1)
+            ASSERT_EQ(gpu.memory().read32(0x10000 + Addr(t) * 4),
+                      t * 3 + 1)
                 << pipelineModeName(m);
     }
 }
@@ -302,15 +313,12 @@ TEST(SmBarrier, BarrierSynchronizesBlock)
     for (PipelineMode m :
          {PipelineMode::Baseline, PipelineMode::SBI,
           PipelineMode::SBISWI}) {
-        SMConfig cfg = SMConfig::make(m);
-        mem::MemoryImage mem;
-        SM sm(cfg, mem);
-        sm.launch(prog, 1, 128);
-        auto st = sm.run(1'000'000);
+        core::Gpu gpu(SMConfig::make(m));
+        auto st = launchOn(gpu, prog, 1, 128, 1'000'000);
         EXPECT_FALSE(st.timed_out) << pipelineModeName(m);
         EXPECT_GE(st.barrier_releases, 1u);
         for (u32 t = 0; t < 128; ++t)
-            ASSERT_EQ(mem.read32(0x3000 + Addr(t) * 4), 77u)
+            ASSERT_EQ(gpu.memory().read32(0x3000 + Addr(t) * 4), 77u)
                 << pipelineModeName(m) << " thread " << t;
     }
 }
@@ -381,13 +389,11 @@ TEST(SmLimits, CycleLimitReported)
     b.iadd(c, c, Imm(1)); // never terminates: c wraps
     b.endLoopIf(one);
     setLogQuiet(true);
-    SMConfig cfg = SMConfig::make(PipelineMode::Baseline);
-    mem::MemoryImage mem;
-    SM sm(cfg, mem);
-    sm.launch(compiled(b.build()), 1, 32);
-    auto st = sm.run(5000);
+    core::Gpu gpu(SMConfig::make(PipelineMode::Baseline));
+    auto st = launchOn(gpu, compiled(b.build()), 1, 32, 5000);
     setLogQuiet(false);
     EXPECT_TRUE(st.timed_out);
+    EXPECT_EQ(st.cycles, 5000u);
 }
 
 TEST(SmTrace, HookSeesIssues)
@@ -395,16 +401,22 @@ TEST(SmTrace, HookSeesIssues)
     KernelBuilder b("t");
     Reg r = b.reg();
     b.movi(r, 1);
-    SMConfig cfg = SMConfig::make(PipelineMode::Baseline);
-    mem::MemoryImage mem;
-    SM sm(cfg, mem);
-    std::vector<IssueEvent> events;
-    sm.setTraceHook(
-        [&](const IssueEvent &e) { events.push_back(e); });
-    sm.launch(compiled(b.build()), 1, 32);
-    sm.run(10000);
+    core::Gpu gpu(SMConfig::make(PipelineMode::Baseline));
+    // IssueEvent::unit views storage of the SM, which ends with
+    // the launch: keep a copy.
+    struct Seen
+    {
+        unsigned lanes;
+        std::string unit;
+    };
+    std::vector<Seen> events;
+    launchOn(gpu, compiled(b.build()), 1, 32, 10000,
+             [&](const IssueEvent &e) {
+                 events.push_back(
+                     {e.mask.count(), std::string(e.unit)});
+             });
     ASSERT_EQ(events.size(), 2u); // movi + exit
-    EXPECT_EQ(events[0].mask.count(), 32u);
+    EXPECT_EQ(events[0].lanes, 32u);
     EXPECT_EQ(events[0].unit.substr(0, 3), "MAD");
 }
 

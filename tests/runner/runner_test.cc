@@ -100,6 +100,31 @@ TEST(Runner, RunCellMatchesRunWorkload)
     EXPECT_DOUBLE_EQ(c.ipc, ref.stats.ipc());
 }
 
+/**
+ * A DRAM key reaches a one-SM cell, whose private channel is built
+ * from the chip's DRAM block (the only one there is).
+ */
+TEST(Runner, DramKeyReachesOneSmCell)
+{
+    SweepSpec s = checkedInSweep("fig7.json", "fig7_regular");
+    s.size = SizeClass::Tiny;
+    s.filterMachines({"Baseline"});
+    s.filterWorkloads({"MatrixMul"});
+    ASSERT_EQ(s.cellCount(), 1u);
+    const CellResult paper = runCell(s, 0, 0);
+
+    std::string err;
+    ASSERT_TRUE(machineApplyKeyValue(&s.machines[0],
+                                     "dram_latency_cycles=30", &err))
+        << err;
+    EXPECT_EQ(resolvedCellConfig(s, 0, 0, 0).dram.latency_cycles,
+              30u);
+    const CellResult fast = runCell(s, 0, 0);
+    EXPECT_TRUE(paper.verified) << paper.verify_msg;
+    EXPECT_TRUE(fast.verified) << fast.verify_msg;
+    EXPECT_NE(fast.stats.cycles, paper.stats.cycles);
+}
+
 TEST(Runner, ResultsIdenticalAcrossThreadCounts)
 {
     setLogQuiet(true);

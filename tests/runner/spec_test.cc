@@ -353,7 +353,6 @@ TEST(Results, EmbedsTheResolvedMachineConfigs)
     EXPECT_EQ(r.sweep, "custom");
     EXPECT_EQ(r.machine, "SBI+SWI-cct16-xor@2sm");
     EXPECT_EQ(r.config.num_sms, 2u);
-    EXPECT_TRUE(r.config.shared_backend);
     EXPECT_EQ(r.config.sm.heap.cct_capacity, 16u);
     EXPECT_EQ(r.config.sm.shuffle,
               pipeline::LaneShufflePolicy::Xor);
