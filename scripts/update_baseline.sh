@@ -10,6 +10,16 @@
 # Uses a dedicated build directory so it never reconfigures (and
 # silently converts to Release) a developer's default build/.
 #
+# The gate's other reference, bench/fast_suite_reference.json, holds
+# siwi-bench runs of the fast_suite workload and is host-dependent,
+# so this script does not write it. A PR that changes the
+# simulator's speed re-records it on a host with 4 or more CPUs,
+# with the loop the CI job runs:
+#
+#   rm bench/fast_suite_reference.json
+#   for s in 1 2 3; do bash bench/perf/run.sh --workload fast_suite \
+#       --seed $s --results bench/fast_suite_reference.json; done
+#
 # Usage: scripts/update_baseline.sh [build-dir]
 
 set -eu

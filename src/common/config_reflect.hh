@@ -26,6 +26,7 @@
 #ifndef SIWI_COMMON_CONFIG_REFLECT_HH
 #define SIWI_COMMON_CONFIG_REFLECT_HH
 
+#include <initializer_list>
 #include <span>
 #include <string>
 #include <string_view>
@@ -56,6 +57,31 @@ struct ConfigField
     /** Enum fields only: canonical names, index == enum value. */
     std::span<const char *const> values;
 };
+
+/** One bounded field of a config struct, for checkRanges(). */
+struct ConfigRange
+{
+    const char *key;
+    u64 value;
+    u64 lo;
+    u64 hi;
+};
+
+/**
+ * "<key> out of range (<lo>..<hi>)" for the first of @p rows
+ * whose value lies outside its range; empty when all are inside.
+ */
+inline std::string
+checkRanges(std::initializer_list<ConfigRange> rows)
+{
+    for (const ConfigRange &r : rows) {
+        if (r.value < r.lo || r.value > r.hi)
+            return std::string(r.key) + " out of range (" +
+                   std::to_string(r.lo) + ".." +
+                   std::to_string(r.hi) + ")";
+    }
+    return {};
+}
 
 /** Case-insensitive ASCII string comparison (enum name lookup). */
 inline bool

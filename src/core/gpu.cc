@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "common/bits.hh"
+#include "common/config_reflect.hh"
 #include "common/log.hh"
 
 namespace siwi::core {
@@ -38,6 +39,14 @@ GpuConfig::checkInvariants() const
         return "num_sms must be at least 1";
     if (dram.bytes_per_cycle_x10 < 1)
         return "dram_bytes_per_cycle_x10 must be at least 1";
+    // Chip counts that size storage, bounded like the SM's.
+    std::string range = checkRanges({
+        {"l2_size_bytes", l2.size_bytes, 0, 64u << 20},
+        {"dram_channels", dram.channels, 0, 1024},
+        {"dram_queue_depth", dram.queue_depth, 0, 1024},
+    });
+    if (!range.empty())
+        return range;
     if (num_sms > 1) {
         if (l2.block_bytes != sm.mem.l1.block_bytes)
             return "l2_block_bytes must match l1_block_bytes";

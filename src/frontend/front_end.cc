@@ -12,10 +12,13 @@ using pipeline::LookupCandidate;
 using pipeline::SMConfig;
 
 // ----------------------------------------------------------------
-// FrontEnd base: policy selection + the simple issue stage
+// policy selection + the simple issue stage
 // ----------------------------------------------------------------
 
-FrontEnd::FrontEnd(FrontEndHost &host) : host_(host)
+FrontEnd::FrontEnd(FrontEndHost &host)
+    : host_(host),
+      lookup_(host.numWarps(), host.config().lookup_sets, 0xdecaf),
+      rng_(0xc0ffee)
 {
     const SMConfig &cfg = host_.config();
     for (unsigned pool = 0; pool < 2; ++pool) {
@@ -23,6 +26,14 @@ FrontEnd::FrontEnd(FrontEndHost &host) : host_(host)
                                         host_.numWarps());
         pool_scratch_[pool].reserve(host_.numWarps());
     }
+}
+
+bool
+FrontEnd::issueCycle()
+{
+    if (host_.config().cascaded())
+        return issueCascaded();
+    return issueSimple();
 }
 
 std::span<const Cand>
@@ -144,40 +155,11 @@ FrontEnd::issueSecondarySimple(const PrimaryIssueInfo &pinfo)
 }
 
 // ----------------------------------------------------------------
-// StackFrontEnd
+// the cascaded (SWI) issue stage
 // ----------------------------------------------------------------
-
-StackFrontEnd::StackFrontEnd(FrontEndHost &host) : FrontEnd(host)
-{
-}
-
-bool
-StackFrontEnd::issueCycle()
-{
-    return issueSimple();
-}
-
-// ----------------------------------------------------------------
-// InterweaveFrontEnd
-// ----------------------------------------------------------------
-
-InterweaveFrontEnd::InterweaveFrontEnd(FrontEndHost &host)
-    : FrontEnd(host),
-      lookup_(host.numWarps(), host.config().lookup_sets, 0xdecaf),
-      rng_(0xc0ffee)
-{
-}
-
-bool
-InterweaveFrontEnd::issueCycle()
-{
-    if (host_.config().cascaded())
-        return issueCascaded();
-    return issueSimple();
-}
 
 std::optional<Cand>
-InterweaveFrontEnd::pickSubstitute()
+FrontEnd::pickSubstitute()
 {
     // The secondary scheduler substituting for an absent primary
     // (section 4). Its policy must stay decorrelated from the
@@ -216,7 +198,7 @@ InterweaveFrontEnd::pickSubstitute()
 }
 
 std::optional<Cand>
-InterweaveFrontEnd::pickSecondaryCascaded(
+FrontEnd::pickSecondaryCascaded(
     const PrimaryIssueInfo &pinfo, bool *row_share_out)
 {
     *row_share_out = false;
@@ -267,7 +249,7 @@ InterweaveFrontEnd::pickSecondaryCascaded(
 }
 
 bool
-InterweaveFrontEnd::issueCascaded()
+FrontEnd::issueCascaded()
 {
     host_.clearLastPrimary();
 
@@ -369,20 +351,6 @@ InterweaveFrontEnd::issueCascaded()
     cascade_.ctx_version = e->ctx_version;
     e->claimed = true;
     return true;
-}
-
-// ----------------------------------------------------------------
-// factory
-// ----------------------------------------------------------------
-
-std::unique_ptr<FrontEnd>
-makeFrontEnd(FrontEndHost &host)
-{
-    const SMConfig &cfg = host.config();
-    if (cfg.reconv == pipeline::ReconvMode::Stack &&
-        !cfg.cascaded())
-        return std::make_unique<StackFrontEnd>(host);
-    return std::make_unique<InterweaveFrontEnd>(host);
 }
 
 } // namespace siwi::frontend

@@ -13,15 +13,16 @@
  * blocks, barriers, events and the memory pipeline, exposed
  * through the narrow FrontEndHost interface.
  *
- * Two concrete front-ends cover the paper's five machines:
+ * One FrontEnd class covers the paper's five machines. Its issue
+ * stage has two shapes, chosen by SMConfig::cascaded():
  *
- *   StackFrontEnd      Fermi-like baseline — per-pool primary
- *                      schedulers over stack-reconvergent warps.
- *   InterweaveFrontEnd the 64-wide thread-frontier machines
- *                      (TF64, SBI, SWI, SBI+SWI) — composes the
- *                      split-heap context slots, the SBI second
- *                      front-end, the mask-inclusion lookup and
- *                      the SWI cascade register.
+ *   simple     one-cycle scheduling: the Fermi baseline's and
+ *              TF64's two alternating pools, or SBI's primary over
+ *              CPC1 plus its secondary front-end over CPC2.
+ *   cascaded   SWI and SBI+SWI: the primary pick is parked in the
+ *              cascade register for a cycle while the mask-fit
+ *              secondary scheduler (mask-inclusion lookup, lane
+ *              shuffle) fills the primary's free lanes.
  *
  * Primary-candidate ordering is delegated to a SchedPolicy
  * strategy (see sched_policy.hh), selected via
@@ -163,7 +164,7 @@ class FrontEndHost
 class FrontEnd
 {
   public:
-    virtual ~FrontEnd() = default;
+    explicit FrontEnd(FrontEndHost &host);
 
     /**
      * Select + issue for one cycle (the SM issue stage).
@@ -175,15 +176,17 @@ class FrontEnd
      *         the SM changes — the contract the event-driven
      *         cycle-skipping loop relies on.
      */
-    virtual bool issueCycle() = 0;
+    bool issueCycle();
 
-    const SchedPolicy &schedPolicy(unsigned pool = 0) const
+  private:
+    /** Primary pick parked between select and issue (SWI). */
+    struct CascadeReg
     {
-        return *policy_[pool];
-    }
-
-  protected:
-    explicit FrontEnd(FrontEndHost &host);
+        bool valid = false;
+        WarpId w = 0;
+        u32 ctx_id = 0;
+        u32 ctx_version = 0;
+    };
 
     /**
      * Policy-ordered pick over @p cands by @p pool's scheduler.
@@ -203,9 +206,9 @@ class FrontEnd
     }
 
     /**
-     * The simple (1-cycle scheduler) issue stage shared by the
-     * Fermi baseline and the non-cascaded interweave machines:
-     * two alternating pools, or one pool plus the SBI secondary.
+     * The simple (1-cycle scheduler) issue stage of the Fermi
+     * baseline and the non-cascaded interweave machines: two
+     * alternating pools, or one pool plus the SBI secondary.
      * @return true when any instruction issued
      */
     bool issueSimple();
@@ -225,6 +228,12 @@ class FrontEnd
      */
     std::span<const Cand> poolDomain(unsigned pool);
 
+    /** The cascaded (SWI) issue stage. */
+    bool issueCascaded();
+    std::optional<Cand> pickSecondaryCascaded(
+        const PrimaryIssueInfo &pinfo, bool *row_share_out);
+    std::optional<Cand> pickSubstitute();
+
     FrontEndHost &host_;
     /**
      * One policy instance per scheduler pool: pooled machines
@@ -235,47 +244,8 @@ class FrontEnd
     std::unique_ptr<SchedPolicy> policy_[2];
     /** Reusable poolDomain() scratch (hot loop: no allocation). */
     std::vector<Cand> pool_scratch_[2];
-};
 
-/** Fermi-like baseline: stack reconvergence, per-pool schedulers. */
-class StackFrontEnd final : public FrontEnd
-{
-  public:
-    explicit StackFrontEnd(FrontEndHost &host);
-    bool issueCycle() override;
-};
-
-/**
- * Thread-frontier front-end for the 64-wide machines: TF64's
- * pooled schedulers, SBI's dual issue, and SWI's cascaded
- * secondary scheduler with mask-inclusion lookup.
- */
-class InterweaveFrontEnd final : public FrontEnd
-{
-  public:
-    explicit InterweaveFrontEnd(FrontEndHost &host);
-    bool issueCycle() override;
-
-    const pipeline::MaskLookup &maskLookup() const
-    {
-        return lookup_;
-    }
-
-  private:
-    /** Primary pick parked between select and issue (SWI). */
-    struct CascadeReg
-    {
-        bool valid = false;
-        WarpId w = 0;
-        u32 ctx_id = 0;
-        u32 ctx_version = 0;
-    };
-
-    bool issueCascaded();
-    std::optional<Cand> pickSecondaryCascaded(
-        const PrimaryIssueInfo &pinfo, bool *row_share_out);
-    std::optional<Cand> pickSubstitute();
-
+    // Cascaded-scheduler state; idle on non-cascaded machines.
     pipeline::MaskLookup lookup_;
     Rng rng_;
     CascadeReg cascade_;
@@ -283,13 +253,6 @@ class InterweaveFrontEnd final : public FrontEnd
     std::vector<pipeline::LookupCandidate> lookup_scratch_;
     std::vector<Cand> cand_scratch_;
 };
-
-/**
- * Build the front-end matching @p host's configuration: cascaded
- * or thread-frontier machines get the InterweaveFrontEnd, plain
- * stack machines the StackFrontEnd.
- */
-std::unique_ptr<FrontEnd> makeFrontEnd(FrontEndHost &host);
 
 } // namespace siwi::frontend
 

@@ -4,13 +4,13 @@
  *
  * A MemoryBackend is whatever sits behind an SM's private L1 and
  * write buffer: either a private DRAM channel (the paper's
- * single-SM methodology, DramBackend), a chip-level shared L2 in
- * front of one DRAM channel (SharedL2, the legacy multi-SM
- * configuration), or the banked chip memory system (BankedL2, see
- * mem/banked_l2.hh) with address-interleaved L2 slices,
- * multi-channel DRAM and a contended SM<->L2 interconnect.
- * core::Gpu owns the backend of a launch and hands it to every
- * SM's MemorySystem.
+ * single-SM methodology, DramBackend) or the banked chip memory
+ * system (BankedL2, see mem/banked_l2.hh) with address-interleaved
+ * L2 slices, multi-channel DRAM and a contended SM<->L2
+ * interconnect. core::Gpu owns the backend of a launch and hands
+ * it to every SM's MemorySystem. SharedL2, one L2 in front of one
+ * DRAM channel, is no longer launched: it stays as the independent
+ * reference that the 1-slice BankedL2 is tested against.
  */
 
 #ifndef SIWI_MEM_BACKEND_HH

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "common/bits.hh"
+#include "common/config_reflect.hh"
 #include "common/log.hh"
 
 namespace siwi::pipeline {
@@ -109,14 +110,25 @@ SMConfig::checkInvariants() const
         return "warp_width out of range (1..64)";
     if (!isPow2(warp_width))
         return "warp_width must be a power of two";
-    if (num_warps < 1)
-        return "need at least one warp";
+    // Counts that size per-SM storage. The upper bounds sit far
+    // above every built-in machine and committed spec; they turn a
+    // stray value into this error instead of an unbounded
+    // allocation (docs/CONFIG.md lists them).
+    std::string range = checkRanges({
+        {"num_warps", num_warps, 1, 1024},
+        {"mad_groups", mad_groups, 1, 64},
+        {"scoreboard_entries", scoreboard_entries, 1, 64},
+        {"cct_capacity", heap.cct_capacity, 1, 1024},
+        {"write_buffer_entries", mem.write_buffer_entries, 0, 1024},
+        {"max_blocks_resident", max_blocks_resident, 0, 1024},
+        {"l1_size_bytes", mem.l1.size_bytes, 0, 16u << 20},
+    });
+    if (!range.empty())
+        return range;
     if (num_pools != 1 && num_pools != 2)
         return "num_pools must be 1 or 2";
     if (num_warps % num_pools != 0)
         return "warps must split evenly across pools";
-    if (mad_groups < 1)
-        return "need at least one MAD group";
     if (mad_width < 1 || sfu_width < 1 || lsu_width < 1)
         return "unit widths must be at least 1";
     if (warp_width % sfu_width != 0 ||
@@ -132,10 +144,6 @@ SMConfig::checkInvariants() const
                "(scheduler_latency >= 2)";
     if (lookup_sets < 1 || lookup_sets > num_warps)
         return "lookup_sets out of range (1..num_warps)";
-    if (scoreboard_entries < 1)
-        return "scoreboard_entries must be at least 1";
-    if (heap.cct_capacity < 1)
-        return "cct_capacity must be at least 1";
     if (mem.mshrs < 1)
         return "mshrs must be at least 1";
     if (mem.l1.block_bytes < 1 || !isPow2(mem.l1.block_bytes))

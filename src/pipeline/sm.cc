@@ -46,6 +46,7 @@ SM::SM(const SMConfig &cfg, mem::MemoryImage &memory,
       blocks_(cfg.max_blocks_resident),
       ibuf_(cfg.num_warps, 2),
       sb_(cfg.num_warps, cfg.scoreboard_entries),
+      frontend_(*this),
       fe_rr_(2, 0),
       awake_(cfg.num_warps),
       asleep_(cfg.num_warps)
@@ -60,8 +61,6 @@ SM::SM(const SMConfig &cfg, mem::MemoryImage &memory,
 
     for (WarpSlot &ws : warps_)
         ws.state = std::make_unique<exec::WarpState>(cfg_.warp_width);
-
-    frontend_ = frontend::makeFrontEnd(*this);
 }
 
 void
@@ -143,7 +142,7 @@ SM::step()
     // skipped over or the counts would diverge from per-cycle
     // stepping.
     u64 sync_before = stats_.sync_suspensions;
-    progress |= frontend_->issueCycle();
+    progress |= frontend_.issueCycle();
     progress |= stats_.sync_suspensions != sync_before;
 
     u64 fetches_before = stats_.fetches;

@@ -12,9 +12,8 @@
  * the instruction buffer, the scoreboard, the execution groups and
  * the memory pipeline, and implements frontend::FrontEndHost. The
  * per-cycle select/issue decision lives in the frontend layer (a
- * StackFrontEnd or InterweaveFrontEnd built by
- * frontend::makeFrontEnd from the configuration; see
- * src/frontend/front_end.hh).
+ * frontend::FrontEnd member that reads this SM's configuration;
+ * see src/frontend/front_end.hh).
  */
 
 #ifndef SIWI_PIPELINE_SM_HH
@@ -174,12 +173,6 @@ class SM final : public frontend::FrontEndHost
 
     /** Statistics snapshot (finalized by finalizeStats()). */
     core::SimStats &stats() override { return stats_; }
-
-    /** The select/issue layer driving this SM. */
-    const frontend::FrontEnd &frontEnd() const
-    {
-        return *frontend_;
-    }
 
     /**
      * Fold warp/cache/unit counters into stats_ and return it.
@@ -451,7 +444,7 @@ class SM final : public frontend::FrontEndHost
 
     std::multimap<Cycle, Event> events_;
     frontend::PrimaryIssueInfo last_primary_; //!< issued this cycle
-    std::unique_ptr<frontend::FrontEnd> frontend_;
+    frontend::FrontEnd frontend_;
 
     Cycle now_ = 0;
     u64 skipped_cycles_ = 0;

@@ -73,6 +73,18 @@ runWorkload(const Workload &wl, const core::GpuConfig &chip,
             SizeClass sc, bool cycle_skip)
 {
     Instance inst = wl.instance(sc);
+    RunResult res;
+    // A CTA must fit on one SM (SM::launch asserts it). Shrinking
+    // num_warps or warp_width can violate that for a valid config,
+    // so a mismatch is this cell's failure, not a panic.
+    if (inst.block_threads > chip.sm.maxThreads()) {
+        res.verify_msg = std::string(wl.name()) + " launches " +
+                         std::to_string(inst.block_threads) +
+                         "-thread CTAs, but the SM holds only " +
+                         std::to_string(chip.sm.maxThreads()) +
+                         " threads (num_warps x warp_width)";
+        return res;
+    }
     core::Kernel kernel = core::Kernel::compile(inst.raw,
                                                 inst.compile);
 
@@ -84,7 +96,6 @@ runWorkload(const Workload &wl, const core::GpuConfig &chip,
     lc.block_threads = inst.block_threads;
     lc.cycle_skip = cycle_skip;
 
-    RunResult res;
     res.stats = gpu.launch(kernel, lc);
     res.layout_violations = kernel.layoutViolations();
     res.verified = wl.verify(gpu.memory(), sc, &res.verify_msg);

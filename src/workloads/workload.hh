@@ -121,7 +121,10 @@ RunResult runWorkload(const Workload &wl,
  * As above from a fully-resolved chip configuration — the runner
  * uses this so chip-level overrides (L2 slicing, DRAM channels,
  * the interconnect) reach the simulator instead of being
- * re-derived from the SM config alone.
+ * re-derived from the SM config alone. A workload whose CTA does
+ * not fit on one SM (block_threads > SMConfig::maxThreads())
+ * runs nothing and returns unverified, with a message naming
+ * both sizes.
  */
 RunResult runWorkload(const Workload &wl,
                       const core::GpuConfig &chip, SizeClass sc,

@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the front-end seams: factory dispatch, stack vs.
- * interweave front-end parity on straight-line code, and
- * policy-driven schedule changes at the SM level.
+ * Tests for the front-end seams: stack vs. thread-frontier
+ * parity on straight-line code, and policy-driven schedule
+ * changes at the SM level.
  */
 
 #include <gtest/gtest.h>
@@ -12,10 +12,8 @@
 #include "cfg/compiler.hh"
 #include "common/log.hh"
 #include "core/gpu.hh"
-#include "frontend/front_end.hh"
+#include "frontend/sched_policy.hh"
 #include "isa/builder.hh"
-#include "mem/memory_image.hh"
-#include "pipeline/sm.hh"
 #include "workloads/workload.hh"
 
 using namespace siwi;
@@ -66,34 +64,12 @@ runConfig(const SMConfig &cfg, const isa::Program &prog,
     return st;
 }
 
-TEST(FrontEndFactory, DispatchesOnConfiguration)
-{
-    mem::MemoryImage image;
-    mem::DramBackend dram{mem::DramConfig{}};
-    {
-        SM sm(SMConfig::make(PipelineMode::Baseline), image, dram);
-        EXPECT_NE(dynamic_cast<const frontend::StackFrontEnd *>(
-                      &sm.frontEnd()),
-                  nullptr);
-    }
-    for (PipelineMode m : {PipelineMode::Warp64, PipelineMode::SBI,
-                           PipelineMode::SWI,
-                           PipelineMode::SBISWI}) {
-        SM sm(SMConfig::make(m), image, dram);
-        EXPECT_NE(
-            dynamic_cast<const frontend::InterweaveFrontEnd *>(
-                &sm.frontEnd()),
-            nullptr)
-            << pipelineModeName(m);
-    }
-}
-
 TEST(FrontEndParity, StackAndInterweaveMatchOnStraightLine)
 {
-    // Same machine geometry, only the divergence substrate (and
-    // with it the front-end class) differs. Straight-line code
-    // never diverges, so both front-ends must schedule the same
-    // instruction stream: identical issue counts and work.
+    // Same machine geometry, only the divergence substrate
+    // differs. Straight-line code never diverges, so both must
+    // schedule the same instruction stream: identical issue
+    // counts and work.
     SMConfig tf = SMConfig::make(PipelineMode::Warp64);
 
     SMConfig stack = tf;

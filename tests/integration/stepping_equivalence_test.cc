@@ -24,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -50,8 +51,11 @@ struct SleepAuditScope
     ~SleepAuditScope() { pipeline::SM::setSleepAudit(false); }
 };
 
-/** Run one (workload, chip) both ways and compare everything. */
-void
+/**
+ * Run one (workload, chip) both ways and compare everything.
+ * @return the skipping run
+ */
+RunResult
 expectEquivalent(const workloads::Workload &wl,
                  const core::GpuConfig &chip, SizeClass sc,
                  const std::string &label)
@@ -69,6 +73,7 @@ expectEquivalent(const workloads::Workload &wl,
     EXPECT_EQ(skip.verify_msg, step.verify_msg) << label;
     EXPECT_EQ(step.skipped_cycles, 0u)
         << label << ": no-skip run must never fast-forward";
+    return skip;
 }
 
 void
@@ -80,6 +85,21 @@ expectEquivalent(const workloads::Workload &wl,
                      label);
 }
 
+/** An SBI+SWI chip of @p num_sms SMs with chip overrides @p sets. */
+core::GpuConfig
+sbiSwiChip(unsigned num_sms, std::initializer_list<const char *> sets)
+{
+    core::GpuConfig chip =
+        core::GpuConfig::make(pipeline::PipelineMode::SBISWI, num_sms);
+    for (const char *kv : sets) {
+        std::string err;
+        EXPECT_TRUE(core::gpuConfigApplyKeyValue(kv, &chip, &err))
+            << kv << ": " << err;
+    }
+    EXPECT_EQ(chip.checkInvariants(), "");
+    return chip;
+}
+
 /**
  * The benchmark's banked chip: SBI+SWI SMs in front of 8 L2 slices
  * with 32 MSHRs each, 4 DRAM channels with bounded queues and a
@@ -89,20 +109,13 @@ expectEquivalent(const workloads::Workload &wl,
 core::GpuConfig
 bankedChip(unsigned num_sms)
 {
-    core::GpuConfig chip =
-        core::GpuConfig::make(pipeline::PipelineMode::SBISWI, num_sms);
-    for (const char *kv :
-         {"l2_slices=8", "l2_mshrs_per_slice=32", "l2_tag_cycles=1",
-          "dram_channels=4", "dram_queue_depth=16",
-          "dram_bytes_per_cycle_x10=100", "noc_request_latency=2",
-          "noc_response_latency=2",
-          "noc_port_bytes_per_cycle_x10=320"}) {
-        std::string err;
-        EXPECT_TRUE(core::gpuConfigApplyKeyValue(kv, &chip, &err))
-            << kv << ": " << err;
-    }
-    EXPECT_EQ(chip.checkInvariants(), "");
-    return chip;
+    return sbiSwiChip(
+        num_sms,
+        {"l2_slices=8", "l2_mshrs_per_slice=32", "l2_tag_cycles=1",
+         "dram_channels=4", "dram_queue_depth=16",
+         "dram_bytes_per_cycle_x10=100", "noc_request_latency=2",
+         "noc_response_latency=2",
+         "noc_port_bytes_per_cycle_x10=320"});
 }
 
 /** Launch @p wl on @p chip, stopping at @p max_cycles. */
@@ -208,6 +221,35 @@ TEST(SteppingEquivalence, BankedChips)
         expectEquivalent(*wl, bankedChip(c.sms), c.size,
                          std::to_string(c.sms) +
                              "-SM banked chip on " + c.workload);
+    }
+}
+
+/**
+ * The fast suite's multi-SM cells (SBI+SWI on MatrixMul and
+ * ConvolutionSeparable, Full size, 2 and 4 SMs) on a smaller
+ * banked chip: 4 L2 slices with 32 MSHRs each, a 1-cycle tag
+ * pipeline, 2 DRAM channels with 16-deep queues and a contended
+ * NoC. The fast suite's other cells run on one SM, which these
+ * chip keys do not reach. Both runs must also verify.
+ */
+TEST(SteppingEquivalence, FastSuiteMultiSmCellsOnBankedChip)
+{
+    for (unsigned sms : {2u, 4u}) {
+        core::GpuConfig chip = sbiSwiChip(
+            sms, {"l2_slices=4", "l2_mshrs_per_slice=32",
+                  "l2_tag_cycles=1", "dram_channels=2",
+                  "dram_queue_depth=16", "noc_request_latency=2",
+                  "noc_response_latency=2",
+                  "noc_port_bytes_per_cycle_x10=320"});
+        for (const char *name : {"MatrixMul", "ConvolutionSeparable"}) {
+            const workloads::Workload *wl =
+                workloads::findWorkload(name);
+            ASSERT_NE(wl, nullptr) << name;
+            RunResult res = expectEquivalent(
+                *wl, chip, SizeClass::Full,
+                std::to_string(sms) + "-SM 4-slice chip on " + name);
+            EXPECT_TRUE(res.verified) << name << ": " << res.verify_msg;
+        }
     }
 }
 

@@ -12,7 +12,6 @@
  * gate failed, 3 usage error, 4 I/O error.
  */
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -90,8 +89,6 @@ usage(FILE *out)
 "output:\n"
 "  --json PATH        write results as JSON\n"
 "  --csv PATH         write results as CSV\n"
-"  --throughput-json PATH  write wall-clock / cells-per-second\n"
-"                     of this run as JSON (perf trajectory)\n"
 "  --quiet            suppress the result tables\n"
 "  --list             print the selected cells and exit\n"
 "  --list-suites      print the built-in machines, the "
@@ -347,11 +344,9 @@ main(int argc, char **argv)
     bool quiet = args.flag("--quiet");
     bool list_only = args.flag("--list");
     std::string json_path, csv_path, baseline_path;
-    std::string throughput_path;
     args.option("--json", &json_path);
     args.option("--csv", &csv_path);
     args.option("--baseline", &baseline_path);
-    args.option("--throughput-json", &throughput_path);
     std::string cache_dir;
     args.option("--cache", &cache_dir);
 
@@ -554,17 +549,12 @@ main(int argc, char **argv)
         }
     }
     serve::CachedRunCounters cc;
-    auto t0 = std::chrono::steady_clock::now();
     Results res =
         cache_dir.empty()
             ? runSweeps(sweeps, opts)
             : serve::runSweepsCached(sweeps, opts, &cache, &cc);
-    auto t1 = std::chrono::steady_clock::now();
-    double secs =
-        std::chrono::duration<double>(t1 - t0).count();
-    std::fprintf(stderr,
-                 "siwi-run: %zu cells on %u thread(s) in %.2fs\n",
-                 total, effectiveJobs(jobs, total), secs);
+    std::fprintf(stderr, "siwi-run: %zu cells on %u thread(s)\n",
+                 total, effectiveJobs(jobs, total));
     if (!cache_dir.empty())
         std::fprintf(stderr,
                      "siwi-run: cache %s: %llu hit(s), %llu "
@@ -572,28 +562,6 @@ main(int argc, char **argv)
                      cache_dir.c_str(),
                      (unsigned long long)cc.hits,
                      (unsigned long long)cc.misses);
-
-    if (!throughput_path.empty()) {
-        // The perf-trajectory record CI uploads as an artifact:
-        // wall-clock of the whole sweep, in cells per second.
-        Json tj = Json::object();
-        tj.set("suite", Json(label));
-        tj.set("cells", Json(u64(total)));
-        tj.set("jobs", Json(u64(effectiveJobs(jobs, total))));
-        tj.set("cycle_skip", Json(!no_skip));
-        tj.set("seconds", Json(secs));
-        tj.set("cells_per_sec",
-               Json(secs > 0.0 ? double(total) / secs : 0.0));
-        if (!cache_dir.empty()) {
-            tj.set("cache_hits", Json(cc.hits));
-            tj.set("cache_misses", Json(cc.misses));
-        }
-        std::string terr;
-        if (!tj.writeFile(throughput_path, 2, &terr)) {
-            std::fprintf(stderr, "siwi-run: %s\n", terr.c_str());
-            return exit_io;
-        }
-    }
 
     return emitAndGate(res, quiet, json_path, csv_path,
                        baseline_path, tolerance);
