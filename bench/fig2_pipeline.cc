@@ -53,11 +53,6 @@ runAndPrint(const char *title, SMConfig cfg, Json *trace_doc)
     cfg.warp_width = 4;
     cfg.num_warps = 2;
     cfg.mad_width = 4;
-    if (cfg.mode == PipelineMode::Baseline) {
-        cfg.mad_groups = 2;
-    } else {
-        cfg.mad_groups = 1;
-    }
     cfg.sfu_width = 4;
     cfg.lsu_width = 4;
     cfg.validate();

@@ -101,6 +101,38 @@ configNameEquals(std::string_view a, std::string_view b)
     return true;
 }
 
+/**
+ * Index of @p name in @p names, compared case-insensitively: the
+ * one lookup behind every enum name (config fields, spec files and
+ * the command line). @p out is untouched when the name is unknown.
+ */
+template <typename E>
+bool
+enumIndex(std::span<const char *const> names, std::string_view name,
+          E *out)
+{
+    for (size_t i = 0; i < names.size(); ++i) {
+        if (configNameEquals(name, names[i])) {
+            *out = E(i);
+            return true;
+        }
+    }
+    return false;
+}
+
+/** "a | b | c" list of @p names, for diagnostics. */
+inline std::string
+enumNameList(std::span<const char *const> names)
+{
+    std::string out;
+    for (const char *v : names) {
+        if (!out.empty())
+            out += " | ";
+        out += v;
+    }
+    return out;
+}
+
 namespace detail_config {
 
 template <typename Cfg>
@@ -113,35 +145,6 @@ findField(std::span<const ConfigField<Cfg>> fields,
             return &f;
     }
     return nullptr;
-}
-
-/** "a | b | c" list of an enum field's names, for diagnostics. */
-template <typename Cfg>
-std::string
-valueList(const ConfigField<Cfg> &f)
-{
-    std::string out;
-    for (const char *v : f.values) {
-        if (!out.empty())
-            out += " | ";
-        out += v;
-    }
-    return out;
-}
-
-/** Resolve an enum name to its index; false when unknown. */
-template <typename Cfg>
-bool
-enumIndex(const ConfigField<Cfg> &f, std::string_view name,
-          u64 *out)
-{
-    for (size_t i = 0; i < f.values.size(); ++i) {
-        if (configNameEquals(name, f.values[i])) {
-            *out = u64(i);
-            return true;
-        }
-    }
-    return false;
 }
 
 template <typename Cfg>
@@ -173,15 +176,15 @@ setFromJson(const ConfigField<Cfg> &f, const Json &v, Cfg *c,
         if (!v.isString()) {
             if (err)
                 *err = std::string("config key '") + f.key +
-                       "' needs one of: " + valueList(f);
+                       "' needs one of: " + enumNameList(f.values);
             return false;
         }
         u64 idx = 0;
-        if (!enumIndex(f, v.str(), &idx)) {
+        if (!enumIndex(f.values, v.str(), &idx)) {
             if (err)
                 *err = std::string("config key '") + f.key +
                        "': unknown value '" + v.str() +
-                       "' (expected " + valueList(f) + ")";
+                       "' (expected " + enumNameList(f.values) + ")";
             return false;
         }
         f.set(*c, idx);
@@ -321,12 +324,12 @@ configApplyKeyValue(std::string_view kv,
         return false;
       case ConfigFieldType::Enum: {
         u64 idx = 0;
-        if (!detail_config::enumIndex(*f, val, &idx)) {
+        if (!enumIndex(f->values, val, &idx)) {
             if (err)
                 *err = std::string("config key '") + f->key +
                        "': unknown value '" + std::string(val) +
                        "' (expected " +
-                       detail_config::valueList(*f) + ")";
+                       enumNameList(f->values) + ")";
             return false;
         }
         f->set(*c, idx);

@@ -106,9 +106,8 @@ AreaModel::formatTable() const
     std::ostringstream os;
     os << std::fixed << std::setprecision(1);
     os << std::left << std::setw(16) << "Area (x1000um2)";
-    const char *names[] = {"Baseline", "SBI", "SWI", "SBI+SWI"};
-    for (const char *n : names)
-        os << std::right << std::setw(12) << n;
+    for (PipelineMode m : modes)
+        os << std::right << std::setw(12) << pipelineModeName(m);
     os << "\n";
     for (size_t row = 0; row < reps[0].items.size(); ++row) {
         os << std::left << std::setw(16)

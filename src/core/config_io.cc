@@ -20,8 +20,6 @@ fieldTable()
         F_U32("l2_size_bytes", l2.size_bytes,
               "shared L2 size in bytes"),
         F_U32("l2_ways", l2.ways, "shared L2 associativity"),
-        F_U32("l2_block_bytes", l2.block_bytes,
-              "shared L2 block size (must match the L1s)"),
         F_U32("l2_hit_latency", l2.hit_latency,
               "interconnect + L2 access latency in cycles"),
         F_U32("l2_slices", l2.slices,

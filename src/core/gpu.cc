@@ -48,16 +48,15 @@ GpuConfig::checkInvariants() const
     if (!range.empty())
         return range;
     if (num_sms > 1) {
-        if (l2.block_bytes != sm.mem.l1.block_bytes)
-            return "l2_block_bytes must match l1_block_bytes";
         // The shared L2 reuses the set-associative tag array, so
-        // mirror its constructor asserts too.
-        u32 l2_blocks = l2.size_bytes / l2.block_bytes;
+        // mirror its constructor asserts too. Its blocks are the
+        // L1's.
+        u32 l2_blocks = l2.size_bytes / sm.mem.l1.block_bytes;
         if (l2.ways < 1 || l2_blocks < l2.ways ||
             l2_blocks % l2.ways != 0)
             return "l2_size_bytes must be a whole number of "
                    "sets (a multiple of l2_ways * "
-                   "l2_block_bytes)";
+                   "l1_block_bytes)";
         // Banked topology: the interleaving hashes XOR-fold
         // power-of-two digits, and each slice must own a whole
         // number of sets of the shared capacity.
@@ -66,7 +65,7 @@ GpuConfig::checkInvariants() const
         u32 l2_sets = l2_blocks / l2.ways;
         if (l2_sets % l2.slices != 0)
             return "l2_slices must divide the shared L2 set "
-                   "count (l2_size_bytes / l2_block_bytes / "
+                   "count (l2_size_bytes / l1_block_bytes / "
                    "l2_ways)";
         if (!isPow2(dram.channels))
             return "dram_channels must be a nonzero power of two";
@@ -115,8 +114,8 @@ Gpu::launchTraced(const Kernel &kernel, const LaunchConfig &lc,
         return stats;
     }
 
-    mem::BankedL2 backend(cfg_.l2, cfg_.dram, cfg_.noc,
-                          cfg_.num_sms);
+    mem::BankedL2 backend(cfg_.l2, cfg_.sm.mem.l1.block_bytes,
+                          cfg_.dram, cfg_.noc, cfg_.num_sms);
     SimStats agg = SimStats::aggregate(
         runGrid(kernel, lc, hook, backend, &timed_out));
     agg.timed_out = timed_out;

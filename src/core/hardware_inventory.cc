@@ -122,15 +122,17 @@ chipInventory(PipelineMode mode, unsigned num_sms,
                           it.geometry;
             it.bits *= num_sms;
         }
-        // Shared-L2 tag array: one line per block; tag = 32-bit
-        // block address minus set and offset bits, plus valid and
-        // an LRU rank within the set.
-        const u32 lines = l2.size_bytes / l2.block_bytes;
+        // Shared-L2 tag array: one line per L1-sized block; tag =
+        // 32-bit block address minus set and offset bits, plus
+        // valid and an LRU rank within the set.
+        const u32 block_bytes =
+            pipeline::SMConfig::make(mode).mem.l1.block_bytes;
+        const u32 lines = l2.size_bytes / block_bytes;
         const u32 sets = lines / l2.ways;
         unsigned set_bits = 0, off_bits = 0;
         for (u32 v = sets; v > 1; v >>= 1)
             ++set_bits;
-        for (u32 v = l2.block_bytes; v > 1; v >>= 1)
+        for (u32 v = block_bytes; v > 1; v >>= 1)
             ++off_bits;
         const unsigned lru_bits = 4; // rank within <=16 ways
         const unsigned tag_bits =
@@ -166,9 +168,8 @@ formatInventoryTable(const InventoryParams &p)
 
     std::ostringstream os;
     os << std::left << std::setw(16) << "Component";
-    const char *names[] = {"Baseline", "SBI", "SWI", "SBI+SWI"};
-    for (const char *n : names)
-        os << std::setw(22) << n;
+    for (PipelineMode m : modes)
+        os << std::setw(22) << pipelineModeName(m);
     os << "\n";
     for (size_t row = 0; row < cols[0].size(); ++row) {
         os << std::setw(16) << cols[0][row].component;

@@ -55,7 +55,8 @@ u64 inventoryTotalBits(pipeline::PipelineMode mode,
  * Chip-level inventory of a multi-SM machine (beyond Table 3):
  * the per-SM front-end storage of @p mode replicated
  * @p num_sms times, plus the shared-L2 tag array when the chip
- * has more than one SM (geometry from @p l2).
+ * has more than one SM (geometry from @p l2, in blocks of the
+ * mode's L1 block size).
  */
 std::vector<StorageItem> chipInventory(
     pipeline::PipelineMode mode, unsigned num_sms,

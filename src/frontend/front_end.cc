@@ -31,7 +31,7 @@ FrontEnd::FrontEnd(FrontEndHost &host)
 bool
 FrontEnd::issueCycle()
 {
-    if (host_.config().cascaded())
+    if (host_.config().swi)
         return issueCascaded();
     return issueSimple();
 }

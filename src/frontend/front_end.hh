@@ -14,7 +14,7 @@
  * through the narrow FrontEndHost interface.
  *
  * One FrontEnd class covers the paper's five machines. Its issue
- * stage has two shapes, chosen by SMConfig::cascaded():
+ * stage has two shapes, chosen by SMConfig::swi:
  *
  *   simple     one-cycle scheduling: the Fermi baseline's and
  *              TF64's two alternating pools, or SBI's primary over
@@ -22,7 +22,8 @@
  *   cascaded   SWI and SBI+SWI: the primary pick is parked in the
  *              cascade register for a cycle while the mask-fit
  *              secondary scheduler (mask-inclusion lookup, lane
- *              shuffle) fills the primary's free lanes.
+ *              shuffle) fills the primary's free lanes. That
+ *              register is Table 2's 2-cycle scheduler.
  *
  * Primary-candidate ordering is delegated to a SchedPolicy
  * strategy (see sched_policy.hh), selected via

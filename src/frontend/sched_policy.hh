@@ -21,7 +21,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "common/types.hh"
@@ -50,14 +49,20 @@ enum class SchedPolicyKind {
     MinPc,            //!< minimum PC, oldest-first tie-break
 };
 
-/** CLI name of a policy: "oldest", "rr", "gto", "minpc". */
-const char *schedPolicyName(SchedPolicyKind kind);
+/** Policy names, index == SchedPolicyKind value. */
+inline constexpr const char *sched_policy_names[] = {
+    "oldest",
+    "rr",
+    "gto",
+    "minpc",
+};
 
-/** Parse a CLI policy name; false when unknown. */
-bool parseSchedPolicy(std::string_view name, SchedPolicyKind *out);
-
-/** Every policy, in registry order. */
-std::span<const SchedPolicyKind> allSchedPolicies();
+/** CLI and config name of a policy. */
+inline const char *
+schedPolicyName(SchedPolicyKind kind)
+{
+    return sched_policy_names[size_t(kind)];
+}
 
 /**
  * Primary-candidate ordering strategy.

@@ -5,12 +5,12 @@ namespace siwi::mem {
 namespace {
 
 CacheConfig
-l2TagConfig(const L2Config &cfg)
+l2TagConfig(const L2Config &cfg, u32 block_bytes)
 {
     CacheConfig c;
     c.size_bytes = cfg.size_bytes;
     c.ways = cfg.ways;
-    c.block_bytes = cfg.block_bytes;
+    c.block_bytes = block_bytes;
     c.hit_latency = cfg.hit_latency;
     return c;
 }
@@ -32,8 +32,9 @@ DramBackend::DramBackend(const DramConfig &cfg)
 {
 }
 
-SharedL2::SharedL2(const L2Config &cfg, const DramConfig &dram)
-    : cfg_(cfg), tags_(l2TagConfig(cfg)), dram_(dram)
+SharedL2::SharedL2(const L2Config &cfg, u32 block_bytes,
+                   const DramConfig &dram)
+    : cfg_(cfg), tags_(l2TagConfig(cfg, block_bytes)), dram_(dram)
 {
 }
 

@@ -97,12 +97,15 @@ class DramBackend final : public MemoryBackend
     Dram dram_;
 };
 
-/** Shared L2 geometry and timing (Fermi-like chip defaults). */
+/**
+ * Shared L2 geometry and timing (Fermi-like chip defaults). Its
+ * blocks are the L1's, so the block size is a constructor argument
+ * of the backends, not a field here.
+ */
 struct L2Config
 {
     u32 size_bytes = 768 * 1024;
     u32 ways = 16;
-    u32 block_bytes = 128;
     u32 hit_latency = 30; //!< interconnect + L2 access
     /**
      * Address-interleaved L2 slices (BankedL2 only). Each slice
@@ -159,7 +162,9 @@ struct L2Stats
 class SharedL2 final : public MemoryBackend
 {
   public:
-    SharedL2(const L2Config &cfg, const DramConfig &dram);
+    /** @p block_bytes is the block size of the L1s it serves. */
+    SharedL2(const L2Config &cfg, u32 block_bytes,
+             const DramConfig &dram);
 
     Cycle read(Cycle now, Addr block, u32 bytes,
                unsigned port) override;

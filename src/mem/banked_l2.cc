@@ -10,12 +10,12 @@ namespace siwi::mem {
 namespace {
 
 CacheConfig
-sliceTagConfig(const L2Config &cfg)
+sliceTagConfig(const L2Config &cfg, u32 block_bytes)
 {
     CacheConfig c;
     c.size_bytes = cfg.size_bytes / cfg.slices;
     c.ways = cfg.ways;
-    c.block_bytes = cfg.block_bytes;
+    c.block_bytes = block_bytes;
     c.hit_latency = cfg.hit_latency;
     return c;
 }
@@ -62,16 +62,17 @@ BankedL2::channelOf(Addr block, u32 block_bytes, u32 slices,
                    channels);
 }
 
-BankedL2::BankedL2(const L2Config &cfg, const DramConfig &dram,
-                   const NocConfig &noc, unsigned ports)
-    : cfg_(cfg), noc_(noc)
+BankedL2::BankedL2(const L2Config &cfg, u32 block_bytes,
+                   const DramConfig &dram, const NocConfig &noc,
+                   unsigned ports)
+    : cfg_(cfg), block_bytes_(block_bytes), noc_(noc)
 {
     siwi_assert(cfg_.slices >= 1 && isPow2(cfg_.slices),
                 "l2_slices must be a nonzero power of two");
     siwi_assert(dram.channels >= 1 && isPow2(dram.channels),
                 "dram_channels must be a nonzero power of two");
     siwi_assert(ports >= 1, "banked L2 with no ports");
-    CacheConfig tag_cfg = sliceTagConfig(cfg_);
+    CacheConfig tag_cfg = sliceTagConfig(cfg_, block_bytes_);
     slices_.reserve(cfg_.slices);
     for (u32 s = 0; s < cfg_.slices; ++s)
         slices_.emplace_back(tag_cfg);
@@ -132,9 +133,9 @@ BankedL2::installCompleted(Slice &sl, Cycle now)
 Cycle
 BankedL2::read(Cycle now, Addr block, u32 bytes, unsigned port)
 {
-    Slice &sl = slices_[sliceOf(block, cfg_.block_bytes,
+    Slice &sl = slices_[sliceOf(block, block_bytes_,
                                 cfg_.slices)];
-    Dram &ch = channels_[channelOf(block, cfg_.block_bytes,
+    Dram &ch = channels_[channelOf(block, block_bytes_,
                                    cfg_.slices,
                                    u32(channels_.size()))];
     Cycle arrive = inject(now, bytes, port);
@@ -194,9 +195,9 @@ BankedL2::read(Cycle now, Addr block, u32 bytes, unsigned port)
 void
 BankedL2::write(Cycle now, Addr block, u32 bytes, unsigned port)
 {
-    Slice &sl = slices_[sliceOf(block, cfg_.block_bytes,
+    Slice &sl = slices_[sliceOf(block, block_bytes_,
                                 cfg_.slices)];
-    Dram &ch = channels_[channelOf(block, cfg_.block_bytes,
+    Dram &ch = channels_[channelOf(block, block_bytes_,
                                    cfg_.slices,
                                    u32(channels_.size()))];
     Cycle arrive = inject(now, bytes, port);

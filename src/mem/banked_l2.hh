@@ -109,12 +109,14 @@ class BankedL2 final : public MemoryBackend
 {
   public:
     /**
+     * @p block_bytes is the block size of the L1s it serves;
      * @p ports is the number of SM-side interconnect ports (one
      * per SM); @p dram describes one channel, replicated
      * dram.channels times.
      */
-    BankedL2(const L2Config &cfg, const DramConfig &dram,
-             const NocConfig &noc, unsigned ports);
+    BankedL2(const L2Config &cfg, u32 block_bytes,
+             const DramConfig &dram, const NocConfig &noc,
+             unsigned ports);
 
     Cycle read(Cycle now, Addr block, u32 bytes,
                unsigned port) override;
@@ -192,6 +194,7 @@ class BankedL2 final : public MemoryBackend
     void installCompleted(Slice &sl, Cycle now);
 
     L2Config cfg_;
+    u32 block_bytes_;
     NocConfig noc_;
     std::vector<Slice> slices_;
     std::vector<Dram> channels_;

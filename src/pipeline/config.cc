@@ -8,37 +8,10 @@
 
 namespace siwi::pipeline {
 
-const char *
-pipelineModeName(PipelineMode m)
-{
-    switch (m) {
-      case PipelineMode::Baseline: return "Baseline";
-      case PipelineMode::Warp64: return "Warp64";
-      case PipelineMode::SBI: return "SBI";
-      case PipelineMode::SWI: return "SWI";
-      case PipelineMode::SBISWI: return "SBI+SWI";
-    }
-    return "?";
-}
-
-const char *
-laneShuffleName(LaneShufflePolicy p)
-{
-    switch (p) {
-      case LaneShufflePolicy::Identity: return "Identity";
-      case LaneShufflePolicy::MirrorOdd: return "MirrorOdd";
-      case LaneShufflePolicy::MirrorHalf: return "MirrorHalf";
-      case LaneShufflePolicy::Xor: return "Xor";
-      case LaneShufflePolicy::XorRev: return "XorRev";
-    }
-    return "?";
-}
-
 SMConfig
 SMConfig::make(PipelineMode mode)
 {
     SMConfig c;
-    c.mode = mode;
     switch (mode) {
       case PipelineMode::Baseline:
         // Figure 1: two 32-wide pools, stack reconvergence.
@@ -48,7 +21,6 @@ SMConfig::make(PipelineMode mode)
         c.mad_groups = 2;
         c.mad_width = 32;
         c.reconv = ReconvMode::Stack;
-        c.scheduler_latency = 1;
         c.delivery_latency = 0;
         c.split_on_memory_divergence = false; // stack cannot split
         break;
@@ -59,7 +31,6 @@ SMConfig::make(PipelineMode mode)
         c.mad_groups = 1;
         c.mad_width = 64;
         c.reconv = ReconvMode::ThreadFrontier;
-        c.scheduler_latency = 1;
         c.delivery_latency = 1;
         break;
       case PipelineMode::SBI:
@@ -70,7 +41,6 @@ SMConfig::make(PipelineMode mode)
         c.mad_width = 64;
         c.reconv = ReconvMode::ThreadFrontier;
         c.sbi = true;
-        c.scheduler_latency = 1;
         c.delivery_latency = 1;
         break;
       case PipelineMode::SWI:
@@ -81,7 +51,6 @@ SMConfig::make(PipelineMode mode)
         c.mad_width = 64;
         c.reconv = ReconvMode::ThreadFrontier;
         c.swi = true;
-        c.scheduler_latency = 2;
         c.delivery_latency = 1;
         c.shuffle = LaneShufflePolicy::XorRev;
         break;
@@ -94,7 +63,6 @@ SMConfig::make(PipelineMode mode)
         c.reconv = ReconvMode::ThreadFrontier;
         c.sbi = true;
         c.swi = true;
-        c.scheduler_latency = 2;
         c.delivery_latency = 1;
         c.shuffle = LaneShufflePolicy::XorRev;
         break;
@@ -139,9 +107,6 @@ SMConfig::checkInvariants() const
     if (split_on_memory_divergence && reconv == ReconvMode::Stack)
         return "memory splits require thread-frontier "
                "reconvergence";
-    if (swi && !cascaded())
-        return "swi requires cascaded scheduling "
-               "(scheduler_latency >= 2)";
     if (lookup_sets < 1 || lookup_sets > num_warps)
         return "lookup_sets out of range (1..num_warps)";
     if (mem.mshrs < 1)
@@ -169,14 +134,13 @@ std::string
 SMConfig::summary() const
 {
     std::ostringstream os;
-    os << "mode:               " << pipelineModeName(mode) << "\n"
-       << "warps x width:      " << num_warps << " x " << warp_width
+    os << "warps x width:      " << num_warps << " x " << warp_width
        << "\n"
        << "scheduler pools:    " << num_pools << "\n"
        << "reconvergence:      "
        << (reconv == ReconvMode::Stack ? "stack" : "thread frontier")
        << "\n"
-       << "scheduler latency:  " << scheduler_latency << " cycle(s)\n"
+       << "scheduler latency:  " << (swi ? 2 : 1) << " cycle(s)\n"
        << "delivery latency:   " << delivery_latency << " cycle(s)\n"
        << "execution latency:  " << exec_latency << " cycles\n"
        << "scoreboard:         " << scoreboard_entries

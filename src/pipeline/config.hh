@@ -23,8 +23,19 @@ enum class PipelineMode {
     SBISWI,   //!< both techniques combined
 };
 
+/** Machine names, index == PipelineMode value. */
+inline constexpr const char *pipeline_mode_names[] = {
+    "Baseline", "Warp64", "SBI", "SWI", "SBI+SWI",
+};
+
 /** Divergence-tracking substrate. */
 enum class ReconvMode { Stack, ThreadFrontier };
+
+/** Config names, index == ReconvMode value. */
+inline constexpr const char *reconv_names[] = {
+    "stack",
+    "thread_frontier",
+};
 
 /** Static lane-shuffle policies (paper Table 1). */
 enum class LaneShufflePolicy {
@@ -35,14 +46,26 @@ enum class LaneShufflePolicy {
     XorRev,
 };
 
-const char *pipelineModeName(PipelineMode m);
-const char *laneShuffleName(LaneShufflePolicy p);
+/** Config names, index == LaneShufflePolicy value. */
+inline constexpr const char *lane_shuffle_names[] = {
+    "Identity", "MirrorOdd", "MirrorHalf", "Xor", "XorRev",
+};
+
+inline const char *
+pipelineModeName(PipelineMode m)
+{
+    return pipeline_mode_names[size_t(m)];
+}
+
+inline const char *
+laneShuffleName(LaneShufflePolicy p)
+{
+    return lane_shuffle_names[size_t(p)];
+}
 
 /** Full SM parameter set. */
 struct SMConfig
 {
-    PipelineMode mode = PipelineMode::Baseline;
-
     // --- machine geometry ---
     unsigned warp_width = 32;
     unsigned num_warps = 32;
@@ -55,7 +78,12 @@ struct SMConfig
     // --- divergence handling ---
     ReconvMode reconv = ReconvMode::Stack;
     bool sbi = false; //!< secondary front-end over CPC2 contexts
-    bool swi = false; //!< cascaded mask-fit secondary scheduler
+    /**
+     * Cascaded mask-fit secondary scheduler (paper 4): the primary
+     * pick waits a cycle in the cascade register, which is Table 2's
+     * 2-cycle scheduler (1 cycle without it).
+     */
+    bool swi = false;
     /** Honor SYNC selective synchronization barriers (paper 3.3). */
     bool sbi_constraints = true;
     /**
@@ -85,7 +113,6 @@ struct SMConfig
     unsigned lookup_sets = 1;
 
     // --- timing (Table 2) ---
-    unsigned scheduler_latency = 1;  //!< 2 = cascaded secondary
     unsigned delivery_latency = 0;   //!< instruction delivery stage
     unsigned exec_latency = 8;
     unsigned scoreboard_entries = 6; //!< per warp
@@ -98,9 +125,6 @@ struct SMConfig
 
     /** Threads resident at full occupancy. */
     unsigned maxThreads() const { return warp_width * num_warps; }
-
-    /** True for cascaded-secondary (SWI-style) scheduling. */
-    bool cascaded() const { return scheduler_latency >= 2; }
 
     /** Build the canonical configuration of a pipeline mode. */
     static SMConfig make(PipelineMode mode);

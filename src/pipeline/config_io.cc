@@ -1,34 +1,10 @@
 #include "pipeline/config_io.hh"
 
-#include <array>
 #include <vector>
-
-#include "frontend/sched_policy.hh"
 
 namespace siwi::pipeline {
 
 namespace {
-
-// Canonical enum name arrays; index == enum value. The unit tests
-// assert these stay in sync with pipelineModeName() /
-// laneShuffleName() / frontend::schedPolicyName(), the display
-// functions the rest of the simulator uses.
-constexpr const char *mode_names[] = {
-    "Baseline", "Warp64", "SBI", "SWI", "SBI+SWI",
-};
-constexpr const char *reconv_names[] = {
-    "stack",
-    "thread_frontier",
-};
-constexpr const char *shuffle_names[] = {
-    "Identity", "MirrorOdd", "MirrorHalf", "Xor", "XorRev",
-};
-constexpr const char *policy_names[] = {
-    "oldest",
-    "rr",
-    "gto",
-    "minpc",
-};
 
 // Field-definition shorthand over the shared SIWI_CFG_* macros
 // (common/config_reflect.hh). U32 fields accept any unsigned
@@ -52,9 +28,6 @@ const std::vector<ConfigField<SMConfig>> &
 fieldTable()
 {
     static const std::vector<ConfigField<SMConfig>> v = {
-        F_ENUM("mode", mode, mode_names,
-               "pipeline mode label of the base machine "
-               "(pick via a machine's \"base\", not via set)"),
         // --- machine geometry ---
         F_U32("warp_width", warp_width,
               "threads per warp (32 = Fermi, 64 = interweaving "
@@ -75,8 +48,8 @@ fieldTable()
                "secondary front-end over CPC2 contexts "
                "(paper 3.3)"),
         F_BOOL("swi", swi,
-               "cascaded mask-fit secondary scheduler "
-               "(paper 4)"),
+               "cascaded mask-fit secondary scheduler (paper 4; "
+               "Table 2's 2-cycle scheduler)"),
         F_BOOL("sbi_constraints", sbi_constraints,
                "honor SYNC selective synchronization barriers"),
         F_BOOL("sbi_secondary_fallback", sbi_secondary_fallback,
@@ -91,18 +64,17 @@ fieldTable()
         F_U32("cct_steps_per_cycle", heap.cct_steps_per_cycle,
               "CCT sideband-sorter steps per cycle"),
         // --- scheduling ---
-        F_ENUM("sched_policy", sched_policy, policy_names,
+        F_ENUM("sched_policy", sched_policy,
+               frontend::sched_policy_names,
                "primary-scheduler candidate ordering (the "
                "machine's default; a non-default --policy axis "
                "entry overrides it)"),
-        F_ENUM("lane_shuffle", shuffle, shuffle_names,
+        F_ENUM("lane_shuffle", shuffle, lane_shuffle_names,
                "static SWI lane-shuffle policy (paper Table 1)"),
         F_U32("lookup_sets", lookup_sets,
               "mask-inclusion lookup sets; 1 = fully "
               "associative, num_warps = direct mapped"),
         // --- timing (Table 2) ---
-        F_U32("scheduler_latency", scheduler_latency,
-              "scheduler cycles (2 = cascaded secondary)"),
         F_U32("delivery_latency", delivery_latency,
               "instruction-delivery stage cycles"),
         F_U32("exec_latency", exec_latency,

@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <limits>
 
+#include "common/config_reflect.hh"
+
 namespace siwi::runner {
 
 ArgList::ArgList(int argc, char **argv)
@@ -92,6 +94,22 @@ ArgList::doubleOption(const std::string &name, double *value)
         return false;
     }
     *value = d;
+    return true;
+}
+
+bool
+ArgList::enumOption(const std::string &name,
+                    std::span<const char *const> names,
+                    size_t *index)
+{
+    std::string v;
+    if (!option(name, &v))
+        return false;
+    if (!enumIndex(names, v, index)) {
+        errors_.push_back(name + ": unknown value '" + v + "' (" +
+                          enumNameList(names) + ")");
+        return false;
+    }
     return true;
 }
 

@@ -6,6 +6,7 @@
 #ifndef SIWI_RUNNER_CLI_HH
 #define SIWI_RUNNER_CLI_HH
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,6 +43,16 @@ class ArgList
 
     /** option() parsed as a double. */
     bool doubleOption(const std::string &name, double *value);
+
+    /**
+     * option() parsed as one of @p names, matched the way config
+     * enums are (enumIndex: case-insensitive): @p index is the
+     * value's position in @p names. An unknown name is a usage
+     * error that lists @p names.
+     */
+    bool enumOption(const std::string &name,
+                    std::span<const char *const> names,
+                    size_t *index);
 
     /** Arguments not consumed so far (excluding argv[0]). */
     const std::vector<std::string> &remaining() const

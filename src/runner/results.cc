@@ -273,26 +273,7 @@ Results::save(const std::string &path, std::string *err) const
 const char *
 sizeClassName(workloads::SizeClass sc)
 {
-    switch (sc) {
-      case workloads::SizeClass::Tiny: return "tiny";
-      case workloads::SizeClass::Full: return "full";
-      case workloads::SizeClass::Chip: return "chip";
-    }
-    return "?";
-}
-
-bool
-parseSizeClass(std::string_view name, workloads::SizeClass *out)
-{
-    for (workloads::SizeClass sc :
-         {workloads::SizeClass::Tiny, workloads::SizeClass::Full,
-          workloads::SizeClass::Chip}) {
-        if (name == sizeClassName(sc)) {
-            *out = sc;
-            return true;
-        }
-    }
-    return false;
+    return workloads::size_class_names[size_t(sc)];
 }
 
 } // namespace siwi::runner

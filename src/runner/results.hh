@@ -13,7 +13,6 @@
 #define SIWI_RUNNER_RESULTS_HH
 
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/json.hh"
@@ -157,10 +156,6 @@ class Results
 
 /** "tiny" / "full" / "chip" label of a SizeClass. */
 const char *sizeClassName(workloads::SizeClass sc);
-
-/** Parse a sizeClassName() label; false when unknown. */
-bool parseSizeClass(std::string_view name,
-                    workloads::SizeClass *out);
 
 } // namespace siwi::runner
 

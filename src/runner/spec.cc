@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 
-#include "frontend/registry.hh"
 #include "pipeline/config_io.hh"
-#include "runner/results.hh"
 
 namespace siwi::runner {
 
@@ -66,10 +64,11 @@ checkKeys(const Json &j,
 
 MachineRegistry::MachineRegistry()
 {
-    for (const frontend::MachineEntry &m :
-         frontend::machineRegistry())
+    for (size_t i = 0; i < std::size(pipeline::pipeline_mode_names);
+         ++i)
         machines_.push_back(
-            {m.name, pipeline::SMConfig::make(m.mode)});
+            {pipeline::pipeline_mode_names[i],
+             pipeline::SMConfig::make(pipeline::PipelineMode(i))});
 }
 
 bool
@@ -140,16 +139,6 @@ machineFromJson(const Json &j, const std::string &base_dir,
         return false;
     }
     if (const Json *set = j.find("set")) {
-        if (set->isObject() && set->find("mode")) {
-            // The mode tag is the base machine's identity; a
-            // "set" that changes only the tag would make the
-            // self-describing artifacts lie.
-            if (err)
-                *err = "machine '" + m.name +
-                       "': 'mode' is fixed by the base machine "
-                       "(pick a different 'base' instead)";
-            return false;
-        }
         if (!machineApplyJson(&m, *set, err)) {
             if (err)
                 *err = "machine '" + m.name + "': " + *err;
@@ -301,9 +290,10 @@ sweepFromJson(const Json &j, const std::string &base_dir,
 
     // --- size ---
     std::string size_str = j.getString("size", "full");
-    if (!parseSizeClass(size_str, &s.size))
-        return fail("bad size '" + size_str +
-                    "' (tiny | full | chip)");
+    if (!enumIndex(workloads::size_class_names, size_str, &s.size))
+        return fail("bad size '" + size_str + "' (" +
+                    enumNameList(workloads::size_class_names) +
+                    ")");
 
     // --- sms axis ---
     if (const Json *js = j.find("sms")) {
@@ -327,25 +317,18 @@ sweepFromJson(const Json &j, const std::string &base_dir,
         for (const Json &e : jp->arr()) {
             frontend::SchedPolicyKind kind;
             if (!e.isString() ||
-                !frontend::parseSchedPolicy(e.str(), &kind)) {
-                std::string names;
-                for (const frontend::PolicyEntry &p :
-                     frontend::policyRegistry()) {
-                    if (!names.empty())
-                        names += " | ";
-                    names += p.name;
-                }
-                return fail("bad policy (" + names + ")");
-            }
+                !enumIndex(frontend::sched_policy_names, e.str(),
+                           &kind))
+                return fail(
+                    "bad policy (" +
+                    enumNameList(frontend::sched_policy_names) +
+                    ")");
             s.policies.push_back(kind);
         }
     }
 
     // --- per-sweep overrides ---
     if (const Json *set = j.find("set")) {
-        if (set->isObject() && set->find("mode"))
-            return fail("'mode' is fixed by the base machine "
-                        "(pick a different 'base' instead)");
         for (MachineSpec &m : s.machines) {
             std::string serr;
             if (!machineApplyJson(&m, *set, &serr))

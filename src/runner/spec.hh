@@ -46,7 +46,7 @@ namespace siwi::runner {
 
 /**
  * Machine-name resolution: the five paper machines (built-in,
- * from frontend::machineRegistry()) plus user machines registered
+ * one per pipeline::PipelineMode) plus user machines registered
  * at runtime. Names are matched case-insensitively; user machines
  * cannot shadow an existing name.
  */

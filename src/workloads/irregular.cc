@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/log.hh"
 #include "common/rng.hh"
@@ -27,54 +26,6 @@ using isa::Imm;
 using isa::KernelBuilder;
 using isa::Reg;
 using isa::SpecialReg;
-
-constexpr Addr in_a = 0x0100000;
-constexpr Addr in_b = 0x0200000;
-constexpr Addr in_c = 0x0300000;
-constexpr Addr out_a = 0x0400000;
-
-bool
-failMsg(std::string *why, const char *what, size_t i, double expect,
-        double got)
-{
-    if (why) {
-        std::ostringstream os;
-        os << what << "[" << i << "]: expected " << expect
-           << ", got " << got;
-        *why = os.str();
-    }
-    return false;
-}
-
-bool
-checkF(const mem::MemoryImage &mem, Addr addr, float expect,
-       const char *what, size_t i, std::string *why)
-{
-    float got = mem.readF32(addr);
-    float tol = 1e-4f * (1.0f + std::fabs(expect));
-    if (std::fabs(got - expect) <= tol)
-        return true;
-    return failMsg(why, what, i, expect, got);
-}
-
-bool
-checkI(const mem::MemoryImage &mem, Addr addr, u32 expect,
-       const char *what, size_t i, std::string *why)
-{
-    u32 got = mem.read32(addr);
-    if (got == expect)
-        return true;
-    return failMsg(why, what, i, expect, got);
-}
-
-Reg
-emitGtidAddr(KernelBuilder &b, Reg gtid, Addr base)
-{
-    Reg addr = b.reg();
-    b.shl(addr, gtid, Imm(2));
-    b.iadd(addr, addr, Imm(i32(base)));
-    return addr;
-}
 
 // ================================================================
 // BFS: level-synchronous frontier expansion; degrees vary per node.

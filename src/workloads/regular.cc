@@ -10,7 +10,6 @@
 #include "workloads/suite.hh"
 
 #include <cmath>
-#include <sstream>
 
 #include "common/log.hh"
 #include "common/rng.hh"
@@ -24,55 +23,6 @@ using isa::Imm;
 using isa::KernelBuilder;
 using isa::Reg;
 using isa::SpecialReg;
-
-constexpr Addr in_a = 0x0100000;
-constexpr Addr in_b = 0x0200000;
-constexpr Addr out_a = 0x0400000;
-constexpr Addr out_b = 0x0500000;
-
-/** Shared verification helper: compare one float word. */
-bool
-checkF(const mem::MemoryImage &mem, Addr addr, float expect,
-       const char *what, size_t i, std::string *why)
-{
-    float got = mem.readF32(addr);
-    float tol = 1e-4f * (1.0f + std::fabs(expect));
-    if (std::fabs(got - expect) <= tol)
-        return true;
-    if (why) {
-        std::ostringstream os;
-        os << what << "[" << i << "]: expected " << expect << ", got "
-           << got;
-        *why = os.str();
-    }
-    return false;
-}
-
-bool
-checkI(const mem::MemoryImage &mem, Addr addr, u32 expect,
-       const char *what, size_t i, std::string *why)
-{
-    u32 got = mem.read32(addr);
-    if (got == expect)
-        return true;
-    if (why) {
-        std::ostringstream os;
-        os << what << "[" << i << "]: expected " << expect << ", got "
-           << got;
-        *why = os.str();
-    }
-    return false;
-}
-
-/** Emit gtid -> r, and byte address base + gtid*4 -> addr. */
-Reg
-emitGtidAddr(KernelBuilder &b, Reg gtid, Addr base)
-{
-    Reg addr = b.reg();
-    b.shl(addr, gtid, Imm(2));
-    b.iadd(addr, addr, Imm(i32(base)));
-    return addr;
-}
 
 // ================================================================
 // BlackScholes: pure streaming float arithmetic with SFU calls.

@@ -21,7 +21,6 @@
 #include "workloads/suite.hh"
 
 #include <cmath>
-#include <sstream>
 
 #include "common/log.hh"
 #include "isa/builder.hh"
@@ -35,8 +34,6 @@ using isa::KernelBuilder;
 using isa::Label;
 using isa::Reg;
 using isa::SpecialReg;
-
-constexpr Addr out_a = 0x0400000;
 
 /** Shared TMD kernel body; layout mode differs between TMD1/TMD2. */
 class TmdBase : public Workload
@@ -243,16 +240,9 @@ class TmdBase : public Workload
                         ++hits;
                 }
             }
-            u32 got = mem.read32(out_a + Addr(i) * 4);
-            if (got != hits) {
-                if (why) {
-                    std::ostringstream os;
-                    os << "tmd[" << i << "]: expected " << hits
-                       << ", got " << got;
-                    *why = os.str();
-                }
+            if (!checkI(mem, out_a + Addr(i) * 4, hits, "tmd", i,
+                        why))
                 return false;
-            }
         }
         return true;
     }

@@ -36,6 +36,10 @@ namespace siwi::workloads {
  */
 enum class SizeClass { Tiny, Full, Chip };
 
+/** Spec and CLI names, index == SizeClass value. */
+inline constexpr const char *size_class_names[] = {"tiny", "full",
+                                                   "chip"};
+
 /** A concrete kernel instance ready to compile and launch. */
 struct Instance
 {

@@ -97,8 +97,9 @@ TEST(FrontEndPolicy, PoliciesAreDeterministic)
         b.movi(r, 1);
         return b.build();
     }());
-    for (frontend::SchedPolicyKind k :
-         frontend::allSchedPolicies()) {
+    for (size_t i = 0; i < std::size(frontend::sched_policy_names);
+         ++i) {
+        const auto k = frontend::SchedPolicyKind(i);
         SMConfig cfg = SMConfig::make(PipelineMode::SBISWI);
         cfg.sched_policy = k;
         core::SimStats once = runConfig(cfg, prog, 2, 128);
@@ -121,8 +122,9 @@ TEST(FrontEndPolicy, PoliciesProduceDistinctSchedules)
 
     SMConfig base = SMConfig::make(PipelineMode::Baseline);
     std::map<frontend::SchedPolicyKind, core::SimStats> stats;
-    for (frontend::SchedPolicyKind k :
-         frontend::allSchedPolicies()) {
+    for (size_t i = 0; i < std::size(frontend::sched_policy_names);
+         ++i) {
+        const auto k = frontend::SchedPolicyKind(i);
         SMConfig cfg = base;
         cfg.sched_policy = k;
         workloads::RunResult res = workloads::runWorkload(

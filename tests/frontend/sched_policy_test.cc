@@ -2,7 +2,7 @@
  * @file
  * Unit tests for the SchedPolicy strategies, against a scripted
  * mock FrontEndHost: selection order, cursor/greedy state, and
- * the registry.
+ * the policy names.
  */
 
 #include <gtest/gtest.h>
@@ -10,8 +10,8 @@
 #include <map>
 #include <utility>
 
+#include "common/config_reflect.hh"
 #include "frontend/front_end.hh"
-#include "frontend/registry.hh"
 #include "frontend/sched_policy.hh"
 #include "pipeline/config.hh"
 
@@ -133,30 +133,35 @@ domain(unsigned warps)
 
 TEST(SchedPolicyRegistry, NamesRoundTrip)
 {
-    for (SchedPolicyKind k : allSchedPolicies()) {
+    for (size_t i = 0; i < std::size(sched_policy_names); ++i) {
+        const auto k = SchedPolicyKind(i);
         SchedPolicyKind back;
-        ASSERT_TRUE(parseSchedPolicy(schedPolicyName(k), &back));
+        ASSERT_TRUE(enumIndex(sched_policy_names, schedPolicyName(k),
+                              &back));
         EXPECT_EQ(back, k);
     }
     SchedPolicyKind k;
-    EXPECT_FALSE(parseSchedPolicy("nope", &k));
+    EXPECT_FALSE(enumIndex(sched_policy_names, "nope", &k));
+    ASSERT_TRUE(enumIndex(sched_policy_names, "RR", &k));
+    EXPECT_EQ(k, SchedPolicyKind::RoundRobin);
     EXPECT_STREQ(schedPolicyName(SchedPolicyKind::OldestFirst),
                  "oldest");
 }
 
 TEST(SchedPolicyRegistry, MachineAndPolicyTables)
 {
-    EXPECT_EQ(machineRegistry().size(), 5u);
-    ASSERT_NE(findMachineEntry("SBI+SWI"), nullptr);
-    EXPECT_EQ(findMachineEntry("SBI+SWI")->mode,
-              pipeline::PipelineMode::SBISWI);
-    EXPECT_EQ(findMachineEntry("nope"), nullptr);
+    EXPECT_EQ(std::size(pipeline::pipeline_mode_names), 5u);
+    pipeline::PipelineMode mode;
+    ASSERT_TRUE(
+        enumIndex(pipeline::pipeline_mode_names, "SBI+SWI", &mode));
+    EXPECT_EQ(mode, pipeline::PipelineMode::SBISWI);
+    EXPECT_FALSE(enumIndex(pipeline::pipeline_mode_names, "nope", &mode));
 
-    EXPECT_EQ(policyRegistry().size(), 4u);
-    ASSERT_NE(findPolicyEntry("gto"), nullptr);
-    EXPECT_EQ(findPolicyEntry("gto")->kind,
-              SchedPolicyKind::GreedyThenOldest);
-    EXPECT_EQ(findPolicyEntry("nope"), nullptr);
+    EXPECT_EQ(std::size(sched_policy_names), 4u);
+    SchedPolicyKind kind;
+    ASSERT_TRUE(enumIndex(sched_policy_names, "gto", &kind));
+    EXPECT_EQ(kind, SchedPolicyKind::GreedyThenOldest);
+    EXPECT_FALSE(enumIndex(sched_policy_names, "nope", &kind));
 }
 
 TEST(SchedPolicy, OldestFirstPicksMinimumSeq)

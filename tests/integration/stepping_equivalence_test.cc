@@ -313,7 +313,7 @@ TEST(SteppingEquivalence, RandomizedMachines)
         {"scoreboard_entries", {"1", "2", "6"}},
         {"cct_capacity", {"2", "8", "16"}},
         {"cct_steps_per_cycle", {"1", "2"}},
-        {"scheduler_latency", {"1", "4"}},
+        {"swi", {"false", "true"}},
         {"delivery_latency", {"0", "2"}},
         {"max_blocks_resident", {"1", "4", "8"}},
         {"lookup_sets", {"1", "2", "4"}},

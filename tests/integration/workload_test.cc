@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "workloads/suite.hh"
 #include "workloads/workload.hh"
 
 namespace siwi::workloads {
@@ -122,6 +123,25 @@ TEST(WorkloadRegistry, RegularWorkloadsMostlyConvergent)
                                     SizeClass::Tiny);
         EXPECT_EQ(res.stats.branch_divergences, 0u) << name;
     }
+}
+
+TEST(WorkloadVerify, MismatchMessagesPrintExactValues)
+{
+    // Word values above 2^24 must not lose digits on the way into
+    // the failure message (a double-formatted u32 printed both of
+    // these as 4.29497e+09).
+    mem::MemoryImage mem;
+    mem.write32(out_a, 4294967294u);
+    std::string why;
+    EXPECT_TRUE(checkI(mem, out_a, 4294967294u, "out", 7, &why));
+    EXPECT_TRUE(why.empty());
+    EXPECT_FALSE(checkI(mem, out_a, 4294967295u, "out", 7, &why));
+    EXPECT_EQ(why, "out[7]: expected 4294967295, got 4294967294");
+
+    mem.writeF32(out_b, 1.5f);
+    EXPECT_TRUE(checkF(mem, out_b, 1.50001f, "f", 0, &why));
+    EXPECT_FALSE(checkF(mem, out_b, 2.25f, "f", 0, &why));
+    EXPECT_EQ(why, "f[0]: expected 2.25, got 1.5");
 }
 
 } // namespace

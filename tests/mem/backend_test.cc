@@ -25,7 +25,7 @@ TEST(DramBackend, MatchesPrivateChannelTiming)
 
 TEST(SharedL2, MissThenHit)
 {
-    SharedL2 l2(L2Config{}, DramConfig{});
+    SharedL2 l2(L2Config{}, 128, DramConfig{});
     Cycle miss = l2.read(0, 0x1000, 128, 0);
     // Lookup + DRAM round trip.
     EXPECT_GT(miss, Cycle(l2.config().hit_latency + 330));
@@ -38,7 +38,7 @@ TEST(SharedL2, MissThenHit)
 
 TEST(SharedL2, InvalidateDropsResidency)
 {
-    SharedL2 l2(L2Config{}, DramConfig{});
+    SharedL2 l2(L2Config{}, 128, DramConfig{});
     l2.read(0, 0x1000, 128, 0);
     l2.invalidate();
     l2.read(1000, 0x1000, 128, 0);
@@ -48,7 +48,7 @@ TEST(SharedL2, InvalidateDropsResidency)
 
 TEST(SharedL2, WritesPassThroughToDram)
 {
-    SharedL2 l2(L2Config{}, DramConfig{});
+    SharedL2 l2(L2Config{}, 128, DramConfig{});
     l2.write(0, 0x3000, 128, 0);
     EXPECT_EQ(l2.stats().writes, 1u);
     EXPECT_EQ(l2.dramStats().transactions, 1u);
@@ -62,7 +62,7 @@ TEST(SharedL2, SharedAcrossMemorySystems)
     // Two SMs' MemorySystems on one L2: the second SM's miss to a
     // block the first already pulled is an L2 hit and returns much
     // sooner than a full DRAM trip.
-    SharedL2 l2(L2Config{}, DramConfig{});
+    SharedL2 l2(L2Config{}, 128, DramConfig{});
     MemConfig mcfg;
     MemorySystem sm0(mcfg, l2);
     MemorySystem sm1(mcfg, l2);

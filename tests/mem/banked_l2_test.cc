@@ -107,8 +107,8 @@ TEST(BankedL2, DefaultTopologyMatchesSharedL2BitExactly)
         DramConfig dram;
         dram.latency_cycles = 5 + rng.below(300);
         dram.bytes_per_cycle_x10 = 5 + rng.below(200);
-        SharedL2 ref(l2, dram);
-        BankedL2 banked(l2, dram, NocConfig{}, 4);
+        SharedL2 ref(l2, blk, dram);
+        BankedL2 banked(l2, blk, dram, NocConfig{}, 4);
 
         for (const Req &r : randomStream(rng, 200)) {
             unsigned port = unsigned(r.block / blk) % 4;
@@ -139,7 +139,7 @@ TEST(BankedL2, BreakdownsSumToTotals)
     dram.channels = 2;
     NocConfig noc;
     noc.port_bytes_per_cycle_x10 = 80;
-    BankedL2 banked(l2, dram, noc, 2);
+    BankedL2 banked(l2, blk, dram, noc, 2);
 
     Rng rng(11);
     for (const Req &r : randomStream(rng, 400)) {
@@ -185,7 +185,7 @@ TEST(BankedL2, SliceMshrOccupancyNeverExceedsCapacity)
     DramConfig dram;
     dram.latency_cycles = 200;
     dram.bytes_per_cycle_x10 = 10;
-    BankedL2 banked(l2, dram, NocConfig{}, 1);
+    BankedL2 banked(l2, blk, dram, NocConfig{}, 1);
 
     // A burst of distinct-block misses, all at cycle 0.
     Cycle last_ready = 0;
@@ -222,7 +222,7 @@ TEST(BankedL2, InFlightMissesMergeSameBlockRequests)
     l2.mshrs_per_slice = 8;
     DramConfig dram;
     dram.latency_cycles = 300;
-    BankedL2 banked(l2, dram, NocConfig{}, 1);
+    BankedL2 banked(l2, blk, dram, NocConfig{}, 1);
 
     Cycle first = banked.read(0, 0, blk, 0);
     Cycle second = banked.read(1, 0, blk, 0);
@@ -247,8 +247,8 @@ TEST(BankedL2, ChannelQueueDepthThrottlesDeepBursts)
     unbounded.bytes_per_cycle_x10 = 100;
     DramConfig bounded = unbounded;
     bounded.queue_depth = 2;
-    BankedL2 free_q(l2, unbounded, NocConfig{}, 1);
-    BankedL2 tight_q(l2, bounded, NocConfig{}, 1);
+    BankedL2 free_q(l2, blk, unbounded, NocConfig{}, 1);
+    BankedL2 tight_q(l2, blk, bounded, NocConfig{}, 1);
 
     Cycle free_last = 0, tight_last = 0;
     for (unsigned i = 0; i < 8; ++i) {
@@ -272,7 +272,7 @@ TEST(BankedL2, PortBandwidthSerializesPerPort)
     DramConfig dram;
     NocConfig noc;
     noc.port_bytes_per_cycle_x10 = 10; // 1 byte/cycle: very tight
-    BankedL2 banked(l2, dram, noc, 2);
+    BankedL2 banked(l2, blk, dram, noc, 2);
 
     // Warm the tags so the timed reads below are hits: hits never
     // touch the shared channel, isolating the port pipe.
@@ -303,11 +303,11 @@ TEST(BankedL2, NocLatencyAndTagPipeAddCycles)
     l2.size_bytes = 16 * 1024;
     l2.hit_latency = 10;
     DramConfig dram;
-    BankedL2 plain(l2, dram, NocConfig{}, 1);
+    BankedL2 plain(l2, blk, dram, NocConfig{}, 1);
     NocConfig noc;
     noc.request_latency = 3;
     noc.response_latency = 4;
-    BankedL2 routed(l2, dram, noc, 1);
+    BankedL2 routed(l2, blk, dram, noc, 1);
 
     EXPECT_EQ(routed.read(0, 0, blk, 0),
               plain.read(0, 0, blk, 0) + 3 + 4);
@@ -315,7 +315,7 @@ TEST(BankedL2, NocLatencyAndTagPipeAddCycles)
     // Tag pipe: two same-cycle hits to one slice serialize.
     L2Config piped = l2;
     piped.tag_cycles = 2;
-    BankedL2 serial(piped, dram, NocConfig{}, 1);
+    BankedL2 serial(piped, blk, dram, NocConfig{}, 1);
     serial.read(0, 0, blk, 0); // install
     Cycle h1 = serial.read(100, 0, blk, 0);
     Cycle h2 = serial.read(100, 0, blk, 0);
@@ -332,7 +332,7 @@ TEST(BankedL2, InvalidateDropsTagsAndInflight)
     l2.mshrs_per_slice = 4;
     DramConfig dram;
     dram.latency_cycles = 500;
-    BankedL2 banked(l2, dram, NocConfig{}, 1);
+    BankedL2 banked(l2, blk, dram, NocConfig{}, 1);
 
     banked.read(0, 0, blk, 0);
     banked.read(0, blk, blk, 0);

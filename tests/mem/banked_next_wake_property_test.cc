@@ -106,8 +106,9 @@ TEST(BankedNextWakeProperty, LazyTickMatchesEagerTick)
     Rng rng(3);
     for (int round = 0; round < 50; ++round) {
         ChipConfig cfg = randomConfig(rng);
-        BankedL2 eager_l2(cfg.l2, cfg.dram, cfg.noc, 1);
-        BankedL2 lazy_l2(cfg.l2, cfg.dram, cfg.noc, 1);
+        const u32 blk = cfg.mem.l1.block_bytes;
+        BankedL2 eager_l2(cfg.l2, blk, cfg.dram, cfg.noc, 1);
+        BankedL2 lazy_l2(cfg.l2, blk, cfg.dram, cfg.noc, 1);
         MemorySystem eager(cfg.mem, eager_l2, 0);
         MemorySystem lazy(cfg.mem, lazy_l2, 0);
         std::vector<Req> reqs = randomStream(
@@ -173,7 +174,8 @@ TEST(BankedNextWakeProperty, WakeNeverLaterThanFirstChange)
     Rng rng(4);
     for (int round = 0; round < 50; ++round) {
         ChipConfig cfg = randomConfig(rng);
-        BankedL2 l2(cfg.l2, cfg.dram, cfg.noc, 1);
+        BankedL2 l2(cfg.l2, cfg.mem.l1.block_bytes, cfg.dram,
+                    cfg.noc, 1);
         MemorySystem sys(cfg.mem, l2, 0);
         std::vector<Req> reqs = randomStream(rng, 30, 1500);
 

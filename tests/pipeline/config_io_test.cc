@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include "core/config_io.hh"
@@ -122,10 +123,13 @@ TEST(SMConfigIo, EnumNamesAreCaseInsensitive)
     std::string err;
     Json j = Json::object();
     j.set("lane_shuffle", Json("xor"));
-    j.set("mode", Json("sbi+swi"));
+    j.set("sched_policy", Json("GTO"));
+    j.set("reconv", Json("Thread_Frontier"));
     ASSERT_TRUE(pipeline::smConfigApplyJson(j, &c, &err)) << err;
     EXPECT_EQ(c.shuffle, pipeline::LaneShufflePolicy::Xor);
-    EXPECT_EQ(c.mode, PipelineMode::SBISWI);
+    EXPECT_EQ(c.sched_policy,
+              frontend::SchedPolicyKind::GreedyThenOldest);
+    EXPECT_EQ(c.reconv, pipeline::ReconvMode::ThreadFrontier);
 }
 
 TEST(SMConfigIo, TypeMismatchesAreErrors)
@@ -203,10 +207,7 @@ TEST(SMConfigIo, EnumNameArraysMatchTheDisplayFunctions)
         for (size_t i = 0; i < f.values.size(); ++i) {
             SMConfig c;
             f.set(c, u64(i));
-            if (std::string(f.key) == "mode") {
-                EXPECT_STREQ(f.values[i],
-                             pipeline::pipelineModeName(c.mode));
-            } else if (std::string(f.key) == "lane_shuffle") {
+            if (std::string(f.key) == "lane_shuffle") {
                 EXPECT_STREQ(
                     f.values[i],
                     pipeline::laneShuffleName(c.shuffle));
@@ -266,8 +267,8 @@ TEST(SMConfigIo, CheckInvariantsIsTheNonFatalValidate)
     c.warp_width = 3;
     EXPECT_FALSE(c.checkInvariants().empty());
     c = SMConfig::make(PipelineMode::Baseline);
-    c.swi = true; // without cascaded scheduling
-    EXPECT_NE(c.checkInvariants().find("swi"),
+    c.sbi = true; // on stack reconvergence
+    EXPECT_NE(c.checkInvariants().find("sbi"),
               std::string::npos);
     // Zero-width units would panic deep inside the exec stage;
     // the non-fatal check must catch them at load time.
@@ -335,8 +336,9 @@ TEST(GpuConfigIo, UnknownChipKeyIsAnError)
 TEST(ConfigDocs, ConfigMdDocumentsEveryField)
 {
     // docs/CONFIG.md is generated from the schema dump; this
-    // gate catches a field added to a table without the doc
-    // regenerated (see the note at the end of CONFIG.md).
+    // gate catches a field added to or deleted from a table
+    // without the doc regenerated (see the note at the end of
+    // CONFIG.md).
     std::ifstream in(std::string(SIWI_SOURCE_DIR) +
                      "/docs/CONFIG.md");
     ASSERT_TRUE(in.is_open());
@@ -357,6 +359,37 @@ TEST(ConfigDocs, ConfigMdDocumentsEveryField)
          core::gpuConfigFields())
         EXPECT_NE(doc.find(backticked(f.key)), std::string::npos)
             << "docs/CONFIG.md is missing chip field " << f.key;
+
+    // Every row of the SM, chip and bounds tables must name a live
+    // key: the first backticked word of each "| `key` |" row
+    // between the section's heading and the next one.
+    std::set<std::string> sm_keys, chip_keys;
+    for (const ConfigField<SMConfig> &f : pipeline::smConfigFields())
+        sm_keys.insert(f.key);
+    for (const ConfigField<GpuConfig> &f : core::gpuConfigFields())
+        chip_keys.insert(f.key);
+    auto rowKeys = [&](const std::string &heading) {
+        std::vector<std::string> keys;
+        size_t at = doc.find("\n## " + heading + "\n");
+        EXPECT_NE(at, std::string::npos) << heading;
+        std::istringstream section(
+            doc.substr(at, doc.find("\n## ", at + 1) - at));
+        for (std::string line; std::getline(section, line);) {
+            if (line.starts_with("| `"))
+                keys.push_back(line.substr(3, line.find('`', 3) - 3));
+        }
+        EXPECT_FALSE(keys.empty()) << heading;
+        return keys;
+    };
+    for (const std::string &k : rowKeys("SM fields"))
+        EXPECT_TRUE(sm_keys.count(k))
+            << "docs/CONFIG.md documents a stale SM key " << k;
+    for (const std::string &k : rowKeys("Chip fields"))
+        EXPECT_TRUE(chip_keys.count(k))
+            << "docs/CONFIG.md documents a stale chip key " << k;
+    for (const std::string &k : rowKeys("Bounds on counts"))
+        EXPECT_TRUE(sm_keys.count(k) || chip_keys.count(k))
+            << "docs/CONFIG.md bounds a stale key " << k;
 }
 
 TEST(GpuConfigIo, MakeDerivesAValidChip)

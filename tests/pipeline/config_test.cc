@@ -18,14 +18,12 @@ TEST(Config, BaselineMatchesTable2)
     EXPECT_EQ(c.warp_width, 32u);
     EXPECT_EQ(c.num_pools, 2u);
     EXPECT_EQ(c.reconv, ReconvMode::Stack);
-    EXPECT_EQ(c.scheduler_latency, 1u);
     EXPECT_EQ(c.delivery_latency, 0u);
     EXPECT_EQ(c.exec_latency, 8u);
     EXPECT_EQ(c.scoreboard_entries, 6u);
     EXPECT_FALSE(c.sbi);
     EXPECT_FALSE(c.swi);
     EXPECT_EQ(c.maxThreads(), 1024u);
-    EXPECT_FALSE(c.cascaded());
 }
 
 TEST(Config, SbiMatchesTable2)
@@ -36,7 +34,6 @@ TEST(Config, SbiMatchesTable2)
     EXPECT_EQ(c.reconv, ReconvMode::ThreadFrontier);
     EXPECT_TRUE(c.sbi);
     EXPECT_FALSE(c.swi);
-    EXPECT_EQ(c.scheduler_latency, 1u);
     EXPECT_EQ(c.delivery_latency, 1u);
     EXPECT_EQ(c.maxThreads(), 1024u);
 }
@@ -47,9 +44,7 @@ TEST(Config, SwiMatchesTable2)
     EXPECT_EQ(c.warp_width, 64u);
     EXPECT_TRUE(c.swi);
     EXPECT_FALSE(c.sbi);
-    EXPECT_EQ(c.scheduler_latency, 2u);
     EXPECT_EQ(c.delivery_latency, 1u);
-    EXPECT_TRUE(c.cascaded());
     EXPECT_EQ(c.shuffle, LaneShufflePolicy::XorRev);
 }
 
@@ -58,7 +53,6 @@ TEST(Config, SbiSwiCombinesBoth)
     SMConfig c = SMConfig::make(PipelineMode::SBISWI);
     EXPECT_TRUE(c.sbi);
     EXPECT_TRUE(c.swi);
-    EXPECT_TRUE(c.cascaded());
 }
 
 TEST(Config, MemoryDefaultsMatchTable2)
@@ -90,9 +84,13 @@ TEST(Config, ExecGeometryPreservesLaneBudget)
 
 TEST(Config, SummaryMentionsMode)
 {
+    // The mode is its switches: SBI+SWI is both on, with Table 2's
+    // 2-cycle (cascaded) scheduler.
     SMConfig c = SMConfig::make(PipelineMode::SBISWI);
     std::string s = c.summary();
-    EXPECT_NE(s.find("SBI+SWI"), std::string::npos);
+    EXPECT_NE(s.find("SBI:                on"), std::string::npos);
+    EXPECT_NE(s.find("SWI:                on"), std::string::npos);
+    EXPECT_NE(s.find("scheduler latency:  2"), std::string::npos);
     EXPECT_NE(s.find("thread frontier"), std::string::npos);
 }
 

@@ -125,6 +125,34 @@ TEST(Runner, DramKeyReachesOneSmCell)
     EXPECT_NE(fast.stats.cycles, paper.stats.cycles);
 }
 
+/**
+ * The swi key is the switch for cascaded issue (paper 4): turning
+ * it off on SWI, or on on SBI, changes the cell.
+ */
+TEST(Runner, SwiKeySwitchesCascadedIssue)
+{
+    SweepSpec s = checkedInSweep("fig7.json", "fig7_regular");
+    s.size = SizeClass::Tiny;
+    s.filterMachines({"SBI", "SWI"});
+    s.filterWorkloads({"MatrixMul"});
+    ASSERT_EQ(s.cellCount(), 2u);
+    for (size_t m = 0; m < 2; ++m) {
+        const CellResult plain = runCell(s, m, 0);
+        const bool swi = s.machines[m].config.swi;
+        SweepSpec flipped = s;
+        std::string err;
+        ASSERT_TRUE(machineApplyKeyValue(
+            &flipped.machines[m], swi ? "swi=false" : "swi=true",
+            &err))
+            << err;
+        const CellResult c = runCell(flipped, m, 0);
+        EXPECT_TRUE(plain.verified) << plain.verify_msg;
+        EXPECT_TRUE(c.verified) << c.verify_msg;
+        EXPECT_NE(c.stats, plain.stats)
+            << s.machines[m].name << " with swi=" << !swi;
+    }
+}
+
 TEST(Runner, ResultsIdenticalAcrossThreadCounts)
 {
     setLogQuiet(true);
@@ -322,9 +350,9 @@ TEST(Runner, GoldenMachinePolicyGridDeterministic)
     s.name = "golden";
     s.filterWorkloads({"BFS"});
     s.policies.clear();
-    for (frontend::SchedPolicyKind k :
-         frontend::allSchedPolicies())
-        s.policies.push_back(k);
+    for (size_t i = 0; i < std::size(frontend::sched_policy_names);
+         ++i)
+        s.policies.push_back(frontend::SchedPolicyKind(i));
     ASSERT_EQ(s.cellCount(), 20u);
 
     RunOptions serial;

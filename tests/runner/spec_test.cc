@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <fstream>
+#include <span>
 
 #include "checked_in_spec.hh"
 #include "common/log.hh"
@@ -99,10 +101,10 @@ TEST(MachineFromJson, ErrorsNameTheProblem)
 
     // A set that violates the config invariants is caught at
     // load time, not by a simulator panic later.
-    j = parseJson(R"({"name": "X", "base": "swi",
-                      "set": {"scheduler_latency": 1}})");
+    j = parseJson(R"({"name": "X", "base": "sbi",
+                      "set": {"reconv": "stack"}})");
     EXPECT_FALSE(machineFromJson(j, "", reg, &m, &err));
-    EXPECT_NE(err.find("cascaded"), std::string::npos) << err;
+    EXPECT_NE(err.find("thread-frontier"), std::string::npos) << err;
 
     j = parseJson(R"({"name": "X", "base": "swi",
                       "flavor": "mild"})");
@@ -228,7 +230,7 @@ TEST(SpecFile, StrictErrorsNameTheOffender)
                       &err));
     EXPECT_NE(err.find("twice"), std::string::npos) << err;
 
-    // The mode tag is fixed by the base machine.
+    // There is no mode key: the base machine names the machine.
     EXPECT_FALSE(load(R"({"name": "x", "sweeps": [
         {"name": "s",
          "machines": [{"name": "M", "base": "Baseline",
@@ -242,6 +244,17 @@ TEST(SpecFile, StrictErrorsNameTheOffender)
          "set": {"mode": "SWI"}}]})",
                       &err));
     EXPECT_NE(err.find("mode"), std::string::npos) << err;
+    // Nor a scheduler_latency key (swi is the cascaded scheduler)
+    // or an l2_block_bytes key (the L2 uses the L1's blocks).
+    for (const std::string key :
+         {"scheduler_latency", "l2_block_bytes"}) {
+        EXPECT_FALSE(load(R"({"name": "x", "sweeps": [
+            {"name": "s", "machines": ["SBI"],
+             "workloads": ["regular"], "set": {")" +
+                              key + R"(": 2}}]})",
+                          &err));
+        EXPECT_NE(err.find(key), std::string::npos) << err;
+    }
 
     EXPECT_FALSE(load(R"({"name": "x", "sweeps": [
         {"name": "s", "machines": ["SBI"],
@@ -250,6 +263,110 @@ TEST(SpecFile, StrictErrorsNameTheOffender)
          "workloads": ["regular"]}]})",
                       &err));
     EXPECT_NE(err.find("duplicate sweep"), std::string::npos);
+}
+
+TEST(SpecFile, EnumNamesMatchAnyCaseAndLabelCanonically)
+{
+    MachineRegistry reg;
+    std::vector<SweepSpec> sweeps;
+    std::string label, err;
+    ASSERT_TRUE(sweepsFromSpecJson(
+        parseJson(R"({"name": "x", "sweeps": [
+            {"name": "s", "machines": ["SBI"],
+             "workloads": ["BFS"], "size": "Full",
+             "policies": ["GTO"]}]})"),
+        "", &reg, &sweeps, &label, &err))
+        << err;
+    ASSERT_EQ(sweeps.size(), 1u);
+    const SweepSpec &s = sweeps[0];
+    EXPECT_EQ(s.size, SizeClass::Full);
+    EXPECT_STREQ(sizeClassName(s.size), "full");
+    ASSERT_EQ(s.policies.size(), 1u);
+    EXPECT_EQ(s.policies[0],
+              frontend::SchedPolicyKind::GreedyThenOldest);
+    EXPECT_EQ(cellMachineLabel("SBI", s.policies[0], 1), "SBI/gto");
+}
+
+// Each enum's name array has one entry per enumerator...
+static_assert(std::size(pipeline::pipeline_mode_names) ==
+              size_t(pipeline::PipelineMode::SBISWI) + 1);
+static_assert(std::size(pipeline::reconv_names) ==
+              size_t(pipeline::ReconvMode::ThreadFrontier) + 1);
+static_assert(std::size(pipeline::lane_shuffle_names) ==
+              size_t(pipeline::LaneShufflePolicy::XorRev) + 1);
+static_assert(std::size(frontend::sched_policy_names) ==
+              size_t(frontend::SchedPolicyKind::MinPc) + 1);
+static_assert(std::size(workloads::size_class_names) ==
+              size_t(SizeClass::Chip) + 1);
+
+/**
+ * ...and is the only spelling of its values: for every value,
+ * name -> enumIndex (in any letter case) -> name round-trips
+ * through the display function, and the config table's enum rows
+ * use the same arrays.
+ */
+TEST(EnumNames, EveryValueRoundTrips)
+{
+    struct Row
+    {
+        std::span<const char *const> names;
+        std::string (*display)(size_t);
+    };
+    const Row rows[] = {
+        {pipeline::pipeline_mode_names,
+         [](size_t i) -> std::string {
+             return pipeline::pipelineModeName(
+                 pipeline::PipelineMode(i));
+         }},
+        {pipeline::reconv_names,
+         [](size_t i) {
+             pipeline::SMConfig c;
+             c.reconv = pipeline::ReconvMode(i);
+             return pipeline::smConfigToJson(c).getString("reconv");
+         }},
+        {pipeline::lane_shuffle_names,
+         [](size_t i) -> std::string {
+             return pipeline::laneShuffleName(
+                 pipeline::LaneShufflePolicy(i));
+         }},
+        {frontend::sched_policy_names,
+         [](size_t i) -> std::string {
+             return frontend::schedPolicyName(
+                 frontend::SchedPolicyKind(i));
+         }},
+        {workloads::size_class_names,
+         [](size_t i) -> std::string {
+             return sizeClassName(SizeClass(i));
+         }},
+    };
+    for (const Row &r : rows) {
+        for (size_t i = 0; i < r.names.size(); ++i) {
+            const std::string name = r.display(i);
+            EXPECT_EQ(name, r.names[i]);
+            std::string upper = name, lower = name;
+            for (char &ch : upper)
+                ch = char(std::toupper(static_cast<unsigned char>(ch)));
+            for (char &ch : lower)
+                ch = char(std::tolower(static_cast<unsigned char>(ch)));
+            for (const std::string &spelling : {name, upper, lower}) {
+                size_t back = r.names.size();
+                ASSERT_TRUE(enumIndex(r.names, spelling, &back))
+                    << spelling;
+                EXPECT_EQ(r.display(back), name) << spelling;
+            }
+        }
+        size_t back = 0;
+        EXPECT_FALSE(enumIndex(r.names, "no-such-name", &back));
+    }
+    for (const ConfigField<pipeline::SMConfig> &f :
+         pipeline::smConfigFields()) {
+        if (f.type != ConfigFieldType::Enum)
+            continue;
+        bool shared = false;
+        for (const Row &r : rows)
+            shared = shared || r.names.data() == f.values.data();
+        EXPECT_TRUE(shared) << f.key;
+    }
 }
 
 TEST(SpecFile, SweepLevelSetAppliesToEveryMachine)

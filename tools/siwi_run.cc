@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "core/config_io.hh"
-#include "frontend/registry.hh"
 #include "pipeline/config_io.hh"
 #include "runner/runner.hh"
 #include "serve/cached_run.hh"
@@ -265,9 +264,8 @@ main(int argc, char **argv)
              workloads::allWorkloads())
             std::printf(" %s", w->name());
         std::printf("\npolicies:");
-        for (const frontend::PolicyEntry &p :
-             frontend::policyRegistry())
-            std::printf(" %s", p.name);
+        for (const char *p : frontend::sched_policy_names)
+            std::printf(" %s", p);
         std::printf("\n");
         return exit_ok;
     }
@@ -319,23 +317,19 @@ main(int argc, char **argv)
     std::vector<std::string> set_kvs = args.options("--set");
     bool dump_config = args.flag("--dump-config");
     bool dry_run = args.flag("--dry-run");
-    std::string size_str;
-    bool have_size = args.option("--size", &size_str);
+    size_t size_idx = 0;
+    bool have_size = args.enumOption(
+        "--size", workloads::size_class_names, &size_idx);
     std::vector<std::string> machines = args.options("--machine");
     std::vector<std::string> wl_names = args.options("--workload");
     std::vector<unsigned> sms_axis;
     if (!smsAxisOption(args, "siwi-run", &sms_axis))
         return exit_usage;
     std::vector<frontend::SchedPolicyKind> policy_axis;
-    for (const std::string &p : args.options("--policy")) {
-        frontend::SchedPolicyKind kind;
-        if (!frontend::parseSchedPolicy(p, &kind)) {
-            std::fprintf(stderr, "siwi-run: bad --policy: %s\n",
-                         p.c_str());
-            return exit_usage;
-        }
-        policy_axis.push_back(kind);
-    }
+    size_t policy_idx = 0;
+    while (args.enumOption("--policy", frontend::sched_policy_names,
+                           &policy_idx))
+        policy_axis.push_back(frontend::SchedPolicyKind(policy_idx));
     unsigned jobs = 0;
     if (!args.intOption("--jobs", &jobs))
         args.intOption("-j", &jobs);
@@ -385,20 +379,8 @@ main(int argc, char **argv)
         return exit_usage;
     }
     if (have_size) {
-        workloads::SizeClass sz;
-        if (size_str == "tiny") {
-            sz = workloads::SizeClass::Tiny;
-        } else if (size_str == "full") {
-            sz = workloads::SizeClass::Full;
-        } else if (size_str == "chip") {
-            sz = workloads::SizeClass::Chip;
-        } else {
-            std::fprintf(stderr, "siwi-run: bad --size: %s\n",
-                         size_str.c_str());
-            return exit_usage;
-        }
         for (SweepSpec &s : sweeps)
-            s.size = sz;
+            s.size = workloads::SizeClass(size_idx);
     }
     // A --machine-file machine joins every selected sweep as an
     // extra column (combine with --machine to keep only it).
@@ -428,15 +410,6 @@ main(int argc, char **argv)
     // --set mutations apply to every machine of every selected
     // sweep, through the same field table as spec files; the
     // result must still satisfy the config invariants.
-    for (const std::string &kv : set_kvs) {
-        if (kv.starts_with("mode=")) {
-            std::fprintf(stderr,
-                         "siwi-run: --set mode is fixed by the "
-                         "base machine (use --machine or a "
-                         "machine file instead)\n");
-            return exit_usage;
-        }
-    }
     for (SweepSpec &s : sweeps) {
         for (MachineSpec &m : s.machines) {
             for (const std::string &kv : set_kvs) {
