@@ -8,8 +8,9 @@
 #
 #   warm      fast.json twice on one cache: the second run must
 #             compute 0 cells and be byte-identical to the first.
-#   baseline  both documents must match bench/baseline.json at
-#             tolerance 0.
+#   baseline  both documents must pass siwi-run --compare against
+#             bench/baseline.json (exact: any IPC change, missing
+#             or added cell fails).
 #   resume    kill -9 a serial fig7.json run once some cells are
 #             stored, rerun on the same cache: every stored cell
 #             must come back as a hit, and the document must be
@@ -70,10 +71,10 @@ cmp "$work/cold.json" "$work/warm.json" \
 echo "   ok: $hits hits, 0 computed, byte-identical"
 
 # ---------------------------------------------------------------
-echo "== leg 2: tolerance-0 baseline gate on both documents"
-"$RUN" --compare "$BASELINE" "$work/cold.json" --tolerance 0 \
+echo "== leg 2: baseline gate on both documents"
+"$RUN" --compare "$BASELINE" "$work/cold.json" \
     || fail "cold run deviates from $BASELINE"
-"$RUN" --compare "$BASELINE" "$work/warm.json" --tolerance 0 \
+"$RUN" --compare "$BASELINE" "$work/warm.json" \
     || fail "warm run deviates from $BASELINE"
 echo "   ok: cold and warm match $BASELINE"
 

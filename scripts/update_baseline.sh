@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
-# Regenerate bench/baseline.json, the committed reference the CI
-# bench-regression gate compares every PR against.
+# Regenerate bench/baseline.json, the committed reference that the
+# ctest case runner.SpecGolden.FastSpecMatchesCommittedBaseline
+# (every build-test and ASan CI leg) compares every PR against.
 #
 # Run this when a PR *intentionally* changes simulated timing, and
 # commit the result together with the change (the PR diff then
@@ -10,11 +11,11 @@
 # Uses a dedicated build directory so it never reconfigures (and
 # silently converts to Release) a developer's default build/.
 #
-# The gate's other reference, bench/fast_suite_reference.json, holds
+# CI's other reference, bench/fast_suite_reference.json, holds
 # siwi-bench runs of the fast_suite workload and is host-dependent,
 # so this script does not write it. A PR that changes the
 # simulator's speed re-records it on a host with 4 or more CPUs,
-# with the loop the CI job runs:
+# with the loop the CI bench-regression job runs:
 #
 #   rm bench/fast_suite_reference.json
 #   for s in 1 2 3; do bash bench/perf/run.sh --workload fast_suite \

@@ -3,8 +3,6 @@
 #include <iomanip>
 #include <sstream>
 
-#include "common/log.hh"
-
 namespace siwi::core {
 
 using pipeline::PipelineMode;
@@ -106,51 +104,6 @@ inventoryTotalBits(PipelineMode mode, const InventoryParams &p)
 {
     u64 total = 0;
     for (const StorageItem &it : hardwareInventory(mode, p))
-        total += it.bits;
-    return total;
-}
-
-std::vector<StorageItem>
-chipInventory(PipelineMode mode, unsigned num_sms,
-              const mem::L2Config &l2, const InventoryParams &p)
-{
-    siwi_assert(num_sms >= 1, "chip with no SMs");
-    std::vector<StorageItem> items = hardwareInventory(mode, p);
-    if (num_sms > 1) {
-        for (StorageItem &it : items) {
-            it.geometry = std::to_string(num_sms) + "SM x " +
-                          it.geometry;
-            it.bits *= num_sms;
-        }
-        // Shared-L2 tag array: one line per L1-sized block; tag =
-        // 32-bit block address minus set and offset bits, plus
-        // valid and an LRU rank within the set.
-        const u32 block_bytes =
-            pipeline::SMConfig::make(mode).mem.l1.block_bytes;
-        const u32 lines = l2.size_bytes / block_bytes;
-        const u32 sets = lines / l2.ways;
-        unsigned set_bits = 0, off_bits = 0;
-        for (u32 v = sets; v > 1; v >>= 1)
-            ++set_bits;
-        for (u32 v = block_bytes; v > 1; v >>= 1)
-            ++off_bits;
-        const unsigned lru_bits = 4; // rank within <=16 ways
-        const unsigned tag_bits =
-            (32 - set_bits - off_bits) + 1 + lru_bits;
-        items.push_back({"Shared L2 tags",
-                         geom(1, lines, tag_bits),
-                         u64(lines) * tag_bits, "chip-shared"});
-    }
-    return items;
-}
-
-u64
-chipInventoryTotalBits(PipelineMode mode, unsigned num_sms,
-                       const mem::L2Config &l2,
-                       const InventoryParams &p)
-{
-    u64 total = 0;
-    for (const StorageItem &it : chipInventory(mode, num_sms, l2, p))
         total += it.bits;
     return total;
 }

@@ -51,23 +51,6 @@ std::vector<StorageItem> hardwareInventory(
 u64 inventoryTotalBits(pipeline::PipelineMode mode,
                        const InventoryParams &p = {});
 
-/**
- * Chip-level inventory of a multi-SM machine (beyond Table 3):
- * the per-SM front-end storage of @p mode replicated
- * @p num_sms times, plus the shared-L2 tag array when the chip
- * has more than one SM (geometry from @p l2, in blocks of the
- * mode's L1 block size).
- */
-std::vector<StorageItem> chipInventory(
-    pipeline::PipelineMode mode, unsigned num_sms,
-    const mem::L2Config &l2 = {}, const InventoryParams &p = {});
-
-/** Total storage bits of chipInventory(). */
-u64 chipInventoryTotalBits(pipeline::PipelineMode mode,
-                           unsigned num_sms,
-                           const mem::L2Config &l2 = {},
-                           const InventoryParams &p = {});
-
 /** Render the full Table 3 (all four configurations). */
 std::string formatInventoryTable(const InventoryParams &p = {});
 

@@ -99,7 +99,7 @@ struct SMConfig
     /**
      * Primary-scheduler candidate ordering (frontend layer). The
      * paper's machines are all oldest-first; the alternatives are
-     * an orthogonal sweep axis (siwi-run --policy).
+     * an orthogonal sweep axis (a spec sweep's "policies").
      */
     frontend::SchedPolicyKind sched_policy =
         frontend::SchedPolicyKind::OldestFirst;

@@ -67,7 +67,7 @@ fieldTable()
         F_ENUM("sched_policy", sched_policy,
                frontend::sched_policy_names,
                "primary-scheduler candidate ordering (the "
-               "machine's default; a non-default --policy axis "
+               "machine's default; a non-default `policies` axis "
                "entry overrides it)"),
         F_ENUM("lane_shuffle", shuffle, lane_shuffle_names,
                "static SWI lane-shuffle policy (paper Table 1)"),

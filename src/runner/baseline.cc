@@ -92,7 +92,7 @@ CompareReport::format() const
         }
     };
     list("REGRESSIONS beyond tolerance", regressions);
-    list("improvements beyond tolerance", improvements);
+    list("IMPROVEMENTS beyond tolerance", improvements);
 
     auto names = [&](const char *title,
                      const std::vector<std::string> &v) {
@@ -104,7 +104,7 @@ CompareReport::format() const
     };
     names("MISSING cells (in baseline, not in candidate)",
           missing);
-    names("added cells (not in baseline)", added);
+    names("ADDED cells (in candidate, not in baseline)", added);
     names("UNVERIFIED candidate cells", unverified);
     names("TIMED-OUT candidate cells (cycle cap hit)", timed_out);
 

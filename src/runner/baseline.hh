@@ -1,13 +1,14 @@
 /**
  * @file
- * Baseline comparison: the CI bench-regression gate.
+ * Baseline comparison: the tolerance-0 regression gate.
  *
  * Compares a freshly-produced Results file against the committed
  * bench/baseline.json cell by cell, on IPC, with a relative
- * tolerance. The simulator is deterministic, so the tolerance only
- * absorbs *explained* drift (a PR that intentionally changes
- * timing regenerates the baseline via scripts/update_baseline.sh);
- * anything beyond it fails the gate.
+ * tolerance. The simulator is deterministic, so the gate runs at
+ * tolerance 0: any IPC change, in either direction, and any cell
+ * missing from or added to the baseline fails it. A change that
+ * moves timing on purpose regenerates the baseline via
+ * scripts/update_baseline.sh.
  */
 
 #ifndef SIWI_RUNNER_BASELINE_HH
@@ -39,7 +40,7 @@ struct CompareReport
     std::vector<CellDelta> deltas;
     /** Cells beyond tolerance, worst regression first. */
     std::vector<CellDelta> regressions;
-    /** Improvements beyond tolerance (reported, not fatal). */
+    /** Improvements beyond tolerance, largest first. */
     std::vector<CellDelta> improvements;
     /** Baseline cells absent from the candidate. */
     std::vector<std::string> missing;
@@ -50,11 +51,13 @@ struct CompareReport
     /** Candidate cells truncated at the cycle cap. */
     std::vector<std::string> timed_out;
 
-    /** Gate verdict: no regressions, nothing missing, all
-     *  candidate cells verified and none timed out. */
+    /** Gate verdict: no IPC change beyond tolerance either way,
+     *  the same cells in both files, all candidate cells verified
+     *  and none timed out. */
     bool pass() const
     {
-        return regressions.empty() && missing.empty() &&
+        return regressions.empty() && improvements.empty() &&
+               missing.empty() && added.empty() &&
                unverified.empty() && timed_out.empty();
     }
 

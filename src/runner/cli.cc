@@ -5,8 +5,6 @@
 #include <cstdlib>
 #include <limits>
 
-#include "common/config_reflect.hh"
-
 namespace siwi::runner {
 
 ArgList::ArgList(int argc, char **argv)
@@ -78,66 +76,6 @@ ArgList::intOption(const std::string &name, unsigned *value)
         return false;
     }
     *value = unsigned(n);
-    return true;
-}
-
-bool
-ArgList::doubleOption(const std::string &name, double *value)
-{
-    std::string v;
-    if (!option(name, &v))
-        return false;
-    char *end = nullptr;
-    double d = std::strtod(v.c_str(), &end);
-    if (!end || end == v.c_str() || *end != '\0') {
-        errors_.push_back(name + ": not a number: " + v);
-        return false;
-    }
-    *value = d;
-    return true;
-}
-
-bool
-ArgList::enumOption(const std::string &name,
-                    std::span<const char *const> names,
-                    size_t *index)
-{
-    std::string v;
-    if (!option(name, &v))
-        return false;
-    if (!enumIndex(names, v, index)) {
-        errors_.push_back(name + ": unknown value '" + v + "' (" +
-                          enumNameList(names) + ")");
-        return false;
-    }
-    return true;
-}
-
-bool
-smsAxisOption(ArgList &args, const char *prog,
-              std::vector<unsigned> *out)
-{
-    for (const std::string &s : args.options("--sms")) {
-        char *end = nullptr;
-        unsigned long v = std::strtoul(s.c_str(), &end, 10);
-        if (s.empty() || s[0] == '-' || !end || *end != '\0' ||
-            v < 1 || v > 1024) {
-            std::fprintf(stderr, "%s: bad --sms: %s\n", prog,
-                         s.c_str());
-            return false;
-        }
-        // A repeated count would expand to duplicate cells with
-        // colliding "@<n>sm" labels.
-        for (unsigned prev : *out) {
-            if (prev == unsigned(v)) {
-                std::fprintf(stderr,
-                             "%s: duplicate --sms %lu\n", prog,
-                             v);
-                return false;
-            }
-        }
-        out->push_back(unsigned(v));
-    }
     return true;
 }
 

@@ -6,7 +6,6 @@
 #ifndef SIWI_RUNNER_CLI_HH
 #define SIWI_RUNNER_CLI_HH
 
-#include <span>
 #include <string>
 #include <vector>
 
@@ -41,19 +40,6 @@ class ArgList
      */
     bool intOption(const std::string &name, unsigned *value);
 
-    /** option() parsed as a double. */
-    bool doubleOption(const std::string &name, double *value);
-
-    /**
-     * option() parsed as one of @p names, matched the way config
-     * enums are (enumIndex: case-insensitive): @p index is the
-     * value's position in @p names. An unknown name is a usage
-     * error that lists @p names.
-     */
-    bool enumOption(const std::string &name,
-                    std::span<const char *const> names,
-                    size_t *index);
-
     /** Arguments not consumed so far (excluding argv[0]). */
     const std::vector<std::string> &remaining() const
     {
@@ -77,15 +63,6 @@ class ArgList
  * @return true when the argument list was fully consumed cleanly.
  */
 bool finishArgs(const ArgList &args, const char *prog);
-
-/**
- * Consume every repeatable "--sms N" occurrence into an SM-count
- * axis. Reports bad values to stderr under @p prog.
- * @return false on a malformed entry; @p out untouched when the
- *         flag is absent.
- */
-bool smsAxisOption(ArgList &args, const char *prog,
-                   std::vector<unsigned> *out);
 
 } // namespace siwi::runner
 

@@ -1,7 +1,6 @@
 #include "runner/results.hh"
 
 #include <algorithm>
-#include <sstream>
 
 #include "core/config_io.hh"
 #include "core/stats_io.hh"
@@ -158,34 +157,6 @@ std::string
 Results::toJsonText() const
 {
     return toJson().dump(2) + "\n";
-}
-
-std::string
-Results::toCsv() const
-{
-    std::ostringstream os;
-    os << "sweep,machine,workload,size,num_sms,policy,"
-          "excluded_from_means,"
-          "verified,timed_out,ipc,cycles,instructions,"
-          "thread_instructions,"
-          "l1_hits,l1_misses,l2_hits,l2_misses,dram_transactions,"
-          "dram_bytes\n";
-    os.precision(17);
-    for (const CellResult &c : cells) {
-        os << c.sweep << ',' << c.machine << ',' << c.workload
-           << ',' << c.size << ',' << c.num_sms << ','
-           << c.policy << ','
-           << (c.excluded_from_means ? 1 : 0)
-           << ',' << (c.verified ? 1 : 0) << ','
-           << (c.timed_out ? 1 : 0) << ',' << c.ipc << ','
-           << c.stats.cycles << ',' << c.stats.instructions << ','
-           << c.stats.thread_instructions << ',' << c.stats.l1_hits
-           << ',' << c.stats.l1_misses << ',' << c.stats.l2_hits
-           << ',' << c.stats.l2_misses << ','
-           << c.stats.dram_transactions << ',' << c.stats.dram_bytes
-           << '\n';
-    }
-    return os.str();
 }
 
 bool

@@ -3,7 +3,7 @@
  * Machine-readable results of an experiment sweep.
  *
  * Results is the one container every consumer shares: the bench
- * table printers, the siwi-run CLI, the JSON/CSV serializers and
+ * table printers, the siwi-run CLI, the JSON serializer and
  * the CI baseline gate. The JSON layout is versioned via
  * core::stats_schema_version (see core/stats_io.hh); bench/README.md
  * documents the schema.
@@ -130,12 +130,6 @@ class Results
 
     /** Pretty-printed JSON document with trailing newline. */
     std::string toJsonText() const;
-
-    /**
-     * Flat CSV: one row per cell with the headline counters (the
-     * full record is the JSON form).
-     */
-    std::string toCsv() const;
 
     /**
      * Parse toJson() output. Fails on schema-version mismatch.

@@ -335,25 +335,10 @@ sweepFromJson(const Json &j, const std::string &base_dir,
                 return fail(serr);
         }
     }
-    for (const MachineSpec &m : s.machines) {
-        std::string inv = m.config.checkInvariants();
-        if (!inv.empty())
-            return fail("machine '" + m.name + "': " + inv);
-    }
-    std::string axes = s.checkAxes();
-    if (!axes.empty()) {
+    std::string bad = checkSweep(s);
+    if (!bad.empty()) {
         if (err)
-            *err = axes;
-        return false;
-    }
-    // Chip-level overrides can violate invariants that only
-    // materialize on the resolved chip (e.g. more L2 slices than
-    // sets), so check every cell configuration the sweep expands
-    // to.
-    std::string chips = checkResolvedConfigs(s);
-    if (!chips.empty()) {
-        if (err)
-            *err = chips;
+            *err = bad;
         return false;
     }
     *out = std::move(s);

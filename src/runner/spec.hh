@@ -112,9 +112,8 @@ bool loadMachineFile(const std::string &path,
  *       "set"?: {field: value, ...}} — applied to every machine
  *      , ...]}
  *
- * @p reg is extended by the spec's own "machines" section, so a
- * caller-preloaded registry (--machine-file) is visible to the
- * spec and vice versa.
+ * @p reg is extended by the spec's own "machines" section, so
+ * its machines are visible to every sweep and to the caller.
  * @return false and set @p err on any problem.
  */
 bool sweepsFromSpecJson(const Json &j, const std::string &base_dir,

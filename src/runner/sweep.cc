@@ -84,11 +84,15 @@ machineApplyJson(MachineSpec *m, const Json &set,
 namespace {
 
 bool
-keepName(const std::vector<std::string> &keep,
-         const std::string &name)
+machineNamed(const MachineSpec &m, std::string_view name)
 {
-    return keep.empty() ||
-           std::find(keep.begin(), keep.end(), name) != keep.end();
+    return configNameEquals(m.name, name);
+}
+
+bool
+workloadNamed(const workloads::Workload *w, std::string_view name)
+{
+    return name == w->name();
 }
 
 } // namespace
@@ -96,17 +100,62 @@ keepName(const std::vector<std::string> &keep,
 void
 SweepSpec::filterMachines(const std::vector<std::string> &keep)
 {
+    if (keep.empty())
+        return;
     std::erase_if(machines, [&](const MachineSpec &m) {
-        return !keepName(keep, m.name);
+        return std::ranges::none_of(keep, [&](const std::string &k) {
+            return machineNamed(m, k);
+        });
     });
 }
 
 void
 SweepSpec::filterWorkloads(const std::vector<std::string> &keep)
 {
+    if (keep.empty())
+        return;
     std::erase_if(wls, [&](const workloads::Workload *w) {
-        return !keepName(keep, w->name());
+        return std::ranges::none_of(keep, [&](const std::string &k) {
+            return workloadNamed(w, k);
+        });
     });
+}
+
+std::string
+narrowSweeps(std::vector<SweepSpec> *sweeps,
+             const std::vector<std::string> &machines,
+             const std::vector<std::string> &workloads)
+{
+    // A value that matches nothing is a typo, never a silent
+    // no-op: check each against the whole spec before filtering.
+    for (const std::string &name : machines) {
+        bool found = false;
+        for (const SweepSpec &s : *sweeps) {
+            for (const MachineSpec &m : s.machines)
+                found = found || machineNamed(m, name);
+        }
+        if (!found)
+            return "machine '" + name + "' is in no sweep";
+    }
+    for (const std::string &name : workloads) {
+        bool found = false;
+        for (const SweepSpec &s : *sweeps) {
+            for (const workloads::Workload *w : s.wls)
+                found = found || workloadNamed(w, name);
+        }
+        if (!found)
+            return "workload '" + name + "' is in no sweep";
+    }
+    for (SweepSpec &s : *sweeps) {
+        s.filterMachines(machines);
+        s.filterWorkloads(workloads);
+    }
+    std::erase_if(*sweeps, [](const SweepSpec &s) {
+        return s.cellCount() == 0;
+    });
+    if (sweeps->empty())
+        return "selection matches no cells";
+    return {};
 }
 
 void
@@ -132,36 +181,6 @@ SweepSpec::dedupeMachines()
         }
     }
     machines = std::move(unique);
-}
-
-std::string
-SweepSpec::checkAxes() const
-{
-    for (size_t i = 0; i < sms.size(); ++i) {
-        for (size_t j = i + 1; j < sms.size(); ++j) {
-            if (sms[i] == sms[j])
-                return "sweep '" + name +
-                       "': duplicate sms entry " +
-                       std::to_string(sms[i]);
-        }
-    }
-    for (size_t m = 0; m < machines.size(); ++m) {
-        for (size_t i = 0; i < policies.size(); ++i) {
-            for (size_t j = i + 1; j < policies.size(); ++j) {
-                if (effectivePolicy(*this, m, i) ==
-                    effectivePolicy(*this, m, j))
-                    return "sweep '" + name +
-                           "': machine '" + machines[m].name +
-                           "' runs policy '" +
-                           frontend::schedPolicyName(
-                               effectivePolicy(*this, m, i)) +
-                           "' twice (the oldest axis entry "
-                           "resolves to the machine's own "
-                           "sched_policy)";
-            }
-        }
-    }
-    return {};
 }
 
 frontend::SchedPolicyKind
@@ -212,6 +231,40 @@ resolvedCellConfig(const SweepSpec &sweep, size_t machine,
     return chip;
 }
 
+namespace {
+
+/** The axis step of checkSweep(). */
+std::string
+checkAxes(const SweepSpec &s)
+{
+    for (size_t i = 0; i < s.sms.size(); ++i) {
+        for (size_t j = i + 1; j < s.sms.size(); ++j) {
+            if (s.sms[i] == s.sms[j])
+                return "sweep '" + s.name +
+                       "': duplicate sms entry " +
+                       std::to_string(s.sms[i]);
+        }
+    }
+    for (size_t m = 0; m < s.machines.size(); ++m) {
+        for (size_t i = 0; i < s.policies.size(); ++i) {
+            for (size_t j = i + 1; j < s.policies.size(); ++j) {
+                if (effectivePolicy(s, m, i) ==
+                    effectivePolicy(s, m, j))
+                    return "sweep '" + s.name +
+                           "': machine '" + s.machines[m].name +
+                           "' runs policy '" +
+                           frontend::schedPolicyName(
+                               effectivePolicy(s, m, i)) +
+                           "' twice (the oldest axis entry "
+                           "resolves to the machine's own "
+                           "sched_policy)";
+            }
+        }
+    }
+    return {};
+}
+
+/** The resolved-chip step of checkSweep(). */
 std::string
 checkResolvedConfigs(const SweepSpec &sweep)
 {
@@ -230,6 +283,23 @@ checkResolvedConfigs(const SweepSpec &sweep)
         }
     }
     return {};
+}
+
+} // namespace
+
+std::string
+checkSweep(const SweepSpec &sweep)
+{
+    for (const MachineSpec &m : sweep.machines) {
+        std::string inv = m.config.checkInvariants();
+        if (!inv.empty())
+            return "sweep '" + sweep.name + "': machine '" + m.name +
+                   "': " + inv;
+    }
+    std::string axes = checkAxes(sweep);
+    if (!axes.empty())
+        return axes;
+    return checkResolvedConfigs(sweep);
 }
 
 std::vector<CellSpec>

@@ -101,9 +101,15 @@ struct SweepSpec
                policies.size();
     }
 
-    /** Drop machines whose name is not in @p keep (empty = all). */
+    /**
+     * Drop machines whose name is not in @p keep (empty = all).
+     * Names match case-insensitively, as spec files name machines.
+     */
     void filterMachines(const std::vector<std::string> &keep);
-    /** Drop workloads whose name is not in @p keep (empty = all). */
+    /**
+     * Drop workloads whose name is not in @p keep (empty = all).
+     * Names match exactly, as workloads::findWorkload does.
+     */
     void filterWorkloads(const std::vector<std::string> &keep);
     /**
      * Drop machines whose config equals an earlier column (field
@@ -113,17 +119,6 @@ struct SweepSpec
      * own copy of every sweep.
      */
     void dedupeMachines();
-
-    /**
-     * Reject axis combinations that would expand to duplicate
-     * cells with colliding labels: duplicate sms entries, and
-     * duplicate *effective* policies for any machine (the
-     * default oldest entry resolves to the machine's own
-     * sched_policy — see effectivePolicy()). Returns a
-     * diagnostic, or empty when the axes are sound. The spec
-     * loader and siwi-run report this as a parse/usage error.
-     */
-    std::string checkAxes() const;
 
     /** SM count of the @p sms_idx axis entry (1 when empty). */
     unsigned smsAt(size_t sms_idx) const
@@ -171,15 +166,36 @@ core::GpuConfig resolvedCellConfig(const SweepSpec &sweep,
                                    size_t policy_idx);
 
 /**
- * Validate every chip configuration @p sweep resolves to
- * (machines x sms axis): chip_sets can request topologies that
- * violate chip invariants (e.g. more L2 slices than sets), which
- * only materialize after GpuConfig::make(). Returns a diagnostic
- * naming the machine and SM count, or empty when all are sound.
- * The spec loader and siwi-run report this as a parse/usage
- * error.
+ * The one validity check of a sweep, in three steps:
+ *  - every machine's SM config satisfies its invariants;
+ *  - the axes expand to no duplicate cells: no repeated sms
+ *    entry, and no machine runs the same *effective* policy
+ *    twice (the default oldest entry resolves to the machine's
+ *    own sched_policy — see effectivePolicy());
+ *  - every chip configuration the sweep resolves to (machines x
+ *    sms axis) satisfies the chip invariants. chip_sets can
+ *    request topologies (e.g. more L2 slices than sets) that only
+ *    materialize after GpuConfig::make().
+ * The spec loader runs it on every sweep it builds, and siwi-run
+ * again after --set; both report it as a usage error.
+ * @return the first diagnostic, naming the sweep and the
+ *         offending machine, entry or SM count; empty when sound.
  */
-std::string checkResolvedConfigs(const SweepSpec &sweep);
+std::string checkSweep(const SweepSpec &sweep);
+
+/**
+ * Narrow @p sweeps to the machines in @p machines and the
+ * workloads in @p workloads (siwi-run's --machine and --workload;
+ * an empty list keeps all), then drop sweeps left without cells.
+ * Names match as SweepSpec::filterMachines() and
+ * filterWorkloads() match them.
+ * @return a diagnostic naming the first value that matches
+ *         nothing in any sweep, or saying that no cells remain;
+ *         empty on success.
+ */
+std::string narrowSweeps(std::vector<SweepSpec> *sweeps,
+                         const std::vector<std::string> &machines,
+                         const std::vector<std::string> &workloads);
 
 /**
  * One executable cell of a sweep: indices into the owning spec.

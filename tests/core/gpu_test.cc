@@ -8,7 +8,6 @@
 #include <algorithm>
 
 #include "core/gpu.hh"
-#include "core/hardware_inventory.hh"
 #include "isa/assembler.hh"
 #include "isa/builder.hh"
 
@@ -219,19 +218,6 @@ TEST(Gpu, PerSmStatsSumToChipAggregate)
     // The chip really used its shared backend.
     EXPECT_GT(st.l2_hits + st.l2_misses, 0u);
     EXPECT_GT(st.dram_transactions, 0u);
-}
-
-TEST(Gpu, ChipInventoryAddsSharedL2)
-{
-    using pipeline::PipelineMode;
-    u64 one = inventoryTotalBits(PipelineMode::SBISWI);
-    std::vector<StorageItem> chip =
-        chipInventory(PipelineMode::SBISWI, 4);
-    u64 total = chipInventoryTotalBits(PipelineMode::SBISWI, 4);
-    EXPECT_GT(total, 4 * one); // 4 SMs + the L2 tag array
-    EXPECT_EQ(chip.back().component, "Shared L2 tags");
-    // Single-SM chips are exactly Table 3.
-    EXPECT_EQ(chipInventoryTotalBits(PipelineMode::SBISWI, 1), one);
 }
 
 TEST(Gpu, AssembledKernelRuns)

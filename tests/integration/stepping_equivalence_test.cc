@@ -142,7 +142,8 @@ launchCapped(const workloads::Workload &wl,
 /**
  * Every cell of the fast suite (bench/specs/fast.json): all five
  * machines x the full workload list at Tiny size plus the
- * multi-SM smoke, exactly what CI's bench gate runs.
+ * multi-SM smoke. This is the skip vs --no-skip gate: the whole
+ * SimStats of every cell must match between the stepping modes.
  */
 TEST(SteppingEquivalence, FastSuiteCells)
 {

@@ -6,9 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "frontend/sched_policy.hh"
 #include "runner/cli.hh"
-#include "runner/results.hh"
 
 using namespace siwi;
 using namespace siwi::runner;
@@ -77,42 +75,6 @@ TEST(ArgList, IntOptionRejectsNegativeAndEmpty)
     EXPECT_FALSE(args.intOption("--big", &n));
     EXPECT_EQ(n, 7u);
     EXPECT_EQ(args.errors().size(), 3u);
-}
-
-TEST(ArgList, DoubleOptionValidates)
-{
-    ArgList args =
-        makeArgs({"--tol", "2.5", "--bad", "abc", "--pct", "2%"});
-    double d = 0.0;
-    EXPECT_TRUE(args.doubleOption("--tol", &d));
-    EXPECT_DOUBLE_EQ(d, 2.5);
-    EXPECT_FALSE(args.doubleOption("--bad", &d));
-    EXPECT_FALSE(args.doubleOption("--pct", &d));
-    EXPECT_DOUBLE_EQ(d, 2.5); // untouched by failed parses
-    EXPECT_EQ(args.errors().size(), 2u);
-}
-
-TEST(ArgList, EnumOptionMatchesAnyCaseAndListsNames)
-{
-    ArgList args = makeArgs({"--policy", "RR", "--size", "Tiny",
-                             "--policy", "fifo"});
-    size_t i = 0;
-    ASSERT_TRUE(
-        args.enumOption("--policy", frontend::sched_policy_names, &i));
-    // The value parses in any case; the label stays canonical.
-    EXPECT_STREQ(
-        frontend::schedPolicyName(frontend::SchedPolicyKind(i)), "rr");
-    ASSERT_TRUE(
-        args.enumOption("--size", workloads::size_class_names, &i));
-    EXPECT_STREQ(sizeClassName(workloads::SizeClass(i)), "tiny");
-    EXPECT_FALSE(
-        args.enumOption("--policy", frontend::sched_policy_names, &i));
-    ASSERT_EQ(args.errors().size(), 1u);
-    EXPECT_NE(args.errors()[0].find("fifo"), std::string::npos);
-    EXPECT_NE(args.errors()[0].find("oldest | rr | gto | minpc"),
-              std::string::npos)
-        << args.errors()[0];
-    EXPECT_TRUE(args.remaining().empty());
 }
 
 TEST(FinishArgs, ReportsLeftoversAndErrors)

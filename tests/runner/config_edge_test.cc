@@ -88,10 +88,8 @@ checkEveryKey(const char *base, unsigned num_sms)
                 EXPECT_FALSE(err.empty());
                 continue;
             }
-            if (!m.config.checkInvariants().empty())
-                continue;
             const SweepSpec s = bfsSweep(m, num_sms);
-            if (!resolvedCellConfig(s, 0, 0, 0).checkInvariants().empty())
+            if (!checkSweep(s).empty())
                 continue;
             CellResult c = runCell(s, 0, 0);
             EXPECT_TRUE(c.verified || c.timed_out || !c.verify_msg.empty());
@@ -132,9 +130,7 @@ expectBoundNamesKey(const char *key)
 {
     SCOPED_TRACE(key);
     MachineSpec m = machineWith("SBI+SWI", std::string(key) + "=4294967295");
-    std::string err = m.config.checkInvariants();
-    if (err.empty())
-        err = checkResolvedConfigs(bfsSweep(m, 2));
+    std::string err = checkSweep(bfsSweep(m, 2));
     EXPECT_NE(err.find(key), std::string::npos) << err;
 }
 

@@ -1,10 +1,12 @@
 /**
  * @file
- * Tests for Results serialization (JSON round-trip, CSV, schema
+ * Tests for Results serialization (JSON round-trip, schema
  * versioning) and the baseline comparison gate.
  */
 
 #include <gtest/gtest.h>
+
+#include <cmath>
 
 #include "core/stats_io.hh"
 #include "runner/baseline.hh"
@@ -136,20 +138,6 @@ TEST(Results, FindAndHelpers)
     EXPECT_EQ(r.verificationFailures(), 1u);
 }
 
-TEST(Results, CsvHasHeaderAndOneRowPerCell)
-{
-    Results r = sampleResults();
-    std::string csv = r.toCsv();
-    size_t lines = 0;
-    for (char c : csv)
-        lines += c == '\n';
-    EXPECT_EQ(lines, 1 + r.cells.size());
-    EXPECT_EQ(csv.find("sweep,machine,workload"), 0u);
-    EXPECT_NE(
-        csv.find("fig7,SBI,BFS,tiny,1,oldest,0,1,0,28.25"),
-        std::string::npos);
-}
-
 TEST(Results, TimedOutCellsAreCountedAndRoundTrip)
 {
     Results r = sampleResults();
@@ -211,15 +199,36 @@ TEST(Compare, RegressionWithinToleranceLegal)
     EXPECT_TRUE(compareResults(base, cand, 0.02).pass());
 }
 
-TEST(Compare, ImprovementIsReportedNotFatal)
+TEST(Compare, ImprovementFailsTheGate)
 {
+    // The simulator is deterministic: a faster cell is as much an
+    // unexplained change as a slower one.
     Results base = sampleResults();
     base.cells.pop_back();
     Results cand = base;
     cand.cells[0].ipc *= 1.5;
     CompareReport rep = compareResults(base, cand, 0.02);
-    EXPECT_TRUE(rep.pass());
-    EXPECT_EQ(rep.improvements.size(), 1u);
+    EXPECT_FALSE(rep.pass());
+    ASSERT_EQ(rep.improvements.size(), 1u);
+    EXPECT_NE(rep.format().find("IMPROVEMENTS"), std::string::npos);
+
+    // At tolerance 0 the smallest representable change fails.
+    cand = base;
+    cand.cells[0].ipc = std::nextafter(cand.cells[0].ipc, 1e9);
+    EXPECT_FALSE(compareResults(base, cand, 0.0).pass());
+}
+
+TEST(Compare, AddedCellFails)
+{
+    Results base = sampleResults();
+    base.cells.pop_back();
+    Results cand = base;
+    base.cells.pop_back();
+    CompareReport rep = compareResults(base, cand, 0.0);
+    EXPECT_FALSE(rep.pass());
+    ASSERT_EQ(rep.added.size(), 1u);
+    EXPECT_TRUE(rep.missing.empty());
+    EXPECT_NE(rep.format().find("ADDED"), std::string::npos);
 }
 
 TEST(Compare, MissingCellFails)

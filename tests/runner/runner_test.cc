@@ -59,6 +59,68 @@ TEST(Sweep, FiltersDropUnknownNames)
     EXPECT_EQ(s.machines.size(), all); // empty filter keeps all
 }
 
+/** Every sweep of bench/specs/fast.json. */
+std::vector<SweepSpec>
+fastSweeps()
+{
+    MachineRegistry reg;
+    std::vector<SweepSpec> sweeps;
+    std::string label, err;
+    EXPECT_TRUE(loadSpecFile(std::string(SIWI_SOURCE_DIR) +
+                                 "/bench/specs/fast.json",
+                             &reg, &sweeps, &label, &err))
+        << err;
+    return sweeps;
+}
+
+TEST(Sweep, NarrowMatchesNamesAsSpecFilesDo)
+{
+    // Machine names match in any case, as a spec's "machines"
+    // entries do; scaling_smoke has no SBI and is dropped.
+    std::vector<SweepSpec> sweeps = fastSweeps();
+    EXPECT_EQ(narrowSweeps(&sweeps, {"sbi"}, {}), "");
+    ASSERT_EQ(sweeps.size(), 2u);
+    EXPECT_EQ(expandCells(sweeps).size(), 21u);
+    for (const SweepSpec &s : sweeps) {
+        ASSERT_EQ(s.machines.size(), 1u);
+        EXPECT_EQ(s.machines[0].name, "SBI");
+    }
+
+    // Workload names match exactly, as findWorkload does.
+    sweeps = fastSweeps();
+    EXPECT_EQ(narrowSweeps(&sweeps, {}, {"BFS"}), "");
+    ASSERT_EQ(sweeps.size(), 1u);
+    EXPECT_EQ(sweeps[0].name, "fig7_irregular");
+    EXPECT_EQ(sweeps[0].cellCount(), 5u);
+    sweeps = fastSweeps();
+    EXPECT_EQ(narrowSweeps(&sweeps, {}, {"bfs"}),
+              "workload 'bfs' is in no sweep");
+
+    // Empty lists keep everything.
+    sweeps = fastSweeps();
+    EXPECT_EQ(narrowSweeps(&sweeps, {}, {}), "");
+    EXPECT_EQ(expandCells(sweeps).size(), 109u);
+}
+
+TEST(Sweep, NarrowNeverDropsAValueSilently)
+{
+    // One value that matches nothing fails the selection, even
+    // next to one that matches.
+    std::vector<SweepSpec> sweeps = fastSweeps();
+    EXPECT_EQ(narrowSweeps(&sweeps, {"SBI", "nope"}, {}),
+              "machine 'nope' is in no sweep");
+    sweeps = fastSweeps();
+    EXPECT_EQ(narrowSweeps(&sweeps, {}, {"BFS", "Nope"}),
+              "workload 'Nope' is in no sweep");
+
+    // Values that each match a sweep, but never the same one.
+    SweepSpec regular = checkedInSweep("fig7.json", "fig7_regular");
+    regular.filterMachines({"SWI"});
+    sweeps = {tinyGrid(), regular};
+    EXPECT_EQ(narrowSweeps(&sweeps, {"SWI"}, {"BFS"}),
+              "selection matches no cells");
+}
+
 TEST(Suites, ScalingSweepCoversTheAcceptanceGrid)
 {
     SweepSpec s = checkedInSweep("scaling.json", "fig_scaling");
@@ -171,7 +233,6 @@ TEST(Runner, ResultsIdenticalAcrossThreadCounts)
     EXPECT_EQ(a, b);
     // Including the serialized bytes the CI gate diffs.
     EXPECT_EQ(a.toJsonText(), b.toJsonText());
-    EXPECT_EQ(a.toCsv(), b.toCsv());
 
     RunOptions wide = serial;
     wide.jobs = 8; // more threads than cells
@@ -367,7 +428,6 @@ TEST(Runner, GoldenMachinePolicyGridDeterministic)
     ASSERT_EQ(a.cells.size(), 20u);
     EXPECT_EQ(a, b);
     EXPECT_EQ(a.toJsonText(), b.toJsonText());
-    EXPECT_EQ(a.toCsv(), b.toCsv());
 
     unsigned distinct_from_oldest = 0;
     for (const CellResult &c : a.cells) {

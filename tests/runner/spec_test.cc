@@ -265,6 +265,50 @@ TEST(SpecFile, StrictErrorsNameTheOffender)
     EXPECT_NE(err.find("duplicate sweep"), std::string::npos);
 }
 
+TEST(SweepCheck, OverridesAndSpecFilesReportOneFormat)
+{
+    // A key set in a spec sweep's "set" block, and the same key
+    // applied to the loaded sweep afterwards (siwi-run's --set),
+    // fail the one sweep check with one diagnostic.
+    struct Case
+    {
+        const char *key, *value, *names;
+    };
+    const Case cases[] = {
+        {"sched_policy", "gto", "runs policy 'gto' twice"},
+        {"l2_slices", "4096", "@16sm: l2_slices must divide"},
+        {"num_warps", "0", "num_warps"},
+    };
+    const std::string sweep =
+        R"({"name": "s", "machines": ["SBI"], "workloads": ["BFS"],
+            "sms": [16], "policies": ["oldest", "gto"])";
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.key);
+        MachineRegistry reg;
+        std::vector<SweepSpec> sweeps;
+        std::string label, spec_err;
+        EXPECT_FALSE(sweepsFromSpecJson(
+            parseJson(R"({"name": "x", "sweeps": [)" + sweep +
+                      R"(, "set": {")" + c.key + R"(": ")" +
+                      c.value + R"("}}]})"),
+            "", &reg, &sweeps, &label, &spec_err));
+        EXPECT_NE(spec_err.find(c.names), std::string::npos)
+            << spec_err;
+
+        std::string err;
+        ASSERT_TRUE(sweepsFromSpecJson(
+            parseJson(R"({"name": "x", "sweeps": [)" + sweep + "}]}"),
+            "", &reg, &sweeps, &label, &err))
+            << err;
+        ASSERT_EQ(checkSweep(sweeps[0]), "");
+        for (MachineSpec &m : sweeps[0].machines)
+            ASSERT_TRUE(machineApplyKeyValue(
+                &m, std::string(c.key) + "=" + c.value, &err))
+                << err;
+        EXPECT_EQ(checkSweep(sweeps[0]), spec_err);
+    }
+}
+
 TEST(SpecFile, EnumNamesMatchAnyCaseAndLabelCanonically)
 {
     MachineRegistry reg;
