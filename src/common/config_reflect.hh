@@ -2,9 +2,8 @@
  * @file
  * Reflection-style field tables for configuration structs.
  *
- * The statsU64Fields() pattern (core/stats_io.hh) generalized to
- * u32, bool and enum fields: a config struct declares one table of
- * ConfigField rows, and that single table drives
+ * A config struct's field list (common/field_list.hh) expands to
+ * one table of ConfigField rows, and that table drives
  *
  *   - JSON serialization   (configToJson)
  *   - strict JSON parsing  (configApplyJson — unknown keys, type
@@ -14,25 +13,24 @@
  *                           path and machine/spec-file "set"
  *                           blocks)
  *   - equality             (configEqual, behind operator==)
+ *   - range checks         (checkRanges, in checkInvariants)
  *   - a self-describing    (configSchema — key, type, default,
  *     schema dump           enum values, one-line doc)
  *
- * A field that is not in the table does not exist as far as spec
+ * A field that is not in the list does not exist as far as spec
  * files, machine files, result artifacts and config equality are
- * concerned, so every new knob must be added to its table — the
- * round-trip tests enumerate the table and keep it honest.
+ * concerned; a field that is in it is covered by all of the above.
  */
 
 #ifndef SIWI_COMMON_CONFIG_REFLECT_HH
 #define SIWI_COMMON_CONFIG_REFLECT_HH
 
-#include <initializer_list>
 #include <span>
 #include <string>
 #include <string_view>
 
+#include "common/field_list.hh"
 #include "common/json.hh"
-#include "common/types.hh"
 
 namespace siwi {
 
@@ -56,29 +54,31 @@ struct ConfigField
     void (*set)(Cfg &, u64);
     /** Enum fields only: canonical names, index == enum value. */
     std::span<const char *const> values;
-};
+    /** Inclusive range checkRanges() enforces (U32 fields). */
+    u64 lo = 0;
+    u64 hi = 0xffffffffu;
 
-/** One bounded field of a config struct, for checkRanges(). */
-struct ConfigRange
-{
-    const char *key;
-    u64 value;
-    u64 lo;
-    u64 hi;
+    /** A range narrower than the u32 domain applies. */
+    bool bounded() const { return lo != 0 || hi != 0xffffffffu; }
 };
 
 /**
- * "<key> out of range (<lo>..<hi>)" for the first of @p rows
- * whose value lies outside its range; empty when all are inside.
+ * "<key> out of range (<lo>..<hi>)" for the first field of
+ * @p fields, in table order, whose value in @p c lies outside its
+ * range; empty when all are inside.
  */
-inline std::string
-checkRanges(std::initializer_list<ConfigRange> rows)
+template <typename Cfg>
+std::string
+checkRanges(const Cfg &c, std::span<const ConfigField<Cfg>> fields)
 {
-    for (const ConfigRange &r : rows) {
-        if (r.value < r.lo || r.value > r.hi)
-            return std::string(r.key) + " out of range (" +
-                   std::to_string(r.lo) + ".." +
-                   std::to_string(r.hi) + ")";
+    for (const ConfigField<Cfg> &f : fields) {
+        if (!f.bounded())
+            continue;
+        const u64 v = f.get(c);
+        if (v < f.lo || v > f.hi)
+            return std::string(f.key) + " out of range (" +
+                   std::to_string(f.lo) + ".." +
+                   std::to_string(f.hi) + ")";
     }
     return {};
 }
@@ -133,8 +133,7 @@ enumNameList(std::span<const char *const> names)
     return out;
 }
 
-namespace detail_config {
-
+/** The field of @p fields named @p key, or nullptr. */
 template <typename Cfg>
 const ConfigField<Cfg> *
 findField(std::span<const ConfigField<Cfg>> fields,
@@ -147,10 +146,16 @@ findField(std::span<const ConfigField<Cfg>> fields,
     return nullptr;
 }
 
+namespace detail_config {
+
+/**
+ * The numeric view of JSON value @p v for field @p f; false and a
+ * message naming the key when @p v has the wrong type or value.
+ */
 template <typename Cfg>
 bool
-setFromJson(const ConfigField<Cfg> &f, const Json &v, Cfg *c,
-            std::string *err)
+fromJson(const ConfigField<Cfg> &f, const Json &v, u64 *out,
+         std::string *err)
 {
     switch (f.type) {
       case ConfigFieldType::U32:
@@ -161,7 +166,7 @@ setFromJson(const ConfigField<Cfg> &f, const Json &v, Cfg *c,
                        "' needs an unsigned integer";
             return false;
         }
-        f.set(*c, u64(v.integer()));
+        *out = u64(v.integer());
         return true;
       case ConfigFieldType::Bool:
         if (!v.isBool()) {
@@ -170,26 +175,23 @@ setFromJson(const ConfigField<Cfg> &f, const Json &v, Cfg *c,
                        "' needs true or false";
             return false;
         }
-        f.set(*c, v.boolean() ? 1 : 0);
+        *out = v.boolean() ? 1 : 0;
         return true;
-      case ConfigFieldType::Enum: {
+      case ConfigFieldType::Enum:
         if (!v.isString()) {
             if (err)
                 *err = std::string("config key '") + f.key +
                        "' needs one of: " + enumNameList(f.values);
             return false;
         }
-        u64 idx = 0;
-        if (!enumIndex(f.values, v.str(), &idx)) {
+        if (!enumIndex(f.values, v.str(), out)) {
             if (err)
                 *err = std::string("config key '") + f.key +
                        "': unknown value '" + v.str() +
                        "' (expected " + enumNameList(f.values) + ")";
             return false;
         }
-        f.set(*c, idx);
         return true;
-      }
     }
     return false; // unreachable
 }
@@ -238,17 +240,45 @@ configApplyJson(const Json &j,
     }
     Cfg tmp = *c;
     for (const Json::Member &m : j.obj()) {
-        const ConfigField<Cfg> *f =
-            detail_config::findField(fields, m.first);
+        const ConfigField<Cfg> *f = findField(fields, m.first);
         if (!f) {
             if (err)
                 *err = "unknown config key '" + m.first + "'";
             return false;
         }
-        if (!detail_config::setFromJson(*f, m.second, &tmp, err))
+        u64 n = 0;
+        if (!detail_config::fromJson(*f, m.second, &n, err))
             return false;
+        f->set(tmp, n);
     }
     *c = tmp;
+    return true;
+}
+
+/**
+ * The "key=value" value text of JSON value @p v for field @p f,
+ * after the type check configApplyJson makes (with its messages):
+ * a JSON "set" block reaches the key=value path through this.
+ */
+template <typename Cfg>
+bool
+configJsonText(const ConfigField<Cfg> &f, const Json &v,
+               std::string *text, std::string *err)
+{
+    u64 n = 0;
+    if (!detail_config::fromJson(f, v, &n, err))
+        return false;
+    switch (f.type) {
+      case ConfigFieldType::U32:
+        *text = std::to_string(n);
+        break;
+      case ConfigFieldType::Bool:
+        *text = n ? "true" : "false";
+        break;
+      case ConfigFieldType::Enum:
+        *text = f.values[size_t(n)];
+        break;
+    }
     return true;
 }
 
@@ -278,8 +308,7 @@ configApplyKeyValue(std::string_view kv,
             *err = "missing key in '" + std::string(kv) + "'";
         return false;
     }
-    const ConfigField<Cfg> *f =
-        detail_config::findField(fields, key);
+    const ConfigField<Cfg> *f = findField(fields, key);
     if (!f) {
         if (err)
             *err = "unknown config key '" + std::string(key) + "'";
@@ -355,7 +384,8 @@ configEqual(const Cfg &a, const Cfg &b,
 /**
  * Self-describing schema: one entry per field with key, type,
  * default (taken from @p defaults), enum values and doc line.
- * docs/CONFIG.md is generated from this dump.
+ * docs/CONFIG.md's field tables equal this dump rendered as
+ * Markdown (tests/pipeline/config_io_test.cc compares them).
  */
 template <typename Cfg>
 Json
@@ -395,43 +425,29 @@ configSchema(const Cfg &defaults,
 } // namespace siwi
 
 /**
- * Field-definition shorthand for the config tables: capture-less
- * lambdas decay to the function pointers ConfigField stores, and
- * `member` may be any (possibly nested) data-member expression.
- * Shared by every table so accessor fixes cannot diverge.
+ * Expands one row of a config struct's field list
+ * (common/field_list.hh) to its ConfigField. The accessors are
+ * capture-less generic lambdas, which convert to the table's
+ * function pointers; `c.P name` is the (possibly nested) member.
  */
-#define SIWI_CFG_U32(Cfg, key, member, doc) \
-    ::siwi::ConfigField<Cfg> \
-    { \
-        key, ::siwi::ConfigFieldType::U32, doc, \
-            [](const Cfg &c) -> ::siwi::u64 { \
-                return ::siwi::u64(c.member); \
-            }, \
-            [](Cfg &c, ::siwi::u64 v) { \
-                c.member = decltype(c.member)(v); \
-            }, \
-            {} \
-    }
-#define SIWI_CFG_BOOL(Cfg, key, member, doc) \
-    ::siwi::ConfigField<Cfg> \
-    { \
-        key, ::siwi::ConfigFieldType::Bool, doc, \
-            [](const Cfg &c) -> ::siwi::u64 { \
-                return c.member ? 1 : 0; \
-            }, \
-            [](Cfg &c, ::siwi::u64 v) { c.member = v != 0; }, {} \
-    }
-#define SIWI_CFG_ENUM(Cfg, key, member, names, doc) \
-    ::siwi::ConfigField<Cfg> \
-    { \
-        key, ::siwi::ConfigFieldType::Enum, doc, \
-            [](const Cfg &c) -> ::siwi::u64 { \
-                return ::siwi::u64(c.member); \
-            }, \
-            [](Cfg &c, ::siwi::u64 v) { \
-                c.member = decltype(c.member)(v); \
-            }, \
-            names \
-    }
+#define SIWI_CFG_FIELD(P, K, kind, ...) \
+    SIWI_CFG_FIELD_##kind(P, K, __VA_ARGS__)
+/** A field's key: the key prefix K, then the member name. */
+#define SIWI_CFG_KEY(K, name) K #name
+#define SIWI_CFG_FIELD_U32(P, K, name, def, doc, ...) \
+    {SIWI_CFG_KEY(K, name), ::siwi::ConfigFieldType::U32, doc, \
+     [](const auto &c) -> ::siwi::u64 { return c.P name; }, \
+     [](auto &c, ::siwi::u64 v) { c.P name = ::siwi::u32(v); }, \
+     {}, __VA_ARGS__},
+#define SIWI_CFG_FIELD_BOOL(P, K, name, def, doc) \
+    {SIWI_CFG_KEY(K, name), ::siwi::ConfigFieldType::Bool, doc, \
+     [](const auto &c) -> ::siwi::u64 { return c.P name ? 1 : 0; }, \
+     [](auto &c, ::siwi::u64 v) { c.P name = v != 0; }, {}},
+#define SIWI_CFG_FIELD_ENUM(P, K, name, def, doc, names) \
+    {SIWI_CFG_KEY(K, name), ::siwi::ConfigFieldType::Enum, doc, \
+     [](const auto &c) -> ::siwi::u64 { return ::siwi::u64(c.P name); }, \
+     [](auto &c, ::siwi::u64 v) { c.P name = decltype(def)(v); }, \
+     names},
+#define SIWI_CFG_FIELD_STRUCT(P, K, name, Type)
 
 #endif // SIWI_COMMON_CONFIG_REFLECT_HH

@@ -2,8 +2,9 @@
  * @file
  * The GpuConfig (chip-level) field table, companion to
  * pipeline/config_io.hh: chip topology and shared-L2/DRAM knobs as
- * data. gpuConfigToJson() nests the full SMConfig dump under "sm",
- * so one JSON block is the complete, re-runnable description of a
+ * data, expanded from the field list in core/gpu.hh.
+ * gpuConfigToJson() nests the full SMConfig dump under "sm", so one
+ * JSON block is the complete, re-runnable description of a
  * simulated machine — this is the config block the experiment
  * runner embeds into every results artifact.
  */

@@ -4,8 +4,8 @@
 #include <memory>
 
 #include "common/bits.hh"
-#include "common/config_reflect.hh"
 #include "common/log.hh"
+#include "core/config_io.hh"
 
 namespace siwi::core {
 
@@ -40,11 +40,7 @@ GpuConfig::checkInvariants() const
     if (dram.bytes_per_cycle_x10 < 1)
         return "dram_bytes_per_cycle_x10 must be at least 1";
     // Chip counts that size storage, bounded like the SM's.
-    std::string range = checkRanges({
-        {"l2_size_bytes", l2.size_bytes, 0, 64u << 20},
-        {"dram_channels", dram.channels, 0, 1024},
-        {"dram_queue_depth", dram.queue_depth, 0, 1024},
-    });
+    std::string range = checkRanges(*this, gpuConfigFields());
     if (!range.empty())
         return range;
     if (num_sms > 1) {

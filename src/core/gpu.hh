@@ -56,19 +56,27 @@ struct LaunchConfig
     bool cycle_skip = true;
 };
 
+/**
+ * GpuConfig's chip-level fields (common/field_list.hh); the "sm"
+ * block has its own list. The shared L2 and the interconnect exist
+ * only with more than one SM. The DRAM is the chip's: one SM reads
+ * its bandwidth and latency only (mem::DramBackend), a multi-SM
+ * chip honors all of it.
+ */
+#define SIWI_GPU_CONFIG_FIELDS(X, S, P, K) \
+    X(P, K, U32, num_sms, 1, "SM instances on the chip") \
+    X(P, K, STRUCT, l2, mem::L2Config) \
+    SIWI_L2_CONFIG_FIELDS(S, S, P l2., K "l2_") \
+    X(P, K, STRUCT, dram, mem::DramConfig) \
+    SIWI_DRAM_CONFIG_FIELDS(S, S, P dram., K "dram_") \
+    X(P, K, STRUCT, noc, mem::NocConfig) \
+    SIWI_NOC_CONFIG_FIELDS(S, S, P noc., K "noc_")
+
 /** Chip-level parameter set: SM geometry times chip topology. */
 struct GpuConfig
 {
     pipeline::SMConfig sm;
-    unsigned num_sms = 1;
-
-    mem::L2Config l2; //!< shared L2 geometry/timing (num_sms > 1)
-    /**
-     * The chip's DRAM. One SM reads its bandwidth and latency only
-     * (mem::DramBackend); a multi-SM chip honors all of it.
-     */
-    mem::DramConfig dram;
-    mem::NocConfig noc; //!< SM<->L2 interconnect (num_sms > 1)
+    SIWI_GPU_CONFIG_FIELDS(SIWI_CFG_MEMBER, SIWI_CFG_NONE, , )
 
     /**
      * Canonical chip for a pipeline mode: SMConfig::make(mode)

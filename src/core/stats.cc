@@ -4,8 +4,6 @@
 #include <iomanip>
 #include <sstream>
 
-#include "core/stats_io.hh"
-
 namespace siwi::core {
 
 std::string
@@ -69,7 +67,8 @@ SimStats::aggregate(const std::vector<SimStats> &sms)
     for (const SimStats &s : sms) {
         agg.cycles = std::max(agg.cycles, s.cycles);
         agg.timed_out |= s.timed_out;
-        for (const StatsField &f : statsU64Fields())
+        for (const CounterField<SimStats> &f :
+             counterFields<SimStats>())
             agg.*f.member += s.*f.member;
         agg.max_stack_depth =
             std::max(agg.max_stack_depth, s.max_stack_depth);
@@ -84,9 +83,9 @@ SimStats::aggregate(const std::vector<SimStats> &sms)
             if (it == agg.units.end()) {
                 agg.units.push_back(u);
             } else {
-                it->issues += u.issues;
-                it->busy_cycles += u.busy_cycles;
-                it->thread_instructions += u.thread_instructions;
+                for (const CounterField<UnitStats> &f :
+                     counterFields<UnitStats>())
+                    (*it).*f.member += u.*f.member;
             }
         }
     }

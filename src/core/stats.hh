@@ -6,28 +6,96 @@
 #ifndef SIWI_CORE_STATS_HH
 #define SIWI_CORE_STATS_HH
 
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "common/types.hh"
+#include "common/field_list.hh"
 #include "mem/banked_l2.hh"
 
 namespace siwi::core {
+
+/** UnitStats' counters (common/field_list.hh). */
+#define SIWI_UNIT_STATS_COUNTERS(X) \
+    X(issues) \
+    X(busy_cycles) \
+    X(thread_instructions)
 
 /** Per-execution-group occupancy. */
 struct UnitStats
 {
     std::string name;
-    u64 issues = 0;
-    u64 busy_cycles = 0;
-    u64 thread_instructions = 0;
+    SIWI_UNIT_STATS_COUNTERS(SIWI_COUNTER_MEMBER)
 
     bool operator==(const UnitStats &) const = default;
 };
 
 /**
+ * SimStats' u64 counters (common/field_list.hh), in serialization
+ * order. aggregate() sums each over SMs.
+ *
+ * The shared-L2 and DRAM counters are chip-level: zero when the
+ * machine has no L2, and on a chip aggregate they come from the
+ * shared backend itself.
+ *
+ * The sleep/wake counters (schema v6) are jump-invariant, so skip
+ * and --no-skip runs serialize them identically:
+ *   - warp_sleep_cycles: warp-cycles spent parked off the
+ *     per-cycle active list (a warp provably unable to issue,
+ *     fetch or touch shared front-end state);
+ *   - runnable_warp_cycles: the integral of the awake warp count
+ *     over cycles, which sums meaningfully across SMs;
+ *   - avg_runnable_warps_x10: its mean per cycle, fixed-point x10
+ *     (245 = 24.5 warps), derived as 10 * runnable_warp_cycles /
+ *     cycles; aggregate() recomputes it from the summed integral.
+ */
+#define SIWI_SIM_STATS_COUNTERS(X) \
+    /* --- front-end --- */ \
+    X(fetches) \
+    X(instructions)        /* instructions issued */ \
+    X(thread_instructions) /* sum of active lanes at issue */ \
+    X(primary_issues) \
+    X(secondary_issues) \
+    X(row_share_issues)    /* secondary sharing primary's row */ \
+    X(fallback_issues)     /* SBI secondary fallback issues */ \
+    X(conflicts_squashed)  /* SWI a-posteriori conflicts */ \
+    X(cascade_stale)       /* cascade picks invalidated */ \
+    X(sync_suspensions)    /* scheduling attempts gated by SYNC */ \
+    /* --- divergence --- */ \
+    X(branch_divergences) \
+    X(warp_splits) \
+    X(memory_splits) \
+    X(merges) \
+    X(promotions) \
+    X(heap_full_stalls) \
+    X(cct_degraded_inserts) \
+    X(barrier_releases) \
+    /* --- memory --- */ \
+    X(l1_hits) \
+    X(l1_misses) \
+    X(l1_evictions) \
+    X(load_transactions) \
+    X(store_transactions) \
+    X(write_forwards)      /* loads served from the write buffer */ \
+    X(mshr_merges) \
+    X(mshr_stalls) \
+    X(l2_hits) \
+    X(l2_misses) \
+    X(dram_transactions) \
+    X(dram_bytes) \
+    /* --- per-warp sleep/wake --- */ \
+    X(warp_sleep_cycles) \
+    X(runnable_warp_cycles) \
+    X(avg_runnable_warps_x10) \
+    /* --- work --- */ \
+    X(threads_launched) \
+    X(blocks_launched)
+
+/**
  * Everything a kernel launch measures. The headline metric is
- * thread instructions per cycle (the y-axis of Figure 7).
+ * thread instructions per cycle (the y-axis of Figure 7). Members
+ * are declared in serialization order.
  */
 struct SimStats
 {
@@ -41,44 +109,16 @@ struct SimStats
      */
     bool timed_out = false;
 
-    // --- front-end ---
-    u64 fetches = 0;
-    u64 instructions = 0;        //!< instructions issued
-    u64 thread_instructions = 0; //!< sum of active lanes at issue
-    u64 primary_issues = 0;
-    u64 secondary_issues = 0;
-    u64 row_share_issues = 0;    //!< secondary sharing primary's row
-    u64 fallback_issues = 0;     //!< SBI secondary fallback issues
-    u64 conflicts_squashed = 0;  //!< SWI a-posteriori conflicts
-    u64 cascade_stale = 0;       //!< cascade picks invalidated
-    u64 sync_suspensions = 0;    //!< scheduling attempts gated by SYNC
+    SIWI_SIM_STATS_COUNTERS(SIWI_COUNTER_MEMBER)
 
-    // --- divergence ---
-    u64 branch_divergences = 0;
-    u64 warp_splits = 0;
-    u64 memory_splits = 0;
-    u64 merges = 0;
-    u64 promotions = 0;
-    u64 heap_full_stalls = 0;
-    u64 cct_degraded_inserts = 0;
-    u64 barrier_releases = 0;
     unsigned max_stack_depth = 0;
     unsigned max_live_contexts = 0;
 
-    // --- memory ---
-    u64 l1_hits = 0;
-    u64 l1_misses = 0;
-    u64 l1_evictions = 0;
-    u64 load_transactions = 0;
-    u64 store_transactions = 0;
-    u64 write_forwards = 0; //!< loads served from the write buffer
-    u64 mshr_merges = 0;
-    u64 mshr_stalls = 0;
-    /** Shared-L2 counters; zero when the machine has no L2. */
-    u64 l2_hits = 0;
-    u64 l2_misses = 0;
-    u64 dram_transactions = 0;
-    u64 dram_bytes = 0;
+    // --- chip topology (schema v2) ---
+    /** SMs that produced these stats (1 for a single-SM run). */
+    unsigned num_sms = 1;
+
+    std::vector<UnitStats> units;
 
     // --- chip memory topology breakdowns (schema v5) ---
     /**
@@ -94,40 +134,6 @@ struct SimStats
     std::vector<mem::DramStats> dram_channels;
     std::vector<mem::NocPortStats> noc_ports;
 
-    // --- per-warp sleep/wake effectiveness (schema v6) ---
-    /**
-     * Warp-cycles spent in the slept state: a warp that is
-     * provably unable to issue, fetch, or touch shared front-end
-     * state is parked off the per-cycle active list, and every
-     * parked cycle counts here. The per-warp analogue of the
-     * SM-level skippedCycles() diagnostic, but jump-invariant and
-     * therefore safe to serialize: skip and --no-skip runs park
-     * the same warps over the same windows.
-     */
-    u64 warp_sleep_cycles = 0;
-    /**
-     * Integral of the awake (runnable active-list) warp count over
-     * cycles; avg_runnable_warps_x10 derives from it, and it sums
-     * meaningfully across SMs, so it is the serialized primitive.
-     */
-    u64 runnable_warp_cycles = 0;
-    /**
-     * Mean awake warps per cycle, fixed-point x10 (e.g. 245 =
-     * 24.5 warps). Derived: 10 * runnable_warp_cycles / cycles.
-     * aggregate() recomputes it from the summed integral, so on a
-     * chip aggregate it reads as mean runnable warps chip-wide.
-     */
-    u64 avg_runnable_warps_x10 = 0;
-
-    // --- work ---
-    u64 threads_launched = 0;
-    u64 blocks_launched = 0;
-
-    std::vector<UnitStats> units;
-
-    // --- chip topology (schema v2) ---
-    /** SMs that produced these stats (1 for a single-SM run). */
-    unsigned num_sms = 1;
     /**
      * Per-SM breakdown of a multi-SM launch, in SM order; empty
      * for single-SM runs. Entries never nest further. SM-local
@@ -156,7 +162,7 @@ struct SimStats
     std::string summary() const;
 
     /**
-     * Fold per-SM launch stats into one chip aggregate: u64
+     * Fold per-SM launch stats into one chip aggregate: the listed
      * counters sum, cycles / depth maxima take the max, unit
      * occupancies merge by name, and @p sms is copied into
      * per_sm. Backend counters (l2_*, dram_*) are summed like the
@@ -170,11 +176,50 @@ struct SimStats
 
     /**
      * Field-wise equality; the determinism tests rely on two runs
-     * of the same cell comparing equal. Remember to extend
-     * core/stats_io.cc when adding fields here.
+     * of the same cell comparing equal.
      */
     bool operator==(const SimStats &) const = default;
 };
+
+/** One u64 counter of a stats struct: serialized name + member. */
+template <typename Stats>
+struct CounterField
+{
+    std::string_view name;
+    u64 Stats::*member;
+};
+
+template <typename Stats>
+using CounterFields = std::span<const CounterField<Stats>>;
+
+/**
+ * Every counter of @p Stats, from its counter list in list order:
+ * the one table that drives serialization, parsing and chip
+ * aggregation, so a counter cannot be serialized without being
+ * parseable and summable.
+ */
+template <typename Stats>
+CounterFields<Stats> counterFields();
+
+#define SIWI_COUNTER_FIELD(name) {#name, &Stats::name},
+#define SIWI_COUNTER_TABLE(Type, LIST) \
+    template <> \
+    inline CounterFields<Type> counterFields<Type>() \
+    { \
+        using Stats = Type; \
+        static constexpr CounterField<Stats> fields[] = { \
+            LIST(SIWI_COUNTER_FIELD)}; \
+        return fields; \
+    }
+
+SIWI_COUNTER_TABLE(SimStats, SIWI_SIM_STATS_COUNTERS)
+SIWI_COUNTER_TABLE(UnitStats, SIWI_UNIT_STATS_COUNTERS)
+SIWI_COUNTER_TABLE(mem::L2SliceStats, SIWI_L2_SLICE_COUNTERS)
+SIWI_COUNTER_TABLE(mem::DramStats, SIWI_DRAM_COUNTERS)
+SIWI_COUNTER_TABLE(mem::NocPortStats, SIWI_NOC_PORT_COUNTERS)
+
+#undef SIWI_COUNTER_TABLE
+#undef SIWI_COUNTER_FIELD
 
 } // namespace siwi::core
 

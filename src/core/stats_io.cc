@@ -1,54 +1,144 @@
 #include "core/stats_io.hh"
 
+#include <limits>
+#include <type_traits>
+
 namespace siwi::core {
 
 namespace {
 
-constexpr StatsField u64_fields[] = {
-    {"fetches", &SimStats::fetches},
-    {"instructions", &SimStats::instructions},
-    {"thread_instructions", &SimStats::thread_instructions},
-    {"primary_issues", &SimStats::primary_issues},
-    {"secondary_issues", &SimStats::secondary_issues},
-    {"row_share_issues", &SimStats::row_share_issues},
-    {"fallback_issues", &SimStats::fallback_issues},
-    {"conflicts_squashed", &SimStats::conflicts_squashed},
-    {"cascade_stale", &SimStats::cascade_stale},
-    {"sync_suspensions", &SimStats::sync_suspensions},
-    {"branch_divergences", &SimStats::branch_divergences},
-    {"warp_splits", &SimStats::warp_splits},
-    {"memory_splits", &SimStats::memory_splits},
-    {"merges", &SimStats::merges},
-    {"promotions", &SimStats::promotions},
-    {"heap_full_stalls", &SimStats::heap_full_stalls},
-    {"cct_degraded_inserts", &SimStats::cct_degraded_inserts},
-    {"barrier_releases", &SimStats::barrier_releases},
-    {"l1_hits", &SimStats::l1_hits},
-    {"l1_misses", &SimStats::l1_misses},
-    {"l1_evictions", &SimStats::l1_evictions},
-    {"load_transactions", &SimStats::load_transactions},
-    {"store_transactions", &SimStats::store_transactions},
-    {"write_forwards", &SimStats::write_forwards},
-    {"mshr_merges", &SimStats::mshr_merges},
-    {"mshr_stalls", &SimStats::mshr_stalls},
-    {"l2_hits", &SimStats::l2_hits},
-    {"l2_misses", &SimStats::l2_misses},
-    {"dram_transactions", &SimStats::dram_transactions},
-    {"dram_bytes", &SimStats::dram_bytes},
-    {"warp_sleep_cycles", &SimStats::warp_sleep_cycles},
-    {"runnable_warp_cycles", &SimStats::runnable_warp_cycles},
-    {"avg_runnable_warps_x10", &SimStats::avg_runnable_warps_x10},
-    {"threads_launched", &SimStats::threads_launched},
-    {"blocks_launched", &SimStats::blocks_launched},
-};
+template <typename Stats>
+void
+putCounters(const Stats &s, Json *j)
+{
+    for (const CounterField<Stats> &f : counterFields<Stats>())
+        j->set(std::string(f.name), Json(s.*f.member));
+}
+
+/** One breakdown entry: its counters, after a unit's name. */
+template <typename Stats>
+Json
+entryToJson(const Stats &s)
+{
+    if constexpr (std::is_same_v<Stats, SimStats>)
+        return statsToJson(s);
+    Json j = Json::object();
+    if constexpr (std::is_same_v<Stats, UnitStats>)
+        j.set("name", Json(s.name));
+    putCounters(s, &j);
+    return j;
+}
+
+template <typename Stats>
+Json
+arrayToJson(const std::vector<Stats> &v)
+{
+    Json arr = Json::array();
+    for (const Stats &s : v)
+        arr.push(entryToJson(s));
+    return arr;
+}
+
+/**
+ * Member @p key of @p j into @p out when present: a non-negative
+ * integer that fits @p T, else an error naming the key.
+ */
+template <typename T>
+bool
+getCount(const Json &j, std::string_view key, T *out, std::string *err)
+{
+    const Json *v = j.find(key);
+    if (!v)
+        return true;
+    if (!v->isInt() || v->integer() < 0 ||
+        u64(v->integer()) > std::numeric_limits<T>::max()) {
+        if (err)
+            *err = "stats: '" + std::string(key) +
+                   "' must be a non-negative integer";
+        return false;
+    }
+    *out = T(v->integer());
+    return true;
+}
+
+/** As getCount(), for a bool member. */
+bool
+getFlag(const Json &j, const char *key, bool *out, std::string *err)
+{
+    const Json *v = j.find(key);
+    if (!v)
+        return true;
+    if (!v->isBool()) {
+        if (err)
+            *err = std::string("stats: '") + key +
+                   "' must be true or false";
+        return false;
+    }
+    *out = v->boolean();
+    return true;
+}
+
+template <typename Stats>
+bool
+getCounters(const Json &j, Stats *s, std::string *err)
+{
+    for (const CounterField<Stats> &f : counterFields<Stats>()) {
+        if (!getCount(j, f.name, &(s->*f.member), err))
+            return false;
+    }
+    return true;
+}
+
+template <typename Stats>
+bool
+entryFromJson(const Json &j, Stats *s, std::string *err)
+{
+    if constexpr (std::is_same_v<Stats, SimStats>)
+        return statsFromJson(j, s, err);
+    if constexpr (std::is_same_v<Stats, UnitStats>) {
+        if (const Json *name = j.find("name")) {
+            if (!name->isString()) {
+                if (err)
+                    *err = "stats: unit 'name' must be a string";
+                return false;
+            }
+            s->name = name->str();
+        }
+    }
+    return getCounters(j, s, err);
+}
+
+/** Array member @p key of @p j, when present, into @p out. */
+template <typename Stats>
+bool
+getArray(const Json &j, const char *key, std::vector<Stats> *out,
+         std::string *err)
+{
+    const Json *arr = j.find(key);
+    if (!arr)
+        return true;
+    if (!arr->isArray()) {
+        if (err)
+            *err = std::string("stats: '") + key +
+                   "' must be an array";
+        return false;
+    }
+    for (const Json &e : arr->arr()) {
+        if (!e.isObject()) {
+            if (err)
+                *err = std::string("stats: '") + key +
+                       "' entry must be an object";
+            return false;
+        }
+        Stats s;
+        if (!entryFromJson(e, &s, err))
+            return false;
+        out->push_back(std::move(s));
+    }
+    return true;
+}
 
 } // namespace
-
-std::span<const StatsField>
-statsU64Fields()
-{
-    return u64_fields;
-}
 
 Json
 statsToJson(const SimStats &st)
@@ -56,74 +146,23 @@ statsToJson(const SimStats &st)
     Json j = Json::object();
     j.set("cycles", Json(st.cycles));
     j.set("timed_out", Json(st.timed_out));
-    for (const StatsField &f : u64_fields)
-        j.set(f.name, Json(st.*f.member));
+    putCounters(st, &j);
     j.set("max_stack_depth", Json(st.max_stack_depth));
     j.set("max_live_contexts", Json(st.max_live_contexts));
     j.set("num_sms", Json(st.num_sms));
+    j.set("units", arrayToJson(st.units));
 
-    Json units = Json::array();
-    for (const UnitStats &u : st.units) {
-        Json ju = Json::object();
-        ju.set("name", Json(u.name));
-        ju.set("issues", Json(u.issues));
-        ju.set("busy_cycles", Json(u.busy_cycles));
-        ju.set("thread_instructions", Json(u.thread_instructions));
-        units.push(std::move(ju));
-    }
-    j.set("units", std::move(units));
-
-    // Chip memory-topology breakdowns (schema v5): only present
-    // on shared-backend aggregates, omitted otherwise so
-    // single-SM result files stay compact.
-    if (!st.l2_slices.empty()) {
-        Json arr = Json::array();
-        for (const mem::L2SliceStats &s : st.l2_slices) {
-            Json js = Json::object();
-            js.set("hits", Json(s.hits));
-            js.set("misses", Json(s.misses));
-            js.set("writes", Json(s.writes));
-            js.set("mshr_merges", Json(s.mshr_merges));
-            js.set("mshr_stalls", Json(s.mshr_stalls));
-            js.set("tag_stall_cycles", Json(s.tag_stall_cycles));
-            arr.push(std::move(js));
-        }
-        j.set("l2_slices", std::move(arr));
-    }
-    if (!st.dram_channels.empty()) {
-        Json arr = Json::array();
-        for (const mem::DramStats &c : st.dram_channels) {
-            Json jc = Json::object();
-            jc.set("transactions", Json(c.transactions));
-            jc.set("bytes", Json(c.bytes));
-            jc.set("stall_tenths", Json(c.stall_tenths));
-            jc.set("queue_full_stall_tenths",
-                   Json(c.queue_full_stall_tenths));
-            arr.push(std::move(jc));
-        }
-        j.set("dram_channels", std::move(arr));
-    }
-    if (!st.noc_ports.empty()) {
-        Json arr = Json::array();
-        for (const mem::NocPortStats &p : st.noc_ports) {
-            Json jp = Json::object();
-            jp.set("requests", Json(p.requests));
-            jp.set("bytes", Json(p.bytes));
-            jp.set("stall_tenths", Json(p.stall_tenths));
-            arr.push(std::move(jp));
-        }
-        j.set("noc_ports", std::move(arr));
-    }
-
-    // The per-SM breakdown only exists on multi-SM chip
-    // aggregates; omit the key entirely for the common case so
-    // single-SM result files stay compact.
-    if (!st.per_sm.empty()) {
-        Json per_sm = Json::array();
-        for (const SimStats &s : st.per_sm)
-            per_sm.push(statsToJson(s));
-        j.set("per_sm", std::move(per_sm));
-    }
+    // The chip memory-topology breakdowns (schema v5) and the
+    // per-SM breakdown exist only on multi-SM chip aggregates;
+    // omit them otherwise so single-SM result files stay compact.
+    if (!st.l2_slices.empty())
+        j.set("l2_slices", arrayToJson(st.l2_slices));
+    if (!st.dram_channels.empty())
+        j.set("dram_channels", arrayToJson(st.dram_channels));
+    if (!st.noc_ports.empty())
+        j.set("noc_ports", arrayToJson(st.noc_ports));
+    if (!st.per_sm.empty())
+        j.set("per_sm", arrayToJson(st.per_sm));
     return j;
 }
 
@@ -136,112 +175,18 @@ statsFromJson(const Json &j, SimStats *out, std::string *err)
         return false;
     }
     SimStats st;
-    st.cycles = Cycle(j.getInt("cycles"));
-    st.timed_out = j.getBool("timed_out");
-    for (const StatsField &f : u64_fields)
-        st.*f.member = u64(j.getInt(f.name));
-    st.max_stack_depth = unsigned(j.getInt("max_stack_depth"));
-    st.max_live_contexts = unsigned(j.getInt("max_live_contexts"));
-    st.num_sms = unsigned(j.getInt("num_sms", 1));
-
-    if (const Json *units = j.find("units")) {
-        if (!units->isArray()) {
-            if (err)
-                *err = "stats: 'units' must be an array";
-            return false;
-        }
-        for (const Json &ju : units->arr()) {
-            if (!ju.isObject()) {
-                if (err)
-                    *err = "stats: unit entry must be an object";
-                return false;
-            }
-            UnitStats u;
-            u.name = ju.getString("name");
-            u.issues = u64(ju.getInt("issues"));
-            u.busy_cycles = u64(ju.getInt("busy_cycles"));
-            u.thread_instructions =
-                u64(ju.getInt("thread_instructions"));
-            st.units.push_back(std::move(u));
-        }
-    }
-
-    if (const Json *slices = j.find("l2_slices")) {
-        if (!slices->isArray()) {
-            if (err)
-                *err = "stats: 'l2_slices' must be an array";
-            return false;
-        }
-        for (const Json &js : slices->arr()) {
-            if (!js.isObject()) {
-                if (err)
-                    *err = "stats: slice entry must be an object";
-                return false;
-            }
-            mem::L2SliceStats s;
-            s.hits = u64(js.getInt("hits"));
-            s.misses = u64(js.getInt("misses"));
-            s.writes = u64(js.getInt("writes"));
-            s.mshr_merges = u64(js.getInt("mshr_merges"));
-            s.mshr_stalls = u64(js.getInt("mshr_stalls"));
-            s.tag_stall_cycles = u64(js.getInt("tag_stall_cycles"));
-            st.l2_slices.push_back(s);
-        }
-    }
-    if (const Json *chans = j.find("dram_channels")) {
-        if (!chans->isArray()) {
-            if (err)
-                *err = "stats: 'dram_channels' must be an array";
-            return false;
-        }
-        for (const Json &jc : chans->arr()) {
-            if (!jc.isObject()) {
-                if (err)
-                    *err = "stats: channel entry must be an object";
-                return false;
-            }
-            mem::DramStats c;
-            c.transactions = u64(jc.getInt("transactions"));
-            c.bytes = u64(jc.getInt("bytes"));
-            c.stall_tenths = u64(jc.getInt("stall_tenths"));
-            c.queue_full_stall_tenths =
-                u64(jc.getInt("queue_full_stall_tenths"));
-            st.dram_channels.push_back(c);
-        }
-    }
-    if (const Json *ports = j.find("noc_ports")) {
-        if (!ports->isArray()) {
-            if (err)
-                *err = "stats: 'noc_ports' must be an array";
-            return false;
-        }
-        for (const Json &jp : ports->arr()) {
-            if (!jp.isObject()) {
-                if (err)
-                    *err = "stats: port entry must be an object";
-                return false;
-            }
-            mem::NocPortStats p;
-            p.requests = u64(jp.getInt("requests"));
-            p.bytes = u64(jp.getInt("bytes"));
-            p.stall_tenths = u64(jp.getInt("stall_tenths"));
-            st.noc_ports.push_back(p);
-        }
-    }
-
-    if (const Json *per_sm = j.find("per_sm")) {
-        if (!per_sm->isArray()) {
-            if (err)
-                *err = "stats: 'per_sm' must be an array";
-            return false;
-        }
-        for (const Json &js : per_sm->arr()) {
-            SimStats s;
-            if (!statsFromJson(js, &s, err))
-                return false;
-            st.per_sm.push_back(std::move(s));
-        }
-    }
+    if (!getCount(j, "cycles", &st.cycles, err) ||
+        !getFlag(j, "timed_out", &st.timed_out, err) ||
+        !getCounters(j, &st, err) ||
+        !getCount(j, "max_stack_depth", &st.max_stack_depth, err) ||
+        !getCount(j, "max_live_contexts", &st.max_live_contexts, err) ||
+        !getCount(j, "num_sms", &st.num_sms, err) ||
+        !getArray(j, "units", &st.units, err) ||
+        !getArray(j, "l2_slices", &st.l2_slices, err) ||
+        !getArray(j, "dram_channels", &st.dram_channels, err) ||
+        !getArray(j, "noc_ports", &st.noc_ports, err) ||
+        !getArray(j, "per_sm", &st.per_sm, err))
+        return false;
     *out = std::move(st);
     return true;
 }

@@ -13,7 +13,6 @@
 #ifndef SIWI_CORE_STATS_IO_HH
 #define SIWI_CORE_STATS_IO_HH
 
-#include <span>
 #include <string>
 
 #include "common/json.hh"
@@ -56,27 +55,15 @@ namespace siwi::core {
  */
 constexpr int stats_schema_version = 6;
 
-/** One u64 counter of SimStats: serialization name + member. */
-struct StatsField
-{
-    const char *name;
-    u64 SimStats::*member;
-};
-
-/**
- * Every u64 counter field of SimStats, the one table that drives
- * serialization, parsing and chip aggregation — a counter cannot
- * be serialized without being parseable and summable.
- */
-std::span<const StatsField> statsU64Fields();
-
 /** Serialize every SimStats counter as a flat JSON object. */
 Json statsToJson(const SimStats &st);
 
 /**
  * Rebuild a SimStats from statsToJson() output. Missing fields
  * default to zero (forward compatibility within one schema
- * version); a non-object argument fails.
+ * version). A non-object argument, a present count that is not a
+ * non-negative integer in its member's range and a timed_out that
+ * is not a bool fail, naming the key, at every level.
  * @return false and set @p err on malformed input.
  */
 bool statsFromJson(const Json &j, SimStats *out, std::string *err);

@@ -16,6 +16,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/field_list.hh"
 #include "divergence/cct.hh"
 #include "divergence/hct.hh"
 
@@ -43,11 +44,17 @@ struct SplitContext
     u32 version = 0;
 };
 
+/** SplitHeapConfig's fields (common/field_list.hh). */
+#define SIWI_SPLIT_HEAP_CONFIG_FIELDS(X, S, P, K) \
+    X(P, K, U32, cct_capacity, 8, \
+      "Cold Context Table entries per warp", 1, 1024) \
+    X(P, K, U32, cct_steps_per_cycle, 1, \
+      "CCT sideband-sorter steps per cycle")
+
 /** Heap configuration (per warp). */
 struct SplitHeapConfig
 {
-    unsigned cct_capacity = 8;
-    unsigned cct_steps_per_cycle = 1;
+    SIWI_SPLIT_HEAP_CONFIG_FIELDS(SIWI_CFG_MEMBER, SIWI_CFG_NONE, , )
 };
 
 /** Heap statistics. */

@@ -98,41 +98,41 @@ class DramBackend final : public MemoryBackend
 };
 
 /**
+ * L2Config's fields (common/field_list.hh). Slices exist in
+ * BankedL2 only: each owns size_bytes/slices of capacity, its own
+ * tag pipeline and MSHR file, and an interleaved share of the
+ * block address space; 1 slice reproduces the legacy monolithic
+ * SharedL2 timing bit-identically. With slice MSHRs a fill
+ * installs its tag when it completes and a full file makes a new
+ * miss wait for the earliest slot. Back-to-back lookups in one
+ * slice serialize at tag_cycles while other slices proceed in
+ * parallel (the point of banking).
+ */
+#define SIWI_L2_CONFIG_FIELDS(X, S, P, K) \
+    X(P, K, U32, size_bytes, 768 * 1024, "shared L2 size in bytes", 0, \
+      64u << 20) \
+    X(P, K, U32, ways, 16, "shared L2 associativity") \
+    X(P, K, U32, hit_latency, 30, \
+      "interconnect + L2 access latency in cycles") \
+    X(P, K, U32, slices, 1, \
+      "address-interleaved L2 slices (power of two dividing the " \
+      "set count; 1 = monolithic legacy L2)") \
+    X(P, K, U32, mshrs_per_slice, 0, \
+      "in-flight misses tracked per L2 slice (fills install tags " \
+      "on completion, same-block requests merge; 0 = legacy " \
+      "immediate tag install)") \
+    X(P, K, U32, tag_cycles, 0, \
+      "cycles a slice tag pipeline is busy per lookup (0 = fully " \
+      "pipelined)")
+
+/**
  * Shared L2 geometry and timing (Fermi-like chip defaults). Its
  * blocks are the L1's, so the block size is a constructor argument
  * of the backends, not a field here.
  */
 struct L2Config
 {
-    u32 size_bytes = 768 * 1024;
-    u32 ways = 16;
-    u32 hit_latency = 30; //!< interconnect + L2 access
-    /**
-     * Address-interleaved L2 slices (BankedL2 only). Each slice
-     * owns size_bytes/slices of capacity, its own tag pipeline and
-     * MSHR file, and serves an interleaved share of the block
-     * address space. Must be a power of two dividing the set
-     * count. 1 reproduces the legacy monolithic SharedL2 timing
-     * bit-identically.
-     */
-    u32 slices = 1;
-    /**
-     * In-flight misses a slice tracks in its own MSHR file: fills
-     * install tags when they complete (not at request time), and
-     * same-block requests merge onto the outstanding fill. When
-     * the file is full a new miss waits for the earliest slot. 0
-     * keeps the legacy immediate-tag-install approximation (a
-     * miss installs its tag at lookup time; no slice-level
-     * occupancy is tracked).
-     */
-    u32 mshrs_per_slice = 0;
-    /**
-     * Cycles a slice's tag pipeline is busy per lookup: back-to-
-     * back requests to one slice serialize at this rate while
-     * other slices proceed in parallel (the point of banking). 0
-     * models a fully pipelined tag array (legacy behavior).
-     */
-    u32 tag_cycles = 0;
+    SIWI_L2_CONFIG_FIELDS(SIWI_CFG_MEMBER, SIWI_CFG_NONE, , )
 };
 
 /** Shared-L2 statistics (chip level, not per SM). */

@@ -57,41 +57,53 @@
 
 namespace siwi::mem {
 
+/**
+ * NocConfig's fields (common/field_list.hh). An SM's block
+ * transfers serialize through its port at the injection bandwidth
+ * before reaching the slices.
+ */
+#define SIWI_NOC_CONFIG_FIELDS(X, S, P, K) \
+    X(P, K, U32, request_latency, 0, \
+      "SM->L2 interconnect request latency in cycles") \
+    X(P, K, U32, response_latency, 0, \
+      "L2->SM interconnect response latency in cycles") \
+    X(P, K, U32, port_bytes_per_cycle_x10, 0, \
+      "per-SM interconnect-port injection bandwidth in 0.1 " \
+      "byte/cycle units (0 = unlimited crossbar)")
+
 /** SM<->L2 interconnect parameters. */
 struct NocConfig
 {
-    /** Cycles a request takes from SM port to L2 slice. */
-    u32 request_latency = 0;
-    /** Cycles a response takes from L2 slice back to the SM. */
-    u32 response_latency = 0;
-    /**
-     * Injection bandwidth of one SM port in 0.1 byte/cycle units:
-     * an SM's block transfers serialize through its port at this
-     * rate before reaching the slices. 0 = unlimited (a free
-     * crossbar, the legacy model).
-     */
-    u32 port_bytes_per_cycle_x10 = 0;
+    SIWI_NOC_CONFIG_FIELDS(SIWI_CFG_MEMBER, SIWI_CFG_NONE, , )
 };
+
+/** L2SliceStats' counters (common/field_list.hh). */
+#define SIWI_L2_SLICE_COUNTERS(X) \
+    X(hits) \
+    X(misses) \
+    X(writes)           /* write-throughs passed to a channel */ \
+    X(mshr_merges)      /* requests merged onto in-flight fills */ \
+    X(mshr_stalls)      /* misses that waited for an MSHR slot */ \
+    X(tag_stall_cycles) /* cycles lost to tag-pipe conflicts */
 
 /** Per-L2-slice statistics. */
 struct L2SliceStats
 {
-    u64 hits = 0;
-    u64 misses = 0;
-    u64 writes = 0;       //!< write-throughs passed to a channel
-    u64 mshr_merges = 0;  //!< requests merged onto in-flight fills
-    u64 mshr_stalls = 0;  //!< misses that waited for an MSHR slot
-    u64 tag_stall_cycles = 0; //!< cycles lost to tag-pipe conflicts
+    SIWI_L2_SLICE_COUNTERS(SIWI_COUNTER_MEMBER)
 
     bool operator==(const L2SliceStats &) const = default;
 };
 
+/** NocPortStats' counters (common/field_list.hh). */
+#define SIWI_NOC_PORT_COUNTERS(X) \
+    X(requests) \
+    X(bytes) \
+    X(stall_tenths) /* injection serialization (0.1 cycle) */
+
 /** Per-interconnect-port statistics. */
 struct NocPortStats
 {
-    u64 requests = 0;
-    u64 bytes = 0;
-    u64 stall_tenths = 0; //!< injection serialization (0.1 cyc)
+    SIWI_NOC_PORT_COUNTERS(SIWI_COUNTER_MEMBER)
 
     bool operator==(const NocPortStats &) const = default;
 };

@@ -12,17 +12,22 @@
 
 #include <vector>
 
-#include "common/types.hh"
+#include "common/field_list.hh"
 
 namespace siwi::mem {
+
+/** CacheConfig's fields (common/field_list.hh), as the SM's L1. */
+#define SIWI_CACHE_CONFIG_FIELDS(X, S, P, K) \
+    X(P, K, U32, size_bytes, 48 * 1024, \
+      "L1 data cache size in bytes", 0, 16u << 20) \
+    X(P, K, U32, ways, 6, "L1 associativity") \
+    X(P, K, U32, block_bytes, 128, "L1 block size in bytes") \
+    X(P, K, U32, hit_latency, 3, "L1 hit latency in cycles")
 
 /** Cache geometry and timing. */
 struct CacheConfig
 {
-    u32 size_bytes = 48 * 1024;
-    u32 ways = 6;
-    u32 block_bytes = 128;
-    u32 hit_latency = 3;
+    SIWI_CACHE_CONFIG_FIELDS(SIWI_CFG_MEMBER, SIWI_CFG_NONE, , )
 };
 
 /** Aggregate cache statistics. */

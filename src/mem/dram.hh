@@ -12,46 +12,56 @@
 
 #include <vector>
 
-#include "common/types.hh"
+#include "common/field_list.hh"
 
 namespace siwi::mem {
+
+/**
+ * DramConfig's fields (common/field_list.hh). The channels sit
+ * behind the chip's L2 slices, each with the bandwidth, latency
+ * and queue given here; their count is a power of two because the
+ * channel-interleaving hash XOR-folds address digits. A channel
+ * may have queue_depth transactions outstanding (admitted but not
+ * yet returned through the flat latency) before new requests
+ * stall; 0 is the paper's pure bandwidth pipe.
+ */
+#define SIWI_DRAM_CONFIG_FIELDS(X, S, P, K) \
+    X(P, K, U32, bytes_per_cycle_x10, 100, \
+      "per-channel DRAM bandwidth in 0.1 byte/cycle units " \
+      "(100 = the paper's 10 GB/s)") \
+    X(P, K, U32, latency_cycles, 330, \
+      "flat DRAM access latency in cycles") \
+    X(P, K, U32, channels, 1, \
+      "interleaved chip DRAM channels (power of two; total " \
+      "bandwidth scales with the channel count)", 0, 1024) \
+    X(P, K, U32, queue_depth, 0, \
+      "outstanding transactions per DRAM channel before new " \
+      "requests stall (0 = unbounded)", 0, 1024)
 
 /** DRAM bandwidth/latency parameters (per channel). */
 struct DramConfig
 {
-    u32 bytes_per_cycle_x10 = 100; //!< bandwidth in 0.1 B/cyc units
-    u32 latency_cycles = 330;      //!< flat access latency
-    /**
-     * Independent DRAM channels behind the chip's L2 slices, each
-     * with the bandwidth/latency/queue parameters above (so total
-     * chip bandwidth is channels * bytes_per_cycle_x10). Must be
-     * a power of two (the channel-interleaving hash XOR-folds
-     * address digits).
-     */
-    u32 channels = 1;
-    /**
-     * Transactions a channel may have outstanding — admitted but
-     * not yet returned through the flat latency — before new
-     * requests stall at the channel queue. 0 means unbounded (the
-     * paper's pure bandwidth pipe).
-     */
-    u32 queue_depth = 0;
+    SIWI_DRAM_CONFIG_FIELDS(SIWI_CFG_MEMBER, SIWI_CFG_NONE, , )
 
     bool operator==(const DramConfig &) const = default;
 };
 
+/**
+ * DramStats' counters (common/field_list.hh). The stall counters
+ * accumulate queueing delay in tenths of a cycle;
+ * queue_full_stall_tenths is the part spent waiting for a queue
+ * slot, the rest is bandwidth serialization.
+ */
+#define SIWI_DRAM_COUNTERS(X) \
+    X(transactions) \
+    X(bytes) \
+    X(stall_tenths) \
+    X(queue_full_stall_tenths)
+
 /** DRAM statistics. */
 struct DramStats
 {
-    u64 transactions = 0;
-    u64 bytes = 0;
-    u64 stall_tenths = 0; //!< queueing delay accumulated (0.1 cyc)
-    /**
-     * Portion of stall_tenths spent waiting for a queue slot (the
-     * channel had queue_depth transactions outstanding); the rest
-     * is pure bandwidth serialization.
-     */
-    u64 queue_full_stall_tenths = 0;
+    SIWI_DRAM_COUNTERS(SIWI_COUNTER_MEMBER)
 
     bool operator==(const DramStats &) const = default;
 };

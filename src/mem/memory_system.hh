@@ -15,20 +15,26 @@
 namespace siwi::mem {
 
 /**
+ * MemConfig's fields (common/field_list.hh). The write-combining
+ * buffer serves the write-through store path: repeated stores to a
+ * resident block merge and drain to DRAM once on eviction (stands
+ * in for the shared/local-memory traffic the paper's benchmarks
+ * kept on chip).
+ */
+#define SIWI_MEM_CONFIG_FIELDS(X, S, P, K) \
+    X(P, K, STRUCT, l1, CacheConfig) \
+    SIWI_CACHE_CONFIG_FIELDS(S, S, P l1., K "l1_") \
+    X(P, K, U32, mshrs, 64, "max in-flight missed blocks") \
+    X(P, K, U32, write_buffer_entries, 8, \
+      "write-combining buffer entries", 0, 1024)
+
+/**
  * Per-SM memory-system parameters (Table 2 of the paper). The DRAM
  * behind them is the chip's (core::GpuConfig::dram).
  */
 struct MemConfig
 {
-    CacheConfig l1;
-    u32 mshrs = 64; //!< max in-flight missed blocks (>= 1)
-    /**
-     * Write-combining buffer entries for the write-through store
-     * path: repeated stores to a resident block merge and drain to
-     * DRAM once on eviction (stands in for the shared/local-memory
-     * traffic the paper's benchmarks kept on chip).
-     */
-    u32 write_buffer_entries = 8;
+    SIWI_MEM_CONFIG_FIELDS(SIWI_CFG_MEMBER, SIWI_CFG_NONE, , )
 };
 
 /** Memory-system statistics. */

@@ -3,8 +3,8 @@
 #include <sstream>
 
 #include "common/bits.hh"
-#include "common/config_reflect.hh"
 #include "common/log.hh"
+#include "pipeline/config_io.hh"
 
 namespace siwi::pipeline {
 
@@ -52,7 +52,7 @@ SMConfig::make(PipelineMode mode)
         c.reconv = ReconvMode::ThreadFrontier;
         c.swi = true;
         c.delivery_latency = 1;
-        c.shuffle = LaneShufflePolicy::XorRev;
+        c.lane_shuffle = LaneShufflePolicy::XorRev;
         break;
       case PipelineMode::SBISWI:
         c.warp_width = 64;
@@ -64,7 +64,7 @@ SMConfig::make(PipelineMode mode)
         c.sbi = true;
         c.swi = true;
         c.delivery_latency = 1;
-        c.shuffle = LaneShufflePolicy::XorRev;
+        c.lane_shuffle = LaneShufflePolicy::XorRev;
         break;
     }
     c.validate();
@@ -74,25 +74,16 @@ SMConfig::make(PipelineMode mode)
 std::string
 SMConfig::checkInvariants() const
 {
-    if (warp_width < 1 || warp_width > max_warp_width)
-        return "warp_width out of range (1..64)";
-    if (!isPow2(warp_width))
-        return "warp_width must be a power of two";
-    // Counts that size per-SM storage. The upper bounds sit far
-    // above every built-in machine and committed spec; they turn a
-    // stray value into this error instead of an unbounded
-    // allocation (docs/CONFIG.md lists them).
-    std::string range = checkRanges({
-        {"num_warps", num_warps, 1, 1024},
-        {"mad_groups", mad_groups, 1, 64},
-        {"scoreboard_entries", scoreboard_entries, 1, 64},
-        {"cct_capacity", heap.cct_capacity, 1, 1024},
-        {"write_buffer_entries", mem.write_buffer_entries, 0, 1024},
-        {"max_blocks_resident", max_blocks_resident, 0, 1024},
-        {"l1_size_bytes", mem.l1.size_bytes, 0, 16u << 20},
-    });
+    // The bounds of the field list. Those on counts that size
+    // per-SM storage sit far above every built-in machine and
+    // committed spec; they turn a stray value into this error
+    // instead of an unbounded allocation (docs/CONFIG.md lists
+    // them).
+    std::string range = checkRanges(*this, smConfigFields());
     if (!range.empty())
         return range;
+    if (!isPow2(warp_width))
+        return "warp_width must be a power of two";
     if (num_pools != 1 && num_pools != 2)
         return "num_pools must be 1 or 2";
     if (num_warps % num_pools != 0)
@@ -157,7 +148,7 @@ SMConfig::summary() const
        << (sbi && sbi_constraints ? " (constraints)" : "") << "\n"
        << "SWI:                " << (swi ? "on" : "off")
        << ", lookup sets " << lookup_sets << "\n"
-       << "lane shuffle:       " << laneShuffleName(shuffle) << "\n"
+       << "lane shuffle:       " << laneShuffleName(lane_shuffle) << "\n"
        << "memory splits:      "
        << (split_on_memory_divergence ? "on" : "off") << "\n";
     return os.str();

@@ -63,65 +63,78 @@ laneShuffleName(LaneShufflePolicy p)
     return lane_shuffle_names[size_t(p)];
 }
 
+/**
+ * SMConfig's fields (common/field_list.hh): the paper's Table 2
+ * plus the mode switches. Row order is the serialization order of
+ * smConfigToJson() and the row order of docs/CONFIG.md's SM table.
+ *
+ * Notes the doc strings only name:
+ *   - swi: the primary pick waits a cycle in the cascade register
+ *     (Table 2's 2-cycle scheduler; 1 cycle without it).
+ *   - sbi_secondary_fallback: the SBI secondary front-end issues
+ *     another warp's primary context to a different SIMD group
+ *     when no secondary warp-split is ready (interpretation note
+ *     in docs/DESIGN.md).
+ *   - sched_policy: the paper's machines are all oldest-first; the
+ *     alternatives are an orthogonal sweep axis (a spec sweep's
+ *     "policies").
+ */
+#define SIWI_SM_CONFIG_FIELDS(X, S, P, K) \
+    /* --- machine geometry --- */ \
+    X(P, K, U32, warp_width, 32, \
+      "threads per warp (32 = Fermi, 64 = interweaving machines)", 1, \
+      max_warp_width) \
+    X(P, K, U32, num_warps, 32, "resident warps per SM", 1, 1024) \
+    X(P, K, U32, num_pools, 2, "independent scheduler pools (1 or 2)") \
+    X(P, K, U32, mad_groups, 2, "number of MAD SIMD groups", 1, 64) \
+    X(P, K, U32, mad_width, 32, "lanes per MAD group") \
+    X(P, K, U32, sfu_width, 8, "SFU lanes") \
+    X(P, K, U32, lsu_width, 32, "LSU lanes") \
+    /* --- divergence handling --- */ \
+    X(P, K, ENUM, reconv, ReconvMode::Stack, \
+      "divergence-tracking substrate", reconv_names) \
+    X(P, K, BOOL, sbi, false, \
+      "secondary front-end over CPC2 contexts (paper 3.3)") \
+    X(P, K, BOOL, swi, false, \
+      "cascaded mask-fit secondary scheduler (paper 4; Table 2's " \
+      "2-cycle scheduler)") \
+    X(P, K, BOOL, sbi_constraints, true, \
+      "honor SYNC selective synchronization barriers") \
+    X(P, K, BOOL, sbi_secondary_fallback, true, \
+      "SBI secondary may issue another warp's primary context " \
+      "(docs/DESIGN.md)") \
+    X(P, K, BOOL, split_on_memory_divergence, true, \
+      "DWS-style warp-splits on memory divergence (paper 3.4)") \
+    X(P, K, STRUCT, heap, divergence::SplitHeapConfig) \
+    SIWI_SPLIT_HEAP_CONFIG_FIELDS(S, S, P heap., K) \
+    /* --- scheduling --- */ \
+    X(P, K, ENUM, sched_policy, frontend::SchedPolicyKind::OldestFirst, \
+      "primary-scheduler candidate ordering (the machine's default; " \
+      "a non-default `policies` axis entry overrides it)", \
+      frontend::sched_policy_names) \
+    X(P, K, ENUM, lane_shuffle, LaneShufflePolicy::Identity, \
+      "static SWI lane-shuffle policy (paper Table 1)", \
+      lane_shuffle_names) \
+    X(P, K, U32, lookup_sets, 1, \
+      "mask-inclusion lookup sets; 1 = fully associative, " \
+      "num_warps = direct mapped") \
+    /* --- timing (Table 2) --- */ \
+    X(P, K, U32, delivery_latency, 0, \
+      "instruction-delivery stage cycles") \
+    X(P, K, U32, exec_latency, 8, "execution latency in cycles") \
+    X(P, K, U32, scoreboard_entries, 6, "scoreboard entries per warp", \
+      1, 64) \
+    /* --- memory --- */ \
+    X(P, K, STRUCT, mem, mem::MemConfig) \
+    SIWI_MEM_CONFIG_FIELDS(S, S, P mem., K) \
+    /* --- occupancy --- */ \
+    X(P, K, U32, max_blocks_resident, 8, \
+      "thread blocks resident per SM", 0, 1024)
+
 /** Full SM parameter set. */
 struct SMConfig
 {
-    // --- machine geometry ---
-    unsigned warp_width = 32;
-    unsigned num_warps = 32;
-    unsigned num_pools = 2;   //!< independent scheduler pools
-    unsigned mad_groups = 2;  //!< number of MAD SIMD groups
-    unsigned mad_width = 32;
-    unsigned sfu_width = 8;
-    unsigned lsu_width = 32;
-
-    // --- divergence handling ---
-    ReconvMode reconv = ReconvMode::Stack;
-    bool sbi = false; //!< secondary front-end over CPC2 contexts
-    /**
-     * Cascaded mask-fit secondary scheduler (paper 4): the primary
-     * pick waits a cycle in the cascade register, which is Table 2's
-     * 2-cycle scheduler (1 cycle without it).
-     */
-    bool swi = false;
-    /** Honor SYNC selective synchronization barriers (paper 3.3). */
-    bool sbi_constraints = true;
-    /**
-     * Let the SBI secondary front-end issue another warp's primary
-     * context to a different SIMD group when no secondary warp-split
-     * is ready (interpretation note in docs/DESIGN.md).
-     */
-    bool sbi_secondary_fallback = true;
-    /** DWS-style warp-splits on memory address divergence (3.4). */
-    bool split_on_memory_divergence = true;
-    divergence::SplitHeapConfig heap;
-
-    /**
-     * Primary-scheduler candidate ordering (frontend layer). The
-     * paper's machines are all oldest-first; the alternatives are
-     * an orthogonal sweep axis (a spec sweep's "policies").
-     */
-    frontend::SchedPolicyKind sched_policy =
-        frontend::SchedPolicyKind::OldestFirst;
-
-    // --- SWI scheduler ---
-    LaneShufflePolicy shuffle = LaneShufflePolicy::Identity;
-    /**
-     * Set count of the mask-inclusion lookup; 1 = fully associative
-     * (a CAM), num_warps = direct mapped (Figure 9).
-     */
-    unsigned lookup_sets = 1;
-
-    // --- timing (Table 2) ---
-    unsigned delivery_latency = 0;   //!< instruction delivery stage
-    unsigned exec_latency = 8;
-    unsigned scoreboard_entries = 6; //!< per warp
-
-    // --- memory ---
-    mem::MemConfig mem;
-
-    // --- occupancy ---
-    unsigned max_blocks_resident = 8;
+    SIWI_SM_CONFIG_FIELDS(SIWI_CFG_MEMBER, SIWI_CFG_NONE, , )
 
     /** Threads resident at full occupancy. */
     unsigned maxThreads() const { return warp_width * num_warps; }

@@ -1,9 +1,10 @@
 /**
  * @file
  * The SMConfig field table: every Table 2 knob and mode switch as
- * data (common/config_reflect.hh), driving JSON read/write, --set
- * style key=value parsing, operator== and the schema dump that
- * docs/CONFIG.md is generated from.
+ * data (common/config_reflect.hh), expanded from the field list in
+ * pipeline/config.hh and driving JSON read/write, --set style
+ * key=value parsing, operator==, the range checks and the schema
+ * dump that docs/CONFIG.md's SM table renders.
  *
  * Nested members are exposed under flat keys (heap.cct_capacity as
  * "cct_capacity", mem.l1.size_bytes as "l1_size_bytes", ...) so

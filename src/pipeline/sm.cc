@@ -513,7 +513,7 @@ SM::initWarp(WarpId w, int block_slot, unsigned first_tid,
     const BlockSlot &blk = blocks_[unsigned(block_slot)];
     LaneMask mask;
     for (unsigned t = 0; t < thread_count; ++t) {
-        unsigned lane = laneOf(cfg_.shuffle, t, w, cfg_.warp_width,
+        unsigned lane = laneOf(cfg_.lane_shuffle, t, w, cfg_.warp_width,
                                cfg_.num_warps);
         exec::ThreadInfo &ti = ws.state->info(lane);
         ti.valid = true;

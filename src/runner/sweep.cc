@@ -23,15 +23,7 @@ machineApplyKeyValue(MachineSpec *m, std::string_view kv,
     std::string_view key = std::string_view(norm).substr(0,
                                                          key_end);
 
-    bool chip_key = false;
-    for (const ConfigField<core::GpuConfig> &f :
-         core::gpuConfigFields()) {
-        if (key == f.key) {
-            chip_key = true;
-            break;
-        }
-    }
-    if (!chip_key)
+    if (!findField(core::gpuConfigFields(), key))
         return pipeline::smConfigApplyKeyValue(norm, &m->config,
                                                err);
     if (key == "num_sms") {
@@ -60,22 +52,18 @@ machineApplyJson(MachineSpec *m, const Json &set,
         return false;
     }
     for (const Json::Member &member : set.obj()) {
-        const Json &v = member.second;
+        // Check the value's JSON type against the key's field, as
+        // configApplyJson does, before it becomes key=value text.
+        // An unknown key is left to machineApplyKeyValue to name.
+        std::string key = member.first;
+        std::replace(key.begin(), key.end(), '.', '_');
         std::string val;
-        if (v.isInt()) {
-            val = std::to_string(v.integer());
-        } else if (v.isBool()) {
-            val = v.boolean() ? "true" : "false";
-        } else if (v.isString()) {
-            val = v.str();
-        } else {
-            if (err)
-                *err = "config key '" + member.first +
-                       "' needs a scalar value";
-            return false;
-        }
-        if (!machineApplyKeyValue(m, member.first + "=" + val,
-                                  err))
+        bool typed = true;
+        if (const auto *f = findField(pipeline::smConfigFields(), key))
+            typed = configJsonText(*f, member.second, &val, err);
+        else if (const auto *g = findField(core::gpuConfigFields(), key))
+            typed = configJsonText(*g, member.second, &val, err);
+        if (!typed || !machineApplyKeyValue(m, member.first + "=" + val, err))
             return false;
     }
     return true;

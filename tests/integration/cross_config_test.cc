@@ -168,7 +168,7 @@ TEST(CrossConfigKnobs, ShufflePoliciesAgreeFunctionally)
                      pipeline::LaneShufflePolicy::Xor,
                      pipeline::LaneShufflePolicy::XorRev}) {
         auto cfg = pipeline::SMConfig::make(PipelineMode::SWI);
-        cfg.shuffle = pol;
+        cfg.lane_shuffle = pol;
         core::Gpu gpu(cfg);
         for (unsigned i = 0; i < 128; ++i)
             gpu.memory().write32(0x10000 + Addr(i) * 4, i * 13);

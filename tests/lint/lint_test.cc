@@ -125,23 +125,6 @@ TEST(LintFixtures, BannedCallsReportedWithFileAndLine)
               std::string::npos);
 }
 
-TEST(LintFixtures, MissingTableRowIsAnError)
-{
-    FixtureTree tree("missing_table_row");
-    Result res = lintTree(tree);
-    ASSERT_TRUE(res.errors.empty()) << dump(res);
-    // A u64 counter added to SimStats without a statsU64Fields row.
-    EXPECT_TRUE(hasFinding(res, "table-drift",
-                           "src/core/stats.hh", 13,
-                           "SimStats.forgotten_counter"))
-        << dump(res);
-    // A nested config leaf (SMConfig.dram.rate) without a
-    // ConfigField row, anchored at the leaf's declaration.
-    EXPECT_TRUE(hasFinding(res, "table-drift", "src/mem/dram.hh", 9,
-                           "SMConfig.dram.rate"))
-        << dump(res);
-}
-
 TEST(LintFixtures, NewSerializedKeyWithoutBumpFails)
 {
     FixtureTree tree("schema_drift");

@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
-#include <set>
 #include <sstream>
 
 #include "core/config_io.hh"
@@ -126,7 +125,7 @@ TEST(SMConfigIo, EnumNamesAreCaseInsensitive)
     j.set("sched_policy", Json("GTO"));
     j.set("reconv", Json("Thread_Frontier"));
     ASSERT_TRUE(pipeline::smConfigApplyJson(j, &c, &err)) << err;
-    EXPECT_EQ(c.shuffle, pipeline::LaneShufflePolicy::Xor);
+    EXPECT_EQ(c.lane_shuffle, pipeline::LaneShufflePolicy::Xor);
     EXPECT_EQ(c.sched_policy,
               frontend::SchedPolicyKind::GreedyThenOldest);
     EXPECT_EQ(c.reconv, pipeline::ReconvMode::ThreadFrontier);
@@ -163,7 +162,7 @@ TEST(SMConfigIo, KeyValueApplierParsesEveryFieldType)
     EXPECT_FALSE(c.sbi);
     ASSERT_TRUE(pipeline::smConfigApplyKeyValue(
         "lane_shuffle=mirrorodd", &c, &err));
-    EXPECT_EQ(c.shuffle, pipeline::LaneShufflePolicy::MirrorOdd);
+    EXPECT_EQ(c.lane_shuffle, pipeline::LaneShufflePolicy::MirrorOdd);
     ASSERT_TRUE(pipeline::smConfigApplyKeyValue(
         "sched_policy=gto", &c, &err));
     EXPECT_EQ(c.sched_policy,
@@ -210,7 +209,7 @@ TEST(SMConfigIo, EnumNameArraysMatchTheDisplayFunctions)
             if (std::string(f.key) == "lane_shuffle") {
                 EXPECT_STREQ(
                     f.values[i],
-                    pipeline::laneShuffleName(c.shuffle));
+                    pipeline::laneShuffleName(c.lane_shuffle));
             } else if (std::string(f.key) == "sched_policy") {
                 EXPECT_STREQ(
                     f.values[i],
@@ -333,63 +332,88 @@ TEST(GpuConfigIo, UnknownChipKeyIsAnError)
     EXPECT_NE(err.find("bogus_knob"), std::string::npos);
 }
 
+/**
+ * The Markdown table of @p schema (a configSchema() dump): one
+ * row per field with its key, type, default and doc line.
+ */
+std::string
+renderFieldTable(const Json &schema)
+{
+    std::string out = "| Key | Type | Default | Description |\n"
+                      "|-----|------|---------|-------------|\n";
+    for (const Json &e : schema.arr()) {
+        std::string type = e.getString("type");
+        const Json &def = *e.find("default");
+        std::string shown;
+        if (def.isString()) {
+            shown = def.str();
+            type += ":";
+            const char *sep = " ";
+            for (const Json &v : e.find("values")->arr()) {
+                type += sep + ("`" + v.str() + "`");
+                sep = " \\| ";
+            }
+        } else if (def.isBool()) {
+            shown = def.boolean() ? "true" : "false";
+        } else {
+            shown = std::to_string(def.integer());
+        }
+        out += "| `" + e.getString("key") + "` | " + type;
+        out += " | `" + shown + "` | " + e.getString("doc") + " |\n";
+    }
+    return out;
+}
+
+/** The rows of @p fields' bounded keys, labeled @p table. */
+template <typename Cfg>
+std::string
+renderBoundRows(std::span<const ConfigField<Cfg>> fields,
+                const char *table)
+{
+    std::string out;
+    for (const ConfigField<Cfg> &f : fields) {
+        if (f.bounded())
+            out += "| `" + std::string(f.key) + "` | " +
+                   std::to_string(f.lo) + ".." +
+                   std::to_string(f.hi) + " | " + table + " |\n";
+    }
+    return out;
+}
+
 TEST(ConfigDocs, ConfigMdDocumentsEveryField)
 {
-    // docs/CONFIG.md is generated from the schema dump; this
-    // gate catches a field added to or deleted from a table
-    // without the doc regenerated (see the note at the end of
-    // CONFIG.md).
+    // docs/CONFIG.md's SM, chip and bounds tables are the field
+    // lists rendered as Markdown, character for character: a
+    // field added, removed, re-documented or re-bounded fails here
+    // until the document shows it.
     std::ifstream in(std::string(SIWI_SOURCE_DIR) +
                      "/docs/CONFIG.md");
     ASSERT_TRUE(in.is_open());
     std::ostringstream buf;
     buf << in.rdbuf();
-    std::string doc = buf.str();
-    auto backticked = [](const char *key) {
-        std::string needle = "`";
-        needle += key;
-        needle += '`';
-        return needle;
-    };
-    for (const ConfigField<SMConfig> &f :
-         pipeline::smConfigFields())
-        EXPECT_NE(doc.find(backticked(f.key)), std::string::npos)
-            << "docs/CONFIG.md is missing SM field " << f.key;
-    for (const ConfigField<GpuConfig> &f :
-         core::gpuConfigFields())
-        EXPECT_NE(doc.find(backticked(f.key)), std::string::npos)
-            << "docs/CONFIG.md is missing chip field " << f.key;
-
-    // Every row of the SM, chip and bounds tables must name a live
-    // key: the first backticked word of each "| `key` |" row
-    // between the section's heading and the next one.
-    std::set<std::string> sm_keys, chip_keys;
-    for (const ConfigField<SMConfig> &f : pipeline::smConfigFields())
-        sm_keys.insert(f.key);
-    for (const ConfigField<GpuConfig> &f : core::gpuConfigFields())
-        chip_keys.insert(f.key);
-    auto rowKeys = [&](const std::string &heading) {
-        std::vector<std::string> keys;
+    const std::string doc = buf.str();
+    // The table lines (those starting with '|') between the
+    // section's heading and the next one.
+    auto table = [&](const std::string &heading) {
+        std::string out;
         size_t at = doc.find("\n## " + heading + "\n");
         EXPECT_NE(at, std::string::npos) << heading;
         std::istringstream section(
             doc.substr(at, doc.find("\n## ", at + 1) - at));
         for (std::string line; std::getline(section, line);) {
-            if (line.starts_with("| `"))
-                keys.push_back(line.substr(3, line.find('`', 3) - 3));
+            if (line.starts_with("|"))
+                out += line + "\n";
         }
-        EXPECT_FALSE(keys.empty()) << heading;
-        return keys;
+        return out;
     };
-    for (const std::string &k : rowKeys("SM fields"))
-        EXPECT_TRUE(sm_keys.count(k))
-            << "docs/CONFIG.md documents a stale SM key " << k;
-    for (const std::string &k : rowKeys("Chip fields"))
-        EXPECT_TRUE(chip_keys.count(k))
-            << "docs/CONFIG.md documents a stale chip key " << k;
-    for (const std::string &k : rowKeys("Bounds on counts"))
-        EXPECT_TRUE(sm_keys.count(k) || chip_keys.count(k))
-            << "docs/CONFIG.md bounds a stale key " << k;
+    EXPECT_EQ(table("SM fields"),
+              renderFieldTable(pipeline::smConfigSchema()));
+    EXPECT_EQ(table("Chip fields"),
+              renderFieldTable(core::gpuConfigSchema()));
+    EXPECT_EQ(table("Bounds on counts"),
+              "| Key | Range | Table |\n|-----|-------|-------|\n" +
+                  renderBoundRows(pipeline::smConfigFields(), "SM") +
+                  renderBoundRows(core::gpuConfigFields(), "chip"));
 }
 
 TEST(GpuConfigIo, MakeDerivesAValidChip)

@@ -45,7 +45,7 @@ TEST(Config, SwiMatchesTable2)
     EXPECT_TRUE(c.swi);
     EXPECT_FALSE(c.sbi);
     EXPECT_EQ(c.delivery_latency, 1u);
-    EXPECT_EQ(c.shuffle, LaneShufflePolicy::XorRev);
+    EXPECT_EQ(c.lane_shuffle, LaneShufflePolicy::XorRev);
 }
 
 TEST(Config, SbiSwiCombinesBoth)

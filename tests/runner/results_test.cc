@@ -72,15 +72,82 @@ sampleResults()
     return r;
 }
 
+/** Every counter of @p s, walked from its list, set to ++*next. */
+template <typename Stats>
+void
+fillCounters(Stats *s, u64 *next)
+{
+    for (const core::CounterField<Stats> &f : core::counterFields<Stats>())
+        s->*f.member = ++*next;
+}
+
+/**
+ * Stats whose every field holds a distinct nonzero value: the
+ * listed counters at every level, the hand-written members, one
+ * entry of each breakdown and, unless @p depth is 0, two per_sm
+ * entries filled the same way.
+ */
+core::SimStats
+everyField(u64 *next, int depth)
+{
+    core::SimStats st;
+    st.cycles = ++*next;
+    st.timed_out = true;
+    fillCounters(&st, next);
+    st.max_stack_depth = unsigned(++*next);
+    st.max_live_contexts = unsigned(++*next);
+    st.num_sms = unsigned(++*next);
+    st.units.emplace_back();
+    st.units[0].name = "unit" + std::to_string(++*next);
+    fillCounters(&st.units[0], next);
+    fillCounters(&st.l2_slices.emplace_back(), next);
+    fillCounters(&st.dram_channels.emplace_back(), next);
+    fillCounters(&st.noc_ports.emplace_back(), next);
+    for (int i = 0; depth > 0 && i < 2; ++i)
+        st.per_sm.push_back(everyField(next, depth - 1));
+    return st;
+}
+
 TEST(StatsIo, RoundTrip)
 {
-    core::SimStats st = sampleStats(7);
-    st.timed_out = true;
+    u64 next = 0;
+    const core::SimStats st = everyField(&next, 1);
     core::SimStats back;
     std::string err;
     ASSERT_TRUE(core::statsFromJson(statsToJson(st), &back, &err))
         << err;
     EXPECT_EQ(back, st);
+}
+
+TEST(StatsIo, RejectsValuesItWouldMisread)
+{
+    // Each document is a stats object with one bad member, at the
+    // top level or inside a breakdown entry; the error names it.
+    const char *const cases[][2] = {
+        {R"({"fetches": -1})", "fetches"},
+        {R"({"cycles": "abc"})", "cycles"},
+        {R"({"cycles": 1.5})", "cycles"},
+        {R"({"timed_out": 1})", "timed_out"},
+        {R"({"num_sms": 4294967296})", "num_sms"},
+        {R"({"units": [{"name": "MAD", "issues": -2}]})", "issues"},
+        {R"({"units": [{"name": 7}]})", "name"},
+        {R"({"l2_slices": [{"hits": 0.5}]})", "hits"},
+        {R"({"dram_channels": [{"bytes": "9"}]})", "bytes"},
+        {R"({"noc_ports": [{"stall_tenths": true}]})", "stall_tenths"},
+        {R"({"per_sm": [{"l1_hits": -3}]})", "l1_hits"},
+        {R"({"per_sm": [{"timed_out": "no"}]})", "timed_out"},
+        {R"({"l2_slices": [3]})", "l2_slices"},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c[0]);
+        std::string err;
+        Json j = Json::parse(c[0], &err);
+        ASSERT_EQ(err, "");
+        core::SimStats st;
+        EXPECT_FALSE(core::statsFromJson(j, &st, &err));
+        EXPECT_NE(err.find(std::string("'") + c[1] + "'"), std::string::npos)
+            << err;
+    }
 }
 
 TEST(StatsIo, MissingFieldsDefaultToZero)

@@ -123,8 +123,7 @@ TEST(MachineFile, LoadsTheCheckedInExample)
         << err;
     EXPECT_EQ(m.name, "SBI+SWI-cct16-xor");
     EXPECT_EQ(m.config.heap.cct_capacity, 16u);
-    EXPECT_EQ(m.config.shuffle,
-              pipeline::LaneShufflePolicy::Xor);
+    EXPECT_EQ(m.config.lane_shuffle, pipeline::LaneShufflePolicy::Xor);
     EXPECT_TRUE(m.config.sbi);
     EXPECT_TRUE(m.config.swi);
 }
@@ -256,6 +255,34 @@ TEST(SpecFile, StrictErrorsNameTheOffender)
         EXPECT_NE(err.find(key), std::string::npos) << err;
     }
 
+    // A set block's values must have their field's JSON type, in
+    // a machine's set block and a sweep's alike.
+    const char *const mistyped[][3] = {
+        {"num_warps", R"("16")", "needs an unsigned integer"},
+        {"sbi_constraints", "0", "needs true or false"},
+        {"sbi_constraints", R"("false")", "needs true or false"},
+    };
+    for (const auto &c : mistyped) {
+        SCOPED_TRACE(c[1]);
+        EXPECT_FALSE(load(R"({"name": "x", "sweeps": [
+            {"name": "s",
+             "machines": [{"name": "M", "base": "SBI",
+                           "set": {")" + std::string(c[0]) +
+                              R"(": )" + c[1] + R"(}}],
+             "workloads": ["regular"]}]})",
+                          &err));
+        EXPECT_NE(err.find(std::string("config key '") + c[0] + "' " + c[2]),
+                  std::string::npos)
+            << err;
+    }
+    EXPECT_FALSE(load(R"({"name": "x", "sweeps": [
+        {"name": "s", "machines": ["SBI"],
+         "workloads": ["regular"], "set": {"mshrs": "32"}}]})",
+                      &err));
+    EXPECT_NE(err.find("config key 'mshrs' needs an unsigned integer"),
+              std::string::npos)
+        << err;
+
     EXPECT_FALSE(load(R"({"name": "x", "sweeps": [
         {"name": "s", "machines": ["SBI"],
          "workloads": ["regular"]},
@@ -272,12 +299,12 @@ TEST(SweepCheck, OverridesAndSpecFilesReportOneFormat)
     // fail the one sweep check with one diagnostic.
     struct Case
     {
-        const char *key, *value, *names;
+        const char *key, *value, *json, *names;
     };
     const Case cases[] = {
-        {"sched_policy", "gto", "runs policy 'gto' twice"},
-        {"l2_slices", "4096", "@16sm: l2_slices must divide"},
-        {"num_warps", "0", "num_warps"},
+        {"sched_policy", "gto", R"("gto")", "runs policy 'gto' twice"},
+        {"l2_slices", "4096", "4096", "@16sm: l2_slices must divide"},
+        {"num_warps", "0", "0", "num_warps"},
     };
     const std::string sweep =
         R"({"name": "s", "machines": ["SBI"], "workloads": ["BFS"],
@@ -289,8 +316,7 @@ TEST(SweepCheck, OverridesAndSpecFilesReportOneFormat)
         std::string label, spec_err;
         EXPECT_FALSE(sweepsFromSpecJson(
             parseJson(R"({"name": "x", "sweeps": [)" + sweep +
-                      R"(, "set": {")" + c.key + R"(": ")" +
-                      c.value + R"("}}]})"),
+                      R"(, "set": {")" + c.key + R"(": )" + c.json + "}}]}"),
             "", &reg, &sweeps, &label, &spec_err));
         EXPECT_NE(spec_err.find(c.names), std::string::npos)
             << spec_err;
@@ -515,8 +541,7 @@ TEST(Results, EmbedsTheResolvedMachineConfigs)
     EXPECT_EQ(r.machine, "SBI+SWI-cct16-xor@2sm");
     EXPECT_EQ(r.config.num_sms, 2u);
     EXPECT_EQ(r.config.sm.heap.cct_capacity, 16u);
-    EXPECT_EQ(r.config.sm.shuffle,
-              pipeline::LaneShufflePolicy::Xor);
+    EXPECT_EQ(r.config.sm.lane_shuffle, pipeline::LaneShufflePolicy::Xor);
     ASSERT_EQ(res.cells.size(), 1u);
     EXPECT_EQ(res.cells[0].machine, r.machine);
     EXPECT_NE(res.findMachine("custom", res.cells[0].machine),

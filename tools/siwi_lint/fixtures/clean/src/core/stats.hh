@@ -1,4 +1,4 @@
-// Fixture: minimal SimStats that matches its table exactly.
+// Fixture: minimal SimStats declared from its counter list.
 #ifndef SIWI_CORE_STATS_HH
 #define SIWI_CORE_STATS_HH
 
@@ -6,16 +6,15 @@ namespace siwi::core {
 
 using u64 = unsigned long long;
 
+#define SIWI_SIM_STATS_COUNTERS(X) \
+    X(instructions) /* serialized under its own name */
+
 struct SimStats
 {
     u64 cycles = 0;
-    u64 instructions = 0;
+#define SIWI_COUNTER_MEMBER(name) u64 name = 0;
+    SIWI_SIM_STATS_COUNTERS(SIWI_COUNTER_MEMBER)
     unsigned extra = 0;
-
-    double ipc() const
-    {
-        return cycles ? double(instructions) / double(cycles) : 0.0;
-    }
 };
 
 } // namespace siwi::core

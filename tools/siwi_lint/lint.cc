@@ -4,7 +4,6 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <regex>
 #include <set>
 #include <sstream>
@@ -129,30 +128,6 @@ stripCommentsAndStrings(const std::string &src)
         }
     }
     return out;
-}
-
-/** Word-ish containment: @p token bounded by non-identifier,
- *  non-dot characters (so "l2.ways" does not match inside
- *  "mem.l2.ways_ext"). */
-bool
-containsToken(const std::string &text, const std::string &token)
-{
-    auto isWordOrDot = [](char c) {
-        return std::isalnum(static_cast<unsigned char>(c)) ||
-               c == '_' || c == '.';
-    };
-    size_t pos = 0;
-    while ((pos = text.find(token, pos)) != std::string::npos) {
-        bool left_ok =
-            pos == 0 || !isWordOrDot(text[pos - 1]);
-        size_t end = pos + token.size();
-        bool right_ok =
-            end >= text.size() || !isWordOrDot(text[end]);
-        if (left_ok && right_ok)
-            return true;
-        pos += 1;
-    }
-    return false;
 }
 
 // ---------------------------------------------------------------
@@ -450,284 +425,7 @@ checkHeaders(const fs::path &root,
 }
 
 // ---------------------------------------------------------------
-// Check 3: struct <-> serialization-table drift
-// ---------------------------------------------------------------
-
-struct Member
-{
-    std::string name;
-    std::string type;
-    int line = 0;
-};
-
-/**
- * Extract the data members of @p name from @p header_text.
- * Statement-level parse over comment-stripped text: functions,
- * static members and nested type definitions are skipped; brace
- * and paren contents are elided so multi-line declarations and
- * inline method bodies do not confuse the splitter.
- */
-std::vector<Member>
-parseStructMembers(const std::string &header_text,
-                   const std::string &name, std::string *err)
-{
-    const std::string code = stripCommentsAndStrings(header_text);
-    const std::regex decl_re("(struct|class)\\s+" + name +
-                             "\\b([^;{]*)\\{");
-    std::smatch m;
-    if (!std::regex_search(code, m, decl_re)) {
-        *err = "struct " + name + " not found";
-        return {};
-    }
-    size_t body = size_t(m.position(0)) + m.length(0);
-    int line = 1 + int(std::count(code.begin(),
-                                  code.begin() + long(body), '\n'));
-
-    std::vector<Member> members;
-    std::string stmt;
-    int stmt_line = 0;
-    int depth = 1;
-    bool saw_brace_group = false;
-
-    auto flush = [&](bool terminated) {
-        std::string s = trim(stmt);
-        stmt.clear();
-        saw_brace_group = false;
-        if (!terminated || s.empty())
-            return;
-        s = std::regex_replace(
-            s, std::regex(R"(^\s*(public|private|protected)\s*:)"),
-            "");
-        s = trim(s);
-        if (s.empty() || s.find('(') != std::string::npos)
-            return;
-        for (const char *kw : {"static", "using", "friend",
-                               "typedef", "struct", "class",
-                               "enum", "template"})
-            if (startsWith(s, kw))
-                return;
-        // Cut "= init" (a braced init's body was already elided
-        // by the depth filter).
-        size_t cut = s.find('=');
-        if (cut != std::string::npos)
-            s = trim(s.substr(0, cut));
-        const std::regex ident_re(R"(([A-Za-z_]\w*)\s*$)");
-        std::smatch im;
-        std::string tail = s;
-        if (!std::regex_search(tail, im, ident_re))
-            return;
-        Member mem;
-        mem.name = im[1];
-        mem.type = trim(tail.substr(0, size_t(im.position(1))));
-        if (mem.type.empty())
-            return;
-        mem.line = stmt_line;
-        members.push_back(std::move(mem));
-    };
-
-    for (size_t i = body; i < code.size() && depth > 0; ++i) {
-        char c = code[i];
-        if (c == '\n')
-            ++line;
-        if (c == '{') {
-            ++depth;
-            if (depth == 2)
-                saw_brace_group = true;
-            continue;
-        }
-        if (c == '}') {
-            --depth;
-            if (depth == 1 &&
-                stmt.find('(') != std::string::npos) {
-                stmt.clear(); // a method body just closed
-                saw_brace_group = false;
-            }
-            continue;
-        }
-        if (depth != 1)
-            continue;
-        if (c == ';') {
-            flush(true);
-            continue;
-        }
-        if (trim(stmt).empty() && !std::isspace(
-                static_cast<unsigned char>(c)))
-            stmt_line = line;
-        stmt += c;
-    }
-    return members;
-}
-
-/** Last identifier of a type spelling ("mem::MemConfig" ->
- *  "MemConfig"); templated types are treated as leaves. */
-std::string
-bareTypeName(const std::string &type)
-{
-    if (type.find('<') != std::string::npos)
-        return "";
-    const std::regex re(R"(([A-Za-z_]\w*)\s*$)");
-    std::smatch m;
-    if (std::regex_search(type, m, re))
-        return m[1];
-    return "";
-}
-
-struct TableSpec
-{
-    const char *struct_name;
-    const char *header;     //!< declares the struct
-    const char *table_file; //!< holds the field table
-    bool stats_mode;        //!< SimStats (u64 table) vs ConfigField
-    std::vector<std::string> skip; //!< members checked elsewhere
-};
-
-const std::vector<TableSpec> &
-tableSpecs()
-{
-    static const std::vector<TableSpec> v = {
-        {"SimStats", "src/core/stats.hh", "src/core/stats_io.cc",
-         true, {}},
-        {"SMConfig", "src/pipeline/config.hh",
-         "src/pipeline/config_io.cc", false, {}},
-        // GpuConfig.sm is serialized through the nested SMConfig
-        // table, which the row above checks on its own.
-        {"GpuConfig", "src/core/gpu.hh", "src/core/config_io.cc",
-         false, {"sm"}},
-    };
-    return v;
-}
-
-/** Headers of the nested config structs dotted paths recurse
- *  through. */
-const std::map<std::string, std::string> &
-nestedStructHeaders()
-{
-    static const std::map<std::string, std::string> m = {
-        {"SplitHeapConfig", "src/divergence/split_heap.hh"},
-        {"MemConfig", "src/mem/memory_system.hh"},
-        {"CacheConfig", "src/mem/cache.hh"},
-        {"DramConfig", "src/mem/dram.hh"},
-        {"L2Config", "src/mem/backend.hh"},
-        {"NocConfig", "src/mem/banked_l2.hh"},
-    };
-    return m;
-}
-
-struct Leaf
-{
-    std::string path; //!< dotted from the root struct
-    std::string type;
-    std::string file; //!< header declaring the leaf member
-    int line = 0;
-};
-
-void
-expandLeaves(const fs::path &root, const std::string &struct_name,
-             const std::string &header_rel,
-             const std::string &prefix, int depth,
-             const std::vector<std::string> &skip,
-             std::vector<Leaf> *out, std::vector<std::string> *errs)
-{
-    if (depth > 4) {
-        errs->push_back("table-drift: nesting too deep at " +
-                        prefix);
-        return;
-    }
-    std::string text;
-    if (!readFile(root / header_rel, &text)) {
-        errs->push_back("table-drift: cannot read " + header_rel +
-                        " (struct " + struct_name + ")");
-        return;
-    }
-    std::string perr;
-    std::vector<Member> members =
-        parseStructMembers(text, struct_name, &perr);
-    if (!perr.empty()) {
-        errs->push_back("table-drift: " + header_rel + ": " + perr);
-        return;
-    }
-    for (const Member &m : members) {
-        if (std::find(skip.begin(), skip.end(), m.name) !=
-            skip.end())
-            continue;
-        const std::string bare = bareTypeName(m.type);
-        auto nested = nestedStructHeaders().find(bare);
-        if (nested != nestedStructHeaders().end()) {
-            expandLeaves(root, bare, nested->second,
-                         prefix + m.name + ".", depth + 1, {}, out,
-                         errs);
-        } else {
-            out->push_back(
-                {prefix + m.name, m.type, header_rel, m.line});
-        }
-    }
-}
-
-void
-checkTableDrift(const fs::path &root,
-                std::vector<Finding> *findings,
-                std::vector<std::string> *flagged_lines,
-                std::vector<std::string> *errs)
-{
-    for (const TableSpec &spec : tableSpecs()) {
-        std::string table_text;
-        if (!readFile(root / spec.table_file, &table_text)) {
-            errs->push_back("table-drift: cannot read " +
-                            std::string(spec.table_file));
-            continue;
-        }
-        std::vector<Leaf> leaves;
-        expandLeaves(root, spec.struct_name, spec.header, "", 0,
-                     spec.skip, &leaves, errs);
-        std::string header_text;
-        readFile(root / spec.header, &header_text);
-        const std::vector<std::string> header_lines =
-            splitLines(header_text);
-        for (const Leaf &leaf : leaves) {
-            bool ok;
-            std::string expect;
-            if (spec.stats_mode && leaf.type == "u64") {
-                expect = "&" + std::string(spec.struct_name) +
-                         "::" + leaf.path;
-                ok = table_text.find(expect) != std::string::npos;
-            } else {
-                expect = leaf.path;
-                ok = containsToken(table_text, leaf.path);
-            }
-            if (ok)
-                continue;
-            Finding f;
-            f.file = leaf.file;
-            f.line = leaf.line;
-            f.check = "table-drift";
-            f.message = std::string(spec.struct_name) + "." +
-                        leaf.path + " has no row in " +
-                        spec.table_file +
-                        " (expected " + expect +
-                        "): the field is invisible to "
-                        "serialization, operator== and the "
-                        "determinism gates";
-            findings->push_back(std::move(f));
-            const std::vector<std::string> *lines = &header_lines;
-            std::string nested_text;
-            if (leaf.file != spec.header) {
-                readFile(root / leaf.file, &nested_text);
-            }
-            std::vector<std::string> nested_lines;
-            if (!nested_text.empty()) {
-                nested_lines = splitLines(nested_text);
-                lines = &nested_lines;
-            }
-            flagged_lines->push_back(
-                leaf.line >= 1 && leaf.line <= int(lines->size())
-                    ? (*lines)[leaf.line - 1]
-                    : "");
-        }
-    }
-}
-
-// ---------------------------------------------------------------
-// Check 4: serialized schema key pin
+// Check 3: serialized schema key pin
 // ---------------------------------------------------------------
 
 std::set<std::string>
@@ -739,7 +437,6 @@ extractSerializedKeys(const std::string &text)
         std::regex(
             R"re(\bget(?:Int|Bool|String|Double)\(\s*"([^"]+)")re"),
         std::regex(R"re(\bfind\(\s*"([^"]+)")re"),
-        std::regex(R"re(\{\s*"([^"]+)"\s*,\s*&SimStats::)re"),
     };
     for (const std::regex &re : res) {
         auto begin =
@@ -750,8 +447,35 @@ extractSerializedKeys(const std::string &text)
     return keys;
 }
 
+/**
+ * The counter names of every counter list in @p text: the X(name)
+ * rows of a "#define <NAME>_COUNTERS(X)" macro and its
+ * continuation lines (common/field_list.hh). Each is serialized
+ * under its own name.
+ */
+std::set<std::string>
+extractCounterRows(const std::string &text)
+{
+    static const std::regex head(R"(^\s*#\s*define\s+\w+_COUNTERS\(X\))");
+    static const std::regex row(R"(\bX\(\s*(\w+)\s*\))");
+    std::set<std::string> keys;
+    bool in_list = false;
+    for (const std::string &raw : splitLines(stripCommentsAndStrings(text))) {
+        in_list = in_list || std::regex_search(raw, head);
+        if (!in_list)
+            continue;
+        auto begin = std::sregex_iterator(raw.begin(), raw.end(), row);
+        for (auto it = begin; it != std::sregex_iterator(); ++it)
+            keys.insert((*it)[1]);
+        const std::string line = trim(raw);
+        in_list = !line.empty() && line.back() == '\\';
+    }
+    return keys;
+}
+
 void
 checkSchemaPin(const fs::path &root, const Options &opts,
+               const std::vector<std::string> &files,
                std::vector<Finding> *findings,
                std::vector<std::string> *flagged_lines,
                std::vector<std::string> *errs)
@@ -759,6 +483,8 @@ checkSchemaPin(const fs::path &root, const Options &opts,
     if (opts.schema_pin.empty())
         return;
     const char *version_hdr = "src/core/stats_io.hh";
+    // Hand-written keys (set/get/find calls); every scanned source
+    // adds the rows of its counter lists.
     const std::vector<const char *> key_files = {
         "src/core/stats_io.cc", "src/runner/results.cc"};
 
@@ -796,6 +522,15 @@ checkSchemaPin(const fs::path &root, const Options &opts,
             return;
         }
         std::set<std::string> k = extractSerializedKeys(text);
+        keys.insert(k.begin(), k.end());
+    }
+    for (const std::string &f : files) {
+        std::string text;
+        if (!readFile(root / f, &text)) {
+            errs->push_back("schema: cannot read " + f);
+            return;
+        }
+        std::set<std::string> k = extractCounterRows(text);
         keys.insert(k.begin(), k.end());
     }
 
@@ -922,8 +657,7 @@ runLint(const Options &opts)
     checkBannedSources(root, files, &findings, &flagged,
                        &res.errors);
     checkHeaders(root, files, &findings, &flagged, &res.errors);
-    checkTableDrift(root, &findings, &flagged, &res.errors);
-    checkSchemaPin(root, opts, &findings, &flagged, &res.errors);
+    checkSchemaPin(root, opts, files, &findings, &flagged, &res.errors);
 
     std::vector<AllowEntry> allow;
     if (!opts.allowlist.empty())

@@ -6,9 +6,8 @@
  * The simulator's headline guarantee — bit-identical statistics at
  * any thread count, with cycle skipping on or off — rests on
  * invariants the compiler cannot see: no nondeterministic
- * containers or clocks feeding simulation state, ConfigField /
- * statsU64Fields tables that never drift from their structs, and a
- * schema version that moves whenever the serialized key set does.
+ * containers or clocks feeding simulation state, and a schema
+ * version that moves whenever the serialized key set does.
  * This checker enforces them at analysis time, before a bug can
  * reach the runtime drift tests.
  */

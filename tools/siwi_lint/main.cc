@@ -26,8 +26,6 @@ usage(std::FILE *to)
         "contract (see docs/LINTING.md):\n"
         "  nondet       banned nondeterminism sources in src/+tools/\n"
         "  header       include-guard and using-namespace hygiene\n"
-        "  table-drift  struct fields missing from ConfigField /\n"
-        "               statsU64Fields tables\n"
         "  schema       serialized key set vs the pinned schema\n"
         "               version\n"
         "  allowlist    stale suppression entries\n"

@@ -202,9 +202,9 @@ main(int argc, char **argv)
         return exit_ok;
     }
     if (args.flag("--dump-schema")) {
-        // Self-describing schema of the config field tables; the
-        // reference tables in docs/CONFIG.md are generated from
-        // this dump.
+        // Self-describing schema of the config field tables;
+        // docs/CONFIG.md's field tables equal this dump rendered
+        // as Markdown (the pipeline.ConfigDocs test checks it).
         Json j = Json::object();
         j.set("sm", pipeline::smConfigSchema());
         j.set("chip", core::gpuConfigSchema());
