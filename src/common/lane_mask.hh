@@ -86,6 +86,15 @@ class LaneMask
         return 63 - std::countl_zero(bits_);
     }
 
+    /** Call @p f(lane) for every set lane, lowest first. */
+    template <typename F>
+    constexpr void
+    forEach(F &&f) const
+    {
+        for (u64 b = bits_; b != 0; b &= b - 1)
+            f(unsigned(std::countr_zero(b)));
+    }
+
     /**
      * Lanes of this mask falling in wave @p w of width @p width,
      * i.e. lanes [w*width, (w+1)*width).

@@ -1,5 +1,6 @@
 #include "exec/functional.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -40,79 +41,11 @@ readSreg(const ThreadInfo &ti, SpecialReg sr)
     }
 }
 
-/** Compute one lane's result for a dst-writing ALU/SFU op. */
-u32
-aluLane(const Instruction &inst, const WarpState &warp, unsigned lane)
+void
+checkLanes(const WarpState &warp, LaneMask mask)
 {
-    auto rd = [&](RegIdx r) { return warp.reg(lane, r); };
-    // Second operand: register or immediate.
-    auto b = [&]() {
-        return inst.b_is_imm ? u32(inst.imm) : rd(inst.sb);
-    };
-    auto ia = [&]() { return i32(rd(inst.sa)); };
-    auto ib = [&]() { return i32(b()); };
-    auto fa = [&]() { return asF(rd(inst.sa)); };
-    auto fb = [&]() { return asF(b()); };
-
-    switch (inst.op) {
-      case Opcode::MOV: return rd(inst.sa);
-      case Opcode::MOVI: return u32(inst.imm);
-      case Opcode::S2R: return readSreg(warp.info(lane), inst.sreg);
-      // Arithmetic wraps mod 2^32 (two's complement); compute in
-      // unsigned to keep host-side signed overflow UB out of it.
-      case Opcode::IADD: return rd(inst.sa) + b();
-      case Opcode::ISUB: return rd(inst.sa) - b();
-      case Opcode::IMUL: return rd(inst.sa) * b();
-      case Opcode::IMAD:
-        return rd(inst.sa) * b() + rd(inst.sc);
-      case Opcode::IMIN: return u32(std::min(ia(), ib()));
-      case Opcode::IMAX: return u32(std::max(ia(), ib()));
-      case Opcode::IABS: {
-        i32 v = ia();
-        return v < 0 ? 0u - u32(v) : u32(v);
-      }
-      case Opcode::AND: return rd(inst.sa) & b();
-      case Opcode::OR: return rd(inst.sa) | b();
-      case Opcode::XOR: return rd(inst.sa) ^ b();
-      case Opcode::NOT: return ~rd(inst.sa);
-      case Opcode::SHL: return rd(inst.sa) << (b() & 31);
-      case Opcode::SHR: return rd(inst.sa) >> (b() & 31);
-      case Opcode::SRA: return u32(ia() >> (b() & 31));
-      case Opcode::ISETLT: return ia() < ib() ? 1 : 0;
-      case Opcode::ISETLE: return ia() <= ib() ? 1 : 0;
-      case Opcode::ISETEQ: return ia() == ib() ? 1 : 0;
-      case Opcode::ISETNE: return ia() != ib() ? 1 : 0;
-      case Opcode::ISETGE: return ia() >= ib() ? 1 : 0;
-      case Opcode::ISETGT: return ia() > ib() ? 1 : 0;
-      case Opcode::SEL:
-        return rd(inst.sa) != 0 ? rd(inst.sb) : rd(inst.sc);
-      case Opcode::FADD: return asU(fa() + fb());
-      case Opcode::FSUB: return asU(fa() - fb());
-      case Opcode::FMUL: return asU(fa() * fb());
-      case Opcode::FMAD:
-        return asU(fa() * fb() + asF(rd(inst.sc)));
-      case Opcode::FMIN: return asU(std::fmin(fa(), fb()));
-      case Opcode::FMAX: return asU(std::fmax(fa(), fb()));
-      case Opcode::FABS: return asU(std::fabs(fa()));
-      case Opcode::FNEG: return asU(-fa());
-      case Opcode::FSETLT: return fa() < fb() ? 1 : 0;
-      case Opcode::FSETLE: return fa() <= fb() ? 1 : 0;
-      case Opcode::FSETEQ: return fa() == fb() ? 1 : 0;
-      case Opcode::FSETNE: return fa() != fb() ? 1 : 0;
-      case Opcode::FSETGE: return fa() >= fb() ? 1 : 0;
-      case Opcode::FSETGT: return fa() > fb() ? 1 : 0;
-      case Opcode::I2F: return asU(float(ia()));
-      case Opcode::F2I: return u32(i32(fa()));
-      case Opcode::RCP: return asU(1.0f / fa());
-      case Opcode::RSQ: return asU(1.0f / std::sqrt(fa()));
-      case Opcode::SQRT: return asU(std::sqrt(fa()));
-      case Opcode::SIN: return asU(std::sin(fa()));
-      case Opcode::COS: return asU(std::cos(fa()));
-      case Opcode::EXP2: return asU(std::exp2(fa()));
-      case Opcode::LOG2: return asU(std::log2(fa()));
-      default:
-        panic("aluLane: not an ALU op: ", isa::opName(inst.op));
-    }
+    siwi_assert(mask.subsetOf(LaneMask::firstN(warp.width())),
+                "lane mask wider than the warp");
 }
 
 } // namespace
@@ -123,9 +56,131 @@ executeAlu(const Instruction &inst, WarpState &warp, LaneMask mask)
     if (inst.op == Opcode::NOP)
         return;
     siwi_assert(inst.writesDst(), "executeAlu on non-ALU op");
-    for (unsigned lane = 0; lane < warp.width(); ++lane) {
-        if (mask.test(lane))
-            warp.setReg(lane, inst.dst, aluLane(inst, warp, lane));
+    checkLanes(warp, mask);
+
+    // Decode once; each case then loops over the active lanes,
+    // reading operand rows of the register-major file.
+    u32 *d = warp.row(inst.dst);
+    auto un = [&](auto f) {
+        const u32 *a = warp.row(inst.sa);
+        mask.forEach([&](unsigned l) { d[l] = f(a[l]); });
+    };
+    // The second operand is a register or the immediate.
+    auto bin = [&](auto f) {
+        const u32 *a = warp.row(inst.sa);
+        if (inst.b_is_imm) {
+            const u32 b = u32(inst.imm);
+            mask.forEach([&](unsigned l) { d[l] = f(a[l], b); });
+        } else {
+            const u32 *b = warp.row(inst.sb);
+            mask.forEach([&](unsigned l) { d[l] = f(a[l], b[l]); });
+        }
+    };
+    auto tri = [&](auto f) {
+        const u32 *a = warp.row(inst.sa);
+        const u32 *c = warp.row(inst.sc);
+        if (inst.b_is_imm) {
+            const u32 b = u32(inst.imm);
+            mask.forEach([&](unsigned l) { d[l] = f(a[l], b, c[l]); });
+        } else {
+            const u32 *b = warp.row(inst.sb);
+            mask.forEach(
+                [&](unsigned l) { d[l] = f(a[l], b[l], c[l]); });
+        }
+    };
+    // Signed operands; a compare's bool becomes 1 or 0.
+    auto sbin = [&](auto f) {
+        bin([f](u32 a, u32 b) { return u32(f(i32(a), i32(b))); });
+    };
+    auto fun = [&](auto f) {
+        un([f](u32 a) { return asU(f(asF(a))); });
+    };
+    auto fbin = [&](auto f) {
+        bin([f](u32 a, u32 b) { return asU(f(asF(a), asF(b))); });
+    };
+    auto fcmp = [&](auto f) {
+        bin([f](u32 a, u32 b) { return u32(f(asF(a), asF(b))); });
+    };
+
+    switch (inst.op) {
+      case Opcode::MOV: return un([](u32 a) { return a; });
+      case Opcode::MOVI:
+        return mask.forEach([&](unsigned l) { d[l] = u32(inst.imm); });
+      case Opcode::S2R:
+        return mask.forEach([&](unsigned l) {
+            d[l] = readSreg(warp.info(l), inst.sreg);
+        });
+      // Arithmetic wraps mod 2^32 (two's complement); compute in
+      // unsigned to keep host-side signed overflow UB out of it.
+      case Opcode::IADD: return bin([](u32 a, u32 b) { return a + b; });
+      case Opcode::ISUB: return bin([](u32 a, u32 b) { return a - b; });
+      case Opcode::IMUL: return bin([](u32 a, u32 b) { return a * b; });
+      case Opcode::IMAD:
+        return tri([](u32 a, u32 b, u32 c) { return a * b + c; });
+      case Opcode::IMIN:
+        return sbin([](i32 a, i32 b) { return std::min(a, b); });
+      case Opcode::IMAX:
+        return sbin([](i32 a, i32 b) { return std::max(a, b); });
+      case Opcode::IABS:
+        return un([](u32 a) { return i32(a) < 0 ? 0u - a : a; });
+      case Opcode::AND: return bin([](u32 a, u32 b) { return a & b; });
+      case Opcode::OR: return bin([](u32 a, u32 b) { return a | b; });
+      case Opcode::XOR: return bin([](u32 a, u32 b) { return a ^ b; });
+      case Opcode::NOT: return un([](u32 a) { return ~a; });
+      case Opcode::SHL:
+        return bin([](u32 a, u32 b) { return a << (b & 31); });
+      case Opcode::SHR:
+        return bin([](u32 a, u32 b) { return a >> (b & 31); });
+      case Opcode::SRA:
+        return sbin([](i32 a, i32 b) { return a >> (b & 31); });
+      case Opcode::ISETLT: return sbin([](i32 a, i32 b) { return a < b; });
+      case Opcode::ISETLE: return sbin([](i32 a, i32 b) { return a <= b; });
+      case Opcode::ISETEQ: return sbin([](i32 a, i32 b) { return a == b; });
+      case Opcode::ISETNE: return sbin([](i32 a, i32 b) { return a != b; });
+      case Opcode::ISETGE: return sbin([](i32 a, i32 b) { return a >= b; });
+      case Opcode::ISETGT: return sbin([](i32 a, i32 b) { return a > b; });
+      case Opcode::SEL:
+        return tri([](u32 a, u32 b, u32 c) { return a != 0 ? b : c; });
+      case Opcode::FADD:
+        return fbin([](float a, float b) { return a + b; });
+      case Opcode::FSUB:
+        return fbin([](float a, float b) { return a - b; });
+      case Opcode::FMUL:
+        return fbin([](float a, float b) { return a * b; });
+      case Opcode::FMAD:
+        return tri([](u32 a, u32 b, u32 c) {
+            return asU(asF(a) * asF(b) + asF(c));
+        });
+      case Opcode::FMIN:
+        return fbin([](float a, float b) { return std::fmin(a, b); });
+      case Opcode::FMAX:
+        return fbin([](float a, float b) { return std::fmax(a, b); });
+      case Opcode::FABS: return fun([](float a) { return std::fabs(a); });
+      case Opcode::FNEG: return fun([](float a) { return -a; });
+      case Opcode::FSETLT:
+        return fcmp([](float a, float b) { return a < b; });
+      case Opcode::FSETLE:
+        return fcmp([](float a, float b) { return a <= b; });
+      case Opcode::FSETEQ:
+        return fcmp([](float a, float b) { return a == b; });
+      case Opcode::FSETNE:
+        return fcmp([](float a, float b) { return a != b; });
+      case Opcode::FSETGE:
+        return fcmp([](float a, float b) { return a >= b; });
+      case Opcode::FSETGT:
+        return fcmp([](float a, float b) { return a > b; });
+      case Opcode::I2F: return un([](u32 a) { return asU(float(i32(a))); });
+      case Opcode::F2I: return un([](u32 a) { return u32(i32(asF(a))); });
+      case Opcode::RCP: return fun([](float a) { return 1.0f / a; });
+      case Opcode::RSQ:
+        return fun([](float a) { return 1.0f / std::sqrt(a); });
+      case Opcode::SQRT: return fun([](float a) { return std::sqrt(a); });
+      case Opcode::SIN: return fun([](float a) { return std::sin(a); });
+      case Opcode::COS: return fun([](float a) { return std::cos(a); });
+      case Opcode::EXP2: return fun([](float a) { return std::exp2(a); });
+      case Opcode::LOG2: return fun([](float a) { return std::log2(a); });
+      default:
+        panic("executeAlu: not an ALU op: ", isa::opName(inst.op));
     }
 }
 
@@ -136,20 +191,16 @@ evalBranch(const Instruction &inst, const WarpState &warp,
     switch (inst.op) {
       case Opcode::BRA:
         return mask;
-      case Opcode::BNZ: {
-        LaneMask taken;
-        for (unsigned lane = 0; lane < warp.width(); ++lane) {
-            if (mask.test(lane) && warp.reg(lane, inst.sa) != 0)
-                taken.set(lane);
-        }
-        return taken;
-      }
+      case Opcode::BNZ:
       case Opcode::BZ: {
+        checkLanes(warp, mask);
+        const u32 *cond = warp.row(inst.sa);
+        const bool want_nonzero = inst.op == Opcode::BNZ;
         LaneMask taken;
-        for (unsigned lane = 0; lane < warp.width(); ++lane) {
-            if (mask.test(lane) && warp.reg(lane, inst.sa) == 0)
-                taken.set(lane);
-        }
+        mask.forEach([&](unsigned l) {
+            if ((cond[l] != 0) == want_nonzero)
+                taken.set(l);
+        });
         return taken;
       }
       default:
@@ -157,32 +208,31 @@ evalBranch(const Instruction &inst, const WarpState &warp,
     }
 }
 
-std::vector<MemRequest>
+std::vector<mem::LaneAccess>
 memAddresses(const Instruction &inst, const WarpState &warp,
              LaneMask mask)
 {
     siwi_assert(isa::isMemory(inst.op), "memAddresses: not a mem op");
-    std::vector<MemRequest> out;
+    checkLanes(warp, mask);
+    const u32 *base = warp.row(inst.sa);
+    const Addr offset = Addr(i64(inst.imm));
+    std::vector<mem::LaneAccess> out;
     out.reserve(mask.count());
-    for (unsigned lane = 0; lane < warp.width(); ++lane) {
-        if (!mask.test(lane))
-            continue;
-        Addr a = Addr(warp.reg(lane, inst.sa)) + Addr(i64(inst.imm));
-        out.push_back({lane, a});
-    }
+    mask.forEach(
+        [&](unsigned l) { out.push_back({l, Addr(base[l]) + offset}); });
     return out;
 }
 
 void
-executeMem(const Instruction &inst, WarpState &warp, LaneMask mask,
-           mem::MemoryImage &memory)
+executeMem(const Instruction &inst,
+           std::span<const mem::LaneAccess> accesses, LaneMask mask,
+           WarpState &warp, mem::MemoryImage &memory)
 {
-    for (const MemRequest &req : memAddresses(inst, warp, mask)) {
-        if (inst.op == Opcode::LD) {
-            warp.setReg(req.lane, inst.dst, memory.read32(req.addr));
-        } else {
-            memory.write32(req.addr, warp.reg(req.lane, inst.sb));
-        }
+    if (inst.op == Opcode::LD) {
+        memory.gather(accesses, mask, warp.row(inst.dst));
+    } else {
+        siwi_assert(inst.op == Opcode::ST, "executeMem: not a mem op");
+        memory.scatter(accesses, mask, warp.row(inst.sb));
     }
 }
 

@@ -13,6 +13,7 @@
 #ifndef SIWI_EXEC_FUNCTIONAL_HH
 #define SIWI_EXEC_FUNCTIONAL_HH
 
+#include <span>
 #include <vector>
 
 #include "common/lane_mask.hh"
@@ -21,13 +22,6 @@
 #include "mem/memory_image.hh"
 
 namespace siwi::exec {
-
-/** One lane's memory request. */
-struct MemRequest
-{
-    unsigned lane;
-    Addr addr;
-};
 
 /**
  * Execute an ALU/SFU instruction for every lane in @p mask.
@@ -47,16 +41,20 @@ LaneMask evalBranch(const isa::Instruction &inst, const WarpState &warp,
  * Per-lane addresses of a memory instruction for lanes in @p mask,
  * in ascending lane order.
  */
-std::vector<MemRequest> memAddresses(const isa::Instruction &inst,
-                                     const WarpState &warp,
-                                     LaneMask mask);
+std::vector<mem::LaneAccess> memAddresses(const isa::Instruction &inst,
+                                          const WarpState &warp,
+                                          LaneMask mask);
 
 /**
- * Functionally perform a load or store for lanes in @p mask against
- * @p memory (values move immediately; timing is handled elsewhere).
+ * Functionally perform a load or store for the lanes of @p accesses
+ * (memAddresses' result) that are in @p mask, against @p memory
+ * (values move immediately; timing is handled elsewhere). When
+ * several lanes store to one address, the highest lane's value
+ * lands.
  */
-void executeMem(const isa::Instruction &inst, WarpState &warp,
-                LaneMask mask, mem::MemoryImage &memory);
+void executeMem(const isa::Instruction &inst,
+                std::span<const mem::LaneAccess> accesses, LaneMask mask,
+                WarpState &warp, mem::MemoryImage &memory);
 
 } // namespace siwi::exec
 

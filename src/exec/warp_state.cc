@@ -1,29 +1,16 @@
 #include "exec/warp_state.hh"
 
-#include "common/log.hh"
+#include <algorithm>
 
 namespace siwi::exec {
 
-WarpState::WarpState(unsigned width)
-    : width_(width), regs_(width), info_(width)
+WarpState::WarpState(unsigned width, unsigned regs)
+    : width_(width), regs_(regs), file_(size_t(regs) * width),
+      info_(width)
 {
     siwi_assert(width >= 1 && width <= max_warp_width,
                 "bad warp width");
-    clear();
-}
-
-u32
-WarpState::reg(unsigned lane, RegIdx r) const
-{
-    siwi_assert(lane < width_ && r < num_arch_regs, "bad reg access");
-    return regs_[lane][r];
-}
-
-void
-WarpState::setReg(unsigned lane, RegIdx r, u32 value)
-{
-    siwi_assert(lane < width_ && r < num_arch_regs, "bad reg access");
-    regs_[lane][r] = value;
+    siwi_assert(regs <= num_arch_regs, "too many registers");
 }
 
 ThreadInfo &
@@ -54,10 +41,8 @@ WarpState::validMask() const
 void
 WarpState::clear()
 {
-    for (unsigned i = 0; i < width_; ++i) {
-        regs_[i].fill(0);
-        info_[i] = ThreadInfo{};
-    }
+    std::fill(file_.begin(), file_.end(), 0);
+    std::fill(info_.begin(), info_.end(), ThreadInfo{});
 }
 
 } // namespace siwi::exec

@@ -6,10 +6,10 @@
 #ifndef SIWI_EXEC_WARP_STATE_HH
 #define SIWI_EXEC_WARP_STATE_HH
 
-#include <array>
 #include <vector>
 
 #include "common/lane_mask.hh"
+#include "common/log.hh"
 #include "common/types.hh"
 
 namespace siwi::exec {
@@ -31,18 +31,51 @@ struct ThreadInfo
  * Register files and thread identities of one warp, indexed by
  * physical lane.
  *
- * Values are raw 32-bit words; float semantics are applied by the
- * functional unit via bit casts.
+ * The file holds only the registers the running program uses (its
+ * Program::regsUsed()), register-major: register r of every lane is
+ * one contiguous row of width() words, so the functional unit walks
+ * a row per operand. Values are raw 32-bit words; float semantics
+ * are applied by the functional unit via bit casts.
  */
 class WarpState
 {
   public:
-    explicit WarpState(unsigned width);
+    /** A warp of @p width lanes with registers r0..r(@p regs - 1). */
+    WarpState(unsigned width, unsigned regs);
 
     unsigned width() const { return width_; }
+    unsigned regs() const { return regs_; }
 
-    u32 reg(unsigned lane, RegIdx r) const;
-    void setReg(unsigned lane, RegIdx r, u32 value);
+    u32
+    reg(unsigned lane, RegIdx r) const
+    {
+        siwi_assert(lane < width_, "bad lane ", lane);
+        return row(r)[lane];
+    }
+
+    void
+    setReg(unsigned lane, RegIdx r, u32 value)
+    {
+        siwi_assert(lane < width_, "bad lane ", lane);
+        row(r)[lane] = value;
+    }
+
+    /** Register @p r of every lane, indexed by lane. */
+    u32 *
+    row(RegIdx r)
+    {
+        siwi_assert(r < regs_, "bad reg access: r", unsigned(r),
+                    " of a ", regs_, "-register file");
+        return &file_[r * width_];
+    }
+
+    const u32 *
+    row(RegIdx r) const
+    {
+        siwi_assert(r < regs_, "bad reg access: r", unsigned(r),
+                    " of a ", regs_, "-register file");
+        return &file_[r * width_];
+    }
 
     ThreadInfo &info(unsigned lane);
     const ThreadInfo &info(unsigned lane) const;
@@ -55,7 +88,8 @@ class WarpState
 
   private:
     unsigned width_;
-    std::vector<std::array<u32, num_arch_regs>> regs_;
+    unsigned regs_;
+    std::vector<u32> file_; //!< register-major: r * width_ + lane
     std::vector<ThreadInfo> info_;
 };
 

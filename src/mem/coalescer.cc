@@ -6,7 +6,7 @@
 namespace siwi::mem {
 
 std::vector<Transaction>
-coalesce(const std::vector<LaneAccess> &accesses, unsigned block_bytes)
+coalesce(std::span<const LaneAccess> accesses, unsigned block_bytes)
 {
     siwi_assert(isPow2(block_bytes), "block size must be power of 2");
     const Addr mask = ~Addr(block_bytes - 1);

@@ -11,10 +11,12 @@
 #ifndef SIWI_MEM_COALESCER_HH
 #define SIWI_MEM_COALESCER_HH
 
+#include <span>
 #include <vector>
 
 #include "common/lane_mask.hh"
 #include "common/types.hh"
+#include "mem/memory_image.hh"
 
 namespace siwi::mem {
 
@@ -23,13 +25,6 @@ struct Transaction
 {
     Addr block;     //!< block-aligned base address
     LaneMask lanes; //!< lanes served by this transaction
-};
-
-/** A single lane's access, as produced by exec::memAddresses. */
-struct LaneAccess
-{
-    unsigned lane;
-    Addr addr;
 };
 
 /**
@@ -41,8 +36,8 @@ struct LaneAccess
  * @param accesses per-lane byte addresses (active lanes only)
  * @param block_bytes transaction size (128 in the paper)
  */
-std::vector<Transaction> coalesce(
-    const std::vector<LaneAccess> &accesses, unsigned block_bytes);
+std::vector<Transaction> coalesce(std::span<const LaneAccess> accesses,
+                                  unsigned block_bytes);
 
 } // namespace siwi::mem
 

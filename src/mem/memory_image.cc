@@ -6,29 +6,25 @@
 
 namespace siwi::mem {
 
-namespace {
-
 Addr
-wordIndex(Addr addr)
+MemoryImage::pageOf(Addr addr)
 {
     siwi_assert((addr & 3) == 0,
                 "unaligned 32-bit access at 0x", std::hex, addr);
-    return addr >> 2;
+    return addr >> page_bits;
 }
-
-} // namespace
 
 u32
 MemoryImage::read32(Addr addr) const
 {
-    auto it = words_.find(wordIndex(addr));
-    return it == words_.end() ? 0 : it->second;
+    auto it = pages_.find(pageOf(addr));
+    return it == pages_.end() ? 0 : it->second[wordOf(addr)];
 }
 
 void
 MemoryImage::write32(Addr addr, u32 value)
 {
-    words_[wordIndex(addr)] = value;
+    pages_[pageOf(addr)][wordOf(addr)] = value;
 }
 
 float
@@ -43,20 +39,6 @@ MemoryImage::writeF32(Addr addr, float value)
     write32(addr, std::bit_cast<u32>(value));
 }
 
-void
-MemoryImage::writeWords(Addr base, const std::vector<u32> &words)
-{
-    for (size_t i = 0; i < words.size(); ++i)
-        write32(base + Addr(i) * 4, words[i]);
-}
-
-void
-MemoryImage::writeFloats(Addr base, const std::vector<float> &floats)
-{
-    for (size_t i = 0; i < floats.size(); ++i)
-        writeF32(base + Addr(i) * 4, floats[i]);
-}
-
 std::vector<u32>
 MemoryImage::readWords(Addr base, size_t count) const
 {
@@ -66,13 +48,44 @@ MemoryImage::readWords(Addr base, size_t count) const
     return out;
 }
 
-std::vector<float>
-MemoryImage::readFloats(Addr base, size_t count) const
+// A page number is at most 2^(64 - page_bits) - 1, so an all-ones
+// "current page" matches no access and forces the first lookup.
+
+void
+MemoryImage::gather(std::span<const LaneAccess> accesses, LaneMask lanes,
+                    u32 *row) const
 {
-    std::vector<float> out(count);
-    for (size_t i = 0; i < count; ++i)
-        out[i] = readF32(base + Addr(i) * 4);
-    return out;
+    Addr cur = ~Addr(0);
+    const Page *page = nullptr; // null: page cur was never written
+    for (const LaneAccess &a : accesses) {
+        if (!lanes.test(a.lane))
+            continue;
+        const Addr n = pageOf(a.addr);
+        if (n != cur) {
+            auto it = pages_.find(n);
+            page = it == pages_.end() ? nullptr : &it->second;
+            cur = n;
+        }
+        row[a.lane] = page ? (*page)[wordOf(a.addr)] : 0;
+    }
+}
+
+void
+MemoryImage::scatter(std::span<const LaneAccess> accesses,
+                     LaneMask lanes, const u32 *row)
+{
+    Addr cur = ~Addr(0);
+    Page *page = nullptr;
+    for (const LaneAccess &a : accesses) {
+        if (!lanes.test(a.lane))
+            continue;
+        const Addr n = pageOf(a.addr);
+        if (n != cur) {
+            page = &pages_[n];
+            cur = n;
+        }
+        (*page)[wordOf(a.addr)] = row[a.lane];
+    }
 }
 
 } // namespace siwi::mem

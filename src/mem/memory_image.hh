@@ -6,19 +6,30 @@
 #ifndef SIWI_MEM_MEMORY_IMAGE_HH
 #define SIWI_MEM_MEMORY_IMAGE_HH
 
-#include <unordered_map>
+#include <array>
+#include <map>
+#include <span>
 #include <vector>
 
+#include "common/lane_mask.hh"
 #include "common/types.hh"
 
 namespace siwi::mem {
 
+/** A single lane's access, as produced by exec::memAddresses. */
+struct LaneAccess
+{
+    unsigned lane;
+    Addr addr;
+};
+
 /**
- * Sparse, word-granular memory image.
+ * Sparse, page-granular memory image.
  *
- * The ISA only issues naturally-aligned 4-byte accesses, so the
- * image stores 32-bit words keyed by word index. Unwritten memory
- * reads as zero, which workloads rely on for output buffers.
+ * The ISA only issues naturally-aligned 4-byte accesses. The image
+ * keeps zero-filled 4 KiB pages of 32-bit words, created by the
+ * first write that touches them; unwritten memory reads as zero,
+ * which workloads rely on for output buffers.
  */
 class MemoryImage
 {
@@ -32,21 +43,40 @@ class MemoryImage
     float readF32(Addr addr) const;
     void writeF32(Addr addr, float value);
 
-    /** Bulk-write a span of words starting at @p base. */
-    void writeWords(Addr base, const std::vector<u32> &words);
-    void writeFloats(Addr base, const std::vector<float> &floats);
-
     /** Bulk-read @p count words starting at @p base. */
     std::vector<u32> readWords(Addr base, size_t count) const;
-    std::vector<float> readFloats(Addr base, size_t count) const;
 
-    /** Number of words ever written (for tests). */
-    size_t wordsWritten() const { return words_.size(); }
+    /**
+     * Load: for each access whose lane is in @p lanes, set
+     * @p row[lane] to the word at its address. A warp's accesses
+     * mostly share a page, which is looked up once per run.
+     */
+    void gather(std::span<const LaneAccess> accesses, LaneMask lanes,
+                u32 *row) const;
 
-    void clear() { words_.clear(); }
+    /**
+     * Store: for each access whose lane is in @p lanes, in order,
+     * write @p row[lane] to its address. When two lanes write one
+     * address, the later access's value lands.
+     */
+    void scatter(std::span<const LaneAccess> accesses, LaneMask lanes,
+                 const u32 *row);
 
   private:
-    std::unordered_map<Addr, u32> words_;
+    static constexpr unsigned page_bits = 12;
+    static constexpr size_t page_words = (size_t(1) << page_bits) / 4;
+    using Page = std::array<u32, page_words>;
+
+    /** Page number of @p addr; panics unless it is 4-byte aligned. */
+    static Addr pageOf(Addr addr);
+    /** Index of @p addr's word within its page. */
+    static size_t
+    wordOf(Addr addr)
+    {
+        return (addr >> 2) & (page_words - 1);
+    }
+
+    std::map<Addr, Page> pages_; //!< keyed by page number
 };
 
 } // namespace siwi::mem

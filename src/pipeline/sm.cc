@@ -58,9 +58,6 @@ SM::SM(const SMConfig &cfg, mem::MemoryImage &memory,
     }
     groups_.emplace_back("SFU", UnitClass::SFU, cfg_.sfu_width);
     groups_.emplace_back("LSU", UnitClass::LSU, cfg_.lsu_width);
-
-    for (WarpSlot &ws : warps_)
-        ws.state = std::make_unique<exec::WarpState>(cfg_.warp_width);
 }
 
 void
@@ -76,6 +73,12 @@ SM::launch(const isa::Program &prog, unsigned grid_blocks,
                 "program uses too many registers");
 
     prog_ = prog;
+    // Each warp's register file holds only the registers the
+    // program names.
+    for (WarpSlot &ws : warps_) {
+        ws.state = std::make_unique<exec::WarpState>(cfg_.warp_width,
+                                                     prog.regsUsed());
+    }
     grid_blocks_ = grid_blocks;
     block_threads_ = block_threads;
     next_cta_ = 0;
@@ -759,11 +762,7 @@ SM::issueMemory(WarpId w, const IBufEntry &e, const CtxView &cv,
     WarpSlot &ws = warps_[w];
     const Instruction &inst = e.inst;
 
-    auto reqs = exec::memAddresses(inst, *ws.state, cv.mask);
-    std::vector<mem::LaneAccess> accesses;
-    accesses.reserve(reqs.size());
-    for (const auto &r : reqs)
-        accesses.push_back({r.lane, r.addr});
+    const auto accesses = exec::memAddresses(inst, *ws.state, cv.mask);
     auto txns = mem::coalesce(accesses, cfg_.mem.l1.block_bytes);
     siwi_assert(!txns.empty(), "memory op with no transactions");
 
@@ -778,7 +777,7 @@ SM::issueMemory(WarpId w, const IBufEntry &e, const CtxView &cv,
         // warp-split, the remaining lanes replay the instruction
         // (section 2 replay + section 3.4 memory divergence).
         const mem::Transaction &t = txns[0];
-        exec::executeMem(inst, *ws.state, t.lanes, memory_);
+        exec::executeMem(inst, accesses, t.lanes, *ws.state, memory_);
         if (inst.op == Opcode::LD) {
             Cycle data = memsys_.load(base, t.block);
             unsigned idx = sb_.allocate(w, inst.dst, t.lanes);
@@ -802,7 +801,7 @@ SM::issueMemory(WarpId w, const IBufEntry &e, const CtxView &cv,
 
     // Replay all transactions back-to-back through the single L1
     // port; the LSU stays occupied one cycle per transaction.
-    exec::executeMem(inst, *ws.state, cv.mask, memory_);
+    exec::executeMem(inst, accesses, cv.mask, *ws.state, memory_);
     Cycle last_data = 0;
     for (size_t i = 0; i < txns.size(); ++i) {
         Cycle t_when = base + Cycle(i);

@@ -3,6 +3,8 @@
  * Unit tests for LaneMask set algebra.
  */
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/lane_mask.hh"
@@ -65,6 +67,15 @@ TEST(LaneMask, FirstLast)
     EXPECT_EQ(m.last(), 6u);
     EXPECT_EQ(LaneMask().first(), 64u);
     EXPECT_EQ(LaneMask::lane(63).last(), 63u);
+}
+
+TEST(LaneMask, ForEachVisitsSetLanesInOrder)
+{
+    std::vector<unsigned> seen;
+    LaneMask(0b1000'0000'0110'0001 | (u64(1) << 63)).forEach(
+        [&](unsigned l) { seen.push_back(l); });
+    EXPECT_EQ(seen, (std::vector<unsigned>{0, 5, 6, 15, 63}));
+    LaneMask().forEach([](unsigned) { FAIL() << "empty mask"; });
 }
 
 TEST(LaneMask, Wave)

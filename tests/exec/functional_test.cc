@@ -5,10 +5,12 @@
 
 #include <bit>
 #include <cmath>
+#include <cstdlib>
 
 #include <gtest/gtest.h>
 
 #include "exec/functional.hh"
+#include "isa/assembler.hh"
 #include "isa/builder.hh"
 
 namespace siwi::exec {
@@ -21,7 +23,7 @@ using isa::SpecialReg;
 class Functional : public ::testing::Test
 {
   protected:
-    Functional() : warp(4)
+    Functional() : warp(4, num_arch_regs)
     {
         for (unsigned l = 0; l < 4; ++l) {
             warp.info(l).valid = true;
@@ -282,7 +284,7 @@ TEST_F(Functional, MemAddressesAndLoadStore)
     st.imm = 8;
     for (unsigned l = 0; l < 4; ++l)
         warp.setReg(l, 2, 100 + l);
-    executeMem(st, warp, mask, memory);
+    executeMem(st, memAddresses(st, warp, mask), mask, warp, memory);
     for (unsigned l = 0; l < 4; ++l)
         EXPECT_EQ(memory.read32(0x1008 + l * 4), 100 + l);
 
@@ -291,7 +293,7 @@ TEST_F(Functional, MemAddressesAndLoadStore)
     ld.dst = 3;
     ld.sa = 1;
     ld.imm = 8;
-    executeMem(ld, warp, mask, memory);
+    executeMem(ld, memAddresses(ld, warp, mask), mask, warp, memory);
     for (unsigned l = 0; l < 4; ++l)
         EXPECT_EQ(warp.reg(l, 3), 100 + l);
 
@@ -315,6 +317,166 @@ TEST_F(Functional, IabsAndMov)
     movi.b_is_imm = true;
     executeAlu(movi, warp, LaneMask::lane(0));
     EXPECT_EQ(i32(warp.reg(0, 5)), -1234);
+}
+
+TEST_F(Functional, ConflictingStoresLandTheHighestActiveLane)
+{
+    // Every lane stores its own value to one address.
+    Instruction st;
+    st.op = Opcode::ST;
+    st.sa = 1;
+    st.sb = 2;
+    for (unsigned l = 0; l < 4; ++l) {
+        warp.setReg(l, 1, 0x3000);
+        warp.setReg(l, 2, 10 + l);
+    }
+    const auto all = memAddresses(st, warp, mask);
+    executeMem(st, all, mask, warp, memory);
+    EXPECT_EQ(memory.read32(0x3000), 13u);
+
+    // One address pass serves a sub-mask too (a memory split's
+    // first transaction): its highest lane wins.
+    executeMem(st, all, LaneMask(0b0011), warp, memory);
+    EXPECT_EQ(memory.read32(0x3000), 11u);
+
+    const LaneMask even(0b0101);
+    executeMem(st, memAddresses(st, warp, even), even, warp, memory);
+    EXPECT_EQ(memory.read32(0x3000), 12u);
+}
+
+TEST(FunctionalText, SelectImmediateIsTheTrueOperand)
+{
+    // Like imad and fmad, sel takes its second operand from the
+    // immediate; r0 is not read.
+    isa::AsmResult res = isa::assemble("sel r1, r2, #5, r3\nexit\n");
+    ASSERT_TRUE(res.ok()) << res.error;
+    const Instruction &sel = res.program.at(0);
+    ASSERT_TRUE(sel.b_is_imm);
+    ASSERT_EQ(res.program.regsUsed(), 4u);
+
+    WarpState warp(4, res.program.regsUsed());
+    for (unsigned l = 0; l < 4; ++l) {
+        warp.setReg(l, 0, 777);
+        warp.setReg(l, 2, l % 2); // true on lanes 1 and 3
+        warp.setReg(l, 3, 9);
+    }
+    executeAlu(sel, warp, LaneMask::firstN(4));
+    for (unsigned l = 0; l < 4; ++l)
+        EXPECT_EQ(warp.reg(l, 1), l % 2 ? 5u : 9u) << "lane " << l;
+}
+
+/**
+ * Lane @p l's value in register @p r: word-aligned (a usable
+ * address), close to 1.0f as a float, and zero on lane 0 (a false
+ * SEL condition, a branch BNZ does not take).
+ */
+u32
+probeValue(unsigned r, unsigned l)
+{
+    return l == 0 ? 0 : 0x3f800000u + r * 64 + l * 4;
+}
+
+/** A 4-lane warp sized to @p prog's registers, set by probeValue. */
+WarpState
+probeWarp(const isa::Program &prog)
+{
+    WarpState w(4, prog.regsUsed());
+    for (unsigned r = 0; r < w.regs(); ++r) {
+        for (unsigned l = 0; l < 4; ++l)
+            w.setReg(l, RegIdx(r), probeValue(r, l));
+    }
+    return w;
+}
+
+/** Apply @p inst's functional semantics to the lanes of @p mask. */
+void
+runOne(const Instruction &inst, WarpState &warp, LaneMask mask,
+       mem::MemoryImage &memory)
+{
+    if (isa::isMemory(inst.op)) {
+        executeMem(inst, memAddresses(inst, warp, mask), mask, warp,
+                   memory);
+    } else if (isa::isBranch(inst.op)) {
+        evalBranch(inst, warp, mask);
+    } else if (inst.op == Opcode::NOP || inst.writesDst()) {
+        executeAlu(inst, warp, mask);
+    }
+    // SYNC, BAR and EXIT act on the pipeline, not on registers.
+}
+
+TEST(FunctionalRegisters, EveryOpcodeStaysInsideItsSizedFile)
+{
+    // The register file holds only Program::regsUsed() registers,
+    // so an operand read that srcRegs() does not declare trips the
+    // file's bounds assert, and a stray write shows up below.
+    const LaneMask mask(0b1011); // lane 2 inactive
+    for (unsigned o = 0; o < isa::num_opcodes; ++o) {
+        for (bool imm : {false, true}) {
+            // One register per field. With an immediate, sb names
+            // the last architectural register: outside the file.
+            Instruction inst;
+            inst.op = Opcode(o);
+            inst.dst = 1;
+            inst.sa = 2;
+            inst.sb = imm ? RegIdx(num_arch_regs - 1) : 3;
+            inst.sc = 4;
+            inst.b_is_imm = imm;
+            inst.imm = 0x40;
+            inst.sreg = SpecialReg::GTID;
+            inst.target = 0;
+            SCOPED_TRACE(inst.toString() +
+                         (imm ? " (b_is_imm)" : " (register b)"));
+            isa::Program prog;
+            prog.push(inst);
+
+            // Run first in a child process, so that the bounds
+            // panic fails the test naming this instruction.
+            ASSERT_EXIT(
+                {
+                    WarpState w = probeWarp(prog);
+                    mem::MemoryImage m;
+                    runOne(inst, w, mask, m);
+                    std::exit(0);
+                },
+                ::testing::ExitedWithCode(0), "");
+
+            WarpState warp = probeWarp(prog);
+            const WarpState before = warp;
+            mem::MemoryImage memory;
+            runOne(inst, warp, mask, memory);
+            for (unsigned r = 0; r < warp.regs(); ++r) {
+                for (unsigned l = 0; l < 4; ++l) {
+                    if (inst.writesDst() && r == inst.dst &&
+                        mask.test(l))
+                        continue;
+                    EXPECT_EQ(warp.reg(l, RegIdx(r)),
+                              before.reg(l, RegIdx(r)))
+                        << "r" << r << " lane " << l;
+                }
+            }
+            if (!imm || !inst.writesDst())
+                continue;
+
+            // An immediate second operand computes what the
+            // register form does with the immediate in rb.
+            Instruction reg_form = inst;
+            reg_form.b_is_imm = false;
+            reg_form.sb = 3;
+            isa::Program ref_prog;
+            ref_prog.push(reg_form);
+            WarpState ref = probeWarp(ref_prog);
+            if (ref.regs() > 3) {
+                for (unsigned l = 0; l < 4; ++l)
+                    ref.setReg(l, 3, u32(inst.imm));
+            }
+            mem::MemoryImage ref_memory;
+            runOne(reg_form, ref, mask, ref_memory);
+            mask.forEach([&](unsigned l) {
+                EXPECT_EQ(warp.reg(l, inst.dst), ref.reg(l, inst.dst))
+                    << "lane " << l;
+            });
+        }
+    }
 }
 
 } // namespace
