@@ -18,7 +18,8 @@ using pipeline::SMConfig;
 FrontEnd::FrontEnd(FrontEndHost &host)
     : host_(host),
       lookup_(host.numWarps(), host.config().lookup_sets, 0xdecaf),
-      rng_(0xc0ffee)
+      rng_(0xc0ffee),
+      either_slot_(host.numWarps())
 {
     const SMConfig &cfg = host_.config();
     for (unsigned pool = 0; pool < 2; ++pool) {
@@ -39,14 +40,15 @@ FrontEnd::issueCycle()
 std::span<const Cand>
 FrontEnd::poolDomain(unsigned pool)
 {
-    // Rebuilt per select from the runnable active list: sleeping
-    // warps are provably unready, so the policies rank the same
-    // ready candidates, in the same ascending-warp order, as the
-    // full scan did — only the provably fruitless probes are gone.
+    // Rebuilt per select from the awake issue candidates: every
+    // other warp is provably unready, so the policies rank the same
+    // ready candidates, in the same ascending-warp order, as a full
+    // scan — only the provably fruitless probes are gone.
     const SMConfig &cfg = host_.config();
     std::vector<Cand> &d = pool_scratch_[pool];
     d.clear();
-    host_.awakeWarps().forEach([&](WarpId w) {
+    const pipeline::WarpSet &awake = host_.awakeWarps();
+    host_.issueCandidates(0).forEachAnd(awake, [&](WarpId w) {
         if (cfg.num_pools == 2 && (w % 2) != pool)
             return;
         d.push_back({w, 0});
@@ -105,7 +107,8 @@ FrontEnd::issueSecondarySimple(const PrimaryIssueInfo &pinfo)
     std::optional<Cand> best;
     bool best_row = false;
     u64 best_seq = ~u64(0);
-    host_.awakeWarps().forEach([&](WarpId w) {
+    const pipeline::WarpSet &awake = host_.awakeWarps();
+    host_.issueCandidates(1).forEachAnd(awake, [&](WarpId w) {
         if (!host_.ready(w, 1, false))
             return;
         const IBufEntry *e = host_.entryFor(w, 1);
@@ -133,7 +136,7 @@ FrontEnd::issueSecondarySimple(const PrimaryIssueInfo &pinfo)
     // a different SIMD group (docs/DESIGN.md interpretation note).
     best.reset();
     best_seq = ~u64(0);
-    host_.awakeWarps().forEach([&](WarpId w) {
+    host_.issueCandidates(0).forEachAnd(awake, [&](WarpId w) {
         if (pinfo.valid && w == pinfo.w)
             return;
         if (!host_.ready(w, 0, true))
@@ -167,10 +170,10 @@ FrontEnd::pickSubstitute()
     // pseudo-random tie-breaking -- or the two would keep picking
     // the same instruction and squash each other forever.
     // The domain (section 4) is every CPC1 slot, plus every CPC2
-    // slot on SBI machines, visited slot-major over the active
-    // list — the order the static full-warp domain had, which the
-    // RNG tie-break stream depends on. Sleeping warps are never
-    // ready, so skipping them cannot perturb a draw.
+    // slot on SBI machines, visited slot-major over each slot's
+    // awake issue candidates — the order of a full-warp domain,
+    // which the RNG tie-break stream depends on. Skipped warps are
+    // never ready, so skipping them cannot perturb a draw.
     std::optional<Cand> best;
     unsigned best_count = 0;
     unsigned ties = 0;
@@ -188,11 +191,12 @@ FrontEnd::pickSubstitute()
                 best = Cand{w, slot};
         }
     };
-    host_.awakeWarps().forEach(
-        [&](WarpId w) { consider(w, 0); });
+    const pipeline::WarpSet &awake = host_.awakeWarps();
+    host_.issueCandidates(0).forEachAnd(
+        awake, [&](WarpId w) { consider(w, 0); });
     if (host_.config().sbi) {
-        host_.awakeWarps().forEach(
-            [&](WarpId w) { consider(w, 1); });
+        host_.issueCandidates(1).forEachAnd(
+            awake, [&](WarpId w) { consider(w, 1); });
     }
     return best;
 }
@@ -215,12 +219,20 @@ FrontEnd::pickSecondaryCascaded(
     std::vector<Cand> &cands = cand_scratch_;
     lc.clear();
     cands.clear();
-    host_.awakeWarps().forEach([&](WarpId w) {
+    // Warp-major over the awake warps with either slot a candidate:
+    // the lookup's tie-break draws depend on this order.
+    bool sbi = host_.config().sbi;
+    either_slot_ = host_.issueCandidates(0);
+    if (sbi)
+        either_slot_ |= host_.issueCandidates(1);
+    either_slot_.forEachAnd(host_.awakeWarps(), [&](WarpId w) {
         for (unsigned slot = 0; slot < 2; ++slot) {
-            if (slot == 1 && !host_.config().sbi)
+            if (slot == 1 && !sbi)
                 continue;
             if (slot == 0 && w == pinfo.w)
                 continue; // primary context just issued
+            if (!host_.issueCandidates(slot).contains(w))
+                continue; // provably not ready
             if (!host_.ready(w, slot, false))
                 continue;
             const IBufEntry *e = host_.entryFor(w, slot);
@@ -289,7 +301,7 @@ FrontEnd::issueCascaded()
             // the parked pick: drop it.
             host_.stats().cascade_stale += 1;
             if (e && e->claimed)
-                e->claimed = false;
+                host_.dropClaim(cascade_.w, *e);
             cascade_.valid = false;
             activity = true;
         } else {

@@ -116,13 +116,31 @@ class FrontEndHost
     /**
      * The runnable active list: active warps not parked by the
      * host's sleep/wake machinery. A sleeping warp is provably
-     * not ready, not fetchable and free of claimed entries, so
-     * every candidate scan may iterate this set instead of all
-     * warps and see identical candidates in identical (ascending)
-     * order. The set can grow mid-cycle (a barrier release wakes
-     * warps), so scans must read it where they run, not cache it.
+     * not ready, not fetchable and free of claimed entries.
      */
     virtual const pipeline::WarpSet &awakeWarps() const = 0;
+
+    /**
+     * Issue candidates of context slot @p slot: a superset of the
+     * awake warps whose slot-@p slot probe can return true or count
+     * a SYNC suspension. Every awake warp outside it has no fresh
+     * entry in that slot, or a Blocked one, so ready() on it would
+     * return false without side effects. A candidate scan walks
+     * this set intersected with awakeWarps() and sees the same
+     * ready candidates, in the same (ascending) order, as a scan
+     * of every warp. Both sets can grow mid-cycle (a barrier
+     * release wakes and touches warps), so scans read them where
+     * they run, never cached across scans.
+     */
+    virtual const pipeline::WarpSet &issueCandidates(
+        unsigned slot) const = 0;
+
+    /**
+     * Clear @p e's claimed flag without issuing it (a stale cascade
+     * pick is dropped). @p e belongs to warp @p w, which the host
+     * must re-check for sleep.
+     */
+    virtual void dropClaim(WarpId w, pipeline::IBufEntry &e) = 0;
 
     /**
      * A free execution group of class @p cls (an entry's decoded
@@ -157,10 +175,11 @@ class FrontEndHost
  * One SM front-end: selects and issues instructions for one cycle.
  *
  * The candidate domains (per-pool warp lists, the SBI CPC2 slots)
- * are rebuilt each select from the host's runnable active list —
- * the machine geometry fixes only their shape. The scratch vectors
- * are reused, so the per-cycle hot loop still never allocates in
- * steady state, and now visits O(runnable) warps, not all of them.
+ * are rebuilt each select from the host's issue-candidate sets
+ * intersected with its runnable active list — the machine
+ * geometry fixes only their shape. The scratch vectors are reused,
+ * so the per-cycle hot loop never allocates in steady state, and
+ * it visits only warps that may have something to issue.
  */
 class FrontEnd
 {
@@ -222,10 +241,10 @@ class FrontEnd
 
     /**
      * Primary candidate domain of @p pool right now: the awake
-     * warps of the pool, ascending, slot 0 — the same candidates
-     * the old full-warp scan offered, minus provably unready ones.
-     * Returns a span over reused scratch; valid until the next
-     * call for the same pool.
+     * slot-0 issue candidates of the pool, ascending — the same
+     * candidates a full-warp scan offers, minus provably unready
+     * ones. Returns a span over reused scratch; valid until the
+     * next call for the same pool.
      */
     std::span<const Cand> poolDomain(unsigned pool);
 
@@ -253,6 +272,7 @@ class FrontEnd
     // Reusable per-cycle scratch (hot loop: no allocation).
     std::vector<pipeline::LookupCandidate> lookup_scratch_;
     std::vector<Cand> cand_scratch_;
+    pipeline::WarpSet either_slot_; //!< union of both slots' sets
 };
 
 } // namespace siwi::frontend

@@ -44,12 +44,17 @@ SM::SM(const SMConfig &cfg, mem::MemoryImage &memory,
       memsys_(cfg.mem, backend, port),
       warps_(cfg.num_warps),
       blocks_(cfg.max_blocks_resident),
+      free_warps_(cfg.num_warps),
       ibuf_(cfg.num_warps, 2),
       sb_(cfg.num_warps, cfg.scoreboard_entries),
       frontend_(*this),
       fe_rr_(2, 0),
       awake_(cfg.num_warps),
-      asleep_(cfg.num_warps)
+      asleep_(cfg.num_warps),
+      heap_work_(cfg.num_warps),
+      sleep_check_(cfg.num_warps),
+      fetch_work_{WarpSet(cfg.num_warps), WarpSet(cfg.num_warps)},
+      issue_cands_{WarpSet(cfg.num_warps), WarpSet(cfg.num_warps)}
 {
     cfg_.validate();
     for (unsigned g = 0; g < cfg_.mad_groups; ++g) {
@@ -173,7 +178,7 @@ SM::nextWake() const
 {
     Cycle wake = no_wake;
     if (!events_.empty())
-        wake = std::min(wake, events_.begin()->first);
+        wake = std::min(wake, events_.top().when);
     for (const ExecGroup &g : groups_) {
         // canAccept(c) is c >= busyUntil(), so a group that was
         // busy during the just-stepped cycle (busyUntil == now_)
@@ -182,13 +187,12 @@ SM::nextWake() const
             wake = std::min(wake, g.busyUntil());
     }
     wake = std::min(wake, memsys_.nextWake(now_));
-    // Awake warps contribute their heap's next sorter fold;
-    // sleeping warps contribute the same bound via the cached
-    // min_sleep_wake_ (their wake_at is exactly that fold time).
-    awake_.forEach([&](WarpId w) {
-        const WarpSlot &ws = warps_[w];
-        if (ws.heap)
-            wake = std::min(wake, ws.heap->nextWake());
+    // Awake warps contribute their heap's next sorter fold (a warp
+    // with a fold pending is in the heap set); sleeping warps
+    // contribute the same bound via the cached min_sleep_wake_
+    // (their wake_at is exactly that fold time).
+    heap_work_.forEachAnd(awake_, [&](WarpId w) {
+        wake = std::min(wake, warps_[w].heap->nextWake());
     });
     wake = std::min(wake, min_sleep_wake_);
     return wake;
@@ -248,6 +252,7 @@ SM::wakeWarp(WarpId w)
     stats_.warp_sleep_cycles += now_ - ws.sleep_since;
     asleep_.erase(w);
     awakeInsert(w);
+    sleep_check_.insert(w);
 }
 
 void
@@ -304,20 +309,14 @@ SM::deriveSleepSlots(WarpId w) const
                 return false;
             continue; // unblocks via a Writeback event
         }
-        CtxView cv = ctxView(w, slot);
-        if (!cv.valid)
-            continue; // blocked ctx: unblocks only via events
-        // The slot wants a fetch. A stale same-context entry is
-        // reused in place, and a dead entry is a victim: either
-        // way the fetch stage could act on this warp.
-        if (ibuf_.findCtx(w, cv.id))
+        // No fresh entry: the fetch stage could act on this warp
+        // unless the context is blocked (it unblocks only via
+        // events) or the buffer is full of live entries (a victim
+        // can only appear through this warp's own issues or
+        // events).
+        bool claimed;
+        if (fetchTarget(w, ctxView(w, slot), &claimed))
             return false;
-        for (unsigned s = 0; s < ibuf_.slotsPerWarp(); ++s) {
-            if (!ibufEntryLive(w, ibuf_.entry(w, s)))
-                return false;
-        }
-        // Buffer full of live entries: a victim can only appear
-        // through this warp's own issues or events.
     }
     return true;
 }
@@ -332,16 +331,9 @@ SM::selfWake(WarpId w) const
 bool
 SM::sleepEligible(WarpId w, Cycle *wake_out) const
 {
-    // Live inputs first: the cached per-slot result is defined only
-    // while no entry is claimed.
-    if (!liveAllowsSleep(w))
-        return false;
-    const WarpSlot &ws = warps_[w];
-    if (ws.sleep_gen != ws.gen) {
-        ws.sleep_blocked = deriveSleepSlots(w);
-        ws.sleep_gen = ws.gen;
-    }
-    if (!ws.sleep_blocked)
+    // Live inputs first: the per-slot result is defined only while
+    // no entry is claimed.
+    if (!liveAllowsSleep(w) || !deriveSleepSlots(w))
         return false;
     *wake_out = selfWake(w);
     return true;
@@ -350,7 +342,10 @@ SM::sleepEligible(WarpId w, Cycle *wake_out) const
 void
 SM::sleepEvaluate()
 {
-    awake_.forEach([&](WarpId w) {
+    // Only a warp whose eligibility inputs moved since it was last
+    // found ineligible can have become eligible.
+    sleep_check_.forEachAnd(awake_, [&](WarpId w) {
+        sleep_check_.erase(w);
         Cycle wake = no_wake;
         if (!sleepEligible(w, &wake))
             return;
@@ -400,8 +395,7 @@ SM::auditSleepingWarps(std::string *why) const
     });
     // Every cached verdict still current at its warp's generation
     // must equal a fresh derivation; a mismatch means some change
-    // to the warp missed touchWarp(). The sleep-slot result is
-    // defined only while no entry is claimed (its only use).
+    // to the warp missed touchWarp().
     for (WarpId w = 0; ok && w < warps_.size(); ++w) {
         const WarpSlot &ws = warps_[w];
         for (unsigned slot = 0; slot < 2; ++slot) {
@@ -415,10 +409,41 @@ SM::auditSleepingWarps(std::string *why) const
                 return ok;
             }
         }
-        if (ws.sleep_gen == ws.gen && liveAllowsSleep(w) &&
-            deriveSleepSlots(w) != ws.sleep_blocked)
-            fail(w, "cached sleep-slot result is stale");
     }
+    // Every awake warp outside a work set must be one its stage
+    // has nothing to do for: a set may hold extra warps, never
+    // miss one.
+    awake_.forEach([&](WarpId w) {
+        if (!ok)
+            return;
+        const WarpSlot &ws = warps_[w];
+        if (!heap_work_.contains(w) && ws.heap &&
+            (!ws.heap->quiescent() || ws.heap->nextWake() != no_wake)) {
+            fail(w, "outside the heap set with upkeep or a fold due");
+            return;
+        }
+        if (!sleep_check_.contains(w) && liveAllowsSleep(w) &&
+            deriveSleepSlots(w)) {
+            fail(w, "outside the sleep-check set but sleep-eligible");
+            return;
+        }
+        for (unsigned slot = 0; slot < 2; ++slot) {
+            SlotVerdict d = deriveSlot(w, slot);
+            bool claimed;
+            if (!fetch_work_[slot].contains(w) && !d.entry &&
+                fetchTarget(w, ctxView(w, slot), &claimed)) {
+                fail(w, slot ? "outside the slot-1 fetch set, fetchable"
+                             : "outside the slot-0 fetch set, fetchable");
+                return;
+            }
+            if (!issue_cands_[slot].contains(w) && d.entry &&
+                d.state != SlotState::Blocked) {
+                fail(w, slot ? "outside the slot-1 issue set, unblocked"
+                             : "outside the slot-0 issue set, unblocked");
+                return;
+            }
+        }
+    });
     return ok;
 }
 
@@ -436,6 +461,10 @@ SM::launchBlocks()
         if (cta_source_ ? cta_source_dry_
                         : next_cta_ >= grid_blocks_)
             return;
+        // A chip SM polls every cycle, also while a CTA drains and
+        // a block slot is free but too few warp slots are.
+        if (free_warps_ < warps_per_block)
+            return;
 
         // Find a free block slot.
         int bslot = -1;
@@ -446,17 +475,6 @@ SM::launchBlocks()
             }
         }
         if (bslot < 0)
-            return;
-
-        // Find enough free warp slots.
-        std::vector<WarpId> free_warps;
-        for (WarpId w = 0; w < warps_.size(); ++w) {
-            if (!warps_[w].active)
-                free_warps.push_back(w);
-            if (free_warps.size() == warps_per_block)
-                break;
-        }
-        if (free_warps.size() < warps_per_block)
             return;
 
         // Pick the CTA: self-assigned from the launch grid, or
@@ -477,13 +495,18 @@ SM::launchBlocks()
         blk.cta = cta;
         blk.live_threads = block_threads_;
         blk.barrier_arrived = 0;
-        blk.warps = free_warps;
+        // The lowest free warp slots, all taken before any launches.
+        blk.warps.clear();
+        for (WarpId w = 0; blk.warps.size() < warps_per_block; ++w) {
+            if (!warps_[w].active)
+                blk.warps.push_back(w);
+        }
 
         for (unsigned i = 0; i < warps_per_block; ++i) {
             unsigned first = i * cfg_.warp_width;
             unsigned count = std::min(cfg_.warp_width,
                                       block_threads_ - first);
-            initWarp(free_warps[i], bslot, first, count);
+            initWarp(blk.warps[i], bslot, first, count);
         }
         stats_.blocks_launched += 1;
         stats_.threads_launched += block_threads_;
@@ -503,6 +526,7 @@ SM::initWarp(WarpId w, int block_slot, unsigned first_tid,
 {
     WarpSlot &ws = warps_[w];
     ws.active = true;
+    --free_warps_;
     ++ws.launch;
     ws.block = block_slot;
     ws.stack_branch_pending = false;
@@ -541,6 +565,9 @@ SM::initWarp(WarpId w, int block_slot, unsigned first_tid,
     }
     ibuf_.flushWarp(w);
     sb_.flushWarp(w);
+    // A new tenant: every stage must look at it.
+    touchWarp(w);
+    heapTouched(w);
 }
 
 void
@@ -575,6 +602,7 @@ SM::retireWarpIfDone(WarpId w)
 
     accumulateWarpStats(ws);
     ws.active = false;
+    ++free_warps_;
     // The exit event that finished the warp woke it, so it retires
     // from the awake set; wakeWarp guards the defensive case.
     wakeWarp(w);
@@ -680,8 +708,13 @@ SM::slotVerdict(WarpId w, unsigned slot) const
 {
     const WarpSlot &ws = warps_[w];
     SlotVerdict &v = ws.verdict[slot];
-    if (v.gen != ws.gen)
+    if (v.gen != ws.gen) {
         v = deriveSlot(w, slot);
+        if (v.entry && v.state != SlotState::Blocked)
+            issue_cands_[slot].insert(w);
+        else
+            issue_cands_[slot].erase(w);
+    }
     return v;
 }
 
@@ -689,6 +722,15 @@ IBufEntry *
 SM::findCtx(WarpId w, u32 ctx_id)
 {
     return ibuf_.findCtx(w, ctx_id);
+}
+
+void
+SM::dropClaim(WarpId w, IBufEntry &e)
+{
+    // Releasing a claim can make the warp sleep-eligible (and give
+    // fetch a victim) without any touch.
+    e.claimed = false;
+    sleep_check_.insert(w);
 }
 
 bool
@@ -877,7 +919,8 @@ SM::issueCand(WarpId w, unsigned slot, bool secondary,
         ev.kind = Event::Kind::Branch;
         ev.warp = w;
         ev.ctx_id = cv.id;
-        ev.inst = inst;
+        ev.target = inst.target;
+        ev.reconv = inst.reconv;
         ev.mask = cv.mask;
         ev.taken = taken;
         ev.pc = e.pc;
@@ -967,6 +1010,7 @@ SM::issueCand(WarpId w, unsigned slot, bool secondary,
     e.valid = false;
     e.claimed = false;
     touchWarp(w);
+    heapTouched(w);
     return true;
 }
 
@@ -978,16 +1022,16 @@ void
 SM::postEvent(Cycle when, Event ev)
 {
     ev.launch = warps_[ev.warp].launch;
-    events_.insert({when, ev});
+    events_.push({when, event_seq_++, ev});
 }
 
 bool
 SM::processEvents()
 {
     bool fired = false;
-    while (!events_.empty() && events_.begin()->first <= now_) {
-        Event ev = events_.begin()->second;
-        events_.erase(events_.begin());
+    while (!events_.empty() && events_.top().when <= now_) {
+        Event ev = events_.top().ev;
+        events_.pop();
         // Posted by an earlier tenant of the slot: the warp it
         // belongs to is gone, so it must not touch the new one.
         if (ev.launch != warps_[ev.warp].launch)
@@ -1004,9 +1048,11 @@ SM::processEvents()
             sb_.release(ev.warp, unsigned(ev.sb_entry));
             break;
           case Event::Kind::Branch:
+            heapTouched(ev.warp);
             resolveBranch(ev);
             break;
           case Event::Kind::Exit:
+            heapTouched(ev.warp);
             resolveExit(ev);
             break;
         }
@@ -1028,16 +1074,15 @@ SM::resolveBranch(const Event &ev)
         if (ws.last_divergence == now_ || !ws.heap->canSplit()) {
             if (!ws.heap->canSplit())
                 stats_.heap_full_stalls += 1;
-            Event retry = ev;
-            events_.insert({now_ + 1, retry});
+            postEvent(now_ + 1, ev);
             return;
         }
     }
 
     if (ws.stack) {
         ws.stack_branch_pending = false;
-        bool d = ws.stack->branch(ev.inst.target, ev.pc + 1,
-                                  ev.inst.reconv, taken);
+        bool d = ws.stack->branch(ev.target, ev.pc + 1, ev.reconv,
+                                  taken);
         if (d)
             stats_.branch_divergences += 1;
     } else {
@@ -1045,10 +1090,10 @@ SM::resolveBranch(const Event &ev)
             ws.heap->branchResolve(ev.ctx_id, ev.pc + 1, fall, 0,
                                    LaneMask{}, now_);
         } else if (fall.none()) {
-            ws.heap->branchResolve(ev.ctx_id, ev.inst.target, taken,
-                                   0, LaneMask{}, now_);
+            ws.heap->branchResolve(ev.ctx_id, ev.target, taken, 0,
+                                   LaneMask{}, now_);
         } else {
-            ws.heap->branchResolve(ev.ctx_id, ev.inst.target, taken,
+            ws.heap->branchResolve(ev.ctx_id, ev.target, taken,
                                    ev.pc + 1, fall, now_);
             stats_.branch_divergences += 1;
             ws.last_divergence = now_;
@@ -1111,9 +1156,12 @@ SM::checkBarrierRelease(int block_slot)
         }
         // Released warps become schedulable mid-cycle; any stage
         // that runs after this (secondary pick, fetch) must see
-        // them, exactly as the full scans did.
+        // them: the wake and the touch enter them in the active
+        // list and every work set, which each scan reads where it
+        // runs.
         wakeWarp(w);
         touchWarp(w);
+        heapTouched(w);
     }
     blk.barrier_arrived = 0;
     stats_.barrier_releases += 1;
@@ -1126,17 +1174,26 @@ SM::checkBarrierRelease(int block_slot)
 bool
 SM::heapMaintenance()
 {
-    // Only awake warps can have pending heap work: sleeping
-    // requires a quiescent heap, every mutation wakes the owning
-    // warp, and a due sorter fold is a timed wake processed before
-    // this stage runs.
+    // Only heap-set warps have upkeep to do: a tick() of any other
+    // heap is pure and returns false (quiescent, no fold pending).
+    // Only awake ones can be due: sleeping requires a quiescent
+    // heap, every mutation wakes the owning warp, and a due sorter
+    // fold is a timed wake processed before this stage runs.
     bool changed = false;
-    awake_.forEach([&](WarpId w) {
-        WarpSlot &ws = warps_[w];
-        if (ws.heap && ws.heap->tick(now_)) {
+    heap_work_.forEachAnd(awake_, [&](WarpId w) {
+        divergence::SplitHeap &heap = *warps_[w].heap;
+        bool settling = !heap.quiescent();
+        if (heap.tick(now_)) {
             changed = true;
             touchWarp(w);
+            return;
         }
+        // A false tick() leaves the heap quiescent. Settling can
+        // make the warp sleep-eligible without a touch.
+        if (settling)
+            sleep_check_.insert(w);
+        if (heap.nextWake() == no_wake)
+            heap_work_.erase(w);
     });
     return changed;
 }
@@ -1158,6 +1215,28 @@ SM::ibufEntryLive(WarpId w, const IBufEntry &e) const
     return false;
 }
 
+IBufEntry *
+SM::fetchTarget(WarpId w, const CtxView &cv, bool *claimed) const
+{
+    *claimed = false;
+    if (!cv.valid)
+        return nullptr;
+    // Reuse this context's stale entry, unless it is parked in the
+    // cascade register...
+    if (const IBufEntry *have = ibuf_.findCtx(w, cv.id)) {
+        *claimed = have->claimed;
+        return have->claimed ? nullptr : const_cast<IBufEntry *>(have);
+    }
+    // ...else overwrite any dead entry.
+    for (unsigned s = 0; s < ibuf_.slotsPerWarp(); ++s) {
+        const IBufEntry &e = ibuf_.entry(w, s);
+        if (!ibufEntryLive(w, e))
+            return const_cast<IBufEntry *>(&e);
+        *claimed |= e.claimed;
+    }
+    return nullptr; // buffer full of live work
+}
+
 void
 SM::fetchStage()
 {
@@ -1165,29 +1244,23 @@ SM::fetchStage()
 
     // Fetch for context slot (w, ctx_slot) if it needs it; true
     // when a fetch happened (at most one per front-end per cycle).
+    // A failure that holds until w's next touchWarp() — a fresh
+    // entry is buffered, the context is invalid, or the buffer is
+    // full of unclaimed live entries — drops w from the slot's
+    // fetch set.
     auto tryFetch = [&](unsigned fe, WarpId w, unsigned ctx_slot) {
-        if (slotVerdict(w, ctx_slot).entry)
-            return false; // a fresh entry is already buffered
-        CtxView cv = ctxView(w, ctx_slot);
-        if (!cv.valid)
+        if (slotVerdict(w, ctx_slot).entry) {
+            fetch_work_[ctx_slot].erase(w); // a fresh entry is buffered
             return false;
-        IBufEntry *have = ibuf_.findCtx(w, cv.id);
-        if (have && have->claimed)
-            return false; // stale, but parked in the cascade register
-        // Pick a victim slot: reuse this context's stale entry,
-        // else any dead slot.
-        IBufEntry *target = have;
-        if (!target) {
-            for (unsigned s = 0; s < ibuf_.slotsPerWarp(); ++s) {
-                IBufEntry &e = ibuf_.entry(w, s);
-                if (!ibufEntryLive(w, e)) {
-                    target = &e;
-                    break;
-                }
-            }
         }
-        if (!target)
-            return false; // buffer full of live work
+        CtxView cv = ctxView(w, ctx_slot);
+        bool claimed;
+        IBufEntry *target = fetchTarget(w, cv, &claimed);
+        if (!target) {
+            if (!claimed)
+                fetch_work_[ctx_slot].erase(w);
+            return false;
+        }
         siwi_assert(cv.pc < prog_.size(), "fetch past program");
         target->valid = true;
         target->claimed = false;
@@ -1206,31 +1279,35 @@ SM::fetchStage()
         return true;
     };
 
-    // Cyclic scan over the active list only: a sleeping warp is by
-    // definition non-fetchable (sleepEligible mirrors tryFetch),
-    // so skipping it visits the same successful candidate the full
-    // warp scan would, in the same round-robin order.
+    // Cyclic scan over the slot's fetch set within the active
+    // list: every other warp's tryFetch would fail (a sleeping warp
+    // is by definition non-fetchable, sleepEligible mirrors
+    // tryFetch), so the scan reaches the same successful candidate
+    // the full warp scan would, in the same round-robin order.
     for (unsigned fe = 0; fe < 2; ++fe) {
         bool fetched;
         if (cfg_.num_pools == 2) {
-            fetched = awake_.forEachWrapped(fe_rr_[fe], [&](WarpId w) {
-                if ((w % 2) != fe)
-                    return false;
-                return tryFetch(fe, w, 0);
-            });
+            fetched = fetch_work_[0].forEachWrappedAnd(
+                awake_, fe_rr_[fe], [&](WarpId w) {
+                    if ((w % 2) != fe)
+                        return false;
+                    return tryFetch(fe, w, 0);
+                });
         } else {
             unsigned ctx_slot = (cfg_.sbi && fe == 1) ? 1 : 0;
-            fetched = awake_.forEachWrapped(fe_rr_[fe], [&](WarpId w) {
-                return tryFetch(fe, w, ctx_slot);
-            });
+            fetched = fetch_work_[ctx_slot].forEachWrappedAnd(
+                awake_, fe_rr_[fe], [&](WarpId w) {
+                    return tryFetch(fe, w, ctx_slot);
+                });
         }
         if (!fetched && cfg_.num_pools == 1 && cfg_.sbi &&
             fe == 1 && cfg_.sbi_secondary_fallback) {
             // Secondary front-end helps fetch primary contexts when
             // it has nothing of its own to do.
-            awake_.forEachWrapped(fe_rr_[fe], [&](WarpId w) {
-                return tryFetch(fe, w, 0);
-            });
+            fetch_work_[0].forEachWrappedAnd(
+                awake_, fe_rr_[fe], [&](WarpId w) {
+                    return tryFetch(fe, w, 0);
+                });
         }
     }
 }

@@ -20,9 +20,9 @@
 #define SIWI_PIPELINE_SM_HH
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
+#include <queue>
 #include <string_view>
 #include <vector>
 
@@ -106,19 +106,22 @@ class SM final : public frontend::FrontEndHost
     /**
      * Advance one cycle.
      *
-     * Hot-loop cost is O(runnable warps), not O(num_warps): warps
-     * proven unable to act (sleepEligible) are parked off the
-     * runnable active list at the end of each cycle and every
-     * per-cycle scan — fetch, heap maintenance, the front-end
-     * candidate domains — iterates the list, not the warp array.
-     * Events, barrier releases and timed heap folds wake their
-     * warps back onto it (wakeWarp), so parking is invisible to
-     * results; setSleepAudit() re-proves it every cycle.
-     * Within that scan, a ready() or sleepEligible() probe of a
-     * warp unchanged since its last probe is O(1): the verdict is
-     * cached until the warp's mutation generation moves (see
-     * WarpSlot::gen), and the audit re-derives every cached
-     * verdict too.
+     * Hot-loop cost is O(warps that can act), not O(num_warps):
+     * warps proven unable to act (sleepEligible) are parked off the
+     * runnable active list at the end of each cycle, and each
+     * per-cycle stage — heap maintenance, the front-end candidate
+     * scans, fetch, sleep evaluation — iterates its own work set
+     * intersected with that list: the warps the stage may have
+     * work for. A set may hold extra warps (their visit finds
+     * nothing to do and has no side effect) but never misses one
+     * that can act; touchWarp() and the few other input changes
+     * named at each set re-enter a warp. Events, barrier releases
+     * and timed heap folds wake parked warps (wakeWarp), so
+     * parking is invisible to results. A ready() probe of a warp
+     * unchanged since its last probe is O(1): the verdict is cached
+     * until the warp's mutation generation moves (see
+     * WarpSlot::gen). setSleepAudit() re-proves every parked warp,
+     * every cached verdict and every warp outside each set.
      *
      * @return true when the cycle made progress: an event fired, a
      *         heap restructured, the front-end issued or mutated
@@ -189,10 +192,12 @@ class SM final : public frontend::FrontEndHost
      * Per-warp sleep oracle (test hook): verify that every warp
      * currently parked off the active list provably cannot issue,
      * fetch, bump an observable counter, or self-mutate before its
-     * recorded wake bound, and that every cached issue-stage
-     * verdict still current at its warp's generation equals a
-     * fresh derivation. Pure — uses only non-counting probes, and
-     * the derivations rather than the caches.
+     * recorded wake bound; that every cached issue-stage verdict
+     * still current at its warp's generation equals a fresh
+     * derivation; and that every awake warp outside a work set is
+     * one that set's stage has nothing to do for. Pure — uses only
+     * non-counting probes, and the derivations rather than the
+     * caches.
      * @return false with a diagnostic in @p why on any violation
      */
     bool auditSleepingWarps(std::string *why) const;
@@ -260,7 +265,8 @@ class SM final : public frontend::FrontEndHost
          * release, a heap tick that changes something), which are
          * the only inputs of its cached verdicts besides the live
          * ones (claimed flags, heap quiescence, execution groups).
-         * CTA launch and retirement need no bump of their own: a
+         * CTA launch bumps it too (initWarp), which enters the new
+         * tenant in every work set. Retirement needs no bump: a
          * warp retires only inside its exit event, which has
          * bumped already, and nothing probes an inactive warp.
          * 64 bits never wrap.
@@ -268,9 +274,6 @@ class SM final : public frontend::FrontEndHost
         u64 gen = 1;
         /** Cached deriveSlot() of each context slot. */
         mutable SlotVerdict verdict[2];
-        /** Cached deriveSleepSlots(), valid at sleep_gen. */
-        mutable bool sleep_blocked = false;
-        mutable u64 sleep_gen = 0;
 
         /**
          * Warps launched into this slot so far (initWarp bumps
@@ -300,10 +303,28 @@ class SM final : public frontend::FrontEndHost
         u32 launch = 0; //!< WarpSlot::launch when posted
         u32 ctx_id = 0;
         int sb_entry = -1;
-        isa::Instruction inst;
         LaneMask mask;
         LaneMask taken;
         Pc pc = invalid_pc;
+        Pc target = invalid_pc; //!< branch target
+        Pc reconv = invalid_pc; //!< branch reconvergence point
+    };
+
+    /** An Event queued for cycle @c when, @c seq-th posted. */
+    struct TimedEvent
+    {
+        Cycle when;
+        u64 seq;
+        Event ev;
+    };
+
+    /** Heap order: earliest cycle first, FIFO within a cycle. */
+    struct LaterEvent
+    {
+        bool operator()(const TimedEvent &a, const TimedEvent &b) const
+        {
+            return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+        }
     };
 
     // ------------------------------------------------------------
@@ -334,6 +355,11 @@ class SM final : public frontend::FrontEndHost
         last_primary_ = frontend::PrimaryIssueInfo{};
     }
     const WarpSet &awakeWarps() const override { return awake_; }
+    const WarpSet &issueCandidates(unsigned slot) const override
+    {
+        return issue_cands_[slot];
+    }
+    void dropClaim(WarpId w, IBufEntry &e) override;
 
     // ------------------------------------------------------------
     // pipeline stages
@@ -347,9 +373,27 @@ class SM final : public frontend::FrontEndHost
     // --- scheduling helpers ---
     bool syncGated(WarpId w, const IBufEntry &e) const;
 
-    // --- issue-stage verdict cache ---
-    /** Every cached verdict of @p w is stale from here on. */
-    void touchWarp(WarpId w) { ++warps_[w].gen; }
+    // --- issue-stage verdict cache and work sets ---
+    /**
+     * @p w changed: every cached verdict of it is stale from here
+     * on, and it enters the sleep-check, fetch and issue-candidate
+     * sets, whose stages must look at it again.
+     */
+    void touchWarp(WarpId w)
+    {
+        ++warps_[w].gen;
+        sleep_check_.insert(w);
+        for (unsigned s = 0; s < 2; ++s) {
+            fetch_work_[s].insert(w);
+            issue_cands_[s].insert(w);
+        }
+    }
+    /** @p w's heap was created or mutated: it needs upkeep. */
+    void heapTouched(WarpId w)
+    {
+        if (warps_[w].heap)
+            heap_work_.insert(w);
+    }
     /**
      * Verdict of context slot (w, slot) from warp-local state
      * alone: its fresh buffered entry, SYNC gate and scoreboard.
@@ -358,8 +402,23 @@ class SM final : public frontend::FrontEndHost
      * execution groups).
      */
     SlotVerdict deriveSlot(WarpId w, unsigned slot) const;
-    /** deriveSlot(), re-derived only when @p w's gen has moved. */
+    /**
+     * deriveSlot(), re-derived only when @p w's gen has moved; a
+     * re-derivation also sets @p w's membership of the slot's
+     * issue-candidate set.
+     */
     const SlotVerdict &slotVerdict(WarpId w, unsigned slot) const;
+    /**
+     * The buffer entry a fetch for context @p cv of warp @p w would
+     * fill, given that no fresh entry of @p cv is buffered: its
+     * stale entry, else a dead one. Null when the context is
+     * invalid, its stale entry is parked in the cascade register,
+     * or every entry is live; *claimed is then true when a claimed
+     * entry is in the way, which the front-end may release without
+     * a touch.
+     */
+    IBufEntry *fetchTarget(WarpId w, const frontend::CtxView &cv,
+                           bool *claimed) const;
 
     // --- per-warp sleep/wake ---
     /** A buffered entry still backs a live context (fetch victim rule). */
@@ -371,9 +430,7 @@ class SM final : public frontend::FrontEndHost
      * bump the suspension counter, nothing is parked in the
      * cascade register, and the heap has no pending maintenance.
      * Pure: never bumps statistics. On true, *wake_out holds the
-     * timed self-change bound (the heap's next sorter fold). The
-     * per-slot part (deriveSleepSlots) is cached per generation;
-     * the rest (liveAllowsSleep) is read live.
+     * timed self-change bound (the heap's next sorter fold).
      */
     bool sleepEligible(WarpId w, Cycle *wake_out) const;
     /**
@@ -390,7 +447,10 @@ class SM final : public frontend::FrontEndHost
     bool deriveSleepSlots(WarpId w) const;
     /** Timed self-change bound of @p w: its heap's next fold. */
     Cycle selfWake(WarpId w) const;
-    /** Park every provably blocked awake warp (end of step()). */
+    /**
+     * Park every provably blocked warp of the sleep-check set, and
+     * empty the set of every warp it visits (end of step()).
+     */
     void sleepEvaluate();
     /** Wake warps whose timed bound has arrived (start of step()). */
     void timedWakes();
@@ -437,12 +497,15 @@ class SM final : public frontend::FrontEndHost
 
     std::vector<WarpSlot> warps_;
     std::vector<BlockSlot> blocks_;
+    unsigned free_warps_ = 0; //!< inactive warp slots
 
     IBuffer ibuf_;
     Scoreboard sb_;
     std::vector<ExecGroup> groups_;
 
-    std::multimap<Cycle, Event> events_;
+    std::priority_queue<TimedEvent, std::vector<TimedEvent>, LaterEvent>
+        events_;
+    u64 event_seq_ = 0; //!< events posted so far
     frontend::PrimaryIssueInfo last_primary_; //!< issued this cycle
     frontend::FrontEnd frontend_;
 
@@ -463,6 +526,17 @@ class SM final : public frontend::FrontEndHost
     unsigned awake_count_ = 0;     //!< |awake_|
     u64 runnable_integral_ = 0;    //!< sum of awake_count_ over time
     Cycle runnable_mark_ = 0;      //!< integral accrued up to here
+
+    // --- per-stage work sets (see ARCHITECTURE.md); each stage
+    // walks its set intersected with awake_ ---
+    /** Heap dirty, or holding a pending CCT sorter fold. */
+    WarpSet heap_work_;
+    /** Sleep-eligibility inputs moved since last found ineligible. */
+    WarpSet sleep_check_;
+    /** Context slot may want a fetch, per slot. */
+    WarpSet fetch_work_[2];
+    /** Cached verdict not known to be empty or Blocked, per slot. */
+    mutable WarpSet issue_cands_[2];
 
     core::SimStats stats_;
     TraceHook trace_;

@@ -1,20 +1,23 @@
 /**
  * @file
  * Dense warp-id set backed by 64-bit words: the runnable active
- * list of the per-warp sleep/wake machinery.
+ * list of the per-warp sleep/wake machinery and the SM's per-stage
+ * work sets.
  *
- * The per-cycle hot loops (fetch, select, issue, heap upkeep)
- * iterate this set instead of scanning every warp slot, making a
- * cycle O(runnable warps) instead of O(num_warps). Iteration is
- * ascending warp order — the same order the full scans used — so
- * scheduling policies see identical candidate sequences; a cyclic
- * variant serves the round-robin fetch cursor.
+ * The per-cycle hot loops (fetch, select, issue, heap upkeep, sleep
+ * evaluation) iterate a stage's work set intersected with the
+ * active list, word by word, so a cycle visits only the warps that
+ * stage may have work for. Iteration is ascending warp order — the
+ * same order a full scan uses — so scheduling policies see
+ * identical candidate sequences; a cyclic variant serves the
+ * round-robin fetch cursor.
  */
 
 #ifndef SIWI_PIPELINE_WARP_SET_HH
 #define SIWI_PIPELINE_WARP_SET_HH
 
 #include <bit>
+#include <type_traits>
 #include <vector>
 
 #include "common/types.hh"
@@ -33,7 +36,6 @@ class WarpSet
     /** Resize to @p num_warps and clear every member. */
     void reset(unsigned num_warps)
     {
-        num_warps_ = num_warps;
         words_.assign((num_warps + 63) / 64, 0);
     }
 
@@ -45,73 +47,63 @@ class WarpSet
     void insert(WarpId w) { words_[w >> 6] |= bit(w); }
     void erase(WarpId w) { words_[w >> 6] &= ~bit(w); }
 
-    unsigned count() const
+    /** Add every member of @p o (same capacity). */
+    WarpSet &operator|=(const WarpSet &o)
     {
-        unsigned n = 0;
-        for (u64 word : words_)
-            n += unsigned(std::popcount(word));
-        return n;
-    }
-
-    bool empty() const
-    {
-        for (u64 word : words_) {
-            if (word)
-                return false;
-        }
-        return true;
+        for (size_t i = 0; i < words_.size(); ++i)
+            words_[i] |= o.words_[i];
+        return *this;
     }
 
     /**
      * Visit members in ascending order. Erasing the warp currently
-     * being visited is allowed (the word is iterated from a local
+     * being visited is allowed (each word is iterated from a local
      * copy); inserting during iteration is not.
      */
     template <typename F> void forEach(F &&f) const
     {
+        forEachAnd(*this, f);
+    }
+
+    /**
+     * Visit the members that @p b also holds, in ascending order,
+     * without building the intersection. Erasing the visited warp
+     * from either set is allowed, as in forEach().
+     */
+    template <typename F> void forEachAnd(const WarpSet &b, F &&f) const
+    {
         for (size_t i = 0; i < words_.size(); ++i) {
-            u64 word = words_[i];
-            while (word) {
-                unsigned b = unsigned(std::countr_zero(word));
-                word &= word - 1;
-                f(WarpId(i * 64 + b));
-            }
+            if (visitWord(i, words_[i] & b.words_[i], f))
+                return;
         }
     }
 
     /**
-     * Visit members cyclically: first those >= @p start ascending,
-     * then those < @p start ascending. @p f returns true to stop
-     * the scan (a fetch slot was consumed).
+     * Visit the members that @p b also holds cyclically: first those
+     * >= @p start ascending, then those < @p start ascending. @p f
+     * returns true to stop the scan (a fetch slot was consumed).
      * @return true when @p f stopped the scan
      */
-    template <typename F> bool forEachWrapped(WarpId start, F &&f) const
+    template <typename F>
+    bool forEachWrappedAnd(const WarpSet &b, WarpId start, F &&f) const
     {
-        size_t start_word = start >> 6;
+        const size_t first = start >> 6;
+        const u64 at_or_after = ~u64(0) << (start & 63);
         // Tail: members at or after the cursor.
-        for (size_t i = start_word; i < words_.size(); ++i) {
-            u64 word = words_[i];
-            if (i == start_word)
-                word &= ~u64(0) << (start & 63);
-            while (word) {
-                unsigned b = unsigned(std::countr_zero(word));
-                word &= word - 1;
-                if (f(WarpId(i * 64 + b)))
-                    return true;
-            }
+        for (size_t i = first; i < words_.size(); ++i) {
+            u64 word = words_[i] & b.words_[i];
+            if (i == first)
+                word &= at_or_after;
+            if (visitWord(i, word, f))
+                return true;
         }
         // Wrapped head: members strictly before the cursor.
-        for (size_t i = 0; i <= start_word && i < words_.size();
-             ++i) {
-            u64 word = words_[i];
-            if (i == start_word)
-                word &= ~(~u64(0) << (start & 63));
-            while (word) {
-                unsigned b = unsigned(std::countr_zero(word));
-                word &= word - 1;
-                if (f(WarpId(i * 64 + b)))
-                    return true;
-            }
+        for (size_t i = 0; i <= first && i < words_.size(); ++i) {
+            u64 word = words_[i] & b.words_[i];
+            if (i == first)
+                word &= ~at_or_after;
+            if (visitWord(i, word, f))
+                return true;
         }
         return false;
     }
@@ -119,7 +111,25 @@ class WarpSet
   private:
     static u64 bit(WarpId w) { return u64(1) << (w & 63); }
 
-    unsigned num_warps_ = 0;
+    /**
+     * Call @p f on each warp of word @p i's bits @p word, ascending,
+     * until it returns true (a void @p f never stops the walk).
+     * @return true when @p f stopped the walk
+     */
+    template <typename F> static bool visitWord(size_t i, u64 word, F &f)
+    {
+        while (word) {
+            WarpId w = WarpId(i * 64 + unsigned(std::countr_zero(word)));
+            word &= word - 1;
+            if constexpr (std::is_void_v<decltype(f(w))>) {
+                f(w);
+            } else if (f(w)) {
+                return true;
+            }
+        }
+        return false;
+    }
+
     std::vector<u64> words_;
 };
 

@@ -82,13 +82,22 @@ class MockHost final : public FrontEndHost
         return it != slots_.end() && it->second.ready;
     }
 
-    // The mock never parks warps: every warp is always awake.
+    // The mock never parks warps: every warp is always awake, and
+    // always an issue candidate.
     const pipeline::WarpSet &awakeWarps() const override
     {
         awake_.reset(num_warps_);
         for (WarpId w = 0; w < num_warps_; ++w)
             awake_.insert(w);
         return awake_;
+    }
+    const pipeline::WarpSet &issueCandidates(unsigned) const override
+    {
+        return awakeWarps();
+    }
+    void dropClaim(WarpId, pipeline::IBufEntry &e) override
+    {
+        e.claimed = false;
     }
 
     pipeline::ExecGroup *freeGroup(isa::UnitClass) override
