@@ -171,7 +171,7 @@ Gpu::runGrid(const Kernel &kernel, const LaunchConfig &lc,
     // timing deterministic.
     //
     // With cycle skipping, each SM sleeps on its own, one level up
-    // from the per-warp active list inside the SM: a quiet step()
+    // from the per-warp parking inside the SM: a quiet step()
     // sets the SM's wake_at to its nextWake(), and a chip cycle
     // steps, in index order, only the SMs whose wake_at is due.
     // A sleeping SM cannot be affected by the others before its

@@ -41,11 +41,12 @@ struct UnitStats
  *
  * The sleep/wake counters (schema v6) are jump-invariant, so skip
  * and --no-skip runs serialize them identically:
- *   - warp_sleep_cycles: warp-cycles spent parked off the
- *     per-cycle active list (a warp provably unable to issue,
- *     fetch or touch shared front-end state);
- *   - runnable_warp_cycles: the integral of the awake warp count
- *     over cycles, which sums meaningfully across SMs;
+ *   - warp_sleep_cycles: warp-cycles spent parked (a warp provably
+ *     unable to issue, fetch or touch shared front-end state, and
+ *     out of the SM's per-stage work sets);
+ *   - runnable_warp_cycles: the integral of the awake (active,
+ *     not parked) warp count over cycles, which sums meaningfully
+ *     across SMs;
  *   - avg_runnable_warps_x10: its mean per cycle, fixed-point x10
  *     (245 = 24.5 warps), derived as 10 * runnable_warp_cycles /
  *     cycles; aggregate() recomputes it from the summed integral.

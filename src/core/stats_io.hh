@@ -46,12 +46,12 @@ namespace siwi::core {
  *
  * v6 (per-warp sleep/wake): stats objects gain the skip-
  * effectiveness counters "warp_sleep_cycles" (warp-cycles spent
- * parked off the runnable active list), "runnable_warp_cycles"
- * (integral of the awake-warp count over cycles) and
- * "avg_runnable_warps_x10" (derived mean, fixed-point x10;
- * recomputed from the summed integral on chip aggregates). All
- * three are jump-invariant, so skip and --no-skip runs serialize
- * identically. Existing fields are unchanged.
+ * parked, out of the SM's per-stage work sets),
+ * "runnable_warp_cycles" (integral of the awake-warp count over
+ * cycles) and "avg_runnable_warps_x10" (derived mean, fixed-point
+ * x10; recomputed from the summed integral on chip aggregates).
+ * All three are jump-invariant, so skip and --no-skip runs
+ * serialize identically. Existing fields are unchanged.
  */
 constexpr int stats_schema_version = 6;
 

@@ -40,15 +40,14 @@ FrontEnd::issueCycle()
 std::span<const Cand>
 FrontEnd::poolDomain(unsigned pool)
 {
-    // Rebuilt per select from the awake issue candidates: every
-    // other warp is provably unready, so the policies rank the same
-    // ready candidates, in the same ascending-warp order, as a full
-    // scan — only the provably fruitless probes are gone.
+    // Rebuilt per select from the issue candidates: every other
+    // warp is provably unready, so the policies rank the same ready
+    // candidates, in the same ascending-warp order, as a full scan
+    // — only the provably fruitless probes are gone.
     const SMConfig &cfg = host_.config();
     std::vector<Cand> &d = pool_scratch_[pool];
     d.clear();
-    const pipeline::WarpSet &awake = host_.awakeWarps();
-    host_.issueCandidates(0).forEachAnd(awake, [&](WarpId w) {
+    host_.issueCandidates(0).forEach([&](WarpId w) {
         if (cfg.num_pools == 2 && (w % 2) != pool)
             return;
         d.push_back({w, 0});
@@ -107,8 +106,7 @@ FrontEnd::issueSecondarySimple(const PrimaryIssueInfo &pinfo)
     std::optional<Cand> best;
     bool best_row = false;
     u64 best_seq = ~u64(0);
-    const pipeline::WarpSet &awake = host_.awakeWarps();
-    host_.issueCandidates(1).forEachAnd(awake, [&](WarpId w) {
+    host_.issueCandidates(1).forEach([&](WarpId w) {
         if (!host_.ready(w, 1, false))
             return;
         const IBufEntry *e = host_.entryFor(w, 1);
@@ -136,7 +134,7 @@ FrontEnd::issueSecondarySimple(const PrimaryIssueInfo &pinfo)
     // a different SIMD group (docs/DESIGN.md interpretation note).
     best.reset();
     best_seq = ~u64(0);
-    host_.issueCandidates(0).forEachAnd(awake, [&](WarpId w) {
+    host_.issueCandidates(0).forEach([&](WarpId w) {
         if (pinfo.valid && w == pinfo.w)
             return;
         if (!host_.ready(w, 0, true))
@@ -171,7 +169,7 @@ FrontEnd::pickSubstitute()
     // the same instruction and squash each other forever.
     // The domain (section 4) is every CPC1 slot, plus every CPC2
     // slot on SBI machines, visited slot-major over each slot's
-    // awake issue candidates — the order of a full-warp domain,
+    // issue candidates — the order of a full-warp domain,
     // which the RNG tie-break stream depends on. Skipped warps are
     // never ready, so skipping them cannot perturb a draw.
     std::optional<Cand> best;
@@ -191,13 +189,9 @@ FrontEnd::pickSubstitute()
                 best = Cand{w, slot};
         }
     };
-    const pipeline::WarpSet &awake = host_.awakeWarps();
-    host_.issueCandidates(0).forEachAnd(
-        awake, [&](WarpId w) { consider(w, 0); });
-    if (host_.config().sbi) {
-        host_.issueCandidates(1).forEachAnd(
-            awake, [&](WarpId w) { consider(w, 1); });
-    }
+    host_.issueCandidates(0).forEach([&](WarpId w) { consider(w, 0); });
+    if (host_.config().sbi)
+        host_.issueCandidates(1).forEach([&](WarpId w) { consider(w, 1); });
     return best;
 }
 
@@ -219,13 +213,13 @@ FrontEnd::pickSecondaryCascaded(
     std::vector<Cand> &cands = cand_scratch_;
     lc.clear();
     cands.clear();
-    // Warp-major over the awake warps with either slot a candidate:
-    // the lookup's tie-break draws depend on this order.
+    // Warp-major over the warps with either slot a candidate: the
+    // lookup's tie-break draws depend on this order.
     bool sbi = host_.config().sbi;
     either_slot_ = host_.issueCandidates(0);
     if (sbi)
         either_slot_ |= host_.issueCandidates(1);
-    either_slot_.forEachAnd(host_.awakeWarps(), [&](WarpId w) {
+    either_slot_.forEach([&](WarpId w) {
         for (unsigned slot = 0; slot < 2; ++slot) {
             if (slot == 1 && !sbi)
                 continue;

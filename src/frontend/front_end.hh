@@ -114,23 +114,16 @@ class FrontEndHost
                        bool check_group) const = 0;
 
     /**
-     * The runnable active list: active warps not parked by the
-     * host's sleep/wake machinery. A sleeping warp is provably
-     * not ready, not fetchable and free of claimed entries.
-     */
-    virtual const pipeline::WarpSet &awakeWarps() const = 0;
-
-    /**
      * Issue candidates of context slot @p slot: a superset of the
-     * awake warps whose slot-@p slot probe can return true or count
-     * a SYNC suspension. Every awake warp outside it has no fresh
-     * entry in that slot, or a Blocked one, so ready() on it would
-     * return false without side effects. A candidate scan walks
-     * this set intersected with awakeWarps() and sees the same
-     * ready candidates, in the same (ascending) order, as a scan
-     * of every warp. Both sets can grow mid-cycle (a barrier
-     * release wakes and touches warps), so scans read them where
-     * they run, never cached across scans.
+     * warps whose slot-@p slot probe can return true or count a
+     * SYNC suspension. Every warp outside it has no fresh entry in
+     * that slot, or a Blocked one, so ready() on it would return
+     * false without side effects; on the SM host it holds only
+     * active warps that are not parked. A candidate scan walks this
+     * set alone and sees the same ready candidates, in the same
+     * (ascending) order, as a scan of every warp. The set can grow
+     * mid-cycle (a barrier release touches warps), so scans read it
+     * where they run, never cached across scans.
      */
     virtual const pipeline::WarpSet &issueCandidates(
         unsigned slot) const = 0;
@@ -175,11 +168,10 @@ class FrontEndHost
  * One SM front-end: selects and issues instructions for one cycle.
  *
  * The candidate domains (per-pool warp lists, the SBI CPC2 slots)
- * are rebuilt each select from the host's issue-candidate sets
- * intersected with its runnable active list — the machine
- * geometry fixes only their shape. The scratch vectors are reused,
- * so the per-cycle hot loop never allocates in steady state, and
- * it visits only warps that may have something to issue.
+ * are rebuilt each select from the host's issue-candidate sets —
+ * the machine geometry fixes only their shape. The scratch vectors
+ * are reused, so the per-cycle hot loop never allocates in steady
+ * state, and it visits only warps that may have something to issue.
  */
 class FrontEnd
 {
@@ -240,8 +232,8 @@ class FrontEnd
     bool issueSecondarySimple(const PrimaryIssueInfo &pinfo);
 
     /**
-     * Primary candidate domain of @p pool right now: the awake
-     * slot-0 issue candidates of the pool, ascending — the same
+     * Primary candidate domain of @p pool right now: the slot-0
+     * issue candidates of the pool, ascending — the same
      * candidates a full-warp scan offers, minus provably unready
      * ones. Returns a span over reused scratch; valid until the
      * next call for the same pool.

@@ -49,8 +49,6 @@ SM::SM(const SMConfig &cfg, mem::MemoryImage &memory,
       sb_(cfg.num_warps, cfg.scoreboard_entries),
       frontend_(*this),
       fe_rr_(2, 0),
-      awake_(cfg.num_warps),
-      asleep_(cfg.num_warps),
       heap_work_(cfg.num_warps),
       sleep_check_(cfg.num_warps),
       fetch_work_{WarpSet(cfg.num_warps), WarpSet(cfg.num_warps)},
@@ -127,13 +125,6 @@ SM::step()
     // happens on an issue), so it does not count as progress.
     memsys_.tick(now_);
 
-    // Timed wakes first: a warp whose self-change bound (CCT fold)
-    // is due must be back on the active list before maintenance
-    // and issue see this cycle. Waking itself is not progress —
-    // the woken warp's actions are what count.
-    if (min_sleep_wake_ <= now_)
-        timedWakes();
-
     progress |= processEvents();
     progress |= heapMaintenance();
 
@@ -187,14 +178,11 @@ SM::nextWake() const
             wake = std::min(wake, g.busyUntil());
     }
     wake = std::min(wake, memsys_.nextWake(now_));
-    // Awake warps contribute their heap's next sorter fold (a warp
-    // with a fold pending is in the heap set); sleeping warps
-    // contribute the same bound via the cached min_sleep_wake_
-    // (their wake_at is exactly that fold time).
-    heap_work_.forEachAnd(awake_, [&](WarpId w) {
+    // Every warp with a sorter fold pending is in the heap set,
+    // parked or not.
+    heap_work_.forEach([&](WarpId w) {
         wake = std::min(wake, warps_[w].heap->nextWake());
     });
-    wake = std::min(wake, min_sleep_wake_);
     return wake;
 }
 
@@ -217,28 +205,8 @@ SM::accrueRunnable(Cycle t)
     // points are identical whether intervening quiet cycles were
     // stepped or jumped, so the serialized counters derived from
     // it stay bit-identical across skip modes.
-    runnable_integral_ += u64(awake_count_) * (t - runnable_mark_);
+    runnable_integral_ += u64(runnable_count_) * (t - runnable_mark_);
     runnable_mark_ = t;
-}
-
-void
-SM::awakeInsert(WarpId w)
-{
-    if (awake_.contains(w))
-        return;
-    accrueRunnable(now_);
-    awake_.insert(w);
-    ++awake_count_;
-}
-
-void
-SM::awakeErase(WarpId w, Cycle t)
-{
-    if (!awake_.contains(w))
-        return;
-    accrueRunnable(t);
-    awake_.erase(w);
-    --awake_count_;
 }
 
 void
@@ -248,28 +216,10 @@ SM::wakeWarp(WarpId w)
     if (!ws.asleep)
         return;
     ws.asleep = false;
-    ws.wake_at = no_wake;
     stats_.warp_sleep_cycles += now_ - ws.sleep_since;
-    asleep_.erase(w);
-    awakeInsert(w);
+    accrueRunnable(now_);
+    ++runnable_count_;
     sleep_check_.insert(w);
-}
-
-void
-SM::timedWakes()
-{
-    // Scan only when the cached bound is due; wake every due warp
-    // and recompute the bound over the remainder. The sleeping set
-    // is scanned, not the full warp array.
-    Cycle next = no_wake;
-    asleep_.forEach([&](WarpId w) {
-        WarpSlot &ws = warps_[w];
-        if (ws.wake_at <= now_)
-            wakeWarp(w); // erases w from asleep_ (safe mid-scan)
-        else
-            next = std::min(next, ws.wake_at);
-    });
-    min_sleep_wake_ = next;
 }
 
 bool
@@ -288,8 +238,8 @@ SM::liveAllowsSleep(WarpId w) const
     }
 
     // Pending heap maintenance (an unsettled restructure pass)
-    // can move hot slots next cycle; only a quiescent heap has a
-    // well-defined timed self-change bound.
+    // can move hot slots next cycle; only a quiescent heap is left
+    // alone until its next sorter fold.
     return !ws.heap || ws.heap->quiescent();
 }
 
@@ -302,9 +252,8 @@ SM::deriveSleepSlots(WarpId w) const
             // Issuable keeps the warp awake (execution-group
             // availability is deliberately ignored: groups are
             // shared, timed resources, so a group-stalled warp
-            // stays on the active list), and so does a SYNC gate,
-            // which bumps sync_suspensions every cycle the warp
-            // is scanned.
+            // stays awake), and so does a SYNC gate, which bumps
+            // sync_suspensions every cycle the warp is scanned.
             if (v.state != SlotState::Blocked)
                 return false;
             continue; // unblocks via a Writeback event
@@ -321,22 +270,26 @@ SM::deriveSleepSlots(WarpId w) const
     return true;
 }
 
-Cycle
-SM::selfWake(WarpId w) const
+void
+SM::leaveWorkSets(WarpId w)
 {
-    const WarpSlot &ws = warps_[w];
-    return ws.heap ? ws.heap->nextWake() : no_wake;
+    sleep_check_.erase(w);
+    for (unsigned s = 0; s < 2; ++s) {
+        fetch_work_[s].erase(w);
+        issue_cands_[s].erase(w);
+    }
+    // A parked warp keeps a pending sorter fold: heapMaintenance
+    // wakes it when the fold falls due.
+    if (!warps_[w].asleep || !foldPending(w))
+        heap_work_.erase(w);
 }
 
 bool
-SM::sleepEligible(WarpId w, Cycle *wake_out) const
+SM::sleepEligible(WarpId w) const
 {
     // Live inputs first: the per-slot result is defined only while
     // no entry is claimed.
-    if (!liveAllowsSleep(w) || !deriveSleepSlots(w))
-        return false;
-    *wake_out = selfWake(w);
-    return true;
+    return liveAllowsSleep(w) && deriveSleepSlots(w);
 }
 
 void
@@ -344,107 +297,103 @@ SM::sleepEvaluate()
 {
     // Only a warp whose eligibility inputs moved since it was last
     // found ineligible can have become eligible.
-    sleep_check_.forEachAnd(awake_, [&](WarpId w) {
+    sleep_check_.forEach([&](WarpId w) {
         sleep_check_.erase(w);
-        Cycle wake = no_wake;
-        if (!sleepEligible(w, &wake))
+        if (!sleepEligible(w))
             return;
         WarpSlot &ws = warps_[w];
         ws.asleep = true;
-        ws.wake_at = wake;
         ws.sleep_since = now_ + 1;
-        awakeErase(w, now_ + 1); // parked from the next cycle on
-        asleep_.insert(w);
-        min_sleep_wake_ = std::min(min_sleep_wake_, wake);
+        accrueRunnable(now_ + 1); // parked from the next cycle on
+        --runnable_count_;
+        // sleepEligible has just proved that no slot has a fetch
+        // target or an unblocked entry: the exit rules of the fetch
+        // and issue sets.
+        leaveWorkSets(w);
     });
 }
 
 bool
 SM::auditSleepingWarps(std::string *why) const
 {
-    bool ok = true;
-    auto fail = [&](WarpId w, const char *what) {
-        ok = false;
-        if (why) {
-            *why = "warp " + std::to_string(w) + " at cycle " +
-                   std::to_string(now_) + ": " + what;
-        }
-    };
-    // Every slept warp, re-proved from the derivations directly:
-    // going through the caches would check them against
-    // themselves.
-    asleep_.forEach([&](WarpId w) {
-        if (!ok)
-            return;
+    // The first violation at warp w, or null. Everything is
+    // re-derived: going through the caches would check them
+    // against themselves.
+    auto violation = [&](WarpId w) -> const char * {
         const WarpSlot &ws = warps_[w];
-        if (!ws.active || !ws.asleep || awake_.contains(w)) {
-            fail(w, "sleeping-set / slot state mismatch");
-            return;
-        }
-        if (ws.wake_at <= now_) {
-            fail(w, "timed wake bound passed while asleep");
-            return;
-        }
-        if (!liveAllowsSleep(w) || !deriveSleepSlots(w)) {
-            fail(w, "slept warp is schedulable (could issue, fetch, "
-                    "probe a SYNC gate, or restructure its heap)");
-            return;
-        }
-        if (selfWake(w) < ws.wake_at)
-            fail(w, "recorded wake bound later than the heap's fold");
-    });
-    // Every cached verdict still current at its warp's generation
-    // must equal a fresh derivation; a mismatch means some change
-    // to the warp missed touchWarp().
-    for (WarpId w = 0; ok && w < warps_.size(); ++w) {
-        const WarpSlot &ws = warps_[w];
+        // Every cached verdict still current at its warp's
+        // generation must equal a fresh derivation; a mismatch
+        // means some change to the warp missed touchWarp().
         for (unsigned slot = 0; slot < 2; ++slot) {
             const SlotVerdict &c = ws.verdict[slot];
             if (c.gen != ws.gen)
                 continue; // stale: the next probe re-derives
             SlotVerdict d = deriveSlot(w, slot);
             if (d.entry != c.entry || d.state != c.state) {
-                fail(w, slot ? "cached slot-1 verdict is stale"
-                             : "cached slot-0 verdict is stale");
-                return ok;
+                return slot ? "cached slot-1 verdict is stale"
+                            : "cached slot-0 verdict is stale";
             }
         }
-    }
-    // Every awake warp outside a work set must be one its stage
-    // has nothing to do for: a set may hold extra warps, never
-    // miss one.
-    awake_.forEach([&](WarpId w) {
-        if (!ok)
-            return;
-        const WarpSlot &ws = warps_[w];
-        if (!heap_work_.contains(w) && ws.heap &&
-            (!ws.heap->quiescent() || ws.heap->nextWake() != no_wake)) {
-            fail(w, "outside the heap set with upkeep or a fold due");
-            return;
+        if (ws.active && !heap_work_.contains(w) && ws.heap &&
+            (!ws.heap->quiescent() || foldPending(w)))
+            return "outside the heap set with upkeep or a fold due";
+
+        // An inactive or parked warp is in no fetch, issue or
+        // sleep-check set, and in the heap set only while parked
+        // with a sorter fold pending that is not yet due.
+        if (!ws.active || ws.asleep) {
+            bool in_set = sleep_check_.contains(w);
+            for (unsigned s = 0; s < 2; ++s) {
+                in_set |= fetch_work_[s].contains(w) ||
+                          issue_cands_[s].contains(w);
+            }
+            if (in_set)
+                return "inactive or parked, but in a fetch, issue or "
+                       "sleep-check set";
+            if (heap_work_.contains(w)) {
+                if (!ws.active || !foldPending(w))
+                    return "in the heap set, neither awake nor parked "
+                           "with a fold pending";
+                if (ws.heap->nextWake() <= now_)
+                    return "parked past its sorter fold";
+            }
+            if (ws.active && !sleepEligible(w))
+                return "parked warp is schedulable (could issue, fetch, "
+                       "probe a SYNC gate, or restructure its heap)";
+            return nullptr;
         }
-        if (!sleep_check_.contains(w) && liveAllowsSleep(w) &&
-            deriveSleepSlots(w)) {
-            fail(w, "outside the sleep-check set but sleep-eligible");
-            return;
-        }
+
+        // An awake warp outside a work set must be one its stage
+        // has nothing to do for: a set may hold extra warps, never
+        // miss one.
+        if (!sleep_check_.contains(w) && sleepEligible(w))
+            return "outside the sleep-check set but sleep-eligible";
         for (unsigned slot = 0; slot < 2; ++slot) {
             SlotVerdict d = deriveSlot(w, slot);
             bool claimed;
             if (!fetch_work_[slot].contains(w) && !d.entry &&
                 fetchTarget(w, ctxView(w, slot), &claimed)) {
-                fail(w, slot ? "outside the slot-1 fetch set, fetchable"
-                             : "outside the slot-0 fetch set, fetchable");
-                return;
+                return slot ? "outside the slot-1 fetch set, fetchable"
+                            : "outside the slot-0 fetch set, fetchable";
             }
             if (!issue_cands_[slot].contains(w) && d.entry &&
                 d.state != SlotState::Blocked) {
-                fail(w, slot ? "outside the slot-1 issue set, unblocked"
-                             : "outside the slot-0 issue set, unblocked");
-                return;
+                return slot ? "outside the slot-1 issue set, unblocked"
+                            : "outside the slot-0 issue set, unblocked";
             }
         }
-    });
-    return ok;
+        return nullptr;
+    };
+    for (WarpId w = 0; w < warps_.size(); ++w) {
+        if (const char *what = violation(w)) {
+            if (why) {
+                *why = "warp " + std::to_string(w) + " at cycle " +
+                       std::to_string(now_) + ": " + what;
+            }
+            return false;
+        }
+    }
+    return true;
 }
 
 // ----------------------------------------------------------------
@@ -532,9 +481,8 @@ SM::initWarp(WarpId w, int block_slot, unsigned first_tid,
     ws.stack_branch_pending = false;
     ws.stack_barrier_blocked = false;
     ws.last_divergence = ~Cycle(0);
-    ws.asleep = false;
-    ws.wake_at = no_wake;
-    awakeInsert(w);
+    accrueRunnable(now_);
+    ++runnable_count_;
     ws.state->clear();
 
     const BlockSlot &blk = blocks_[unsigned(block_slot)];
@@ -600,13 +548,15 @@ SM::retireWarpIfDone(WarpId w)
     if (!finished)
         return;
 
+    // The exit event that finished the warp woke it, so it retires
+    // awake: it leaves the runnable count and every work set.
+    siwi_assert(!ws.asleep, "retiring a parked warp");
     accumulateWarpStats(ws);
     ws.active = false;
     ++free_warps_;
-    // The exit event that finished the warp woke it, so it retires
-    // from the awake set; wakeWarp guards the defensive case.
-    wakeWarp(w);
-    awakeErase(w, now_);
+    accrueRunnable(now_);
+    --runnable_count_;
+    leaveWorkSets(w);
     ibuf_.flushWarp(w);
 
     // A slot in the launch-time list may have retired and been
@@ -1032,15 +982,18 @@ SM::processEvents()
     while (!events_.empty() && events_.top().when <= now_) {
         Event ev = events_.top().ev;
         events_.pop();
-        // Posted by an earlier tenant of the slot: the warp it
-        // belongs to is gone, so it must not touch the new one.
-        if (ev.launch != warps_[ev.warp].launch)
+        // Posted by an earlier tenant of the slot, or by a warp
+        // that has retired since: the warp it belongs to is gone,
+        // so it must not touch the slot (nor re-enter it in a work
+        // set).
+        const WarpSlot &ws = warps_[ev.warp];
+        if (ev.launch != ws.launch || !ws.active)
             continue;
         fired = true;
         // Every event can unblock its warp (scoreboard release,
         // branch/exit resolution mutate schedulability), so the
-        // warp rejoins the active list, and its cached verdicts go
-        // stale, before the event applies.
+        // warp wakes, and its cached verdicts go stale, before the
+        // event applies.
         wakeWarp(ev.warp);
         touchWarp(ev.warp);
         switch (ev.kind) {
@@ -1156,9 +1109,8 @@ SM::checkBarrierRelease(int block_slot)
         }
         // Released warps become schedulable mid-cycle; any stage
         // that runs after this (secondary pick, fetch) must see
-        // them: the wake and the touch enter them in the active
-        // list and every work set, which each scan reads where it
-        // runs.
+        // them: the wake and the touch enter them in every work
+        // set, which each scan reads where it runs.
         wakeWarp(w);
         touchWarp(w);
         heapTouched(w);
@@ -1176,12 +1128,17 @@ SM::heapMaintenance()
 {
     // Only heap-set warps have upkeep to do: a tick() of any other
     // heap is pure and returns false (quiescent, no fold pending).
-    // Only awake ones can be due: sleeping requires a quiescent
-    // heap, every mutation wakes the owning warp, and a due sorter
-    // fold is a timed wake processed before this stage runs.
+    // A parked warp's heap is quiescent and every other mutation
+    // wakes the warp, so its tick can only change something once
+    // its sorter fold is due: wake it then, and skip it before.
     bool changed = false;
-    heap_work_.forEachAnd(awake_, [&](WarpId w) {
+    heap_work_.forEach([&](WarpId w) {
         divergence::SplitHeap &heap = *warps_[w].heap;
+        if (warps_[w].asleep) {
+            if (heap.nextWake() > now_)
+                return;
+            wakeWarp(w);
+        }
         bool settling = !heap.quiescent();
         if (heap.tick(now_)) {
             changed = true;
@@ -1279,35 +1236,32 @@ SM::fetchStage()
         return true;
     };
 
-    // Cyclic scan over the slot's fetch set within the active
-    // list: every other warp's tryFetch would fail (a sleeping warp
-    // is by definition non-fetchable, sleepEligible mirrors
-    // tryFetch), so the scan reaches the same successful candidate
-    // the full warp scan would, in the same round-robin order.
+    // Cyclic scan over the slot's fetch set: every other warp's
+    // tryFetch would fail (a parked warp is by definition
+    // non-fetchable, sleepEligible mirrors tryFetch), so the scan
+    // reaches the same successful candidate the full warp scan
+    // would, in the same round-robin order.
     for (unsigned fe = 0; fe < 2; ++fe) {
         bool fetched;
         if (cfg_.num_pools == 2) {
-            fetched = fetch_work_[0].forEachWrappedAnd(
-                awake_, fe_rr_[fe], [&](WarpId w) {
+            fetched = fetch_work_[0].forEachWrapped(
+                fe_rr_[fe], [&](WarpId w) {
                     if ((w % 2) != fe)
                         return false;
                     return tryFetch(fe, w, 0);
                 });
         } else {
             unsigned ctx_slot = (cfg_.sbi && fe == 1) ? 1 : 0;
-            fetched = fetch_work_[ctx_slot].forEachWrappedAnd(
-                awake_, fe_rr_[fe], [&](WarpId w) {
-                    return tryFetch(fe, w, ctx_slot);
-                });
+            fetched = fetch_work_[ctx_slot].forEachWrapped(
+                fe_rr_[fe],
+                [&](WarpId w) { return tryFetch(fe, w, ctx_slot); });
         }
         if (!fetched && cfg_.num_pools == 1 && cfg_.sbi &&
             fe == 1 && cfg_.sbi_secondary_fallback) {
             // Secondary front-end helps fetch primary contexts when
             // it has nothing of its own to do.
-            fetch_work_[0].forEachWrappedAnd(
-                awake_, fe_rr_[fe], [&](WarpId w) {
-                    return tryFetch(fe, w, 0);
-                });
+            fetch_work_[0].forEachWrapped(
+                fe_rr_[fe], [&](WarpId w) { return tryFetch(fe, w, 0); });
         }
     }
 }
@@ -1331,7 +1285,7 @@ SM::debugState() const
             continue;
         os << " warp " << w << ":";
         if (ws.asleep)
-            os << " asleep(wake=" << ws.wake_at << ")";
+            os << " asleep";
         if (ws.stack) {
             os << " stack depth=" << ws.stack->depth();
             if (!ws.stack->done()) {
@@ -1365,18 +1319,18 @@ core::SimStats
 SM::finalizeStats()
 {
     stats_.cycles = now_;
-    for (WarpSlot &ws : warps_) {
-        if (ws.active)
-            accumulateWarpStats(ws);
-    }
     // Close out sleep/runnable accounting at the final cycle (a
     // timed-out run can end with warps still parked). Both folds
     // are idempotent: the marks advance to now_.
-    asleep_.forEach([&](WarpId w) {
-        WarpSlot &ws = warps_[w];
-        stats_.warp_sleep_cycles += now_ - ws.sleep_since;
-        ws.sleep_since = now_;
-    });
+    for (WarpSlot &ws : warps_) {
+        if (!ws.active)
+            continue;
+        accumulateWarpStats(ws);
+        if (ws.asleep) {
+            stats_.warp_sleep_cycles += now_ - ws.sleep_since;
+            ws.sleep_since = now_;
+        }
+    }
     accrueRunnable(now_);
     stats_.runnable_warp_cycles = runnable_integral_;
     stats_.avg_runnable_warps_x10 =

@@ -107,21 +107,24 @@ class SM final : public frontend::FrontEndHost
      * Advance one cycle.
      *
      * Hot-loop cost is O(warps that can act), not O(num_warps):
-     * warps proven unable to act (sleepEligible) are parked off the
-     * runnable active list at the end of each cycle, and each
-     * per-cycle stage — heap maintenance, the front-end candidate
-     * scans, fetch, sleep evaluation — iterates its own work set
-     * intersected with that list: the warps the stage may have
-     * work for. A set may hold extra warps (their visit finds
-     * nothing to do and has no side effect) but never misses one
-     * that can act; touchWarp() and the few other input changes
-     * named at each set re-enter a warp. Events, barrier releases
-     * and timed heap folds wake parked warps (wakeWarp), so
-     * parking is invisible to results. A ready() probe of a warp
-     * unchanged since its last probe is O(1): the verdict is cached
-     * until the warp's mutation generation moves (see
-     * WarpSlot::gen). setSleepAudit() re-proves every parked warp,
-     * every cached verdict and every warp outside each set.
+     * each per-cycle stage — heap maintenance, the front-end
+     * candidate scans, fetch, sleep evaluation — walks its own work
+     * set alone: the warps the stage may have work for. A set may
+     * hold extra warps (their visit finds nothing to do and has no
+     * side effect) but never misses one that can act; touchWarp()
+     * and the few other input changes named at each set re-enter a
+     * warp. A set holds only active warps that are not parked,
+     * except that a parked warp stays in the heap set while its CCT
+     * sorter fold is pending. Warps proven unable to act
+     * (sleepEligible) are parked at the end of each cycle, which
+     * takes them out of the other sets; events and barrier releases
+     * wake them, and heapMaintenance wakes one whose fold is due,
+     * so parking never moves a cycle (it feeds only the sleep and
+     * runnable-warp counters). A ready() probe of a warp unchanged
+     * since its last probe is O(1): the verdict is cached until the
+     * warp's mutation generation moves (see WarpSlot::gen).
+     * setSleepAudit() checks that invariant, every cached verdict
+     * and every warp outside each set.
      *
      * @return true when the cycle made progress: an event fired, a
      *         heap restructured, the front-end issued or mutated
@@ -138,9 +141,8 @@ class SM final : public frontend::FrontEndHost
      * which anything in this SM can change — the next deferred
      * event (writebacks, branch/exit resolutions and their
      * retries), the earliest execution-group release, the next L1
-     * fill, the next CCT sorter fold of any awake warp, and the
-     * earliest sleeping warp's recorded wake bound
-     * (min_sleep_wake_, which carries the folds of parked warps).
+     * fill, and the next CCT sorter fold of any warp (every warp
+     * with a fold pending is in the heap set, parked or not).
      * All of it is local to this SM: a shared backend is passive
      * (see mem::MemoryBackend) and contributes nothing. Every
      * other transition (scoreboard, barriers, fetch, CTA launch)
@@ -189,15 +191,16 @@ class SM final : public frontend::FrontEndHost
     std::string debugState() const;
 
     /**
-     * Per-warp sleep oracle (test hook): verify that every warp
-     * currently parked off the active list provably cannot issue,
-     * fetch, bump an observable counter, or self-mutate before its
-     * recorded wake bound; that every cached issue-stage verdict
-     * still current at its warp's generation equals a fresh
-     * derivation; and that every awake warp outside a work set is
-     * one that set's stage has nothing to do for. Pure — uses only
-     * non-counting probes, and the derivations rather than the
-     * caches.
+     * Work-set oracle (test hook): verify that no inactive or
+     * parked warp is in a fetch, issue or sleep-check set, nor in
+     * the heap set unless it is parked with a sorter fold pending
+     * and not yet due; that every parked warp provably still cannot
+     * issue, fetch, bump an observable counter, or restructure its
+     * heap; that every cached issue-stage verdict still current at
+     * its warp's generation equals a fresh derivation; and that
+     * every awake warp outside a work set is one that set's stage
+     * has nothing to do for. Pure — uses only non-counting probes,
+     * and the derivations rather than the caches.
      * @return false with a diagnostic in @p why on any violation
      */
     bool auditSleepingWarps(std::string *why) const;
@@ -243,17 +246,13 @@ class SM final : public frontend::FrontEndHost
         Cycle last_divergence = ~Cycle(0);
 
         // --- sleep/wake state (see ARCHITECTURE.md) ---
-        /** Parked off the active list: provably unschedulable. */
-        bool asleep = false;
         /**
-         * Conservative timed wake bound while asleep: the earliest
-         * cycle this warp can change state *on its own* (its CCT
-         * sorter fold). Every other unblocking — scoreboard
-         * release, branch/exit resolution, barrier release — is an
-         * event that wakes the warp explicitly, so the bound never
-         * needs to cover those.
+         * Parked: provably unschedulable, and in no work set but
+         * the heap set (while its CCT sorter fold is pending).
+         * Events and barrier releases wake it, and heapMaintenance
+         * does when the fold falls due.
          */
-        Cycle wake_at = ~Cycle(0);
+        bool asleep = false;
         /** First slept cycle (warp_sleep_cycles accounting). */
         Cycle sleep_since = 0;
 
@@ -268,7 +267,8 @@ class SM final : public frontend::FrontEndHost
          * CTA launch bumps it too (initWarp), which enters the new
          * tenant in every work set. Retirement needs no bump: a
          * warp retires only inside its exit event, which has
-         * bumped already, and nothing probes an inactive warp.
+         * bumped already, and leaves every work set, so nothing
+         * probes an inactive warp.
          * 64 bits never wrap.
          */
         u64 gen = 1;
@@ -280,7 +280,8 @@ class SM final : public frontend::FrontEndHost
          * it). Each event carries the count it was posted under,
          * so one left in flight by a retired tenant (a load whose
          * destination is never read, issued before EXIT) is
-         * dropped instead of acting on the slot's next warp.
+         * dropped instead of acting on the slot's next warp, or on
+         * the retired warp itself while the slot is still free.
          */
         u32 launch = 0;
     };
@@ -354,7 +355,6 @@ class SM final : public frontend::FrontEndHost
     {
         last_primary_ = frontend::PrimaryIssueInfo{};
     }
-    const WarpSet &awakeWarps() const override { return awake_; }
     const WarpSet &issueCandidates(unsigned slot) const override
     {
         return issue_cands_[slot];
@@ -429,10 +429,9 @@ class SM final : public frontend::FrontEndHost
      * shared and timed), no fetch is possible, no SYNC gate would
      * bump the suspension counter, nothing is parked in the
      * cascade register, and the heap has no pending maintenance.
-     * Pure: never bumps statistics. On true, *wake_out holds the
-     * timed self-change bound (the heap's next sorter fold).
+     * Pure: never bumps statistics.
      */
-    bool sleepEligible(WarpId w, Cycle *wake_out) const;
+    bool sleepEligible(WarpId w) const;
     /**
      * The live part of sleepEligible: @p w is active, has no
      * entry parked in the cascade register, and its heap is
@@ -445,23 +444,26 @@ class SM final : public frontend::FrontEndHost
      * gate. Meaningful only while no entry of @p w is claimed.
      */
     bool deriveSleepSlots(WarpId w) const;
-    /** Timed self-change bound of @p w: its heap's next fold. */
-    Cycle selfWake(WarpId w) const;
+    /** @p w has a CCT sorter fold pending (it is then in the heap set). */
+    bool foldPending(WarpId w) const
+    {
+        return warps_[w].heap && warps_[w].heap->nextWake() != no_wake;
+    }
     /**
      * Park every provably blocked warp of the sleep-check set, and
      * empty the set of every warp it visits (end of step()).
      */
     void sleepEvaluate();
-    /** Wake warps whose timed bound has arrived (start of step()). */
-    void timedWakes();
-    /** Return @p w to the active list (no-op when awake). */
+    /**
+     * @p w was just parked or retired: drop it from every work set,
+     * except that a parked warp stays in the heap set while its
+     * fold is pending.
+     */
+    void leaveWorkSets(WarpId w);
+    /** Un-park @p w (no-op when awake). */
     void wakeWarp(WarpId w);
     /** Advance the runnable-warp integral to time @p t. */
     void accrueRunnable(Cycle t);
-    /** Add @p w to the active list (init / wake paths). */
-    void awakeInsert(WarpId w);
-    /** Drop @p w from the active list at time @p t (sleep/retire). */
-    void awakeErase(WarpId w, Cycle t);
 
     // --- semantics helpers ---
     void advanceCtx(WarpId w, u32 ctx_id, Pc next);
@@ -515,20 +517,14 @@ class SM final : public frontend::FrontEndHost
     std::vector<WarpId> fe_rr_; //!< per-front-end round-robin cursor
 
     // --- per-warp sleep/wake state ---
-    WarpSet awake_;  //!< active, schedulable warps (the hot-loop domain)
-    WarpSet asleep_; //!< active warps parked off the active list
-    /**
-     * Cached min over sleeping warps' wake_at. May go stale-low
-     * when an event wakes the minimum holder early; that only
-     * costs one no-op timedWakes() scan, never a missed wake.
-     */
-    Cycle min_sleep_wake_ = ~Cycle(0);
-    unsigned awake_count_ = 0;     //!< |awake_|
-    u64 runnable_integral_ = 0;    //!< sum of awake_count_ over time
-    Cycle runnable_mark_ = 0;      //!< integral accrued up to here
+    unsigned runnable_count_ = 0; //!< active warps not parked
+    u64 runnable_integral_ = 0;   //!< sum of runnable_count_ over time
+    Cycle runnable_mark_ = 0;     //!< integral accrued up to here
 
     // --- per-stage work sets (see ARCHITECTURE.md); each stage
-    // walks its set intersected with awake_ ---
+    // walks its own set alone. A set holds only active warps that
+    // are not parked, but for a parked warp's pending fold in
+    // heap_work_ ---
     /** Heap dirty, or holding a pending CCT sorter fold. */
     WarpSet heap_work_;
     /** Sleep-eligibility inputs moved since last found ineligible. */

@@ -1,16 +1,14 @@
 /**
  * @file
- * Dense warp-id set backed by 64-bit words: the runnable active
- * list of the per-warp sleep/wake machinery and the SM's per-stage
- * work sets.
+ * Dense warp-id set backed by 64-bit words: the SM's per-stage work
+ * sets.
  *
  * The per-cycle hot loops (fetch, select, issue, heap upkeep, sleep
- * evaluation) iterate a stage's work set intersected with the
- * active list, word by word, so a cycle visits only the warps that
- * stage may have work for. Iteration is ascending warp order — the
- * same order a full scan uses — so scheduling policies see
- * identical candidate sequences; a cyclic variant serves the
- * round-robin fetch cursor.
+ * evaluation) each iterate their own stage's work set, word by
+ * word, so a cycle visits only the warps that stage may have work
+ * for. Iteration is ascending warp order — the same order a full
+ * scan uses — so scheduling policies see identical candidate
+ * sequences; a cyclic variant serves the round-robin fetch cursor.
  */
 
 #ifndef SIWI_PIPELINE_WARP_SET_HH
@@ -62,36 +60,26 @@ class WarpSet
      */
     template <typename F> void forEach(F &&f) const
     {
-        forEachAnd(*this, f);
-    }
-
-    /**
-     * Visit the members that @p b also holds, in ascending order,
-     * without building the intersection. Erasing the visited warp
-     * from either set is allowed, as in forEach().
-     */
-    template <typename F> void forEachAnd(const WarpSet &b, F &&f) const
-    {
         for (size_t i = 0; i < words_.size(); ++i) {
-            if (visitWord(i, words_[i] & b.words_[i], f))
+            if (visitWord(i, words_[i], f))
                 return;
         }
     }
 
     /**
-     * Visit the members that @p b also holds cyclically: first those
-     * >= @p start ascending, then those < @p start ascending. @p f
-     * returns true to stop the scan (a fetch slot was consumed).
+     * Visit members cyclically: first those >= @p start ascending,
+     * then those < @p start ascending. @p f returns true to stop the
+     * scan (a fetch slot was consumed). Erasing the visited warp is
+     * allowed, as in forEach().
      * @return true when @p f stopped the scan
      */
-    template <typename F>
-    bool forEachWrappedAnd(const WarpSet &b, WarpId start, F &&f) const
+    template <typename F> bool forEachWrapped(WarpId start, F &&f) const
     {
         const size_t first = start >> 6;
         const u64 at_or_after = ~u64(0) << (start & 63);
         // Tail: members at or after the cursor.
         for (size_t i = first; i < words_.size(); ++i) {
-            u64 word = words_[i] & b.words_[i];
+            u64 word = words_[i];
             if (i == first)
                 word &= at_or_after;
             if (visitWord(i, word, f))
@@ -99,7 +87,7 @@ class WarpSet
         }
         // Wrapped head: members strictly before the cursor.
         for (size_t i = 0; i <= first && i < words_.size(); ++i) {
-            u64 word = words_[i] & b.words_[i];
+            u64 word = words_[i];
             if (i == first)
                 word &= ~at_or_after;
             if (visitWord(i, word, f))

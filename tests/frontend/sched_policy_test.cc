@@ -82,18 +82,14 @@ class MockHost final : public FrontEndHost
         return it != slots_.end() && it->second.ready;
     }
 
-    // The mock never parks warps: every warp is always awake, and
-    // always an issue candidate.
-    const pipeline::WarpSet &awakeWarps() const override
-    {
-        awake_.reset(num_warps_);
-        for (WarpId w = 0; w < num_warps_; ++w)
-            awake_.insert(w);
-        return awake_;
-    }
+    // The mock never parks warps: every warp is always an issue
+    // candidate.
     const pipeline::WarpSet &issueCandidates(unsigned) const override
     {
-        return awakeWarps();
+        every_warp_.reset(num_warps_);
+        for (WarpId w = 0; w < num_warps_; ++w)
+            every_warp_.insert(w);
+        return every_warp_;
     }
     void dropClaim(WarpId, pipeline::IBufEntry &e) override
     {
@@ -122,7 +118,7 @@ class MockHost final : public FrontEndHost
   private:
     pipeline::SMConfig cfg_;
     unsigned num_warps_ = 4;
-    mutable pipeline::WarpSet awake_;
+    mutable pipeline::WarpSet every_warp_;
     std::map<std::pair<WarpId, unsigned>, Slot> slots_;
     // entryFor returns a view of the scripted slot through one
     // reusable entry (the policies only look at seq/pc).

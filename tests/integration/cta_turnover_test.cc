@@ -15,18 +15,21 @@
  * writes back after the warp is gone. When a new CTA has reused
  * the slot by then, the writeback must not release the new warp's
  * scoreboard entry (the SM panics on the freed entry, or a live
- * one is released early and hides a RAW hazard).
+ * one is released early and hides a RAW hazard); while the slot is
+ * still free, it must not put the retired warp back into a work
+ * set (the audit panics).
  *
  * Every machine runs a gtid-indexed kernel whose warps loop a
  * different number of times, the same kernel with a barrier in
  * block-uniform code, and the same kernel ending in such a dead
  * load, at 64- to 512-thread CTAs, on one SM and on a 4-SM chip.
- * Each run is made with cycle skipping on and off, under the sleep
- * audit (which also re-derives every cached issue-stage verdict
- * each step), and must finish, verify and produce identical
- * statistics in both stepping modes. The suites never reach this
- * path: every committed cell launches CTAs that fill the SM or all
- * fit at once.
+ * Each run is made with cycle skipping on and off, under the
+ * work-set audit that covers the whole integration binary
+ * (sleep_audit_env.cc, which also re-derives every cached
+ * issue-stage verdict each step), and must finish, verify and
+ * produce identical statistics in both stepping modes. The suites
+ * never reach this path: every committed cell launches CTAs that
+ * fill the SM or all fit at once.
  */
 
 #include <gtest/gtest.h>
@@ -37,7 +40,6 @@
 
 #include "core/gpu.hh"
 #include "isa/builder.hh"
-#include "pipeline/sm.hh"
 
 namespace siwi {
 namespace {
@@ -151,13 +153,6 @@ runShape(const core::GpuConfig &chip, const core::Kernel &kernel,
     return o;
 }
 
-/** Scope guard: sleep and verdict-cache audit on. */
-struct SleepAuditScope
-{
-    SleepAuditScope() { pipeline::SM::setSleepAudit(true); }
-    ~SleepAuditScope() { pipeline::SM::setSleepAudit(false); }
-};
-
 struct Param
 {
     PipelineMode mode;
@@ -184,7 +179,6 @@ class CtaTurnover : public testing::TestWithParam<Param>
 
 TEST_P(CtaTurnover, EveryShapeFinishesAndVerifies)
 {
-    SleepAuditScope audit;
     const Param p = GetParam();
     const bool barrier = p.shape == Shape::Barrier;
     const core::Kernel kernel = turnoverKernel(p.shape);

@@ -16,14 +16,16 @@
  * randomized heap states.
  *
  * Per-warp sleep/wake gets the same treatment at warp granularity:
- * every run here executes under SM::setSleepAudit, which makes
- * step() re-verify each sleeping warp every cycle — still provably
- * non-issuable (sleepEligible holds) and the recorded wake bound
- * still conservative. The oracle SM steps every cycle, so each
- * slept warp is re-proven non-issuable for every cycle of its
- * slept window, not just at the endpoints. A violation panics
- * (aborts) with the warp, cycle and full SM debug state, which
- * gtest reports as a crashed test with that message.
+ * like every test of the integration binary, every run here
+ * executes under SM::setSleepAudit (sleep_audit_env.cc), which
+ * makes step() re-verify each parked warp every cycle — still
+ * provably non-issuable (sleepEligible holds), and out of every
+ * work set but the heap set, which keeps it only until its sorter
+ * fold is due. The oracle SM steps every cycle, so each parked warp
+ * is re-proven non-issuable for every cycle of its parked window,
+ * not just at the endpoints. A violation panics (aborts) with the
+ * warp, cycle and full SM debug state, which gtest reports as a
+ * crashed test with that message.
  */
 
 #include <gtest/gtest.h>
@@ -41,20 +43,12 @@ namespace {
 
 using workloads::SizeClass;
 
-/** Scope guard: per-warp sleep auditing on for the enclosed runs. */
-struct SleepAuditScope
-{
-    SleepAuditScope() { pipeline::SM::setSleepAudit(true); }
-    ~SleepAuditScope() { pipeline::SM::setSleepAudit(false); }
-};
-
 void
 checkWindows(const workloads::Workload &wl,
              pipeline::PipelineMode mode)
 {
     SCOPED_TRACE(std::string(wl.name()) + " on " +
                  pipeline::pipelineModeName(mode));
-    SleepAuditScope audit;
     workloads::Instance inst = wl.instance(SizeClass::Tiny);
     core::Kernel kernel =
         core::Kernel::compile(inst.raw, inst.compile);

@@ -11,15 +11,16 @@
  * changes *anything* observable fails loudly rather than skewing
  * results quietly.
  *
- * All runs here also execute under SM::setSleepAudit: with per-warp
- * sleep/wake, step() re-verifies every sleeping warp every cycle —
- * sleepEligible must still hold and the recorded wake bound must
- * still be conservative — so the --no-skip leg of each pair proves
- * every slept warp non-issuable for every cycle of its slept
- * window, across the whole fast suite and the randomized machine
- * mutations. An audit violation panics (aborts) with the warp,
- * cycle and full SM debug state rather than surfacing as an opaque
- * stat diff.
+ * Like every test of the integration binary, all runs here
+ * execute under SM::setSleepAudit (sleep_audit_env.cc): step()
+ * re-verifies every parked warp every cycle — sleepEligible must
+ * still hold, and it must be in no work set but the heap set while
+ * its sorter fold is pending and not yet due — so the --no-skip leg
+ * of each pair proves every parked warp non-issuable for every
+ * cycle of its parked window, across the whole fast suite and the
+ * randomized machine mutations. An audit violation panics (aborts)
+ * with the warp, cycle and full SM debug state rather than
+ * surfacing as an opaque stat diff.
  */
 
 #include <gtest/gtest.h>
@@ -32,7 +33,6 @@
 #include "core/config_io.hh"
 #include "core/gpu.hh"
 #include "pipeline/config_io.hh"
-#include "pipeline/sm.hh"
 #include "runner/runner.hh"
 #include "workloads/workload.hh"
 
@@ -44,13 +44,6 @@ using runner::SweepSpec;
 using workloads::RunResult;
 using workloads::SizeClass;
 
-/** Scope guard: per-warp sleep auditing on for the enclosed runs. */
-struct SleepAuditScope
-{
-    SleepAuditScope() { pipeline::SM::setSleepAudit(true); }
-    ~SleepAuditScope() { pipeline::SM::setSleepAudit(false); }
-};
-
 /**
  * Run one (workload, chip) both ways and compare everything.
  * @return the skipping run
@@ -60,7 +53,6 @@ expectEquivalent(const workloads::Workload &wl,
                  const core::GpuConfig &chip, SizeClass sc,
                  const std::string &label)
 {
-    SleepAuditScope audit;
     RunResult skip = workloads::runWorkload(wl, chip, sc,
                                             /*cycle_skip=*/true);
     RunResult step = workloads::runWorkload(wl, chip, sc,
@@ -147,7 +139,6 @@ launchCapped(const workloads::Workload &wl,
  */
 TEST(SteppingEquivalence, FastSuiteCells)
 {
-    SleepAuditScope audit;
     runner::MachineRegistry reg;
     std::vector<SweepSpec> sweeps;
     std::string label, err;
@@ -456,16 +447,14 @@ TEST(SteppingEquivalence, SkipEngagesOnBankedChip)
 
 /**
  * Per-warp sleep must actually engage, and identically in both
- * stepping modes: warp_sleep_cycles counts warp-cycles parked off
- * the runnable active list and is accumulated at wake time from
- * the park cycle, so it is jump-invariant by construction. A run
- * with zero sleep cycles means the active list degenerated into
- * the old every-warp scan (equivalence would still hold; the
- * O(runnable) speedup would be silently gone).
+ * stepping modes: warp_sleep_cycles counts warp-cycles parked and
+ * is accumulated at wake time from the park cycle, so it is
+ * jump-invariant by construction. A run with zero sleep cycles
+ * means parking never engaged (equivalence would still hold; the
+ * sleep counters the results report would silently read zero).
  */
 TEST(SteppingEquivalence, PerWarpSleepEngages)
 {
-    SleepAuditScope audit;
     const workloads::Workload *wl =
         workloads::findWorkload("FastWalshTransform");
     ASSERT_NE(wl, nullptr);

@@ -1,8 +1,8 @@
 /**
  * @file
  * WarpSet tests: iteration order, the cyclic fetch-cursor scan,
- * erasing the visited warp mid-scan, and the intersection scans
- * against the materialized intersection.
+ * erasing the visited warp mid-scan, and both scans against the
+ * member list built from contains().
  */
 
 #include <gtest/gtest.h>
@@ -24,10 +24,10 @@ members(const WarpSet &s)
 }
 
 std::vector<WarpId>
-wrapped(const WarpSet &a, const WarpSet &b, WarpId start)
+wrapped(const WarpSet &s, WarpId start)
 {
     std::vector<WarpId> out;
-    EXPECT_FALSE(a.forEachWrappedAnd(b, start, [&](WarpId w) {
+    EXPECT_FALSE(s.forEachWrapped(start, [&](WarpId w) {
         out.push_back(w);
         return false;
     }));
@@ -46,16 +46,16 @@ randomSet(unsigned n, Rng &rng, unsigned keep)
     return s;
 }
 
-/** a ∩ b built one warp at a time, from contains() alone. */
-WarpSet
-intersection(const WarpSet &a, const WarpSet &b, unsigned n)
+/** The members of @p s ascending, from contains() alone. */
+std::vector<WarpId>
+listed(const WarpSet &s, unsigned n)
 {
-    WarpSet m(n);
+    std::vector<WarpId> out;
     for (WarpId w = 0; w < n; ++w) {
-        if (a.contains(w) && b.contains(w))
-            m.insert(w);
+        if (s.contains(w))
+            out.push_back(w);
     }
-    return m;
+    return out;
 }
 
 /** The cyclic order from @p start over an ascending list. */
@@ -110,24 +110,19 @@ TEST(WarpSet, ForEachIsAscending)
 
 TEST(WarpSet, WrappedScanFromEdgeCursors)
 {
-    // Full sets and sparse random ones, through both a full mask
-    // (the plain cyclic scan) and a random one.
+    // Full sets and sparse random ones.
     Rng rng(7);
     for (unsigned n : {64u, 65u, 128u}) {
-        for (unsigned keep : {1u, 3u}) {
-            WarpSet a = keep == 1 ? fullSet(n) : randomSet(n, rng, keep);
-            for (const WarpSet &b : {fullSet(n), randomSet(n, rng, 2)}) {
-                std::vector<WarpId> both =
-                    members(intersection(a, b, n));
-                for (WarpId start : {0u, 63u, 64u, n - 1}) {
-                    if (start >= n)
-                        continue;
-                    SCOPED_TRACE(testing::Message()
-                                 << "n=" << n << " keep=" << keep
-                                 << " start=" << start);
-                    EXPECT_EQ(wrapped(a, b, start),
-                              rotate(both, start));
-                }
+        for (unsigned keep : {1u, 2u, 3u}) {
+            WarpSet s = keep == 1 ? fullSet(n) : randomSet(n, rng, keep);
+            std::vector<WarpId> all = listed(s, n);
+            for (WarpId start : {0u, 63u, 64u, n - 1}) {
+                if (start >= n)
+                    continue;
+                SCOPED_TRACE(testing::Message()
+                             << "n=" << n << " keep=" << keep
+                             << " start=" << start);
+                EXPECT_EQ(wrapped(s, start), rotate(all, start));
             }
         }
     }
@@ -137,7 +132,7 @@ TEST(WarpSet, WrappedScanStopsWhenAsked)
 {
     WarpSet s = fullSet(128);
     std::vector<WarpId> seen;
-    bool stopped = s.forEachWrappedAnd(s, 120, [&](WarpId w) {
+    bool stopped = s.forEachWrapped(120, [&](WarpId w) {
         seen.push_back(w);
         return w == 2;
     });
@@ -156,59 +151,41 @@ TEST(WarpSet, ErasingTheVisitedWarpMidScan)
     // order.
     const unsigned n = 130;
     Rng rng(11);
-    WarpSet a0 = randomSet(n, rng, 2), b = randomSet(n, rng, 2);
-    std::vector<WarpId> a_all = members(a0);
-    std::vector<WarpId> both = members(intersection(a0, b, n));
+    const WarpSet s0 = randomSet(n, rng, 2);
+    const std::vector<WarpId> all = listed(s0, n);
 
-    WarpSet a = a0;
+    WarpSet s = s0;
     std::vector<WarpId> seen;
-    a.forEach([&](WarpId w) {
+    s.forEach([&](WarpId w) {
         seen.push_back(w);
-        a.erase(w);
+        s.erase(w);
     });
-    EXPECT_EQ(seen, a_all);
-    EXPECT_TRUE(members(a).empty());
+    EXPECT_EQ(seen, all);
+    EXPECT_TRUE(members(s).empty());
 
-    // From the receiver and from the other set of an intersection.
-    for (bool from_b : {false, true}) {
-        a = a0;
-        WarpSet bb = b;
-        seen.clear();
-        a.forEachAnd(bb, [&](WarpId w) {
-            seen.push_back(w);
-            (from_b ? bb : a).erase(w);
-        });
-        EXPECT_EQ(seen, both);
-        EXPECT_TRUE(members(intersection(a, bb, n)).empty());
-    }
-
-    a = a0;
+    s = s0;
     seen.clear();
-    a.forEachWrappedAnd(b, 70, [&](WarpId w) {
+    s.forEachWrapped(70, [&](WarpId w) {
         seen.push_back(w);
-        a.erase(w);
+        s.erase(w);
         return false;
     });
-    EXPECT_EQ(seen, rotate(both, 70));
-    EXPECT_TRUE(members(intersection(a, b, n)).empty());
+    EXPECT_EQ(seen, rotate(all, 70));
+    EXPECT_TRUE(members(s).empty());
 }
 
-TEST(WarpSet, IntersectionScansMatchTheMaterializedIntersection)
+TEST(WarpSet, ScansMatchTheMemberList)
 {
     Rng rng(3);
     for (unsigned n : {1u, 63u, 64u, 65u, 128u, 200u}) {
         for (int round = 0; round < 20; ++round) {
-            WarpSet a = randomSet(n, rng, 1 + unsigned(round % 4));
-            WarpSet b = randomSet(n, rng, 1 + unsigned(round % 3));
-            std::vector<WarpId> want = members(intersection(a, b, n));
-
-            std::vector<WarpId> got;
-            a.forEachAnd(b, [&](WarpId w) { got.push_back(w); });
-            EXPECT_EQ(got, want) << "forEachAnd, n=" << n;
+            WarpSet s = randomSet(n, rng, 1 + unsigned(round % 4));
+            std::vector<WarpId> want = listed(s, n);
+            EXPECT_EQ(members(s), want) << "forEach, n=" << n;
 
             WarpId start = WarpId(rng.below(n));
-            EXPECT_EQ(wrapped(a, b, start), rotate(want, start))
-                << "forEachWrappedAnd, n=" << n << " start=" << start;
+            EXPECT_EQ(wrapped(s, start), rotate(want, start))
+                << "forEachWrapped, n=" << n << " start=" << start;
         }
     }
 }
