@@ -138,6 +138,7 @@ Gpu::runGrid(const Kernel &kernel, const LaunchConfig &lc,
              mem::MemoryBackend &backend, bool *timed_out)
 {
     skipped_cycles_ = 0;
+    failure_.clear();
     const unsigned n = cfg_.num_sms;
 
     // Chip-level CTA scheduler: a shared cursor over the grid.
@@ -215,7 +216,11 @@ Gpu::runGrid(const Kernel &kernel, const LaunchConfig &lc,
                 wake_at[i] = cycle + 1;
                 if (sm.step()) {
                     // Only a step that made progress can finish an
-                    // SM.
+                    // SM, or find it stuck for good.
+                    if (!sm.failure().empty()) {
+                        failure_ = sm.failure();
+                        break;
+                    }
                     if (sm.done()) {
                         wake_at[i] = no_wake;
                         --live;
@@ -228,6 +233,8 @@ Gpu::runGrid(const Kernel &kernel, const LaunchConfig &lc,
             }
             next = std::min(next, wake_at[i]);
         }
+        if (!failure_.empty())
+            break;
         cycle = std::min(next, lc.max_cycles);
     }
 

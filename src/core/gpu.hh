@@ -151,11 +151,19 @@ class Gpu
      */
     u64 skippedCycles() const { return skipped_cycles_; }
 
+    /**
+     * Why the most recent launch ended before its grid finished,
+     * or empty: an SM found a warp that can never progress
+     * (pipeline::SM::failure()). The launch stops at that cycle,
+     * neither finished nor timed out, and its cell fails.
+     */
+    const std::string &failure() const { return failure_; }
+
   private:
     /**
      * The launch loop: run @p kernel on cfg_.num_sms fresh SMs
-     * over @p backend until every SM is done or lc.max_cycles,
-     * which sets *@p timed_out.
+     * over @p backend until every SM is done, one fails (which
+     * sets failure_), or lc.max_cycles, which sets *@p timed_out.
      * @return each SM's finalized statistics, in SM order
      */
     std::vector<SimStats> runGrid(const Kernel &kernel,
@@ -167,6 +175,7 @@ class Gpu
     GpuConfig cfg_;
     mem::MemoryImage memory_;
     u64 skipped_cycles_ = 0;
+    std::string failure_;
 };
 
 } // namespace siwi::core

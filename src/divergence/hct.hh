@@ -65,6 +65,27 @@ struct SorterResult
 SorterResult hctSort(const SorterEntry &a, const SorterEntry &b,
                      const SorterEntry &c);
 
+/**
+ * Would a sorter pass over the hot pair alone change nothing?
+ * True exactly when hctSort(a, b, {}) returns @p a and @p b in
+ * their slots, with no merge, no spill, and no pop that a cold
+ * store holding anything (@p cold_empty false) could serve: the
+ * pair is PC-ordered (@p a empty only if @p b is too), cannot
+ * merge (distinct PCs, or a pinned or barrier mismatch), and
+ * wants a pop only when the cold store is empty. A hot context
+ * usually just advances one PC, so most passes hit this rule;
+ * SplitHeap::restructure returns at once on it.
+ */
+inline bool
+hctSettled(const SorterEntry &a, const SorterEntry &b, bool cold_empty)
+{
+    if (!a.valid || !b.valid)
+        return !b.valid && cold_empty;
+    if (a.pc != b.pc)
+        return a.pc < b.pc;
+    return a.pinned || b.pinned || a.barrier != b.barrier;
+}
+
 } // namespace siwi::divergence
 
 #endif // SIWI_DIVERGENCE_HCT_HH

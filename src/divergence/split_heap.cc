@@ -142,6 +142,12 @@ SplitHeap::restructure(std::optional<u32> incoming, Cycle now)
     // reports whether anything moved: an already-sorted heap with
     // nothing incoming must come back false, or the SM's
     // quiet-cycle detector would never let a stalled warp sleep.
+    // Every hot id is no_ctx or a live context (a freed one leaves
+    // its slot in the same pass), so hctSettled sees what the first
+    // sorter pass would.
+    if (!incoming &&
+        hctSettled(toEntry(hot_[0]), toEntry(hot_[1]), cct_.empty()))
+        return false;
     bool changed = incoming.has_value();
     std::optional<u32> extra = incoming;
     for (int iter = 0; iter < 8; ++iter) {
@@ -210,7 +216,24 @@ SplitHeap::promote(Cycle now)
     auto cold_min = cct_.minPc();
     if (!cold_min)
         return false;
+    int victim = promoteVictim(*cold_min);
+    if (victim < 0)
+        return false;
 
+    auto popped = cct_.popMin(now);
+    siwi_assert(popped, "promotion pop failed");
+    u32 demoted = hot_[unsigned(victim)];
+    hot_[unsigned(victim)] = no_ctx;
+    ++pool_[demoted].version;
+    coldInsert(demoted, now);
+    ++stats_.promotions;
+    restructure(popped->id, now);
+    return true;
+}
+
+int
+SplitHeap::promoteVictim(Pc cold_min) const
+{
     int victim = -1;
     Pc victim_pc = 0;
     bool victim_blocked = false;
@@ -227,8 +250,8 @@ SplitHeap::promote(Cycle now)
         // its barrier arrival yet and must get a hot slot to do so.
         if (c.branch_pending)
             continue;
-        bool beats = c.pc > *cold_min ||
-                     (c.barrier_blocked && c.pc >= *cold_min);
+        bool beats = c.pc > cold_min ||
+                     (c.barrier_blocked && c.pc >= cold_min);
         if (!beats)
             continue;
         if (victim < 0 || c.pc > victim_pc ||
@@ -239,18 +262,17 @@ SplitHeap::promote(Cycle now)
             victim_blocked = c.barrier_blocked;
         }
     }
-    if (victim < 0)
-        return false;
+    return victim;
+}
 
-    auto popped = cct_.popMin(now);
-    siwi_assert(popped, "promotion pop failed");
-    u32 demoted = hot_[unsigned(victim)];
-    hot_[unsigned(victim)] = no_ctx;
-    ++pool_[demoted].version;
-    coldInsert(demoted, now);
-    ++stats_.promotions;
-    restructure(popped->id, now);
-    return true;
+bool
+SplitHeap::settled() const
+{
+    if (cct_.nextWake() != no_wake ||
+        !hctSettled(toEntry(hot_[0]), toEntry(hot_[1]), cct_.empty()))
+        return false;
+    auto cold_min = cct_.minPc();
+    return !cold_min || promoteVictim(*cold_min) < 0;
 }
 
 void

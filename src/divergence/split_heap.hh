@@ -152,6 +152,15 @@ class SplitHeap
      */
     bool quiescent() const { return !dirty_; }
 
+    /**
+     * tick() can never change this heap again until the pipeline
+     * mutates it: no sorter fold is pending, a sorter pass over the
+     * hot pair changes nothing (hctSettled), and the promotion rule
+     * finds no unpinned hot context to demote. Dirty or not, a
+     * restructure pass is then a no-op and promote() returns false.
+     */
+    bool settled() const;
+
     const SplitHeapStats &stats() const { return stats_; }
     const CctStats &cctStats() const { return cct_.stats(); }
 
@@ -160,6 +169,12 @@ class SplitHeap
     void freeCtx(u32 id);
     bool restructure(std::optional<u32> incoming, Cycle now);
     bool promote(Cycle now);
+    /**
+     * Hot slot promote() would demote for a cold context at
+     * @p cold_min: the highest-PC unpinned hot context it beats
+     * (a barrier-blocked one loses ties), or -1.
+     */
+    int promoteVictim(Pc cold_min) const;
     /** Insert into the CCT, compacting with an equal-PC entry. */
     void coldInsert(u32 id, Cycle now);
     SorterEntry toEntry(u32 id) const;

@@ -2,7 +2,6 @@
 
 #include "common/log.hh"
 #include "pipeline/config.hh"
-#include "pipeline/exec_unit.hh"
 
 namespace siwi::frontend {
 
@@ -12,20 +11,181 @@ using pipeline::LookupCandidate;
 using pipeline::SMConfig;
 
 // ----------------------------------------------------------------
+// candidate scans over the issue table
+// ----------------------------------------------------------------
+
+IssueScans::IssueScans(unsigned num_warps)
+    : either_slot_(num_warps)
+{
+    for (SlotScan &s : slot_) {
+        s.ready.reset(num_warps);
+        s.gated.reset(num_warps);
+    }
+}
+
+SlotScan &
+IssueScans::scan(const IssueTable &t, const ScanLive &live,
+                 unsigned slot, const pipeline::WarpSet *domain,
+                 bool check_group)
+{
+    // Copying a set of the same capacity reuses its storage.
+    SlotScan &s = slot_[slot];
+    s.ready = t.issuable[slot];
+    s.gated = t.sync_gated[slot];
+    if (domain) {
+        s.ready &= *domain;
+        s.gated &= *domain;
+    }
+    // Only the cascade register claims an entry, so only its warp's
+    // row can hold one.
+    if (live.cascade_w) {
+        const IBufEntry *e = t.entry[slot][*live.cascade_w];
+        if (e && e->claimed)
+            s.drop(*live.cascade_w);
+    }
+    if (check_group && live.free_units != all_units) {
+        s.ready.forEach([&](WarpId w) {
+            if (!(live.free_units & unitBit(t.unit[slot][w])))
+                s.ready.erase(w);
+        });
+    }
+    return s;
+}
+
+std::optional<Cand>
+IssueScans::primary(const IssueTable &t, const ScanLive &live,
+                    const SchedPolicy &policy,
+                    const pipeline::WarpSet *pool, bool check_group,
+                    u64 *sync)
+{
+    return policy.select(t, scan(t, live, 0, pool, check_group), sync);
+}
+
+std::optional<Cand>
+IssueScans::secondary(const IssueTable &t, const ScanLive &live,
+                      const PrimaryIssueInfo &pinfo, bool *row_share,
+                      u64 *sync)
+{
+    const SlotScan &s = scan(t, live, 1, nullptr, false);
+    *sync += s.gated.count();
+    std::optional<Cand> best;
+    u64 best_seq = ~u64(0);
+    *row_share = false;
+    s.ready.forEach([&](WarpId w) {
+        UnitClass cls = t.unit[1][w];
+        bool row = pinfo.valid && w == pinfo.w &&
+                   cls == pinfo.unit && cls != UnitClass::LSU;
+        if (!row && !(live.free_units & unitBit(cls)))
+            return;
+        if (t.seq[1][w] < best_seq) {
+            best_seq = t.seq[1][w];
+            best = Cand{w, 1};
+            *row_share = row;
+        }
+    });
+    return best;
+}
+
+std::optional<Cand>
+IssueScans::fallback(const IssueTable &t, const ScanLive &live,
+                     const PrimaryIssueInfo &pinfo, u64 *sync)
+{
+    SlotScan &s = scan(t, live, 0, nullptr, true);
+    if (pinfo.valid)
+        s.drop(pinfo.w);
+    *sync += s.gated.count();
+    return oldestIn(t, 0, s.ready);
+}
+
+std::optional<Cand>
+IssueScans::substitute(const IssueTable &t, const ScanLive &live,
+                       bool sbi, Rng &rng, u64 *sync)
+{
+    // Its policy must stay decorrelated from the primary's
+    // oldest-first selection -- best-fit with pseudo-random
+    // tie-breaking -- or the two would keep picking the same
+    // instruction and squash each other forever. The draws depend
+    // on the candidate order: slot-major, ascending warps.
+    std::optional<Cand> best;
+    unsigned best_count = 0;
+    unsigned ties = 0;
+    for (unsigned slot = 0; slot < (sbi ? 2u : 1u); ++slot) {
+        const SlotScan &s = scan(t, live, slot, nullptr, true);
+        *sync += s.gated.count();
+        s.ready.forEach([&](WarpId w) {
+            unsigned count = t.entry[slot][w]->mask.count();
+            if (!best || count > best_count) {
+                best = Cand{w, slot};
+                best_count = count;
+                ties = 1;
+            } else if (count == best_count) {
+                ++ties;
+                if (rng.below(ties) == 0)
+                    best = Cand{w, slot};
+            }
+        });
+    }
+    return best;
+}
+
+void
+IssueScans::lookupCandidates(const IssueTable &t, const ScanLive &live,
+                             const PrimaryIssueInfo &pinfo, bool sbi,
+                             const pipeline::MaskLookup &lookup,
+                             std::vector<LookupCandidate> &lc,
+                             std::vector<Cand> &cands, u64 *sync)
+{
+    lc.clear();
+    cands.clear();
+    SlotScan &s0 = scan(t, live, 0, nullptr, false);
+    s0.drop(pinfo.w); // the primary context just issued
+    *sync += s0.gated.count();
+    either_slot_ = s0.ready;
+    if (sbi) {
+        const SlotScan &s1 = scan(t, live, 1, nullptr, false);
+        *sync += s1.gated.count();
+        either_slot_ |= s1.ready;
+    }
+    // Warp-major: the lookup's tie-break draws depend on this order.
+    bool primary_row_shareable = pinfo.unit != UnitClass::LSU;
+    either_slot_.forEach([&](WarpId w) {
+        // Same-warp CPC2 co-issue is the SBI path: structural, not
+        // set-restricted (mask disjointness is guaranteed).
+        if (w != pinfo.w && !lookup.eligible(pinfo.w, w))
+            return;
+        for (unsigned slot = 0; slot < (sbi ? 2u : 1u); ++slot) {
+            if (!slot_[slot].ready.contains(w))
+                continue;
+            UnitClass cls = t.unit[slot][w];
+            LookupCandidate c;
+            c.key = u32(cands.size());
+            c.warp = w;
+            c.mask = t.entry[slot][w]->mask;
+            c.same_unit = primary_row_shareable && cls == pinfo.unit;
+            c.other_unit_free = (live.free_units & unitBit(cls)) != 0;
+            lc.push_back(c);
+            cands.push_back({w, slot});
+        }
+    });
+}
+
+// ----------------------------------------------------------------
 // policy selection + the simple issue stage
 // ----------------------------------------------------------------
 
 FrontEnd::FrontEnd(FrontEndHost &host)
     : host_(host),
+      scans_(host.numWarps()),
       lookup_(host.numWarps(), host.config().lookup_sets, 0xdecaf),
-      rng_(0xc0ffee),
-      either_slot_(host.numWarps())
+      rng_(0xc0ffee)
 {
     const SMConfig &cfg = host_.config();
     for (unsigned pool = 0; pool < 2; ++pool) {
         policy_[pool] = makeSchedPolicy(cfg.sched_policy,
                                         host_.numWarps());
-        pool_scratch_[pool].reserve(host_.numWarps());
+        pool_warps_[pool].reset(host_.numWarps());
+        for (WarpId w = WarpId(pool); w < host_.numWarps(); w += 2)
+            pool_warps_[pool].insert(w);
     }
 }
 
@@ -37,29 +197,24 @@ FrontEnd::issueCycle()
     return issueSimple();
 }
 
-std::span<const Cand>
-FrontEnd::poolDomain(unsigned pool)
+ScanLive
+FrontEnd::live() const
 {
-    // Rebuilt per select from the issue candidates: every other
-    // warp is provably unready, so the policies rank the same ready
-    // candidates, in the same ascending-warp order, as a full scan
-    // — only the provably fruitless probes are gone.
-    const SMConfig &cfg = host_.config();
-    std::vector<Cand> &d = pool_scratch_[pool];
-    d.clear();
-    host_.issueCandidates(0).forEach([&](WarpId w) {
-        if (cfg.num_pools == 2 && (w % 2) != pool)
-            return;
-        d.push_back({w, 0});
-    });
-    return d;
+    ScanLive l;
+    l.free_units = host_.freeUnits();
+    if (cascade_.valid)
+        l.cascade_w = cascade_.w;
+    return l;
 }
 
 std::optional<Cand>
-FrontEnd::selectPrimary(unsigned pool, std::span<const Cand> cands,
-                        bool check_group)
+FrontEnd::selectPrimary(unsigned pool, bool check_group)
 {
-    return policy_[pool]->select(host_, cands, check_group);
+    const pipeline::WarpSet *domain =
+        host_.config().num_pools == 2 ? &pool_warps_[pool] : nullptr;
+    return scans_.primary(host_.issueTable(), live(), *policy_[pool],
+                          domain, check_group,
+                          &host_.stats().sync_suspensions);
 }
 
 bool
@@ -75,7 +230,7 @@ FrontEnd::issueSimple()
         unsigned first = unsigned(host_.now() & 1);
         for (unsigned k = 0; k < 2; ++k) {
             unsigned pool = (first + k) % 2;
-            auto c = selectPrimary(pool, poolDomain(pool), true);
+            auto c = selectPrimary(pool, true);
             if (c && host_.issueCand(c->w, c->slot, false, nullptr,
                                      false)) {
                 notifyIssued(pool, *c);
@@ -86,7 +241,7 @@ FrontEnd::issueSimple()
     }
 
     // SBI: primary over CPC1 entries, secondary over CPC2 entries.
-    auto c = selectPrimary(0, poolDomain(0), true);
+    auto c = selectPrimary(0, true);
     if (c &&
         host_.issueCand(c->w, c->slot, false, nullptr, false)) {
         notifyIssued(0, *c);
@@ -99,32 +254,13 @@ FrontEnd::issueSimple()
 bool
 FrontEnd::issueSecondarySimple(const PrimaryIssueInfo &pinfo)
 {
-    // Secondary front-end: oldest ready CPC2 (hot slot 1) entry.
-    // Same warp as the primary may share the primary's row (their
-    // masks are disjoint by construction); any other candidate needs
-    // a free execution group.
-    std::optional<Cand> best;
-    bool best_row = false;
-    u64 best_seq = ~u64(0);
-    host_.issueCandidates(1).forEach([&](WarpId w) {
-        if (!host_.ready(w, 1, false))
-            return;
-        const IBufEntry *e = host_.entryFor(w, 1);
-        UnitClass cls = e->unit;
-        bool row = pinfo.valid && w == pinfo.w &&
-                   cls == pinfo.unit && cls != UnitClass::LSU;
-        if (!row && !host_.freeGroup(cls))
-            return;
-        if (e->seq < best_seq) {
-            best_seq = e->seq;
-            best = Cand{w, 1};
-            best_row = row;
-        }
-    });
-    if (best) {
+    const IssueTable &t = host_.issueTable();
+    const ScanLive l = live();
+    u64 *sync = &host_.stats().sync_suspensions;
+    bool row = false;
+    if (auto best = scans_.secondary(t, l, pinfo, &row, sync)) {
         PrimaryIssueInfo pcopy = pinfo;
-        return host_.issueCand(best->w, best->slot, true, &pcopy,
-                               best_row);
+        return host_.issueCand(best->w, best->slot, true, &pcopy, row);
     }
 
     if (!host_.config().sbi_secondary_fallback)
@@ -132,25 +268,11 @@ FrontEnd::issueSecondarySimple(const PrimaryIssueInfo &pinfo)
 
     // Fallback: issue another warp's primary-context instruction to
     // a different SIMD group (docs/DESIGN.md interpretation note).
-    best.reset();
-    best_seq = ~u64(0);
-    host_.issueCandidates(0).forEach([&](WarpId w) {
-        if (pinfo.valid && w == pinfo.w)
-            return;
-        if (!host_.ready(w, 0, true))
-            return;
-        const IBufEntry *e = host_.entryFor(w, 0);
-        if (e->seq < best_seq) {
-            best_seq = e->seq;
-            best = Cand{w, 0};
-        }
-    });
-    if (best) {
-        if (host_.issueCand(best->w, best->slot, true, nullptr,
-                            false)) {
-            host_.stats().fallback_issues += 1;
-            return true;
-        }
+    auto best = scans_.fallback(t, l, pinfo, sync);
+    if (best &&
+        host_.issueCand(best->w, best->slot, true, nullptr, false)) {
+        host_.stats().fallback_issues += 1;
+        return true;
     }
     return false;
 }
@@ -160,91 +282,26 @@ FrontEnd::issueSecondarySimple(const PrimaryIssueInfo &pinfo)
 // ----------------------------------------------------------------
 
 std::optional<Cand>
-FrontEnd::pickSubstitute()
-{
-    // The secondary scheduler substituting for an absent primary
-    // (section 4). Its policy must stay decorrelated from the
-    // primary's oldest-first selection -- best-fit with
-    // pseudo-random tie-breaking -- or the two would keep picking
-    // the same instruction and squash each other forever.
-    // The domain (section 4) is every CPC1 slot, plus every CPC2
-    // slot on SBI machines, visited slot-major over each slot's
-    // issue candidates — the order of a full-warp domain,
-    // which the RNG tie-break stream depends on. Skipped warps are
-    // never ready, so skipping them cannot perturb a draw.
-    std::optional<Cand> best;
-    unsigned best_count = 0;
-    unsigned ties = 0;
-    auto consider = [&](WarpId w, unsigned slot) {
-        if (!host_.ready(w, slot, true))
-            return;
-        unsigned count = host_.entryFor(w, slot)->mask.count();
-        if (!best || count > best_count) {
-            best = Cand{w, slot};
-            best_count = count;
-            ties = 1;
-        } else if (count == best_count) {
-            ++ties;
-            if (rng_.below(ties) == 0)
-                best = Cand{w, slot};
-        }
-    };
-    host_.issueCandidates(0).forEach([&](WarpId w) { consider(w, 0); });
-    if (host_.config().sbi)
-        host_.issueCandidates(1).forEach([&](WarpId w) { consider(w, 1); });
-    return best;
-}
-
-std::optional<Cand>
 FrontEnd::pickSecondaryCascaded(
     const PrimaryIssueInfo &pinfo, bool *row_share_out)
 {
     *row_share_out = false;
+    const IssueTable &t = host_.issueTable();
+    u64 *sync = &host_.stats().sync_suspensions;
+    bool sbi = host_.config().sbi;
 
+    // The secondary scheduler substituting for an absent primary
+    // (section 4).
     if (!pinfo.valid)
-        return pickSubstitute();
+        return scans_.substitute(t, live(), sbi, rng_, sync);
 
     // Mask-inclusion lookup (section 4): candidates either fit the
     // free lanes of the primary's row or can go to a free group.
     LaneMask free_lanes = ~pinfo.mask;
-    bool primary_row_shareable = pinfo.unit != UnitClass::LSU;
-
     std::vector<LookupCandidate> &lc = lookup_scratch_;
     std::vector<Cand> &cands = cand_scratch_;
-    lc.clear();
-    cands.clear();
-    // Warp-major over the warps with either slot a candidate: the
-    // lookup's tie-break draws depend on this order.
-    bool sbi = host_.config().sbi;
-    either_slot_ = host_.issueCandidates(0);
-    if (sbi)
-        either_slot_ |= host_.issueCandidates(1);
-    either_slot_.forEach([&](WarpId w) {
-        for (unsigned slot = 0; slot < 2; ++slot) {
-            if (slot == 1 && !sbi)
-                continue;
-            if (slot == 0 && w == pinfo.w)
-                continue; // primary context just issued
-            if (!host_.issueCandidates(slot).contains(w))
-                continue; // provably not ready
-            if (!host_.ready(w, slot, false))
-                continue;
-            const IBufEntry *e = host_.entryFor(w, slot);
-            UnitClass cls = e->unit;
-            LookupCandidate c;
-            c.key = u32(cands.size());
-            c.warp = w;
-            c.mask = e->mask;
-            c.same_unit = primary_row_shareable && cls == pinfo.unit;
-            c.other_unit_free = host_.freeGroup(cls) != nullptr;
-            // Same-warp CPC2 co-issue is the SBI path: structural,
-            // not set-restricted (mask disjointness is guaranteed).
-            if (w == pinfo.w || lookup_.eligible(pinfo.w, w)) {
-                lc.push_back(c);
-                cands.push_back({w, slot});
-            }
-        }
-    });
+    scans_.lookupCandidates(t, live(), pinfo, sbi, lookup_, lc, cands,
+                            sync);
     auto picked = lookup_.pick(pinfo.w, free_lanes, lc);
     if (!picked)
         return std::nullopt;
@@ -252,6 +309,19 @@ FrontEnd::pickSecondaryCascaded(
     *row_share_out =
         sel.same_unit && sel.mask.subsetOf(free_lanes);
     return cands[*picked];
+}
+
+bool
+FrontEnd::cascadeReady(unsigned slot)
+{
+    const IssueTable &t = host_.issueTable();
+    WarpId w = cascade_.w;
+    if (t.sync_gated[slot].contains(w)) {
+        host_.stats().sync_suspensions += 1;
+        return false;
+    }
+    return t.issuable[slot].contains(w) &&
+           (host_.freeUnits() & unitBit(t.unit[slot][w]));
 }
 
 bool
@@ -268,12 +338,13 @@ FrontEnd::issueCascaded()
     // Phase B snapshot: the primary scheduler selects its next pick
     // in parallel with this cycle's issue (cascaded scheduling,
     // section 4). Claimed entries (the parked pick) are skipped.
-    std::optional<Cand> next_pick =
-        selectPrimary(0, poolDomain(0), false);
+    std::optional<Cand> next_pick = selectPrimary(0, false);
     u32 next_pick_ctx = 0;
-    if (next_pick)
-        next_pick_ctx =
-            host_.entryFor(next_pick->w, next_pick->slot)->ctx_id;
+    if (next_pick) {
+        next_pick_ctx = host_.issueTable()
+                            .entry[next_pick->slot][next_pick->w]
+                            ->ctx_id;
+    }
 
     // Phase A: issue the parked primary pick.
     bool held = false;
@@ -299,8 +370,8 @@ FrontEnd::issueCascaded()
             cascade_.valid = false;
             activity = true;
         } else {
-            e->claimed = false; // allow ready() to see it
-            if (host_.ready(cascade_.w, unsigned(slot), true)) {
+            e->claimed = false; // the probe must see it
+            if (cascadeReady(unsigned(slot))) {
                 if (host_.issueCand(cascade_.w, unsigned(slot),
                                     false, nullptr, false)) {
                     // The pick issued for real: only now advance
@@ -325,7 +396,7 @@ FrontEnd::issueCascaded()
     auto sec =
         pickSecondaryCascaded(host_.lastPrimary(), &row_share);
     if (sec) {
-        u32 ctx = host_.entryFor(sec->w, sec->slot)->ctx_id;
+        u32 ctx = host_.issueTable().entry[sec->slot][sec->w]->ctx_id;
         PrimaryIssueInfo pcopy = host_.lastPrimary();
         if (host_.issueCand(sec->w, sec->slot, true,
                             pcopy.valid ? &pcopy : nullptr,
@@ -348,7 +419,8 @@ FrontEnd::issueCascaded()
         host_.stats().conflicts_squashed += 1;
         return true;
     }
-    IBufEntry *e = host_.entryFor(next_pick->w, next_pick->slot);
+    IBufEntry *e =
+        host_.issueTable().entry[next_pick->slot][next_pick->w];
     if (!e)
         return activity; // consumed or invalidated this cycle
     cascade_.valid = true;

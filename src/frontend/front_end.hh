@@ -42,6 +42,7 @@
 #include "common/rng.hh"
 #include "common/types.hh"
 #include "core/stats.hh"
+#include "frontend/issue_table.hh"
 #include "frontend/sched_policy.hh"
 #include "isa/opcode.hh"
 #include "pipeline/ibuffer.hh"
@@ -77,11 +78,11 @@ struct PrimaryIssueInfo
 };
 
 /**
- * What a front-end needs from its hosting SM: candidate
- * visibility (context views, buffered entries, readiness) and the
- * issue primitive. The host keeps ownership of warps, the
- * instruction buffer, the scoreboard and the execution groups;
- * the front-end only decides *what* to issue.
+ * What a front-end needs from its hosting SM: the issue table,
+ * context views for the cascade register, and the issue primitive.
+ * The host keeps ownership of warps, the instruction buffer, the
+ * scoreboard and the execution groups; the front-end only decides
+ * *what* to issue.
  */
 class FrontEndHost
 {
@@ -93,40 +94,17 @@ class FrontEndHost
     /** Scheduling view of context slot (w, slot). */
     virtual CtxView ctxView(WarpId w, unsigned slot) const = 0;
 
-    /** Fresh buffered entry of the context in (w, slot), or null. */
-    virtual const pipeline::IBufEntry *entryFor(
-        WarpId w, unsigned slot) const = 0;
-    virtual pipeline::IBufEntry *entryFor(WarpId w,
-                                          unsigned slot) = 0;
-
     /** Valid buffered entry of context @p ctx_id, or null. */
     virtual pipeline::IBufEntry *findCtx(WarpId w, u32 ctx_id) = 0;
 
     /**
-     * May (w, slot) issue this cycle? Probing a SYNC-gated entry
-     * counts one sync_suspensions attempt, so callers probe in a
-     * fixed order. On the SM host a probe of an unchanged warp is
-     * O(1): the warp-local part of the verdict is cached per warp
-     * mutation generation, and only the claimed flag and the
-     * execution groups are read live.
+     * The issue table, every row current: the host re-derives the
+     * rows of each warp that changed since the last call. Rows move
+     * only through the host's own mutations (an issue, an event, a
+     * barrier release), so a scan reads the table where it runs and
+     * never across an issueCand().
      */
-    virtual bool ready(WarpId w, unsigned slot,
-                       bool check_group) const = 0;
-
-    /**
-     * Issue candidates of context slot @p slot: a superset of the
-     * warps whose slot-@p slot probe can return true or count a
-     * SYNC suspension. Every warp outside it has no fresh entry in
-     * that slot, or a Blocked one, so ready() on it would return
-     * false without side effects; on the SM host it holds only
-     * active warps that are not parked. A candidate scan walks this
-     * set alone and sees the same ready candidates, in the same
-     * (ascending) order, as a scan of every warp. The set can grow
-     * mid-cycle (a barrier release touches warps), so scans read it
-     * where they run, never cached across scans.
-     */
-    virtual const pipeline::WarpSet &issueCandidates(
-        unsigned slot) const = 0;
+    virtual const IssueTable &issueTable() = 0;
 
     /**
      * Clear @p e's claimed flag without issuing it (a stale cascade
@@ -136,10 +114,10 @@ class FrontEndHost
     virtual void dropClaim(WarpId w, pipeline::IBufEntry &e) = 0;
 
     /**
-     * A free execution group of class @p cls (an entry's decoded
-     * IBufEntry::unit), or null.
+     * The execution-group classes (an entry's decoded
+     * IBufEntry::unit) with a group free this cycle.
      */
-    virtual pipeline::ExecGroup *freeGroup(isa::UnitClass cls) = 0;
+    virtual UnitMask freeUnits() const = 0;
 
     /**
      * Issue the instruction buffered for context slot (w, slot).
@@ -164,14 +142,111 @@ class FrontEndHost
     ~FrontEndHost() = default;
 };
 
+/** The live inputs of a candidate scan besides the issue table. */
+struct ScanLive
+{
+    /** Classes with a free execution group. */
+    UnitMask free_units = 0;
+    /**
+     * Warp whose entry may be parked in the cascade register
+     * (claimed). A scan leaves that warp out of the slot whose row
+     * holds the claimed entry, uncounted, as a probe of it would.
+     */
+    std::optional<WarpId> cascade_w;
+};
+
+/**
+ * The issue stage's candidate scans over an IssueTable.
+ *
+ * Each scan picks what probing every candidate in a fixed order
+ * would pick — ascending warps, slot 0 before slot 1 or warp-major,
+ * the policy's own order for the primary — so the RR cursor,
+ * substitute()'s RNG draws and the mask lookup's tie-breaks see the
+ * same candidates in the same order. Each adds to @p sync one count
+ * per SYNC-gated, unclaimed candidate that order visits. The
+ * per-slot scans are reused scratch: no scan allocates.
+ */
+class IssueScans
+{
+  public:
+    explicit IssueScans(unsigned num_warps);
+
+    /**
+     * @p policy's primary pick among slot-0 warps of @p pool (every
+     * warp when null).
+     * @param check_group also require a free execution group
+     */
+    std::optional<Cand> primary(const IssueTable &t,
+                                const ScanLive &live,
+                                const SchedPolicy &policy,
+                                const pipeline::WarpSet *pool,
+                                bool check_group, u64 *sync);
+
+    /**
+     * SBI's secondary front-end (§3.3): the oldest issuable CPC2
+     * entry. The primary's warp may share the primary's row (their
+     * masks are disjoint by construction; *row_share tells); any
+     * other candidate needs a free execution group.
+     */
+    std::optional<Cand> secondary(const IssueTable &t,
+                                  const ScanLive &live,
+                                  const PrimaryIssueInfo &pinfo,
+                                  bool *row_share, u64 *sync);
+
+    /**
+     * SBI's fallback when no CPC2 entry issues (docs/DESIGN.md
+     * interpretation note): the oldest CPC1 entry of another warp
+     * that has a free execution group.
+     */
+    std::optional<Cand> fallback(const IssueTable &t,
+                                 const ScanLive &live,
+                                 const PrimaryIssueInfo &pinfo,
+                                 u64 *sync);
+
+    /**
+     * SWI's substitute for an absent primary (§4): best fit (most
+     * active lanes) over every CPC1 entry, then every CPC2 entry on
+     * SBI machines, with a free execution group; ties draw from
+     * @p rng.
+     */
+    std::optional<Cand> substitute(const IssueTable &t,
+                                   const ScanLive &live, bool sbi,
+                                   Rng &rng, u64 *sync);
+
+    /**
+     * SWI's mask-inclusion lookup candidates (§4) around primary
+     * @p pinfo, warp-major: every issuable entry but the primary
+     * context's own (CPC2 ones too on SBI machines) that the
+     * primary's warp may see through @p lookup. Fills @p lc and the
+     * matching @p cands.
+     */
+    void lookupCandidates(const IssueTable &t, const ScanLive &live,
+                          const PrimaryIssueInfo &pinfo, bool sbi,
+                          const pipeline::MaskLookup &lookup,
+                          std::vector<pipeline::LookupCandidate> &lc,
+                          std::vector<Cand> &cands, u64 *sync);
+
+  private:
+    /**
+     * Slot @p slot's candidates: its issuable and SYNC-gated warps,
+     * within @p domain when given, without the claimed entry, and
+     * with check_group only warps whose class has a free group.
+     */
+    SlotScan &scan(const IssueTable &t, const ScanLive &live,
+                   unsigned slot, const pipeline::WarpSet *domain,
+                   bool check_group);
+
+    SlotScan slot_[2];
+    pipeline::WarpSet either_slot_; //!< the lookup's warp-major union
+};
+
 /**
  * One SM front-end: selects and issues instructions for one cycle.
  *
- * The candidate domains (per-pool warp lists, the SBI CPC2 slots)
- * are rebuilt each select from the host's issue-candidate sets —
- * the machine geometry fixes only their shape. The scratch vectors
- * are reused, so the per-cycle hot loop never allocates in steady
- * state, and it visits only warps that may have something to issue.
+ * Every scan reads the host's issue table where it runs and
+ * combines its per-slot sets word-wise (IssueScans), so the
+ * per-cycle hot loop never allocates and visits only warps with
+ * something to issue or a SYNC gate to count.
  */
 class FrontEnd
 {
@@ -200,16 +275,18 @@ class FrontEnd
         u32 ctx_version = 0;
     };
 
+    /** The scans' live inputs right now. */
+    ScanLive live() const;
+
     /**
-     * Policy-ordered pick over @p cands by @p pool's scheduler.
-     * Pure selection: the caller reports the outcome through
-     * notifyIssued() only when the pick actually issues, so
-     * stateful policies (the RR cursor, GTO's last warp) never
-     * advance past a warp that was denied by a structural stall.
+     * Policy-ordered pick over @p pool's slot-0 candidates by
+     * @p pool's scheduler. Pure selection: the caller reports the
+     * outcome through notifyIssued() only when the pick actually
+     * issues, so stateful policies (the RR cursor, GTO's last warp)
+     * never advance past a warp that was denied by a structural
+     * stall.
      */
-    std::optional<Cand> selectPrimary(unsigned pool,
-                                      std::span<const Cand> cands,
-                                      bool check_group);
+    std::optional<Cand> selectPrimary(unsigned pool, bool check_group);
 
     /** Report a successful primary issue to @p pool's policy. */
     void notifyIssued(unsigned pool, const Cand &c)
@@ -226,25 +303,20 @@ class FrontEnd
     bool issueSimple();
 
     /**
-     * Oldest ready CPC2 entry, row-shared when possible (§3.3).
+     * SBI's secondary issue and its fallback.
      * @return true when an instruction issued
      */
     bool issueSecondarySimple(const PrimaryIssueInfo &pinfo);
 
-    /**
-     * Primary candidate domain of @p pool right now: the slot-0
-     * issue candidates of the pool, ascending — the same
-     * candidates a full-warp scan offers, minus provably unready
-     * ones. Returns a span over reused scratch; valid until the
-     * next call for the same pool.
-     */
-    std::span<const Cand> poolDomain(unsigned pool);
-
     /** The cascaded (SWI) issue stage. */
     bool issueCascaded();
+    /**
+     * May the parked pick in (cascade_.w, @p slot) issue now? Its
+     * probe counts a SYNC suspension like any other.
+     */
+    bool cascadeReady(unsigned slot);
     std::optional<Cand> pickSecondaryCascaded(
         const PrimaryIssueInfo &pinfo, bool *row_share_out);
-    std::optional<Cand> pickSubstitute();
 
     FrontEndHost &host_;
     /**
@@ -254,8 +326,9 @@ class FrontEnd
      * Single-pool machines only use index 0.
      */
     std::unique_ptr<SchedPolicy> policy_[2];
-    /** Reusable poolDomain() scratch (hot loop: no allocation). */
-    std::vector<Cand> pool_scratch_[2];
+    /** Each pool's warps (two-pool machines: w % 2 == pool). */
+    pipeline::WarpSet pool_warps_[2];
+    IssueScans scans_;
 
     // Cascaded-scheduler state; idle on non-cascaded machines.
     pipeline::MaskLookup lookup_;
@@ -264,7 +337,6 @@ class FrontEnd
     // Reusable per-cycle scratch (hot loop: no allocation).
     std::vector<pipeline::LookupCandidate> lookup_scratch_;
     std::vector<Cand> cand_scratch_;
-    pipeline::WarpSet either_slot_; //!< union of both slots' sets
 };
 
 } // namespace siwi::frontend

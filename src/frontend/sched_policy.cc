@@ -1,7 +1,6 @@
 #include "frontend/sched_policy.hh"
 
 #include "common/log.hh"
-#include "frontend/front_end.hh"
 
 namespace siwi::frontend {
 
@@ -16,23 +15,11 @@ class OldestFirstPolicy final : public SchedPolicy
         return SchedPolicyKind::OldestFirst;
     }
 
-    std::optional<Cand> select(const FrontEndHost &host,
-                               std::span<const Cand> cands,
-                               bool check_group) const override
+    std::optional<Cand> select(const IssueTable &t, const SlotScan &s,
+                               u64 *sync_probes) const override
     {
-        std::optional<Cand> best;
-        u64 best_seq = ~u64(0);
-        for (const Cand &c : cands) {
-            if (!host.ready(c.w, c.slot, check_group))
-                continue;
-            const pipeline::IBufEntry *e =
-                host.entryFor(c.w, c.slot);
-            if (e->seq < best_seq) {
-                best_seq = e->seq;
-                best = c;
-            }
-        }
-        return best;
+        *sync_probes += s.gated.count();
+        return oldestIn(t, 0, s.ready);
     }
 };
 
@@ -55,23 +42,20 @@ class RoundRobinPolicy final : public SchedPolicy
         return SchedPolicyKind::RoundRobin;
     }
 
-    std::optional<Cand> select(const FrontEndHost &host,
-                               std::span<const Cand> cands,
-                               bool check_group) const override
+    std::optional<Cand> select(const IssueTable &, const SlotScan &s,
+                               u64 *sync_probes) const override
     {
-        // The domain is warp-ordered, so scanning it twice —
-        // first the tail at/after the cursor, then the wrapped
-        // head — visits candidates in round-robin order.
-        for (int pass = 0; pass < 2; ++pass) {
-            for (const Cand &c : cands) {
-                bool tail = c.w >= cursor_;
-                if ((pass == 0) != tail)
-                    continue;
-                if (host.ready(c.w, c.slot, check_group))
-                    return c;
-            }
-        }
-        return std::nullopt;
+        // A cyclic scan from the cursor visits candidates in
+        // round-robin order; it probes the gated warps before its
+        // pick, or all of them when nothing is ready.
+        std::optional<Cand> pick;
+        s.ready.forEachWrapped(cursor_, [&](WarpId w) {
+            pick = Cand{w, 0};
+            return true;
+        });
+        *sync_probes += pick ? s.gated.countWrapped(cursor_, pick->w)
+                             : s.gated.count();
+        return pick;
     }
 
     void notifyIssued(const Cand &c) override
@@ -97,29 +81,13 @@ class GreedyThenOldestPolicy final : public SchedPolicy
         return SchedPolicyKind::GreedyThenOldest;
     }
 
-    std::optional<Cand> select(const FrontEndHost &host,
-                               std::span<const Cand> cands,
-                               bool check_group) const override
+    std::optional<Cand> select(const IssueTable &t, const SlotScan &s,
+                               u64 *sync_probes) const override
     {
-        std::optional<Cand> best;
-        u64 best_seq = ~u64(0);
-        std::optional<Cand> greedy;
-        u64 greedy_seq = ~u64(0);
-        for (const Cand &c : cands) {
-            if (!host.ready(c.w, c.slot, check_group))
-                continue;
-            u64 seq = host.entryFor(c.w, c.slot)->seq;
-            if (have_last_ && c.w == last_warp_ &&
-                seq < greedy_seq) {
-                greedy_seq = seq;
-                greedy = c;
-            }
-            if (seq < best_seq) {
-                best_seq = seq;
-                best = c;
-            }
-        }
-        return greedy ? greedy : best;
+        *sync_probes += s.gated.count();
+        if (have_last_ && s.ready.contains(last_warp_))
+            return Cand{last_warp_, 0};
+        return oldestIn(t, 0, s.ready);
     }
 
     void notifyIssued(const Cand &c) override
@@ -146,30 +114,42 @@ class MinPcPolicy final : public SchedPolicy
         return SchedPolicyKind::MinPc;
     }
 
-    std::optional<Cand> select(const FrontEndHost &host,
-                               std::span<const Cand> cands,
-                               bool check_group) const override
+    std::optional<Cand> select(const IssueTable &t, const SlotScan &s,
+                               u64 *sync_probes) const override
     {
+        *sync_probes += s.gated.count();
         std::optional<Cand> best;
         Pc best_pc = invalid_pc;
         u64 best_seq = ~u64(0);
-        for (const Cand &c : cands) {
-            if (!host.ready(c.w, c.slot, check_group))
-                continue;
-            const pipeline::IBufEntry *e =
-                host.entryFor(c.w, c.slot);
-            if (!best || e->pc < best_pc ||
-                (e->pc == best_pc && e->seq < best_seq)) {
-                best_pc = e->pc;
-                best_seq = e->seq;
-                best = c;
+        s.ready.forEach([&](WarpId w) {
+            Pc pc = t.entry[0][w]->pc;
+            u64 seq = t.seq[0][w];
+            if (!best || pc < best_pc ||
+                (pc == best_pc && seq < best_seq)) {
+                best_pc = pc;
+                best_seq = seq;
+                best = Cand{w, 0};
             }
-        }
+        });
         return best;
     }
 };
 
 } // namespace
+
+std::optional<Cand>
+oldestIn(const IssueTable &t, unsigned slot, const pipeline::WarpSet &ws)
+{
+    std::optional<Cand> best;
+    u64 best_seq = ~u64(0);
+    ws.forEach([&](WarpId w) {
+        if (t.seq[slot][w] < best_seq) {
+            best_seq = t.seq[slot][w];
+            best = Cand{w, slot};
+        }
+    });
+    return best;
+}
 
 std::unique_ptr<SchedPolicy>
 makeSchedPolicy(SchedPolicyKind kind, unsigned num_warps)

@@ -20,26 +20,11 @@
 
 #include <memory>
 #include <optional>
-#include <span>
-#include <vector>
 
 #include "common/types.hh"
+#include "frontend/issue_table.hh"
 
 namespace siwi::frontend {
-
-class FrontEndHost;
-
-/**
- * A scheduling candidate: warp + context slot (0 = primary /
- * CPC1, 1 = secondary / CPC2). The instruction-buffer entry is
- * resolved through the context id, so HCT re-sorting does not
- * orphan buffered instructions.
- */
-struct Cand
-{
-    WarpId w;
-    unsigned slot;
-};
 
 /** The selectable primary-scheduler policies. */
 enum class SchedPolicyKind {
@@ -67,10 +52,9 @@ schedPolicyName(SchedPolicyKind kind)
 /**
  * Primary-candidate ordering strategy.
  *
- * select() scans @p cands (a precomputed, static domain — the
- * per-pool warp lists) and returns the best candidate that is
- * ready to issue, or nullopt. Policies with internal state (the
- * round-robin cursor, GTO's last warp) advance it through
+ * select() picks the best of a slot-0 scan's ready warps (CPC1
+ * entries that may issue), or nullopt. Policies with internal state
+ * (the round-robin cursor, GTO's last warp) advance it through
  * notifyIssued(), which the front-end calls only when the pick
  * actually issues — a selection denied by a structural stall
  * must not advance the cursor past the stalled warp. Pooled
@@ -84,12 +68,14 @@ class SchedPolicy
     virtual SchedPolicyKind kind() const = 0;
 
     /**
-     * Pick the best ready candidate of @p cands, or nullopt.
-     * @param check_group also require a free execution group
+     * Pick the best warp of @p s.ready (rows of @p t, slot 0), or
+     * nullopt, and add to @p sync_probes the warps of @p s.gated
+     * that a probe of each candidate in this policy's order visits:
+     * all of them, except that round-robin stops at its pick.
      */
-    virtual std::optional<Cand> select(
-        const FrontEndHost &host, std::span<const Cand> cands,
-        bool check_group) const = 0;
+    virtual std::optional<Cand> select(const IssueTable &t,
+                                       const SlotScan &s,
+                                       u64 *sync_probes) const = 0;
 
     /** Candidate @p c issued; advance any cursor state. */
     virtual void notifyIssued(const Cand &c) { (void)c; }
@@ -97,6 +83,13 @@ class SchedPolicy
   protected:
     SchedPolicy() = default;
 };
+
+/**
+ * Oldest (minimum fetch sequence) member of @p ws in slot @p slot
+ * of @p t, or nullopt when @p ws is empty.
+ */
+std::optional<Cand> oldestIn(const IssueTable &t, unsigned slot,
+                             const pipeline::WarpSet &ws);
 
 /** Build the policy strategy for @p kind. */
 std::unique_ptr<SchedPolicy> makeSchedPolicy(SchedPolicyKind kind,

@@ -18,12 +18,18 @@ MemorySystem::MemorySystem(const MemConfig &cfg,
 void
 MemorySystem::tick(Cycle now)
 {
-    // Fill lines whose backend response has arrived.
+    // Nothing is due before the earliest fill: most ticks stop
+    // here. Otherwise fill every line whose backend response has
+    // arrived, in block order, and find the next earliest fill.
+    if (next_fill_ > now)
+        return;
+    next_fill_ = no_wake;
     for (auto it = inflight_.begin(); it != inflight_.end();) {
         if (it->second.fill <= now) {
             l1_.fill(it->first);
             it = inflight_.erase(it);
         } else {
+            next_fill_ = std::min(next_fill_, it->second.fill);
             ++it;
         }
     }
@@ -32,14 +38,12 @@ MemorySystem::tick(Cycle now)
 Cycle
 MemorySystem::nextWake(Cycle now) const
 {
-    Cycle wake = no_wake;
     // A fill retires in tick(fill), freeing its MSHR before issue
     // in that same cycle — so the wake is the fill cycle itself.
     // Overdue fills (possible only if tick was not called every
-    // cycle) retire at the very next tick, hence the clamp to now.
-    for (const auto &[blk, m] : inflight_)
-        wake = std::min(wake, std::max(m.fill, now));
-    return wake;
+    // cycle) retire at the very next tick, hence the clamp to now;
+    // with nothing in flight next_fill_ is no_wake.
+    return std::max(next_fill_, now);
 }
 
 unsigned
@@ -105,6 +109,7 @@ MemorySystem::load(Cycle now, Addr block)
     Cycle fill = backend_->read(start, block,
                                 l1_.config().block_bytes, port_);
     inflight_[block] = {start, fill};
+    next_fill_ = std::min(next_fill_, fill);
     siwi_assert(mshrOccupancy(start) <= cfg_.mshrs,
                 "MSHR over-admission");
     return fill + l1_.config().hit_latency;
@@ -165,6 +170,7 @@ MemorySystem::invalidate(Cycle now)
         drainWriteBuf(now, e);
     l1_.invalidateAll();
     inflight_.clear();
+    next_fill_ = no_wake;
 }
 
 } // namespace siwi::mem

@@ -148,6 +148,11 @@ class MemorySystem
     unsigned port_ = 0; //!< interconnect port on a shared backend
     /** In-flight missed blocks. */
     std::map<Addr, Miss> inflight_;
+    /**
+     * Earliest fill in inflight_, or no_wake when it is empty:
+     * tick() and nextWake() read it instead of walking the map.
+     */
+    Cycle next_fill_ = no_wake;
     /** Reused buffer for the MSHR-full slot search in load(). */
     std::vector<Cycle> pending_scratch_;
     std::vector<WriteBufEntry> wbuf_;

@@ -52,7 +52,8 @@ SM::SM(const SMConfig &cfg, mem::MemoryImage &memory,
       heap_work_(cfg.num_warps),
       sleep_check_(cfg.num_warps),
       fetch_work_{WarpSet(cfg.num_warps), WarpSet(cfg.num_warps)},
-      issue_cands_{WarpSet(cfg.num_warps), WarpSet(cfg.num_warps)}
+      table_(cfg.num_warps),
+      stale_(cfg.num_warps)
 {
     cfg_.validate();
     for (unsigned g = 0; g < cfg_.mad_groups; ++g) {
@@ -137,9 +138,9 @@ SM::step()
 
     // The front-end reports issues and scheduler-state mutations
     // itself; SYNC-suspension attempts are statistics bumped per
-    // ready() probe, so a cycle that moved the counter must not be
-    // skipped over or the counts would diverge from per-cycle
-    // stepping.
+    // scan of a gated candidate, so a cycle that moved the counter
+    // must not be skipped over or the counts would diverge from
+    // per-cycle stepping.
     u64 sync_before = stats_.sync_suspensions;
     progress |= frontend_.issueCycle();
     progress |= stats_.sync_suspensions != sync_before;
@@ -244,17 +245,16 @@ SM::liveAllowsSleep(WarpId w) const
 }
 
 bool
-SM::deriveSleepSlots(WarpId w) const
+SM::slotsAllowSleep(WarpId w, const SlotRow (&v)[2]) const
 {
     for (unsigned slot = 0; slot < 2; ++slot) {
-        SlotVerdict v = deriveSlot(w, slot);
-        if (v.entry) {
+        if (v[slot].entry) {
             // Issuable keeps the warp awake (execution-group
             // availability is deliberately ignored: groups are
             // shared, timed resources, so a group-stalled warp
             // stays awake), and so does a SYNC gate, which bumps
             // sync_suspensions every cycle the warp is scanned.
-            if (v.state != SlotState::Blocked)
+            if (v[slot].state != SlotState::Blocked)
                 return false;
             continue; // unblocks via a Writeback event
         }
@@ -274,10 +274,8 @@ void
 SM::leaveWorkSets(WarpId w)
 {
     sleep_check_.erase(w);
-    for (unsigned s = 0; s < 2; ++s) {
+    for (unsigned s = 0; s < 2; ++s)
         fetch_work_[s].erase(w);
-        issue_cands_[s].erase(w);
-    }
     // A parked warp keeps a pending sorter fold: heapMaintenance
     // wakes it when the fold falls due.
     if (!warps_[w].asleep || !foldPending(w))
@@ -289,7 +287,10 @@ SM::sleepEligible(WarpId w) const
 {
     // Live inputs first: the per-slot result is defined only while
     // no entry is claimed.
-    return liveAllowsSleep(w) && deriveSleepSlots(w);
+    if (!liveAllowsSleep(w))
+        return false;
+    const SlotRow v[2] = {deriveSlot(w, 0), deriveSlot(w, 1)};
+    return slotsAllowSleep(w, v);
 }
 
 void
@@ -297,18 +298,24 @@ SM::sleepEvaluate()
 {
     // Only a warp whose eligibility inputs moved since it was last
     // found ineligible can have become eligible.
+    // The rows it reads are the issue table's, re-derived here only
+    // if the warp changed since the issue stage read them.
     sleep_check_.forEach([&](WarpId w) {
         sleep_check_.erase(w);
-        if (!sleepEligible(w))
+        if (!liveAllowsSleep(w))
+            return;
+        refreshRows(w);
+        const SlotRow v[2] = {table_.row(w, 0), table_.row(w, 1)};
+        if (!slotsAllowSleep(w, v))
             return;
         WarpSlot &ws = warps_[w];
         ws.asleep = true;
         ws.sleep_since = now_ + 1;
         accrueRunnable(now_ + 1); // parked from the next cycle on
         --runnable_count_;
-        // sleepEligible has just proved that no slot has a fetch
-        // target or an unblocked entry: the exit rules of the fetch
-        // and issue sets.
+        // The rows have just proved that no slot has a fetch target
+        // or an unblocked entry: the fetch sets' exit rule, and the
+        // warp is in neither ready set of the issue table.
         leaveWorkSets(w);
     });
 }
@@ -317,38 +324,45 @@ bool
 SM::auditSleepingWarps(std::string *why) const
 {
     // The first violation at warp w, or null. Everything is
-    // re-derived: going through the caches would check them
-    // against themselves.
+    // re-derived: going through the issue table would check it
+    // against itself.
     auto violation = [&](WarpId w) -> const char * {
         const WarpSlot &ws = warps_[w];
-        // Every cached verdict still current at its warp's
-        // generation must equal a fresh derivation; a mismatch
-        // means some change to the warp missed touchWarp().
+        // Every issue-table row outside the stale set must equal a
+        // fresh derivation, in both ready sets and in its seq and
+        // unit copies; a mismatch means some change to the warp
+        // missed touchWarp().
         for (unsigned slot = 0; slot < 2; ++slot) {
-            const SlotVerdict &c = ws.verdict[slot];
-            if (c.gen != ws.gen)
-                continue; // stale: the next probe re-derives
-            SlotVerdict d = deriveSlot(w, slot);
-            if (d.entry != c.entry || d.state != c.state) {
-                return slot ? "cached slot-1 verdict is stale"
-                            : "cached slot-0 verdict is stale";
+            if (stale_.contains(w))
+                break; // the next read re-derives
+            SlotRow d = deriveSlot(w, slot);
+            bool issuable = table_.issuable[slot].contains(w);
+            bool gated = table_.sync_gated[slot].contains(w);
+            bool match =
+                table_.entry[slot][w] == d.entry &&
+                issuable == (d.entry && d.state == SlotState::Issuable) &&
+                gated == (d.entry && d.state == SlotState::SyncGated) &&
+                (!d.entry || (table_.seq[slot][w] == d.entry->seq &&
+                              table_.unit[slot][w] == d.entry->unit));
+            if (!match) {
+                return slot ? "slot-1 issue-table row is stale"
+                            : "slot-0 issue-table row is stale";
             }
         }
         if (ws.active && !heap_work_.contains(w) && ws.heap &&
             (!ws.heap->quiescent() || foldPending(w)))
             return "outside the heap set with upkeep or a fold due";
 
-        // An inactive or parked warp is in no fetch, issue or
-        // sleep-check set, and in the heap set only while parked
-        // with a sorter fold pending that is not yet due.
+        // An inactive or parked warp is in no fetch or sleep-check
+        // set (its rows, checked above, are in no ready set), and in
+        // the heap set only while parked with a sorter fold pending
+        // that is not yet due.
         if (!ws.active || ws.asleep) {
             bool in_set = sleep_check_.contains(w);
-            for (unsigned s = 0; s < 2; ++s) {
-                in_set |= fetch_work_[s].contains(w) ||
-                          issue_cands_[s].contains(w);
-            }
+            for (unsigned s = 0; s < 2; ++s)
+                in_set |= fetch_work_[s].contains(w);
             if (in_set)
-                return "inactive or parked, but in a fetch, issue or "
+                return "inactive or parked, but in a fetch or "
                        "sleep-check set";
             if (heap_work_.contains(w)) {
                 if (!ws.active || !foldPending(w))
@@ -369,17 +383,12 @@ SM::auditSleepingWarps(std::string *why) const
         if (!sleep_check_.contains(w) && sleepEligible(w))
             return "outside the sleep-check set but sleep-eligible";
         for (unsigned slot = 0; slot < 2; ++slot) {
-            SlotVerdict d = deriveSlot(w, slot);
             bool claimed;
-            if (!fetch_work_[slot].contains(w) && !d.entry &&
+            if (!fetch_work_[slot].contains(w) &&
+                !deriveSlot(w, slot).entry &&
                 fetchTarget(w, ctxView(w, slot), &claimed)) {
                 return slot ? "outside the slot-1 fetch set, fetchable"
                             : "outside the slot-0 fetch set, fetchable";
-            }
-            if (!issue_cands_[slot].contains(w) && d.entry &&
-                d.state != SlotState::Blocked) {
-                return slot ? "outside the slot-1 issue set, unblocked"
-                            : "outside the slot-0 issue set, unblocked";
             }
         }
         return nullptr;
@@ -481,6 +490,8 @@ SM::initWarp(WarpId w, int block_slot, unsigned first_tid,
     ws.stack_branch_pending = false;
     ws.stack_barrier_blocked = false;
     ws.last_divergence = ~Cycle(0);
+    for (u32 &id : ws.full_heap_posts)
+        id = divergence::no_ctx;
     accrueRunnable(now_);
     ++runnable_count_;
     ws.state->clear();
@@ -558,6 +569,10 @@ SM::retireWarpIfDone(WarpId w)
     --runnable_count_;
     leaveWorkSets(w);
     ibuf_.flushWarp(w);
+    // An inactive warp's rows are empty.
+    stale_.erase(w);
+    for (unsigned s = 0; s < 2; ++s)
+        table_.set(w, s, SlotRow{});
 
     // A slot in the launch-time list may have retired and been
     // reused by another CTA: only slots still tagged with this
@@ -619,23 +634,10 @@ SM::ctxView(WarpId w, unsigned slot) const
     return cv;
 }
 
-const IBufEntry *
-SM::entryFor(WarpId w, unsigned slot) const
-{
-    return slotVerdict(w, slot).entry;
-}
-
-IBufEntry *
-SM::entryFor(WarpId w, unsigned slot)
-{
-    return slotVerdict(w, slot).entry;
-}
-
-SM::SlotVerdict
+SM::SlotRow
 SM::deriveSlot(WarpId w, unsigned slot) const
 {
-    SlotVerdict v;
-    v.gen = warps_[w].gen;
+    SlotRow v;
     CtxView cv = ctxView(w, slot);
     if (!cv.valid)
         return v;
@@ -653,19 +655,15 @@ SM::deriveSlot(WarpId w, unsigned slot) const
     return v;
 }
 
-const SM::SlotVerdict &
-SM::slotVerdict(WarpId w, unsigned slot) const
+const frontend::IssueTable &
+SM::issueTable()
 {
-    const WarpSlot &ws = warps_[w];
-    SlotVerdict &v = ws.verdict[slot];
-    if (v.gen != ws.gen) {
-        v = deriveSlot(w, slot);
-        if (v.entry && v.state != SlotState::Blocked)
-            issue_cands_[slot].insert(w);
-        else
-            issue_cands_[slot].erase(w);
-    }
-    return v;
+    stale_.forEach([&](WarpId w) {
+        for (unsigned s = 0; s < 2; ++s)
+            table_.set(w, s, deriveSlot(w, s));
+    });
+    stale_.clear();
+    return table_;
 }
 
 IBufEntry *
@@ -698,27 +696,15 @@ SM::syncGated(WarpId w, const IBufEntry &e) const
     return cpc1 >= e.inst.div && cpc1 < e.pc;
 }
 
-bool
-SM::ready(WarpId w, unsigned slot, bool check_group) const
+frontend::UnitMask
+SM::freeUnits() const
 {
-    const SlotVerdict &v = slotVerdict(w, slot);
-    if (!v.entry || v.entry->claimed)
-        return false;
-    if (v.state == SlotState::SyncGated) {
-        // Count suspension attempts (statistics only).
-        const_cast<SM *>(this)->stats_.sync_suspensions += 1;
-        return false;
+    frontend::UnitMask free = 0;
+    for (const ExecGroup &g : groups_) {
+        if (g.canAccept(now_))
+            free |= frontend::unitBit(g.unitClass());
     }
-    if (v.state != SlotState::Issuable)
-        return false;
-    if (check_group) {
-        for (const ExecGroup &g : groups_) {
-            if (g.unitClass() == v.entry->unit && g.canAccept(now_))
-                return true;
-        }
-        return false;
-    }
-    return true;
+    return free;
 }
 
 ExecGroup *
@@ -825,7 +811,8 @@ bool
 SM::issueCand(WarpId w, unsigned slot, bool secondary,
               PrimaryIssueInfo *primary, bool row_share)
 {
-    IBufEntry *ep = entryFor(w, slot);
+    refreshRows(w);
+    IBufEntry *ep = table_.entry[slot][w];
     siwi_assert(ep != nullptr, "issuing stale entry");
     IBufEntry &e = *ep;
     WarpSlot &ws = warps_[w];
@@ -992,7 +979,7 @@ SM::processEvents()
         fired = true;
         // Every event can unblock its warp (scoreboard release,
         // branch/exit resolution mutate schedulability), so the
-        // warp wakes, and its cached verdicts go stale, before the
+        // warp wakes, and its issue-table rows go stale, before the
         // event applies.
         wakeWarp(ev.warp);
         touchWarp(ev.warp);
@@ -1025,11 +1012,33 @@ SM::resolveBranch(const Event &ev)
         // One divergence (branch or memory) per warp per cycle, and
         // the heap must have room for the new warp-split.
         if (ws.last_divergence == now_ || !ws.heap->canSplit()) {
-            if (!ws.heap->canSplit())
+            if (!ws.heap->canSplit()) {
                 stats_.heap_full_stalls += 1;
+                u32 *cell = nullptr;
+                for (u32 &id : ws.full_heap_posts) {
+                    if (id == ev.ctx_id || (!cell && id == divergence::no_ctx))
+                        cell = &id;
+                }
+                siwi_assert(cell, "more full-heap posts than hot slots");
+                *cell = ev.ctx_id;
+                if (failure_.empty() && heapLivelocked(ev.warp)) {
+                    failure_ = "heap livelock: warp " +
+                               std::to_string(ev.warp) + " at cycle " +
+                               std::to_string(now_) +
+                               ": every context it can schedule waits "
+                               "on a full heap or a SYNC gate, and none "
+                               "can be freed (cct_capacity=" +
+                               std::to_string(cfg_.heap.cct_capacity) +
+                               ")";
+                }
+            }
             postEvent(now_ + 1, ev);
             return;
         }
+    }
+    for (u32 &id : ws.full_heap_posts) {
+        if (id == ev.ctx_id)
+            id = divergence::no_ctx;
     }
 
     if (ws.stack) {
@@ -1052,6 +1061,28 @@ SM::resolveBranch(const Event &ev)
             ws.last_divergence = now_;
         }
     }
+}
+
+bool
+SM::heapLivelocked(WarpId w)
+{
+    const WarpSlot &ws = warps_[w];
+    const divergence::SplitHeap &heap = *ws.heap;
+    if (!heap.settled())
+        return false;
+    refreshRows(w);
+    // Hot slot 1 is schedulable only with SBI's second front-end.
+    for (unsigned slot = 0; slot < (cfg_.sbi ? 2u : 1u); ++slot) {
+        u32 id = heap.hotId(slot);
+        if (id == divergence::no_ctx)
+            return false;
+        bool reposted = heap.ctx(id).branch_pending &&
+                        (ws.full_heap_posts[0] == id ||
+                         ws.full_heap_posts[1] == id);
+        if (!reposted && !table_.sync_gated[slot].contains(w))
+            return false;
+    }
+    return true;
 }
 
 void
@@ -1206,7 +1237,8 @@ SM::fetchStage()
     // full of unclaimed live entries — drops w from the slot's
     // fetch set.
     auto tryFetch = [&](unsigned fe, WarpId w, unsigned ctx_slot) {
-        if (slotVerdict(w, ctx_slot).entry) {
+        refreshRows(w);
+        if (table_.entry[ctx_slot][w]) {
             fetch_work_[ctx_slot].erase(w); // a fresh entry is buffered
             return false;
         }

@@ -120,11 +120,11 @@ class SM final : public frontend::FrontEndHost
      * takes them out of the other sets; events and barrier releases
      * wake them, and heapMaintenance wakes one whose fold is due,
      * so parking never moves a cycle (it feeds only the sleep and
-     * runnable-warp counters). A ready() probe of a warp unchanged
-     * since its last probe is O(1): the verdict is cached until the
-     * warp's mutation generation moves (see WarpSlot::gen).
-     * setSleepAudit() checks that invariant, every cached verdict
-     * and every warp outside each set.
+     * runnable-warp counters). The issue stage selects from the
+     * issue table (frontend::IssueTable), whose rows are re-derived
+     * only for warps in the stale set that touchWarp() fills.
+     * setSleepAudit() checks that invariant, every current row and
+     * every warp outside each set.
      *
      * @return true when the cycle made progress: an event fired, a
      *         heap restructured, the front-end issued or mutated
@@ -191,16 +191,26 @@ class SM final : public frontend::FrontEndHost
     std::string debugState() const;
 
     /**
+     * Why the launch cannot finish, or empty. Set when a warp is
+     * provably stuck on a full heap (see resolveBranch): every
+     * context it could schedule waits on a divergent branch that
+     * re-posts because the heap is full, or behind a SYNC gate, and
+     * nothing can free a context. The launch loop then ends the
+     * launch, which fails the cell.
+     */
+    const std::string &failure() const { return failure_; }
+
+    /**
      * Work-set oracle (test hook): verify that no inactive or
-     * parked warp is in a fetch, issue or sleep-check set, nor in
+     * parked warp is in a fetch or sleep-check set, nor in
      * the heap set unless it is parked with a sorter fold pending
      * and not yet due; that every parked warp provably still cannot
      * issue, fetch, bump an observable counter, or restructure its
-     * heap; that every cached issue-stage verdict still current at
-     * its warp's generation equals a fresh derivation; and that
+     * heap; that every issue-table row outside the stale set
+     * equals a fresh derivation, ready-set bits included; and that
      * every awake warp outside a work set is one that set's stage
      * has nothing to do for. Pure — uses only non-counting probes,
-     * and the derivations rather than the caches.
+     * and the derivations rather than the table.
      * @return false with a diagnostic in @p why on any violation
      */
     bool auditSleepingWarps(std::string *why) const;
@@ -219,20 +229,8 @@ class SM final : public frontend::FrontEndHost
     // internal structures
     // ------------------------------------------------------------
 
-    /** What warp-local state says about issuing one context slot. */
-    enum class SlotState : u8 {
-        Blocked,   //!< no fresh entry, or a scoreboard hazard
-        SyncGated, //!< SYNC-suspended: every ready() probe counts
-        Issuable,  //!< issuable, given a free execution group
-    };
-
-    /** deriveSlot()'s result, stamped with the warp generation. */
-    struct SlotVerdict
-    {
-        u64 gen = 0; //!< WarpSlot::gen it was derived at (0: never)
-        IBufEntry *entry = nullptr; //!< the context's fresh entry
-        SlotState state = SlotState::Blocked;
-    };
+    using SlotState = frontend::SlotState;
+    using SlotRow = frontend::SlotRow;
 
     struct WarpSlot
     {
@@ -256,24 +254,13 @@ class SM final : public frontend::FrontEndHost
         /** First slept cycle (warp_sleep_cycles accounting). */
         Cycle sleep_since = 0;
 
-        // --- issue-stage verdict cache (see ARCHITECTURE.md) ---
         /**
-         * Mutation generation: touchWarp() bumps it at every
-         * change to this warp's contexts, i-buffer entries or
-         * scoreboard (a fetch, an issue, an event, a barrier
-         * release, a heap tick that changes something), which are
-         * the only inputs of its cached verdicts besides the live
-         * ones (claimed flags, heap quiescence, execution groups).
-         * CTA launch bumps it too (initWarp), which enters the new
-         * tenant in every work set. Retirement needs no bump: a
-         * warp retires only inside its exit event, which has
-         * bumped already, and leaves every work set, so nothing
-         * probes an inactive warp.
-         * 64 bits never wrap.
+         * Contexts whose divergent branch re-posted because the
+         * heap was full and has not resolved since (no_ctx: none).
+         * Only a branch-pending context, pinned hot, is ever here.
          */
-        u64 gen = 1;
-        /** Cached deriveSlot() of each context slot. */
-        mutable SlotVerdict verdict[2];
+        u32 full_heap_posts[divergence::SplitHeap::num_hot] = {
+            divergence::no_ctx, divergence::no_ctx};
 
         /**
          * Warps launched into this slot so far (initWarp bumps
@@ -337,13 +324,9 @@ class SM final : public frontend::FrontEndHost
     }
     frontend::CtxView ctxView(WarpId w,
                               unsigned slot) const override;
-    const IBufEntry *entryFor(WarpId w,
-                              unsigned slot) const override;
-    IBufEntry *entryFor(WarpId w, unsigned slot) override;
     IBufEntry *findCtx(WarpId w, u32 ctx_id) override;
-    bool ready(WarpId w, unsigned slot,
-               bool check_group) const override;
-    ExecGroup *freeGroup(isa::UnitClass cls) override;
+    const frontend::IssueTable &issueTable() override;
+    frontend::UnitMask freeUnits() const override;
     bool issueCand(WarpId w, unsigned slot, bool secondary,
                    frontend::PrimaryIssueInfo *primary,
                    bool row_share) override;
@@ -354,10 +337,6 @@ class SM final : public frontend::FrontEndHost
     void clearLastPrimary() override
     {
         last_primary_ = frontend::PrimaryIssueInfo{};
-    }
-    const WarpSet &issueCandidates(unsigned slot) const override
-    {
-        return issue_cands_[slot];
     }
     void dropClaim(WarpId w, IBufEntry &e) override;
 
@@ -372,21 +351,21 @@ class SM final : public frontend::FrontEndHost
 
     // --- scheduling helpers ---
     bool syncGated(WarpId w, const IBufEntry &e) const;
+    /** A free execution group of class @p cls, or null. */
+    ExecGroup *freeGroup(isa::UnitClass cls);
 
-    // --- issue-stage verdict cache and work sets ---
+    // --- issue table and work sets ---
     /**
-     * @p w changed: every cached verdict of it is stale from here
-     * on, and it enters the sleep-check, fetch and issue-candidate
-     * sets, whose stages must look at it again.
+     * @p w changed: its issue-table rows are stale from here on,
+     * and it enters the sleep-check and fetch sets, whose stages
+     * must look at it again.
      */
     void touchWarp(WarpId w)
     {
-        ++warps_[w].gen;
+        stale_.insert(w);
         sleep_check_.insert(w);
-        for (unsigned s = 0; s < 2; ++s) {
+        for (unsigned s = 0; s < 2; ++s)
             fetch_work_[s].insert(w);
-            issue_cands_[s].insert(w);
-        }
     }
     /** @p w's heap was created or mutated: it needs upkeep. */
     void heapTouched(WarpId w)
@@ -395,19 +374,21 @@ class SM final : public frontend::FrontEndHost
             heap_work_.insert(w);
     }
     /**
-     * Verdict of context slot (w, slot) from warp-local state
-     * alone: its fresh buffered entry, SYNC gate and scoreboard.
-     * The one derivation slotVerdict() caches and the audit
-     * re-checks; ready() adds the live inputs (claimed flag,
-     * execution groups).
+     * Row (w, slot) from warp-local state alone: its fresh
+     * buffered entry, SYNC gate and scoreboard. The one derivation
+     * the issue table stores and the audit re-checks; the scans add
+     * the live inputs (claimed flag, execution groups).
      */
-    SlotVerdict deriveSlot(WarpId w, unsigned slot) const;
-    /**
-     * deriveSlot(), re-derived only when @p w's gen has moved; a
-     * re-derivation also sets @p w's membership of the slot's
-     * issue-candidate set.
-     */
-    const SlotVerdict &slotVerdict(WarpId w, unsigned slot) const;
+    SlotRow deriveSlot(WarpId w, unsigned slot) const;
+    /** Re-derive @p w's issue-table rows if they are stale. */
+    void refreshRows(WarpId w)
+    {
+        if (!stale_.contains(w))
+            return;
+        stale_.erase(w);
+        for (unsigned s = 0; s < 2; ++s)
+            table_.set(w, s, deriveSlot(w, s));
+    }
     /**
      * The buffer entry a fetch for context @p cv of warp @p w would
      * fill, given that no fresh entry of @p cv is buffered: its
@@ -429,7 +410,8 @@ class SM final : public frontend::FrontEndHost
      * shared and timed), no fetch is possible, no SYNC gate would
      * bump the suspension counter, nothing is parked in the
      * cascade register, and the heap has no pending maintenance.
-     * Pure: never bumps statistics.
+     * Derived afresh, for the audit; sleepEvaluate reads the issue
+     * table instead. Pure: never bumps statistics.
      */
     bool sleepEligible(WarpId w) const;
     /**
@@ -439,11 +421,11 @@ class SM final : public frontend::FrontEndHost
      */
     bool liveAllowsSleep(WarpId w) const;
     /**
-     * The per-slot part of sleepEligible, derived from warp-local
-     * state: no context slot can issue, fetch or probe a SYNC
-     * gate. Meaningful only while no entry of @p w is claimed.
+     * The per-slot part of sleepEligible, given @p w's two rows
+     * @p v: no context slot can issue, fetch or probe a SYNC gate.
+     * Meaningful only while no entry of @p w is claimed.
      */
-    bool deriveSleepSlots(WarpId w) const;
+    bool slotsAllowSleep(WarpId w, const SlotRow (&v)[2]) const;
     /** @p w has a CCT sorter fold pending (it is then in the heap set). */
     bool foldPending(WarpId w) const
     {
@@ -468,6 +450,16 @@ class SM final : public frontend::FrontEndHost
     // --- semantics helpers ---
     void advanceCtx(WarpId w, u32 ctx_id, Pc next);
     void resolveBranch(const Event &ev);
+    /**
+     * @p w's divergent branch just re-posted on a full heap: can
+     * @p w never make progress again? True when every hot slot the
+     * machine schedules holds a context whose divergent branch
+     * re-posted on the full heap or one behind a closed SYNC gate,
+     * and the heap cannot change on its own (SplitHeap::settled):
+     * no sorter fold is pending and nothing can be merged or
+     * demoted, so no context can ever be freed.
+     */
+    bool heapLivelocked(WarpId w);
     void resolveExit(const Event &ev);
     void arriveBarrier(WarpId w, u32 ctx_id, LaneMask mask);
     void checkBarrierRelease(int block_slot);
@@ -531,11 +523,18 @@ class SM final : public frontend::FrontEndHost
     WarpSet sleep_check_;
     /** Context slot may want a fetch, per slot. */
     WarpSet fetch_work_[2];
-    /** Cached verdict not known to be empty or Blocked, per slot. */
-    mutable WarpSet issue_cands_[2];
+
+    // --- the issue table (see ARCHITECTURE.md) ---
+    frontend::IssueTable table_;
+    /**
+     * Warps whose rows may be out of date: touchWarp() inserts,
+     * refreshRows() and issueTable() re-derive and erase.
+     */
+    WarpSet stale_;
 
     core::SimStats stats_;
     TraceHook trace_;
+    std::string failure_; //!< see failure()
 };
 
 } // namespace siwi::pipeline

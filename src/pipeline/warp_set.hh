@@ -1,14 +1,15 @@
 /**
  * @file
  * Dense warp-id set backed by 64-bit words: the SM's per-stage work
- * sets.
+ * sets and the issue table's ready sets.
  *
- * The per-cycle hot loops (fetch, select, issue, heap upkeep, sleep
- * evaluation) each iterate their own stage's work set, word by
- * word, so a cycle visits only the warps that stage may have work
- * for. Iteration is ascending warp order — the same order a full
- * scan uses — so scheduling policies see identical candidate
- * sequences; a cyclic variant serves the round-robin fetch cursor.
+ * The per-cycle hot loops (fetch, heap upkeep, sleep evaluation)
+ * each iterate their own stage's work set, word by word, so a cycle
+ * visits only the warps that stage may have work for; the issue
+ * stage combines the issue table's sets word-wise and counts them.
+ * Iteration is ascending warp order — the same order a full scan
+ * uses — so scheduling policies see identical candidate sequences;
+ * a cyclic variant serves the round-robin cursors.
  */
 
 #ifndef SIWI_PIPELINE_WARP_SET_HH
@@ -45,12 +46,49 @@ class WarpSet
     void insert(WarpId w) { words_[w >> 6] |= bit(w); }
     void erase(WarpId w) { words_[w >> 6] &= ~bit(w); }
 
-    /** Add every member of @p o (same capacity). */
+    /** Erase every member. */
+    void clear()
+    {
+        for (u64 &word : words_)
+            word = 0;
+    }
+
+    // Word-wise set algebra; the operand has the same capacity.
+    /** Add every member of @p o. */
     WarpSet &operator|=(const WarpSet &o)
     {
         for (size_t i = 0; i < words_.size(); ++i)
             words_[i] |= o.words_[i];
         return *this;
+    }
+    /** Keep only the members of @p o. */
+    WarpSet &operator&=(const WarpSet &o)
+    {
+        for (size_t i = 0; i < words_.size(); ++i)
+            words_[i] &= o.words_[i];
+        return *this;
+    }
+
+    /** Number of members. */
+    unsigned count() const
+    {
+        unsigned n = 0;
+        for (u64 word : words_)
+            n += unsigned(std::popcount(word));
+        return n;
+    }
+
+    /**
+     * Members a cyclic scan from @p start visits before it reaches
+     * @p stop: those in [start, stop), wrapping past the last warp
+     * when @p stop < @p start (none when they are equal).
+     */
+    unsigned countWrapped(WarpId start, WarpId stop) const
+    {
+        unsigned to_stop = countBelow(stop);
+        unsigned to_start = countBelow(start);
+        return stop >= start ? to_stop - to_start
+                             : count() - to_start + to_stop;
     }
 
     /**
@@ -98,6 +136,18 @@ class WarpSet
 
   private:
     static u64 bit(WarpId w) { return u64(1) << (w & 63); }
+
+    /** Number of members below @p w. */
+    unsigned countBelow(WarpId w) const
+    {
+        const size_t word = w >> 6;
+        unsigned n = 0;
+        for (size_t i = 0; i < word; ++i)
+            n += unsigned(std::popcount(words_[i]));
+        if (word < words_.size())
+            n += unsigned(std::popcount(words_[word] & (bit(w) - 1)));
+        return n;
+    }
 
     /**
      * Call @p f on each warp of word @p i's bits @p word, ascending,

@@ -98,8 +98,14 @@ runWorkload(const Workload &wl, const core::GpuConfig &chip,
 
     res.stats = gpu.launch(kernel, lc);
     res.layout_violations = kernel.layoutViolations();
-    res.verified = wl.verify(gpu.memory(), sc, &res.verify_msg);
     res.skipped_cycles = gpu.skippedCycles();
+    // A launch that stopped on a stuck warp left its results
+    // unwritten: the cell fails with the reason.
+    if (!gpu.failure().empty()) {
+        res.verify_msg = gpu.failure();
+        return res;
+    }
+    res.verified = wl.verify(gpu.memory(), sc, &res.verify_msg);
     return res;
 }
 

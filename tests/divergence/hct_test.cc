@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "divergence/hct.hh"
 
 namespace siwi::divergence {
@@ -160,6 +162,64 @@ TEST(HctSorter, MaskUnionPreserved)
     if (r.spill.valid)
         all |= r.spill.mask;
     EXPECT_EQ(all.bits(), 0xfffull);
+}
+
+/** Same context in the same state: what a sorter slot holds. */
+bool
+sameEntry(const SorterEntry &x, const SorterEntry &y)
+{
+    if (x.valid != y.valid)
+        return false;
+    return !x.valid ||
+           (x.id == y.id && x.pc == y.pc && x.mask == y.mask &&
+            x.pinned == y.pinned && x.barrier == y.barrier);
+}
+
+TEST(HctSettled, AgreesWithTheSorterOnEverySmallState)
+{
+    // Every hot pair over three PCs, pinned and barrier flags, or
+    // an empty slot, against an empty and a non-empty cold store:
+    // the no-op rule holds exactly when a sorter pass over the pair
+    // hands it back unchanged, with no merge, no spill and no pop
+    // the cold store could serve.
+    std::vector<SorterEntry> slots = {SorterEntry{}};
+    for (Pc pc = 1; pc <= 3; ++pc) {
+        for (int flags = 0; flags < 4; ++flags)
+            slots.push_back(entry(pc, 0, 0, flags & 1, flags & 2));
+    }
+    unsigned settled = 0, cases = 0;
+    for (SorterEntry a : slots) {
+        for (SorterEntry b : slots) {
+            // Disjoint masks and distinct ids, as in a real heap.
+            if (a.valid) {
+                a.mask = LaneMask(0x1);
+                a.id = 1;
+            }
+            if (b.valid) {
+                b.mask = LaneMask(0x2);
+                b.id = 2;
+            }
+            for (bool cold_empty : {true, false}) {
+                SorterResult r = hctSort(a, b, {});
+                bool unchanged = sameEntry(r.hot[0], a) &&
+                                 sameEntry(r.hot[1], b) &&
+                                 r.merges == 0 && !r.spill.valid &&
+                                 !(r.want_pop && !cold_empty);
+                EXPECT_EQ(hctSettled(a, b, cold_empty), unchanged)
+                    << "a " << a.valid << " pc " << a.pc << " pin "
+                    << a.pinned << " bar " << a.barrier << ", b "
+                    << b.valid << " pc " << b.pc << " pin "
+                    << b.pinned << " bar " << b.barrier
+                    << ", cold empty " << cold_empty;
+                settled += unchanged;
+                ++cases;
+            }
+        }
+    }
+    EXPECT_EQ(cases, 13u * 13u * 2u);
+    // Both answers occur often: the sweep is not one-sided.
+    EXPECT_GT(settled, 50u);
+    EXPECT_LT(settled, cases - 50u);
 }
 
 } // namespace

@@ -1,139 +1,115 @@
 /**
  * @file
- * Unit tests for the SchedPolicy strategies, against a scripted
- * mock FrontEndHost: selection order, cursor/greedy state, and
- * the policy names.
+ * Unit tests for the SchedPolicy strategies and the issue stage's
+ * candidate scans, against scripted issue-table rows: selection
+ * order, cursor/greedy state, the policy names, and every scan
+ * against a reference loop that probes each candidate in turn.
  */
 
 #include <gtest/gtest.h>
 
-#include <map>
-#include <utility>
+#include <algorithm>
+#include <numeric>
+#include <vector>
 
 #include "common/config_reflect.hh"
+#include "common/rng.hh"
 #include "frontend/front_end.hh"
 #include "frontend/sched_policy.hh"
 #include "pipeline/config.hh"
 
 using namespace siwi;
 using namespace siwi::frontend;
+using isa::UnitClass;
+using pipeline::IBufEntry;
+using pipeline::LookupCandidate;
+using pipeline::WarpSet;
 
 namespace {
 
 /**
- * A host whose candidate readiness / age / PC is a scripted
- * table, so policy selection can be tested in isolation from the
- * pipeline.
+ * Scripted rows: per (warp, slot) an optional entry and its state.
+ * Builds the IssueTable the scans read, and answers the reference
+ * probe — a ready() probe of one candidate, counting SYNC-gated
+ * ones — that the scans must agree with.
  */
-class MockHost final : public FrontEndHost
+class Rows
 {
   public:
-    struct Slot
+    struct Row
     {
-        bool ready = false;
-        u64 seq = 0;
-        Pc pc = 0;
+        bool has_entry = false;
+        SlotState state = SlotState::Blocked;
+        IBufEntry e;
     };
 
-    MockHost()
+    explicit Rows(unsigned num_warps)
+        : n_(num_warps), rows_(2 * num_warps), table_(num_warps)
     {
-        cfg_ = pipeline::SMConfig::make(
-            pipeline::PipelineMode::Baseline);
     }
 
-    Slot &slot(WarpId w, unsigned s) { return slots_[{w, s}]; }
+    unsigned size() const { return n_; }
+    Row &at(WarpId w, unsigned s) { return rows_[2 * w + s]; }
 
-    const pipeline::SMConfig &config() const override
+    /** A fresh, issuable slot-0 entry of age @p seq at @p pc. */
+    void ready(WarpId w, u64 seq, Pc pc = 0)
     {
-        return cfg_;
-    }
-    Cycle now() const override { return 0; }
-    unsigned numWarps() const override { return num_warps_; }
-    void setNumWarps(unsigned n) { num_warps_ = n; }
-
-    CtxView ctxView(WarpId, unsigned) const override
-    {
-        return CtxView{};
+        Row &r = at(w, 0);
+        r.has_entry = true;
+        r.state = SlotState::Issuable;
+        r.e.seq = seq;
+        r.e.pc = pc;
     }
 
-    const pipeline::IBufEntry *entryFor(
-        WarpId w, unsigned s) const override
+    /** The table as the host would store it. */
+    const IssueTable &table()
     {
-        auto it = slots_.find({w, s});
-        if (it == slots_.end() || !it->second.ready)
-            return nullptr;
-        entry_.seq = it->second.seq;
-        entry_.pc = it->second.pc;
-        return &entry_;
-    }
-    pipeline::IBufEntry *entryFor(WarpId w, unsigned s) override
-    {
-        return const_cast<pipeline::IBufEntry *>(
-            std::as_const(*this).entryFor(w, s));
-    }
-    pipeline::IBufEntry *findCtx(WarpId, u32) override
-    {
-        return nullptr;
+        for (WarpId w = 0; w < n_; ++w) {
+            for (unsigned s = 0; s < 2; ++s) {
+                Row &r = at(w, s);
+                table_.set(w, s,
+                           {r.has_entry ? &r.e : nullptr, r.state});
+            }
+        }
+        return table_;
     }
 
-    bool ready(WarpId w, unsigned s, bool) const override
+    /** The probe-per-candidate readiness test. */
+    bool probe(WarpId w, unsigned s, bool check_group, UnitMask free,
+               u64 *sync) const
     {
-        auto it = slots_.find({w, s});
-        return it != slots_.end() && it->second.ready;
+        const Row &r = rows_[2 * w + s];
+        if (!r.has_entry || r.e.claimed)
+            return false;
+        if (r.state == SlotState::SyncGated) {
+            ++*sync;
+            return false;
+        }
+        if (r.state != SlotState::Issuable)
+            return false;
+        return !check_group || (free & unitBit(r.e.unit));
     }
 
-    // The mock never parks warps: every warp is always an issue
-    // candidate.
-    const pipeline::WarpSet &issueCandidates(unsigned) const override
+    const IBufEntry &entry(WarpId w, unsigned s) const
     {
-        every_warp_.reset(num_warps_);
-        for (WarpId w = 0; w < num_warps_; ++w)
-            every_warp_.insert(w);
-        return every_warp_;
+        return rows_[2 * w + s].e;
     }
-    void dropClaim(WarpId, pipeline::IBufEntry &e) override
-    {
-        e.claimed = false;
-    }
-
-    pipeline::ExecGroup *freeGroup(isa::UnitClass) override
-    {
-        return nullptr;
-    }
-    bool issueCand(WarpId, unsigned, bool, PrimaryIssueInfo *,
-                   bool) override
-    {
-        return false;
-    }
-    const PrimaryIssueInfo &lastPrimary() const override
-    {
-        return last_;
-    }
-    void clearLastPrimary() override
-    {
-        last_ = PrimaryIssueInfo{};
-    }
-    core::SimStats &stats() override { return stats_; }
 
   private:
-    pipeline::SMConfig cfg_;
-    unsigned num_warps_ = 4;
-    mutable pipeline::WarpSet every_warp_;
-    std::map<std::pair<WarpId, unsigned>, Slot> slots_;
-    // entryFor returns a view of the scripted slot through one
-    // reusable entry (the policies only look at seq/pc).
-    mutable pipeline::IBufEntry entry_;
-    PrimaryIssueInfo last_;
-    core::SimStats stats_;
+    unsigned n_;
+    std::vector<Row> rows_;
+    IssueTable table_;
 };
 
-std::vector<Cand>
-domain(unsigned warps)
+/** A primary pick with every execution group free. */
+std::optional<Cand>
+pick(const SchedPolicy &p, Rows &rows)
 {
-    std::vector<Cand> d;
-    for (WarpId w = 0; w < warps; ++w)
-        d.push_back({w, 0});
-    return d;
+    IssueScans scans(rows.size());
+    ScanLive live;
+    live.free_units = all_units;
+    u64 sync = 0;
+    return scans.primary(rows.table(), live, p, nullptr, true, &sync);
 }
 
 TEST(SchedPolicyRegistry, NamesRoundTrip)
@@ -171,93 +147,439 @@ TEST(SchedPolicyRegistry, MachineAndPolicyTables)
 
 TEST(SchedPolicy, OldestFirstPicksMinimumSeq)
 {
-    MockHost host;
+    Rows rows(4);
     auto p = makeSchedPolicy(SchedPolicyKind::OldestFirst, 4);
-    host.slot(1, 0) = {true, 30, 5};
-    host.slot(2, 0) = {true, 10, 9};
-    host.slot(3, 0) = {true, 20, 1};
-    auto c = p->select(host, domain(4), true);
+    rows.ready(1, 30, 5);
+    rows.ready(2, 10, 9);
+    rows.ready(3, 20, 1);
+    auto c = pick(*p, rows);
     ASSERT_TRUE(c.has_value());
     EXPECT_EQ(c->w, 2u);
 
-    host.slot(2, 0).ready = false;
-    c = p->select(host, domain(4), true);
+    rows.at(2, 0).has_entry = false;
+    c = pick(*p, rows);
     ASSERT_TRUE(c.has_value());
     EXPECT_EQ(c->w, 3u);
 
     for (WarpId w = 0; w < 4; ++w)
-        host.slot(w, 0).ready = false;
-    EXPECT_FALSE(p->select(host, domain(4), true).has_value());
+        rows.at(w, 0).has_entry = false;
+    EXPECT_FALSE(pick(*p, rows).has_value());
 }
 
 TEST(SchedPolicy, RoundRobinAdvancesPastIssuedWarp)
 {
-    MockHost host;
+    Rows rows(4);
     auto p = makeSchedPolicy(SchedPolicyKind::RoundRobin, 4);
     for (WarpId w = 0; w < 4; ++w)
-        host.slot(w, 0) = {true, u64(100 - w), 0}; // ages decorrelated
+        rows.ready(w, u64(100 - w)); // ages decorrelated
 
-    auto c = p->select(host, domain(4), true);
+    auto c = pick(*p, rows);
     ASSERT_TRUE(c);
     EXPECT_EQ(c->w, 0u); // cursor starts at warp 0
     p->notifyIssued(*c);
 
-    c = p->select(host, domain(4), true);
+    c = pick(*p, rows);
     ASSERT_TRUE(c);
     EXPECT_EQ(c->w, 1u); // cursor moved past warp 0
     p->notifyIssued(*c);
 
-    host.slot(2, 0).ready = false; // loose: skip stalled warp
-    c = p->select(host, domain(4), true);
+    rows.at(2, 0).has_entry = false; // loose: skip stalled warp
+    c = pick(*p, rows);
     ASSERT_TRUE(c);
     EXPECT_EQ(c->w, 3u);
     p->notifyIssued(*c);
 
-    c = p->select(host, domain(4), true); // wraps to warp 0
+    c = pick(*p, rows); // wraps to warp 0
     ASSERT_TRUE(c);
     EXPECT_EQ(c->w, 0u);
 }
 
 TEST(SchedPolicy, GtoSticksWithLastWarpThenOldest)
 {
-    MockHost host;
+    Rows rows(4);
     auto p = makeSchedPolicy(SchedPolicyKind::GreedyThenOldest, 4);
-    host.slot(0, 0) = {true, 50, 0};
-    host.slot(2, 0) = {true, 10, 0};
+    rows.ready(0, 50);
+    rows.ready(2, 10);
 
     // No last warp yet: oldest (warp 2) wins.
-    auto c = p->select(host, domain(4), true);
+    auto c = pick(*p, rows);
     ASSERT_TRUE(c);
     EXPECT_EQ(c->w, 2u);
     p->notifyIssued(*c);
 
     // Warp 2 still ready: greedy keeps it even when another warp
     // holds the older instruction now.
-    host.slot(0, 0).seq = 1;
-    c = p->select(host, domain(4), true);
+    rows.at(0, 0).e.seq = 1;
+    c = pick(*p, rows);
     ASSERT_TRUE(c);
     EXPECT_EQ(c->w, 2u);
     p->notifyIssued(*c);
 
     // Last warp dries up: fall back to oldest.
-    host.slot(2, 0).ready = false;
-    c = p->select(host, domain(4), true);
+    rows.at(2, 0).has_entry = false;
+    c = pick(*p, rows);
     ASSERT_TRUE(c);
     EXPECT_EQ(c->w, 0u);
 }
 
 TEST(SchedPolicy, MinPcPrefersTrailingPcWithAgeTieBreak)
 {
-    MockHost host;
+    Rows rows(4);
     auto p = makeSchedPolicy(SchedPolicyKind::MinPc, 4);
-    host.slot(0, 0) = {true, 5, 40};
-    host.slot(1, 0) = {true, 9, 12};
-    host.slot(2, 0) = {true, 3, 12};
-    host.slot(3, 0) = {true, 1, 90};
+    rows.ready(0, 5, 40);
+    rows.ready(1, 9, 12);
+    rows.ready(2, 3, 12);
+    rows.ready(3, 1, 90);
 
-    auto c = p->select(host, domain(4), true);
+    auto c = pick(*p, rows);
     ASSERT_TRUE(c);
     EXPECT_EQ(c->w, 2u); // pc 12, and older than warp 1
+}
+
+// ----------------------------------------------------------------
+// The table-driven scans against probe-every-candidate references.
+// Each reference is the probe loop the scans replace: it visits
+// the candidates in the scan's order and calls probe() on each.
+// ----------------------------------------------------------------
+
+/** One random scan setting: rows, live inputs, primary info. */
+struct Trial
+{
+    Rows rows;
+    ScanLive live;
+    PrimaryIssueInfo pinfo;
+    WarpSet pool;    //!< a two-pool machine's pool
+    bool use_pool;   //!< scan the pool, or every warp
+    WarpId last;     //!< the policy's last issued warp
+    bool have_last;  //!< whether it has issued yet
+
+    explicit Trial(unsigned n) : rows(n), pool(n) {}
+};
+
+const UnitClass unit_classes[] = {UnitClass::MAD, UnitClass::SFU,
+                                  UnitClass::LSU};
+
+Trial
+randomTrial(Rng &rng)
+{
+    const unsigned n = 1 + unsigned(rng.below(70));
+    Trial t(n);
+    // Distinct ages, few PCs and lane counts: ties in PC and in
+    // mask population are common.
+    std::vector<u64> ages(2 * n);
+    std::iota(ages.begin(), ages.end(), 1);
+    for (size_t i = ages.size(); i > 1; --i)
+        std::swap(ages[i - 1], ages[rng.below(i)]);
+    for (WarpId w = 0; w < n; ++w) {
+        for (unsigned s = 0; s < 2; ++s) {
+            Rows::Row &r = t.rows.at(w, s);
+            r.has_entry = rng.below(10) < 7;
+            r.state = SlotState(rng.below(3));
+            r.e.seq = ages[2 * w + s];
+            r.e.pc = Pc(rng.below(4));
+            r.e.mask = LaneMask(rng.below(8) + 1);
+            r.e.unit = unit_classes[rng.below(3)];
+            r.e.ctx_id = u32(s);
+        }
+    }
+    // The cascade register's warp, with one of its entries claimed
+    // (or none: a held pick is unclaimed while it is probed).
+    if (rng.below(2)) {
+        WarpId cw = WarpId(rng.below(n));
+        t.live.cascade_w = cw;
+        Rows::Row &r = t.rows.at(cw, unsigned(rng.below(2)));
+        r.e.claimed = rng.below(4) != 0;
+    }
+    t.live.free_units = UnitMask(rng.below(8));
+    if (rng.below(10) < 7) {
+        t.pinfo.valid = true;
+        t.pinfo.w = WarpId(rng.below(n));
+        t.pinfo.unit = unit_classes[rng.below(3)];
+        t.pinfo.mask = LaneMask(rng.below(8));
+    }
+    unsigned pool = unsigned(rng.below(2));
+    for (WarpId w = WarpId(pool); w < n; w += 2)
+        t.pool.insert(w);
+    t.use_pool = rng.below(2);
+    t.last = WarpId(rng.below(n));
+    t.have_last = rng.below(2);
+    return t;
+}
+
+/** The policy loops the scans replace, over candidates @p dom. */
+std::optional<Cand>
+refPrimary(SchedPolicyKind kind, const Trial &t,
+           const std::vector<WarpId> &dom, bool check_group, u64 *sync)
+{
+    const Rows &rows = t.rows;
+    auto ready = [&](WarpId w) {
+        return rows.probe(w, 0, check_group, t.live.free_units, sync);
+    };
+    std::optional<Cand> best;
+    u64 best_seq = ~u64(0);
+    switch (kind) {
+      case SchedPolicyKind::RoundRobin: {
+        WarpId cursor = WarpId((t.last + 1) % rows.size());
+        for (int pass = 0; pass < 2; ++pass) {
+            for (WarpId w : dom) {
+                if ((pass == 0) != (w >= cursor))
+                    continue;
+                if (ready(w))
+                    return Cand{w, 0};
+            }
+        }
+        return std::nullopt;
+      }
+      case SchedPolicyKind::GreedyThenOldest: {
+        std::optional<Cand> greedy;
+        for (WarpId w : dom) {
+            if (!ready(w))
+                continue;
+            u64 seq = rows.entry(w, 0).seq;
+            if (t.have_last && w == t.last)
+                greedy = Cand{w, 0};
+            if (seq < best_seq) {
+                best_seq = seq;
+                best = Cand{w, 0};
+            }
+        }
+        return greedy ? greedy : best;
+      }
+      case SchedPolicyKind::MinPc: {
+        Pc best_pc = invalid_pc;
+        for (WarpId w : dom) {
+            if (!ready(w))
+                continue;
+            const IBufEntry &e = rows.entry(w, 0);
+            if (!best || e.pc < best_pc ||
+                (e.pc == best_pc && e.seq < best_seq)) {
+                best_pc = e.pc;
+                best_seq = e.seq;
+                best = Cand{w, 0};
+            }
+        }
+        return best;
+      }
+      case SchedPolicyKind::OldestFirst:
+        break;
+    }
+    for (WarpId w : dom) {
+        if (ready(w) && rows.entry(w, 0).seq < best_seq) {
+            best_seq = rows.entry(w, 0).seq;
+            best = Cand{w, 0};
+        }
+    }
+    return best;
+}
+
+/** SBI's secondary loop: oldest ready CPC2 entry. */
+std::optional<Cand>
+refSecondary(const Trial &t, bool *row_out, u64 *sync)
+{
+    std::optional<Cand> best;
+    u64 best_seq = ~u64(0);
+    *row_out = false;
+    for (WarpId w = 0; w < t.rows.size(); ++w) {
+        if (!t.rows.probe(w, 1, false, t.live.free_units, sync))
+            continue;
+        const IBufEntry &e = t.rows.entry(w, 1);
+        bool row = t.pinfo.valid && w == t.pinfo.w &&
+                   e.unit == t.pinfo.unit && e.unit != UnitClass::LSU;
+        if (!row && !(t.live.free_units & unitBit(e.unit)))
+            continue;
+        if (e.seq < best_seq) {
+            best_seq = e.seq;
+            best = Cand{w, 1};
+            *row_out = row;
+        }
+    }
+    return best;
+}
+
+/** SBI's fallback loop: oldest ready CPC1 entry of another warp. */
+std::optional<Cand>
+refFallback(const Trial &t, u64 *sync)
+{
+    std::optional<Cand> best;
+    u64 best_seq = ~u64(0);
+    for (WarpId w = 0; w < t.rows.size(); ++w) {
+        if (t.pinfo.valid && w == t.pinfo.w)
+            continue;
+        if (!t.rows.probe(w, 0, true, t.live.free_units, sync))
+            continue;
+        if (t.rows.entry(w, 0).seq < best_seq) {
+            best_seq = t.rows.entry(w, 0).seq;
+            best = Cand{w, 0};
+        }
+    }
+    return best;
+}
+
+/** SWI's substitute loop: best fit, slot-major, RNG tie-break. */
+std::optional<Cand>
+refSubstitute(const Trial &t, bool sbi, Rng &rng, u64 *sync)
+{
+    std::optional<Cand> best;
+    unsigned best_count = 0;
+    unsigned ties = 0;
+    for (unsigned slot = 0; slot < (sbi ? 2u : 1u); ++slot) {
+        for (WarpId w = 0; w < t.rows.size(); ++w) {
+            if (!t.rows.probe(w, slot, true, t.live.free_units, sync))
+                continue;
+            unsigned count = t.rows.entry(w, slot).mask.count();
+            if (!best || count > best_count) {
+                best = Cand{w, slot};
+                best_count = count;
+                ties = 1;
+            } else if (count == best_count) {
+                ++ties;
+                if (rng.below(ties) == 0)
+                    best = Cand{w, slot};
+            }
+        }
+    }
+    return best;
+}
+
+/** SWI's mask-lookup candidate loop, warp-major. */
+void
+refLookup(const Trial &t, bool sbi, const pipeline::MaskLookup &lookup,
+          std::vector<LookupCandidate> &lc, std::vector<Cand> &cands,
+          u64 *sync)
+{
+    bool shareable = t.pinfo.unit != UnitClass::LSU;
+    for (WarpId w = 0; w < t.rows.size(); ++w) {
+        for (unsigned slot = 0; slot < 2; ++slot) {
+            if (slot == 1 && !sbi)
+                continue;
+            if (slot == 0 && w == t.pinfo.w)
+                continue;
+            if (!t.rows.probe(w, slot, false, t.live.free_units, sync))
+                continue;
+            const IBufEntry &e = t.rows.entry(w, slot);
+            LookupCandidate c;
+            c.key = u32(cands.size());
+            c.warp = w;
+            c.mask = e.mask;
+            c.same_unit = shareable && e.unit == t.pinfo.unit;
+            c.other_unit_free = (t.live.free_units & unitBit(e.unit)) != 0;
+            if (w == t.pinfo.w || lookup.eligible(t.pinfo.w, w)) {
+                lc.push_back(c);
+                cands.push_back({w, slot});
+            }
+        }
+    }
+}
+
+void
+expectSame(const std::optional<Cand> &got, const std::optional<Cand> &want,
+           const char *what)
+{
+    ASSERT_EQ(got.has_value(), want.has_value()) << what;
+    if (want) {
+        EXPECT_EQ(got->w, want->w) << what;
+        EXPECT_EQ(got->slot, want->slot) << what;
+    }
+}
+
+TEST(IssueScans, MatchProbeEveryCandidateLoops)
+{
+    Rng rng(2024);
+    const SchedPolicyKind kinds[] = {
+        SchedPolicyKind::OldestFirst, SchedPolicyKind::RoundRobin,
+        SchedPolicyKind::GreedyThenOldest, SchedPolicyKind::MinPc};
+    unsigned picked = 0, counted = 0, wrapped = 0;
+    for (int trial = 0; trial < 2000; ++trial) {
+        Trial t = randomTrial(rng);
+        const unsigned n = t.rows.size();
+        SCOPED_TRACE("trial " + std::to_string(trial) + ", " +
+                     std::to_string(n) + " warps");
+        const IssueTable &table = t.rows.table();
+        IssueScans scans(n);
+
+        // Every policy, over every warp or one pool, with and
+        // without the group check.
+        std::vector<WarpId> dom;
+        for (WarpId w = 0; w < n; ++w) {
+            if (!t.use_pool || t.pool.contains(w))
+                dom.push_back(w);
+        }
+        for (SchedPolicyKind kind : kinds) {
+            auto p = makeSchedPolicy(kind, n);
+            if (t.have_last || kind == SchedPolicyKind::RoundRobin)
+                p->notifyIssued(Cand{t.last, 0});
+            for (bool check_group : {false, true}) {
+                u64 got_sync = 0, want_sync = 0;
+                auto got = scans.primary(table, t.live, *p,
+                                         t.use_pool ? &t.pool : nullptr,
+                                         check_group, &got_sync);
+                auto want = refPrimary(kind, t, dom, check_group,
+                                       &want_sync);
+                expectSame(got, want, schedPolicyName(kind));
+                EXPECT_EQ(got_sync, want_sync) << schedPolicyName(kind);
+                picked += want.has_value();
+                counted += want_sync != 0;
+                wrapped += kind == SchedPolicyKind::RoundRobin && want &&
+                           want->w < (t.last + 1) % n;
+            }
+        }
+
+        // SBI's secondary and its fallback.
+        {
+            u64 got_sync = 0, want_sync = 0;
+            bool got_row = false, want_row = false;
+            auto got =
+                scans.secondary(table, t.live, t.pinfo, &got_row, &got_sync);
+            auto want = refSecondary(t, &want_row, &want_sync);
+            expectSame(got, want, "secondary");
+            EXPECT_EQ(got_row, want_row) << "secondary";
+            EXPECT_EQ(got_sync, want_sync) << "secondary";
+
+            got_sync = want_sync = 0;
+            expectSame(scans.fallback(table, t.live, t.pinfo, &got_sync),
+                       refFallback(t, &want_sync), "fallback");
+            EXPECT_EQ(got_sync, want_sync) << "fallback";
+        }
+
+        // SWI's substitute and mask-lookup lists, with and without
+        // SBI's CPC2 slots.
+        for (bool sbi : {false, true}) {
+            Rng got_rng{u64(trial)}, want_rng{u64(trial)};
+            u64 got_sync = 0, want_sync = 0;
+            expectSame(scans.substitute(table, t.live, sbi, got_rng,
+                                        &got_sync),
+                       refSubstitute(t, sbi, want_rng, &want_sync),
+                       "substitute");
+            EXPECT_EQ(got_sync, want_sync) << "substitute";
+            EXPECT_EQ(got_rng.next(), want_rng.next()) << "substitute";
+
+            if (!t.pinfo.valid)
+                continue;
+            pipeline::MaskLookup lookup(n, 1 + unsigned(rng.below(std::min(n, 4u))));
+            std::vector<LookupCandidate> got_lc, want_lc;
+            std::vector<Cand> got_c, want_c;
+            got_sync = want_sync = 0;
+            scans.lookupCandidates(table, t.live, t.pinfo, sbi, lookup,
+                                   got_lc, got_c, &got_sync);
+            refLookup(t, sbi, lookup, want_lc, want_c, &want_sync);
+            EXPECT_EQ(got_sync, want_sync) << "lookup";
+            ASSERT_EQ(got_lc.size(), want_lc.size()) << "lookup";
+            for (size_t i = 0; i < want_lc.size(); ++i) {
+                EXPECT_EQ(got_lc[i].key, want_lc[i].key);
+                EXPECT_EQ(got_lc[i].warp, want_lc[i].warp);
+                EXPECT_EQ(got_lc[i].mask, want_lc[i].mask);
+                EXPECT_EQ(got_lc[i].same_unit, want_lc[i].same_unit);
+                EXPECT_EQ(got_lc[i].other_unit_free,
+                          want_lc[i].other_unit_free);
+                EXPECT_EQ(got_c[i].w, want_c[i].w);
+                EXPECT_EQ(got_c[i].slot, want_c[i].slot);
+            }
+        }
+    }
+    // The sweep reaches the interesting cases.
+    EXPECT_GT(picked, 5000u);
+    EXPECT_GT(counted, 5000u);
+    EXPECT_GT(wrapped, 200u);
 }
 
 } // namespace

@@ -1,8 +1,8 @@
 /**
  * @file
  * WarpSet tests: iteration order, the cyclic fetch-cursor scan,
- * erasing the visited warp mid-scan, and both scans against the
- * member list built from contains().
+ * erasing the visited warp mid-scan, both scans against the member
+ * list built from contains(), and the set algebra and counts.
  */
 
 #include <gtest/gtest.h>
@@ -199,6 +199,44 @@ TEST(WarpSet, UnionAddsEveryMember)
     u |= b;
     for (WarpId w = 0; w < n; ++w)
         EXPECT_EQ(u.contains(w), a.contains(w) || b.contains(w)) << w;
+}
+
+TEST(WarpSet, IntersectionAndClear)
+{
+    Rng rng(7);
+    const unsigned n = 150;
+    WarpSet a = randomSet(n, rng, 2), b = randomSet(n, rng, 2);
+    WarpSet i = a;
+    i &= b;
+    for (WarpId w = 0; w < n; ++w)
+        EXPECT_EQ(i.contains(w), a.contains(w) && b.contains(w)) << w;
+    i.clear();
+    EXPECT_TRUE(members(i).empty());
+    EXPECT_EQ(i.count(), 0u);
+}
+
+TEST(WarpSet, CountsMatchTheCyclicScan)
+{
+    // countWrapped(start, stop) is the number of members a cyclic
+    // scan from start visits before it reaches stop.
+    Rng rng(9);
+    for (unsigned n : {1u, 63u, 64u, 65u, 128u, 200u}) {
+        for (int round = 0; round < 20; ++round) {
+            WarpSet s = randomSet(n, rng, 1 + unsigned(round % 4));
+            EXPECT_EQ(s.count(), listed(s, n).size()) << "n=" << n;
+            WarpId start = WarpId(rng.below(n));
+            WarpId stop = WarpId(rng.below(n));
+            unsigned before = 0;
+            for (unsigned k = 0; k < n; ++k) {
+                WarpId w = WarpId((start + k) % n);
+                if (w == stop)
+                    break;
+                before += s.contains(w);
+            }
+            EXPECT_EQ(s.countWrapped(start, stop), before)
+                << "n=" << n << " start=" << start << " stop=" << stop;
+        }
+    }
 }
 
 } // namespace

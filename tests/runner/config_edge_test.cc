@@ -5,14 +5,17 @@
  * a key must either be rejected by the config invariants with a
  * message, or yield a cell that returns: verified, failed with a
  * message, or timed out. It must never abort the process or
- * allocate without bound.
+ * allocate without bound. A CCT too small for the kernel's
+ * divergence fails its cell at once with a heap-livelock message.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
 #include <vector>
 
+#include "checked_in_spec.hh"
 #include "core/config_io.hh"
 #include "pipeline/config_io.hh"
 #include "runner/runner.hh"
@@ -101,9 +104,9 @@ checkEveryKey(const char *base, unsigned num_sms)
 }
 
 // One case per machine and SM count, so ctest runs them in
-// parallel: cct_capacity=1 deadlocks the SBI+SWI heap on BFS
-// (every branch stalls on a full heap), and each such cell steps
-// to the 50M-cycle limit before it returns timed out.
+// parallel. cct_capacity=1 livelocks the SBI+SWI heap on BFS (a
+// branch re-posts on the full heap while hot slot 1 waits at a
+// SYNC gate); the cell fails as soon as the SM proves it.
 TEST(ConfigEdge, EveryU32KeyOnBaseline1Sm)
 {
     checkEveryKey("Baseline", 1);
@@ -171,6 +174,51 @@ TEST(ConfigEdge, CtaLargerThanSmFailsWithMessage)
     // warp.
     expectCtaTooLarge("Baseline", 2);
     expectCtaTooLarge("SBI+SWI", 1);
+}
+
+/**
+ * fast.json's @p workload on @p machine at cct_capacity=@p cap, a
+ * heap livelock: the cell must fail with the diagnostic, neither
+ * verified nor timed out, within a second (stepping to the
+ * 50M-cycle cap took about 15 s).
+ */
+void
+expectHeapLivelock(const char *machine, const char *workload,
+                   unsigned cap)
+{
+    const std::string kv = "cct_capacity=" + std::to_string(cap);
+    SCOPED_TRACE(std::string(workload) + " on " + machine + " " + kv);
+    SweepSpec s = checkedInSweep("fast.json", "fig7_irregular");
+    MachineRegistry reg;
+    MachineSpec m = *reg.find(machine);
+    std::string err;
+    ASSERT_TRUE(machineApplyKeyValue(&m, kv, &err)) << err;
+    s.machines = {m};
+    s.wls = {workloads::findWorkload(workload)};
+    ASSERT_EQ(checkSweep(s), "");
+
+    auto start = std::chrono::steady_clock::now();
+    CellResult c = runCell(s, 0, 0);
+    std::chrono::duration<double> took =
+        std::chrono::steady_clock::now() - start;
+    EXPECT_FALSE(c.verified);
+    EXPECT_FALSE(c.timed_out);
+    EXPECT_EQ(c.verify_msg.find("heap livelock: warp "), 0u)
+        << c.verify_msg;
+    EXPECT_NE(c.verify_msg.find(" at cycle "), std::string::npos);
+    EXPECT_NE(c.verify_msg.find("(" + kv + ")"), std::string::npos);
+    EXPECT_LT(took.count(), 1.0);
+}
+
+TEST(ConfigEdge, HeapLivelockFailsFastWithMessage)
+{
+    // Every schedulable hot slot waits on a divergent branch that
+    // re-posts on the full heap...
+    for (const char *machine : {"SBI", "SWI", "SBI+SWI", "Warp64"})
+        expectHeapLivelock(machine, "TMD1", 2);
+    expectHeapLivelock("SBI+SWI", "TMD1", 3);
+    // ...or, in hot slot 1, behind a closed SYNC gate.
+    expectHeapLivelock("SBI+SWI", "BFS", 1);
 }
 
 } // namespace
