@@ -7,8 +7,39 @@ namespace siwi::frontend {
 
 using isa::UnitClass;
 using pipeline::IBufEntry;
-using pipeline::LookupCandidate;
 using pipeline::SMConfig;
+
+namespace {
+
+/**
+ * Best-fit selection (section 4): the candidate with the most
+ * active lanes, ties broken reservoir-style, so every draw depends
+ * on the order in which candidates are offered.
+ */
+struct BestFit
+{
+    std::optional<Cand> best;
+    unsigned lanes = 0;
+    unsigned ties = 0;
+
+    /** Offer @p c with @p n active lanes; true when it is the pick now. */
+    bool offer(Cand c, unsigned n, Rng &rng)
+    {
+        if (!best || n > lanes) {
+            best = c;
+            lanes = n;
+            ties = 1;
+            return true;
+        }
+        if (n == lanes && rng.below(++ties) == 0) {
+            best = c;
+            return true;
+        }
+        return false;
+    }
+};
+
+} // namespace
 
 // ----------------------------------------------------------------
 // candidate scans over the issue table
@@ -106,37 +137,24 @@ IssueScans::substitute(const IssueTable &t, const ScanLive &live,
     // tie-breaking -- or the two would keep picking the same
     // instruction and squash each other forever. The draws depend
     // on the candidate order: slot-major, ascending warps.
-    std::optional<Cand> best;
-    unsigned best_count = 0;
-    unsigned ties = 0;
+    BestFit fit;
     for (unsigned slot = 0; slot < (sbi ? 2u : 1u); ++slot) {
         const SlotScan &s = scan(t, live, slot, nullptr, true);
         *sync += s.gated.count();
         s.ready.forEach([&](WarpId w) {
-            unsigned count = t.entry[slot][w]->mask.count();
-            if (!best || count > best_count) {
-                best = Cand{w, slot};
-                best_count = count;
-                ties = 1;
-            } else if (count == best_count) {
-                ++ties;
-                if (rng.below(ties) == 0)
-                    best = Cand{w, slot};
-            }
+            fit.offer(Cand{w, slot}, t.entry[slot][w]->mask.count(), rng);
         });
     }
-    return best;
+    return fit.best;
 }
 
-void
-IssueScans::lookupCandidates(const IssueTable &t, const ScanLive &live,
-                             const PrimaryIssueInfo &pinfo, bool sbi,
-                             const pipeline::MaskLookup &lookup,
-                             std::vector<LookupCandidate> &lc,
-                             std::vector<Cand> &cands, u64 *sync)
+std::optional<Cand>
+IssueScans::lookup(const IssueTable &t, const ScanLive &live,
+                   const PrimaryIssueInfo &pinfo, bool sbi,
+                   pipeline::MaskLookup &sets, bool *row_share,
+                   u64 *sync)
 {
-    lc.clear();
-    cands.clear();
+    // Every gated candidate counts, inside the primary's set or not.
     SlotScan &s0 = scan(t, live, 0, nullptr, false);
     s0.drop(pinfo.w); // the primary context just issued
     *sync += s0.gated.count();
@@ -146,27 +164,32 @@ IssueScans::lookupCandidates(const IssueTable &t, const ScanLive &live,
         *sync += s1.gated.count();
         either_slot_ |= s1.ready;
     }
-    // Warp-major: the lookup's tie-break draws depend on this order.
-    bool primary_row_shareable = pinfo.unit != UnitClass::LSU;
+    // Only the primary's set is searched. Its own warp is in it, so
+    // same-warp CPC2 co-issue (SBI's path) is never set-restricted.
+    either_slot_ &= sets.members(pinfo.w);
+
+    const LaneMask free_lanes = ~pinfo.mask;
+    const bool primary_row_shareable = pinfo.unit != UnitClass::LSU;
+    BestFit fit;
+    *row_share = false;
+    // Warp-major, then slot: the tie-break draws depend on this order.
     either_slot_.forEach([&](WarpId w) {
-        // Same-warp CPC2 co-issue is the SBI path: structural, not
-        // set-restricted (mask disjointness is guaranteed).
-        if (w != pinfo.w && !lookup.eligible(pinfo.w, w))
-            return;
         for (unsigned slot = 0; slot < (sbi ? 2u : 1u); ++slot) {
             if (!slot_[slot].ready.contains(w))
                 continue;
-            UnitClass cls = t.unit[slot][w];
-            LookupCandidate c;
-            c.key = u32(cands.size());
-            c.warp = w;
-            c.mask = t.entry[slot][w]->mask;
-            c.same_unit = primary_row_shareable && cls == pinfo.unit;
-            c.other_unit_free = (live.free_units & unitBit(cls)) != 0;
-            lc.push_back(c);
-            cands.push_back({w, slot});
+            const LaneMask mask = t.entry[slot][w]->mask;
+            const UnitClass cls = t.unit[slot][w];
+            // Fits the primary's free lanes on its row, or has a
+            // free group of its own.
+            bool row = primary_row_shareable && cls == pinfo.unit &&
+                       mask.subsetOf(free_lanes);
+            if (!row && !(live.free_units & unitBit(cls)))
+                continue;
+            if (fit.offer(Cand{w, slot}, mask.count(), sets.rng()))
+                *row_share = row;
         }
     });
+    return fit.best;
 }
 
 // ----------------------------------------------------------------
@@ -297,18 +320,8 @@ FrontEnd::pickSecondaryCascaded(
 
     // Mask-inclusion lookup (section 4): candidates either fit the
     // free lanes of the primary's row or can go to a free group.
-    LaneMask free_lanes = ~pinfo.mask;
-    std::vector<LookupCandidate> &lc = lookup_scratch_;
-    std::vector<Cand> &cands = cand_scratch_;
-    scans_.lookupCandidates(t, live(), pinfo, sbi, lookup_, lc, cands,
-                            sync);
-    auto picked = lookup_.pick(pinfo.w, free_lanes, lc);
-    if (!picked)
-        return std::nullopt;
-    const LookupCandidate &sel = lc[*picked];
-    *row_share_out =
-        sel.same_unit && sel.mask.subsetOf(free_lanes);
-    return cands[*picked];
+    return scans_.lookup(t, live(), pinfo, sbi, lookup_, row_share_out,
+                         sync);
 }
 
 bool
@@ -352,9 +365,10 @@ FrontEnd::issueCascaded()
         // Re-locate the parked context (the sorter may have moved
         // it between hot slots).
         IBufEntry *e = host_.findCtx(cascade_.w, cascade_.ctx_id);
+        const CtxViews &views = host_.issueTable().views[cascade_.w];
         int slot = -1;
         for (unsigned s = 0; s < 2; ++s) {
-            CtxView cv = host_.ctxView(cascade_.w, s);
+            const CtxView &cv = views[s];
             if (cv.valid && cv.id == cascade_.ctx_id &&
                 cv.version == cascade_.ctx_version) {
                 slot = int(s);

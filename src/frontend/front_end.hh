@@ -36,7 +36,6 @@
 
 #include <memory>
 #include <optional>
-#include <vector>
 
 #include "common/lane_mask.hh"
 #include "common/rng.hh"
@@ -56,16 +55,6 @@ struct SMConfig;
 
 namespace siwi::frontend {
 
-/** Scheduling view of one warp context slot. */
-struct CtxView
-{
-    bool valid = false; //!< exists and is schedulable
-    u32 id = 0;
-    Pc pc = invalid_pc;
-    LaneMask mask;
-    u32 version = 0;
-};
-
 /** Row occupancy info of the primary issue this cycle. */
 struct PrimaryIssueInfo
 {
@@ -78,8 +67,9 @@ struct PrimaryIssueInfo
 };
 
 /**
- * What a front-end needs from its hosting SM: the issue table,
- * context views for the cascade register, and the issue primitive.
+ * What a front-end needs from its hosting SM: the issue table (its
+ * rows, ready sets and context views), the free units, and the
+ * issue primitive.
  * The host keeps ownership of warps, the instruction buffer, the
  * scoreboard and the execution groups; the front-end only decides
  * *what* to issue.
@@ -90,9 +80,6 @@ class FrontEndHost
     virtual const pipeline::SMConfig &config() const = 0;
     virtual Cycle now() const = 0;
     virtual unsigned numWarps() const = 0;
-
-    /** Scheduling view of context slot (w, slot). */
-    virtual CtxView ctxView(WarpId w, unsigned slot) const = 0;
 
     /** Valid buffered entry of context @p ctx_id, or null. */
     virtual pipeline::IBufEntry *findCtx(WarpId w, u32 ctx_id) = 0;
@@ -214,17 +201,18 @@ class IssueScans
                                    Rng &rng, u64 *sync);
 
     /**
-     * SWI's mask-inclusion lookup candidates (§4) around primary
-     * @p pinfo, warp-major: every issuable entry but the primary
-     * context's own (CPC2 ones too on SBI machines) that the
-     * primary's warp may see through @p lookup. Fills @p lc and the
-     * matching @p cands.
+     * SWI's mask-inclusion lookup (§4) around primary @p pinfo, in
+     * one pass: among the issuable entries of the primary's set in
+     * @p sets but the primary context's own (CPC2 ones too on SBI
+     * machines), each that fits the primary's free lanes on its row
+     * or has a free group of its own; best fit (most active lanes),
+     * ties drawn from @p sets' RNG in warp-major order.
+     * @param row_share set when the pick fits the primary's row
      */
-    void lookupCandidates(const IssueTable &t, const ScanLive &live,
-                          const PrimaryIssueInfo &pinfo, bool sbi,
-                          const pipeline::MaskLookup &lookup,
-                          std::vector<pipeline::LookupCandidate> &lc,
-                          std::vector<Cand> &cands, u64 *sync);
+    std::optional<Cand> lookup(const IssueTable &t, const ScanLive &live,
+                               const PrimaryIssueInfo &pinfo, bool sbi,
+                               pipeline::MaskLookup &sets,
+                               bool *row_share, u64 *sync);
 
   private:
     /**
@@ -237,7 +225,7 @@ class IssueScans
                    bool check_group);
 
     SlotScan slot_[2];
-    pipeline::WarpSet either_slot_; //!< the lookup's warp-major union
+    pipeline::WarpSet either_slot_; //!< the lookup's candidate warps
 };
 
 /**
@@ -334,9 +322,6 @@ class FrontEnd
     pipeline::MaskLookup lookup_;
     Rng rng_;
     CascadeReg cascade_;
-    // Reusable per-cycle scratch (hot loop: no allocation).
-    std::vector<pipeline::LookupCandidate> lookup_scratch_;
-    std::vector<Cand> cand_scratch_;
 };
 
 } // namespace siwi::frontend

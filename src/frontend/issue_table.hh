@@ -3,21 +3,24 @@
  * The issue table: what the issue stage selects from.
  *
  * For every warp and context slot the host keeps one row derived
- * from warp-local state alone — the slot's fresh instruction-buffer
- * entry, its SYNC gate and its scoreboard hazards — plus two sets
- * per slot that say what a probe of that row finds: issuable, or
- * SYNC-gated (a probe counts one sync_suspensions). A row without
- * an entry, or with a Blocked one, is in neither set. The
- * candidate scans (front_end.hh) combine those sets word-wise with
- * the live inputs — free execution groups and the entry claimed by
- * the cascade register — instead of probing each candidate.
+ * from warp-local state alone — the slot's context view, its fresh
+ * instruction-buffer entry, its SYNC gate and its scoreboard
+ * hazards — plus two sets per slot that say what a probe of that
+ * row finds: issuable, or SYNC-gated (a probe counts one
+ * sync_suspensions). A row without an entry, or with a Blocked one,
+ * is in neither set. The candidate scans (front_end.hh) combine
+ * those sets word-wise with the live inputs — free execution groups
+ * and the entry claimed by the cascade register — instead of
+ * probing each candidate.
  */
 
 #ifndef SIWI_FRONTEND_ISSUE_TABLE_HH
 #define SIWI_FRONTEND_ISSUE_TABLE_HH
 
+#include <array>
 #include <vector>
 
+#include "common/lane_mask.hh"
 #include "common/types.hh"
 #include "isa/opcode.hh"
 #include "pipeline/ibuffer.hh"
@@ -36,6 +39,21 @@ struct Cand
     WarpId w;
     unsigned slot;
 };
+
+/** Scheduling view of one warp context slot. */
+struct CtxView
+{
+    bool valid = false; //!< exists and is schedulable
+    u32 id = 0;
+    Pc pc = invalid_pc;
+    LaneMask mask;
+    u32 version = 0;
+
+    bool operator==(const CtxView &) const = default;
+};
+
+/** One warp's views of its two context slots. */
+using CtxViews = std::array<CtxView, 2>;
 
 /** What warp-local state says about issuing one context slot. */
 enum class SlotState : u8 {
@@ -69,13 +87,15 @@ inline constexpr UnitMask all_units = unitBit(isa::UnitClass::MAD) |
                                       unitBit(isa::UnitClass::LSU);
 
 /**
- * Per-slot rows and ready sets, indexed [slot][warp]. The host
- * stores each row through set() whenever the row's inputs may have
- * moved; the front-end only reads.
+ * Per-slot rows and ready sets, indexed [slot][warp], and each
+ * warp's context views. The host stores a warp's views and the rows
+ * derived from them whenever their inputs may have moved (set()
+ * stores one row); the front-end only reads.
  */
 struct IssueTable
 {
     explicit IssueTable(unsigned num_warps = 0)
+        : views(num_warps)
     {
         for (unsigned s = 0; s < 2; ++s) {
             issuable[s].reset(num_warps);
@@ -126,6 +146,13 @@ struct IssueTable
     std::vector<u64> seq[2];
     /** Its execution-group class, when entry is set. */
     std::vector<isa::UnitClass> unit[2];
+    /**
+     * Each warp's context views, indexed [warp][slot]: what the
+     * rows were derived from, and what fetch, issue, sleep
+     * evaluation and the cascade register read instead of deriving
+     * a view again.
+     */
+    std::vector<CtxViews> views;
 };
 
 /**

@@ -1,38 +1,28 @@
 #include "pipeline/ibuffer.hh"
 
-#include "common/log.hh"
+#include "isa/program.hh"
 
 namespace siwi::pipeline {
+
+std::vector<DecodedInst>
+decodeProgram(const isa::Program &prog)
+{
+    std::vector<DecodedInst> table(prog.size());
+    for (Pc pc = 0; pc < prog.size(); ++pc) {
+        const isa::Instruction &inst = prog.at(pc);
+        DecodedInst &d = table[pc];
+        d.hazard = inst.hazardMask();
+        d.writes_dst = inst.writesDst();
+        d.unit = inst.unit() == isa::UnitClass::CTRL ? isa::UnitClass::MAD
+                                                     : inst.unit();
+    }
+    return table;
+}
 
 IBuffer::IBuffer(unsigned num_warps, unsigned slots_per_warp)
     : slots_(slots_per_warp),
       entries_(size_t(num_warps) * slots_per_warp)
 {
-}
-
-IBufEntry &
-IBuffer::entry(WarpId w, unsigned slot)
-{
-    siwi_assert(slot < slots_, "bad ibuffer slot");
-    return entries_[size_t(w) * slots_ + slot];
-}
-
-const IBufEntry &
-IBuffer::entry(WarpId w, unsigned slot) const
-{
-    siwi_assert(slot < slots_, "bad ibuffer slot");
-    return entries_[size_t(w) * slots_ + slot];
-}
-
-IBufEntry *
-IBuffer::findCtx(WarpId w, u32 ctx_id)
-{
-    for (unsigned s = 0; s < slots_; ++s) {
-        IBufEntry &e = entry(w, s);
-        if (e.valid && e.ctx_id == ctx_id)
-            return &e;
-    }
-    return nullptr;
 }
 
 void

@@ -9,9 +9,30 @@
 #include <vector>
 
 #include "common/lane_mask.hh"
+#include "common/log.hh"
 #include "isa/instruction.hh"
 
+namespace siwi::isa {
+class Program;
+} // namespace siwi::isa
+
 namespace siwi::pipeline {
+
+/** What the issue stage reads of an instruction, decoded once. */
+struct DecodedInst
+{
+    u64 hazard = 0;          //!< Instruction::hazardMask()
+    bool writes_dst = false; //!< Instruction::writesDst()
+    /** Execution-group class it issues to (CTRL runs on MAD). */
+    isa::UnitClass unit = isa::UnitClass::MAD;
+};
+
+/**
+ * Decode every instruction of @p prog, indexed by PC. The SM builds
+ * this table once per launch, and each fetch copies its PC's record
+ * into the buffer entry.
+ */
+std::vector<DecodedInst> decodeProgram(const isa::Program &prog);
 
 /** One decoded, ready-to-schedule instruction. */
 struct IBufEntry
@@ -28,11 +49,11 @@ struct IBufEntry
     LaneMask mask;
     u64 seq = 0; //!< fetch sequence number (age for oldest-first)
 
-    // Decoded once at fetch, so issue-stage probes never decode.
-    u64 hazard = 0;          //!< inst.hazardMask()
-    bool writes_dst = false; //!< inst.writesDst()
-    /** Execution-group class it issues to (CTRL runs on MAD). */
-    isa::UnitClass unit = isa::UnitClass::MAD;
+    // Copied from the launch's decodeProgram() at fetch, so the
+    // issue stage never decodes.
+    u64 hazard = 0;          //!< DecodedInst::hazard
+    bool writes_dst = false; //!< DecodedInst::writes_dst
+    isa::UnitClass unit = isa::UnitClass::MAD; //!< DecodedInst::unit
 };
 
 /**
@@ -48,11 +69,28 @@ class IBuffer
 
     unsigned slotsPerWarp() const { return slots_; }
 
-    IBufEntry &entry(WarpId w, unsigned slot);
-    const IBufEntry &entry(WarpId w, unsigned slot) const;
+    // Inline: row derivation and fetch call these several times per
+    // warp and cycle.
+    IBufEntry &entry(WarpId w, unsigned slot)
+    {
+        siwi_assert(slot < slots_, "bad ibuffer slot");
+        return entries_[size_t(w) * slots_ + slot];
+    }
+    const IBufEntry &entry(WarpId w, unsigned slot) const
+    {
+        return const_cast<IBuffer *>(this)->entry(w, slot);
+    }
 
     /** Find a valid entry for context @p ctx_id of warp @p w. */
-    IBufEntry *findCtx(WarpId w, u32 ctx_id);
+    IBufEntry *findCtx(WarpId w, u32 ctx_id)
+    {
+        for (unsigned s = 0; s < slots_; ++s) {
+            IBufEntry &e = entry(w, s);
+            if (e.valid && e.ctx_id == ctx_id)
+                return &e;
+        }
+        return nullptr;
+    }
     const IBufEntry *findCtx(WarpId w, u32 ctx_id) const
     {
         return const_cast<IBuffer *>(this)->findCtx(w, ctx_id);

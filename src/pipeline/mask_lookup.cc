@@ -1,75 +1,16 @@
 #include "pipeline/mask_lookup.hh"
 
-#include <algorithm>
-
 #include "common/log.hh"
-#include "common/mask_kernels.hh"
 
 namespace siwi::pipeline {
 
 MaskLookup::MaskLookup(unsigned num_warps, unsigned sets, u64 seed)
-    : num_warps_(num_warps), sets_(sets), rng_(seed)
+    : members_(sets, WarpSet(num_warps)), rng_(seed)
 {
     siwi_assert(sets >= 1 && sets <= num_warps,
                 "bad lookup set count");
-}
-
-bool
-MaskLookup::eligible(WarpId prim, WarpId cand) const
-{
-    return setOf(prim) == setOf(cand);
-}
-
-std::optional<size_t>
-MaskLookup::pick(WarpId primary_warp, LaneMask free_lanes,
-                 const std::vector<LookupCandidate> &cands)
-{
-    ++searches_;
-
-    // Gather the primary set's candidates into contiguous scratch:
-    // the inclusion tests and popcounts then run as flat batched
-    // passes instead of branchy per-candidate checks.
-    elig_idx_.clear();
-    elig_bits_.clear();
-    for (size_t i = 0; i < cands.size(); ++i) {
-        if (!eligible(primary_warp, cands[i].warp))
-            continue;
-        elig_idx_.push_back(u32(i));
-        elig_bits_.push_back(cands[i].mask.bits());
-    }
-    examined_ += elig_idx_.size();
-
-    const size_t n = elig_idx_.size();
-    elig_cnt_.resize(n);
-    maskPopcounts(elig_bits_.data(), n, elig_cnt_.data());
-
-    std::optional<size_t> best;
-    unsigned best_count = 0;
-    unsigned ties = 0;
-
-    for (size_t base = 0; base < n; base += 64) {
-        const size_t chunk = std::min<size_t>(64, n - base);
-        const u64 fits_bm = maskInclusionBitmap(
-            free_lanes.bits(), elig_bits_.data() + base, chunk);
-        for (size_t j = 0; j < chunk; ++j) {
-            const LookupCandidate &c = cands[elig_idx_[base + j]];
-            bool fits_row = c.same_unit && ((fits_bm >> j) & 1);
-            if (!fits_row && !c.other_unit_free)
-                continue;
-            unsigned count = elig_cnt_[base + j];
-            if (!best || count > best_count) {
-                best = elig_idx_[base + j];
-                best_count = count;
-                ties = 1;
-            } else if (count == best_count) {
-                // Reservoir-style pseudo-random tie-breaking.
-                ++ties;
-                if (rng_.below(ties) == 0)
-                    best = elig_idx_[base + j];
-            }
-        }
-    }
-    return best;
+    for (WarpId w = 0; w < num_warps; ++w)
+        members_[w % sets].insert(w);
 }
 
 } // namespace siwi::pipeline

@@ -8,35 +8,25 @@
  * set-associative variant partitions warps into sets indexed by the
  * low-order bits of the primary warp identifier and only searches
  * the primary's set (Figure 9 sweeps the associativity).
+ *
+ * This class holds the lookup's fixed parts: the warps of each set,
+ * built once, and the tie-break RNG. The search itself is one pass
+ * over the issue table's ready sets intersected with the primary's
+ * set (frontend::IssueScans::lookup).
  */
 
 #ifndef SIWI_PIPELINE_MASK_LOOKUP_HH
 #define SIWI_PIPELINE_MASK_LOOKUP_HH
 
-#include <optional>
 #include <vector>
 
-#include "common/lane_mask.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
+#include "pipeline/warp_set.hh"
 
 namespace siwi::pipeline {
 
-/** One instruction-buffer entry visible to the secondary scheduler. */
-struct LookupCandidate
-{
-    u32 key = 0;     //!< caller-defined identifier
-    WarpId warp = 0; //!< owning warp (for set filtering)
-    LaneMask mask;   //!< activity mask
-    /** True when the entry may share the primary's SIMD row. */
-    bool same_unit = false;
-    /** True when the entry could issue to another free unit group. */
-    bool other_unit_free = false;
-};
-
-/**
- * Set-associative mask-inclusion lookup with best-fit selection.
- */
+/** Set-associative mask-inclusion lookup: sets and tie-breaks. */
 class MaskLookup
 {
   public:
@@ -47,50 +37,25 @@ class MaskLookup
      */
     MaskLookup(unsigned num_warps, unsigned sets, u64 seed = 1);
 
-    unsigned sets() const { return sets_; }
-
-    /** Set index of a warp (low-order bits of the identifier). */
-    unsigned setOf(WarpId w) const { return w % sets_; }
-
-    /** May the secondary consider @p cand for primary @p prim? */
-    bool eligible(WarpId prim, WarpId cand) const;
+    /**
+     * The warps a lookup for primary warp @p prim may search: those
+     * whose identifier has @p prim's low-order bits (w % sets).
+     */
+    const WarpSet &members(WarpId prim) const
+    {
+        return members_[prim % unsigned(members_.size())];
+    }
 
     /**
-     * Best-fit selection: among candidates in the primary's set that
-     * either fit in @p free_lanes on the same unit or can use a free
-     * other unit, pick the one maximizing occupancy (mask
-     * population), breaking ties pseudo-randomly (section 4,
-     * "scheduler conflict avoidance").
-     *
-     * Internally the set filter gathers the eligible masks into a
-     * contiguous scratch array and runs the inclusion tests as one
-     * batched, branch-free pass (common/mask_kernels.hh); the
-     * selection walk, the examined-entry count, and the RNG
-     * tie-break sequence are identical to testing one candidate at
-     * a time.
-     *
-     * @return index into @p cands, or nullopt.
+     * The best-fit tie-break stream (section 4, "scheduler conflict
+     * avoidance"): each tie draws once, in the lookup's candidate
+     * order.
      */
-    std::optional<size_t> pick(WarpId primary_warp,
-                               LaneMask free_lanes,
-                               const std::vector<LookupCandidate>
-                                   &cands);
-
-    u64 searchesPerformed() const { return searches_; }
-    u64 entriesExamined() const { return examined_; }
+    Rng &rng() { return rng_; }
 
   private:
-    unsigned num_warps_;
-    unsigned sets_;
+    std::vector<WarpSet> members_; //!< per set
     Rng rng_;
-    u64 searches_ = 0;
-    u64 examined_ = 0;
-
-    // Gather scratch reused across pick() calls (no per-cycle
-    // allocation once warmed up).
-    std::vector<u32> elig_idx_;
-    std::vector<u64> elig_bits_;
-    std::vector<u8> elig_cnt_;
 };
 
 } // namespace siwi::pipeline

@@ -11,20 +11,12 @@
 
 namespace siwi::pipeline {
 
-using frontend::CtxView;
 using frontend::PrimaryIssueInfo;
 using isa::Instruction;
 using isa::Opcode;
 using isa::UnitClass;
 
 namespace {
-
-/** Execution-group class an opcode is routed to (CTRL -> MAD). */
-UnitClass
-effectiveClass(UnitClass cls)
-{
-    return cls == UnitClass::CTRL ? UnitClass::MAD : cls;
-}
 
 /** Process-wide sleep-oracle switch (test hook, see sm.hh). */
 std::atomic<bool> sleep_audit{false};
@@ -77,6 +69,7 @@ SM::launch(const isa::Program &prog, unsigned grid_blocks,
                 "program uses too many registers");
 
     prog_ = prog;
+    decoded_ = decodeProgram(prog_);
     // Each warp's register file holds only the registers the
     // program names.
     for (WarpSlot &ws : warps_) {
@@ -245,7 +238,8 @@ SM::liveAllowsSleep(WarpId w) const
 }
 
 bool
-SM::slotsAllowSleep(WarpId w, const SlotRow (&v)[2]) const
+SM::slotsAllowSleep(WarpId w, const SlotRow (&v)[2],
+                    const CtxViews &views) const
 {
     for (unsigned slot = 0; slot < 2; ++slot) {
         if (v[slot].entry) {
@@ -264,7 +258,7 @@ SM::slotsAllowSleep(WarpId w, const SlotRow (&v)[2]) const
         // can only appear through this warp's own issues or
         // events).
         bool claimed;
-        if (fetchTarget(w, ctxView(w, slot), &claimed))
+        if (fetchTarget(w, views, slot, &claimed))
             return false;
     }
     return true;
@@ -289,8 +283,10 @@ SM::sleepEligible(WarpId w) const
     // no entry is claimed.
     if (!liveAllowsSleep(w))
         return false;
-    const SlotRow v[2] = {deriveSlot(w, 0), deriveSlot(w, 1)};
-    return slotsAllowSleep(w, v);
+    const CtxViews views = deriveViews(w);
+    const SlotRow v[2] = {deriveSlot(w, views[0]),
+                          deriveSlot(w, views[1])};
+    return slotsAllowSleep(w, v, views);
 }
 
 void
@@ -306,7 +302,7 @@ SM::sleepEvaluate()
             return;
         refreshRows(w);
         const SlotRow v[2] = {table_.row(w, 0), table_.row(w, 1)};
-        if (!slotsAllowSleep(w, v))
+        if (!slotsAllowSleep(w, v, table_.views[w]))
             return;
         WarpSlot &ws = warps_[w];
         ws.asleep = true;
@@ -328,14 +324,20 @@ SM::auditSleepingWarps(std::string *why) const
     // against itself.
     auto violation = [&](WarpId w) -> const char * {
         const WarpSlot &ws = warps_[w];
-        // Every issue-table row outside the stale set must equal a
-        // fresh derivation, in both ready sets and in its seq and
-        // unit copies; a mismatch means some change to the warp
-        // missed touchWarp().
+        const CtxViews fresh = deriveViews(w);
+        // Every issue-table view and row outside the stale set must
+        // equal a fresh derivation, the row in both ready sets and
+        // in its seq and unit copies; a mismatch means some change
+        // to the warp missed touchWarp(), or a fetch wrote the wrong
+        // row.
         for (unsigned slot = 0; slot < 2; ++slot) {
             if (stale_.contains(w))
                 break; // the next read re-derives
-            SlotRow d = deriveSlot(w, slot);
+            if (table_.views[w][slot] != fresh[slot]) {
+                return slot ? "slot-1 context view is stale"
+                            : "slot-0 context view is stale";
+            }
+            SlotRow d = deriveSlot(w, fresh[slot]);
             bool issuable = table_.issuable[slot].contains(w);
             bool gated = table_.sync_gated[slot].contains(w);
             bool match =
@@ -385,8 +387,8 @@ SM::auditSleepingWarps(std::string *why) const
         for (unsigned slot = 0; slot < 2; ++slot) {
             bool claimed;
             if (!fetch_work_[slot].contains(w) &&
-                !deriveSlot(w, slot).entry &&
-                fetchTarget(w, ctxView(w, slot), &claimed)) {
+                !deriveSlot(w, fresh[slot]).entry &&
+                fetchTarget(w, fresh, slot, &claimed)) {
                 return slot ? "outside the slot-1 fetch set, fetchable"
                             : "outside the slot-0 fetch set, fetchable";
             }
@@ -569,8 +571,9 @@ SM::retireWarpIfDone(WarpId w)
     --runnable_count_;
     leaveWorkSets(w);
     ibuf_.flushWarp(w);
-    // An inactive warp's rows are empty.
+    // An inactive warp's views are invalid and its rows empty.
     stale_.erase(w);
+    table_.views[w] = CtxViews{};
     for (unsigned s = 0; s < 2; ++s)
         table_.set(w, s, SlotRow{});
 
@@ -591,10 +594,10 @@ SM::retireWarpIfDone(WarpId w)
 }
 
 // ----------------------------------------------------------------
-// context views (FrontEndHost)
+// context views and the issue table (FrontEndHost)
 // ----------------------------------------------------------------
 
-CtxView
+SM::CtxView
 SM::ctxView(WarpId w, unsigned slot) const
 {
     CtxView cv;
@@ -635,33 +638,34 @@ SM::ctxView(WarpId w, unsigned slot) const
 }
 
 SM::SlotRow
-SM::deriveSlot(WarpId w, unsigned slot) const
+SM::deriveSlot(WarpId w, const CtxView &cv) const
 {
     SlotRow v;
-    CtxView cv = ctxView(w, slot);
     if (!cv.valid)
         return v;
     const IBufEntry *e = ibuf_.findCtx(w, cv.id);
     if (!e || e->ctx_version != cv.version)
         return v;
     v.entry = const_cast<IBufEntry *>(e);
-    if (syncGated(w, *e))
-        v.state = SlotState::SyncGated;
-    else if ((e->writes_dst && !sb_.hasFreeEntry(w)) ||
-             sb_.conflicts(w, e->hazard, e->mask))
-        v.state = SlotState::Blocked;
-    else
-        v.state = SlotState::Issuable;
+    v.state = entryState(w, *e);
     return v;
+}
+
+SM::SlotState
+SM::entryState(WarpId w, const IBufEntry &e) const
+{
+    if (syncGated(w, e))
+        return SlotState::SyncGated;
+    if ((e.writes_dst && !sb_.hasFreeEntry(w)) ||
+        sb_.conflicts(w, e.hazard, e.mask))
+        return SlotState::Blocked;
+    return SlotState::Issuable;
 }
 
 const frontend::IssueTable &
 SM::issueTable()
 {
-    stale_.forEach([&](WarpId w) {
-        for (unsigned s = 0; s < 2; ++s)
-            table_.set(w, s, deriveSlot(w, s));
-    });
+    stale_.forEach([&](WarpId w) { deriveRows(w); });
     stale_.clear();
     return table_;
 }
@@ -733,10 +737,8 @@ SM::advanceCtx(WarpId w, u32 ctx_id, Pc next)
 
 bool
 SM::issueMemory(WarpId w, const IBufEntry &e, const CtxView &cv,
-                ExecGroup *group, bool row_share, Cycle when,
-                unsigned *occupancy, LaneMask *issued_mask)
+                Cycle when, unsigned *occupancy, LaneMask *issued_mask)
 {
-    siwi_assert(!row_share, "memory ops never share a row");
     WarpSlot &ws = warps_[w];
     const Instruction &inst = e.inst;
 
@@ -803,7 +805,6 @@ SM::issueMemory(WarpId w, const IBufEntry &e, const CtxView &cv,
     advanceCtx(w, cv.id, e.pc + 1);
     *occupancy = unsigned(txns.size());
     *issued_mask = cv.mask;
-    (void)group;
     return true;
 }
 
@@ -816,7 +817,7 @@ SM::issueCand(WarpId w, unsigned slot, bool secondary,
     siwi_assert(ep != nullptr, "issuing stale entry");
     IBufEntry &e = *ep;
     WarpSlot &ws = warps_[w];
-    CtxView cv = ctxView(w, slot);
+    const CtxView cv = table_.views[w][slot];
 
     const Instruction inst = e.inst;
     UnitClass cls = e.unit;
@@ -838,10 +839,9 @@ SM::issueCand(WarpId w, unsigned slot, bool secondary,
     switch (inst.op) {
       case Opcode::LD:
       case Opcode::ST:
-        if (!issueMemory(w, e, cv, group, row_share, when,
-                         &occupancy, &issued_mask)) {
+        siwi_assert(!row_share, "memory ops never share a row");
+        if (!issueMemory(w, e, cv, when, &occupancy, &issued_mask))
             return false;
-        }
         break;
 
       case Opcode::BRA:
@@ -1187,7 +1187,7 @@ SM::heapMaintenance()
 }
 
 bool
-SM::ibufEntryLive(WarpId w, const IBufEntry &e) const
+SM::ibufEntryLive(const IBufEntry &e, const CtxViews &views) const
 {
     // An entry is live while it matches a current context (by
     // id and version) or is parked in the cascade register.
@@ -1195,8 +1195,7 @@ SM::ibufEntryLive(WarpId w, const IBufEntry &e) const
         return false;
     if (e.claimed)
         return true;
-    for (unsigned s = 0; s < 2; ++s) {
-        CtxView cv = ctxView(w, s);
+    for (const CtxView &cv : views) {
         if (cv.valid && cv.id == e.ctx_id)
             return cv.version == e.ctx_version;
     }
@@ -1204,8 +1203,10 @@ SM::ibufEntryLive(WarpId w, const IBufEntry &e) const
 }
 
 IBufEntry *
-SM::fetchTarget(WarpId w, const CtxView &cv, bool *claimed) const
+SM::fetchTarget(WarpId w, const CtxViews &views, unsigned slot,
+                bool *claimed) const
 {
+    const CtxView &cv = views[slot];
     *claimed = false;
     if (!cv.valid)
         return nullptr;
@@ -1218,7 +1219,7 @@ SM::fetchTarget(WarpId w, const CtxView &cv, bool *claimed) const
     // ...else overwrite any dead entry.
     for (unsigned s = 0; s < ibuf_.slotsPerWarp(); ++s) {
         const IBufEntry &e = ibuf_.entry(w, s);
-        if (!ibufEntryLive(w, e))
+        if (!ibufEntryLive(e, views))
             return const_cast<IBufEntry *>(&e);
         *claimed |= e.claimed;
     }
@@ -1242,15 +1243,17 @@ SM::fetchStage()
             fetch_work_[ctx_slot].erase(w); // a fresh entry is buffered
             return false;
         }
-        CtxView cv = ctxView(w, ctx_slot);
+        const CtxViews &views = table_.views[w];
         bool claimed;
-        IBufEntry *target = fetchTarget(w, cv, &claimed);
+        IBufEntry *target = fetchTarget(w, views, ctx_slot, &claimed);
         if (!target) {
             if (!claimed)
                 fetch_work_[ctx_slot].erase(w);
             return false;
         }
+        const CtxView &cv = views[ctx_slot];
         siwi_assert(cv.pc < prog_.size(), "fetch past program");
+        const DecodedInst &d = decoded_[cv.pc];
         target->valid = true;
         target->claimed = false;
         target->ctx_id = cv.id;
@@ -1259,10 +1262,19 @@ SM::fetchStage()
         target->pc = cv.pc;
         target->mask = cv.mask;
         target->seq = fetch_seq_++;
-        target->hazard = target->inst.hazardMask();
-        target->writes_dst = target->inst.writesDst();
-        target->unit = effectiveClass(target->inst.unit());
-        touchWarp(w);
+        target->hazard = d.hazard;
+        target->writes_dst = d.writes_dst;
+        target->unit = d.unit;
+        // The fetch changed row (w, ctx_slot) alone, so it writes
+        // that row instead of touching w: the rows were current
+        // (refreshRows above), the target was this context's stale
+        // entry or a dead one (never the other slot's fresh entry,
+        // which is live), and no context, gate or scoreboard entry
+        // moved. A new live entry can only take fetch targets away,
+        // so the fetch sets need no re-entry; only sleep evaluation
+        // must look at w again.
+        table_.set(w, ctx_slot, {target, entryState(w, *target)});
+        sleep_check_.insert(w);
         stats_.fetches += 1;
         fe_rr_[fe] = WarpId((w + 1) % nw);
         return true;

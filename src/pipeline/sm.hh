@@ -121,10 +121,12 @@ class SM final : public frontend::FrontEndHost
      * wake them, and heapMaintenance wakes one whose fold is due,
      * so parking never moves a cycle (it feeds only the sleep and
      * runnable-warp counters). The issue stage selects from the
-     * issue table (frontend::IssueTable), whose rows are re-derived
-     * only for warps in the stale set that touchWarp() fills.
+     * issue table (frontend::IssueTable), whose context views and
+     * rows are re-derived only for warps in the stale set that
+     * touchWarp() fills; a fetch writes the one row it changed.
+     * Fetch, issue and sleep evaluation read the stored views.
      * setSleepAudit() checks that invariant, every current row and
-     * every warp outside each set.
+     * view, and every warp outside each set.
      *
      * @return true when the cycle made progress: an event fired, a
      *         heap restructured, the front-end issued or mutated
@@ -206,11 +208,12 @@ class SM final : public frontend::FrontEndHost
      * the heap set unless it is parked with a sorter fold pending
      * and not yet due; that every parked warp provably still cannot
      * issue, fetch, bump an observable counter, or restructure its
-     * heap; that every issue-table row outside the stale set
-     * equals a fresh derivation, ready-set bits included; and that
-     * every awake warp outside a work set is one that set's stage
-     * has nothing to do for. Pure — uses only non-counting probes,
-     * and the derivations rather than the table.
+     * heap; that every issue-table row and context view outside the
+     * stale set equals a fresh derivation, ready-set bits included;
+     * and that every awake warp outside a work set is one that
+     * set's stage has nothing to do for. Pure — uses only
+     * non-counting probes, and the derivations rather than the
+     * table.
      * @return false with a diagnostic in @p why on any violation
      */
     bool auditSleepingWarps(std::string *why) const;
@@ -231,6 +234,8 @@ class SM final : public frontend::FrontEndHost
 
     using SlotState = frontend::SlotState;
     using SlotRow = frontend::SlotRow;
+    using CtxView = frontend::CtxView;
+    using CtxViews = frontend::CtxViews;
 
     struct WarpSlot
     {
@@ -322,8 +327,6 @@ class SM final : public frontend::FrontEndHost
     {
         return unsigned(warps_.size());
     }
-    frontend::CtxView ctxView(WarpId w,
-                              unsigned slot) const override;
     IBufEntry *findCtx(WarpId w, u32 ctx_id) override;
     const frontend::IssueTable &issueTable() override;
     frontend::UnitMask freeUnits() const override;
@@ -356,9 +359,10 @@ class SM final : public frontend::FrontEndHost
 
     // --- issue table and work sets ---
     /**
-     * @p w changed: its issue-table rows are stale from here on,
-     * and it enters the sleep-check and fetch sets, whose stages
-     * must look at it again.
+     * @p w changed: its issue-table views and rows are stale from
+     * here on, and it enters the sleep-check and fetch sets, whose
+     * stages must look at it again. A fetch is the one change that
+     * does not touch: it writes its own row (fetchStage).
      */
     void touchWarp(WarpId w)
     {
@@ -374,44 +378,67 @@ class SM final : public frontend::FrontEndHost
             heap_work_.insert(w);
     }
     /**
-     * Row (w, slot) from warp-local state alone: its fresh
-     * buffered entry, SYNC gate and scoreboard. The one derivation
-     * the issue table stores and the audit re-checks; the scans add
-     * the live inputs (claimed flag, execution groups).
+     * Scheduling view of context slot (w, slot), from the warp's
+     * stack or heap. The table stores both views of a warp
+     * (deriveRows); only that derivation and the audit call this.
      */
-    SlotRow deriveSlot(WarpId w, unsigned slot) const;
-    /** Re-derive @p w's issue-table rows if they are stale. */
+    CtxView ctxView(WarpId w, unsigned slot) const;
+    /** Both of @p w's views, derived afresh. */
+    CtxViews deriveViews(WarpId w) const
+    {
+        return {ctxView(w, 0), ctxView(w, 1)};
+    }
+    /**
+     * Row (w, slot) from warp-local state alone, given the slot's
+     * view @p cv: its fresh buffered entry, SYNC gate and
+     * scoreboard. The one derivation the issue table stores and the
+     * audit re-checks; the scans add the live inputs (claimed flag,
+     * execution groups).
+     */
+    SlotRow deriveSlot(WarpId w, const CtxView &cv) const;
+    /** The state of @p w's fresh entry @p e: gate and scoreboard. */
+    SlotState entryState(WarpId w, const IBufEntry &e) const;
+    /** Store @p w's views and both rows, derived afresh. */
+    void deriveRows(WarpId w)
+    {
+        const CtxViews &v = table_.views[w] = deriveViews(w);
+        for (unsigned s = 0; s < 2; ++s)
+            table_.set(w, s, deriveSlot(w, v[s]));
+    }
+    /** Re-derive @p w's views and rows if they are stale. */
     void refreshRows(WarpId w)
     {
         if (!stale_.contains(w))
             return;
         stale_.erase(w);
-        for (unsigned s = 0; s < 2; ++s)
-            table_.set(w, s, deriveSlot(w, s));
+        deriveRows(w);
     }
     /**
-     * The buffer entry a fetch for context @p cv of warp @p w would
-     * fill, given that no fresh entry of @p cv is buffered: its
-     * stale entry, else a dead one. Null when the context is
-     * invalid, its stale entry is parked in the cascade register,
-     * or every entry is live; *claimed is then true when a claimed
-     * entry is in the way, which the front-end may release without
-     * a touch.
+     * The buffer entry a fetch for context slot @p slot of warp
+     * @p w, whose current views are @p views, would fill, given that
+     * no fresh entry of that context is buffered: its stale entry,
+     * else a dead one. Null when the context is invalid, its stale
+     * entry is parked in the cascade register, or every entry is
+     * live; *claimed is then true when a claimed entry is in the
+     * way, which the front-end may release without a touch.
      */
-    IBufEntry *fetchTarget(WarpId w, const frontend::CtxView &cv,
-                           bool *claimed) const;
+    IBufEntry *fetchTarget(WarpId w, const CtxViews &views,
+                           unsigned slot, bool *claimed) const;
 
     // --- per-warp sleep/wake ---
-    /** A buffered entry still backs a live context (fetch victim rule). */
-    bool ibufEntryLive(WarpId w, const IBufEntry &e) const;
+    /**
+     * A buffered entry still backs a live context of a warp whose
+     * views are @p views (fetch victim rule).
+     */
+    bool ibufEntryLive(const IBufEntry &e, const CtxViews &views) const;
     /**
      * May warp @p w be parked? True only when no context slot can
      * issue (ignoring execution-group availability, which is
      * shared and timed), no fetch is possible, no SYNC gate would
      * bump the suspension counter, nothing is parked in the
      * cascade register, and the heap has no pending maintenance.
-     * Derived afresh, for the audit; sleepEvaluate reads the issue
-     * table instead. Pure: never bumps statistics.
+     * Derived afresh, views included, for the audit; sleepEvaluate
+     * reads the issue table instead. Pure: never bumps statistics.
      */
     bool sleepEligible(WarpId w) const;
     /**
@@ -422,10 +449,12 @@ class SM final : public frontend::FrontEndHost
     bool liveAllowsSleep(WarpId w) const;
     /**
      * The per-slot part of sleepEligible, given @p w's two rows
-     * @p v: no context slot can issue, fetch or probe a SYNC gate.
-     * Meaningful only while no entry of @p w is claimed.
+     * @p v and the views @p views they were derived from: no context
+     * slot can issue, fetch or probe a SYNC gate. Meaningful only
+     * while no entry of @p w is claimed.
      */
-    bool slotsAllowSleep(WarpId w, const SlotRow (&v)[2]) const;
+    bool slotsAllowSleep(WarpId w, const SlotRow (&v)[2],
+                         const CtxViews &views) const;
     /** @p w has a CCT sorter fold pending (it is then in the heap set). */
     bool foldPending(WarpId w) const
     {
@@ -465,10 +494,9 @@ class SM final : public frontend::FrontEndHost
     void checkBarrierRelease(int block_slot);
     void retireWarpIfDone(WarpId w);
     void accumulateWarpStats(WarpSlot &ws);
-    bool issueMemory(WarpId w, const IBufEntry &e,
-                     const frontend::CtxView &cv, ExecGroup *group,
-                     bool row_share, Cycle when,
-                     unsigned *occupancy, LaneMask *issued_mask);
+    bool issueMemory(WarpId w, const IBufEntry &e, const CtxView &cv,
+                     Cycle when, unsigned *occupancy,
+                     LaneMask *issued_mask);
 
     // --- block management ---
     void launchBlocks();
@@ -483,6 +511,7 @@ class SM final : public frontend::FrontEndHost
     mem::MemorySystem memsys_;
 
     isa::Program prog_;
+    std::vector<DecodedInst> decoded_; //!< decodeProgram(prog_)
     unsigned grid_blocks_ = 0;
     unsigned block_threads_ = 0;
     unsigned next_cta_ = 0;
@@ -527,8 +556,8 @@ class SM final : public frontend::FrontEndHost
     // --- the issue table (see ARCHITECTURE.md) ---
     frontend::IssueTable table_;
     /**
-     * Warps whose rows may be out of date: touchWarp() inserts,
-     * refreshRows() and issueTable() re-derive and erase.
+     * Warps whose views and rows may be out of date: touchWarp()
+     * inserts, refreshRows() and issueTable() re-derive and erase.
      */
     WarpSet stale_;
 

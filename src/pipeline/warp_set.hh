@@ -1,7 +1,7 @@
 /**
  * @file
  * Dense warp-id set backed by 64-bit words: the SM's per-stage work
- * sets and the issue table's ready sets.
+ * sets, the issue table's ready sets and the mask lookup's sets.
  *
  * The per-cycle hot loops (fetch, heap upkeep, sleep evaluation)
  * each iterate their own stage's work set, word by word, so a cycle
@@ -10,6 +10,10 @@
  * Iteration is ascending warp order — the same order a full scan
  * uses — so scheduling policies see identical candidate sequences;
  * a cyclic variant serves the round-robin cursors.
+ *
+ * The words live inline, sized for the largest machine (num_warps
+ * <= capacity), so copying, combining and walking a set never
+ * leaves the object; only the first ceil(num_warps / 64) are used.
  */
 
 #ifndef SIWI_PIPELINE_WARP_SET_HH
@@ -17,8 +21,8 @@
 
 #include <bit>
 #include <type_traits>
-#include <vector>
 
+#include "common/log.hh"
 #include "common/types.hh"
 
 namespace siwi::pipeline {
@@ -27,15 +31,22 @@ namespace siwi::pipeline {
 class WarpSet
 {
   public:
+    /** Most warps a set holds: SMConfig's num_warps bound. */
+    static constexpr unsigned capacity = 1024;
+
     explicit WarpSet(unsigned num_warps = 0)
     {
         reset(num_warps);
     }
 
-    /** Resize to @p num_warps and clear every member. */
+    /** Resize to @p num_warps (at most capacity) and clear it. */
     void reset(unsigned num_warps)
     {
-        words_.assign((num_warps + 63) / 64, 0);
+        siwi_assert(num_warps <= capacity, "a WarpSet holds at most ",
+                    capacity, " warps, not ", num_warps);
+        n_words_ = (num_warps + 63) / 64;
+        for (u64 &word : words_)
+            word = 0;
     }
 
     bool contains(WarpId w) const
@@ -49,22 +60,22 @@ class WarpSet
     /** Erase every member. */
     void clear()
     {
-        for (u64 &word : words_)
-            word = 0;
+        for (unsigned i = 0; i < n_words_; ++i)
+            words_[i] = 0;
     }
 
     // Word-wise set algebra; the operand has the same capacity.
     /** Add every member of @p o. */
     WarpSet &operator|=(const WarpSet &o)
     {
-        for (size_t i = 0; i < words_.size(); ++i)
+        for (unsigned i = 0; i < n_words_; ++i)
             words_[i] |= o.words_[i];
         return *this;
     }
     /** Keep only the members of @p o. */
     WarpSet &operator&=(const WarpSet &o)
     {
-        for (size_t i = 0; i < words_.size(); ++i)
+        for (unsigned i = 0; i < n_words_; ++i)
             words_[i] &= o.words_[i];
         return *this;
     }
@@ -73,8 +84,8 @@ class WarpSet
     unsigned count() const
     {
         unsigned n = 0;
-        for (u64 word : words_)
-            n += unsigned(std::popcount(word));
+        for (unsigned i = 0; i < n_words_; ++i)
+            n += unsigned(std::popcount(words_[i]));
         return n;
     }
 
@@ -98,7 +109,7 @@ class WarpSet
      */
     template <typename F> void forEach(F &&f) const
     {
-        for (size_t i = 0; i < words_.size(); ++i) {
+        for (unsigned i = 0; i < n_words_; ++i) {
             if (visitWord(i, words_[i], f))
                 return;
         }
@@ -113,10 +124,10 @@ class WarpSet
      */
     template <typename F> bool forEachWrapped(WarpId start, F &&f) const
     {
-        const size_t first = start >> 6;
+        const unsigned first = start >> 6;
         const u64 at_or_after = ~u64(0) << (start & 63);
         // Tail: members at or after the cursor.
-        for (size_t i = first; i < words_.size(); ++i) {
+        for (unsigned i = first; i < n_words_; ++i) {
             u64 word = words_[i];
             if (i == first)
                 word &= at_or_after;
@@ -124,7 +135,7 @@ class WarpSet
                 return true;
         }
         // Wrapped head: members strictly before the cursor.
-        for (size_t i = 0; i <= first && i < words_.size(); ++i) {
+        for (unsigned i = 0; i <= first && i < n_words_; ++i) {
             u64 word = words_[i];
             if (i == first)
                 word &= ~at_or_after;
@@ -140,11 +151,11 @@ class WarpSet
     /** Number of members below @p w. */
     unsigned countBelow(WarpId w) const
     {
-        const size_t word = w >> 6;
+        const unsigned word = w >> 6;
         unsigned n = 0;
-        for (size_t i = 0; i < word; ++i)
+        for (unsigned i = 0; i < word; ++i)
             n += unsigned(std::popcount(words_[i]));
-        if (word < words_.size())
+        if (word < n_words_)
             n += unsigned(std::popcount(words_[word] & (bit(w) - 1)));
         return n;
     }
@@ -154,7 +165,7 @@ class WarpSet
      * until it returns true (a void @p f never stops the walk).
      * @return true when @p f stopped the walk
      */
-    template <typename F> static bool visitWord(size_t i, u64 word, F &f)
+    template <typename F> static bool visitWord(unsigned i, u64 word, F &f)
     {
         while (word) {
             WarpId w = WarpId(i * 64 + unsigned(std::countr_zero(word)));
@@ -168,7 +179,8 @@ class WarpSet
         return false;
     }
 
-    std::vector<u64> words_;
+    u64 words_[capacity / 64];
+    unsigned n_words_; //!< words in use: ceil(num_warps / 64)
 };
 
 } // namespace siwi::pipeline

@@ -1,175 +1,159 @@
 /**
  * @file
- * Unit tests for the batched mask kernels: exhaustive over all
- * small widths against a scalar reference, randomized over full
- * 64-bit masks, plus the MaskLookup equivalence the kernels must
- * preserve (identical pick, counters, and RNG draw sequence as
- * the per-candidate loop they replaced).
+ * The SWI lookup's mask-inclusion kernel against a scalar
+ * reference: the one-pass lookup (frontend::IssueScans::lookup)
+ * must replay the per-candidate loop exactly — same picks, same
+ * row sharing, same SYNC counts and the same RNG consumption.
  */
 
 #include <gtest/gtest.h>
 
-#include <bit>
+#include <optional>
 #include <vector>
 
-#include "common/mask_kernels.hh"
 #include "common/rng.hh"
+#include "frontend/front_end.hh"
 #include "pipeline/mask_lookup.hh"
 
 namespace siwi {
 namespace {
 
-/** Scalar reference: one inclusion test at a time. */
-u64
-referenceBitmap(u64 free, const u64 *masks, size_t n)
-{
-    u64 bm = 0;
-    for (size_t i = 0; i < n; ++i) {
-        if ((masks[i] & ~free) == 0)
-            bm |= u64(1) << i;
-    }
-    return bm;
-}
+using frontend::Cand;
+using frontend::SlotState;
+using isa::UnitClass;
 
 /**
- * Exhaustive over every width w <= 8: all 2^w free masks against
- * the full population of 2^w candidate masks at once.
- */
-TEST(MaskKernels, ExhaustiveSmallWidths)
-{
-    for (unsigned width = 0; width <= 8; ++width) {
-        const u64 space = u64(1) << width;
-        std::vector<u64> masks(space, 0);
-        for (u64 m = 0; m < space; ++m)
-            masks[size_t(m)] = m;
-        for (u64 free = 0; free < space; ++free) {
-            // Batch in chunks of 64 (space is 256 at width 8).
-            for (size_t base = 0; base < masks.size(); base += 64) {
-                size_t n =
-                    std::min<size_t>(64, masks.size() - base);
-                EXPECT_EQ(maskInclusionBitmap(free,
-                                              masks.data() + base,
-                                              n),
-                          referenceBitmap(free,
-                                          masks.data() + base, n))
-                    << "width " << width << " free " << free
-                    << " base " << base;
-            }
-        }
-    }
-}
-
-TEST(MaskKernels, RandomizedFullWidth)
-{
-    Rng rng(3);
-    for (int round = 0; round < 2000; ++round) {
-        u64 free = rng.next();
-        size_t n = rng.below(65);
-        std::vector<u64> masks(n);
-        for (u64 &m : masks) {
-            switch (rng.below(4)) {
-              case 0:
-                m = rng.next();
-                break;
-              case 1:
-                // Guaranteed subset of free: must always fit.
-                m = rng.next() & free;
-                break;
-              case 2:
-                m = 0;
-                break;
-              default:
-                m = ~u64(0);
-                break;
-            }
-        }
-        EXPECT_EQ(maskInclusionBitmap(free, masks.data(), n),
-                  referenceBitmap(free, masks.data(), n))
-            << "round " << round;
-        std::vector<u8> counts(n);
-        maskPopcounts(masks.data(), n, counts.data());
-        for (size_t i = 0; i < n; ++i)
-            EXPECT_EQ(counts[i], std::popcount(masks[i]));
-    }
-}
-
-TEST(MaskKernels, EdgeCases)
-{
-    EXPECT_EQ(maskInclusionBitmap(0, nullptr, 0), 0u);
-    u64 zero = 0, full = ~u64(0);
-    // The empty mask fits in anything, the full mask only in full.
-    EXPECT_EQ(maskInclusionBitmap(0, &zero, 1), 1u);
-    EXPECT_EQ(maskInclusionBitmap(0, &full, 1), 0u);
-    EXPECT_EQ(maskInclusionBitmap(full, &full, 1), 1u);
-    // All 64 result bits, including bit 63.
-    std::vector<u64> masks(64, 0);
-    EXPECT_EQ(maskInclusionBitmap(0, masks.data(), 64), ~u64(0));
-    masks.assign(64, full);
-    EXPECT_EQ(maskInclusionBitmap(1, masks.data(), 64), 0u);
-}
-
-/**
- * The batched pick must replay the scalar algorithm exactly: same
- * selections, same examined counts, same RNG consumption. This
- * reference reimplements the original per-candidate loop with an
- * identically-seeded RNG and cross-checks long randomized runs
- * (any divergence in the draw sequence desynchronizes every later
- * tie-break, so a single run covers thousands of decisions).
+ * This reference reimplements the per-candidate loop with an
+ * identically seeded RNG and cross-checks long randomized runs.
+ * One lookup and one reference stream live across every round, so
+ * any divergence in the draw sequence desynchronizes every later
+ * tie-break, and a single run covers thousands of decisions.
  */
 TEST(MaskKernels, LookupMatchesScalarReference)
 {
     const unsigned num_warps = 16;
+    const UnitClass classes[] = {UnitClass::MAD, UnitClass::SFU,
+                                 UnitClass::LSU};
     for (unsigned sets : {1u, 2u, 4u}) {
-        pipeline::MaskLookup lookup(num_warps, sets, 77);
-        Rng ref_rng(77);
-        Rng gen(500 + sets);
-        u64 ref_examined = 0;
-        for (int round = 0; round < 3000; ++round) {
-            WarpId prim = WarpId(gen.below(num_warps));
-            LaneMask free(gen.next());
-            std::vector<pipeline::LookupCandidate> cands(
-                gen.below(12));
-            for (size_t i = 0; i < cands.size(); ++i) {
-                cands[i].key = u32(i);
-                cands[i].warp = WarpId(gen.below(num_warps));
-                // Small popcount range provokes count ties, which
-                // is what exercises the RNG stream.
-                cands[i].mask =
-                    LaneMask(gen.next() & gen.next() &
-                             gen.next());
-                cands[i].same_unit = gen.below(2) != 0;
-                cands[i].other_unit_free = gen.below(4) == 0;
-            }
-
-            // Scalar reference with its own RNG stream.
-            std::optional<size_t> ref;
-            unsigned best_count = 0, ties = 0;
-            for (size_t i = 0; i < cands.size(); ++i) {
-                const pipeline::LookupCandidate &c = cands[i];
-                if (prim % sets != c.warp % sets)
-                    continue;
-                ++ref_examined;
-                bool fits_row =
-                    c.same_unit && c.mask.subsetOf(free);
-                if (!fits_row && !c.other_unit_free)
-                    continue;
-                unsigned count = c.mask.count();
-                if (!ref || count > best_count) {
-                    ref = i;
-                    best_count = count;
-                    ties = 1;
-                } else if (count == best_count) {
-                    ++ties;
-                    if (ref_rng.below(ties) == 0)
-                        ref = i;
+        for (bool sbi : {false, true}) {
+            SCOPED_TRACE("sets " + std::to_string(sets) +
+                         (sbi ? ", SBI" : ""));
+            pipeline::MaskLookup lookup(num_warps, sets, 77);
+            Rng ref_rng(77);
+            Rng gen(500 + 2 * sets + sbi);
+            frontend::IssueScans scans(num_warps);
+            frontend::IssueTable table(num_warps);
+            std::vector<pipeline::IBufEntry> entries(2 * num_warps);
+            unsigned picked = 0, shared_row = 0, tie_draws = 0;
+            for (int round = 0; round < 3000; ++round) {
+                frontend::PrimaryIssueInfo pinfo;
+                pinfo.valid = true;
+                pinfo.w = WarpId(gen.below(num_warps));
+                const u64 free_bits = gen.next();
+                pinfo.mask = LaneMask(~free_bits);
+                pinfo.unit = classes[gen.below(3)];
+                const LaneMask free(free_bits);
+                frontend::ScanLive live;
+                for (UnitClass cls : classes) {
+                    if (gen.below(4) == 0)
+                        live.free_units |= frontend::unitBit(cls);
                 }
-            }
 
-            EXPECT_EQ(lookup.pick(prim, free, cands), ref)
-                << "sets " << sets << " round " << round;
+                // Both slots of every warp; slot 1 only counts on
+                // SBI machines.
+                std::vector<SlotState> state(2 * num_warps);
+                for (WarpId w = 0; w < num_warps; ++w) {
+                    for (unsigned slot = 0; slot < 2; ++slot) {
+                        pipeline::IBufEntry &e =
+                            entries[2 * w + slot];
+                        e = pipeline::IBufEntry{};
+                        e.valid = true;
+                        // Small popcount range provokes count ties,
+                        // which is what exercises the RNG stream;
+                        // half the masks fit the free lanes.
+                        u64 m = gen.next() & gen.next() & gen.next();
+                        if (gen.below(2) == 0)
+                            m &= free_bits;
+                        e.mask = LaneMask(m);
+                        e.unit = classes[gen.below(3)];
+                        const unsigned roll = unsigned(gen.below(8));
+                        SlotState &s = state[2 * w + slot];
+                        s = roll < 5   ? SlotState::Issuable
+                            : roll < 6 ? SlotState::SyncGated
+                                       : SlotState::Blocked;
+                        const bool has_entry = roll != 7;
+                        table.set(w, slot,
+                                  {has_entry ? &e : nullptr, s});
+                        if (!has_entry)
+                            s = SlotState::Blocked;
+                    }
+                }
+
+                // Scalar reference: probe every candidate in
+                // warp-major order, with its own RNG stream.
+                std::optional<Cand> ref;
+                bool ref_row = false;
+                unsigned best_count = 0, ties = 0;
+                u64 ref_sync = 0;
+                const bool shareable = pinfo.unit != UnitClass::LSU;
+                for (WarpId w = 0; w < num_warps; ++w) {
+                    for (unsigned slot = 0; slot < (sbi ? 2u : 1u);
+                         ++slot) {
+                        if (slot == 0 && w == pinfo.w)
+                            continue;
+                        const SlotState s = state[2 * w + slot];
+                        if (s == SlotState::SyncGated)
+                            ++ref_sync;
+                        if (s != SlotState::Issuable ||
+                            pinfo.w % sets != w % sets)
+                            continue;
+                        const pipeline::IBufEntry &e =
+                            entries[2 * w + slot];
+                        const bool fits_row =
+                            shareable && e.unit == pinfo.unit &&
+                            e.mask.subsetOf(free);
+                        if (!fits_row &&
+                            !(live.free_units & frontend::unitBit(e.unit)))
+                            continue;
+                        const unsigned count = e.mask.count();
+                        if (!ref || count > best_count) {
+                            ref = Cand{w, slot};
+                            ref_row = fits_row;
+                            best_count = count;
+                            ties = 1;
+                        } else if (count == best_count) {
+                            ++ties;
+                            ++tie_draws;
+                            if (ref_rng.below(ties) == 0) {
+                                ref = Cand{w, slot};
+                                ref_row = fits_row;
+                            }
+                        }
+                    }
+                }
+
+                bool row = false;
+                u64 sync = 0;
+                const std::optional<Cand> got = scans.lookup(
+                    table, live, pinfo, sbi, lookup, &row, &sync);
+                ASSERT_EQ(got.has_value(), ref.has_value())
+                    << "round " << round;
+                if (ref) {
+                    EXPECT_EQ(got->w, ref->w) << "round " << round;
+                    EXPECT_EQ(got->slot, ref->slot) << "round " << round;
+                }
+                EXPECT_EQ(row, ref_row) << "round " << round;
+                EXPECT_EQ(sync, ref_sync) << "round " << round;
+                picked += ref.has_value();
+                shared_row += ref_row;
+            }
+            // Both streams drew the same number of times.
+            EXPECT_EQ(lookup.rng().next(), ref_rng.next());
+            // The sweep reaches the interesting cases.
+            EXPECT_GT(picked, 1000u);
+            EXPECT_GT(shared_row, 300u);
+            EXPECT_GT(tie_draws, 25u);
         }
-        EXPECT_EQ(lookup.entriesExamined(), ref_examined);
-        EXPECT_EQ(lookup.searchesPerformed(), 3000u);
     }
 }
 

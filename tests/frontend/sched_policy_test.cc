@@ -22,7 +22,6 @@ using namespace siwi;
 using namespace siwi::frontend;
 using isa::UnitClass;
 using pipeline::IBufEntry;
-using pipeline::LookupCandidate;
 using pipeline::WarpSet;
 
 namespace {
@@ -441,12 +440,27 @@ refSubstitute(const Trial &t, bool sbi, Rng &rng, u64 *sync)
     return best;
 }
 
-/** SWI's mask-lookup candidate loop, warp-major. */
-void
-refLookup(const Trial &t, bool sbi, const pipeline::MaskLookup &lookup,
-          std::vector<LookupCandidate> &lc, std::vector<Cand> &cands,
-          u64 *sync)
+/** One gathered mask-lookup candidate. */
+struct GatheredCandidate
 {
+    Cand c;
+    LaneMask mask;
+    bool same_unit;       //!< may share the primary's row
+    bool other_unit_free; //!< its class has a free group
+};
+
+/**
+ * SWI's mask lookup as a gather and then a pick: the warp-major
+ * candidate loop collects every probed-ready entry but the primary
+ * context's own, and the pick walks the ones in the primary's set
+ * (w % sets) with an inclusion test, a popcount and a reservoir
+ * tie-break drawn from @p rng.
+ */
+std::optional<Cand>
+refLookup(const Trial &t, bool sbi, unsigned sets, Rng &rng,
+          bool *row_out, u64 *sync)
+{
+    std::vector<GatheredCandidate> cands;
     bool shareable = t.pinfo.unit != UnitClass::LSU;
     for (WarpId w = 0; w < t.rows.size(); ++w) {
         for (unsigned slot = 0; slot < 2; ++slot) {
@@ -457,18 +471,39 @@ refLookup(const Trial &t, bool sbi, const pipeline::MaskLookup &lookup,
             if (!t.rows.probe(w, slot, false, t.live.free_units, sync))
                 continue;
             const IBufEntry &e = t.rows.entry(w, slot);
-            LookupCandidate c;
-            c.key = u32(cands.size());
-            c.warp = w;
-            c.mask = e.mask;
-            c.same_unit = shareable && e.unit == t.pinfo.unit;
-            c.other_unit_free = (t.live.free_units & unitBit(e.unit)) != 0;
-            if (w == t.pinfo.w || lookup.eligible(t.pinfo.w, w)) {
-                lc.push_back(c);
-                cands.push_back({w, slot});
-            }
+            cands.push_back(
+                {Cand{w, slot}, e.mask,
+                 shareable && e.unit == t.pinfo.unit,
+                 (t.live.free_units & unitBit(e.unit)) != 0});
         }
     }
+
+    const LaneMask free = ~t.pinfo.mask;
+    std::optional<size_t> best;
+    unsigned best_count = 0, ties = 0;
+    for (size_t i = 0; i < cands.size(); ++i) {
+        const GatheredCandidate &c = cands[i];
+        if (t.pinfo.w % sets != c.c.w % sets)
+            continue;
+        bool fits_row = c.same_unit && c.mask.subsetOf(free);
+        if (!fits_row && !c.other_unit_free)
+            continue;
+        unsigned count = c.mask.count();
+        if (!best || count > best_count) {
+            best = i;
+            best_count = count;
+            ties = 1;
+        } else if (count == best_count) {
+            ++ties;
+            if (rng.below(ties) == 0)
+                best = i;
+        }
+    }
+    *row_out = best && cands[*best].same_unit &&
+               cands[*best].mask.subsetOf(free);
+    if (!best)
+        return std::nullopt;
+    return cands[*best].c;
 }
 
 void
@@ -489,6 +524,7 @@ TEST(IssueScans, MatchProbeEveryCandidateLoops)
         SchedPolicyKind::OldestFirst, SchedPolicyKind::RoundRobin,
         SchedPolicyKind::GreedyThenOldest, SchedPolicyKind::MinPc};
     unsigned picked = 0, counted = 0, wrapped = 0;
+    unsigned looked_up = 0, shared_row = 0, tie_drawn = 0;
     for (int trial = 0; trial < 2000; ++trial) {
         Trial t = randomTrial(rng);
         const unsigned n = t.rows.size();
@@ -541,8 +577,10 @@ TEST(IssueScans, MatchProbeEveryCandidateLoops)
             EXPECT_EQ(got_sync, want_sync) << "fallback";
         }
 
-        // SWI's substitute and mask-lookup lists, with and without
-        // SBI's CPC2 slots.
+        // SWI's substitute and mask lookup, with and without SBI's
+        // CPC2 slots. The lookup and its reference draw ties from
+        // identically seeded streams: the next draw of each must
+        // agree, or a tie drew a different number of times.
         for (bool sbi : {false, true}) {
             Rng got_rng{u64(trial)}, want_rng{u64(trial)};
             u64 got_sync = 0, want_sync = 0;
@@ -555,31 +593,33 @@ TEST(IssueScans, MatchProbeEveryCandidateLoops)
 
             if (!t.pinfo.valid)
                 continue;
-            pipeline::MaskLookup lookup(n, 1 + unsigned(rng.below(std::min(n, 4u))));
-            std::vector<LookupCandidate> got_lc, want_lc;
-            std::vector<Cand> got_c, want_c;
+            const unsigned sets = 1 + unsigned(rng.below(std::min(n, 4u)));
+            const u64 seed = 2 * u64(trial) + sbi;
+            pipeline::MaskLookup lookup(n, sets, seed);
+            Rng ref_rng(seed);
+            bool got_row = false, want_row = false;
             got_sync = want_sync = 0;
-            scans.lookupCandidates(table, t.live, t.pinfo, sbi, lookup,
-                                   got_lc, got_c, &got_sync);
-            refLookup(t, sbi, lookup, want_lc, want_c, &want_sync);
+            auto got = scans.lookup(table, t.live, t.pinfo, sbi, lookup,
+                                    &got_row, &got_sync);
+            auto want =
+                refLookup(t, sbi, sets, ref_rng, &want_row, &want_sync);
+            expectSame(got, want, "lookup");
+            EXPECT_EQ(got_row, want_row) << "lookup";
             EXPECT_EQ(got_sync, want_sync) << "lookup";
-            ASSERT_EQ(got_lc.size(), want_lc.size()) << "lookup";
-            for (size_t i = 0; i < want_lc.size(); ++i) {
-                EXPECT_EQ(got_lc[i].key, want_lc[i].key);
-                EXPECT_EQ(got_lc[i].warp, want_lc[i].warp);
-                EXPECT_EQ(got_lc[i].mask, want_lc[i].mask);
-                EXPECT_EQ(got_lc[i].same_unit, want_lc[i].same_unit);
-                EXPECT_EQ(got_lc[i].other_unit_free,
-                          want_lc[i].other_unit_free);
-                EXPECT_EQ(got_c[i].w, want_c[i].w);
-                EXPECT_EQ(got_c[i].slot, want_c[i].slot);
-            }
+            const u64 want_next = ref_rng.next();
+            EXPECT_EQ(lookup.rng().next(), want_next) << "lookup";
+            looked_up += want.has_value();
+            shared_row += want_row;
+            tie_drawn += want_next != Rng(seed).next();
         }
     }
     // The sweep reaches the interesting cases.
     EXPECT_GT(picked, 5000u);
     EXPECT_GT(counted, 5000u);
     EXPECT_GT(wrapped, 200u);
+    EXPECT_GT(looked_up, 1000u);
+    EXPECT_GT(shared_row, 200u);
+    EXPECT_GT(tie_drawn, 200u);
 }
 
 } // namespace

@@ -2,7 +2,8 @@
  * @file
  * WarpSet tests: iteration order, the cyclic fetch-cursor scan,
  * erasing the visited warp mid-scan, both scans against the member
- * list built from contains(), and the set algebra and counts.
+ * list built from contains(), the set algebra and counts, and all of
+ * it at the 1,024-warp capacity.
  */
 
 #include <gtest/gtest.h>
@@ -237,6 +238,63 @@ TEST(WarpSet, CountsMatchTheCyclicScan)
                 << "n=" << n << " start=" << start << " stop=" << stop;
         }
     }
+}
+
+TEST(WarpSet, WorksAtCapacity)
+{
+    const unsigned n = WarpSet::capacity;
+    ASSERT_EQ(n, 1024u);
+    WarpSet s(n);
+    s.insert(n - 1);
+    EXPECT_TRUE(s.contains(n - 1));
+    EXPECT_FALSE(s.contains(n - 2));
+    EXPECT_EQ(members(s), (std::vector<WarpId>{n - 1}));
+    s.erase(n - 1);
+    EXPECT_FALSE(s.contains(n - 1));
+    EXPECT_TRUE(members(s).empty());
+
+    // Wrapped scans from both edge cursors, full and sparse.
+    Rng rng(13);
+    for (unsigned keep : {1u, 3u}) {
+        WarpSet set = keep == 1 ? fullSet(n) : randomSet(n, rng, keep);
+        set.insert(0);
+        set.insert(n - 1);
+        const std::vector<WarpId> all = listed(set, n);
+        for (WarpId start : {0u, n - 1}) {
+            SCOPED_TRACE(testing::Message()
+                         << "keep=" << keep << " start=" << start);
+            EXPECT_EQ(wrapped(set, start), rotate(all, start));
+        }
+        EXPECT_EQ(set.count(), all.size());
+        // From the last warp, a wrapped count to warp 0 sees it alone.
+        EXPECT_EQ(set.countWrapped(n - 1, 0), 1u);
+        EXPECT_EQ(set.countWrapped(0, n - 1), all.size() - 1);
+        EXPECT_EQ(set.countWrapped(n - 1, n - 1), 0u);
+    }
+}
+
+TEST(WarpSet, CopyAssignAtCapacity)
+{
+    const unsigned n = WarpSet::capacity;
+    Rng rng(17);
+    WarpSet a = randomSet(n, rng, 2);
+    a.insert(n - 1);
+    WarpSet b = randomSet(n, rng, 2);
+    const std::vector<WarpId> want = listed(a, n);
+    b = a;
+    EXPECT_EQ(listed(b, n), want);
+    EXPECT_EQ(members(b), want);
+    // The copy owns its words: changing it leaves the source alone.
+    b.erase(n - 1);
+    EXPECT_TRUE(a.contains(n - 1));
+    EXPECT_EQ(listed(a, n), want);
+}
+
+TEST(WarpSetDeathTest, ResetPastCapacityPanics)
+{
+    WarpSet s;
+    EXPECT_DEATH(s.reset(WarpSet::capacity + 1),
+                 "a WarpSet holds at most 1024 warps, not 1025");
 }
 
 } // namespace
