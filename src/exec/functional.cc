@@ -208,19 +208,17 @@ evalBranch(const Instruction &inst, const WarpState &warp,
     }
 }
 
-std::vector<mem::LaneAccess>
+void
 memAddresses(const Instruction &inst, const WarpState &warp,
-             LaneMask mask)
+             LaneMask mask, mem::LaneAccesses &out)
 {
     siwi_assert(isa::isMemory(inst.op), "memAddresses: not a mem op");
     checkLanes(warp, mask);
     const u32 *base = warp.row(inst.sa);
     const Addr offset = Addr(i64(inst.imm));
-    std::vector<mem::LaneAccess> out;
-    out.reserve(mask.count());
+    out.clear();
     mask.forEach(
         [&](unsigned l) { out.push_back({l, Addr(base[l]) + offset}); });
-    return out;
 }
 
 void

@@ -14,7 +14,6 @@
 #define SIWI_EXEC_FUNCTIONAL_HH
 
 #include <span>
-#include <vector>
 
 #include "common/lane_mask.hh"
 #include "exec/warp_state.hh"
@@ -39,15 +38,14 @@ LaneMask evalBranch(const isa::Instruction &inst, const WarpState &warp,
 
 /**
  * Per-lane addresses of a memory instruction for lanes in @p mask,
- * in ascending lane order.
+ * in ascending lane order, written to @p out.
  */
-std::vector<mem::LaneAccess> memAddresses(const isa::Instruction &inst,
-                                          const WarpState &warp,
-                                          LaneMask mask);
+void memAddresses(const isa::Instruction &inst, const WarpState &warp,
+                  LaneMask mask, mem::LaneAccesses &out);
 
 /**
  * Functionally perform a load or store for the lanes of @p accesses
- * (memAddresses' result) that are in @p mask, against @p memory
+ * (memAddresses' output) that are in @p mask, against @p memory
  * (values move immediately; timing is handled elsewhere). When
  * several lanes store to one address, the highest lane's value
  * lands.

@@ -196,13 +196,16 @@ IssueScans::lookup(const IssueTable &t, const ScanLive &live,
 // policy selection + the simple issue stage
 // ----------------------------------------------------------------
 
-FrontEnd::FrontEnd(FrontEndHost &host)
+FrontEnd::FrontEnd(FrontEndHost &host, const SMConfig &cfg)
     : host_(host),
+      swi_(cfg.swi),
+      sbi_(cfg.sbi),
+      two_pools_(cfg.num_pools == 2),
+      sbi_fallback_(cfg.sbi_secondary_fallback),
       scans_(host.numWarps()),
-      lookup_(host.numWarps(), host.config().lookup_sets, 0xdecaf),
+      lookup_(host.numWarps(), cfg.lookup_sets, 0xdecaf),
       rng_(0xc0ffee)
 {
-    const SMConfig &cfg = host_.config();
     for (unsigned pool = 0; pool < 2; ++pool) {
         policy_[pool] = makeSchedPolicy(cfg.sched_policy,
                                         host_.numWarps());
@@ -215,7 +218,7 @@ FrontEnd::FrontEnd(FrontEndHost &host)
 bool
 FrontEnd::issueCycle()
 {
-    if (host_.config().swi)
+    if (swi_)
         return issueCascaded();
     return issueSimple();
 }
@@ -234,7 +237,7 @@ std::optional<Cand>
 FrontEnd::selectPrimary(unsigned pool, bool check_group)
 {
     const pipeline::WarpSet *domain =
-        host_.config().num_pools == 2 ? &pool_warps_[pool] : nullptr;
+        two_pools_ ? &pool_warps_[pool] : nullptr;
     return scans_.primary(host_.issueTable(), live(), *policy_[pool],
                           domain, check_group,
                           &host_.stats().sync_suspensions);
@@ -244,10 +247,9 @@ bool
 FrontEnd::issueSimple()
 {
     host_.clearLastPrimary();
-    const SMConfig &cfg = host_.config();
     bool issued = false;
 
-    if (cfg.num_pools == 2) {
+    if (two_pools_) {
         // Two symmetric schedulers; alternate arbitration priority
         // for the shared SFU/LSU groups.
         unsigned first = unsigned(host_.now() & 1);
@@ -286,7 +288,7 @@ FrontEnd::issueSecondarySimple(const PrimaryIssueInfo &pinfo)
         return host_.issueCand(best->w, best->slot, true, &pcopy, row);
     }
 
-    if (!host_.config().sbi_secondary_fallback)
+    if (!sbi_fallback_)
         return false;
 
     // Fallback: issue another warp's primary-context instruction to
@@ -311,16 +313,15 @@ FrontEnd::pickSecondaryCascaded(
     *row_share_out = false;
     const IssueTable &t = host_.issueTable();
     u64 *sync = &host_.stats().sync_suspensions;
-    bool sbi = host_.config().sbi;
 
     // The secondary scheduler substituting for an absent primary
     // (section 4).
     if (!pinfo.valid)
-        return scans_.substitute(t, live(), sbi, rng_, sync);
+        return scans_.substitute(t, live(), sbi_, rng_, sync);
 
     // Mask-inclusion lookup (section 4): candidates either fit the
     // free lanes of the primary's row or can go to a free group.
-    return scans_.lookup(t, live(), pinfo, sbi, lookup_, row_share_out,
+    return scans_.lookup(t, live(), pinfo, sbi_, lookup_, row_share_out,
                          sync);
 }
 

@@ -77,7 +77,6 @@ struct PrimaryIssueInfo
 class FrontEndHost
 {
   public:
-    virtual const pipeline::SMConfig &config() const = 0;
     virtual Cycle now() const = 0;
     virtual unsigned numWarps() const = 0;
 
@@ -239,7 +238,11 @@ class IssueScans
 class FrontEnd
 {
   public:
-    explicit FrontEnd(FrontEndHost &host);
+    /**
+     * A front-end for @p host, an SM built from @p cfg (read here
+     * only: the machine shape never changes after construction).
+     */
+    FrontEnd(FrontEndHost &host, const pipeline::SMConfig &cfg);
 
     /**
      * Select + issue for one cycle (the SM issue stage).
@@ -307,6 +310,11 @@ class FrontEnd
         const PrimaryIssueInfo &pinfo, bool *row_share_out);
 
     FrontEndHost &host_;
+    // The machine shape (SMConfig), copied once.
+    const bool swi_;          //!< cascaded issue stage
+    const bool sbi_;          //!< SBI's second front-end
+    const bool two_pools_;    //!< two alternating scheduler pools
+    const bool sbi_fallback_; //!< sbi_secondary_fallback
     /**
      * One policy instance per scheduler pool: pooled machines
      * model two independent schedulers, so stateful policies (RR

@@ -113,23 +113,6 @@ BankedL2::tagLookup(Slice &sl, Cycle arrive)
     return look;
 }
 
-void
-BankedL2::installCompleted(Slice &sl, Cycle now)
-{
-    // Fills are installed lazily, at the next request that reaches
-    // the slice: install time is indistinguishable from an eager
-    // per-cycle install because tags are only ever consulted inside
-    // these calls, and the sweep runs before the lookup below.
-    for (auto it = sl.inflight.begin(); it != sl.inflight.end();) {
-        if (it->second.fill <= now) {
-            sl.tags.fill(it->first);
-            it = sl.inflight.erase(it);
-        } else {
-            ++it;
-        }
-    }
-}
-
 Cycle
 BankedL2::read(Cycle now, Addr block, u32 bytes, unsigned port)
 {
@@ -140,8 +123,12 @@ BankedL2::read(Cycle now, Addr block, u32 bytes, unsigned port)
                                    u32(channels_.size()))];
     Cycle arrive = inject(now, bytes, port);
     Cycle look = tagLookup(sl, arrive);
-    if (cfg_.mshrs_per_slice > 0)
-        installCompleted(sl, look);
+    // Fills are installed lazily, at the next request that reaches
+    // the slice: install time is indistinguishable from an eager
+    // per-cycle install because tags are only ever consulted inside
+    // these calls, and the sweep runs before the lookup below.
+    // (Without MSHRs the file stays empty and this returns at once.)
+    sl.mshrs.retire(look, sl.tags);
 
     if (sl.tags.access(block)) {
         ++sl.stats.hits;
@@ -165,30 +152,19 @@ BankedL2::read(Cycle now, Addr block, u32 bytes, unsigned port)
     // Real per-slice MSHRs: merge onto an outstanding fill, else
     // take a slot — waiting for the earliest one to free when the
     // file is full, exactly like the L1 MSHRs in MemorySystem.
-    auto it = sl.inflight.find(block);
-    if (it != sl.inflight.end()) {
+    size_t pending = 0;
+    if (const MshrFile::Miss *m = sl.mshrs.find(block, look, &pending)) {
         ++sl.stats.mshr_merges;
-        return it->second.fill + noc_.response_latency;
+        return m->fill + noc_.response_latency;
     }
     Cycle start = look;
-    size_t pending = 0;
-    for (const auto &[blk, m] : sl.inflight)
-        pending += m.fill > look;
     if (pending >= cfg_.mshrs_per_slice) {
         ++sl.stats.mshr_stalls;
-        pending_scratch_.clear();
-        for (const auto &[blk, m] : sl.inflight) {
-            if (m.fill > look)
-                pending_scratch_.push_back(m.fill);
-        }
-        auto kth = pending_scratch_.begin() +
-                   long(pending - cfg_.mshrs_per_slice);
-        std::nth_element(pending_scratch_.begin(), kth,
-                         pending_scratch_.end());
-        start = *kth;
+        start = sl.mshrs.kthPendingFill(look,
+                                        pending - cfg_.mshrs_per_slice);
     }
     Cycle fill = ch.serve(start + cfg_.hit_latency, bytes);
-    sl.inflight[block] = {start, fill};
+    sl.mshrs.add(block, start, fill);
     return fill + noc_.response_latency;
 }
 
@@ -202,8 +178,7 @@ BankedL2::write(Cycle now, Addr block, u32 bytes, unsigned port)
                                    u32(channels_.size()))];
     Cycle arrive = inject(now, bytes, port);
     Cycle look = tagLookup(sl, arrive);
-    if (cfg_.mshrs_per_slice > 0)
-        installCompleted(sl, look);
+    sl.mshrs.retire(look, sl.tags);
     ++sl.stats.writes;
     ++totals_.writes;
     // Write-through no-allocate, like the L1s in front: the write
@@ -216,17 +191,14 @@ BankedL2::invalidate()
 {
     for (Slice &sl : slices_) {
         sl.tags.invalidateAll();
-        sl.inflight.clear();
+        sl.mshrs.clear();
     }
 }
 
 unsigned
 BankedL2::sliceMshrOccupancy(u32 s, Cycle now) const
 {
-    unsigned busy = 0;
-    for (const auto &[blk, m] : slices_[s].inflight)
-        busy += m.start <= now && now < m.fill;
-    return busy;
+    return slices_[s].mshrs.occupancy(now);
 }
 
 const DramStats &

@@ -50,10 +50,10 @@
 #ifndef SIWI_MEM_BANKED_L2_HH
 #define SIWI_MEM_BANKED_L2_HH
 
-#include <map>
 #include <vector>
 
 #include "mem/backend.hh"
+#include "mem/mshr_file.hh"
 
 namespace siwi::mem {
 
@@ -175,18 +175,16 @@ class BankedL2 final : public MemoryBackend
     const L2Config &config() const { return cfg_; }
 
   private:
-    /** One in-flight slice miss: slot held over [start, fill). */
-    struct Miss
-    {
-        Cycle start = 0; //!< channel request issue cycle
-        Cycle fill = 0;  //!< fill (tag install) cycle
-    };
-
     struct Slice
     {
         L1Cache tags;
         Cycle busy_until = 0; //!< tag pipeline free again
-        std::map<Addr, Miss> inflight;
+        /**
+         * In-flight misses (start: channel request issue, fill: tag
+         * install). Its earliest-fill cursor lets the install sweep
+         * of a request that finds nothing due return at once.
+         */
+        MshrFile mshrs;
         L2SliceStats stats;
 
         explicit Slice(const CacheConfig &c) : tags(c) {}
@@ -202,8 +200,6 @@ class BankedL2 final : public MemoryBackend
     Cycle inject(Cycle now, u32 bytes, unsigned port);
     /** Tag-pipeline leg: cycle the slice lookup happens. */
     Cycle tagLookup(Slice &sl, Cycle arrive);
-    /** Install fills that completed at or before @p now. */
-    void installCompleted(Slice &sl, Cycle now);
 
     L2Config cfg_;
     u32 block_bytes_;
@@ -212,8 +208,6 @@ class BankedL2 final : public MemoryBackend
     std::vector<Dram> channels_;
     std::vector<Port> ports_;
     L2Stats totals_;
-    /** Scratch for the MSHR-full slot search (reused). */
-    std::vector<Cycle> pending_scratch_;
     /** Channel aggregate, refreshed by dramStats(). */
     mutable DramStats dram_totals_;
 };

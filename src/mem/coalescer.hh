@@ -12,7 +12,6 @@
 #define SIWI_MEM_COALESCER_HH
 
 #include <span>
-#include <vector>
 
 #include "common/lane_mask.hh"
 #include "common/types.hh"
@@ -27,8 +26,12 @@ struct Transaction
     LaneMask lanes; //!< lanes served by this transaction
 };
 
+/** One warp access's transactions, in first-touching-lane order. */
+using Transactions = LaneBuffer<Transaction>;
+
 /**
- * Coalesce per-lane accesses into block-aligned transactions.
+ * Coalesce per-lane accesses into block-aligned transactions,
+ * written to @p out.
  *
  * Transactions are emitted in order of first touching lane, which is
  * the order the LSU replays them in.
@@ -36,8 +39,16 @@ struct Transaction
  * @param accesses per-lane byte addresses (active lanes only)
  * @param block_bytes transaction size (128 in the paper)
  */
-std::vector<Transaction> coalesce(std::span<const LaneAccess> accesses,
-                                  unsigned block_bytes);
+void coalesce(std::span<const LaneAccess> accesses, unsigned block_bytes,
+              Transactions &out);
+
+/**
+ * The first transaction coalesce() would emit for @p accesses (not
+ * empty), in one pass; @p more receives whether any lane falls
+ * outside it, i.e. whether coalesce() would emit more than one.
+ */
+Transaction firstTransaction(std::span<const LaneAccess> accesses,
+                             unsigned block_bytes, bool *more);
 
 } // namespace siwi::mem
 

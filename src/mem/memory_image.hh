@@ -24,6 +24,38 @@ struct LaneAccess
 };
 
 /**
+ * A fixed buffer of at most one item per lane of a warp (64, the
+ * width of a LaneMask), filled in order: the LSU's per-access
+ * scratch, so an issue never allocates. Its fillers produce at
+ * most one item per lane of a LaneMask, so it cannot overflow.
+ */
+template <typename T> class LaneBuffer
+{
+  public:
+    static constexpr unsigned capacity = 64;
+
+    void clear() { size_ = 0; }
+    void push_back(const T &item) { items_[size_++] = item; }
+
+    unsigned size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+
+    T &operator[](unsigned i) { return items_[i]; }
+    const T &operator[](unsigned i) const { return items_[i]; }
+    const T *begin() const { return items_; }
+    const T *end() const { return items_ + size_; }
+
+    operator std::span<const T>() const { return {items_, size_}; }
+
+  private:
+    T items_[capacity] = {};
+    unsigned size_ = 0;
+};
+
+/** One warp access's lane addresses, ascending lane order. */
+using LaneAccesses = LaneBuffer<LaneAccess>;
+
+/**
  * Sparse, page-granular memory image.
  *
  * The ISA only issues naturally-aligned 4-byte accesses. The image

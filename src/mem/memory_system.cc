@@ -1,7 +1,6 @@
 #include "mem/memory_system.hh"
 
 #include <algorithm>
-#include <vector>
 
 #include "common/log.hh"
 
@@ -19,20 +18,9 @@ void
 MemorySystem::tick(Cycle now)
 {
     // Nothing is due before the earliest fill: most ticks stop
-    // here. Otherwise fill every line whose backend response has
-    // arrived, in block order, and find the next earliest fill.
-    if (next_fill_ > now)
-        return;
-    next_fill_ = no_wake;
-    for (auto it = inflight_.begin(); it != inflight_.end();) {
-        if (it->second.fill <= now) {
-            l1_.fill(it->first);
-            it = inflight_.erase(it);
-        } else {
-            next_fill_ = std::min(next_fill_, it->second.fill);
-            ++it;
-        }
-    }
+    // there. Otherwise fill every line whose backend response has
+    // arrived, in block order.
+    mshrs_.retire(now, l1_);
 }
 
 Cycle
@@ -42,17 +30,14 @@ MemorySystem::nextWake(Cycle now) const
     // in that same cycle — so the wake is the fill cycle itself.
     // Overdue fills (possible only if tick was not called every
     // cycle) retire at the very next tick, hence the clamp to now;
-    // with nothing in flight next_fill_ is no_wake.
-    return std::max(next_fill_, now);
+    // with nothing in flight the cursor is no_wake.
+    return std::max(mshrs_.nextFill(), now);
 }
 
 unsigned
 MemorySystem::mshrOccupancy(Cycle now) const
 {
-    unsigned busy = 0;
-    for (const auto &[blk, m] : inflight_)
-        busy += m.start <= now && now < m.fill;
-    return busy;
+    return mshrs_.occupancy(now);
 }
 
 Cycle
@@ -72,44 +57,30 @@ MemorySystem::load(Cycle now, Addr block)
         }
     }
 
-    // Merge with an in-flight miss to the same block.
-    auto it = inflight_.find(block);
-    if (it != inflight_.end()) {
+    // Merge with an in-flight miss to the same block; the same
+    // pass counts the fills still pending at @p now.
+    size_t pending = 0;
+    if (const MshrFile::Miss *m = mshrs_.find(block, now, &pending)) {
         ++stats_.mshr_merges;
-        return it->second.fill + l1_.config().hit_latency;
+        return m->fill + l1_.config().hit_latency;
     }
 
     // An MSHR is held from the cycle its backend request starts
     // until the fill completes. When every slot is busy at @p now
     // the new miss queues until one frees — each queued miss
     // behind a *different* slot, so at most cfg_.mshrs misses are
-    // ever outstanding at once. This is the LSU's hottest path:
-    // only collect the pending fills (into a reused buffer) once
-    // the cheap count says every slot is actually busy.
+    // ever outstanding at once: it starts when the
+    // (pending - mshrs + 1)-th pending fill completes, after which
+    // fewer than cfg_.mshrs fills are still outstanding.
     Cycle start = now;
-    size_t pending = 0;
-    for (const auto &[blk, m] : inflight_)
-        pending += m.fill > now;
     if (pending >= cfg_.mshrs) {
         ++stats_.mshr_stalls;
-        pending_scratch_.clear();
-        for (const auto &[blk, m] : inflight_) {
-            if (m.fill > now)
-                pending_scratch_.push_back(m.fill);
-        }
-        // The time the (size - mshrs + 1)-th slot frees: from then
-        // on fewer than cfg_.mshrs fills are still outstanding.
-        auto kth = pending_scratch_.begin() +
-                   long(pending - cfg_.mshrs);
-        std::nth_element(pending_scratch_.begin(), kth,
-                         pending_scratch_.end());
-        start = *kth;
+        start = mshrs_.kthPendingFill(now, pending - cfg_.mshrs);
     }
 
     Cycle fill = backend_->read(start, block,
                                 l1_.config().block_bytes, port_);
-    inflight_[block] = {start, fill};
-    next_fill_ = std::min(next_fill_, fill);
+    mshrs_.add(block, start, fill);
     siwi_assert(mshrOccupancy(start) <= cfg_.mshrs,
                 "MSHR over-admission");
     return fill + l1_.config().hit_latency;
@@ -169,8 +140,7 @@ MemorySystem::invalidate(Cycle now)
     for (WriteBufEntry &e : wbuf_)
         drainWriteBuf(now, e);
     l1_.invalidateAll();
-    inflight_.clear();
-    next_fill_ = no_wake;
+    mshrs_.clear();
 }
 
 } // namespace siwi::mem

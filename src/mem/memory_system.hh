@@ -6,11 +6,11 @@
 #ifndef SIWI_MEM_MEMORY_SYSTEM_HH
 #define SIWI_MEM_MEMORY_SYSTEM_HH
 
-#include <map>
 #include <vector>
 
 #include "mem/backend.hh"
 #include "mem/cache.hh"
+#include "mem/mshr_file.hh"
 
 namespace siwi::mem {
 
@@ -135,26 +135,15 @@ class MemorySystem
 
     void drainWriteBuf(Cycle now, WriteBufEntry &e);
 
-    /** One in-flight miss: slot held over [start, fill). */
-    struct Miss
-    {
-        Cycle start = 0; //!< backend request issue cycle
-        Cycle fill = 0;  //!< fill-completion cycle
-    };
-
     MemConfig cfg_;
     L1Cache l1_;
     MemoryBackend *backend_;
     unsigned port_ = 0; //!< interconnect port on a shared backend
-    /** In-flight missed blocks. */
-    std::map<Addr, Miss> inflight_;
     /**
-     * Earliest fill in inflight_, or no_wake when it is empty:
-     * tick() and nextWake() read it instead of walking the map.
+     * In-flight missed blocks. tick() and nextWake() read its
+     * earliest-fill cursor instead of walking it.
      */
-    Cycle next_fill_ = no_wake;
-    /** Reused buffer for the MSHR-full slot search in load(). */
-    std::vector<Cycle> pending_scratch_;
+    MshrFile mshrs_;
     std::vector<WriteBufEntry> wbuf_;
     u64 wbuf_use_ = 0;
     MemStats stats_;

@@ -39,7 +39,7 @@ SM::SM(const SMConfig &cfg, mem::MemoryImage &memory,
       free_warps_(cfg.num_warps),
       ibuf_(cfg.num_warps, 2),
       sb_(cfg.num_warps, cfg.scoreboard_entries),
-      frontend_(*this),
+      frontend_(*this, cfg_),
       fe_rr_(2, 0),
       heap_work_(cfg.num_warps),
       sleep_check_(cfg.num_warps),
@@ -665,8 +665,13 @@ SM::entryState(WarpId w, const IBufEntry &e) const
 const frontend::IssueTable &
 SM::issueTable()
 {
-    stale_.forEach([&](WarpId w) { deriveRows(w); });
-    stale_.clear();
+    // Erase each warp as it is visited: clearing the whole set
+    // afterwards costs a full-width store even when one warp was
+    // stale.
+    stale_.forEach([&](WarpId w) {
+        stale_.erase(w);
+        deriveRows(w);
+    });
     return table_;
 }
 
@@ -741,57 +746,67 @@ SM::issueMemory(WarpId w, const IBufEntry &e, const CtxView &cv,
 {
     WarpSlot &ws = warps_[w];
     const Instruction &inst = e.inst;
+    const unsigned block_bytes = cfg_.mem.l1.block_bytes;
 
-    const auto accesses = exec::memAddresses(inst, *ws.state, cv.mask);
-    auto txns = mem::coalesce(accesses, cfg_.mem.l1.block_bytes);
-    siwi_assert(!txns.empty(), "memory op with no transactions");
+    exec::memAddresses(inst, *ws.state, cv.mask, lane_addrs_);
+    siwi_assert(!lane_addrs_.empty(), "memory op with no transactions");
 
     Cycle base = when + cfg_.delivery_latency;
 
-    bool do_split = cfg_.split_on_memory_divergence && ws.heap &&
-                    txns.size() > 1 && ws.heap->canSplit() &&
-                    ws.last_divergence != now_;
-
-    if (do_split) {
-        // Serve the first transaction; its lanes advance as a new
-        // warp-split, the remaining lanes replay the instruction
-        // (section 2 replay + section 3.4 memory divergence).
-        const mem::Transaction &t = txns[0];
-        exec::executeMem(inst, accesses, t.lanes, *ws.state, memory_);
-        if (inst.op == Opcode::LD) {
-            Cycle data = memsys_.load(base, t.block);
-            unsigned idx = sb_.allocate(w, inst.dst, t.lanes);
-            Event ev;
-            ev.kind = Event::Kind::Writeback;
-            ev.warp = w;
-            ev.sb_entry = int(idx);
-            postEvent(data, ev);
-        } else {
-            memsys_.store(base, t.block, t.lanes.count() * 4);
+    // A split serves only the first transaction, so where one may
+    // happen a single pass finds it and whether any lane is left
+    // over; full coalescing runs only when every lane replays.
+    if (cfg_.split_on_memory_divergence && ws.heap &&
+        ws.heap->canSplit() && ws.last_divergence != now_) {
+        bool more = false;
+        const mem::Transaction t =
+            mem::firstTransaction(lane_addrs_, block_bytes, &more);
+        if (more) {
+            // Serve the first transaction; its lanes advance as a
+            // new warp-split, the remaining lanes replay the
+            // instruction (section 2 replay + section 3.4 memory
+            // divergence).
+            exec::executeMem(inst, lane_addrs_, t.lanes, *ws.state,
+                             memory_);
+            if (inst.op == Opcode::LD) {
+                Cycle data = memsys_.load(base, t.block);
+                unsigned idx = sb_.allocate(w, inst.dst, t.lanes);
+                Event ev;
+                ev.kind = Event::Kind::Writeback;
+                ev.warp = w;
+                ev.sb_entry = int(idx);
+                postEvent(data, ev);
+            } else {
+                memsys_.store(base, t.block, t.lanes.count() * 4);
+            }
+            ws.heap->memorySplit(cv.id, t.lanes, e.pc + 1, now_);
+            ws.last_divergence = now_;
+            stats_.memory_splits += 1;
+            *occupancy = 1;
+            // Only the first transaction's lanes execute this
+            // issue; the rest replay as their own issues later.
+            *issued_mask = t.lanes;
+            return true;
         }
-        ws.heap->memorySplit(cv.id, t.lanes, e.pc + 1, now_);
-        ws.last_divergence = now_;
-        stats_.memory_splits += 1;
-        *occupancy = 1;
-        // Only the first transaction's lanes execute this issue;
-        // the rest replay as their own issues later.
-        *issued_mask = t.lanes;
-        return true;
+        txns_.clear();
+        txns_.push_back(t); // the access's only transaction
+    } else {
+        mem::coalesce(lane_addrs_, block_bytes, txns_);
     }
 
     // Replay all transactions back-to-back through the single L1
     // port; the LSU stays occupied one cycle per transaction.
-    exec::executeMem(inst, accesses, cv.mask, *ws.state, memory_);
+    exec::executeMem(inst, lane_addrs_, cv.mask, *ws.state, memory_);
     Cycle last_data = 0;
-    for (size_t i = 0; i < txns.size(); ++i) {
+    for (unsigned i = 0; i < txns_.size(); ++i) {
         Cycle t_when = base + Cycle(i);
         if (inst.op == Opcode::LD) {
             last_data =
                 std::max(last_data, memsys_.load(t_when,
-                                                 txns[i].block));
+                                                 txns_[i].block));
         } else {
-            memsys_.store(t_when, txns[i].block,
-                          txns[i].lanes.count() * 4);
+            memsys_.store(t_when, txns_[i].block,
+                          txns_[i].lanes.count() * 4);
         }
     }
     if (inst.op == Opcode::LD) {
@@ -803,7 +818,7 @@ SM::issueMemory(WarpId w, const IBufEntry &e, const CtxView &cv,
         postEvent(last_data, ev);
     }
     advanceCtx(w, cv.id, e.pc + 1);
-    *occupancy = unsigned(txns.size());
+    *occupancy = txns_.size();
     *issued_mask = cv.mask;
     return true;
 }

@@ -12,7 +12,7 @@
  * the instruction buffer, the scoreboard, the execution groups and
  * the memory pipeline, and implements frontend::FrontEndHost. The
  * per-cycle select/issue decision lives in the frontend layer (a
- * frontend::FrontEnd member that reads this SM's configuration;
+ * frontend::FrontEnd member built from this SM's configuration;
  * see src/frontend/front_end.hh).
  */
 
@@ -32,6 +32,7 @@
 #include "exec/warp_state.hh"
 #include "frontend/front_end.hh"
 #include "isa/program.hh"
+#include "mem/coalescer.hh"
 #include "mem/memory_image.hh"
 #include "mem/memory_system.hh"
 #include "pipeline/config.hh"
@@ -173,7 +174,6 @@ class SM final : public frontend::FrontEndHost
     u64 skippedCycles() const { return skipped_cycles_; }
 
     Cycle now() const override { return now_; }
-    const SMConfig &config() const override { return cfg_; }
 
     using TraceHook = std::function<void(const IssueEvent &)>;
     void setTraceHook(TraceHook hook) { trace_ = std::move(hook); }
@@ -509,6 +509,10 @@ class SM final : public frontend::FrontEndHost
     SMConfig cfg_;
     mem::MemoryImage &memory_;
     mem::MemorySystem memsys_;
+    /** issueMemory()'s scratch: one access's lane addresses. */
+    mem::LaneAccesses lane_addrs_;
+    /** issueMemory()'s scratch: its transactions (replay-all). */
+    mem::Transactions txns_;
 
     isa::Program prog_;
     std::vector<DecodedInst> decoded_; //!< decodeProgram(prog_)

@@ -57,13 +57,6 @@ class WarpSet
     void insert(WarpId w) { words_[w >> 6] |= bit(w); }
     void erase(WarpId w) { words_[w >> 6] &= ~bit(w); }
 
-    /** Erase every member. */
-    void clear()
-    {
-        for (unsigned i = 0; i < n_words_; ++i)
-            words_[i] = 0;
-    }
-
     // Word-wise set algebra; the operand has the same capacity.
     /** Add every member of @p o. */
     WarpSet &operator|=(const WarpSet &o)

@@ -20,6 +20,15 @@ using isa::Instruction;
 using isa::Opcode;
 using isa::SpecialReg;
 
+/** memAddresses() into a buffer of its own. */
+mem::LaneAccesses
+addresses(const Instruction &inst, const WarpState &warp, LaneMask mask)
+{
+    mem::LaneAccesses out;
+    memAddresses(inst, warp, mask, out);
+    return out;
+}
+
 class Functional : public ::testing::Test
 {
   protected:
@@ -284,7 +293,7 @@ TEST_F(Functional, MemAddressesAndLoadStore)
     st.imm = 8;
     for (unsigned l = 0; l < 4; ++l)
         warp.setReg(l, 2, 100 + l);
-    executeMem(st, memAddresses(st, warp, mask), mask, warp, memory);
+    executeMem(st, addresses(st, warp, mask), mask, warp, memory);
     for (unsigned l = 0; l < 4; ++l)
         EXPECT_EQ(memory.read32(0x1008 + l * 4), 100 + l);
 
@@ -293,11 +302,11 @@ TEST_F(Functional, MemAddressesAndLoadStore)
     ld.dst = 3;
     ld.sa = 1;
     ld.imm = 8;
-    executeMem(ld, memAddresses(ld, warp, mask), mask, warp, memory);
+    executeMem(ld, addresses(ld, warp, mask), mask, warp, memory);
     for (unsigned l = 0; l < 4; ++l)
         EXPECT_EQ(warp.reg(l, 3), 100 + l);
 
-    auto reqs = memAddresses(ld, warp, LaneMask(0b0110));
+    auto reqs = addresses(ld, warp, LaneMask(0b0110));
     ASSERT_EQ(reqs.size(), 2u);
     EXPECT_EQ(reqs[0].lane, 1u);
     EXPECT_EQ(reqs[0].addr, 0x100cu);
@@ -330,7 +339,7 @@ TEST_F(Functional, ConflictingStoresLandTheHighestActiveLane)
         warp.setReg(l, 1, 0x3000);
         warp.setReg(l, 2, 10 + l);
     }
-    const auto all = memAddresses(st, warp, mask);
+    const auto all = addresses(st, warp, mask);
     executeMem(st, all, mask, warp, memory);
     EXPECT_EQ(memory.read32(0x3000), 13u);
 
@@ -340,7 +349,7 @@ TEST_F(Functional, ConflictingStoresLandTheHighestActiveLane)
     EXPECT_EQ(memory.read32(0x3000), 11u);
 
     const LaneMask even(0b0101);
-    executeMem(st, memAddresses(st, warp, even), even, warp, memory);
+    executeMem(st, addresses(st, warp, even), even, warp, memory);
     EXPECT_EQ(memory.read32(0x3000), 12u);
 }
 
@@ -394,7 +403,7 @@ runOne(const Instruction &inst, WarpState &warp, LaneMask mask,
        mem::MemoryImage &memory)
 {
     if (isa::isMemory(inst.op)) {
-        executeMem(inst, memAddresses(inst, warp, mask), mask, warp,
+        executeMem(inst, addresses(inst, warp, mask), mask, warp,
                    memory);
     } else if (isa::isBranch(inst.op)) {
         evalBranch(inst, warp, mask);

@@ -3,12 +3,24 @@
  * Coalescer tests: the LSU's 128-byte transaction formation.
  */
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "mem/coalescer.hh"
 
 namespace siwi::mem {
 namespace {
+
+/** coalesce() into a buffer of its own. */
+Transactions
+coalesced(std::span<const LaneAccess> accesses, unsigned block_bytes)
+{
+    Transactions out;
+    coalesce(accesses, block_bytes, out);
+    return out;
+}
 
 std::vector<LaneAccess>
 unitStride(unsigned lanes, Addr base)
@@ -21,7 +33,7 @@ unitStride(unsigned lanes, Addr base)
 
 TEST(Coalescer, FullyCoalescedWarp32)
 {
-    auto txns = coalesce(unitStride(32, 0x1000), 128);
+    auto txns = coalesced(unitStride(32, 0x1000), 128);
     ASSERT_EQ(txns.size(), 1u);
     EXPECT_EQ(txns[0].block, 0x1000u);
     EXPECT_EQ(txns[0].lanes.count(), 32u);
@@ -29,7 +41,7 @@ TEST(Coalescer, FullyCoalescedWarp32)
 
 TEST(Coalescer, Warp64UnitStrideIsTwoTransactions)
 {
-    auto txns = coalesce(unitStride(64, 0x1000), 128);
+    auto txns = coalesced(unitStride(64, 0x1000), 128);
     ASSERT_EQ(txns.size(), 2u);
     EXPECT_EQ(txns[0].block, 0x1000u);
     EXPECT_EQ(txns[1].block, 0x1080u);
@@ -39,7 +51,7 @@ TEST(Coalescer, Warp64UnitStrideIsTwoTransactions)
 
 TEST(Coalescer, MisalignedStraddlesTwoBlocks)
 {
-    auto txns = coalesce(unitStride(32, 0x1040), 128);
+    auto txns = coalesced(unitStride(32, 0x1040), 128);
     ASSERT_EQ(txns.size(), 2u);
     EXPECT_EQ(txns[0].block, 0x1000u);
     EXPECT_EQ(txns[1].block, 0x1080u);
@@ -50,7 +62,7 @@ TEST(Coalescer, BroadcastSingleTransaction)
     std::vector<LaneAccess> v;
     for (unsigned l = 0; l < 32; ++l)
         v.push_back({l, 0x2000});
-    auto txns = coalesce(v, 128);
+    auto txns = coalesced(v, 128);
     ASSERT_EQ(txns.size(), 1u);
     EXPECT_EQ(txns[0].lanes.count(), 32u);
 }
@@ -61,7 +73,7 @@ TEST(Coalescer, StridedWorstCase)
     std::vector<LaneAccess> v;
     for (unsigned l = 0; l < 32; ++l)
         v.push_back({l, Addr(l) * 128});
-    auto txns = coalesce(v, 128);
+    auto txns = coalesced(v, 128);
     EXPECT_EQ(txns.size(), 32u);
 }
 
@@ -69,7 +81,7 @@ TEST(Coalescer, TransactionsInFirstLaneOrder)
 {
     std::vector<LaneAccess> v = {
         {0, 0x3080}, {1, 0x3000}, {2, 0x3080}, {3, 0x3000}};
-    auto txns = coalesce(v, 128);
+    auto txns = coalesced(v, 128);
     ASSERT_EQ(txns.size(), 2u);
     EXPECT_EQ(txns[0].block, 0x3080u); // first touched
     EXPECT_EQ(txns[0].lanes.bits(), 0b0101u);
@@ -78,7 +90,7 @@ TEST(Coalescer, TransactionsInFirstLaneOrder)
 
 TEST(Coalescer, EmptyInput)
 {
-    EXPECT_TRUE(coalesce({}, 128).empty());
+    EXPECT_TRUE(coalesced({}, 128).empty());
 }
 
 TEST(Coalescer, LanesPartitionAcrossTransactions)
@@ -87,7 +99,7 @@ TEST(Coalescer, LanesPartitionAcrossTransactions)
     std::vector<LaneAccess> v;
     for (unsigned l = 0; l < 48; ++l)
         v.push_back({l, Addr(l % 7) * 64});
-    auto txns = coalesce(v, 128);
+    auto txns = coalesced(v, 128);
     LaneMask all;
     unsigned total = 0;
     for (const auto &t : txns) {
@@ -96,6 +108,45 @@ TEST(Coalescer, LanesPartitionAcrossTransactions)
         total += t.lanes.count();
     }
     EXPECT_EQ(total, 48u);
+}
+
+TEST(Coalescer, FirstTransactionMatchesCoalesce)
+{
+    // The one-pass first transaction a memory split serves, and its
+    // "lanes left over" flag, against the full coalescer: on random
+    // lane sets of 1-64 lanes (ascending, as memAddresses writes
+    // them) over a few blocks, a broadcast, or a strided stream.
+    Rng rng(17);
+    unsigned multi = 0;
+    for (int round = 0; round < 4000; ++round) {
+        std::vector<LaneAccess> v;
+        const Addr base = Addr(rng.below(1024)) * 4;
+        const unsigned pattern = unsigned(rng.below(3));
+        const u64 keep = rng.next() | rng.next(); // ~3/4 of lanes
+        for (unsigned l = 0; l < 64; ++l) {
+            if (!((keep >> l) & 1) && rng.below(2))
+                continue;
+            Addr a = base;
+            if (pattern == 0)
+                a += Addr(rng.below(96)) * 4; // within 1-4 blocks
+            else if (pattern == 2)
+                a += Addr(l) * 4 * (1 + rng.below(33));
+            v.push_back({l, a});
+        }
+        if (v.empty())
+            v.push_back({unsigned(rng.below(64)), base});
+
+        const Transactions txns = coalesced(v, 128);
+        bool more = false;
+        const Transaction first = firstTransaction(v, 128, &more);
+        ASSERT_EQ(first.block, txns[0].block) << "round " << round;
+        ASSERT_EQ(first.lanes, txns[0].lanes) << "round " << round;
+        ASSERT_EQ(more, txns.size() > 1) << "round " << round;
+        multi += more;
+    }
+    // Both outcomes are well covered.
+    EXPECT_GT(multi, 1000u);
+    EXPECT_LT(multi, 3000u);
 }
 
 class CoalescerStride
@@ -111,7 +162,7 @@ TEST_P(CoalescerStride, TransactionCountMatchesStride)
     std::vector<LaneAccess> v;
     for (unsigned l = 0; l < 32; ++l)
         v.push_back({l, Addr(l) * stride_words * 4});
-    auto txns = coalesce(v, 128);
+    auto txns = coalesced(v, 128);
     unsigned span_bytes = 32 * stride_words * 4;
     unsigned expect = (span_bytes + 127) / 128;
     EXPECT_EQ(txns.size(), std::max(1u, expect));

@@ -211,7 +211,7 @@ TEST(WarpSet, IntersectionAndClear)
     i &= b;
     for (WarpId w = 0; w < n; ++w)
         EXPECT_EQ(i.contains(w), a.contains(w) && b.contains(w)) << w;
-    i.clear();
+    i.reset(n);
     EXPECT_TRUE(members(i).empty());
     EXPECT_EQ(i.count(), 0u);
 }
