@@ -13,6 +13,15 @@ Cct::Cct(unsigned capacity, unsigned steps_per_cycle)
 {
 }
 
+void
+Cct::reset()
+{
+    list_.clear();
+    pending_.reset();
+    pending_ready_ = 0;
+    stats_ = CctStats{};
+}
+
 unsigned
 Cct::size() const
 {

@@ -44,6 +44,9 @@ class Cct
 
     Cct(unsigned capacity, unsigned steps_per_cycle);
 
+    /** Empty the table, statistics too: a fresh one, same storage. */
+    void reset();
+
     /** Entries stored, including one parked in the sorter. */
     unsigned size() const;
     bool empty() const { return size() == 0; }

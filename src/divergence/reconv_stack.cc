@@ -6,8 +6,19 @@ namespace siwi::divergence {
 
 ReconvStack::ReconvStack(LaneMask initial, Pc entry_pc)
 {
+    reset(initial, entry_pc);
+}
+
+void
+ReconvStack::reset(LaneMask initial, Pc entry_pc)
+{
+    stack_.clear();
     if (initial.any())
         stack_.push_back({invalid_pc, entry_pc, initial});
+    max_depth_ = 1;
+    divergences_ = 0;
+    reconvergences_ = 0;
+    version_ = 0;
 }
 
 Pc

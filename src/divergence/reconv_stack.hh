@@ -41,6 +41,9 @@ class ReconvStack
 
     explicit ReconvStack(LaneMask initial, Pc entry_pc = 0);
 
+    /** Become a fresh stack (version, statistics), same storage. */
+    void reset(LaneMask initial, Pc entry_pc = 0);
+
     /** All threads exited? */
     bool done() const { return stack_.empty(); }
 

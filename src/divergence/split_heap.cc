@@ -1,6 +1,7 @@
 #include "divergence/split_heap.hh"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/log.hh"
 
@@ -12,13 +13,22 @@ SplitHeap::SplitHeap(const SplitHeapConfig &cfg, LaneMask initial,
       pool_(num_hot + cfg.cct_capacity),
       cct_(cfg.cct_capacity, cfg.cct_steps_per_cycle)
 {
+    reset(initial, entry_pc);
+}
+
+void
+SplitHeap::reset(LaneMask initial, Pc entry_pc)
+{
+    std::fill(pool_.begin(), pool_.end(), SplitContext{});
+    // Every id free, the lowest at the back (allocated first).
+    free_.resize(pool_.size());
+    std::iota(free_.rbegin(), free_.rend(), 0u);
     hot_.fill(no_ctx);
-    for (u32 i = 0; i < pool_.size(); ++i)
-        free_.push_back(u32(pool_.size() - 1 - i));
-    if (initial.any()) {
-        u32 id = alloc(entry_pc, initial);
-        hot_[0] = id;
-    }
+    cct_.reset();
+    stats_ = SplitHeapStats{};
+    dirty_ = true;
+    if (initial.any())
+        hot_[0] = alloc(entry_pc, initial);
 }
 
 u32

@@ -83,6 +83,9 @@ class SplitHeap
     SplitHeap(const SplitHeapConfig &cfg, LaneMask initial,
               Pc entry_pc = 0);
 
+    /** Become a fresh heap (versions, statistics), same storage. */
+    void reset(LaneMask initial, Pc entry_pc = 0);
+
     /** Context id in hot slot @p slot, or no_ctx. */
     u32 hotId(unsigned slot) const;
 

@@ -2,6 +2,7 @@
 
 #include "common/log.hh"
 #include "pipeline/config.hh"
+#include "pipeline/sm.hh"
 
 namespace siwi::frontend {
 
@@ -196,21 +197,21 @@ IssueScans::lookup(const IssueTable &t, const ScanLive &live,
 // policy selection + the simple issue stage
 // ----------------------------------------------------------------
 
-FrontEnd::FrontEnd(FrontEndHost &host, const SMConfig &cfg)
-    : host_(host),
+FrontEnd::FrontEnd(pipeline::SM &sm, const SMConfig &cfg)
+    : sm_(sm),
+      num_warps_(cfg.num_warps),
       swi_(cfg.swi),
       sbi_(cfg.sbi),
       two_pools_(cfg.num_pools == 2),
       sbi_fallback_(cfg.sbi_secondary_fallback),
-      scans_(host.numWarps()),
-      lookup_(host.numWarps(), cfg.lookup_sets, 0xdecaf),
+      scans_(cfg.num_warps),
+      lookup_(cfg.num_warps, cfg.lookup_sets, 0xdecaf),
       rng_(0xc0ffee)
 {
     for (unsigned pool = 0; pool < 2; ++pool) {
-        policy_[pool] = makeSchedPolicy(cfg.sched_policy,
-                                        host_.numWarps());
-        pool_warps_[pool].reset(host_.numWarps());
-        for (WarpId w = WarpId(pool); w < host_.numWarps(); w += 2)
+        policy_[pool] = makeSchedPolicy(cfg.sched_policy, num_warps_);
+        pool_warps_[pool].reset(num_warps_);
+        for (WarpId w = WarpId(pool); w < num_warps_; w += 2)
             pool_warps_[pool].insert(w);
     }
 }
@@ -218,6 +219,7 @@ FrontEnd::FrontEnd(FrontEndHost &host, const SMConfig &cfg)
 bool
 FrontEnd::issueCycle()
 {
+    primary_ = PrimaryIssueInfo{};
     if (swi_)
         return issueCascaded();
     return issueSimple();
@@ -227,7 +229,7 @@ ScanLive
 FrontEnd::live() const
 {
     ScanLive l;
-    l.free_units = host_.freeUnits();
+    l.free_units = sm_.freeUnits();
     if (cascade_.valid)
         l.cascade_w = cascade_.w;
     return l;
@@ -238,54 +240,51 @@ FrontEnd::selectPrimary(unsigned pool, bool check_group)
 {
     const pipeline::WarpSet *domain =
         two_pools_ ? &pool_warps_[pool] : nullptr;
-    return scans_.primary(host_.issueTable(), live(), *policy_[pool],
+    return scans_.primary(sm_.issueTable(), live(), *policy_[pool],
                           domain, check_group,
-                          &host_.stats().sync_suspensions);
+                          &sm_.stats().sync_suspensions);
+}
+
+bool
+FrontEnd::issuePrimary(unsigned pool, std::optional<Cand> c)
+{
+    if (!c || !sm_.issueCand(c->w, c->slot, false, nullptr, &primary_))
+        return false;
+    policy_[pool]->notifyIssued(*c);
+    return true;
 }
 
 bool
 FrontEnd::issueSimple()
 {
-    host_.clearLastPrimary();
-    bool issued = false;
-
     if (two_pools_) {
         // Two symmetric schedulers; alternate arbitration priority
         // for the shared SFU/LSU groups.
-        unsigned first = unsigned(host_.now() & 1);
+        bool issued = false;
+        unsigned first = unsigned(sm_.now() & 1);
         for (unsigned k = 0; k < 2; ++k) {
             unsigned pool = (first + k) % 2;
-            auto c = selectPrimary(pool, true);
-            if (c && host_.issueCand(c->w, c->slot, false, nullptr,
-                                     false)) {
-                notifyIssued(pool, *c);
-                issued = true;
-            }
+            issued |= issuePrimary(pool, selectPrimary(pool, true));
         }
         return issued;
     }
 
     // SBI: primary over CPC1 entries, secondary over CPC2 entries.
-    auto c = selectPrimary(0, true);
-    if (c &&
-        host_.issueCand(c->w, c->slot, false, nullptr, false)) {
-        notifyIssued(0, *c);
-        issued = true;
-    }
-    issued |= issueSecondarySimple(host_.lastPrimary());
+    bool issued = issuePrimary(0, selectPrimary(0, true));
+    issued |= issueSecondarySimple();
     return issued;
 }
 
 bool
-FrontEnd::issueSecondarySimple(const PrimaryIssueInfo &pinfo)
+FrontEnd::issueSecondarySimple()
 {
-    const IssueTable &t = host_.issueTable();
+    const IssueTable &t = sm_.issueTable();
     const ScanLive l = live();
-    u64 *sync = &host_.stats().sync_suspensions;
+    u64 *sync = &sm_.stats().sync_suspensions;
     bool row = false;
-    if (auto best = scans_.secondary(t, l, pinfo, &row, sync)) {
-        PrimaryIssueInfo pcopy = pinfo;
-        return host_.issueCand(best->w, best->slot, true, &pcopy, row);
+    if (auto best = scans_.secondary(t, l, primary_, &row, sync)) {
+        return sm_.issueCand(best->w, best->slot, true,
+                             row ? primary_.group : nullptr, nullptr);
     }
 
     if (!sbi_fallback_)
@@ -293,10 +292,9 @@ FrontEnd::issueSecondarySimple(const PrimaryIssueInfo &pinfo)
 
     // Fallback: issue another warp's primary-context instruction to
     // a different SIMD group (docs/DESIGN.md interpretation note).
-    auto best = scans_.fallback(t, l, pinfo, sync);
-    if (best &&
-        host_.issueCand(best->w, best->slot, true, nullptr, false)) {
-        host_.stats().fallback_issues += 1;
+    auto best = scans_.fallback(t, l, primary_, sync);
+    if (best && sm_.issueCand(best->w, best->slot, true, nullptr, nullptr)) {
+        sm_.stats().fallback_issues += 1;
         return true;
     }
     return false;
@@ -306,43 +304,22 @@ FrontEnd::issueSecondarySimple(const PrimaryIssueInfo &pinfo)
 // the cascaded (SWI) issue stage
 // ----------------------------------------------------------------
 
-std::optional<Cand>
-FrontEnd::pickSecondaryCascaded(
-    const PrimaryIssueInfo &pinfo, bool *row_share_out)
-{
-    *row_share_out = false;
-    const IssueTable &t = host_.issueTable();
-    u64 *sync = &host_.stats().sync_suspensions;
-
-    // The secondary scheduler substituting for an absent primary
-    // (section 4).
-    if (!pinfo.valid)
-        return scans_.substitute(t, live(), sbi_, rng_, sync);
-
-    // Mask-inclusion lookup (section 4): candidates either fit the
-    // free lanes of the primary's row or can go to a free group.
-    return scans_.lookup(t, live(), pinfo, sbi_, lookup_, row_share_out,
-                         sync);
-}
-
 bool
 FrontEnd::cascadeReady(unsigned slot)
 {
-    const IssueTable &t = host_.issueTable();
+    const IssueTable &t = sm_.issueTable();
     WarpId w = cascade_.w;
     if (t.sync_gated[slot].contains(w)) {
-        host_.stats().sync_suspensions += 1;
+        sm_.stats().sync_suspensions += 1;
         return false;
     }
     return t.issuable[slot].contains(w) &&
-           (host_.freeUnits() & unitBit(t.unit[slot][w]));
+           (sm_.freeUnits() & unitBit(t.unit[slot][w]));
 }
 
 bool
 FrontEnd::issueCascaded()
 {
-    host_.clearLastPrimary();
-
     // Activity tracking for the cycle-skipping loop: issues, the
     // cascade-register transitions (stale drop, park) and squashed
     // conflicts all mutate state and count; a held pick is a net
@@ -355,7 +332,7 @@ FrontEnd::issueCascaded()
     std::optional<Cand> next_pick = selectPrimary(0, false);
     u32 next_pick_ctx = 0;
     if (next_pick) {
-        next_pick_ctx = host_.issueTable()
+        next_pick_ctx = sm_.issueTable()
                             .entry[next_pick->slot][next_pick->w]
                             ->ctx_id;
     }
@@ -365,8 +342,8 @@ FrontEnd::issueCascaded()
     if (cascade_.valid) {
         // Re-locate the parked context (the sorter may have moved
         // it between hot slots).
-        IBufEntry *e = host_.findCtx(cascade_.w, cascade_.ctx_id);
-        const CtxViews &views = host_.issueTable().views[cascade_.w];
+        IBufEntry *e = sm_.findCtx(cascade_.w, cascade_.ctx_id);
+        const CtxViews &views = sm_.issueTable().views[cascade_.w];
         int slot = -1;
         for (unsigned s = 0; s < 2; ++s) {
             const CtxView &cv = views[s];
@@ -379,21 +356,15 @@ FrontEnd::issueCascaded()
             e->ctx_version != cascade_.ctx_version) {
             // The warp-split branched, merged or was demoted under
             // the parked pick: drop it.
-            host_.stats().cascade_stale += 1;
+            sm_.stats().cascade_stale += 1;
             if (e && e->claimed)
-                host_.dropClaim(cascade_.w, *e);
+                sm_.dropClaim(cascade_.w, *e);
             cascade_.valid = false;
             activity = true;
         } else {
             e->claimed = false; // the probe must see it
             if (cascadeReady(unsigned(slot))) {
-                if (host_.issueCand(cascade_.w, unsigned(slot),
-                                    false, nullptr, false)) {
-                    // The pick issued for real: only now advance
-                    // the policy's cursor state.
-                    notifyIssued(
-                        0, Cand{cascade_.w, unsigned(slot)});
-                }
+                issuePrimary(0, Cand{cascade_.w, unsigned(slot)});
                 cascade_.valid = false;
                 activity = true;
             } else {
@@ -404,18 +375,24 @@ FrontEnd::issueCascaded()
         }
     }
 
-    // Secondary scheduler (one pipeline stage behind the primary).
+    // Secondary scheduler (one pipeline stage behind the primary,
+    // section 4): the mask-inclusion lookup, whose candidates fit
+    // the free lanes of the primary's row or go to a free group, or
+    // the substitute for an absent primary.
+    const IssueTable &t = sm_.issueTable();
+    u64 *sync = &sm_.stats().sync_suspensions;
     bool row_share = false;
     std::optional<u32> sec_issued_ctx;
     WarpId sec_issued_warp = 0;
-    auto sec =
-        pickSecondaryCascaded(host_.lastPrimary(), &row_share);
+    std::optional<Cand> sec =
+        primary_.valid ? scans_.lookup(t, live(), primary_, sbi_, lookup_,
+                                       &row_share, sync)
+                       : scans_.substitute(t, live(), sbi_, rng_, sync);
     if (sec) {
-        u32 ctx = host_.issueTable().entry[sec->slot][sec->w]->ctx_id;
-        PrimaryIssueInfo pcopy = host_.lastPrimary();
-        if (host_.issueCand(sec->w, sec->slot, true,
-                            pcopy.valid ? &pcopy : nullptr,
-                            row_share)) {
+        u32 ctx = t.entry[sec->slot][sec->w]->ctx_id;
+        if (sm_.issueCand(sec->w, sec->slot, true,
+                          row_share ? primary_.group : nullptr,
+                          nullptr)) {
             sec_issued_ctx = ctx;
             sec_issued_warp = sec->w;
             activity = true;
@@ -431,11 +408,11 @@ FrontEnd::issueCascaded()
         return activity;
     if (sec_issued_ctx && sec_issued_warp == next_pick->w &&
         *sec_issued_ctx == next_pick_ctx) {
-        host_.stats().conflicts_squashed += 1;
+        sm_.stats().conflicts_squashed += 1;
         return true;
     }
     IBufEntry *e =
-        host_.issueTable().entry[next_pick->slot][next_pick->w];
+        sm_.issueTable().entry[next_pick->slot][next_pick->w];
     if (!e)
         return activity; // consumed or invalidated this cycle
     cascade_.valid = true;
@@ -444,6 +421,43 @@ FrontEnd::issueCascaded()
     cascade_.ctx_version = e->ctx_version;
     e->claimed = true;
     return true;
+}
+
+// ----------------------------------------------------------------
+// fetch arbitration
+// ----------------------------------------------------------------
+
+void
+FrontEnd::fetchCycle()
+{
+    for (unsigned fe = 0; fe < 2; ++fe) {
+        if (two_pools_) {
+            fetchFrom(fe, 0, &pool_warps_[fe]); // its own pool's warps
+            continue;
+        }
+        // SBI's secondary front-end helps fetch primary contexts
+        // when it has nothing of its own to do.
+        if (!fetchFrom(fe, sbi_ ? fe : 0, nullptr) && sbi_ && fe == 1 &&
+            sbi_fallback_)
+            fetchFrom(fe, 0, nullptr);
+    }
+}
+
+bool
+FrontEnd::fetchFrom(unsigned fe, unsigned slot, const pipeline::WarpSet *pool)
+{
+    // Cyclic scan over the slot's fetch set: every other warp's
+    // tryFetch would fail (a parked warp is by definition
+    // non-fetchable, sleepEligible mirrors tryFetch), so the scan
+    // reaches the same successful candidate the full warp scan
+    // would, in the same round-robin order.
+    return sm_.fetch_work_[slot].forEachWrapped(
+        fetch_rr_[fe], [&](WarpId w) {
+            if ((pool && !pool->contains(w)) || !sm_.tryFetch(w, slot))
+                return false;
+            fetch_rr_[fe] = WarpId((w + 1) % num_warps_);
+            return true;
+        });
 }
 
 } // namespace siwi::frontend

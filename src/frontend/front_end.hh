@@ -1,17 +1,18 @@
 /**
  * @file
- * The SM front-end layer: instruction select + issue, decoupled
- * from the SM's warp/block/memory state.
+ * The SM front-end: fetch arbitration and instruction select +
+ * issue, one module over the SM's warp/block/memory state.
  *
  * The paper's whole contribution lives here — stack vs.
  * thread-frontier scheduling (§3), SBI's dual issue over CPC1 and
  * CPC2 (§3.3), and SWI's cascaded mask-fit secondary scheduler
  * (§4) — so the front-end is a first-class layer: a FrontEnd
- * object owns the per-cycle select/issue decision and its private
- * scheduler state (cascade register, mask-inclusion lookup,
- * tie-break RNG), while the hosting SM keeps warp contexts,
- * blocks, barriers, events and the memory pipeline, exposed
- * through the narrow FrontEndHost interface.
+ * object owns the per-cycle fetch and select/issue decisions and
+ * their private state (round-robin fetch cursors, this cycle's
+ * primary issue, cascade register, mask-inclusion lookup,
+ * tie-break RNG), while its SM (a friend) keeps warp contexts,
+ * blocks, barriers, events and the memory pipeline, and performs
+ * each fetch and issue the front-end picks.
  *
  * One FrontEnd class covers the paper's five machines. Its issue
  * stage has two shapes, chosen by SMConfig::swi:
@@ -40,16 +41,15 @@
 #include "common/lane_mask.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
-#include "core/stats.hh"
 #include "frontend/issue_table.hh"
 #include "frontend/sched_policy.hh"
 #include "isa/opcode.hh"
-#include "pipeline/ibuffer.hh"
 #include "pipeline/mask_lookup.hh"
 #include "pipeline/warp_set.hh"
 
 namespace siwi::pipeline {
 class ExecGroup;
+class SM;
 struct SMConfig;
 } // namespace siwi::pipeline
 
@@ -60,72 +60,9 @@ struct PrimaryIssueInfo
 {
     bool valid = false;
     WarpId w = 0;
-    u32 ctx_id = 0;
     pipeline::ExecGroup *group = nullptr;
     LaneMask mask;
     isa::UnitClass unit = isa::UnitClass::MAD;
-};
-
-/**
- * What a front-end needs from its hosting SM: the issue table (its
- * rows, ready sets and context views), the free units, and the
- * issue primitive.
- * The host keeps ownership of warps, the instruction buffer, the
- * scoreboard and the execution groups; the front-end only decides
- * *what* to issue.
- */
-class FrontEndHost
-{
-  public:
-    virtual Cycle now() const = 0;
-    virtual unsigned numWarps() const = 0;
-
-    /** Valid buffered entry of context @p ctx_id, or null. */
-    virtual pipeline::IBufEntry *findCtx(WarpId w, u32 ctx_id) = 0;
-
-    /**
-     * The issue table, every row current: the host re-derives the
-     * rows of each warp that changed since the last call. Rows move
-     * only through the host's own mutations (an issue, an event, a
-     * barrier release), so a scan reads the table where it runs and
-     * never across an issueCand().
-     */
-    virtual const IssueTable &issueTable() = 0;
-
-    /**
-     * Clear @p e's claimed flag without issuing it (a stale cascade
-     * pick is dropped). @p e belongs to warp @p w, which the host
-     * must re-check for sleep.
-     */
-    virtual void dropClaim(WarpId w, pipeline::IBufEntry &e) = 0;
-
-    /**
-     * The execution-group classes (an entry's decoded
-     * IBufEntry::unit) with a group free this cycle.
-     */
-    virtual UnitMask freeUnits() const = 0;
-
-    /**
-     * Issue the instruction buffered for context slot (w, slot).
-     * @param primary row-sharing context, null for primary issues
-     * @param row_share issue onto the primary's row
-     * @return true on success
-     */
-    virtual bool issueCand(WarpId w, unsigned slot, bool secondary,
-                           PrimaryIssueInfo *primary,
-                           bool row_share) = 0;
-
-    /** Primary issued this cycle (filled by issueCand). */
-    virtual const PrimaryIssueInfo &lastPrimary() const = 0;
-
-    /** Reset lastPrimary() at the top of the issue stage. */
-    virtual void clearLastPrimary() = 0;
-
-    /** Mutable statistics (front-end counters). */
-    virtual core::SimStats &stats() = 0;
-
-  protected:
-    ~FrontEndHost() = default;
 };
 
 /** The live inputs of a candidate scan besides the issue table. */
@@ -228,21 +165,22 @@ class IssueScans
 };
 
 /**
- * One SM front-end: selects and issues instructions for one cycle.
+ * One SM front-end: decides, each cycle, what to issue and what to
+ * fetch, and has its SM carry both out.
  *
- * Every scan reads the host's issue table where it runs and
- * combines its per-slot sets word-wise (IssueScans), so the
- * per-cycle hot loop never allocates and visits only warps with
- * something to issue or a SYNC gate to count.
+ * Every scan reads the SM's issue table where it runs and combines
+ * its per-slot sets word-wise (IssueScans), so the per-cycle hot
+ * loop never allocates and visits only warps with something to
+ * issue or a SYNC gate to count; fetch walks the SM's fetch sets.
  */
 class FrontEnd
 {
   public:
     /**
-     * A front-end for @p host, an SM built from @p cfg (read here
-     * only: the machine shape never changes after construction).
+     * The front-end of @p sm, built from @p cfg (read here only:
+     * the machine shape never changes after construction).
      */
-    FrontEnd(FrontEndHost &host, const pipeline::SMConfig &cfg);
+    FrontEnd(pipeline::SM &sm, const pipeline::SMConfig &cfg);
 
     /**
      * Select + issue for one cycle (the SM issue stage).
@@ -255,6 +193,15 @@ class FrontEnd
      *         cycle-skipping loop relies on.
      */
     bool issueCycle();
+
+    /**
+     * Fetch for one cycle (the SM fetch stage, after issue): each of
+     * the two front-ends fetches at most one entry, for its pool's
+     * warps on two-pool machines, else for CPC1 or (SBI's second
+     * front-end) CPC2 contexts, with the sbi_secondary_fallback
+     * retry over CPC1.
+     */
+    void fetchCycle();
 
   private:
     /** Primary pick parked between select and issue (SWI). */
@@ -271,19 +218,19 @@ class FrontEnd
 
     /**
      * Policy-ordered pick over @p pool's slot-0 candidates by
-     * @p pool's scheduler. Pure selection: the caller reports the
-     * outcome through notifyIssued() only when the pick actually
-     * issues, so stateful policies (the RR cursor, GTO's last warp)
-     * never advance past a warp that was denied by a structural
-     * stall.
+     * @p pool's scheduler. Pure selection: issuePrimary() reports
+     * the pick to the policy only when it actually issues, so
+     * stateful policies (the RR cursor, GTO's last warp) never
+     * advance past a warp that was denied by a structural stall.
      */
     std::optional<Cand> selectPrimary(unsigned pool, bool check_group);
 
-    /** Report a successful primary issue to @p pool's policy. */
-    void notifyIssued(unsigned pool, const Cand &c)
-    {
-        policy_[pool]->notifyIssued(c);
-    }
+    /**
+     * Issue @p pool's primary pick @p c, if any, into primary_ and
+     * report it to the pool's policy.
+     * @return true when it issued
+     */
+    bool issuePrimary(unsigned pool, std::optional<Cand> c);
 
     /**
      * The simple (1-cycle scheduler) issue stage of the Fermi
@@ -292,12 +239,8 @@ class FrontEnd
      * @return true when any instruction issued
      */
     bool issueSimple();
-
-    /**
-     * SBI's secondary issue and its fallback.
-     * @return true when an instruction issued
-     */
-    bool issueSecondarySimple(const PrimaryIssueInfo &pinfo);
+    /** SBI's secondary issue and its fallback, around primary_. */
+    bool issueSecondarySimple();
 
     /** The cascaded (SWI) issue stage. */
     bool issueCascaded();
@@ -306,11 +249,17 @@ class FrontEnd
      * probe counts a SYNC suspension like any other.
      */
     bool cascadeReady(unsigned slot);
-    std::optional<Cand> pickSecondaryCascaded(
-        const PrimaryIssueInfo &pinfo, bool *row_share_out);
 
-    FrontEndHost &host_;
+    /**
+     * Front-end @p fe fetches for the first warp (within @p pool
+     * when given) of slot @p slot's fetch set that the SM can fetch
+     * for, cyclically from its cursor; true when one fetched.
+     */
+    bool fetchFrom(unsigned fe, unsigned slot, const pipeline::WarpSet *pool);
+
+    pipeline::SM &sm_;
     // The machine shape (SMConfig), copied once.
+    const unsigned num_warps_;
     const bool swi_;          //!< cascaded issue stage
     const bool sbi_;          //!< SBI's second front-end
     const bool two_pools_;    //!< two alternating scheduler pools
@@ -325,6 +274,10 @@ class FrontEnd
     /** Each pool's warps (two-pool machines: w % 2 == pool). */
     pipeline::WarpSet pool_warps_[2];
     IssueScans scans_;
+    /** The primary issued this cycle (issueCycle() clears it). */
+    PrimaryIssueInfo primary_;
+    /** Each front-end's round-robin fetch cursor. */
+    WarpId fetch_rr_[2] = {0, 0};
 
     // Cascaded-scheduler state; idle on non-cascaded machines.
     pipeline::MaskLookup lookup_;

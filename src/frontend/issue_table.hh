@@ -2,7 +2,7 @@
  * @file
  * The issue table: what the issue stage selects from.
  *
- * For every warp and context slot the host keeps one row derived
+ * For every warp and context slot the SM keeps one row derived
  * from warp-local state alone — the slot's context view, its fresh
  * instruction-buffer entry, its SYNC gate and its scoreboard
  * hazards — plus two sets per slot that say what a probe of that
@@ -88,7 +88,7 @@ inline constexpr UnitMask all_units = unitBit(isa::UnitClass::MAD) |
 
 /**
  * Per-slot rows and ready sets, indexed [slot][warp], and each
- * warp's context views. The host stores a warp's views and the rows
+ * warp's context views. The SM stores a warp's views and the rows
  * derived from them whenever their inputs may have moved (set()
  * stores one row); the front-end only reads.
  */

@@ -95,6 +95,10 @@ SMConfig::checkInvariants() const
         return "unit widths must divide warp_width";
     if (sbi && reconv == ReconvMode::Stack)
         return "sbi requires thread-frontier reconvergence";
+    // SBI's second front-end and SWI's cascaded scheduler each
+    // schedule one pool of every warp.
+    if (num_pools != 1 && (sbi || swi))
+        return "num_pools must be 1 with sbi or swi";
     if (split_on_memory_divergence && reconv == ReconvMode::Stack)
         return "memory splits require thread-frontier "
                "reconvergence";

@@ -85,7 +85,8 @@ laneShuffleName(LaneShufflePolicy p)
       "threads per warp (32 = Fermi, 64 = interweaving machines)", 1, \
       max_warp_width) \
     X(P, K, U32, num_warps, 32, "resident warps per SM", 1, 1024) \
-    X(P, K, U32, num_pools, 2, "independent scheduler pools (1 or 2)") \
+    X(P, K, U32, num_pools, 2, \
+      "independent scheduler pools (1 or 2; 1 with sbi or swi)") \
     X(P, K, U32, mad_groups, 2, "number of MAD SIMD groups", 1, 64) \
     X(P, K, U32, mad_width, 32, "lanes per MAD group") \
     X(P, K, U32, sfu_width, 8, "SFU lanes") \

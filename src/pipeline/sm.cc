@@ -40,7 +40,6 @@ SM::SM(const SMConfig &cfg, mem::MemoryImage &memory,
       ibuf_(cfg.num_warps, 2),
       sb_(cfg.num_warps, cfg.scoreboard_entries),
       frontend_(*this, cfg_),
-      fe_rr_(2, 0),
       heap_work_(cfg.num_warps),
       sleep_check_(cfg.num_warps),
       fetch_work_{WarpSet(cfg.num_warps), WarpSet(cfg.num_warps)},
@@ -139,7 +138,7 @@ SM::step()
     progress |= stats_.sync_suspensions != sync_before;
 
     u64 fetches_before = stats_.fetches;
-    fetchStage();
+    frontend_.fetchCycle();
     progress |= stats_.fetches != fetches_before;
 
     if (sleep_audit.load(std::memory_order_relaxed)) {
@@ -515,15 +514,16 @@ SM::initWarp(WarpId w, int block_slot, unsigned first_tid,
         mask.set(lane);
     }
 
-    if (cfg_.reconv == ReconvMode::Stack) {
-        ws.stack =
-            std::make_unique<divergence::ReconvStack>(mask, Pc(0));
-        ws.heap.reset();
-    } else {
-        ws.heap = std::make_unique<divergence::SplitHeap>(
-            cfg_.heap, mask, Pc(0));
-        ws.stack.reset();
-    }
+    // The slot's tracker is built on its first CTA and reset after.
+    if (ws.stack)
+        ws.stack->reset(mask, Pc(0));
+    else if (ws.heap)
+        ws.heap->reset(mask, Pc(0));
+    else if (cfg_.reconv == ReconvMode::Stack)
+        ws.stack = std::make_unique<divergence::ReconvStack>(mask, Pc(0));
+    else
+        ws.heap = std::make_unique<divergence::SplitHeap>(cfg_.heap, mask,
+                                                          Pc(0));
     ibuf_.flushWarp(w);
     sb_.flushWarp(w);
     // A new tenant: every stage must look at it.
@@ -594,7 +594,7 @@ SM::retireWarpIfDone(WarpId w)
 }
 
 // ----------------------------------------------------------------
-// context views and the issue table (FrontEndHost)
+// context views and the issue table
 // ----------------------------------------------------------------
 
 SM::CtxView
@@ -675,12 +675,6 @@ SM::issueTable()
     return table_;
 }
 
-IBufEntry *
-SM::findCtx(WarpId w, u32 ctx_id)
-{
-    return ibuf_.findCtx(w, ctx_id);
-}
-
 void
 SM::dropClaim(WarpId w, IBufEntry &e)
 {
@@ -727,7 +721,7 @@ SM::freeGroup(UnitClass cls)
 }
 
 // ----------------------------------------------------------------
-// issue (FrontEndHost)
+// issue
 // ----------------------------------------------------------------
 
 void
@@ -740,7 +734,7 @@ SM::advanceCtx(WarpId w, u32 ctx_id, Pc next)
         ws.heap->advance(ctx_id, next, now_);
 }
 
-bool
+void
 SM::issueMemory(WarpId w, const IBufEntry &e, const CtxView &cv,
                 Cycle when, unsigned *occupancy, LaneMask *issued_mask)
 {
@@ -786,7 +780,7 @@ SM::issueMemory(WarpId w, const IBufEntry &e, const CtxView &cv,
             // Only the first transaction's lanes execute this
             // issue; the rest replay as their own issues later.
             *issued_mask = t.lanes;
-            return true;
+            return;
         }
         txns_.clear();
         txns_.push_back(t); // the access's only transaction
@@ -820,12 +814,11 @@ SM::issueMemory(WarpId w, const IBufEntry &e, const CtxView &cv,
     advanceCtx(w, cv.id, e.pc + 1);
     *occupancy = txns_.size();
     *issued_mask = cv.mask;
-    return true;
 }
 
 bool
-SM::issueCand(WarpId w, unsigned slot, bool secondary,
-              PrimaryIssueInfo *primary, bool row_share)
+SM::issueCand(WarpId w, unsigned slot, bool secondary, ExecGroup *row,
+              PrimaryIssueInfo *issued)
 {
     refreshRows(w);
     IBufEntry *ep = table_.entry[slot][w];
@@ -837,15 +830,11 @@ SM::issueCand(WarpId w, unsigned slot, bool secondary,
     const Instruction inst = e.inst;
     UnitClass cls = e.unit;
 
-    ExecGroup *group;
-    if (row_share) {
-        siwi_assert(primary && primary->valid, "row share w/o primary");
-        group = primary->group;
-    } else {
-        group = freeGroup(cls);
-        if (!group)
-            return false;
-    }
+    // Only this cycle's primary issue can have occupied the row.
+    siwi_assert(!row || row->busyUntil() > now_, "row share w/o primary");
+    ExecGroup *group = row ? row : freeGroup(cls);
+    if (!group)
+        return false;
 
     unsigned occupancy = group->wavesFor(cfg_.warp_width);
     Cycle when = now_;
@@ -854,9 +843,8 @@ SM::issueCand(WarpId w, unsigned slot, bool secondary,
     switch (inst.op) {
       case Opcode::LD:
       case Opcode::ST:
-        siwi_assert(!row_share, "memory ops never share a row");
-        if (!issueMemory(w, e, cv, when, &occupancy, &issued_mask))
-            return false;
+        siwi_assert(!row, "memory ops never share a row");
+        issueMemory(w, e, cv, when, &occupancy, &issued_mask);
         break;
 
       case Opcode::BRA:
@@ -925,7 +913,7 @@ SM::issueCand(WarpId w, unsigned slot, bool secondary,
 
     // Unit occupancy and statistics.
     unsigned threads = issued_mask.count();
-    if (row_share) {
+    if (row) {
         group->shareRow(threads);
         stats_.row_share_issues += 1;
     } else {
@@ -938,13 +926,9 @@ SM::issueCand(WarpId w, unsigned slot, bool secondary,
     else
         stats_.primary_issues += 1;
 
-    if (!secondary) {
-        last_primary_.valid = true;
-        last_primary_.w = w;
-        last_primary_.ctx_id = cv.id;
-        last_primary_.group = group;
-        last_primary_.mask = issued_mask;
-        last_primary_.unit = cls;
+    if (issued) {
+        *issued = {.valid = true, .w = w, .group = group,
+                   .mask = issued_mask, .unit = cls};
     }
 
     if (trace_) {
@@ -955,7 +939,7 @@ SM::issueCand(WarpId w, unsigned slot, bool secondary,
         tev.mask = issued_mask;
         tev.unit = group->name();
         tev.secondary = secondary;
-        tev.occupancy = row_share ? 0 : occupancy;
+        tev.occupancy = row ? 0 : occupancy;
         trace_(tev);
     }
 
@@ -1241,88 +1225,47 @@ SM::fetchTarget(WarpId w, const CtxViews &views, unsigned slot,
     return nullptr; // buffer full of live work
 }
 
-void
-SM::fetchStage()
+bool
+SM::tryFetch(WarpId w, unsigned slot)
 {
-    unsigned nw = unsigned(warps_.size());
-
-    // Fetch for context slot (w, ctx_slot) if it needs it; true
-    // when a fetch happened (at most one per front-end per cycle).
-    // A failure that holds until w's next touchWarp() — a fresh
-    // entry is buffered, the context is invalid, or the buffer is
-    // full of unclaimed live entries — drops w from the slot's
-    // fetch set.
-    auto tryFetch = [&](unsigned fe, WarpId w, unsigned ctx_slot) {
-        refreshRows(w);
-        if (table_.entry[ctx_slot][w]) {
-            fetch_work_[ctx_slot].erase(w); // a fresh entry is buffered
-            return false;
-        }
-        const CtxViews &views = table_.views[w];
-        bool claimed;
-        IBufEntry *target = fetchTarget(w, views, ctx_slot, &claimed);
-        if (!target) {
-            if (!claimed)
-                fetch_work_[ctx_slot].erase(w);
-            return false;
-        }
-        const CtxView &cv = views[ctx_slot];
-        siwi_assert(cv.pc < prog_.size(), "fetch past program");
-        const DecodedInst &d = decoded_[cv.pc];
-        target->valid = true;
-        target->claimed = false;
-        target->ctx_id = cv.id;
-        target->ctx_version = cv.version;
-        target->inst = prog_.at(cv.pc);
-        target->pc = cv.pc;
-        target->mask = cv.mask;
-        target->seq = fetch_seq_++;
-        target->hazard = d.hazard;
-        target->writes_dst = d.writes_dst;
-        target->unit = d.unit;
-        // The fetch changed row (w, ctx_slot) alone, so it writes
-        // that row instead of touching w: the rows were current
-        // (refreshRows above), the target was this context's stale
-        // entry or a dead one (never the other slot's fresh entry,
-        // which is live), and no context, gate or scoreboard entry
-        // moved. A new live entry can only take fetch targets away,
-        // so the fetch sets need no re-entry; only sleep evaluation
-        // must look at w again.
-        table_.set(w, ctx_slot, {target, entryState(w, *target)});
-        sleep_check_.insert(w);
-        stats_.fetches += 1;
-        fe_rr_[fe] = WarpId((w + 1) % nw);
-        return true;
-    };
-
-    // Cyclic scan over the slot's fetch set: every other warp's
-    // tryFetch would fail (a parked warp is by definition
-    // non-fetchable, sleepEligible mirrors tryFetch), so the scan
-    // reaches the same successful candidate the full warp scan
-    // would, in the same round-robin order.
-    for (unsigned fe = 0; fe < 2; ++fe) {
-        bool fetched;
-        if (cfg_.num_pools == 2) {
-            fetched = fetch_work_[0].forEachWrapped(
-                fe_rr_[fe], [&](WarpId w) {
-                    if ((w % 2) != fe)
-                        return false;
-                    return tryFetch(fe, w, 0);
-                });
-        } else {
-            unsigned ctx_slot = (cfg_.sbi && fe == 1) ? 1 : 0;
-            fetched = fetch_work_[ctx_slot].forEachWrapped(
-                fe_rr_[fe],
-                [&](WarpId w) { return tryFetch(fe, w, ctx_slot); });
-        }
-        if (!fetched && cfg_.num_pools == 1 && cfg_.sbi &&
-            fe == 1 && cfg_.sbi_secondary_fallback) {
-            // Secondary front-end helps fetch primary contexts when
-            // it has nothing of its own to do.
-            fetch_work_[0].forEachWrapped(
-                fe_rr_[fe], [&](WarpId w) { return tryFetch(fe, w, 0); });
-        }
+    refreshRows(w);
+    if (table_.entry[slot][w]) {
+        fetch_work_[slot].erase(w); // a fresh entry is buffered
+        return false;
     }
+    const CtxViews &views = table_.views[w];
+    bool claimed;
+    IBufEntry *target = fetchTarget(w, views, slot, &claimed);
+    if (!target) {
+        if (!claimed)
+            fetch_work_[slot].erase(w);
+        return false;
+    }
+    const CtxView &cv = views[slot];
+    siwi_assert(cv.pc < prog_.size(), "fetch past program");
+    const DecodedInst &d = decoded_[cv.pc];
+    target->valid = true;
+    target->claimed = false;
+    target->ctx_id = cv.id;
+    target->ctx_version = cv.version;
+    target->inst = prog_.at(cv.pc);
+    target->pc = cv.pc;
+    target->mask = cv.mask;
+    target->seq = fetch_seq_++;
+    target->hazard = d.hazard;
+    target->writes_dst = d.writes_dst;
+    target->unit = d.unit;
+    // The fetch changed row (w, slot) alone, so it writes that row
+    // instead of touching w: the rows were current (refreshRows
+    // above), the target was this context's stale entry or a dead
+    // one (never the other slot's fresh entry, which is live), and
+    // no context, gate or scoreboard entry moved. A new live entry
+    // can only take fetch targets away, so the fetch sets need no
+    // re-entry; only sleep evaluation must look at w again.
+    table_.set(w, slot, {target, entryState(w, *target)});
+    sleep_check_.insert(w);
+    stats_.fetches += 1;
+    return true;
 }
 
 std::string

@@ -8,12 +8,12 @@
  * reference, SBI, SWI, and SBI+SWI. See docs/DESIGN.md for the pipeline
  * structure and the interpretation notes.
  *
- * The SM is a policy host: it owns warp/block/barrier/event state,
- * the instruction buffer, the scoreboard, the execution groups and
- * the memory pipeline, and implements frontend::FrontEndHost. The
- * per-cycle select/issue decision lives in the frontend layer (a
- * frontend::FrontEnd member built from this SM's configuration;
- * see src/frontend/front_end.hh).
+ * The SM owns warp/block/barrier/event state, the instruction
+ * buffer, the scoreboard, the execution groups and the memory
+ * pipeline. The per-cycle fetch and select/issue decisions live in
+ * the front-end (a frontend::FrontEnd member built from this SM's
+ * configuration, and a friend; see src/frontend/front_end.hh),
+ * which calls this SM's fetch and issue primitives directly.
  */
 
 #ifndef SIWI_PIPELINE_SM_HH
@@ -65,9 +65,9 @@ struct IssueEvent
 };
 
 /**
- * Cycle-level SM simulator (front-end host).
+ * Cycle-level SM simulator.
  */
-class SM final : public frontend::FrontEndHost
+class SM
 {
   public:
     /**
@@ -79,7 +79,7 @@ class SM final : public frontend::FrontEndHost
     SM(const SMConfig &cfg, mem::MemoryImage &memory,
        mem::MemoryBackend &backend, unsigned port = 0);
 
-    // The front-end keeps a reference to its host SM.
+    // The front-end keeps a reference to its SM.
     SM(const SM &) = delete;
     SM &operator=(const SM &) = delete;
 
@@ -173,13 +173,13 @@ class SM final : public frontend::FrontEndHost
      */
     u64 skippedCycles() const { return skipped_cycles_; }
 
-    Cycle now() const override { return now_; }
+    Cycle now() const { return now_; }
 
     using TraceHook = std::function<void(const IssueEvent &)>;
     void setTraceHook(TraceHook hook) { trace_ = std::move(hook); }
 
     /** Statistics snapshot (finalized by finalizeStats()). */
-    core::SimStats &stats() override { return stats_; }
+    core::SimStats &stats() { return stats_; }
 
     /**
      * Fold warp/cache/unit counters into stats_ and return it.
@@ -321,27 +321,40 @@ class SM final : public frontend::FrontEndHost
     };
 
     // ------------------------------------------------------------
-    // FrontEndHost interface (the scheduling view of this SM)
+    // the primitives the front-end (a friend) calls
     // ------------------------------------------------------------
-    unsigned numWarps() const override
+    friend class frontend::FrontEnd;
+
+    IBufEntry *findCtx(WarpId w, u32 ctx_id)
     {
-        return unsigned(warps_.size());
+        return ibuf_.findCtx(w, ctx_id);
     }
-    IBufEntry *findCtx(WarpId w, u32 ctx_id) override;
-    const frontend::IssueTable &issueTable() override;
-    frontend::UnitMask freeUnits() const override;
-    bool issueCand(WarpId w, unsigned slot, bool secondary,
-                   frontend::PrimaryIssueInfo *primary,
-                   bool row_share) override;
-    const frontend::PrimaryIssueInfo &lastPrimary() const override
-    {
-        return last_primary_;
-    }
-    void clearLastPrimary() override
-    {
-        last_primary_ = frontend::PrimaryIssueInfo{};
-    }
-    void dropClaim(WarpId w, IBufEntry &e) override;
+    /**
+     * The issue table, the stale warps' rows re-derived first. Rows
+     * move only through this SM's own mutations (an issue, an event,
+     * a barrier release), so a scan reads the table where it runs
+     * and never across an issueCand().
+     */
+    const frontend::IssueTable &issueTable();
+    /** The unit classes with an execution group free this cycle. */
+    frontend::UnitMask freeUnits() const;
+    /**
+     * Issue the entry buffered for context slot (w, slot) onto the
+     * row of @p row (this cycle's primary group) or a free group;
+     * false when none is free. Fills @p issued when given.
+     */
+    bool issueCand(WarpId w, unsigned slot, bool secondary, ExecGroup *row,
+                   frontend::PrimaryIssueInfo *issued);
+    /** Drop the claim on @p e, @p w's entry, without issuing it. */
+    void dropClaim(WarpId w, IBufEntry &e);
+    /**
+     * Fetch for context slot (w, slot) if it needs it; true when a
+     * fetch happened. A failure that holds until w's next
+     * touchWarp() — a fresh entry is buffered, the context is
+     * invalid, or the buffer is full of unclaimed live entries —
+     * drops w from the slot's fetch set.
+     */
+    bool tryFetch(WarpId w, unsigned slot);
 
     // ------------------------------------------------------------
     // pipeline stages
@@ -350,7 +363,6 @@ class SM final : public frontend::FrontEndHost
     void postEvent(Cycle when, Event ev);
     bool processEvents();
     bool heapMaintenance();
-    void fetchStage();
 
     // --- scheduling helpers ---
     bool syncGated(WarpId w, const IBufEntry &e) const;
@@ -362,7 +374,7 @@ class SM final : public frontend::FrontEndHost
      * @p w changed: its issue-table views and rows are stale from
      * here on, and it enters the sleep-check and fetch sets, whose
      * stages must look at it again. A fetch is the one change that
-     * does not touch: it writes its own row (fetchStage).
+     * does not touch: it writes its own row (tryFetch).
      */
     void touchWarp(WarpId w)
     {
@@ -494,7 +506,7 @@ class SM final : public frontend::FrontEndHost
     void checkBarrierRelease(int block_slot);
     void retireWarpIfDone(WarpId w);
     void accumulateWarpStats(WarpSlot &ws);
-    bool issueMemory(WarpId w, const IBufEntry &e, const CtxView &cv,
+    void issueMemory(WarpId w, const IBufEntry &e, const CtxView &cv,
                      Cycle when, unsigned *occupancy,
                      LaneMask *issued_mask);
 
@@ -533,13 +545,11 @@ class SM final : public frontend::FrontEndHost
     std::priority_queue<TimedEvent, std::vector<TimedEvent>, LaterEvent>
         events_;
     u64 event_seq_ = 0; //!< events posted so far
-    frontend::PrimaryIssueInfo last_primary_; //!< issued this cycle
     frontend::FrontEnd frontend_;
 
     Cycle now_ = 0;
     u64 skipped_cycles_ = 0;
     u64 fetch_seq_ = 1;
-    std::vector<WarpId> fe_rr_; //!< per-front-end round-robin cursor
 
     // --- per-warp sleep/wake state ---
     unsigned runnable_count_ = 0; //!< active warps not parked
@@ -554,7 +564,7 @@ class SM final : public frontend::FrontEndHost
     WarpSet heap_work_;
     /** Sleep-eligibility inputs moved since last found ineligible. */
     WarpSet sleep_check_;
-    /** Context slot may want a fetch, per slot. */
+    /** Context slot may want a fetch, per slot (FrontEnd walks). */
     WarpSet fetch_work_[2];
 
     // --- the issue table (see ARCHITECTURE.md) ---

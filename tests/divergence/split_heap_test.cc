@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <string>
+
+#include "common/rng.hh"
 #include "divergence/split_heap.hh"
 
 namespace siwi::divergence {
@@ -235,6 +239,151 @@ TEST(SplitHeap, LiveMaskInvariantUnderChurn)
         EXPECT_EQ(h.liveMask().bits(), 0xffffull) << "round "
                                                   << round;
     }
+}
+
+/**
+ * One seeded random call the pipeline could make in @p heaps' state
+ * (which they share; the first one is read): a branch or EXIT
+ * issue, its resolution, an advance, a memory split, a barrier
+ * arrival or release, or a tick at a later @p now.
+ */
+void
+randomCall(Rng &gen, Cycle &now, std::initializer_list<SplitHeap *> heaps)
+{
+    // Every random draw happens outside apply(), once for all heaps.
+    auto apply = [&](auto &&call) {
+        for (SplitHeap *h : heaps)
+            call(*h);
+    };
+    const SplitHeap &h = **heaps.begin();
+    const unsigned op = unsigned(gen.below(8));
+    const u32 id = h.hotId(unsigned(gen.below(SplitHeap::num_hot)));
+    if (op == 0 || id == no_ctx) {
+        now += 1 + gen.below(3);
+        apply([&](SplitHeap &x) { x.tick(now); });
+        return;
+    }
+    const SplitContext c = h.ctx(id);
+    const Pc next = c.pc + 1 + Pc(gen.below(3));
+    const LaneMask part = c.mask & LaneMask(gen.next());
+    const bool can_split = h.canSplit() && part.any() && part != c.mask;
+    if (c.branch_pending) {
+        // Resolve: exit, a uniform branch, or a divergent one.
+        if (op == 1) {
+            apply([&](SplitHeap &x) { x.exitResolve(id, now); });
+        } else if (op < 5 || !can_split) {
+            apply([&](SplitHeap &x) {
+                x.branchResolve(id, c.pc + op, c.mask, 0, LaneMask{}, now);
+            });
+        } else {
+            apply([&](SplitHeap &x) {
+                x.branchResolve(id, c.pc + 4, part, c.pc + 1,
+                                c.mask & ~part, now);
+            });
+        }
+        return;
+    }
+    if (c.barrier_blocked) {
+        apply([&](SplitHeap &x) { x.barrierRelease(now); });
+        return;
+    }
+    switch (op) {
+      case 1:
+      case 2:
+        apply([&](SplitHeap &x) { x.ctxMut(id).branch_pending = true; });
+        break;
+      case 3:
+        apply([&](SplitHeap &x) { x.ctxMut(id).barrier_blocked = true; });
+        break;
+      case 4:
+        if (can_split) {
+            apply([&](SplitHeap &x) {
+                x.memorySplit(id, part, c.pc + 1, now);
+            });
+            break;
+        }
+        [[fallthrough]];
+      default:
+        apply([&](SplitHeap &x) { x.advance(id, next, now); });
+        break;
+    }
+}
+
+/** Every observable of @p a equals @p b's (both built from @p c). */
+void
+expectSameHeap(const SplitHeap &a, const SplitHeap &b,
+               const SplitHeapConfig &c, const std::string &where)
+{
+    SCOPED_TRACE(where);
+    for (unsigned s = 0; s < SplitHeap::num_hot; ++s)
+        EXPECT_EQ(a.hotId(s), b.hotId(s)) << "hot slot " << s;
+    for (u32 id = 0; id < SplitHeap::num_hot + c.cct_capacity; ++id) {
+        const SplitContext &x = a.ctx(id);
+        const SplitContext &y = b.ctx(id);
+        EXPECT_TRUE(x.pc == y.pc && x.mask == y.mask &&
+                    x.valid == y.valid &&
+                    x.branch_pending == y.branch_pending &&
+                    x.barrier_blocked == y.barrier_blocked &&
+                    x.version == y.version)
+            << "context " << id;
+    }
+    EXPECT_EQ(a.stats().splits, b.stats().splits);
+    EXPECT_EQ(a.stats().merges, b.stats().merges);
+    EXPECT_EQ(a.stats().promotions, b.stats().promotions);
+    EXPECT_EQ(a.stats().max_live_contexts, b.stats().max_live_contexts);
+    EXPECT_EQ(a.cctStats().inserts, b.cctStats().inserts);
+    EXPECT_EQ(a.cctStats().degraded_inserts,
+              b.cctStats().degraded_inserts);
+    EXPECT_EQ(a.cctStats().pops, b.cctStats().pops);
+    EXPECT_EQ(a.cctStats().max_size, b.cctStats().max_size);
+    EXPECT_EQ(a.cpc1(), b.cpc1());
+    EXPECT_EQ(a.nextWake(), b.nextWake());
+    EXPECT_EQ(a.quiescent(), b.quiescent());
+    EXPECT_EQ(a.settled(), b.settled());
+    EXPECT_EQ(a.done(), b.done());
+}
+
+TEST(SplitHeap, ResetMatchesFreshHeap)
+{
+    // A warp slot's heap is reset for each new CTA: it must then
+    // behave exactly as a new heap, call for call, whatever ran in
+    // it before.
+    u64 splits = 0, merges = 0, promotions = 0, degraded = 0;
+    unsigned finished = 0;
+    for (unsigned steps : {1u, 64u}) {
+        SplitHeapConfig c = cfg(4);
+        c.cct_steps_per_cycle = steps; // 1: degraded inserts, folds
+        Rng gen(900 + steps);
+        SplitHeap used(c, LaneMask(0xffff), 0);
+        Cycle now = 0;
+        for (int cta = 0; cta < 20; ++cta) {
+            for (int i = 0; i < 60 && !used.done(); ++i)
+                randomCall(gen, now, {&used});
+            const Pc entry = Pc(gen.below(4));
+            used.reset(LaneMask(0xffff), entry);
+            SplitHeap fresh(c, LaneMask(0xffff), entry);
+            const std::string where = "steps " + std::to_string(steps) +
+                                      ", CTA " + std::to_string(cta);
+            expectSameHeap(used, fresh, c, where + " after reset");
+            for (int i = 0; i < 60 && !fresh.done(); ++i) {
+                randomCall(gen, now, {&fresh, &used});
+                expectSameHeap(used, fresh, c,
+                               where + ", call " + std::to_string(i));
+            }
+            ASSERT_FALSE(HasFailure());
+            splits += fresh.stats().splits;
+            merges += fresh.stats().merges;
+            promotions += fresh.stats().promotions;
+            degraded += fresh.cctStats().degraded_inserts;
+            finished += fresh.done();
+        }
+    }
+    // The sweep reaches the interesting cases.
+    EXPECT_GT(splits, 100u);
+    EXPECT_GT(merges, 50u);
+    EXPECT_GT(promotions, 20u);
+    EXPECT_GT(degraded, 15u);
+    EXPECT_GT(finished, 3u);
 }
 
 } // namespace

@@ -1,9 +1,9 @@
 /**
  * @file
- * The SWI lookup's mask-inclusion kernel against a scalar
- * reference: the one-pass lookup (frontend::IssueScans::lookup)
- * must replay the per-candidate loop exactly — same picks, same
- * row sharing, same SYNC counts and the same RNG consumption.
+ * The SWI mask-inclusion lookup against a scalar reference: the
+ * one-pass lookup (frontend::IssueScans::lookup) must replay the
+ * per-candidate loop exactly — same picks, same row sharing, same
+ * SYNC counts and the same RNG consumption.
  */
 
 #include <gtest/gtest.h>
@@ -29,7 +29,7 @@ using isa::UnitClass;
  * any divergence in the draw sequence desynchronizes every later
  * tie-break, and a single run covers thousands of decisions.
  */
-TEST(MaskKernels, LookupMatchesScalarReference)
+TEST(IssueScans, LookupMatchesScalarReference)
 {
     const unsigned num_warps = 16;
     const UnitClass classes[] = {UnitClass::MAD, UnitClass::SFU,

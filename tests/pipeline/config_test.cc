@@ -55,6 +55,29 @@ TEST(Config, SbiSwiCombinesBoth)
     EXPECT_TRUE(c.swi);
 }
 
+TEST(Config, TwoPoolsRejectSbiAndSwi)
+{
+    // SBI's second front-end and SWI's cascaded scheduler schedule
+    // one pool: on two pools either would run another machine.
+    for (PipelineMode m : {PipelineMode::SBI, PipelineMode::SWI,
+                           PipelineMode::SBISWI}) {
+        SMConfig c = SMConfig::make(m);
+        c.num_pools = 2;
+        EXPECT_NE(c.checkInvariants().find("num_pools"),
+                  std::string::npos)
+            << pipelineModeName(m);
+    }
+    for (bool sbi : {false, true}) {
+        SMConfig c = SMConfig::make(PipelineMode::Warp64);
+        (sbi ? c.sbi : c.swi) = true;
+        EXPECT_NE(c.checkInvariants().find("num_pools"),
+                  std::string::npos)
+            << (sbi ? "sbi" : "swi");
+        c.num_pools = 1;
+        EXPECT_EQ(c.checkInvariants(), "") << (sbi ? "sbi" : "swi");
+    }
+}
+
 TEST(Config, MemoryDefaultsMatchTable2)
 {
     SMConfig c = SMConfig::make(PipelineMode::Baseline);
