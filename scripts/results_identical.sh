@@ -27,19 +27,7 @@ fi
 
 jobs="$(nproc)"
 work=$(mktemp -d)
-# Configuring build-identical/ points the root compile_commands.json
-# link at it; put back what was there, also on an interrupt.
-prev_link=""
-if [ -L compile_commands.json ]; then
-    prev_link=$(readlink compile_commands.json)
-fi
 cleanup() {
-    if [ -n "$prev_link" ]; then
-        ln -sfn "$prev_link" compile_commands.json
-    elif [ "$(readlink compile_commands.json 2>/dev/null)" = \
-        "$PWD/build-identical/compile_commands.json" ]; then
-        rm compile_commands.json
-    fi
     rm -rf "$work"
 }
 trap cleanup EXIT

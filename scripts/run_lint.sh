@@ -10,7 +10,7 @@
 #   tidy    full rebuild with SIWI_TIDY=ON: clang-tidy runs alongside
 #           compilation with warnings-as-errors
 #   tsan    build with -fsanitize=thread and run the multithreaded
-#           runner + integration suites
+#           runner + integration + serve suites
 #   all     everything above, in that order
 #
 # Tools that are not installed locally are skipped with a notice and

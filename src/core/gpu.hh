@@ -130,7 +130,6 @@ class Gpu
     const mem::MemoryImage &memory() const { return memory_; }
 
     const pipeline::SMConfig &config() const { return cfg_.sm; }
-    const GpuConfig &chipConfig() const { return cfg_; }
 
     /** Run @p kernel over @p lc to completion; returns statistics. */
     SimStats launch(const Kernel &kernel, const LaunchConfig &lc);

@@ -16,7 +16,6 @@ ReconvStack::reset(LaneMask initial, Pc entry_pc)
     if (initial.any())
         stack_.push_back({invalid_pc, entry_pc, initial});
     max_depth_ = 1;
-    divergences_ = 0;
     reconvergences_ = 0;
     version_ = 0;
 }
@@ -75,7 +74,6 @@ ReconvStack::branch(Pc taken_target, Pc fallthrough, Pc reconv,
         return false;
     }
 
-    ++divergences_;
     ++version_;
     if (reconv == invalid_pc) {
         // No reconvergence point (paths exit separately): serialize

@@ -70,7 +70,6 @@ class ReconvStack
 
     unsigned depth() const { return unsigned(stack_.size()); }
     unsigned maxDepth() const { return max_depth_; }
-    u64 divergences() const { return divergences_; }
     u64 reconvergences() const { return reconvergences_; }
 
     /** Version counter, bumped whenever pc()/mask() change. */
@@ -81,7 +80,6 @@ class ReconvStack
 
     std::vector<Entry> stack_;
     unsigned max_depth_ = 1;
-    u64 divergences_ = 0;
     u64 reconvergences_ = 0;
     u32 version_ = 0;
 };

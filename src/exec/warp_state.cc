@@ -27,17 +27,6 @@ WarpState::info(unsigned lane) const
     return info_[lane];
 }
 
-LaneMask
-WarpState::validMask() const
-{
-    LaneMask m;
-    for (unsigned i = 0; i < width_; ++i) {
-        if (info_[i].valid)
-            m.set(i);
-    }
-    return m;
-}
-
 void
 WarpState::clear()
 {

@@ -8,7 +8,6 @@
 
 #include <vector>
 
-#include "common/lane_mask.hh"
 #include "common/log.hh"
 #include "common/types.hh"
 
@@ -79,9 +78,6 @@ class WarpState
 
     ThreadInfo &info(unsigned lane);
     const ThreadInfo &info(unsigned lane) const;
-
-    /** Mask of lanes holding a valid (launched, unexited) thread. */
-    LaneMask validMask() const;
 
     /** Reset to empty (no valid threads, zeroed registers). */
     void clear();

@@ -1,6 +1,6 @@
 #include "serve/result_cache.hh"
 
-#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 
@@ -19,15 +19,18 @@ namespace {
  * Write @p text to @p path atomically: temp file in the same
  * directory (rename is only atomic within a filesystem), fflush +
  * fclose checked, then rename over the target. The temp name
- * carries the pid so concurrent processes sharing a cache
- * directory cannot collide mid-write.
+ * carries the pid and a process-wide write count, so no two
+ * writers — processes sharing a cache directory, or threads of one
+ * process storing the same key — ever share a temp file.
  */
 bool
 writeFileAtomic(const std::string &path, const std::string &text,
                 std::string *err)
 {
-    const std::string tmp =
-        path + ".tmp." + std::to_string(::getpid());
+    static std::atomic<u64> writes{0};
+    const std::string tmp = path + ".tmp." +
+                            std::to_string(::getpid()) + "." +
+                            std::to_string(writes.fetch_add(1));
     std::FILE *f = std::fopen(tmp.c_str(), "wb");
     if (!f) {
         if (err)
@@ -71,6 +74,51 @@ blobJson(const std::string &key, const runner::CellResult &cell)
     return j;
 }
 
+/**
+ * The inverse of blobJson(): check the layout version, the key, the
+ * schema version and the payload checksum of @p blob, then parse
+ * its cell into @p out. On failure @p why says which check failed.
+ */
+bool
+validateBlob(const Json &blob, const std::string &key,
+             runner::CellResult *out, std::string *why)
+{
+    if (!blob.isObject() ||
+        blob.getInt("siwi_cache_blob", -1) != cache_blob_version) {
+        *why = "not a v" + std::to_string(cache_blob_version) +
+               " cache blob";
+        return false;
+    }
+    if (blob.getString("key") != key) {
+        *why = "key mismatch (blob stored under '" +
+               blob.getString("key") + "')";
+        return false;
+    }
+    i64 schema = blob.getInt("schema_version", -1);
+    if (schema != core::stats_schema_version) {
+        *why = "stale stats schema v" + std::to_string(schema) +
+               " (current v" +
+               std::to_string(core::stats_schema_version) + ")";
+        return false;
+    }
+    const Json *cell = blob.find("cell");
+    if (!cell) {
+        *why = "blob lacks 'cell' payload";
+        return false;
+    }
+    std::string sum = sha256Hex(cell->dump(-1));
+    if (sum != blob.getString("cell_sha256")) {
+        *why = "payload checksum mismatch (corrupt blob)";
+        return false;
+    }
+    std::string perr;
+    if (!runner::cellFromJson(*cell, out, &perr)) {
+        *why = "payload unparseable: " + perr;
+        return false;
+    }
+    return true;
+}
+
 } // namespace
 
 std::string
@@ -86,11 +134,12 @@ bool
 ResultCache::open(const std::string &dir, u64 max_entries,
                   std::string *err)
 {
-    std::lock_guard<std::mutex> lock(mu_);
+    if (max_entries != 0) {
+        if (err)
+            *err = "the result cache has no entry bound";
+        return false;
+    }
     dir_ = dir;
-    max_entries_ = max_entries;
-    index_.clear();
-    next_seq_ = 1;
     std::error_code ec;
     fs::create_directories(fs::path(dir_) / "objects", ec);
     if (ec) {
@@ -99,121 +148,37 @@ ResultCache::open(const std::string &dir, u64 max_entries,
                    ec.message();
         return false;
     }
-    // The index is advisory: unreadable or stale metadata never
-    // blocks opening — lookups go straight to the object files,
-    // and fsck() rebuilds the index from them.
-    std::string perr;
-    Json j = Json::parseFile(dir_ + "/index.json", &perr);
-    if (perr.empty() && j.isObject()) {
-        if (const Json *entries = j.find("entries")) {
-            if (entries->isArray()) {
-                for (const Json &e : entries->arr()) {
-                    IndexEntry ie;
-                    ie.key = e.getString("key");
-                    ie.seq = u64(e.getInt("seq"));
-                    if (!ie.key.empty())
-                        index_.push_back(std::move(ie));
-                }
-            }
-        }
-        std::sort(index_.begin(), index_.end(),
-                  [](const IndexEntry &a, const IndexEntry &b) {
-                      return a.seq < b.seq;
-                  });
-        for (const IndexEntry &e : index_)
-            next_seq_ = std::max(next_seq_, e.seq + 1);
-    }
     return true;
 }
 
 bool
-ResultCache::validateBlob(const Json &blob, const std::string &key,
-                          runner::CellResult *out,
-                          std::string *why) const
+ResultCache::lookup(const std::string &key, runner::CellResult *out,
+                    std::string *why) const
 {
-    if (!blob.isObject() ||
-        blob.getInt("siwi_cache_blob", -1) != cache_blob_version) {
-        if (why)
-            *why = "not a v" +
-                   std::to_string(cache_blob_version) +
-                   " cache blob";
-        return false;
-    }
-    if (blob.getString("key") != key) {
-        if (why)
-            *why = "key mismatch (blob stored under '" +
-                   blob.getString("key") + "')";
-        return false;
-    }
-    i64 schema = blob.getInt("schema_version", -1);
-    if (schema != core::stats_schema_version) {
-        if (why)
-            *why = "stale stats schema v" +
-                   std::to_string(schema) + " (current v" +
-                   std::to_string(core::stats_schema_version) +
-                   ")";
-        return false;
-    }
-    const Json *cell = blob.find("cell");
-    if (!cell) {
-        if (why)
-            *why = "blob lacks 'cell' payload";
-        return false;
-    }
-    std::string sum = sha256Hex(cell->dump(-1));
-    if (sum != blob.getString("cell_sha256")) {
-        if (why)
-            *why = "payload checksum mismatch (corrupt blob)";
-        return false;
-    }
-    std::string perr;
-    if (out && !runner::cellFromJson(*cell, out, &perr)) {
-        if (why)
-            *why = "payload unparseable: " + perr;
-        return false;
-    }
-    return true;
-}
-
-bool
-ResultCache::lookup(const std::string &key,
-                    runner::CellResult *out, std::string *why)
-{
-    std::lock_guard<std::mutex> lock(mu_);
     const std::string path = objectPath(key);
     std::string perr;
     Json blob = Json::parseFile(path, &perr);
     if (!perr.empty()) {
+        // Absent, or present but unreadable/unparseable: corruption.
         std::error_code ec;
-        if (!fs::exists(path, ec)) {
-            ++counters_.misses;
-            if (why)
-                *why = "absent";
-        } else {
-            // Present but unreadable/unparseable: corruption.
-            ++counters_.corrupt;
-            if (why)
-                *why = perr;
-        }
+        if (why)
+            *why = fs::exists(path, ec) ? perr : "absent";
         return false;
     }
     std::string vwhy;
     if (!validateBlob(blob, key, out, &vwhy)) {
-        ++counters_.corrupt;
         if (why)
             *why = vwhy;
         return false;
     }
-    ++counters_.hits;
     return true;
 }
 
 bool
 ResultCache::store(const std::string &key,
                    const runner::CellResult &cell,
-                   std::string *err)
+                   std::string *err) const
 {
-    std::lock_guard<std::mutex> lock(mu_);
     const std::string path = objectPath(key);
     std::error_code ec;
     fs::create_directories(fs::path(path).parent_path(), ec);
@@ -222,131 +187,8 @@ ResultCache::store(const std::string &key,
             *err = "cannot create " + path + ": " + ec.message();
         return false;
     }
-    if (!writeFileAtomic(path, blobJson(key, cell).dump(2) + "\n",
-                         err))
-        return false;
-    ++counters_.stores;
-    auto it = std::find_if(index_.begin(), index_.end(),
-                           [&](const IndexEntry &e) {
-                               return e.key == key;
-                           });
-    if (it == index_.end())
-        index_.push_back({key, next_seq_++});
-    while (max_entries_ && index_.size() > max_entries_) {
-        // Oldest-stored-first: index order is insertion order, a
-        // deterministic policy with no clock involved.
-        fs::remove(objectPath(index_.front().key), ec);
-        index_.erase(index_.begin());
-        ++counters_.evictions;
-    }
-    // The index is derived metadata; a failed index write leaves
-    // the object (the truth) in place, so it degrades the
-    // eviction order, not correctness — fsck rebuilds it.
-    std::string ierr;
-    writeIndexLocked(&ierr);
-    return true;
-}
-
-bool
-ResultCache::writeIndexLocked(std::string *err)
-{
-    Json j = Json::object();
-    j.set("siwi_cache_index", Json(cache_blob_version));
-    j.set("schema_version", Json(core::stats_schema_version));
-    Json arr = Json::array();
-    for (const IndexEntry &e : index_) {
-        Json je = Json::object();
-        je.set("key", Json(e.key));
-        je.set("seq", Json(e.seq));
-        arr.push(std::move(je));
-    }
-    j.set("entries", std::move(arr));
-    return writeFileAtomic(dir_ + "/index.json",
-                           j.dump(2) + "\n", err);
-}
-
-FsckReport
-ResultCache::fsck(bool repair)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    FsckReport rep;
-    std::vector<std::string> valid_keys;
-    std::error_code ec;
-    const fs::path objects = fs::path(dir_) / "objects";
-    for (auto it = fs::recursive_directory_iterator(objects, ec);
-         it != fs::recursive_directory_iterator();
-         it.increment(ec)) {
-        if (ec)
-            break;
-        if (!it->is_regular_file())
-            continue;
-        const fs::path p = it->path();
-        if (p.extension() != ".json")
-            continue; // in-flight temp files and strays
-        ++rep.scanned;
-        // objects/<2-char fanout>/<62-char rest>.json
-        const std::string key =
-            p.parent_path().filename().string() +
-            p.stem().string();
-        std::string why, perr;
-        Json blob = Json::parseFile(p.string(), &perr);
-        bool ok = perr.empty() &&
-                  validateBlob(blob, key, nullptr, &why);
-        if (ok) {
-            ++rep.valid;
-            valid_keys.push_back(key);
-            continue;
-        }
-        ++rep.corrupt;
-        rep.problems.push_back(
-            key + ": " + (perr.empty() ? why : perr));
-        if (repair) {
-            fs::remove(p, ec);
-            ++rep.removed;
-        }
-    }
-    std::sort(valid_keys.begin(), valid_keys.end());
-    // Index drift: entries for absent objects, or objects the
-    // index never learned about (another process stored them).
-    std::vector<std::string> indexed;
-    indexed.reserve(index_.size());
-    for (const IndexEntry &e : index_)
-        indexed.push_back(e.key);
-    std::sort(indexed.begin(), indexed.end());
-    if (indexed != valid_keys) {
-        rep.problems.push_back(
-            "index out of sync: " +
-            std::to_string(indexed.size()) + " indexed vs " +
-            std::to_string(valid_keys.size()) +
-            " valid object(s)");
-        if (repair) {
-            index_.clear();
-            next_seq_ = 1;
-            for (const std::string &k : valid_keys)
-                index_.push_back({k, next_seq_++});
-            std::string ierr;
-            writeIndexLocked(&ierr);
-            rep.index_rebuilt = true;
-        }
-    } else if (repair && rep.removed) {
-        std::string ierr;
-        writeIndexLocked(&ierr);
-    }
-    return rep;
-}
-
-u64
-ResultCache::entries() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return index_.size();
-}
-
-CacheCounters
-ResultCache::counters() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return counters_;
+    return writeFileAtomic(path, blobJson(key, cell).dump(2) + "\n",
+                           err);
 }
 
 } // namespace siwi::serve

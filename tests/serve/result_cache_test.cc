@@ -2,13 +2,15 @@
  * @file
  * The persistent result cache: store/lookup round-trips exactly,
  * corruption of any blob byte is detected and served as a miss
- * (never as a wrong result), eviction is deterministic
- * oldest-first, and fsck finds — and with repair, fixes — both
- * corrupt objects and index drift.
+ * (never as a wrong result), and concurrent stores and lookups of
+ * one key, which take no lock, never fail or serve a torn blob.
  */
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <thread>
+#include <vector>
 
 #include <unistd.h>
 
@@ -86,8 +88,6 @@ TEST_F(ResultCacheTest, StoreLookupRoundTripIsExact)
     runner::CellResult out;
     ASSERT_TRUE(cache.lookup(makeKey(1), &out));
     EXPECT_EQ(in, out);
-    EXPECT_EQ(cache.counters().hits, 1u);
-    EXPECT_EQ(cache.counters().stores, 1u);
 }
 
 TEST_F(ResultCacheTest, AbsentKeyIsAMissNotAnError)
@@ -99,8 +99,6 @@ TEST_F(ResultCacheTest, AbsentKeyIsAMissNotAnError)
     std::string why;
     EXPECT_FALSE(cache.lookup(makeKey(7), &out, &why));
     EXPECT_EQ(why, "absent");
-    EXPECT_EQ(cache.counters().misses, 1u);
-    EXPECT_EQ(cache.counters().corrupt, 0u);
 }
 
 TEST_F(ResultCacheTest, SurvivesReopen)
@@ -113,7 +111,6 @@ TEST_F(ResultCacheTest, SurvivesReopen)
     }
     ResultCache cache;
     ASSERT_TRUE(cache.open(path(), 0, &err)) << err;
-    EXPECT_EQ(cache.entries(), 1u);
     runner::CellResult out;
     EXPECT_TRUE(cache.lookup(makeKey(1), &out));
     EXPECT_EQ(out, makeCell(1));
@@ -199,23 +196,6 @@ TEST_F(ResultCacheTest, StaleSchemaIsAMiss)
         << why;
 }
 
-TEST_F(ResultCacheTest, EvictionIsOldestFirstAndBounded)
-{
-    ResultCache cache;
-    std::string err;
-    ASSERT_TRUE(cache.open(path(), 3, &err)) << err;
-    for (unsigned n = 1; n <= 5; ++n)
-        ASSERT_TRUE(cache.store(makeKey(n), makeCell(n), &err));
-    EXPECT_EQ(cache.entries(), 3u);
-    EXPECT_EQ(cache.counters().evictions, 2u);
-    runner::CellResult out;
-    EXPECT_FALSE(cache.lookup(makeKey(1), &out));
-    EXPECT_FALSE(cache.lookup(makeKey(2), &out));
-    EXPECT_TRUE(cache.lookup(makeKey(3), &out));
-    EXPECT_TRUE(cache.lookup(makeKey(4), &out));
-    EXPECT_TRUE(cache.lookup(makeKey(5), &out));
-}
-
 TEST_F(ResultCacheTest, NoStrayTempFilesAfterStores)
 {
     ResultCache cache;
@@ -232,61 +212,56 @@ TEST_F(ResultCacheTest, NoStrayTempFilesAfterStores)
     }
 }
 
-TEST_F(ResultCacheTest, FsckFindsAndRepairsCorruption)
+TEST_F(ResultCacheTest, EntryBoundIsRejected)
 {
     ResultCache cache;
     std::string err;
-    ASSERT_TRUE(cache.open(path(), 0, &err)) << err;
-    for (unsigned n = 1; n <= 4; ++n)
-        ASSERT_TRUE(cache.store(makeKey(n), makeCell(n), &err));
-
-    // Corrupt one object and plant one the index never saw.
-    const std::string obj = path() + "/objects/" +
-                            makeKey(2).substr(0, 2) + "/" +
-                            makeKey(2).substr(2) + ".json";
-    {
-        std::ofstream out(obj,
-                          std::ios::binary | std::ios::trunc);
-        out << "{\"garbage\": true}\n";
-    }
-
-    FsckReport rep = cache.fsck(/*repair=*/false);
-    EXPECT_EQ(rep.scanned, 4u);
-    EXPECT_EQ(rep.valid, 3u);
-    EXPECT_EQ(rep.corrupt, 1u);
-    EXPECT_EQ(rep.removed, 0u);
-    EXPECT_FALSE(rep.clean());
-
-    rep = cache.fsck(/*repair=*/true);
-    EXPECT_EQ(rep.corrupt, 1u);
-    EXPECT_EQ(rep.removed, 1u);
-    EXPECT_TRUE(rep.index_rebuilt);
-
-    rep = cache.fsck(/*repair=*/false);
-    EXPECT_TRUE(rep.clean()) << "fsck not clean after repair";
-    EXPECT_EQ(cache.entries(), 3u);
+    EXPECT_FALSE(cache.open(path(), 3, &err));
+    EXPECT_EQ(err, "the result cache has no entry bound");
+    EXPECT_FALSE(fs::exists(path()));
 }
 
-TEST_F(ResultCacheTest, LostIndexIsRebuiltFromObjects)
+TEST_F(ResultCacheTest, ConcurrentStoresAndLookupsOfOneKey)
 {
-    std::string err;
-    {
-        ResultCache cache;
-        ASSERT_TRUE(cache.open(path(), 0, &err)) << err;
-        for (unsigned n = 1; n <= 3; ++n)
-            ASSERT_TRUE(
-                cache.store(makeKey(n), makeCell(n), &err));
-    }
-    fs::remove(path() + "/index.json");
-
+    // Workers of one sweep may store the same key at once (two
+    // sweeps naming the same cell) while others look it up. Each
+    // store must succeed through its own temp file, and a reader
+    // must see a whole blob or none.
     ResultCache cache;
+    std::string err;
     ASSERT_TRUE(cache.open(path(), 0, &err)) << err;
-    // Objects stay the truth: lookups work without any index.
+    const std::string key = makeKey(1);
+    const runner::CellResult cell = makeCell(1);
+    std::atomic<unsigned> failed_stores{0};
+    std::atomic<unsigned> bad_hits{0};
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < 8; ++t) {
+        threads.emplace_back([&, t] {
+            for (unsigned round = 0; round < 50; ++round) {
+                if (t % 2 == 0) {
+                    std::string serr;
+                    if (!cache.store(key, cell, &serr))
+                        failed_stores.fetch_add(1);
+                } else {
+                    runner::CellResult out;
+                    if (cache.lookup(key, &out) && out != cell)
+                        bad_hits.fetch_add(1);
+                }
+            }
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+    EXPECT_EQ(failed_stores.load(), 0u);
+    EXPECT_EQ(bad_hits.load(), 0u);
     runner::CellResult out;
-    EXPECT_TRUE(cache.lookup(makeKey(2), &out));
-    // fsck notices the drift and restores the index.
-    FsckReport rep = cache.fsck(/*repair=*/true);
-    EXPECT_TRUE(rep.index_rebuilt);
-    EXPECT_EQ(cache.entries(), 3u);
-    EXPECT_TRUE(cache.fsck(false).clean());
+    EXPECT_TRUE(cache.lookup(key, &out));
+    EXPECT_EQ(out, cell);
+    for (const auto &e :
+         fs::recursive_directory_iterator(path())) {
+        if (e.is_regular_file()) {
+            EXPECT_EQ(e.path().extension(), ".json")
+                << "stray file: " << e.path();
+        }
+    }
 }
