@@ -94,7 +94,7 @@ run_tsan() {
     cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DSIWI_SANITIZE=thread >/dev/null
     cmake --build build-tsan -j "$JOBS"
-    ctest --test-dir build-tsan -R 'runner|integration|serve' \
+    ctest --test-dir build-tsan -R '^(runner|integration|serve)\.' \
         --output-on-failure -j "$JOBS"
 }
 

@@ -141,30 +141,20 @@ Gpu::runGrid(const Kernel &kernel, const LaunchConfig &lc,
     failure_.clear();
     const unsigned n = cfg_.num_sms;
 
-    // Chip-level CTA scheduler: a shared cursor over the grid.
-    // Every SM pulls at most one CTA per cycle and SMs are stepped
-    // in index order, so the initial distribution is round-robin
-    // and each retirement hands the next pending CTA to the SM
-    // that freed a slot ("round-robin-on-retire").
-    unsigned next_cta = 0;
-    auto source = [&next_cta, grid = lc.grid_blocks]() -> int {
-        return next_cta < grid ? int(next_cta++) : -1;
-    };
-
+    // One dispatcher per launch, shared by its SMs: a lone SM
+    // fills every resident slot at cycle 0, chip SMs take one CTA
+    // per cycle (see pipeline::CtaDispatch).
+    pipeline::CtaDispatch ctas{.grid_blocks = lc.grid_blocks,
+                               .one_per_cycle = n > 1,
+                               .next = 0};
     std::vector<std::unique_ptr<pipeline::SM>> sms;
     sms.reserve(n);
     for (unsigned i = 0; i < n; ++i) {
-        auto sm = std::make_unique<pipeline::SM>(cfg_.sm, memory_,
-                                                 backend, i);
+        sms.push_back(std::make_unique<pipeline::SM>(
+            cfg_.sm, memory_, backend, i, kernel.program(),
+            lc.block_threads, ctas));
         if (hook)
-            sm->setTraceHook(hook);
-        // A lone SM self-assigns CTAs and fills every resident
-        // slot at cycle 0; the chip source admits one per cycle.
-        if (n > 1)
-            sm->setCtaSource(source);
-        sm->launch(kernel.program(), lc.grid_blocks,
-                   lc.block_threads);
-        sms.push_back(std::move(sm));
+            sms.back()->setTraceHook(hook);
     }
 
     // Lockstep cycle loop: within a cycle, SM order fixes the
@@ -177,7 +167,7 @@ Gpu::runGrid(const Kernel &kernel, const LaunchConfig &lc,
     // steps, in index order, only the SMs whose wake_at is due.
     // A sleeping SM cannot be affected by the others before its
     // wake: a quiet step means it had no room for a CTA (or already
-    // saw the grid run dry), so it does not poll the CTA source,
+    // saw the grid run dry), so it does not poll the dispatcher,
     // and it issues no memory request, so it neither reads nor
     // changes the shared backend or the memory image. The SMs that
     // do step therefore see the same request order as per-cycle

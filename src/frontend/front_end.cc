@@ -204,12 +204,13 @@ FrontEnd::FrontEnd(pipeline::SM &sm, const SMConfig &cfg)
       sbi_(cfg.sbi),
       two_pools_(cfg.num_pools == 2),
       sbi_fallback_(cfg.sbi_secondary_fallback),
+      policy_{SchedPolicy(cfg.sched_policy, cfg.num_warps),
+              SchedPolicy(cfg.sched_policy, cfg.num_warps)},
       scans_(cfg.num_warps),
       lookup_(cfg.num_warps, cfg.lookup_sets, 0xdecaf),
       rng_(0xc0ffee)
 {
     for (unsigned pool = 0; pool < 2; ++pool) {
-        policy_[pool] = makeSchedPolicy(cfg.sched_policy, num_warps_);
         pool_warps_[pool].reset(num_warps_);
         for (WarpId w = WarpId(pool); w < num_warps_; w += 2)
             pool_warps_[pool].insert(w);
@@ -240,7 +241,7 @@ FrontEnd::selectPrimary(unsigned pool, bool check_group)
 {
     const pipeline::WarpSet *domain =
         two_pools_ ? &pool_warps_[pool] : nullptr;
-    return scans_.primary(sm_.issueTable(), live(), *policy_[pool],
+    return scans_.primary(sm_.issueTable(), live(), policy_[pool],
                           domain, check_group,
                           &sm_.stats().sync_suspensions);
 }
@@ -250,7 +251,7 @@ FrontEnd::issuePrimary(unsigned pool, std::optional<Cand> c)
 {
     if (!c || !sm_.issueCand(c->w, c->slot, false, nullptr, &primary_))
         return false;
-    policy_[pool]->notifyIssued(*c);
+    policy_[pool].notifyIssued(*c);
     return true;
 }
 

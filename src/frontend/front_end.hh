@@ -26,16 +26,14 @@
  *              shuffle) fills the primary's free lanes. That
  *              register is Table 2's 2-cycle scheduler.
  *
- * Primary-candidate ordering is delegated to a SchedPolicy
- * strategy (see sched_policy.hh), selected via
- * SMConfig::sched_policy; oldest-first reproduces the paper
- * bit-exactly.
+ * Each primary scheduler orders its candidates by a SchedPolicy
+ * value (see sched_policy.hh) of SMConfig::sched_policy's kind;
+ * oldest-first reproduces the paper bit-exactly.
  */
 
 #ifndef SIWI_FRONTEND_FRONT_END_HH
 #define SIWI_FRONTEND_FRONT_END_HH
 
-#include <memory>
 #include <optional>
 
 #include "common/lane_mask.hh"
@@ -265,12 +263,12 @@ class FrontEnd
     const bool two_pools_;    //!< two alternating scheduler pools
     const bool sbi_fallback_; //!< sbi_secondary_fallback
     /**
-     * One policy instance per scheduler pool: pooled machines
-     * model two independent schedulers, so stateful policies (RR
-     * cursor, GTO last-warp) must not leak across pools.
-     * Single-pool machines only use index 0.
+     * One policy per scheduler pool: pooled machines model two
+     * independent schedulers, so the RR cursor and GTO's last warp
+     * must not leak across pools. Single-pool machines only use
+     * index 0.
      */
-    std::unique_ptr<SchedPolicy> policy_[2];
+    SchedPolicy policy_[2];
     /** Each pool's warps (two-pool machines: w % 2 == pool). */
     pipeline::WarpSet pool_warps_[2];
     IssueScans scans_;

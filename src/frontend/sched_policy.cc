@@ -1,53 +1,19 @@
 #include "frontend/sched_policy.hh"
 
-#include "common/log.hh"
-
 namespace siwi::frontend {
 
-namespace {
-
-/** The paper's policy: minimum fetch sequence (age). */
-class OldestFirstPolicy final : public SchedPolicy
+std::optional<Cand>
+SchedPolicy::select(const IssueTable &t, const SlotScan &s,
+                    u64 *sync_probes) const
 {
-  public:
-    SchedPolicyKind kind() const override
-    {
-        return SchedPolicyKind::OldestFirst;
-    }
-
-    std::optional<Cand> select(const IssueTable &t, const SlotScan &s,
-                               u64 *sync_probes) const override
-    {
-        *sync_probes += s.gated.count();
-        return oldestIn(t, 0, s.ready);
-    }
-};
-
-/**
- * Loose round-robin: the first ready candidate at or after the
- * cursor warp wins; the cursor advances past the issued warp.
- * "Loose" because a warp with nothing ready is skipped rather
- * than stalling the scheduler.
- */
-class RoundRobinPolicy final : public SchedPolicy
-{
-  public:
-    explicit RoundRobinPolicy(unsigned num_warps)
-        : num_warps_(num_warps)
-    {
-    }
-
-    SchedPolicyKind kind() const override
-    {
-        return SchedPolicyKind::RoundRobin;
-    }
-
-    std::optional<Cand> select(const IssueTable &, const SlotScan &s,
-                               u64 *sync_probes) const override
-    {
-        // A cyclic scan from the cursor visits candidates in
-        // round-robin order; it probes the gated warps before its
-        // pick, or all of them when nothing is ready.
+    switch (kind_) {
+      case SchedPolicyKind::RoundRobin: {
+        // Loose round-robin: the first ready candidate at or after
+        // the cursor warp wins ("loose": a warp with nothing ready
+        // is skipped rather than stalling the scheduler). A cyclic
+        // scan from the cursor visits candidates in that order; it
+        // probes the gated warps before its pick, or all of them
+        // when nothing is ready.
         std::optional<Cand> pick;
         s.ready.forEachWrapped(cursor_, [&](WarpId w) {
             pick = Cand{w, 0};
@@ -56,67 +22,20 @@ class RoundRobinPolicy final : public SchedPolicy
         *sync_probes += pick ? s.gated.countWrapped(cursor_, pick->w)
                              : s.gated.count();
         return pick;
-    }
-
-    void notifyIssued(const Cand &c) override
-    {
-        cursor_ = WarpId((c.w + 1) % num_warps_);
-    }
-
-  private:
-    unsigned num_warps_;
-    WarpId cursor_ = 0;
-};
-
-/**
- * Greedy-then-oldest: keep issuing from the last issued warp
- * while it has something ready (exploits intra-warp row reuse and
- * cache locality), falling back to oldest-first.
- */
-class GreedyThenOldestPolicy final : public SchedPolicy
-{
-  public:
-    SchedPolicyKind kind() const override
-    {
-        return SchedPolicyKind::GreedyThenOldest;
-    }
-
-    std::optional<Cand> select(const IssueTable &t, const SlotScan &s,
-                               u64 *sync_probes) const override
-    {
-        *sync_probes += s.gated.count();
-        if (have_last_ && s.ready.contains(last_warp_))
-            return Cand{last_warp_, 0};
-        return oldestIn(t, 0, s.ready);
-    }
-
-    void notifyIssued(const Cand &c) override
-    {
-        have_last_ = true;
-        last_warp_ = c.w;
-    }
-
-  private:
-    bool have_last_ = false;
-    WarpId last_warp_ = 0;
-};
-
-/**
- * Minimum PC first (oldest-first tie-break): favors trailing
- * warp-splits, pulling divergent contexts back together — the
- * scheduling analogue of thread-frontier reconvergence.
- */
-class MinPcPolicy final : public SchedPolicy
-{
-  public:
-    SchedPolicyKind kind() const override
-    {
-        return SchedPolicyKind::MinPc;
-    }
-
-    std::optional<Cand> select(const IssueTable &t, const SlotScan &s,
-                               u64 *sync_probes) const override
-    {
+      }
+      case SchedPolicyKind::GreedyThenOldest:
+        // Keep issuing from the last issued warp while it has
+        // something ready (intra-warp row reuse and cache
+        // locality), falling back to oldest-first.
+        if (last_ && s.ready.contains(*last_)) {
+            *sync_probes += s.gated.count();
+            return Cand{*last_, 0};
+        }
+        break;
+      case SchedPolicyKind::MinPc: {
+        // Minimum PC first, oldest-first tie-break: favors trailing
+        // warp-splits, pulling divergent contexts back together —
+        // the scheduling analogue of thread-frontier reconvergence.
         *sync_probes += s.gated.count();
         std::optional<Cand> best;
         Pc best_pc = invalid_pc;
@@ -132,10 +51,14 @@ class MinPcPolicy final : public SchedPolicy
             }
         });
         return best;
+      }
+      case SchedPolicyKind::OldestFirst:
+        break;
     }
-};
-
-} // namespace
+    // The paper's policy: minimum fetch sequence (age).
+    *sync_probes += s.gated.count();
+    return oldestIn(t, 0, s.ready);
+}
 
 std::optional<Cand>
 oldestIn(const IssueTable &t, unsigned slot, const pipeline::WarpSet &ws)
@@ -149,22 +72,6 @@ oldestIn(const IssueTable &t, unsigned slot, const pipeline::WarpSet &ws)
         }
     });
     return best;
-}
-
-std::unique_ptr<SchedPolicy>
-makeSchedPolicy(SchedPolicyKind kind, unsigned num_warps)
-{
-    switch (kind) {
-      case SchedPolicyKind::OldestFirst:
-        return std::make_unique<OldestFirstPolicy>();
-      case SchedPolicyKind::RoundRobin:
-        return std::make_unique<RoundRobinPolicy>(num_warps);
-      case SchedPolicyKind::GreedyThenOldest:
-        return std::make_unique<GreedyThenOldestPolicy>();
-      case SchedPolicyKind::MinPc:
-        return std::make_unique<MinPcPolicy>();
-    }
-    panic("unknown scheduling policy");
 }
 
 } // namespace siwi::frontend

@@ -6,19 +6,18 @@
  * oldest-first (section 4: "the primary scheduler still selects
  * the oldest ready instruction"), but the policy is orthogonal to
  * the front-end structure: any ordering of the ready primary
- * candidates yields a working machine. SchedPolicy is that
- * strategy seam. Besides the paper's oldest-first it provides the
- * classic alternatives of the GPU-scheduling literature: loose
- * round-robin (fairness), greedy-then-oldest (GTO: stick with the
- * last warp to exploit intra-warp locality), and minimum-PC
- * (favor trailing warp-splits, which accelerates reconvergence on
- * thread-frontier machines).
+ * candidates yields a working machine. Besides the paper's
+ * oldest-first, SchedPolicy (one class that switches on its kind)
+ * provides the classic alternatives of the GPU-scheduling
+ * literature: loose round-robin (fairness), greedy-then-oldest
+ * (GTO: stick with the last warp to exploit intra-warp locality),
+ * and minimum-PC (favor trailing warp-splits, which accelerates
+ * reconvergence on thread-frontier machines).
  */
 
 #ifndef SIWI_FRONTEND_SCHED_POLICY_HH
 #define SIWI_FRONTEND_SCHED_POLICY_HH
 
-#include <memory>
 #include <optional>
 
 #include "common/types.hh"
@@ -50,22 +49,23 @@ schedPolicyName(SchedPolicyKind kind)
 }
 
 /**
- * Primary-candidate ordering strategy.
+ * A primary scheduler's ordering of its ready candidates.
  *
  * select() picks the best of a slot-0 scan's ready warps (CPC1
- * entries that may issue), or nullopt. Policies with internal state
- * (the round-robin cursor, GTO's last warp) advance it through
+ * entries that may issue), or nullopt. The state two kinds keep
+ * (the round-robin cursor, GTO's last warp) advances through
  * notifyIssued(), which the front-end calls only when the pick
  * actually issues — a selection denied by a structural stall
  * must not advance the cursor past the stalled warp. Pooled
- * machines get one policy instance per pool.
+ * machines hold one policy per pool.
  */
 class SchedPolicy
 {
   public:
-    virtual ~SchedPolicy() = default;
-
-    virtual SchedPolicyKind kind() const = 0;
+    SchedPolicy(SchedPolicyKind kind, unsigned num_warps)
+        : kind_(kind), num_warps_(num_warps)
+    {
+    }
 
     /**
      * Pick the best warp of @p s.ready (rows of @p t, slot 0), or
@@ -73,15 +73,21 @@ class SchedPolicy
      * that a probe of each candidate in this policy's order visits:
      * all of them, except that round-robin stops at its pick.
      */
-    virtual std::optional<Cand> select(const IssueTable &t,
-                                       const SlotScan &s,
-                                       u64 *sync_probes) const = 0;
+    std::optional<Cand> select(const IssueTable &t, const SlotScan &s,
+                               u64 *sync_probes) const;
 
-    /** Candidate @p c issued; advance any cursor state. */
-    virtual void notifyIssued(const Cand &c) { (void)c; }
+    /** @p c issued: advance the RR cursor and GTO's last warp. */
+    void notifyIssued(const Cand &c)
+    {
+        cursor_ = WarpId((c.w + 1) % num_warps_);
+        last_ = c.w;
+    }
 
-  protected:
-    SchedPolicy() = default;
+  private:
+    SchedPolicyKind kind_;
+    unsigned num_warps_;
+    WarpId cursor_ = 0;          //!< round-robin: first warp tried
+    std::optional<WarpId> last_; //!< GTO: last warp issued
 };
 
 /**
@@ -90,10 +96,6 @@ class SchedPolicy
  */
 std::optional<Cand> oldestIn(const IssueTable &t, unsigned slot,
                              const pipeline::WarpSet &ws);
-
-/** Build the policy strategy for @p kind. */
-std::unique_ptr<SchedPolicy> makeSchedPolicy(SchedPolicyKind kind,
-                                             unsigned num_warps);
 
 } // namespace siwi::frontend
 

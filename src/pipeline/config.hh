@@ -130,7 +130,7 @@ laneShuffleName(LaneShufflePolicy p)
     SIWI_MEM_CONFIG_FIELDS(S, S, P mem., K) \
     /* --- occupancy --- */ \
     X(P, K, U32, max_blocks_resident, 8, \
-      "thread blocks resident per SM", 0, 1024)
+      "thread blocks resident per SM", 1, 1024)
 
 /** Full SM parameter set. */
 struct SMConfig

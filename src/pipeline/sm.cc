@@ -29,12 +29,25 @@ SM::setSleepAudit(bool on)
     sleep_audit.store(on, std::memory_order_relaxed);
 }
 
+SM::WarpSlot::WarpSlot(const SMConfig &cfg, unsigned regs)
+    : state(cfg.warp_width, regs)
+{
+    if (cfg.reconv == ReconvMode::Stack)
+        stack.emplace(LaneMask{});
+    else
+        heap.emplace(cfg.heap, LaneMask{});
+}
+
 SM::SM(const SMConfig &cfg, mem::MemoryImage &memory,
-       mem::MemoryBackend &backend, unsigned port)
+       mem::MemoryBackend &backend, unsigned port,
+       const isa::Program &prog, unsigned block_threads,
+       CtaDispatch &ctas)
     : cfg_(cfg),
       memory_(memory),
       memsys_(cfg.mem, backend, port),
-      warps_(cfg.num_warps),
+      prog_(prog),
+      block_threads_(block_threads),
+      ctas_(ctas),
       blocks_(cfg.max_blocks_resident),
       free_warps_(cfg.num_warps),
       ibuf_(cfg.num_warps, 2),
@@ -47,49 +60,34 @@ SM::SM(const SMConfig &cfg, mem::MemoryImage &memory,
       stale_(cfg.num_warps)
 {
     cfg_.validate();
-    for (unsigned g = 0; g < cfg_.mad_groups; ++g) {
-        groups_.emplace_back("MAD" + std::to_string(g),
-                             UnitClass::MAD, cfg_.mad_width);
-    }
-    groups_.emplace_back("SFU", UnitClass::SFU, cfg_.sfu_width);
-    groups_.emplace_back("LSU", UnitClass::LSU, cfg_.lsu_width);
-}
-
-void
-SM::launch(const isa::Program &prog, unsigned grid_blocks,
-           unsigned block_threads)
-{
     siwi_assert(!prog.empty(), "launching empty program");
-    siwi_assert(grid_blocks >= 1 && block_threads >= 1,
+    siwi_assert(ctas.grid_blocks >= 1 && block_threads >= 1,
                 "empty grid");
     siwi_assert(block_threads <= cfg_.maxThreads(),
                 "block larger than the SM");
     siwi_assert(prog.regsUsed() <= num_arch_regs,
                 "program uses too many registers");
 
-    prog_ = prog;
     decoded_ = decodeProgram(prog_);
     // Each warp's register file holds only the registers the
     // program names.
-    for (WarpSlot &ws : warps_) {
-        ws.state = std::make_unique<exec::WarpState>(cfg_.warp_width,
-                                                     prog.regsUsed());
+    warps_.reserve(cfg_.num_warps);
+    for (unsigned w = 0; w < cfg_.num_warps; ++w)
+        warps_.emplace_back(cfg_, prog.regsUsed());
+    for (unsigned g = 0; g < cfg_.mad_groups; ++g) {
+        groups_.emplace_back("MAD" + std::to_string(g),
+                             UnitClass::MAD, cfg_.mad_width);
     }
-    grid_blocks_ = grid_blocks;
-    block_threads_ = block_threads;
-    next_cta_ = 0;
+    groups_.emplace_back("SFU", UnitClass::SFU, cfg_.sfu_width);
+    groups_.emplace_back("LSU", UnitClass::LSU, cfg_.lsu_width);
     launchBlocks();
 }
 
 bool
 SM::done() const
 {
-    if (cta_source_) {
-        if (!cta_source_dry_)
-            return false;
-    } else if (next_cta_ < grid_blocks_) {
+    if (!ctas_dry_)
         return false;
-    }
     for (const BlockSlot &b : blocks_) {
         if (b.active)
             return false;
@@ -102,15 +100,15 @@ SM::step()
 {
     bool progress = false;
 
-    // Under a chip CTA scheduler, poll for work every cycle: slots
-    // may be free while other SMs still drain the grid. Taking a
-    // CTA — or discovering the grid just ran dry, which flips
-    // done() — is progress.
-    if (cta_source_ && !cta_source_dry_) {
+    // A chip SM polls the dispatcher every cycle: slots may be free
+    // while other SMs still drain the grid. Taking a CTA — or
+    // finding that the grid just ran dry, which flips done() — is
+    // progress.
+    if (ctas_.one_per_cycle && !ctas_dry_) {
         u64 blocks_before = stats_.blocks_launched;
         launchBlocks();
         progress |= stats_.blocks_launched != blocks_before ||
-                    cta_source_dry_;
+                    ctas_dry_;
     }
 
     // Fill retirement is batch-equivalent under time jumps (no
@@ -416,10 +414,7 @@ SM::launchBlocks()
     unsigned warps_per_block =
         unsigned(divCeil(block_threads_, cfg_.warp_width));
 
-    for (;;) {
-        if (cta_source_ ? cta_source_dry_
-                        : next_cta_ >= grid_blocks_)
-            return;
+    while (!ctas_dry_) {
         // A chip SM polls every cycle, also while a CTA drains and
         // a block slot is free but too few warp slots are.
         if (free_warps_ < warps_per_block)
@@ -436,17 +431,10 @@ SM::launchBlocks()
         if (bslot < 0)
             return;
 
-        // Pick the CTA: self-assigned from the launch grid, or
-        // pulled from the chip scheduler.
-        int cta;
-        if (cta_source_) {
-            cta = cta_source_();
-            if (cta < 0) {
-                cta_source_dry_ = true;
-                return;
-            }
-        } else {
-            cta = int(next_cta_);
+        const int cta = ctas_.take();
+        if (cta < 0) {
+            ctas_dry_ = true;
+            return;
         }
 
         BlockSlot &blk = blocks_[unsigned(bslot)];
@@ -469,12 +457,11 @@ SM::launchBlocks()
         }
         stats_.blocks_launched += 1;
         stats_.threads_launched += block_threads_;
-        ++next_cta_;
 
         // Chip mode admits one CTA per cycle (GigaThread-style
         // dispatch), which is what makes the initial distribution
         // round-robin across SMs.
-        if (cta_source_)
+        if (ctas_.one_per_cycle)
             return;
     }
 }
@@ -495,35 +482,30 @@ SM::initWarp(WarpId w, int block_slot, unsigned first_tid,
         id = divergence::no_ctx;
     accrueRunnable(now_);
     ++runnable_count_;
-    ws.state->clear();
+    ws.state.clear();
 
     const BlockSlot &blk = blocks_[unsigned(block_slot)];
     LaneMask mask;
     for (unsigned t = 0; t < thread_count; ++t) {
         unsigned lane = laneOf(cfg_.lane_shuffle, t, w, cfg_.warp_width,
                                cfg_.num_warps);
-        exec::ThreadInfo &ti = ws.state->info(lane);
+        exec::ThreadInfo &ti = ws.state.info(lane);
         ti.valid = true;
         ti.tid = i32(first_tid + t);
         ti.ntid = i32(block_threads_);
         ti.ctaid = blk.cta;
-        ti.nctaid = i32(grid_blocks_);
+        ti.nctaid = i32(ctas_.grid_blocks);
         ti.gtid = i32(u32(blk.cta) * block_threads_ + first_tid + t);
         ti.lane = i32(lane);
         ti.wid = i32(w);
         mask.set(lane);
     }
 
-    // The slot's tracker is built on its first CTA and reset after.
+    // The slot's tracker, built with the SM, starts afresh.
     if (ws.stack)
         ws.stack->reset(mask, Pc(0));
-    else if (ws.heap)
-        ws.heap->reset(mask, Pc(0));
-    else if (cfg_.reconv == ReconvMode::Stack)
-        ws.stack = std::make_unique<divergence::ReconvStack>(mask, Pc(0));
     else
-        ws.heap = std::make_unique<divergence::SplitHeap>(cfg_.heap, mask,
-                                                          Pc(0));
+        ws.heap->reset(mask, Pc(0));
     ibuf_.flushWarp(w);
     sb_.flushWarp(w);
     // A new tenant: every stage must look at it.
@@ -742,7 +724,7 @@ SM::issueMemory(WarpId w, const IBufEntry &e, const CtxView &cv,
     const Instruction &inst = e.inst;
     const unsigned block_bytes = cfg_.mem.l1.block_bytes;
 
-    exec::memAddresses(inst, *ws.state, cv.mask, lane_addrs_);
+    exec::memAddresses(inst, ws.state, cv.mask, lane_addrs_);
     siwi_assert(!lane_addrs_.empty(), "memory op with no transactions");
 
     Cycle base = when + cfg_.delivery_latency;
@@ -760,7 +742,7 @@ SM::issueMemory(WarpId w, const IBufEntry &e, const CtxView &cv,
             // new warp-split, the remaining lanes replay the
             // instruction (section 2 replay + section 3.4 memory
             // divergence).
-            exec::executeMem(inst, lane_addrs_, t.lanes, *ws.state,
+            exec::executeMem(inst, lane_addrs_, t.lanes, ws.state,
                              memory_);
             if (inst.op == Opcode::LD) {
                 Cycle data = memsys_.load(base, t.block);
@@ -790,7 +772,7 @@ SM::issueMemory(WarpId w, const IBufEntry &e, const CtxView &cv,
 
     // Replay all transactions back-to-back through the single L1
     // port; the LSU stays occupied one cycle per transaction.
-    exec::executeMem(inst, lane_addrs_, cv.mask, *ws.state, memory_);
+    exec::executeMem(inst, lane_addrs_, cv.mask, ws.state, memory_);
     Cycle last_data = 0;
     for (unsigned i = 0; i < txns_.size(); ++i) {
         Cycle t_when = base + Cycle(i);
@@ -850,7 +832,7 @@ SM::issueCand(WarpId w, unsigned slot, bool secondary, ExecGroup *row,
       case Opcode::BRA:
       case Opcode::BNZ:
       case Opcode::BZ: {
-        LaneMask taken = exec::evalBranch(inst, *ws.state, cv.mask);
+        LaneMask taken = exec::evalBranch(inst, ws.state, cv.mask);
         if (ws.stack)
             ws.stack_branch_pending = true;
         else
@@ -895,7 +877,7 @@ SM::issueCand(WarpId w, unsigned slot, bool secondary, ExecGroup *row,
 
       default: {
         // ALU / SFU
-        exec::executeAlu(inst, *ws.state, cv.mask);
+        exec::executeAlu(inst, ws.state, cv.mask);
         advanceCtx(w, cv.id, e.pc + 1);
         if (inst.writesDst()) {
             unsigned idx = sb_.allocate(w, inst.dst, cv.mask);

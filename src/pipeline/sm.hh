@@ -2,7 +2,7 @@
  * @file
  * The streaming-multiprocessor cycle-level model.
  *
- * One SM object simulates one kernel grid on one SM, in any of the
+ * One SM object simulates one launch on one SM, in any of the
  * five pipeline configurations of the paper's evaluation (Figure 7):
  * the Fermi-like stack baseline, the 64-wide thread-frontier
  * reference, SBI, SWI, and SBI+SWI. See docs/DESIGN.md for the pipeline
@@ -20,7 +20,6 @@
 #define SIWI_PIPELINE_SM_HH
 
 #include <functional>
-#include <memory>
 #include <optional>
 #include <queue>
 #include <string_view>
@@ -65,43 +64,50 @@ struct IssueEvent
 };
 
 /**
+ * A launch's CTA dispatcher, shared by its SMs: a cursor over the
+ * grid. core::Gpu builds and steps its SMs in index order, so chip
+ * SMs start round-robin (SM i runs CTA i) and each block retirement
+ * hands the next pending CTA to the SM that freed the slot.
+ */
+struct CtaDispatch
+{
+    unsigned grid_blocks = 0;
+    /**
+     * Chip SMs take at most one CTA per call and poll every cycle
+     * (GigaThread-style); a lone SM takes every CTA that fits, when
+     * built and on each block retirement.
+     */
+    bool one_per_cycle = false;
+    unsigned next = 0; //!< the next CTA to hand out
+
+    /** The next CTA id, or -1 once the grid is exhausted. */
+    int take() { return next < grid_blocks ? int(next++) : -1; }
+};
+
+/**
  * Cycle-level SM simulator.
  */
 class SM
 {
   public:
     /**
+     * One launch: CTAs of @p block_threads threads of @p prog (which
+     * must outlive the SM) taken from @p ctas, the first ones here.
      * @param backend the chip's memory backend (a private DRAM
      *        channel for the paper's single SM); not owned
      * @param port this SM's interconnect port on the backend (its
      *        SM index); ignored by a private channel
      */
     SM(const SMConfig &cfg, mem::MemoryImage &memory,
-       mem::MemoryBackend &backend, unsigned port = 0);
+       mem::MemoryBackend &backend, unsigned port,
+       const isa::Program &prog, unsigned block_threads,
+       CtaDispatch &ctas);
 
     // The front-end keeps a reference to its SM.
     SM(const SM &) = delete;
     SM &operator=(const SM &) = delete;
 
-    /** Start a grid of @p grid_blocks x @p block_threads threads. */
-    void launch(const isa::Program &prog, unsigned grid_blocks,
-                unsigned block_threads);
-
-    /**
-     * Chip-level CTA scheduler hook: returns the next global CTA
-     * id this SM should run, or -1 when the grid is exhausted.
-     * When set, the SM stops self-assigning CTAs from the launch
-     * grid and instead pulls at most one CTA per cycle from the
-     * source (so a fresh chip distributes CTAs round-robin and a
-     * retiring SM picks up the next pending CTA).
-     */
-    using CtaSource = std::function<int()>;
-    void setCtaSource(CtaSource src)
-    {
-        cta_source_ = std::move(src);
-    }
-
-    /** All blocks retired? */
+    /** The grid ran dry for this SM and all its blocks retired? */
     bool done() const;
 
     /**
@@ -239,11 +245,15 @@ class SM
 
     struct WarpSlot
     {
+        /** Free, its register file and tracker empty (see initWarp). */
+        WarpSlot(const SMConfig &cfg, unsigned regs);
+
         bool active = false;
         int block = -1;
-        std::unique_ptr<exec::WarpState> state;
-        std::unique_ptr<divergence::ReconvStack> stack;
-        std::unique_ptr<divergence::SplitHeap> heap;
+        exec::WarpState state;
+        /** The machine's tracker: exactly one of the two is set. */
+        std::optional<divergence::ReconvStack> stack;
+        std::optional<divergence::SplitHeap> heap;
         bool stack_branch_pending = false;
         bool stack_barrier_blocked = false;
         Cycle last_divergence = ~Cycle(0);
@@ -383,7 +393,7 @@ class SM
         for (unsigned s = 0; s < 2; ++s)
             fetch_work_[s].insert(w);
     }
-    /** @p w's heap was created or mutated: it needs upkeep. */
+    /** @p w's heap was reset or mutated: it needs upkeep. */
     void heapTouched(WarpId w)
     {
         if (warps_[w].heap)
@@ -526,13 +536,15 @@ class SM
     /** issueMemory()'s scratch: its transactions (replay-all). */
     mem::Transactions txns_;
 
-    isa::Program prog_;
+    const isa::Program &prog_;
     std::vector<DecodedInst> decoded_; //!< decodeProgram(prog_)
-    unsigned grid_blocks_ = 0;
-    unsigned block_threads_ = 0;
-    unsigned next_cta_ = 0;
-    CtaSource cta_source_;
-    bool cta_source_dry_ = false;
+    unsigned block_threads_;
+    CtaDispatch &ctas_;
+    /**
+     * ctas_ had no CTA while this SM had room; done() and the chip
+     * poll read this, not the shared cursor.
+     */
+    bool ctas_dry_ = false;
 
     std::vector<WarpSlot> warps_;
     std::vector<BlockSlot> blocks_;

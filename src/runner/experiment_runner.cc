@@ -34,37 +34,42 @@ CellResult
 runCell(const SweepSpec &sweep, size_t machine, size_t wl,
         size_t sms, size_t policy, bool cycle_skip)
 {
-    const MachineSpec &m = sweep.machines[machine];
-    const workloads::Workload &w = *sweep.wls[wl];
-    const unsigned num_sms = sweep.smsAt(sms);
-    const frontend::SchedPolicyKind pol =
-        effectivePolicy(sweep, machine, policy);
-
     // The exact chip the machineRecords block advertises — chip
     // overrides (L2 slicing, DRAM channels, NoC) included.
     core::GpuConfig chip =
         resolvedCellConfig(sweep, machine, sms, policy);
     workloads::RunResult res = workloads::runWorkload(
-        w, chip, sweep.size, cycle_skip);
+        *sweep.wls[wl], chip, sweep.size, cycle_skip);
 
     CellResult c;
-    c.sweep = sweep.name;
-    // Policy and SM count are part of the cell identity (baselines
-    // and tables key on the machine label), so non-default cells
-    // carry them in the label; plain oldest-first single-SM labels
-    // stay unchanged.
-    c.machine = cellMachineLabel(m.name, pol, num_sms);
-    c.num_sms = num_sms;
-    c.policy = frontend::schedPolicyName(pol);
-    c.workload = w.name();
-    c.size = sizeClassName(sweep.size);
-    c.excluded_from_means = w.excludedFromMeans();
+    labelCell(sweep, machine, wl, sms, policy, &c);
     c.verified = res.verified;
     c.verify_msg = res.verify_msg;
     c.timed_out = res.stats.timed_out;
     c.stats = res.stats;
     c.ipc = res.stats.ipc();
     return c;
+}
+
+void
+labelCell(const SweepSpec &sweep, size_t machine, size_t wl,
+          size_t sms, size_t policy, CellResult *c)
+{
+    const workloads::Workload &w = *sweep.wls[wl];
+    const frontend::SchedPolicyKind pol =
+        effectivePolicy(sweep, machine, policy);
+    c->sweep = sweep.name;
+    c->num_sms = sweep.smsAt(sms);
+    // Policy and SM count are part of the cell identity (baselines
+    // and tables key on the machine label), so non-default cells
+    // carry them in the label; plain oldest-first single-SM labels
+    // stay unchanged.
+    c->machine =
+        cellMachineLabel(sweep.machines[machine].name, pol, c->num_sms);
+    c->policy = frontend::schedPolicyName(pol);
+    c->workload = w.name();
+    c->size = sizeClassName(sweep.size);
+    c->excluded_from_means = w.excludedFromMeans();
 }
 
 std::vector<MachineRecord>

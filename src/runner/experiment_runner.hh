@@ -83,6 +83,15 @@ CellResult runCell(const SweepSpec &sweep, size_t machine,
                    size_t wl, size_t sms = 0, size_t policy = 0,
                    bool cycle_skip = true);
 
+/**
+ * Set every label of @p c (all but the measurement: verified,
+ * timed_out, ipc, stats, verify_msg) to runCell()'s for the same
+ * arguments. A cache hit is labelled so: one blob serves every
+ * cell of its resolved chip, whatever the sweep and machine names.
+ */
+void labelCell(const SweepSpec &sweep, size_t machine, size_t wl,
+               size_t sms, size_t policy, CellResult *c);
+
 } // namespace siwi::runner
 
 #endif // SIWI_RUNNER_EXPERIMENT_RUNNER_HH

@@ -78,10 +78,9 @@ Json machinesToJson(const std::vector<MachineRecord> &machines);
 
 /**
  * Serialize one cell exactly as it appears in the results "cells"
- * array — shared by Results::toJson, the serve-layer result cache
- * (one blob per cell) and the streaming protocol, so a cell that
- * travels through the cache or the wire re-serializes
- * byte-identically to a locally computed one.
+ * array — shared by Results::toJson and the serve-layer result
+ * cache (one blob per cell), so a cell that travels through the
+ * cache re-serializes byte-identically to a locally computed one.
  */
 Json cellToJson(const CellResult &c);
 

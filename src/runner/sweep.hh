@@ -86,8 +86,8 @@ struct SweepSpec
     std::vector<unsigned> sms = {1};
     /**
      * Scheduling-policy axis: every cell runs once per entry,
-     * with SMConfig::sched_policy overridden (the front-end
-     * SchedPolicy strategy). Non-default policies carry a
+     * with SMConfig::sched_policy overridden (the kind of the
+     * front-end's SchedPolicy). Non-default policies carry a
      * "/<policy>" suffix on their machine label; the default
      * oldest-first keeps the plain label, so existing baselines
      * stay keyed the same.

@@ -21,6 +21,9 @@ runSweepsCached(const std::vector<runner::SweepSpec> &sweeps,
             const std::string key = cellCacheKey(sweep, cs);
             runner::CellResult c;
             if (cache->lookup(key, &c)) {
+                // The blob's measurement, this cell's labels.
+                runner::labelCell(sweep, cs.machine, cs.wl, cs.sms,
+                                  cs.policy, &c);
                 hits.fetch_add(1);
                 *cached = true;
                 return c;

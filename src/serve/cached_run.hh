@@ -9,9 +9,12 @@
  * directory therefore share results.
  *
  * Because cells are bit-identical functions of their resolved
- * configuration, a cache hit is exact: the returned Results — and
- * its serialized JSON — are byte-identical whether every cell was
- * computed, cached, or any mix of the two.
+ * configuration, a cache hit is exact. A hit keeps the blob's
+ * measurement and takes its labels from the cell being run
+ * (runner::labelCell), since the key leaves out the sweep and
+ * machine names. The returned Results — and its serialized JSON —
+ * are byte-identical whether every cell was computed, cached, or
+ * any mix of the two.
  */
 
 #ifndef SIWI_SERVE_CACHED_RUN_HH

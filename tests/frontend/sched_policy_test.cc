@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the SchedPolicy strategies and the issue stage's
+ * Unit tests for the SchedPolicy kinds and the issue stage's
  * candidate scans, against scripted issue-table rows: selection
  * order, cursor/greedy state, the policy names, and every scan
  * against a reference loop that probes each candidate in turn.
@@ -147,48 +147,48 @@ TEST(SchedPolicyRegistry, MachineAndPolicyTables)
 TEST(SchedPolicy, OldestFirstPicksMinimumSeq)
 {
     Rows rows(4);
-    auto p = makeSchedPolicy(SchedPolicyKind::OldestFirst, 4);
+    SchedPolicy p(SchedPolicyKind::OldestFirst, 4);
     rows.ready(1, 30, 5);
     rows.ready(2, 10, 9);
     rows.ready(3, 20, 1);
-    auto c = pick(*p, rows);
+    auto c = pick(p, rows);
     ASSERT_TRUE(c.has_value());
     EXPECT_EQ(c->w, 2u);
 
     rows.at(2, 0).has_entry = false;
-    c = pick(*p, rows);
+    c = pick(p, rows);
     ASSERT_TRUE(c.has_value());
     EXPECT_EQ(c->w, 3u);
 
     for (WarpId w = 0; w < 4; ++w)
         rows.at(w, 0).has_entry = false;
-    EXPECT_FALSE(pick(*p, rows).has_value());
+    EXPECT_FALSE(pick(p, rows).has_value());
 }
 
 TEST(SchedPolicy, RoundRobinAdvancesPastIssuedWarp)
 {
     Rows rows(4);
-    auto p = makeSchedPolicy(SchedPolicyKind::RoundRobin, 4);
+    SchedPolicy p(SchedPolicyKind::RoundRobin, 4);
     for (WarpId w = 0; w < 4; ++w)
         rows.ready(w, u64(100 - w)); // ages decorrelated
 
-    auto c = pick(*p, rows);
+    auto c = pick(p, rows);
     ASSERT_TRUE(c);
     EXPECT_EQ(c->w, 0u); // cursor starts at warp 0
-    p->notifyIssued(*c);
+    p.notifyIssued(*c);
 
-    c = pick(*p, rows);
+    c = pick(p, rows);
     ASSERT_TRUE(c);
     EXPECT_EQ(c->w, 1u); // cursor moved past warp 0
-    p->notifyIssued(*c);
+    p.notifyIssued(*c);
 
     rows.at(2, 0).has_entry = false; // loose: skip stalled warp
-    c = pick(*p, rows);
+    c = pick(p, rows);
     ASSERT_TRUE(c);
     EXPECT_EQ(c->w, 3u);
-    p->notifyIssued(*c);
+    p.notifyIssued(*c);
 
-    c = pick(*p, rows); // wraps to warp 0
+    c = pick(p, rows); // wraps to warp 0
     ASSERT_TRUE(c);
     EXPECT_EQ(c->w, 0u);
 }
@@ -196,27 +196,27 @@ TEST(SchedPolicy, RoundRobinAdvancesPastIssuedWarp)
 TEST(SchedPolicy, GtoSticksWithLastWarpThenOldest)
 {
     Rows rows(4);
-    auto p = makeSchedPolicy(SchedPolicyKind::GreedyThenOldest, 4);
+    SchedPolicy p(SchedPolicyKind::GreedyThenOldest, 4);
     rows.ready(0, 50);
     rows.ready(2, 10);
 
     // No last warp yet: oldest (warp 2) wins.
-    auto c = pick(*p, rows);
+    auto c = pick(p, rows);
     ASSERT_TRUE(c);
     EXPECT_EQ(c->w, 2u);
-    p->notifyIssued(*c);
+    p.notifyIssued(*c);
 
     // Warp 2 still ready: greedy keeps it even when another warp
     // holds the older instruction now.
     rows.at(0, 0).e.seq = 1;
-    c = pick(*p, rows);
+    c = pick(p, rows);
     ASSERT_TRUE(c);
     EXPECT_EQ(c->w, 2u);
-    p->notifyIssued(*c);
+    p.notifyIssued(*c);
 
     // Last warp dries up: fall back to oldest.
     rows.at(2, 0).has_entry = false;
-    c = pick(*p, rows);
+    c = pick(p, rows);
     ASSERT_TRUE(c);
     EXPECT_EQ(c->w, 0u);
 }
@@ -224,13 +224,13 @@ TEST(SchedPolicy, GtoSticksWithLastWarpThenOldest)
 TEST(SchedPolicy, MinPcPrefersTrailingPcWithAgeTieBreak)
 {
     Rows rows(4);
-    auto p = makeSchedPolicy(SchedPolicyKind::MinPc, 4);
+    SchedPolicy p(SchedPolicyKind::MinPc, 4);
     rows.ready(0, 5, 40);
     rows.ready(1, 9, 12);
     rows.ready(2, 3, 12);
     rows.ready(3, 1, 90);
 
-    auto c = pick(*p, rows);
+    auto c = pick(p, rows);
     ASSERT_TRUE(c);
     EXPECT_EQ(c->w, 2u); // pc 12, and older than warp 1
 }
@@ -541,12 +541,12 @@ TEST(IssueScans, MatchProbeEveryCandidateLoops)
                 dom.push_back(w);
         }
         for (SchedPolicyKind kind : kinds) {
-            auto p = makeSchedPolicy(kind, n);
+            SchedPolicy p(kind, n);
             if (t.have_last || kind == SchedPolicyKind::RoundRobin)
-                p->notifyIssued(Cand{t.last, 0});
+                p.notifyIssued(Cand{t.last, 0});
             for (bool check_group : {false, true}) {
                 u64 got_sync = 0, want_sync = 0;
-                auto got = scans.primary(table, t.live, *p,
+                auto got = scans.primary(table, t.live, p,
                                          t.use_pool ? &t.pool : nullptr,
                                          check_group, &got_sync);
                 auto want = refPrimary(kind, t, dom, check_group,

@@ -59,9 +59,11 @@ checkWindows(const workloads::Workload &wl,
     mem::MemoryImage oracle_mem;
     wl.init(oracle_mem, SizeClass::Tiny);
     mem::DramBackend oracle_dram{mem::DramConfig{}};
-    pipeline::SM oracle(cfg, oracle_mem, oracle_dram);
-    oracle.launch(kernel.program(), inst.grid_blocks,
-                  inst.block_threads);
+    pipeline::CtaDispatch oracle_ctas{.grid_blocks = inst.grid_blocks,
+                                      .one_per_cycle = false,
+                                      .next = 0};
+    pipeline::SM oracle(cfg, oracle_mem, oracle_dram, 0, kernel.program(),
+                        inst.block_threads, oracle_ctas);
     std::vector<char> progressed;
     while (!oracle.done() && oracle.now() < limit)
         progressed.push_back(oracle.step() ? 1 : 0);
@@ -72,9 +74,11 @@ checkWindows(const workloads::Workload &wl,
     mem::MemoryImage skip_mem;
     wl.init(skip_mem, SizeClass::Tiny);
     mem::DramBackend skip_dram{mem::DramConfig{}};
-    pipeline::SM skipper(cfg, skip_mem, skip_dram);
-    skipper.launch(kernel.program(), inst.grid_blocks,
-                   inst.block_threads);
+    pipeline::CtaDispatch skip_ctas{.grid_blocks = inst.grid_blocks,
+                                    .one_per_cycle = false,
+                                    .next = 0};
+    pipeline::SM skipper(cfg, skip_mem, skip_dram, 0, kernel.program(),
+                         inst.block_threads, skip_ctas);
     while (!skipper.done() && skipper.now() < limit) {
         Cycle t = skipper.now();
         bool p = skipper.step();

@@ -1,10 +1,14 @@
 /**
  * @file
  * SM pipeline tests: issue timing, peak IPC, divergence behavior,
- * SBI co-issue, SWI gap filling, barriers, memory replay.
+ * SBI co-issue, SWI gap filling, barriers, memory replay, CTA
+ * admission.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <memory>
 
 #include "cfg/compiler.hh"
 #include "common/log.hh"
@@ -445,6 +449,122 @@ TEST(SmConstraints, SyncSuspensionOnlyWithConstraints)
     // Without constraints the short path runs ahead and re-issues
     // the tail redundantly: at least as many instructions.
     EXPECT_GE(without.instructions, with.instructions);
+}
+
+// ----------------------------------------------------------------
+// CTA admission (CtaDispatch): a lone SM takes every CTA that fits
+// when it is built and on each block retirement; a chip SM takes one
+// per call and polls every cycle.
+// ----------------------------------------------------------------
+
+/**
+ * SMs that run 64-thread CTAs (two Baseline warps) of a MAD stream
+ * long enough that no CTA retires within the steps a test takes.
+ */
+struct CtaRig
+{
+    SMConfig cfg = SMConfig::make(PipelineMode::Baseline);
+    isa::Program prog = madStream(200);
+    mem::MemoryImage memory;
+    mem::DramBackend dram{mem::DramConfig{}};
+
+    /** CTAs that fit on one SM at once. */
+    unsigned capacity() const
+    {
+        return std::min(cfg.max_blocks_resident, cfg.num_warps / 2);
+    }
+
+    std::unique_ptr<SM> build(CtaDispatch &ctas, unsigned port = 0)
+    {
+        return std::make_unique<SM>(cfg, memory, dram, port, prog, 64,
+                                    ctas);
+    }
+};
+
+CtaDispatch
+dispatch(unsigned grid_blocks, bool one_per_cycle, unsigned next = 0)
+{
+    return {.grid_blocks = grid_blocks,
+            .one_per_cycle = one_per_cycle,
+            .next = next};
+}
+
+TEST(SmCtaDispatch, LoneSmFillsEveryResidentSlotWhenBuilt)
+{
+    CtaRig rig;
+    ASSERT_GT(rig.capacity(), 3u);
+    for (unsigned grid : {3u, rig.capacity() + 5}) {
+        SCOPED_TRACE("grid " + std::to_string(grid));
+        CtaDispatch ctas = dispatch(grid, false);
+        std::unique_ptr<SM> sm = rig.build(ctas);
+        const unsigned fits = std::min(grid, rig.capacity());
+        EXPECT_EQ(sm->stats().blocks_launched, fits);
+        EXPECT_EQ(ctas.next, fits);
+        // Full or out of CTAs: none is admitted before a retirement.
+        for (int i = 0; i < 5; ++i)
+            sm->step();
+        EXPECT_EQ(sm->stats().blocks_launched, fits);
+        EXPECT_FALSE(sm->done());
+    }
+}
+
+TEST(SmCtaDispatch, ChipSmTakesOneCtaPerStepWhileItHasRoom)
+{
+    CtaRig rig;
+    const unsigned cap = rig.capacity();
+    CtaDispatch ctas = dispatch(cap + 5, true);
+    std::unique_ptr<SM> sm = rig.build(ctas);
+    EXPECT_EQ(sm->stats().blocks_launched, 1u);
+    for (unsigned k = 1; k <= cap + 2; ++k) {
+        sm->step();
+        EXPECT_EQ(sm->stats().blocks_launched, std::min(k + 1, cap))
+            << "after step " << k;
+    }
+    EXPECT_EQ(ctas.next, cap);
+    EXPECT_FALSE(sm->done());
+}
+
+TEST(SmCtaDispatch, TwoSmsSplitTheGridRoundRobin)
+{
+    CtaRig rig;
+    CtaDispatch ctas = dispatch(6, true);
+    std::unique_ptr<SM> sm0 = rig.build(ctas, 0);
+    std::unique_ptr<SM> sm1 = rig.build(ctas, 1);
+    for (int i = 0; i < 4; ++i) {
+        sm0->step();
+        sm1->step();
+    }
+    EXPECT_EQ(sm0->stats().blocks_launched, 3u);
+    EXPECT_EQ(sm1->stats().blocks_launched, 3u);
+    EXPECT_EQ(ctas.next, 6u);
+    // Built and stepped in index order: SM 0 runs the even CTAs.
+    for (unsigned cta = 0; cta < 6; ++cta) {
+        const std::string tag = " cta=" + std::to_string(cta) + " ";
+        const SM &mine = cta % 2 ? *sm1 : *sm0;
+        const SM &other = cta % 2 ? *sm0 : *sm1;
+        EXPECT_NE(mine.debugState().find(tag), std::string::npos) << tag;
+        EXPECT_EQ(other.debugState().find(tag), std::string::npos) << tag;
+    }
+}
+
+TEST(SmCtaDispatch, EmptyDispatcherIsDoneAtOnce)
+{
+    CtaRig rig;
+    // A chip SM built after its peers took the whole grid.
+    CtaDispatch chip = dispatch(1, true);
+    std::unique_ptr<SM> busy = rig.build(chip, 0);
+    std::unique_ptr<SM> idle = rig.build(chip, 1);
+    EXPECT_FALSE(busy->done());
+    EXPECT_TRUE(idle->done());
+    EXPECT_EQ(idle->finalizeStats().cycles, 0u);
+    EXPECT_EQ(idle->stats().blocks_launched, 0u);
+
+    // A lone SM on a dispatcher that is already exhausted.
+    CtaDispatch empty = dispatch(4, false, 4);
+    std::unique_ptr<SM> lone = rig.build(empty);
+    EXPECT_TRUE(lone->done());
+    EXPECT_EQ(lone->finalizeStats().cycles, 0u);
+    EXPECT_EQ(lone->stats().blocks_launched, 0u);
 }
 
 } // namespace

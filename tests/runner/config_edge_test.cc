@@ -127,12 +127,16 @@ TEST(ConfigEdge, EveryU32KeyOnSbiSwi2Sm)
     checkEveryKey("SBI+SWI", 2);
 }
 
-/** @p key=2^32-1 on a 2-SM SBI+SWI chip: an error naming @p key. */
+/**
+ * @p key=@p value (by default 2^32-1) on a 2-SM SBI+SWI chip: an
+ * error naming @p key.
+ */
 void
-expectBoundNamesKey(const char *key)
+expectBoundNamesKey(const char *key, const char *value = "4294967295")
 {
-    SCOPED_TRACE(key);
-    MachineSpec m = machineWith("SBI+SWI", std::string(key) + "=4294967295");
+    const std::string kv = std::string(key) + "=" + value;
+    SCOPED_TRACE(kv);
+    MachineSpec m = machineWith("SBI+SWI", kv);
     std::string err = checkSweep(bfsSweep(m, 2));
     EXPECT_NE(err.find(key), std::string::npos) << err;
 }
@@ -146,6 +150,8 @@ TEST(ConfigEdge, BoundedKeysNameThemselves)
     expectBoundNamesKey("cct_capacity");
     expectBoundNamesKey("write_buffer_entries");
     expectBoundNamesKey("max_blocks_resident");
+    // With no resident CTA a cell could only wait for the cycle cap.
+    expectBoundNamesKey("max_blocks_resident", "0");
     expectBoundNamesKey("l1_size_bytes");
     expectBoundNamesKey("l2_size_bytes");
     expectBoundNamesKey("dram_channels");

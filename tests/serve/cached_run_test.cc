@@ -4,8 +4,9 @@
  * cache directory. A cold run computes every cell and matches a
  * plain runSweeps() byte for byte at any thread count, a warm run
  * is all hits, a fresh cache instance on the same directory (a
- * restarted run) recomputes nothing, and a blob with a flipped
- * payload bit is recomputed rather than served.
+ * restarted run) recomputes nothing, a blob with a flipped
+ * payload bit is recomputed rather than served, and a hit on a blob
+ * another cell stored keeps the labels of the cell being run.
  */
 
 #include <filesystem>
@@ -39,6 +40,25 @@ const char *kSpecText = R"({
     }]
 })";
 
+/**
+ * Two sweeps whose cells resolve to one chip under two names: the
+ * second cell hits the blob the first one stored.
+ */
+const char *kAliasSpecText = R"({
+    "name": "cached_run_alias_test",
+    "sweeps": [{
+        "name": "a",
+        "machines": ["SBI+SWI"],
+        "workloads": ["BFS"],
+        "size": "tiny"
+    }, {
+        "name": "b",
+        "machines": [{"name": "Alias", "base": "SBI+SWI", "set": {}}],
+        "workloads": ["BFS"],
+        "size": "tiny"
+    }]
+})";
+
 class CachedRunTest : public ::testing::Test
 {
   protected:
@@ -51,14 +71,21 @@ class CachedRunTest : public ::testing::Test
                     ->current_test_info()
                     ->name());
         fs::remove_all(dir_);
+        loadSpec(kSpecText);
+        opts_.jobs = 2;
+    }
+
+    /** Make the spec @p text the experiment. */
+    void loadSpec(const char *text)
+    {
         std::string err;
-        Json spec = Json::parse(kSpecText, &err);
+        Json spec = Json::parse(text, &err);
         ASSERT_TRUE(err.empty()) << err;
         runner::MachineRegistry reg;
+        sweeps_.clear();
         ASSERT_TRUE(runner::sweepsFromSpecJson(
             spec, ".", &reg, &sweeps_, &opts_.suite_label, &err))
             << err;
-        opts_.jobs = 2;
     }
 
     void TearDown() override { fs::remove_all(dir_); }
@@ -159,4 +186,24 @@ TEST_F(CachedRunTest, PoisonedBlobIsRecomputedNotServed)
         << "recomputed cell differs from the original";
     EXPECT_EQ(again.hits, 1u);
     EXPECT_EQ(again.misses, 1u) << "poisoned blob not detected";
+}
+
+TEST_F(CachedRunTest, AliasedCellsKeepTheirOwnLabels)
+{
+    loadSpec(kAliasSpecText);
+    opts_.jobs = 1;
+    const runner::Results plain = runner::runSweeps(sweeps_, opts_);
+    ASSERT_EQ(plain.cells.size(), 2u);
+    EXPECT_EQ(plain.cells[1].sweep, "b");
+    EXPECT_EQ(plain.cells[1].machine, "Alias");
+
+    std::unique_ptr<ResultCache> cache = openCache();
+    CachedRunCounters cold;
+    EXPECT_EQ(cachedRun(cache.get(), &cold), plain.toJsonText());
+    EXPECT_EQ(cold.hits, 1u); // "b" hit the blob "a" stored
+    EXPECT_EQ(cold.misses, 1u);
+
+    CachedRunCounters warm;
+    EXPECT_EQ(cachedRun(cache.get(), &warm), plain.toJsonText());
+    EXPECT_EQ(warm.hits, 2u);
 }
