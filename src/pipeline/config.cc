@@ -1,12 +1,24 @@
 #include "pipeline/config.hh"
 
 #include <sstream>
+#include <string>
 
 #include "common/bits.hh"
 #include "common/log.hh"
 #include "pipeline/config_io.hh"
 
 namespace siwi::pipeline {
+
+namespace {
+
+/** "key (value)": how a rejection names the field behind it. */
+std::string
+named(const char *key, u32 value)
+{
+    return std::string(key) + " (" + std::to_string(value) + ")";
+}
+
+} // namespace
 
 SMConfig
 SMConfig::make(PipelineMode mode)
@@ -87,12 +99,22 @@ SMConfig::checkInvariants() const
     if (num_pools != 1 && num_pools != 2)
         return "num_pools must be 1 or 2";
     if (num_warps % num_pools != 0)
-        return "warps must split evenly across pools";
-    if (mad_width < 1 || sfu_width < 1 || lsu_width < 1)
-        return "unit widths must be at least 1";
-    if (warp_width % sfu_width != 0 ||
-        warp_width % std::min(lsu_width, warp_width) != 0)
-        return "unit widths must divide warp_width";
+        return named("num_warps", num_warps) +
+               " must split evenly across " +
+               named("num_pools", num_pools);
+    if (mad_width < 1)
+        return named("mad_width", mad_width) + " must be at least 1";
+    if (sfu_width < 1)
+        return named("sfu_width", sfu_width) + " must be at least 1";
+    if (lsu_width < 1)
+        return named("lsu_width", lsu_width) + " must be at least 1";
+    if (warp_width % sfu_width != 0)
+        return named("sfu_width", sfu_width) + " must divide " +
+               named("warp_width", warp_width);
+    // An LSU wider than the warp serves it in one pass.
+    if (lsu_width < warp_width && warp_width % lsu_width != 0)
+        return named("lsu_width", lsu_width) + " must divide " +
+               named("warp_width", warp_width);
     if (sbi && reconv == ReconvMode::Stack)
         return "sbi requires thread-frontier reconvergence";
     // SBI's second front-end and SWI's cascaded scheduler each

@@ -3,9 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <iterator>
 #include <mutex>
+#include <numeric>
 #include <thread>
 #include <vector>
+
+#include "common/log.hh"
 
 namespace siwi::runner {
 
@@ -21,7 +25,54 @@ resolveJobs(unsigned jobs)
     return hw ? hw : 1;
 }
 
+/**
+ * dispatchOrder()'s static-work estimate of @p wl at @p size:
+ * threads x raw instructions of its kernel instance.
+ */
+u64
+staticWork(const workloads::Workload &wl, workloads::SizeClass size)
+{
+    constexpr size_t kSizes = std::size(workloads::size_class_names);
+    const std::vector<const workloads::Workload *> &all =
+        workloads::allWorkloads();
+    // Building an instance costs far more than sorting a pass, so
+    // the registry's table is built once, [workload][size].
+    static const std::vector<u64> table = [] {
+        std::vector<u64> t;
+        for (const workloads::Workload *w : workloads::allWorkloads()) {
+            for (size_t sc = 0; sc < kSizes; ++sc) {
+                const workloads::Instance inst =
+                    w->instance(workloads::SizeClass(sc));
+                t.push_back(u64(inst.grid_blocks) * inst.block_threads *
+                            inst.raw.size());
+            }
+        }
+        return t;
+    }();
+    auto it = std::find(all.begin(), all.end(), &wl);
+    siwi_assert(it != all.end(), wl.name(), " is not registered");
+    return table[size_t(it - all.begin()) * kSizes + size_t(size)];
+}
+
 } // namespace
+
+std::vector<size_t>
+dispatchOrder(const std::vector<SweepSpec> &sweeps,
+              const std::vector<CellSpec> &cells)
+{
+    std::vector<u64> work(cells.size());
+    for (size_t i = 0; i < cells.size(); ++i) {
+        const SweepSpec &s = sweeps[cells[i].sweep];
+        work[i] = staticWork(*s.wls[cells[i].wl], s.size);
+    }
+    std::vector<size_t> order(cells.size());
+    std::iota(order.begin(), order.end(), size_t(0));
+    std::stable_sort(order.begin(), order.end(),
+                     [&work](size_t a, size_t b) {
+                         return work[a] > work[b];
+                     });
+    return order;
+}
 
 unsigned
 effectiveJobs(unsigned jobs, size_t cells)
@@ -106,6 +157,7 @@ runSweeps(const std::vector<SweepSpec> &sweeps_in,
         s.dedupeMachines();
 
     const std::vector<CellSpec> cells = expandCells(sweeps);
+    const std::vector<size_t> order = dispatchOrder(sweeps, cells);
     const unsigned jobs = effectiveJobs(opts.jobs, cells.size());
 
     Results out;
@@ -119,9 +171,10 @@ runSweeps(const std::vector<SweepSpec> &sweeps_in,
 
     auto worker = [&] {
         for (;;) {
-            size_t i = next.fetch_add(1);
-            if (i >= cells.size())
+            size_t k = next.fetch_add(1);
+            if (k >= cells.size())
                 return;
+            const size_t i = order[k];
             const CellSpec &cs = cells[i];
             bool cached = false;
             CellResult c =

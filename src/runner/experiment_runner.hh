@@ -6,10 +6,12 @@
  * builds its own GPU, generates its own inputs and verifies its
  * own outputs, with no shared mutable state (workload objects are
  * immutable singletons, RNGs are per-cell). The runner therefore
- * uses a plain std::thread pool pulling cell indices off one
- * atomic counter; results land in a pre-sized vector slot per
- * cell, so the output order — and the serialized JSON — is
- * byte-identical for any thread count.
+ * uses a plain std::thread pool pulling dispatch positions off one
+ * atomic counter. Position k runs the k-th cell of dispatchOrder(),
+ * heaviest static work first, so the long cells start at once;
+ * each result lands in its cell's pre-sized canonical slot, so the
+ * output order — and the serialized JSON — is byte-identical for
+ * any thread count.
  */
 
 #ifndef SIWI_RUNNER_EXPERIMENT_RUNNER_HH
@@ -62,8 +64,21 @@ using CellStep = std::function<CellResult(
     const SweepSpec &sweep, const CellSpec &cell, bool *cached)>;
 
 /**
+ * The order runSweeps() starts @p cells, expandCells(@p sweeps), in:
+ * element k is the index into @p cells of the k-th cell handed to
+ * a worker. Cells are sorted by descending static work,
+ * grid_blocks x block_threads x raw program length of the cell's
+ * Workload::instance(), and equal estimates keep canonical order.
+ * The estimate depends on the (workload, size) pair alone; it is
+ * computed once per process.
+ */
+std::vector<size_t> dispatchOrder(const std::vector<SweepSpec> &sweeps,
+                                  const std::vector<CellSpec> &cells);
+
+/**
  * Run every cell of @p sweeps and collect the results in
- * canonical order (see expandCells()). Thread-count and execution
+ * canonical order (see expandCells()). Workers start the cells in
+ * dispatchOrder(), heaviest first; thread count and execution
  * schedule cannot affect the returned value. Machine columns that
  * resolve to the same configuration are deduplicated first (with
  * a warning), so identical cells are never paid for twice. Each

@@ -201,7 +201,8 @@ std::string narrowSweeps(std::vector<SweepSpec> *sweeps,
  * One executable cell of a sweep: indices into the owning spec.
  * Expansion order (sweep-major, then workload, then SM count,
  * then policy, then machine) is the canonical result order
- * regardless of execution schedule.
+ * regardless of execution schedule (runSweeps() starts cells in
+ * dispatchOrder()).
  */
 struct CellSpec
 {

@@ -36,9 +36,10 @@ struct CachedRunCounters
 
 /**
  * runner::runSweeps() with a read-through / write-through result
- * cache: the same worker pool, grid normalization, canonical cell
- * order, RunOptions semantics and return value. @p counters
- * (optional) reports the hit/miss split.
+ * cache: the same worker pool, dispatch order (heaviest first),
+ * grid normalization, RunOptions semantics and return value, in
+ * canonical cell order. @p counters (optional) reports the
+ * hit/miss split.
  */
 runner::Results runSweepsCached(
     const std::vector<runner::SweepSpec> &sweeps,

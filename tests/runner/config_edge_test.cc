@@ -158,6 +158,34 @@ TEST(ConfigEdge, BoundedKeysNameThemselves)
     expectBoundNamesKey("dram_queue_depth");
 }
 
+/**
+ * @p key=@p value on built-in machine @p base breaks an invariant
+ * that spans several keys: the error names @p key and its value.
+ */
+void
+expectInvariantNamesKey(const char *base, const char *key,
+                        const char *value)
+{
+    const std::string kv = std::string(key) + "=" + value;
+    SCOPED_TRACE(std::string(base) + " " + kv);
+    MachineSpec m = machineWith(base, kv);
+    std::string err = checkSweep(bfsSweep(m, 1));
+    EXPECT_NE(err.find(std::string(key) + " (" + value + ")"),
+              std::string::npos)
+        << err;
+}
+
+TEST(ConfigEdge, InvariantsNameTheirKey)
+{
+    for (const char *unit : {"mad_width", "sfu_width", "lsu_width"})
+        expectInvariantNamesKey("SBI+SWI", unit, "0");
+    // One warp cannot split across Baseline's two pools.
+    expectInvariantNamesKey("Baseline", "num_warps", "1");
+    // Three lanes do not divide a 32-wide warp.
+    expectInvariantNamesKey("Baseline", "sfu_width", "3");
+    expectInvariantNamesKey("Baseline", "lsu_width", "3");
+}
+
 /** Tiny BFS (128-thread CTAs) on @p base with @p warps warps. */
 void
 expectCtaTooLarge(const char *base, unsigned warps)

@@ -1,12 +1,14 @@
 /**
  * @file
  * Tests for the parallel experiment runner: sweep expansion,
- * filtering, the checked-in scaling spec, and — the load-bearing
- * property — thread-count independence of the results.
+ * filtering, the checked-in scaling spec, the dispatch order, and
+ * — the load-bearing property — thread-count independence of the
+ * results.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
 
@@ -363,6 +365,85 @@ TEST(Runner, CellOrderIndependentOfJobCount)
     EXPECT_EQ(r.cells[1].workload, "BFS");
     EXPECT_EQ(r.cells[2].machine, "Baseline");
     EXPECT_EQ(r.cells[2].workload, "Histogram");
+}
+
+/** Threads x raw instructions of @p c's kernel instance. */
+u64
+staticWork(const std::vector<SweepSpec> &sweeps, const CellSpec &c)
+{
+    const SweepSpec &s = sweeps[c.sweep];
+    const workloads::Instance inst = s.wls[c.wl]->instance(s.size);
+    return u64(inst.grid_blocks) * inst.block_threads *
+           inst.raw.size();
+}
+
+TEST(Dispatch, FastSpecStartsHeaviestCellsFirst)
+{
+    const std::vector<SweepSpec> sweeps = fastSweeps();
+    const std::vector<CellSpec> cells = expandCells(sweeps);
+    const std::vector<size_t> order = dispatchOrder(sweeps, cells);
+
+    // A permutation of the cells.
+    ASSERT_EQ(order.size(), 109u);
+    std::vector<size_t> sorted = order;
+    std::sort(sorted.begin(), sorted.end());
+    for (size_t i = 0; i < sorted.size(); ++i)
+        ASSERT_EQ(sorted[i], i);
+
+    // The four Full-size scaling_smoke cells first, the
+    // ConvolutionSeparable pair (287 instructions) before the
+    // MatrixMul pair, each pair in SM-count order.
+    const char *first[] = {"ConvolutionSeparable",
+                           "ConvolutionSeparable", "MatrixMul",
+                           "MatrixMul"};
+    for (size_t k = 0; k < 4; ++k) {
+        const CellSpec &c = cells[order[k]];
+        EXPECT_EQ(sweeps[c.sweep].name, "scaling_smoke") << k;
+        EXPECT_STREQ(sweeps[c.sweep].wls[c.wl]->name(), first[k]);
+        EXPECT_EQ(c.sms, k % 2) << k;
+    }
+
+    // Descending static work; equal estimates in canonical order.
+    for (size_t k = 1; k < order.size(); ++k) {
+        const u64 prev = staticWork(sweeps, cells[order[k - 1]]);
+        const u64 cur = staticWork(sweeps, cells[order[k]]);
+        EXPECT_GE(prev, cur) << k;
+        if (prev == cur) {
+            EXPECT_LT(order[k - 1], order[k]) << k;
+        }
+    }
+}
+
+TEST(Dispatch, HeaviestFirstGridIdenticalAcrossThreadCounts)
+{
+    setLogQuiet(true);
+    // The tiny grid, then a Full-size two-SM ConvolutionSeparable
+    // sweep: the last cell in canonical order starts first.
+    SweepSpec heavy = checkedInSweep("fast.json", "scaling_smoke");
+    heavy.filterWorkloads({"ConvolutionSeparable"});
+    heavy.sms = {2};
+    const std::vector<SweepSpec> sweeps = {tinyGrid(), heavy};
+    const std::vector<CellSpec> cells = expandCells(sweeps);
+    ASSERT_EQ(cells.size(), 5u);
+    EXPECT_EQ(dispatchOrder(sweeps, cells)[0], 4u);
+
+    // Each result sits in its canonical slot.
+    Results expected;
+    expected.suite = "dispatch";
+    expected.machines = machineRecords(sweeps);
+    for (const CellSpec &c : cells)
+        expected.cells.push_back(runCell(sweeps[c.sweep], c.machine,
+                                         c.wl, c.sms, c.policy));
+
+    for (unsigned jobs : {1u, 2u, 8u}) {
+        SCOPED_TRACE(jobs);
+        RunOptions opts;
+        opts.jobs = jobs;
+        opts.suite_label = "dispatch";
+        const Results r = runSweeps(sweeps, opts);
+        EXPECT_EQ(r, expected);
+        EXPECT_EQ(r.toJsonText(), expected.toJsonText());
+    }
 }
 
 TEST(Sweep, PolicyAxisExpandsCells)
