@@ -90,7 +90,7 @@ run_tidy() {
 }
 
 run_tsan() {
-    echo "== ThreadSanitizer (runner + integration suites)"
+    echo "== ThreadSanitizer (runner + integration + serve suites)"
     cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DSIWI_SANITIZE=thread >/dev/null
     cmake --build build-tsan -j "$JOBS"

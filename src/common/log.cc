@@ -15,12 +15,6 @@ setLogQuiet(bool quiet)
     quiet_flag = quiet;
 }
 
-bool
-logQuiet()
-{
-    return quiet_flag;
-}
-
 void
 panicImpl(const char *file, int line, const std::string &msg)
 {

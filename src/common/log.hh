@@ -28,7 +28,6 @@ void informImpl(const std::string &msg);
 
 /** Whether warn()/inform() output is printed (tests silence it). */
 void setLogQuiet(bool quiet);
-bool logQuiet();
 
 namespace detail {
 

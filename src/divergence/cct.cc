@@ -121,22 +121,6 @@ Cct::findByPc(Pc pc) const
     return std::nullopt;
 }
 
-void
-Cct::eraseId(u32 id)
-{
-    for (auto it = list_.begin(); it != list_.end(); ++it) {
-        if (it->id == id) {
-            list_.erase(it);
-            return;
-        }
-    }
-    if (pending_ && pending_->id == id) {
-        pending_.reset();
-        return;
-    }
-    panic("Cct::eraseId: id not stored");
-}
-
 std::optional<Cct::Entry>
 Cct::popMin(Cycle now)
 {

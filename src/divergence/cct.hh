@@ -78,9 +78,6 @@ class Cct
      */
     std::optional<u32> findByPc(Pc pc) const;
 
-    /** Remove a specific context (after an external merge). */
-    void eraseId(u32 id);
-
     /**
      * Advance the sideband sorter one cycle. True when the parked
      * entry folded into the list this cycle — the only transition

@@ -54,15 +54,18 @@ machineApplyJson(MachineSpec *m, const Json &set,
     for (const Json::Member &member : set.obj()) {
         // Check the value's JSON type against the key's field, as
         // configApplyJson does, before it becomes key=value text.
-        // An unknown key is left to machineApplyKeyValue to name.
+        // An unknown key is named here, whole: as text, a key
+        // holding '=' would split at the wrong place.
         std::string key = member.first;
         std::replace(key.begin(), key.end(), '.', '_');
         std::string val;
-        bool typed = true;
+        bool typed = false;
         if (const auto *f = findField(pipeline::smConfigFields(), key))
             typed = configJsonText(*f, member.second, &val, err);
         else if (const auto *g = findField(core::gpuConfigFields(), key))
             typed = configJsonText(*g, member.second, &val, err);
+        else if (err)
+            *err = "unknown config key '" + key + "'";
         if (!typed || !machineApplyKeyValue(m, member.first + "=" + val, err))
             return false;
     }

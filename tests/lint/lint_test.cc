@@ -6,8 +6,7 @@
  * an overlay of seeded violations applied on top of a temp copy of
  * clean, and must fail with findings that carry an actionable
  * file:line anchor. The last test runs the checker over the real
- * tree, which the committed allowlist and schema pin must keep
- * green.
+ * tree, which must stay clean against the committed schema pin.
  */
 
 #include <algorithm>
@@ -167,45 +166,6 @@ TEST(LintFixtures, BadHeaderGuardAndUsingNamespace)
         << dump(res);
     EXPECT_TRUE(hasFinding(res, "header", "src/common/bad.hh", 7,
                            "using namespace"))
-        << dump(res);
-}
-
-TEST(LintFixtures, AllowlistedFindingIsSuppressed)
-{
-    FixtureTree tree("allowed");
-    Result res = lintTree(tree);
-    EXPECT_TRUE(res.clean()) << dump(res);
-}
-
-TEST(LintFixtures, ServeClockOutsideAnchorIsFlagged)
-{
-    // src/serve/ is inside the scanned tree like any other source
-    // directory: the designated clock anchor (clock.hh) is
-    // suppressed by its justified allowlist entry, but a direct
-    // steady_clock read anywhere else in serve code is a finding.
-    FixtureTree tree("serve_clock");
-    Result res = lintTree(tree);
-    ASSERT_TRUE(res.errors.empty()) << dump(res);
-    EXPECT_TRUE(hasFinding(res, "nondet",
-                           "src/serve/evil_clock.cc", 13,
-                           "wall clock"))
-        << dump(res);
-    EXPECT_FALSE(hasFinding(res, "nondet", "src/serve/clock.hh", 0))
-        << dump(res);
-    // The anchor's entry matched, so it is not reported stale.
-    EXPECT_FALSE(hasFinding(res, "allowlist",
-                            "tools/siwi_lint/allowlist.txt", 0))
-        << dump(res);
-}
-
-TEST(LintFixtures, StaleAllowlistEntryIsReported)
-{
-    FixtureTree tree("stale_allow");
-    Result res = lintTree(tree);
-    ASSERT_TRUE(res.errors.empty()) << dump(res);
-    EXPECT_TRUE(hasFinding(res, "allowlist",
-                           "tools/siwi_lint/allowlist.txt", 3,
-                           "stale allowlist entry"))
         << dump(res);
 }
 

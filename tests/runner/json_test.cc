@@ -70,8 +70,25 @@ TEST(Json, StringEscapes)
 {
     Json j = parseOk("\"a\\n\\t\\\"\\\\b\\u0041\"");
     EXPECT_EQ(j.str(), "a\n\t\"\\bA");
-    // Control characters are re-escaped on output.
+    EXPECT_EQ(parseOk("\"\\/\\b\\f\\r\"").str(), "/\b\f\r");
+    // \u escapes decode to UTF-8: two bytes for U+00E9, three for
+    // U+20AC.
+    EXPECT_EQ(parseOk("\"\\u00e9\"").str(), "\xc3\xa9");
+    EXPECT_EQ(parseOk("\"\\u20AC\"").str(), "\xe2\x82\xac");
+    EXPECT_NE(parseErr("\"\\q\"").find("bad escape character"),
+              std::string::npos);
+    EXPECT_NE(parseErr("\"\\u12\"").find("truncated \\u escape"),
+              std::string::npos);
+    EXPECT_NE(parseErr("\"\\u12g4\"").find("bad \\u escape"),
+              std::string::npos);
+    EXPECT_NE(parseErr("\"a\x01\"").find("raw control character"),
+              std::string::npos);
+    EXPECT_NE(parseErr("\"a\\").find("unterminated string"),
+              std::string::npos);
+    // Quotes, backslashes and control characters are re-escaped on
+    // output; one without a short form is written as \u00XX.
     EXPECT_EQ(Json("a\nb").dump(), "\"a\\nb\"");
+    EXPECT_EQ(Json("\"\\\r\t\x01").dump(), "\"\\\"\\\\\\r\\t\\u0001\"");
 }
 
 TEST(Json, RejectsMalformedInput)

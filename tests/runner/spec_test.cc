@@ -244,15 +244,18 @@ TEST(SpecFile, StrictErrorsNameTheOffender)
                       &err));
     EXPECT_NE(err.find("mode"), std::string::npos) << err;
     // Nor a scheduler_latency key (swi is the cascaded scheduler)
-    // or an l2_block_bytes key (the L2 uses the L1's blocks).
+    // or an l2_block_bytes key (the L2 uses the L1's blocks). A key
+    // holding '=' is named whole, not split into key and value.
     for (const std::string key :
-         {"scheduler_latency", "l2_block_bytes"}) {
+         {"scheduler_latency", "l2_block_bytes", "l2_slices=4"}) {
         EXPECT_FALSE(load(R"({"name": "x", "sweeps": [
             {"name": "s", "machines": ["SBI"],
              "workloads": ["regular"], "set": {")" +
                               key + R"(": 2}}]})",
                           &err));
-        EXPECT_NE(err.find(key), std::string::npos) << err;
+        EXPECT_NE(err.find("unknown config key '" + key + "'"),
+                  std::string::npos)
+            << err;
     }
 
     // A set block's values must have their field's JSON type, in

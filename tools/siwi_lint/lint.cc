@@ -179,66 +179,6 @@ collectSources(const fs::path &root, std::vector<std::string> *errs)
 }
 
 // ---------------------------------------------------------------
-// Allowlist
-// ---------------------------------------------------------------
-
-struct AllowEntry
-{
-    std::string check;
-    std::string path;
-    std::string match;
-    std::string justification;
-    int line = 0; //!< line in the allowlist file
-    bool used = false;
-};
-
-std::vector<AllowEntry>
-loadAllowlist(const fs::path &file, std::vector<std::string> *errs)
-{
-    std::vector<AllowEntry> entries;
-    std::string text;
-    if (!readFile(file, &text))
-        return entries; // an absent allowlist is simply empty
-    int lineno = 0;
-    for (const std::string &raw : splitLines(text)) {
-        ++lineno;
-        std::string line = trim(raw);
-        if (line.empty() || line[0] == '#')
-            continue;
-        AllowEntry e;
-        e.line = lineno;
-        size_t p1 = line.find('|');
-        size_t p2 = p1 == std::string::npos
-                        ? std::string::npos
-                        : line.find('|', p1 + 1);
-        size_t p3 = p2 == std::string::npos
-                        ? std::string::npos
-                        : line.find('|', p2 + 1);
-        if (p3 == std::string::npos) {
-            errs->push_back(
-                file.string() + ":" + std::to_string(lineno) +
-                ": allowlist entry needs 4 '|'-separated fields "
-                "(check|path|match|justification)");
-            continue;
-        }
-        e.check = trim(line.substr(0, p1));
-        e.path = trim(line.substr(p1 + 1, p2 - p1 - 1));
-        e.match = trim(line.substr(p2 + 1, p3 - p2 - 1));
-        e.justification = trim(line.substr(p3 + 1));
-        if (e.check.empty() || e.path.empty() || e.match.empty() ||
-            e.justification.empty()) {
-            errs->push_back(
-                file.string() + ":" + std::to_string(lineno) +
-                ": allowlist entry has an empty field; a "
-                "justification is mandatory");
-            continue;
-        }
-        entries.push_back(std::move(e));
-    }
-    return entries;
-}
-
-// ---------------------------------------------------------------
 // Check 1: banned nondeterminism sources
 // ---------------------------------------------------------------
 
@@ -282,7 +222,6 @@ void
 checkBannedSources(const fs::path &root,
                    const std::vector<std::string> &files,
                    std::vector<Finding> *findings,
-                   std::vector<std::string> *flagged_lines,
                    std::vector<std::string> *errs)
 {
     for (const std::string &rel : files) {
@@ -291,9 +230,8 @@ checkBannedSources(const fs::path &root,
             errs->push_back("unreadable file: " + rel);
             continue;
         }
-        const std::string stripped = stripCommentsAndStrings(text);
-        const std::vector<std::string> raw = splitLines(text);
-        const std::vector<std::string> code = splitLines(stripped);
+        const std::vector<std::string> code =
+            splitLines(stripCommentsAndStrings(text));
         for (size_t i = 0; i < code.size(); ++i) {
             const std::string &line = code[i];
             // Preprocessor lines: the #include naming the header
@@ -309,8 +247,6 @@ checkBannedSources(const fs::path &root,
                 f.check = "nondet";
                 f.message = p.why;
                 findings->push_back(std::move(f));
-                flagged_lines->push_back(
-                    i < raw.size() ? raw[i] : "");
             }
         }
     }
@@ -341,7 +277,6 @@ void
 checkHeaders(const fs::path &root,
              const std::vector<std::string> &files,
              std::vector<Finding> *findings,
-             std::vector<std::string> *flagged_lines,
              std::vector<std::string> *errs)
 {
     const std::regex ifndef_re(R"(^\s*#ifndef\s+([A-Za-z0-9_]+))");
@@ -357,9 +292,8 @@ checkHeaders(const fs::path &root,
             errs->push_back("unreadable file: " + rel);
             continue;
         }
-        const std::string stripped = stripCommentsAndStrings(text);
-        const std::vector<std::string> raw = splitLines(text);
-        const std::vector<std::string> code = splitLines(stripped);
+        const std::vector<std::string> code =
+            splitLines(stripCommentsAndStrings(text));
 
         const std::string guard = expectedGuard(rel);
         std::string got_ifndef, got_define;
@@ -401,10 +335,6 @@ checkHeaders(const fs::path &root,
                                : "'") +
                           "; expected '" + guard + "'";
             findings->push_back(std::move(f));
-            flagged_lines->push_back(
-                guard_line && guard_line <= int(raw.size())
-                    ? raw[guard_line - 1]
-                    : "");
         }
 
         for (size_t i = 0; i < code.size(); ++i) {
@@ -417,8 +347,6 @@ checkHeaders(const fs::path &root,
                     "'using namespace' in a header leaks into "
                     "every includer; qualify names instead";
                 findings->push_back(std::move(f));
-                flagged_lines->push_back(
-                    i < raw.size() ? raw[i] : "");
             }
         }
     }
@@ -474,14 +402,12 @@ extractCounterRows(const std::string &text)
 }
 
 void
-checkSchemaPin(const fs::path &root, const Options &opts,
+checkSchemaPin(const fs::path &root, bool update,
                const std::vector<std::string> &files,
                std::vector<Finding> *findings,
-               std::vector<std::string> *flagged_lines,
                std::vector<std::string> *errs)
 {
-    if (opts.schema_pin.empty())
-        return;
+    const std::string pin = "tools/siwi_lint/schema.pin";
     const char *version_hdr = "src/core/stats_io.hh";
     // Hand-written keys (set/get/find calls); every scanned source
     // adds the rows of its counter lists.
@@ -534,8 +460,8 @@ checkSchemaPin(const fs::path &root, const Options &opts,
         keys.insert(k.begin(), k.end());
     }
 
-    const fs::path pin_path = root / opts.schema_pin;
-    if (opts.update_schema_pin) {
+    const fs::path pin_path = root / pin;
+    if (update) {
         std::ofstream out(pin_path);
         out << "# Serialized stats/results key set pinned to the "
                "schema version.\n"
@@ -555,13 +481,12 @@ checkSchemaPin(const fs::path &root, const Options &opts,
     std::string pin_text;
     if (!readFile(pin_path, &pin_text)) {
         Finding f;
-        f.file = opts.schema_pin;
+        f.file = pin;
         f.line = 0;
         f.check = "schema";
         f.message = "schema pin file missing; generate it with "
                     "siwi-lint --update-schema-pin";
         findings->push_back(std::move(f));
-        flagged_lines->push_back("");
         return;
     }
     int pin_version = -1;
@@ -583,12 +508,11 @@ checkSchemaPin(const fs::path &root, const Options &opts,
         f.check = "schema";
         f.message = "stats_schema_version is " +
                     std::to_string(version) + " but " +
-                    opts.schema_pin + " pins v" +
+                    pin + " pins v" +
                     std::to_string(pin_version) +
                     "; after a deliberate bump regenerate the pin "
                     "with siwi-lint --update-schema-pin";
         findings->push_back(std::move(f));
-        flagged_lines->push_back("");
         return;
     }
     for (const std::string &k : keys) {
@@ -606,7 +530,6 @@ checkSchemaPin(const fs::path &root, const Options &opts,
             "the version and regenerate the pin "
             "(siwi-lint --update-schema-pin)";
         findings->push_back(std::move(f));
-        flagged_lines->push_back("");
     }
     for (const std::string &k : pin_keys) {
         if (keys.count(k))
@@ -622,7 +545,6 @@ checkSchemaPin(const fs::path &root, const Options &opts,
             ": bump the version and regenerate the pin "
             "(siwi-lint --update-schema-pin)";
         findings->push_back(std::move(f));
-        flagged_lines->push_back("");
     }
 }
 
@@ -648,50 +570,10 @@ runLint(const Options &opts)
     const std::vector<std::string> files =
         collectSources(root, &res.errors);
 
-    // Findings and the raw text of the line each one flags, kept
-    // index-parallel so allowlist entries can match either the
-    // offending line or the message.
-    std::vector<Finding> findings;
-    std::vector<std::string> flagged;
-
-    checkBannedSources(root, files, &findings, &flagged,
-                       &res.errors);
-    checkHeaders(root, files, &findings, &flagged, &res.errors);
-    checkSchemaPin(root, opts, files, &findings, &flagged, &res.errors);
-
-    std::vector<AllowEntry> allow;
-    if (!opts.allowlist.empty())
-        allow = loadAllowlist(root / opts.allowlist, &res.errors);
-
-    for (size_t i = 0; i < findings.size(); ++i) {
-        bool suppressed = false;
-        for (AllowEntry &e : allow) {
-            if (e.check != findings[i].check ||
-                e.path != findings[i].file)
-                continue;
-            if (flagged[i].find(e.match) == std::string::npos &&
-                findings[i].message.find(e.match) ==
-                    std::string::npos)
-                continue;
-            e.used = true;
-            suppressed = true;
-        }
-        if (!suppressed)
-            res.findings.push_back(findings[i]);
-    }
-    for (const AllowEntry &e : allow) {
-        if (e.used)
-            continue;
-        Finding f;
-        f.file = opts.allowlist;
-        f.line = e.line;
-        f.check = "allowlist";
-        f.message = "stale allowlist entry (check '" + e.check +
-                    "', path '" + e.path + "', match '" + e.match +
-                    "') matches nothing; delete it or fix the "
-                    "reference";
-        res.findings.push_back(std::move(f));
-    }
+    checkBannedSources(root, files, &res.findings, &res.errors);
+    checkHeaders(root, files, &res.findings, &res.errors);
+    checkSchemaPin(root, opts.update_schema_pin, files, &res.findings,
+                   &res.errors);
 
     std::sort(res.findings.begin(), res.findings.end(),
               [](const Finding &a, const Finding &b) {

@@ -36,18 +36,14 @@ struct Options
 {
     /** Repo root to scan (contains src/, tools/). */
     std::string root = ".";
-    /** Allowlist path relative to root; empty disables. */
-    std::string allowlist = "tools/siwi_lint/allowlist.txt";
-    /** Schema pin path relative to root; empty disables. */
-    std::string schema_pin = "tools/siwi_lint/schema.pin";
-    /** Rewrite the schema pin instead of comparing against it. */
+    /** Rewrite tools/siwi_lint/schema.pin instead of comparing. */
     bool update_schema_pin = false;
 };
 
 struct Result
 {
     std::vector<Finding> findings;
-    /** Infrastructure failures (unreadable files, bad allowlist). */
+    /** Infrastructure failures (unreadable or missing files). */
     std::vector<std::string> errors;
 
     bool clean() const
