@@ -41,7 +41,7 @@ main(int argc, char **argv)
         // The full field-table dump (core/config_io.hh), so the
         // JSON form of Table 2 carries every knob a machine file
         // could override.
-        doc.set(pipelineModeName(m), core::gpuConfigToJson(c));
+        doc.set(pipelineModeName(m), jsonValue(c));
     }
     std::printf("\nPaper Table 2 reference:\n"
                 "  Baseline: 32x32 warps, sched 1cyc, delivery "

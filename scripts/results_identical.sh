@@ -8,10 +8,11 @@
 # build-identical/), runs every spec of the working tree's
 # bench/specs/ on both, and the working tree's fast.json once more
 # with --no-skip, and compares each results document byte for byte
-# with REV's (the --no-skip one with REV's fast.json). Prints one
-# line per document; exits 0 when all are identical, 1 otherwise,
-# 2 on a usage or build error. Writes nothing in the repository
-# outside build-identical/.
+# with REV's (the --no-skip one with REV's fast.json). It compares
+# the --dump-schema output and each spec's --dump-config output the
+# same way. Prints one line per document; exits 0 when all are
+# identical, 1 otherwise, 2 on a usage or build error. Writes
+# nothing in the repository outside build-identical/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -64,6 +65,16 @@ run() {
     echo "$status" >"$out.status"
 }
 
+# dump <siwi-run> <out> <siwi-run args>...: a dump's stdout, with
+# its exit status next to it.
+dump() {
+    local bin="$1" out="$2"
+    shift 2
+    local status=0
+    "$bin" "$@" >"$out" 2>/dev/null || status=$?
+    echo "$status" >"$out.status"
+}
+
 same() {
     cmp -s "$1" "$2" && cmp -s "$1.status" "$2.status"
 }
@@ -89,5 +100,18 @@ run build-identical/siwi-run "$work/new/fast-no-skip.json" \
     --spec bench/specs/fast.json --no-skip
 report "$work/old/fast.json" "$work/new/fast-no-skip.json" \
     "fast.json --no-skip"
+
+dump "$work/build/siwi-run" "$work/old/schema.json" --dump-schema
+dump build-identical/siwi-run "$work/new/schema.json" --dump-schema
+report "$work/old/schema.json" "$work/new/schema.json" "--dump-schema"
+for spec in bench/specs/*.json; do
+    name=config-$(basename "$spec")
+    dump "$work/build/siwi-run" "$work/old/$name" --spec "$spec" \
+        --dump-config
+    dump build-identical/siwi-run "$work/new/$name" --spec "$spec" \
+        --dump-config
+    report "$work/old/$name" "$work/new/$name" \
+        "$(basename "$spec") --dump-config"
+done
 
 exit "$differ"

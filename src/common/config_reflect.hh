@@ -5,7 +5,7 @@
  * A config struct's field list (common/field_list.hh) expands to
  * one table of ConfigField rows, and that table drives
  *
- *   - JSON serialization   (configToJson)
+ *   - JSON serialization   (writeConfigMembers)
  *   - strict JSON parsing  (configApplyJson — unknown keys, type
  *                           mismatches and bad enum names are
  *                           errors that name the offending key)
@@ -14,7 +14,7 @@
  *                           blocks)
  *   - equality             (configEqual, behind operator==)
  *   - range checks         (checkRanges, in checkInvariants)
- *   - a self-describing    (configSchema — key, type, default,
+ *   - a self-describing    (writeConfigSchema — key, type, default,
  *     schema dump           enum values, one-line doc)
  *
  * A field that is not in the list does not exist as far as spec
@@ -198,32 +198,35 @@ fromJson(const ConfigField<Cfg> &f, const Json &v, u64 *out,
 
 } // namespace detail_config
 
-/** Serialize every table field of @p c, in table order. */
+/**
+ * Write every table field of @p c, in table order, as members of
+ * the object open in @p w.
+ */
 template <typename Cfg>
-Json
-configToJson(const Cfg &c, std::span<const ConfigField<Cfg>> fields)
+void
+writeConfigMembers(JsonWriter &w, const Cfg &c,
+                   std::span<const ConfigField<Cfg>> fields)
 {
-    Json j = Json::object();
     for (const ConfigField<Cfg> &f : fields) {
+        w.key(f.key);
         switch (f.type) {
           case ConfigFieldType::U32:
-            j.set(f.key, Json(f.get(c)));
+            w.value(f.get(c));
             break;
           case ConfigFieldType::Bool:
-            j.set(f.key, Json(f.get(c) != 0));
+            w.value(f.get(c) != 0);
             break;
           case ConfigFieldType::Enum:
-            j.set(f.key, Json(f.values[size_t(f.get(c))]));
+            w.value(f.values[size_t(f.get(c))]);
             break;
         }
     }
-    return j;
 }
 
 /**
  * Apply the members of JSON object @p j onto @p c. Keys may be any
  * subset of the table (a "set" block mutates a base config; a full
- * configToJson() dump rebuilds one), but an unknown key, a type
+ * writeConfigMembers() dump rebuilds one), but an unknown key, a type
  * mismatch or a bad enum name is a strict error naming the key.
  * @p c is only modified on success.
  */
@@ -382,44 +385,42 @@ configEqual(const Cfg &a, const Cfg &b,
 }
 
 /**
- * Self-describing schema: one entry per field with key, type,
- * default (taken from @p defaults), enum values and doc line.
- * docs/CONFIG.md's field tables equal this dump rendered as
+ * Self-describing schema: one array entry per field with key,
+ * type, default (taken from @p defaults), enum values and doc
+ * line. docs/CONFIG.md's field tables equal this dump rendered as
  * Markdown (tests/pipeline/config_io_test.cc compares them).
  */
 template <typename Cfg>
-Json
-configSchema(const Cfg &defaults,
-             std::span<const ConfigField<Cfg>> fields)
+void
+writeConfigSchema(JsonWriter &w, const Cfg &defaults,
+                  std::span<const ConfigField<Cfg>> fields)
 {
-    Json arr = Json::array();
+    w.beginArray();
     for (const ConfigField<Cfg> &f : fields) {
-        Json e = Json::object();
-        e.set("key", Json(f.key));
+        w.beginObject();
+        w.key("key").value(f.key);
         switch (f.type) {
           case ConfigFieldType::U32:
-            e.set("type", Json("u32"));
-            e.set("default", Json(f.get(defaults)));
+            w.key("type").value("u32");
+            w.key("default").value(f.get(defaults));
             break;
           case ConfigFieldType::Bool:
-            e.set("type", Json("bool"));
-            e.set("default", Json(f.get(defaults) != 0));
+            w.key("type").value("bool");
+            w.key("default").value(f.get(defaults) != 0);
             break;
-          case ConfigFieldType::Enum: {
-            e.set("type", Json("enum"));
-            e.set("default",
-                  Json(f.values[size_t(f.get(defaults))]));
-            Json vals = Json::array();
+          case ConfigFieldType::Enum:
+            w.key("type").value("enum");
+            w.key("default").value(f.values[size_t(f.get(defaults))]);
+            w.key("values").beginArray();
             for (const char *v : f.values)
-                vals.push(Json(v));
-            e.set("values", std::move(vals));
+                w.value(v);
+            w.endArray();
             break;
-          }
         }
-        e.set("doc", Json(f.doc));
-        arr.push(std::move(e));
+        w.key("doc").value(f.doc);
+        w.endObject();
     }
-    return arr;
+    w.endArray();
 }
 
 } // namespace siwi

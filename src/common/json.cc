@@ -1,10 +1,14 @@
 #include "common/json.hh"
 
+#include <cerrno>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
+
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 namespace siwi {
 
@@ -62,126 +66,195 @@ Json::getString(std::string_view key, const std::string &def) const
     return j && j->isString() ? j->str() : def;
 }
 
-// ---------------------------------------------------------------------------
-// Writer
-// ---------------------------------------------------------------------------
-
 namespace {
 
-void
-writeEscaped(std::string &out, const std::string &s)
+/** A string character that is written and read as itself: not a
+ *  quote, a backslash or a control character. */
+bool
+plain(char c)
 {
-    out += '"';
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              unsigned(c));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-}
-
-/** Shortest round-trip double; locale-independent by construction. */
-void
-writeDouble(std::string &out, double d)
-{
-    if (!std::isfinite(d)) {
-        // JSON has no inf/nan; null is the conventional stand-in.
-        out += "null";
-        return;
-    }
-    char buf[32];
-    auto res = std::to_chars(buf, buf + sizeof(buf), d);
-    out.append(buf, res.ptr);
+    return static_cast<unsigned char>(c) >= 0x20 && c != '"' &&
+           c != '\\';
 }
 
 } // namespace
 
-namespace detail_json {
+// ---------------------------------------------------------------------------
+// Writer
+// ---------------------------------------------------------------------------
 
 void
-dumpInto(const Json &j, std::string &out, int indent, int depth)
+JsonWriter::newline(int depth)
 {
-    auto newline = [&](int d) {
-        if (indent < 0)
-            return;
-        out += '\n';
-        out.append(size_t(indent) * size_t(d), ' ');
-    };
+    if (indent_ < 0)
+        return;
+    out_ += '\n';
+    out_.append(size_t(indent_) * size_t(depth), ' ');
+}
 
+void
+JsonWriter::next()
+{
+    if (after_key_) {
+        after_key_ = false;
+        return;
+    }
+    if (depth_ == 0)
+        return;
+    if (!first_)
+        out_ += ',';
+    first_ = false;
+    newline(depth_);
+}
+
+void
+JsonWriter::open(char c)
+{
+    next();
+    out_ += c;
+    ++depth_;
+    first_ = true;
+}
+
+void
+JsonWriter::close(char c)
+{
+    --depth_;
+    if (!first_)
+        newline(depth_);
+    out_ += c;
+    // The closed container is an element of the enclosing one.
+    first_ = false;
+}
+
+JsonWriter &
+JsonWriter::key(std::string_view k)
+{
+    next();
+    quoted(k);
+    out_ += indent_ < 0 ? ":" : ": ";
+    after_key_ = true;
+    return *this;
+}
+
+void
+JsonWriter::null()
+{
+    next();
+    out_ += "null";
+}
+
+void
+JsonWriter::value(bool b)
+{
+    next();
+    out_ += b ? "true" : "false";
+}
+
+void
+JsonWriter::value(i64 n)
+{
+    next();
+    char buf[24];
+    auto res = std::to_chars(buf, buf + sizeof(buf), n);
+    out_.append(buf, res.ptr);
+}
+
+void
+JsonWriter::value(double d)
+{
+    next();
+    if (!std::isfinite(d)) {
+        // JSON has no inf/nan; null is the conventional stand-in.
+        out_ += "null";
+        return;
+    }
+    // Shortest round-trip; locale-independent by construction.
+    char buf[32];
+    auto res = std::to_chars(buf, buf + sizeof(buf), d);
+    out_.append(buf, res.ptr);
+}
+
+void
+JsonWriter::value(std::string_view s)
+{
+    next();
+    quoted(s);
+}
+
+void
+JsonWriter::quoted(std::string_view s)
+{
+    out_ += '"';
+    // Append each run of characters that need no escape at once.
+    size_t run = 0;
+    for (size_t i = 0; i < s.size(); ++i) {
+        if (plain(s[i]))
+            continue;
+        out_.append(s.data() + run, i - run);
+        run = i + 1;
+        switch (s[i]) {
+        case '"': out_ += "\\\""; break;
+        case '\\': out_ += "\\\\"; break;
+        case '\n': out_ += "\\n"; break;
+        case '\r': out_ += "\\r"; break;
+        case '\t': out_ += "\\t"; break;
+        default: {
+            char buf[8];
+            std::snprintf(buf, sizeof(buf), "\\u%04x",
+                          unsigned(s[i]));
+            out_ += buf;
+        }
+        }
+    }
+    out_.append(s.data() + run, s.size() - run);
+    out_ += '"';
+}
+
+namespace {
+
+void
+writeTree(JsonWriter &w, const Json &j)
+{
     if (j.isNull()) {
-        out += "null";
+        w.null();
     } else if (j.isBool()) {
-        out += j.boolean() ? "true" : "false";
+        w.value(j.boolean());
     } else if (j.isInt()) {
-        char buf[24];
-        auto res = std::to_chars(buf, buf + sizeof(buf),
-                                 j.integer());
-        out.append(buf, res.ptr);
+        w.value(j.integer());
     } else if (j.isDouble()) {
-        writeDouble(out, j.number());
+        w.value(j.number());
     } else if (j.isString()) {
-        writeEscaped(out, j.str());
+        w.value(j.str());
     } else if (j.isArray()) {
-        const Json::Array &a = j.arr();
-        if (a.empty()) {
-            out += "[]";
-            return;
-        }
-        out += '[';
-        for (size_t i = 0; i < a.size(); ++i) {
-            if (i)
-                out += ',';
-            newline(depth + 1);
-            dumpInto(a[i], out, indent, depth + 1);
-        }
-        newline(depth);
-        out += ']';
+        w.beginArray();
+        for (const Json &e : j.arr())
+            writeTree(w, e);
+        w.endArray();
     } else {
-        const Json::Object &o = j.obj();
-        if (o.empty()) {
-            out += "{}";
-            return;
+        w.beginObject();
+        for (const Json::Member &m : j.obj()) {
+            w.key(m.first);
+            writeTree(w, m.second);
         }
-        out += '{';
-        for (size_t i = 0; i < o.size(); ++i) {
-            if (i)
-                out += ',';
-            newline(depth + 1);
-            writeEscaped(out, o[i].first);
-            out += indent < 0 ? ":" : ": ";
-            dumpInto(o[i].second, out, indent, depth + 1);
-        }
-        newline(depth);
-        out += '}';
+        w.endObject();
     }
 }
 
-} // namespace detail_json
+} // namespace
 
 std::string
 Json::dump(int indent) const
 {
     std::string out;
-    detail_json::dumpInto(*this, out, indent, 0);
+    JsonWriter w(out, indent);
+    writeTree(w, *this);
     return out;
 }
 
 bool
-Json::writeFile(const std::string &path, int indent,
-                std::string *err) const
+writeTextFile(const std::string &path, std::string_view text,
+              std::string *err)
 {
     std::ofstream out(path, std::ios::binary);
     if (!out) {
@@ -189,7 +262,7 @@ Json::writeFile(const std::string &path, int indent,
             *err = "cannot write " + path;
         return false;
     }
-    out << dump(indent) << "\n";
+    out.write(text.data(), std::streamsize(text.size()));
     out.close(); // flush; catches errors a buffered write hid
     if (!out) {
         if (err)
@@ -197,6 +270,15 @@ Json::writeFile(const std::string &path, int indent,
         return false;
     }
     return true;
+}
+
+bool
+Json::writeFile(const std::string &path, int indent,
+                std::string *err) const
+{
+    std::string text = dump(indent);
+    text += '\n';
+    return writeTextFile(path, text, err);
 }
 
 // ---------------------------------------------------------------------------
@@ -365,16 +447,19 @@ class Parser
         ++pos_; // '"'
         std::string out;
         while (pos_ < text_.size()) {
+            // Append each run of plain characters at once.
+            const size_t run = pos_;
+            while (pos_ < text_.size() && plain(text_[pos_]))
+                ++pos_;
+            out.append(text_.data() + run, pos_ - run);
+            if (pos_ >= text_.size())
+                break;
             char c = text_[pos_++];
             if (c == '"')
                 return out;
-            if (static_cast<unsigned char>(c) < 0x20) {
+            if (c != '\\') {
                 fail("raw control character in string");
                 return {};
-            }
-            if (c != '\\') {
-                out += c;
-                continue;
             }
             if (pos_ >= text_.size())
                 break;
@@ -488,21 +573,58 @@ Json::parse(std::string_view text, std::string *err)
     return Parser(text, err).run();
 }
 
+namespace {
+
+/**
+ * The bytes of the regular file at @p path into @p text, read once
+ * into a string sized from the file. Its size is taken from the
+ * open file, so a rename that replaces the path in between does
+ * not matter. @return false when it cannot be opened as a regular
+ * file.
+ */
+bool
+readFile(const std::string &path, std::string *text)
+{
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
+        return false;
+    struct stat st {};
+    const bool ok = ::fstat(fd, &st) == 0 && S_ISREG(st.st_mode);
+    size_t got = 0;
+    if (ok) {
+        text->resize(size_t(st.st_size));
+        while (got < text->size()) {
+            const ssize_t n =
+                ::read(fd, text->data() + got, text->size() - got);
+            if (n < 0 && errno == EINTR)
+                continue;
+            if (n <= 0)
+                break;
+            got += size_t(n);
+        }
+    }
+    // A read error keeps the bytes read so far; a truncated object
+    // or array then fails to parse.
+    text->resize(got);
+    ::close(fd);
+    return ok;
+}
+
+} // namespace
+
 Json
 Json::parseFile(const std::string &path, std::string *err)
 {
     if (err)
         err->clear();
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    std::string text;
+    if (!readFile(path, &text)) {
         if (err)
             *err = "cannot open " + path;
         return Json();
     }
-    std::ostringstream buf;
-    buf << in.rdbuf();
     std::string parse_err;
-    Json j = Json::parse(buf.str(), &parse_err);
+    Json j = Json::parse(text, &parse_err);
     if (!parse_err.empty()) {
         if (err)
             *err = path + ": " + parse_err;

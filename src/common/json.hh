@@ -1,14 +1,18 @@
 /**
  * @file
- * Minimal JSON value type with a deterministic writer and a strict
- * recursive-descent parser.
+ * A streaming JSON writer, and a minimal JSON value type with a
+ * strict recursive-descent parser.
  *
- * Written for the experiment-runner results pipeline: objects keep
- * insertion order, integers and doubles are kept apart, and doubles
- * are emitted with std::to_chars shortest round-trip formatting, so
- * serializing the same data always yields byte-identical text
- * regardless of thread count or platform locale. No third-party
- * dependency is involved.
+ * Written for the experiment-runner results pipeline. JsonWriter
+ * is the one emitter: the library's serializers write their data
+ * into it directly, and Json::dump() walks a tree into it. Objects
+ * keep insertion order, integers and doubles are kept apart, and
+ * doubles are emitted with std::to_chars shortest round-trip
+ * formatting, so serializing the same data always yields
+ * byte-identical text regardless of thread count or platform
+ * locale. The Json tree is for reading (and for programs that
+ * assemble small documents). No third-party dependency is
+ * involved.
  */
 
 #ifndef SIWI_COMMON_JSON_HH
@@ -23,6 +27,79 @@
 #include "common/types.hh"
 
 namespace siwi {
+
+/**
+ * Appends JSON text to a string: compact (@p indent < 0) or
+ * pretty-printed with that many spaces per level, `": "` after a
+ * key, `{}` and `[]` for empty containers. Members and elements go
+ * in call order; the caller nests begin/end calls and writes one
+ * value after each key().
+ */
+class JsonWriter
+{
+  public:
+    JsonWriter(std::string &out, int indent)
+        : out_(out), indent_(indent)
+    {
+    }
+
+    void beginObject() { open('{'); }
+    void endObject() { close('}'); }
+    void beginArray() { open('['); }
+    void endArray() { close(']'); }
+
+    /** The next value is the member @p k of the open object. */
+    JsonWriter &key(std::string_view k);
+
+    void null();
+    void value(bool b);
+    void value(i64 n);
+    /** Written as Json(u64) stores it: the bits as an i64. */
+    void value(u64 n) { value(i64(n)); }
+    void value(int n) { value(i64(n)); }
+    void value(unsigned n) { value(i64(n)); }
+    /** Shortest round-trip form; null when not finite. */
+    void value(double d);
+    void value(std::string_view s);
+    void value(const char *s) { value(std::string_view(s)); }
+
+  private:
+    /** Separator and line break before a member or element. */
+    void next();
+    void open(char c);
+    void close(char c);
+    void newline(int depth);
+    /** @p s in quotes, escaped. */
+    void quoted(std::string_view s);
+
+    std::string &out_;
+    int indent_;
+    int depth_ = 0;
+    bool first_ = true; //!< nothing written in the open container yet
+    bool after_key_ = false; //!< the next value is a key's
+};
+
+/**
+ * @p v written by its writeJson(JsonWriter &, const T &) overload
+ * (found by argument-dependent lookup) at @p indent.
+ */
+template <typename T>
+std::string
+jsonText(const T &v, int indent = -1)
+{
+    std::string out;
+    JsonWriter w(out, indent);
+    writeJson(w, v);
+    return out;
+}
+
+/**
+ * Write @p text to @p path, checking the final flush (a buffered
+ * write that only fails at close is still reported).
+ * @return false and set @p err on any I/O failure.
+ */
+bool writeTextFile(const std::string &path, std::string_view text,
+                   std::string *err);
 
 /**
  * One JSON value: null, bool, integer, double, string, array or
@@ -97,8 +174,9 @@ class Json
     bool operator==(const Json &rhs) const = default;
 
     /**
-     * Serialize. @p indent < 0 yields compact one-line output;
-     * otherwise pretty-print with that many spaces per level.
+     * Serialize through a JsonWriter. @p indent < 0 yields compact
+     * one-line output; otherwise pretty-print with that many
+     * spaces per level.
      */
     std::string dump(int indent = -1) const;
 
@@ -118,9 +196,8 @@ class Json
                           std::string *err);
 
     /**
-     * Write dump(@p indent) plus a trailing newline to @p path,
-     * checking the final flush (a buffered write that only fails
-     * at close is still reported).
+     * Write dump(@p indent) plus a trailing newline to @p path
+     * (writeTextFile()).
      * @return false and set @p err on any I/O failure.
      */
     bool writeFile(const std::string &path, int indent = 2,
@@ -136,6 +213,17 @@ class Json
                  Array, Object>
         v_;
 };
+
+/**
+ * The tree of jsonText(@p v): for a caller that needs a Json value
+ * of a struct whose one serializer writes into a JsonWriter.
+ */
+template <typename T>
+Json
+jsonValue(const T &v)
+{
+    return Json::parse(jsonText(v), nullptr);
+}
 
 } // namespace siwi
 

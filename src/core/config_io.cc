@@ -12,12 +12,14 @@ gpuConfigFields()
     return fields;
 }
 
-Json
-gpuConfigToJson(const GpuConfig &c)
+void
+writeJson(JsonWriter &w, const GpuConfig &c)
 {
-    Json j = configToJson<GpuConfig>(c, gpuConfigFields());
-    j.set("sm", pipeline::smConfigToJson(c.sm));
-    return j;
+    w.beginObject();
+    writeConfigMembers<GpuConfig>(w, c, gpuConfigFields());
+    w.key("sm");
+    pipeline::writeJson(w, c.sm);
+    w.endObject();
 }
 
 bool
@@ -57,10 +59,16 @@ gpuConfigApplyKeyValue(std::string_view kv, GpuConfig *c,
                                           err);
 }
 
-Json
-gpuConfigSchema()
+void
+writeConfigSchemas(JsonWriter &w)
 {
-    return configSchema<GpuConfig>(GpuConfig{}, gpuConfigFields());
+    w.beginObject();
+    w.key("sm");
+    writeConfigSchema<pipeline::SMConfig>(
+        w, pipeline::SMConfig{}, pipeline::smConfigFields());
+    w.key("chip");
+    writeConfigSchema<GpuConfig>(w, GpuConfig{}, gpuConfigFields());
+    w.endObject();
 }
 
 bool

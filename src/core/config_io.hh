@@ -3,7 +3,7 @@
  * The GpuConfig (chip-level) field table, companion to
  * pipeline/config_io.hh: chip topology and shared-L2/DRAM knobs as
  * data, expanded from the field list in core/gpu.hh.
- * gpuConfigToJson() nests the full SMConfig dump under "sm", so one
+ * writeJson() nests the full SMConfig dump under "sm", so one
  * JSON block is the complete, re-runnable description of a
  * simulated machine — this is the config block the experiment
  * runner embeds into every results artifact.
@@ -24,7 +24,7 @@ namespace siwi::core {
 std::span<const ConfigField<GpuConfig>> gpuConfigFields();
 
 /** Full dump: chip fields in table order, then "sm". */
-Json gpuConfigToJson(const GpuConfig &c);
+void writeJson(JsonWriter &w, const GpuConfig &c);
 
 /**
  * Apply JSON object @p j onto @p c: chip keys via the table, an
@@ -44,8 +44,12 @@ bool gpuConfigApplyJson(const Json &j, GpuConfig *c,
 bool gpuConfigApplyKeyValue(std::string_view kv, GpuConfig *c,
                             std::string *err);
 
-/** Schema dump of the chip-level fields. */
-Json gpuConfigSchema();
+/**
+ * The schema of both field tables (key/type/default/values/doc per
+ * field), as siwi-run --dump-schema prints it: the SMConfig table
+ * under "sm", the chip table under "chip".
+ */
+void writeConfigSchemas(JsonWriter &w);
 
 } // namespace siwi::core
 

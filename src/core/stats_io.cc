@@ -9,34 +9,37 @@ namespace {
 
 template <typename Stats>
 void
-putCounters(const Stats &s, Json *j)
+putCounters(JsonWriter &w, const Stats &s)
 {
     for (const CounterField<Stats> &f : counterFields<Stats>())
-        j->set(std::string(f.name), Json(s.*f.member));
+        w.key(f.name).value(s.*f.member);
 }
 
 /** One breakdown entry: its counters, after a unit's name. */
 template <typename Stats>
-Json
-entryToJson(const Stats &s)
+void
+putEntry(JsonWriter &w, const Stats &s)
 {
-    if constexpr (std::is_same_v<Stats, SimStats>)
-        return statsToJson(s);
-    Json j = Json::object();
-    if constexpr (std::is_same_v<Stats, UnitStats>)
-        j.set("name", Json(s.name));
-    putCounters(s, &j);
-    return j;
+    if constexpr (std::is_same_v<Stats, SimStats>) {
+        writeJson(w, s);
+    } else {
+        w.beginObject();
+        if constexpr (std::is_same_v<Stats, UnitStats>)
+            w.key("name").value(s.name);
+        putCounters(w, s);
+        w.endObject();
+    }
 }
 
+/** The array of @p v's entries. */
 template <typename Stats>
-Json
-arrayToJson(const std::vector<Stats> &v)
+void
+putArray(JsonWriter &w, const std::vector<Stats> &v)
 {
-    Json arr = Json::array();
+    w.beginArray();
     for (const Stats &s : v)
-        arr.push(entryToJson(s));
-    return arr;
+        putEntry(w, s);
+    w.endArray();
 }
 
 /**
@@ -140,30 +143,30 @@ getArray(const Json &j, const char *key, std::vector<Stats> *out,
 
 } // namespace
 
-Json
-statsToJson(const SimStats &st)
+void
+writeJson(JsonWriter &w, const SimStats &st)
 {
-    Json j = Json::object();
-    j.set("cycles", Json(st.cycles));
-    j.set("timed_out", Json(st.timed_out));
-    putCounters(st, &j);
-    j.set("max_stack_depth", Json(st.max_stack_depth));
-    j.set("max_live_contexts", Json(st.max_live_contexts));
-    j.set("num_sms", Json(st.num_sms));
-    j.set("units", arrayToJson(st.units));
+    w.beginObject();
+    w.key("cycles").value(st.cycles);
+    w.key("timed_out").value(st.timed_out);
+    putCounters(w, st);
+    w.key("max_stack_depth").value(st.max_stack_depth);
+    w.key("max_live_contexts").value(st.max_live_contexts);
+    w.key("num_sms").value(st.num_sms);
+    putArray(w.key("units"), st.units);
 
     // The chip memory-topology breakdowns (schema v5) and the
     // per-SM breakdown exist only on multi-SM chip aggregates;
     // omit them otherwise so single-SM result files stay compact.
     if (!st.l2_slices.empty())
-        j.set("l2_slices", arrayToJson(st.l2_slices));
+        putArray(w.key("l2_slices"), st.l2_slices);
     if (!st.dram_channels.empty())
-        j.set("dram_channels", arrayToJson(st.dram_channels));
+        putArray(w.key("dram_channels"), st.dram_channels);
     if (!st.noc_ports.empty())
-        j.set("noc_ports", arrayToJson(st.noc_ports));
+        putArray(w.key("noc_ports"), st.noc_ports);
     if (!st.per_sm.empty())
-        j.set("per_sm", arrayToJson(st.per_sm));
-    return j;
+        putArray(w.key("per_sm"), st.per_sm);
+    w.endObject();
 }
 
 bool

@@ -55,11 +55,11 @@ namespace siwi::core {
  */
 constexpr int stats_schema_version = 6;
 
-/** Serialize every SimStats counter as a flat JSON object. */
-Json statsToJson(const SimStats &st);
+/** Write every SimStats counter as a flat JSON object. */
+void writeJson(JsonWriter &w, const SimStats &st);
 
 /**
- * Rebuild a SimStats from statsToJson() output. Missing fields
+ * Rebuild a SimStats from writeJson() output. Missing fields
  * default to zero (forward compatibility within one schema
  * version). A non-object argument, a present count that is not a
  * non-negative integer in its member's range and a timed_out that

@@ -66,7 +66,8 @@ laneShuffleName(LaneShufflePolicy p)
 /**
  * SMConfig's fields (common/field_list.hh): the paper's Table 2
  * plus the mode switches. Row order is the serialization order of
- * smConfigToJson() and the row order of docs/CONFIG.md's SM table.
+ * pipeline::writeJson(JsonWriter &, const SMConfig &) and the row
+ * order of docs/CONFIG.md's SM table.
  *
  * Notes the doc strings only name:
  *   - swi: the primary pick waits a cycle in the cascade register

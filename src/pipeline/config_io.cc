@@ -10,10 +10,12 @@ smConfigFields()
     return fields;
 }
 
-Json
-smConfigToJson(const SMConfig &c)
+void
+writeJson(JsonWriter &w, const SMConfig &c)
 {
-    return configToJson<SMConfig>(c, smConfigFields());
+    w.beginObject();
+    writeConfigMembers<SMConfig>(w, c, smConfigFields());
+    w.endObject();
 }
 
 bool
@@ -28,12 +30,6 @@ smConfigApplyKeyValue(std::string_view kv, SMConfig *c,
 {
     return configApplyKeyValue<SMConfig>(kv, smConfigFields(), c,
                                          err);
-}
-
-Json
-smConfigSchema()
-{
-    return configSchema<SMConfig>(SMConfig{}, smConfigFields());
 }
 
 bool

@@ -25,7 +25,7 @@ namespace siwi::pipeline {
 std::span<const ConfigField<SMConfig>> smConfigFields();
 
 /** Full dump of @p c, one member per table field. */
-Json smConfigToJson(const SMConfig &c);
+void writeJson(JsonWriter &w, const SMConfig &c);
 
 /**
  * Apply JSON object @p j (a full dump or a partial "set" block)
@@ -38,9 +38,6 @@ bool smConfigApplyJson(const Json &j, SMConfig *c,
 /** Apply one "key=value" mutation (the --set / "set" path). */
 bool smConfigApplyKeyValue(std::string_view kv, SMConfig *c,
                            std::string *err);
-
-/** Schema dump (key/type/default/values/doc per field). */
-Json smConfigSchema();
 
 } // namespace siwi::pipeline
 

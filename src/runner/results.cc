@@ -1,6 +1,7 @@
 #include "runner/results.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "core/config_io.hh"
 #include "core/stats_io.hh"
@@ -18,18 +19,15 @@ Results::findMachine(const std::string &sweep,
     return nullptr;
 }
 
-Json
-machinesToJson(const std::vector<MachineRecord> &machines)
+void
+writeJson(JsonWriter &w, const MachineRecord &m)
 {
-    Json jm = Json::array();
-    for (const MachineRecord &m : machines) {
-        Json e = Json::object();
-        e.set("sweep", Json(m.sweep));
-        e.set("machine", Json(m.machine));
-        e.set("config", core::gpuConfigToJson(m.config));
-        jm.push(std::move(e));
-    }
-    return jm;
+    w.beginObject();
+    w.key("sweep").value(m.sweep);
+    w.key("machine").value(m.machine);
+    w.key("config");
+    core::writeJson(w, m.config);
+    w.endObject();
 }
 
 const CellResult *
@@ -85,25 +83,97 @@ Results::timeouts() const
     return n;
 }
 
+void
+writeJson(JsonWriter &w, const CellResult &c)
+{
+    w.beginObject();
+    w.key("sweep").value(c.sweep);
+    w.key("machine").value(c.machine);
+    w.key("workload").value(c.workload);
+    w.key("size").value(c.size);
+    w.key("num_sms").value(c.num_sms);
+    w.key("policy").value(c.policy);
+    w.key("excluded_from_means").value(c.excluded_from_means);
+    w.key("verified").value(c.verified);
+    if (!c.verified)
+        w.key("verify_msg").value(c.verify_msg);
+    w.key("timed_out").value(c.timed_out);
+    w.key("ipc").value(c.ipc);
+    w.key("stats");
+    core::writeJson(w, c.stats);
+    w.endObject();
+}
+
 Json
 cellToJson(const CellResult &c)
 {
-    Json jc = Json::object();
-    jc.set("sweep", Json(c.sweep));
-    jc.set("machine", Json(c.machine));
-    jc.set("workload", Json(c.workload));
-    jc.set("size", Json(c.size));
-    jc.set("num_sms", Json(c.num_sms));
-    jc.set("policy", Json(c.policy));
-    jc.set("excluded_from_means", Json(c.excluded_from_means));
-    jc.set("verified", Json(c.verified));
-    if (!c.verified)
-        jc.set("verify_msg", Json(c.verify_msg));
-    jc.set("timed_out", Json(c.timed_out));
-    jc.set("ipc", Json(c.ipc));
-    jc.set("stats", core::statsToJson(c.stats));
-    return jc;
+    return jsonValue(c);
 }
+
+namespace {
+
+/**
+ * "results: <entry>: <msg>" into @p err. <entry> names entry @p j
+ * of @p kind ("cell" or "machine"; nullptr for the document
+ * itself, which takes no name) by its labels as far as they are
+ * strings, so that an error points at it even when a label is the
+ * fault. @return false.
+ */
+bool
+fail(const Json &j, const char *kind, const std::string &msg,
+     std::string *err)
+{
+    if (!err)
+        return false;
+    *err = "results: ";
+    if (kind) {
+        *err += std::string(kind) + " '" + j.getString("sweep", "?");
+        *err += '/';
+        *err += j.getString("machine", "?");
+        if (std::string_view(kind) == "cell") {
+            *err += '/';
+            *err += j.getString("workload", "?");
+        }
+        *err += "': ";
+    }
+    *err += msg;
+    return false;
+}
+
+/** fail() with "'<key>' must be <need>". */
+bool
+badMember(const Json &j, const char *kind, const char *key,
+          const char *need, std::string *err)
+{
+    return fail(j, kind, std::string("'") + key + "' must be " + need,
+                err);
+}
+
+/** String member @p key of entry @p j of @p kind into @p out. */
+bool
+getLabel(const Json &j, const char *kind, const char *key,
+         std::string *out, std::string *err)
+{
+    const Json *v = j.find(key);
+    if (!v || !v->isString())
+        return badMember(j, kind, key, "a string", err);
+    *out = v->str();
+    return true;
+}
+
+/** Bool member @p key of entry @p j of @p kind into @p out. */
+bool
+getFlag(const Json &j, const char *kind, const char *key, bool *out,
+        std::string *err)
+{
+    const Json *v = j.find(key);
+    if (!v || !v->isBool())
+        return badMember(j, kind, key, "true or false", err);
+    *out = v->boolean();
+    return true;
+}
+
+} // namespace
 
 bool
 cellFromJson(const Json &jc, CellResult *out, std::string *err)
@@ -113,50 +183,67 @@ cellFromJson(const Json &jc, CellResult *out, std::string *err)
             *err = "results: cell entry must be an object";
         return false;
     }
+    const char *cell = "cell";
     CellResult c;
-    c.sweep = jc.getString("sweep");
-    c.machine = jc.getString("machine");
-    c.workload = jc.getString("workload");
-    c.size = jc.getString("size");
-    c.num_sms = unsigned(jc.getInt("num_sms", 1));
-    c.policy = jc.getString("policy");
-    c.excluded_from_means = jc.getBool("excluded_from_means");
-    c.verified = jc.getBool("verified");
-    c.verify_msg = jc.getString("verify_msg");
-    c.timed_out = jc.getBool("timed_out");
-    c.ipc = jc.getDouble("ipc");
-    const Json *stats = jc.find("stats");
-    if (!stats) {
-        if (err)
-            *err = "results: cell '" + c.machine + "/" +
-                   c.workload + "' lacks 'stats'";
+    if (!getLabel(jc, cell, "sweep", &c.sweep, err) ||
+        !getLabel(jc, cell, "machine", &c.machine, err) ||
+        !getLabel(jc, cell, "workload", &c.workload, err) ||
+        !getLabel(jc, cell, "size", &c.size, err) ||
+        !getLabel(jc, cell, "policy", &c.policy, err) ||
+        !getFlag(jc, cell, "excluded_from_means",
+                 &c.excluded_from_means, err) ||
+        !getFlag(jc, cell, "verified", &c.verified, err) ||
+        !getFlag(jc, cell, "timed_out", &c.timed_out, err))
         return false;
+    const Json *sms = jc.find("num_sms");
+    if (!sms || !sms->isInt() || sms->integer() < 1 ||
+        u64(sms->integer()) > std::numeric_limits<unsigned>::max())
+        return badMember(jc, cell, "num_sms", "a positive integer",
+                         err);
+    c.num_sms = unsigned(sms->integer());
+    const Json *ipc = jc.find("ipc");
+    if (!ipc || !ipc->isNumber())
+        return badMember(jc, cell, "ipc", "a number", err);
+    c.ipc = ipc->number();
+    if (const Json *msg = jc.find("verify_msg")) {
+        if (!msg->isString())
+            return badMember(jc, cell, "verify_msg", "a string", err);
+        c.verify_msg = msg->str();
     }
-    if (!core::statsFromJson(*stats, &c.stats, err))
-        return false;
+    const Json *stats = jc.find("stats");
+    if (!stats)
+        return fail(jc, cell, "lacks 'stats'", err);
+    std::string serr;
+    if (!core::statsFromJson(*stats, &c.stats, &serr))
+        return fail(jc, cell, serr, err);
     *out = std::move(c);
     return true;
 }
 
-Json
-Results::toJson() const
+void
+writeJson(JsonWriter &w, const Results &r)
 {
-    Json j = Json::object();
-    j.set("schema_version", Json(core::stats_schema_version));
-    j.set("generator", Json("siwi-run"));
-    j.set("suite", Json(suite));
-    j.set("machines", machinesToJson(machines));
-    Json arr = Json::array();
-    for (const CellResult &c : cells)
-        arr.push(cellToJson(c));
-    j.set("cells", std::move(arr));
-    return j;
+    w.beginObject();
+    w.key("schema_version").value(core::stats_schema_version);
+    w.key("generator").value("siwi-run");
+    w.key("suite").value(r.suite);
+    w.key("machines").beginArray();
+    for (const MachineRecord &m : r.machines)
+        writeJson(w, m);
+    w.endArray();
+    w.key("cells").beginArray();
+    for (const CellResult &c : r.cells)
+        writeJson(w, c);
+    w.endArray();
+    w.endObject();
 }
 
 std::string
 Results::toJsonText() const
 {
-    return toJson().dump(2) + "\n";
+    std::string text = jsonText(*this, 2);
+    text += '\n';
+    return text;
 }
 
 bool
@@ -167,16 +254,21 @@ Results::fromJson(const Json &j, Results *out, std::string *err)
             *err = "results: expected a JSON object";
         return false;
     }
-    i64 version = j.getInt("schema_version", -1);
-    if (version != core::stats_schema_version) {
+    const Json *version = j.find("schema_version");
+    if (!version || !version->isInt())
+        return badMember(j, nullptr, "schema_version", "an integer",
+                         err);
+    if (version->integer() != core::stats_schema_version) {
         if (err)
             *err = "results: schema_version " +
-                   std::to_string(version) + " != supported " +
+                   std::to_string(version->integer()) +
+                   " != supported " +
                    std::to_string(core::stats_schema_version);
         return false;
     }
     Results r;
-    r.suite = j.getString("suite");
+    if (!getLabel(j, nullptr, "suite", &r.suite, err))
+        return false;
     if (const Json *jm = j.find("machines")) {
         if (!jm->isArray()) {
             if (err)
@@ -190,18 +282,17 @@ Results::fromJson(const Json &j, Results *out, std::string *err)
                            "object";
                 return false;
             }
+            const char *machine = "machine";
             MachineRecord m;
-            m.sweep = je.getString("sweep");
-            m.machine = je.getString("machine");
+            if (!getLabel(je, machine, "sweep", &m.sweep, err) ||
+                !getLabel(je, machine, "machine", &m.machine, err))
+                return false;
             const Json *cfg = je.find("config");
-            if (!cfg) {
-                if (err)
-                    *err = "results: machine entry '" +
-                           m.machine + "' lacks 'config'";
-                return false;
-            }
-            if (!core::gpuConfigApplyJson(*cfg, &m.config, err))
-                return false;
+            if (!cfg)
+                return fail(je, machine, "lacks 'config'", err);
+            std::string cerr;
+            if (!core::gpuConfigApplyJson(*cfg, &m.config, &cerr))
+                return fail(je, machine, cerr, err);
             r.machines.push_back(std::move(m));
         }
     }
@@ -238,7 +329,7 @@ Results::load(const std::string &path, Results *out,
 bool
 Results::save(const std::string &path, std::string *err) const
 {
-    return toJson().writeFile(path, 2, err);
+    return writeTextFile(path, toJsonText(), err);
 }
 
 const char *

@@ -4,9 +4,11 @@
  *
  * Results is the one container every consumer shares: the bench
  * table printers, the siwi-run CLI, the JSON serializer and
- * the CI baseline gate. The JSON layout is versioned via
- * core::stats_schema_version (see core/stats_io.hh); bench/README.md
- * documents the schema.
+ * the CI baseline gate. Every struct here has one serializer, a
+ * writeJson() that streams into a JsonWriter without building a
+ * Json tree; the tree is for reading. The JSON layout is versioned
+ * via core::stats_schema_version (see core/stats_io.hh);
+ * bench/README.md documents the schema.
  */
 
 #ifndef SIWI_RUNNER_RESULTS_HH
@@ -70,23 +72,30 @@ struct MachineRecord
 };
 
 /**
- * Serialize machine records as the results "machines" array —
- * shared by Results::toJson and siwi-run --dump-config so the
- * two cannot drift.
+ * Write one machine record as an entry of the results "machines"
+ * array — shared by the results document and siwi-run
+ * --dump-config so the two cannot drift.
  */
-Json machinesToJson(const std::vector<MachineRecord> &machines);
+void writeJson(JsonWriter &w, const MachineRecord &m);
 
 /**
- * Serialize one cell exactly as it appears in the results "cells"
- * array — shared by Results::toJson and the serve-layer result
- * cache (one blob per cell), so a cell that travels through the
- * cache re-serializes byte-identically to a locally computed one.
+ * Write one cell exactly as it appears in the results "cells"
+ * array — shared by the results document and the serve-layer
+ * result cache (one blob per cell), so a cell that travels through
+ * the cache re-serializes byte-identically to a locally computed
+ * one.
  */
+void writeJson(JsonWriter &w, const CellResult &c);
+
+/** The tree of @p c's text: for callers that need a Json value. */
 Json cellToJson(const CellResult &c);
 
 /**
- * Rebuild a cell from cellToJson() output (tolerant member reads,
- * strict stats block). @return false and set @p err on malformed
+ * Rebuild a cell from writeJson() output. Every member but
+ * verify_msg is required: labels are strings, flags bools, num_sms
+ * a positive integer that fits unsigned, ipc a number, and the
+ * stats block is read strictly (core::statsFromJson). @return
+ * false and set @p err, naming the cell and the key, on malformed
  * input.
  */
 bool cellFromJson(const Json &jc, CellResult *out,
@@ -125,13 +134,13 @@ class Results
     /** Number of cells truncated at the cycle cap. */
     size_t timeouts() const;
 
-    Json toJson() const;
-
     /** Pretty-printed JSON document with trailing newline. */
     std::string toJsonText() const;
 
     /**
-     * Parse toJson() output. Fails on schema-version mismatch.
+     * Parse a results document. Fails on a schema_version that is
+     * not the supported integer, a suite that is not a string, and
+     * any machine record or cell it cannot read strictly.
      * @return false and set @p err on malformed input.
      */
     static bool fromJson(const Json &j, Results *out,
@@ -146,6 +155,9 @@ class Results
 
     bool operator==(const Results &) const = default;
 };
+
+/** Write the whole results document (Results::toJsonText()). */
+void writeJson(JsonWriter &w, const Results &r);
 
 /** "tiny" / "full" / "chip" label of a SizeClass. */
 const char *sizeClassName(workloads::SizeClass sc);

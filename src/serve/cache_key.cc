@@ -5,22 +5,25 @@
 
 namespace siwi::serve {
 
-Json
-cellKeyJson(const core::GpuConfig &resolved,
+std::string
+cellKeyText(const core::GpuConfig &resolved,
             std::string_view workload, std::string_view size,
             int schema_version)
 {
-    // Member order is part of the canonical form: Json objects
-    // preserve insertion order and the config dump is in table
-    // order, so the same cell always serializes to the same
-    // bytes.
-    Json j = Json::object();
-    j.set("siwi_cache_key", Json(cache_key_version));
-    j.set("stats_schema", Json(schema_version));
-    j.set("workload", Json(std::string(workload)));
-    j.set("size", Json(std::string(size)));
-    j.set("config", core::gpuConfigToJson(resolved));
-    return j;
+    // Member order is part of the canonical form: members are
+    // written in call order and the config dump is in table order,
+    // so the same cell always serializes to the same bytes.
+    std::string text;
+    JsonWriter w(text, -1);
+    w.beginObject();
+    w.key("siwi_cache_key").value(cache_key_version);
+    w.key("stats_schema").value(schema_version);
+    w.key("workload").value(workload);
+    w.key("size").value(size);
+    w.key("config");
+    core::writeJson(w, resolved);
+    w.endObject();
+    return text;
 }
 
 std::string
@@ -29,8 +32,7 @@ cellCacheKey(const core::GpuConfig &resolved,
              int schema_version)
 {
     return sha256Hex(
-        cellKeyJson(resolved, workload, size, schema_version)
-            .dump(-1));
+        cellKeyText(resolved, workload, size, schema_version));
 }
 
 std::string

@@ -39,17 +39,18 @@ namespace siwi::serve {
 constexpr int cache_key_version = 1;
 
 /**
- * The canonical JSON document a cell key hashes: key-derivation
- * version, stats schema version, workload, size label, and the
- * full resolved chip config dump. Exposed for tests.
+ * The canonical JSON text a cell key hashes, compact: key-
+ * derivation version, stats schema version, workload, size label,
+ * and the full resolved chip config dump. Exposed for tests.
  */
-Json cellKeyJson(const core::GpuConfig &resolved,
-                 std::string_view workload, std::string_view size,
-                 int schema_version = core::stats_schema_version);
+std::string cellKeyText(const core::GpuConfig &resolved,
+                        std::string_view workload,
+                        std::string_view size,
+                        int schema_version = core::stats_schema_version);
 
 /**
  * Content hash of one resolved cell: SHA-256 hex (64 chars) of
- * the compact cellKeyJson() dump.
+ * cellKeyText().
  */
 std::string cellCacheKey(
     const core::GpuConfig &resolved, std::string_view workload,

@@ -56,26 +56,32 @@ writeFileAtomic(const std::string &path, const std::string &text,
     return true;
 }
 
-Json
-blobJson(const std::string &key, const runner::CellResult &cell)
+/** The blob text stored under @p key for @p cell. */
+std::string
+blobText(const std::string &key, const runner::CellResult &cell)
 {
-    Json cell_json = runner::cellToJson(cell);
-    // The checksum covers the compact canonical dump of the cell
-    // payload: any bit flip that changes the parsed value fails
-    // validation, and re-serialization is deterministic, so a
-    // round-trip through the blob cannot drift the checksum.
-    std::string sum = sha256Hex(cell_json.dump(-1));
-    Json j = Json::object();
-    j.set("siwi_cache_blob", Json(cache_blob_version));
-    j.set("key", Json(key));
-    j.set("schema_version", Json(core::stats_schema_version));
-    j.set("cell_sha256", Json(sum));
-    j.set("cell", std::move(cell_json));
-    return j;
+    // The checksum covers the compact canonical text of the cell
+    // payload, which is the compact dump of the parsed payload:
+    // any bit flip that changes the parsed value fails validation,
+    // and re-serialization is deterministic, so a round-trip
+    // through the blob cannot drift the checksum.
+    const std::string sum = sha256Hex(jsonText(cell));
+    std::string text;
+    JsonWriter w(text, 2);
+    w.beginObject();
+    w.key("siwi_cache_blob").value(cache_blob_version);
+    w.key("key").value(key);
+    w.key("schema_version").value(core::stats_schema_version);
+    w.key("cell_sha256").value(sum);
+    w.key("cell");
+    runner::writeJson(w, cell);
+    w.endObject();
+    text += '\n';
+    return text;
 }
 
 /**
- * The inverse of blobJson(): check the layout version, the key, the
+ * The inverse of blobText(): check the layout version, the key, the
  * schema version and the payload checksum of @p blob, then parse
  * its cell into @p out. On failure @p why says which check failed.
  */
@@ -187,8 +193,7 @@ ResultCache::store(const std::string &key,
             *err = "cannot create " + path + ": " + ec.message();
         return false;
     }
-    return writeFileAtomic(path, blobJson(key, cell).dump(2) + "\n",
-                           err);
+    return writeFileAtomic(path, blobText(key, cell), err);
 }
 
 } // namespace siwi::serve

@@ -24,6 +24,16 @@ using pipeline::SMConfig;
 
 namespace {
 
+/** The siwi-run --dump-schema document, parsed. */
+Json
+configSchemas()
+{
+    std::string text;
+    JsonWriter w(text, -1);
+    core::writeConfigSchemas(w);
+    return Json::parse(text, nullptr);
+}
+
 const PipelineMode all_modes[] = {
     PipelineMode::Baseline, PipelineMode::Warp64,
     PipelineMode::SBI,      PipelineMode::SWI,
@@ -34,7 +44,7 @@ TEST(SMConfigIo, RoundTripsEveryMode)
 {
     for (PipelineMode m : all_modes) {
         SMConfig c = SMConfig::make(m);
-        Json j = pipeline::smConfigToJson(c);
+        Json j = jsonValue(c);
         SMConfig parsed; // defaults, overwritten by the full dump
         std::string err;
         ASSERT_TRUE(pipeline::smConfigApplyJson(j, &parsed, &err))
@@ -73,7 +83,7 @@ TEST(SMConfigIo, EveryFieldSurvivesMutatedRoundTrip)
         SMConfig parsed;
         std::string err;
         ASSERT_TRUE(pipeline::smConfigApplyJson(
-            pipeline::smConfigToJson(c), &parsed, &err))
+            jsonValue(c), &parsed, &err))
             << f.key << ": " << err;
         EXPECT_TRUE(parsed == c) << f.key;
 
@@ -221,7 +231,7 @@ TEST(SMConfigIo, EnumNameArraysMatchTheDisplayFunctions)
 
 TEST(SMConfigIo, SchemaDumpDescribesEveryField)
 {
-    Json schema = pipeline::smConfigSchema();
+    const Json schema = *configSchemas().find("sm");
     ASSERT_TRUE(schema.isArray());
     ASSERT_EQ(schema.arr().size(),
               pipeline::smConfigFields().size());
@@ -299,7 +309,7 @@ TEST(GpuConfigIo, RoundTripAndEquality)
 {
     GpuConfig c =
         GpuConfig::make(PipelineMode::SBISWI, /*num_sms=*/4);
-    Json j = core::gpuConfigToJson(c);
+    Json j = jsonValue(c);
     // The dump must nest the full SM block.
     ASSERT_NE(j.find("sm"), nullptr);
     GpuConfig parsed;
@@ -333,7 +343,7 @@ TEST(GpuConfigIo, UnknownChipKeyIsAnError)
 }
 
 /**
- * The Markdown table of @p schema (a configSchema() dump): one
+ * The Markdown table of @p schema (a writeConfigSchema() dump): one
  * row per field with its key, type, default and doc line.
  */
 std::string
@@ -406,10 +416,11 @@ TEST(ConfigDocs, ConfigMdDocumentsEveryField)
         }
         return out;
     };
+    const Json schemas = configSchemas();
     EXPECT_EQ(table("SM fields"),
-              renderFieldTable(pipeline::smConfigSchema()));
+              renderFieldTable(*schemas.find("sm")));
     EXPECT_EQ(table("Chip fields"),
-              renderFieldTable(core::gpuConfigSchema()));
+              renderFieldTable(*schemas.find("chip")));
     EXPECT_EQ(table("Bounds on counts"),
               "| Key | Range | Table |\n|-----|-------|-------|\n" +
                   renderBoundRows(pipeline::smConfigFields(), "SM") +

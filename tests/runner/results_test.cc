@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/stats_io.hh"
@@ -114,7 +115,7 @@ TEST(StatsIo, RoundTrip)
     const core::SimStats st = everyField(&next, 1);
     core::SimStats back;
     std::string err;
-    ASSERT_TRUE(core::statsFromJson(statsToJson(st), &back, &err))
+    ASSERT_TRUE(core::statsFromJson(jsonValue(st), &back, &err))
         << err;
     EXPECT_EQ(back, st);
 }
@@ -175,7 +176,7 @@ TEST(Results, JsonRoundTrip)
     Results r = sampleResults();
     Results back;
     std::string err;
-    ASSERT_TRUE(Results::fromJson(r.toJson(), &back, &err)) << err;
+    ASSERT_TRUE(Results::fromJson(jsonValue(r), &back, &err)) << err;
     EXPECT_EQ(back, r);
     // The serialized text is stable, too.
     EXPECT_EQ(back.toJsonText(), r.toJsonText());
@@ -183,7 +184,7 @@ TEST(Results, JsonRoundTrip)
 
 TEST(Results, SchemaVersionMismatchIsRejected)
 {
-    Json j = sampleResults().toJson();
+    Json j = jsonValue(sampleResults());
     for (auto &m : j.obj()) {
         if (m.first == "schema_version")
             m.second = Json(core::stats_schema_version + 1);
@@ -192,6 +193,81 @@ TEST(Results, SchemaVersionMismatchIsRejected)
     std::string err;
     EXPECT_FALSE(Results::fromJson(j, &back, &err));
     EXPECT_NE(err.find("schema_version"), std::string::npos);
+}
+
+/** Member @p key of object @p j set to @p v, or removed when null. */
+void
+setMember(Json *j, const std::string &key, const Json &v)
+{
+    Json::Object &o = j->obj();
+    auto it = std::find_if(o.begin(), o.end(), [&](const auto &m) {
+        return m.first == key;
+    });
+    if (v.isNull()) {
+        if (it != o.end())
+            o.erase(it);
+    } else if (it != o.end()) {
+        it->second = v;
+    } else {
+        o.emplace_back(key, v);
+    }
+}
+
+TEST(Results, ReaderRejectsWronglyTypedFields)
+{
+    // Copies of bench/baseline.json with one member of the document,
+    // its first cell or its first machine record changed (null:
+    // removed). Each was read as something else before: 6.9 as 6,
+    // -3 as 4294967293 SMs, 7 as the workload "".
+    std::string err;
+    const Json base = Json::parseFile(
+        std::string(SIWI_SOURCE_DIR) + "/bench/baseline.json", &err);
+    ASSERT_EQ(err, "");
+    Results ok;
+    ASSERT_TRUE(Results::fromJson(base, &ok, &err)) << err;
+    const std::string cell = "cell 'fig7_regular/Baseline/3DFD'";
+    const std::string machine = "machine 'fig7_regular/Baseline'";
+    struct Case
+    {
+        const char *where; //!< "doc", "cell" or "machine"
+        const char *key;
+        Json value;
+        std::string names; //!< the entry the error must name
+    };
+    const Case cases[] = {
+        {"doc", "schema_version", Json(6.9), "'schema_version'"},
+        {"cell", "num_sms", Json(-3), cell + ": 'num_sms'"},
+        {"cell", "workload", Json(7), "cell 'fig7_regular/Baseline/?'"
+                                      ": 'workload'"},
+        {"doc", "suite", Json(3), "'suite'"},
+        {"cell", "num_sms", Json(0), cell + ": 'num_sms'"},
+        {"cell", "num_sms", Json(i64(1) << 32), cell + ": 'num_sms'"},
+        {"cell", "num_sms", Json(1.0), cell + ": 'num_sms'"},
+        {"cell", "ipc", Json("16.9"), cell + ": 'ipc'"},
+        {"cell", "verified", Json(1), cell + ": 'verified'"},
+        {"cell", "timed_out", Json(), cell + ": 'timed_out'"},
+        {"cell", "policy", Json(), cell + ": 'policy'"},
+        {"cell", "verify_msg", Json(false), cell + ": 'verify_msg'"},
+        {"cell", "stats", Json(Json::Object{{"cycles", Json(-1)}}),
+         cell + ": stats: 'cycles'"},
+        {"machine", "machine", Json(Json::Array{}),
+         "machine 'fig7_regular/?': 'machine'"},
+        {"machine", "config", Json(), machine + ": lacks 'config'"},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(std::string(c.where) + " " + c.key);
+        Json doc = base;
+        Json *target = &doc;
+        if (std::string(c.where) == "cell")
+            target = &doc.obj()[4].second.arr()[0];
+        else if (std::string(c.where) == "machine")
+            target = &doc.obj()[3].second.arr()[0];
+        setMember(target, c.key, c.value);
+        Results r;
+        err.clear();
+        EXPECT_FALSE(Results::fromJson(doc, &r, &err));
+        EXPECT_NE(err.find(c.names), std::string::npos) << err;
+    }
 }
 
 TEST(Results, FindAndHelpers)
@@ -213,7 +289,7 @@ TEST(Results, TimedOutCellsAreCountedAndRoundTrip)
 
     Results back;
     std::string err;
-    ASSERT_TRUE(Results::fromJson(r.toJson(), &back, &err))
+    ASSERT_TRUE(Results::fromJson(jsonValue(r), &back, &err))
         << err;
     EXPECT_EQ(back, r);
     EXPECT_TRUE(back.cells[1].timed_out);

@@ -395,7 +395,7 @@ TEST(EnumNames, EveryValueRoundTrips)
          [](size_t i) {
              pipeline::SMConfig c;
              c.reconv = pipeline::ReconvMode(i);
-             return pipeline::smConfigToJson(c).getString("reconv");
+             return jsonValue(c).getString("reconv");
          }},
         {pipeline::lane_shuffle_names,
          [](size_t i) -> std::string {
@@ -552,13 +552,13 @@ TEST(Results, EmbedsTheResolvedMachineConfigs)
 
     // The config block must appear verbatim in the JSON and
     // survive a full round trip.
-    Json j = res.toJson();
+    Json j = jsonValue(res);
     const Json *jm = j.find("machines");
     ASSERT_NE(jm, nullptr);
     ASSERT_EQ(jm->arr().size(), 1u);
     const Json *cfg = jm->arr()[0].find("config");
     ASSERT_NE(cfg, nullptr);
-    EXPECT_EQ(*cfg, core::gpuConfigToJson(r.config));
+    EXPECT_EQ(*cfg, jsonValue(r.config));
 
     Results parsed;
     ASSERT_TRUE(Results::fromJson(j, &parsed, &err)) << err;

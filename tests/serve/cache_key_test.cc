@@ -175,7 +175,7 @@ TEST(CacheKey, CycleSkipIsNotPartOfTheIdentity)
     runner::MachineRegistry reg;
     runner::SweepSpec s = oneCellSweep(*reg.find("SBI"));
     core::GpuConfig cfg = runner::resolvedCellConfig(s, 0, 0, 0);
-    std::string dump = cellKeyJson(cfg, "BFS", "tiny").dump(-1);
+    std::string dump = cellKeyText(cfg, "BFS", "tiny");
     EXPECT_EQ(dump.find("cycle_skip"), std::string::npos);
 }
 

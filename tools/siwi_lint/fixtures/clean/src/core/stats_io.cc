@@ -1,14 +1,14 @@
 // Fixture: stats serialization; the counters come from the list in
-// stats.hh, the other members are written by hand.
+// stats.hh, the other members are written by hand into a JsonWriter.
 #include "core/stats_io.hh"
 
 namespace siwi::core {
 
 void
-statsToJson(const SimStats &st, Json *j)
+writeJson(JsonWriter &w, const SimStats &st)
 {
-    j->set("cycles", st.cycles);
-    j->set("extra", st.extra);
+    w.key("cycles").value(st.cycles);
+    w.key("extra").value(st.extra);
 }
 
 } // namespace siwi::core

@@ -195,7 +195,8 @@ bannedPatterns()
         {std::regex(R"(\bunordered_(map|set)\b)"),
          "unordered container: iteration order varies across "
          "libraries and runs; use std::map / a sorted vector, or "
-         "allowlist a lookup-only use"},
+         "narrow this pattern in bannedPatterns() for a "
+         "lookup-only use (docs/LINTING.md, \"Exceptions\")"},
         {std::regex(R"(\brandom_device\b)"),
          "std::random_device: nondeterministic seed source; use "
          "common/rng.hh with an explicit seed"},
@@ -356,12 +357,17 @@ checkHeaders(const fs::path &root,
 // Check 3: serialized schema key pin
 // ---------------------------------------------------------------
 
+/**
+ * The literal keys of @p text's serializer and reader calls: a
+ * JsonWriter key("k") or Json tree set("k", ...), and a
+ * get<Type>("k") or find("k") lookup.
+ */
 std::set<std::string>
 extractSerializedKeys(const std::string &text)
 {
     std::set<std::string> keys;
     static const std::regex res[] = {
-        std::regex(R"re((?:\.|->)set\(\s*"([^"]+)")re"),
+        std::regex(R"re((?:\.|->)(?:key|set)\(\s*"([^"]+)")re"),
         std::regex(
             R"re(\bget(?:Int|Bool|String|Double)\(\s*"([^"]+)")re"),
         std::regex(R"re(\bfind\(\s*"([^"]+)")re"),

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "core/config_io.hh"
-#include "pipeline/config_io.hh"
 #include "runner/runner.hh"
 #include "serve/cached_run.hh"
 
@@ -112,8 +111,8 @@ int
 doCheck(const std::string &path)
 {
     // Results::load already refuses unknown schema versions and
-    // malformed stats blocks; on top of that, gate on per-cell
-    // health so CI smoke jobs fail loudly on a sick run.
+    // missing or wrongly typed members; on top of that, gate on
+    // per-cell health so CI smoke jobs fail loudly on a sick run.
     Results res;
     std::string err;
     if (!Results::load(path, &res, &err)) {
@@ -205,10 +204,11 @@ main(int argc, char **argv)
         // Self-describing schema of the config field tables;
         // docs/CONFIG.md's field tables equal this dump rendered
         // as Markdown (the pipeline.ConfigDocs test checks it).
-        Json j = Json::object();
-        j.set("sm", pipeline::smConfigSchema());
-        j.set("chip", core::gpuConfigSchema());
-        std::fputs((j.dump(2) + "\n").c_str(), stdout);
+        std::string text;
+        JsonWriter w(text, 2);
+        core::writeConfigSchemas(w);
+        text += '\n';
+        std::fputs(text.c_str(), stdout);
         return exit_ok;
     }
     if (args.flag("--list-suites")) {
@@ -322,9 +322,16 @@ main(int argc, char **argv)
         // The same resolved-config blocks a run would embed into
         // its results artifact (narrow with --machine and
         // --workload to inspect a single cell).
-        Json j = Json::object();
-        j.set("machines", machinesToJson(machineRecords(sweeps)));
-        std::fputs((j.dump(2) + "\n").c_str(), stdout);
+        std::string text;
+        JsonWriter w(text, 2);
+        w.beginObject();
+        w.key("machines").beginArray();
+        for (const MachineRecord &m : machineRecords(sweeps))
+            writeJson(w, m);
+        w.endArray();
+        w.endObject();
+        text += '\n';
+        std::fputs(text.c_str(), stdout);
         return exit_ok;
     }
 
